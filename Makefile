@@ -30,12 +30,13 @@ lint-report:
 	go run ./cmd/progresslint -json -sharedstate CONCURRENCY.json ./...
 	@echo "wrote CONCURRENCY.json"
 
-# Open-ended fuzzing of the two engine-boundary parsers. Override the
+# Open-ended fuzzing of the two engine-boundary parsers and the record decoder. Override the
 # budget per target: make fuzz FUZZTIME=5m
 FUZZTIME ?= 60s
 fuzz:
 	go test -run FuzzParse -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/faultinject/
 	go test -run FuzzParseStatement -fuzz FuzzParseStatement -fuzztime $(FUZZTIME) ./internal/sqlparser/
+	go test -run FuzzDecodeInto -fuzz FuzzDecodeInto -fuzztime $(FUZZTIME) ./internal/tuple/
 
 # Randomized fault-schedule property suite at full depth (DESIGN.md §6):
 # hundreds of deterministic random fault schedules under -race, each

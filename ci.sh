@@ -52,6 +52,7 @@ echo "== fuzz smoke =="
 # runs them open-ended.
 go test -run FuzzParse -fuzz FuzzParse -fuzztime 10s ./internal/faultinject/
 go test -run FuzzParseStatement -fuzz FuzzParseStatement -fuzztime 10s ./internal/sqlparser/
+go test -run FuzzDecodeInto -fuzz FuzzDecodeInto -fuzztime 5s ./internal/tuple/
 
 echo "== progressd smoke =="
 # End to end on an ephemeral port: submit a query, stream one SSE

@@ -214,9 +214,13 @@ func (t *Tree) getPage(clk *vclock.Clock, num int32) ([]byte, error) {
 	return t.pool.GetOn(clk, storage.PageID{File: t.file, Num: num})
 }
 
-// descend walks from the root to the leaf that may contain key, recording
-// the path (for insert splits).
-func (t *Tree) descend(clk *vclock.Clock, key int64) (leaf int32, path []int32, err error) {
+// descend walks from the root to a leaf for key, recording the path (for
+// insert splits). Duplicates of a key may straddle leaves, and the
+// separator between two such leaves equals the key. A read (first=true)
+// goes left of an equal separator, to the first leaf that can hold the
+// key — the iterator then walks the leaf chain forward; an insert goes
+// right, to the last such leaf, so duplicates stay in insertion order.
+func (t *Tree) descend(clk *vclock.Clock, key int64, first bool) (leaf int32, path []int32, err error) {
 	cur := t.root
 	for {
 		page, err := t.getPage(clk, cur)
@@ -232,11 +236,10 @@ func (t *Tree) descend(clk *vclock.Clock, key int64) (leaf int32, path []int32, 
 		off := internalHeader
 		for i := 0; i < n; i++ {
 			k := int64(binary.LittleEndian.Uint64(page[off:]))
-			if key >= k {
-				child = getInt32(page[off+8:])
-			} else {
+			if key < k || (first && key == k) {
 				break
 			}
+			child = getInt32(page[off+8:])
 			off += internalEntry
 		}
 		cur = child
@@ -281,7 +284,7 @@ func (t *Tree) SeekGE(key int64) (*Iterator, error) {
 // SeekGEOn is SeekGE charging the given worker clock (per-query index
 // scans).
 func (t *Tree) SeekGEOn(clk *vclock.Clock, key int64) (*Iterator, error) {
-	leaf, _, err := t.descend(clk, key)
+	leaf, _, err := t.descend(clk, key, true)
 	if err != nil {
 		return nil, err
 	}
@@ -343,7 +346,7 @@ func (it *Iterator) Next() (Entry, bool, error) {
 
 // Insert adds an entry, splitting pages as needed.
 func (t *Tree) Insert(key int64, rid storage.RID) error {
-	leafNum, path, err := t.descend(nil, key)
+	leafNum, path, err := t.descend(nil, key, false)
 	if err != nil {
 		return err
 	}

@@ -153,6 +153,65 @@ func TestDuplicateKeys(t *testing.T) {
 	}
 }
 
+// Duplicates of one key straddle leaf boundaries (a bulk-loaded leaf holds
+// MaxLeafEntries*9/10 entries, not a multiple of 10), and the separator
+// above such a boundary equals the key: a read must start in the left
+// leaf. Following the separator into the right child lost the duplicates
+// left behind — 2 to 8 rows instead of 10 for the straddling keys.
+func TestDuplicateKeysAcrossLeafBoundaries(t *testing.T) {
+	const perKey, keys = 10, 3000
+	if (MaxLeafEntries*9/10)%perKey == 0 {
+		t.Fatal("test needs duplicate groups that straddle bulk-loaded leaves")
+	}
+	check := func(tree *Tree) {
+		t.Helper()
+		for k := int64(0); k < keys; k++ {
+			rids, err := tree.Search(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rids) != perKey {
+				t.Fatalf("Search(%d) found %d rids, want %d", k, len(rids), perKey)
+			}
+			for i, r := range rids {
+				if r != rid(int(k)*perKey+i) {
+					t.Fatalf("Search(%d) rid %d = %v: duplicates out of insertion order", k, i, r)
+				}
+			}
+			it, err := tree.SeekGE(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e, ok, err := it.Next(); err != nil || !ok || e.Key != k || e.RID != rid(int(k)*perKey) {
+				t.Fatalf("SeekGE(%d) starts at %+v (ok=%v err=%v)", k, e, ok, err)
+			}
+		}
+	}
+
+	es := make([]Entry, keys*perKey)
+	for i := range es {
+		es[i] = Entry{Key: int64(i / perKey), RID: rid(i)}
+	}
+	bulk, err := BulkLoad(testPool(512), es)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(bulk)
+
+	// The same entries through Insert: leaf and internal splits put
+	// separators inside duplicate groups too.
+	ins, err := Create(testPool(512))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range es {
+		if err := ins.Insert(e.Key, e.RID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check(ins)
+}
+
 func TestInsertIntoEmpty(t *testing.T) {
 	pool := testPool(64)
 	tree, err := Create(pool)

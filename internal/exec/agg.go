@@ -18,20 +18,20 @@ type hashAgg struct {
 	child Iterator
 	tag   segment.NodeInfo
 
-	groups      []tuple.Tuple
+	slab        rowSlab
+	groups      []tuple.Tuple // result rows, in slab
 	idx         int
 	done        bool
 	childOpen   bool
 	childClosed bool
 }
 
-// aggAcc accumulates one group.
-type aggAcc struct {
-	key    tuple.Tuple // group column values
-	counts []int64     // per agg: rows seen (for count/avg)
-	sums   []float64   // per agg: running sum
-	minmax []tuple.Value
-	seen   []bool
+// aggState accumulates one aggregate of one group.
+type aggState struct {
+	count  int64   // rows seen (for count/avg)
+	sum    float64 // running sum
+	minmax tuple.Value
+	seen   bool
 }
 
 func (h *hashAgg) Open() error {
@@ -39,11 +39,15 @@ func (h *hashAgg) Open() error {
 		return err
 	}
 	h.childOpen = true
-	accs := make(map[string]*aggAcc)
-	var order []string // deterministic output: first-seen group order
 	naggs := len(h.node.Aggs)
-
+	// Groups are numbered in first-seen order, which is the output order;
+	// group g's key is keys[g] and its accumulators are
+	// states[g*naggs : (g+1)*naggs].
+	index := make(map[string]int) // encoded group key -> group number
+	var keys []tuple.Tuple
+	var states []aggState
 	var keyBuf []byte
+	keyVals := make(tuple.Tuple, len(h.node.GroupCols))
 	for {
 		t, ok, err := h.child.Next()
 		if err != nil {
@@ -54,47 +58,41 @@ func (h *hashAgg) Open() error {
 		}
 		h.env.Clock.ChargeCPU(cpuHashOp)
 		keyBuf = keyBuf[:0]
-		keyVals := make(tuple.Tuple, len(h.node.GroupCols))
-		for i, g := range h.node.GroupCols {
-			keyVals[i] = t[g]
+		for i, c := range h.node.GroupCols {
+			keyVals[i] = t[c]
+			keyBuf = t[c].Encode(keyBuf)
 		}
-		keyBuf = keyVals.Encode(keyBuf)
-		k := string(keyBuf)
-		acc, okk := accs[k]
+		g, okk := index[string(keyBuf)] // lookup does not copy keyBuf
 		if !okk {
-			acc = &aggAcc{
-				key:    keyVals.Clone(),
-				counts: make([]int64, naggs),
-				sums:   make([]float64, naggs),
-				minmax: make([]tuple.Value, naggs),
-				seen:   make([]bool, naggs),
-			}
-			accs[k] = acc
-			order = append(order, k)
+			g = len(keys)
+			index[string(keyBuf)] = g
+			keys = append(keys, h.slab.keep(keyVals))
+			states = append(states, make([]aggState, naggs)...)
 		}
 		for i, sp := range h.node.Aggs {
 			var v tuple.Value
 			if sp.Col >= 0 {
 				v = t[sp.Col]
 			}
-			acc.counts[i]++
+			acc := &states[g*naggs+i]
+			acc.count++
 			switch sp.Kind {
 			case plan.AggCount:
-				// counts already incremented
+				// count already incremented
 			case plan.AggSum, plan.AggAvg:
-				acc.sums[i] += v.AsFloat()
+				acc.sum += v.AsFloat()
 			case plan.AggMin, plan.AggMax:
-				if !acc.seen[i] {
-					acc.minmax[i] = v
-					acc.seen[i] = true
+				if !acc.seen {
+					acc.minmax = v
+					acc.seen = true
 					continue
 				}
-				c, err := v.Compare(acc.minmax[i])
+				c, err := v.Compare(acc.minmax)
 				if err != nil {
 					return err
 				}
 				if (sp.Kind == plan.AggMin && c < 0) || (sp.Kind == plan.AggMax && c > 0) {
-					acc.minmax[i] = v
+					acc.minmax = v
 				}
 			default:
 				return fmt.Errorf("exec: unknown aggregate %q", sp.Kind)
@@ -107,25 +105,25 @@ func (h *hashAgg) Open() error {
 	h.childClosed = true
 
 	rep := h.env.rep()
-	for _, k := range order {
-		acc := accs[k]
-		out := make(tuple.Tuple, 0, len(h.node.GroupCols)+naggs)
-		out = append(out, acc.key...)
+	out := make(tuple.Tuple, 0, len(h.node.GroupCols)+naggs)
+	for g, key := range keys {
+		out = append(out[:0], key...)
 		for i, sp := range h.node.Aggs {
+			acc := &states[g*naggs+i]
 			switch sp.Kind {
 			case plan.AggCount:
-				out = append(out, tuple.NewInt(acc.counts[i]))
+				out = append(out, tuple.NewInt(acc.count))
 			case plan.AggSum:
-				out = append(out, tuple.NewFloat(acc.sums[i]))
+				out = append(out, tuple.NewFloat(acc.sum))
 			case plan.AggAvg:
-				out = append(out, tuple.NewFloat(acc.sums[i]/float64(acc.counts[i])))
+				out = append(out, tuple.NewFloat(acc.sum/float64(acc.count)))
 			case plan.AggMin, plan.AggMax:
-				out = append(out, acc.minmax[i])
+				out = append(out, acc.minmax)
 			}
 		}
 		h.env.Clock.ChargeCPU(cpuTuple)
 		rep.OutputTuple(h.tag.ProducerSeg, out.EncodedSize())
-		h.groups = append(h.groups, out)
+		h.groups = append(h.groups, h.slab.keep(out))
 	}
 	rep.SegmentDone(h.tag.ProducerSeg)
 	h.idx = 0
@@ -148,7 +146,7 @@ func (h *hashAgg) Next() (tuple.Tuple, bool, error) {
 }
 
 func (h *hashAgg) Close() error {
-	h.groups = nil
+	h.groups, h.slab = nil, rowSlab{}
 	if h.childOpen && !h.childClosed {
 		// Open failed mid-drain: unwind the child so any temp files it
 		// holds (spilled sorts, joins) are released.

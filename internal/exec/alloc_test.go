@@ -1,0 +1,91 @@
+package exec
+
+import (
+	"fmt"
+	"testing"
+
+	"progressdb/internal/catalog"
+	"progressdb/internal/optimizer"
+	"progressdb/internal/segment"
+	"progressdb/internal/sqlparser"
+	"progressdb/internal/storage"
+	"progressdb/internal/tuple"
+	"progressdb/internal/vclock"
+)
+
+// allocsPerQuery loads a fixed 40-row table small and an n-row table big
+// (with a string column no query below reads) on a pool that holds both,
+// plans sql with the given join algorithm and returns the allocations of
+// one whole Run — Build, Open, every Next, Close.
+func allocsPerQuery(t *testing.T, n int, sql, algo string) (allocs float64, rows int64) {
+	t.Helper()
+	clock := vclock.New(vclock.Costs{SeqPage: 1e-5, RandPage: 8e-5, CPUTuple: 1e-8}, nil)
+	cat := catalog.New(storage.NewBufferPool(storage.NewDisk(clock), 1024))
+	load := func(name string, rows int, pad bool) {
+		cols := []tuple.Column{{Name: "k", Type: tuple.Int}, {Name: "v", Type: tuple.Int}}
+		if pad {
+			cols = append(cols, tuple.Column{Name: "pad", Type: tuple.String})
+		}
+		tb, err := cat.CreateTable(name, tuple.NewSchema(cols...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < rows; i++ {
+			row := tuple.Tuple{tuple.NewInt(int64(i % 40)), tuple.NewInt(int64(i + 1))}
+			if pad {
+				row = append(row, tuple.NewString(fmt.Sprintf("padding-%06d", i)))
+			}
+			if err := cat.Insert(tb, row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tb.Heap.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	load("small", 40, false)
+	load("big", n, true)
+	if err := cat.AnalyzeAll(); err != nil {
+		t.Fatal(err)
+	}
+	stmt, err := sqlparser.Parse(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := optimizer.Plan(cat, stmt, optimizer.Options{ForceJoinAlgo: algo})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := segment.Decompose(p, 512)
+	allocs = testing.AllocsPerRun(3, func() {
+		env := &Env{Pool: cat.Pool(), Clock: clock, WorkMemPages: 512, Decomp: d}
+		if rows, err = Run(env, p, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	return allocs, rows
+}
+
+// The machine-independent form of "the per-row path does not allocate":
+// quadrupling the probe side of Q2's shape (scan -> filter -> project ->
+// hash probe) and the outer side of Q5's (nested loops over a cached
+// inner) quadruples the rows and leaves the allocations of a query where
+// they were (the slack of 4 is for amortised slice growth, not rows).
+func TestAllocationsDoNotGrowWithProbeRows(t *testing.T) {
+	for _, tc := range []struct {
+		name, sql, algo string
+	}{
+		{"hash probe", "select b.v, s.v from small s, big b where s.k = b.k and absolute(b.v) > 0", "hash"},
+		{"nested loops", "select b.v, s.v from big b, small s where b.v <> s.v", "nl"},
+	} {
+		a1, r1 := allocsPerQuery(t, 500, tc.sql, tc.algo)
+		a4, r4 := allocsPerQuery(t, 2000, tc.sql, tc.algo)
+		t.Logf("%s: %d rows -> %.0f allocs, %d rows -> %.0f allocs", tc.name, r1, a1, r4, a4)
+		if r4 < 4*r1 || r1 == 0 {
+			t.Fatalf("%s: result rows %d -> %d, want x4", tc.name, r1, r4)
+		}
+		if a4 > a1+4 {
+			t.Fatalf("%s: allocations grew with the probe side: %.0f at 500 rows, %.0f at 2000", tc.name, a1, a4)
+		}
+	}
+}

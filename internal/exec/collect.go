@@ -167,7 +167,18 @@ type statsIter struct {
 	env   *Env
 	st    *NodeStats   // nil when per-query collection is off
 	rows  *obs.Counter // nil when engine metrics are off
+	sizer rowSizer     // inner, when it knows its row's size better than the row does
+	last  int          // bytes of the row last emitted (collection on only)
 }
+
+// rowSizer is implemented by operators whose output tuple may be a
+// column-pruned scan slot: the encoded size of the row it stands for is
+// the size of the record it was decoded from, not of the slot.
+type rowSizer interface {
+	lastRowBytes() int
+}
+
+func (s *statsIter) lastRowBytes() int { return s.last }
 
 func (s *statsIter) Open() error {
 	if s.st != nil {
@@ -184,8 +195,13 @@ func (s *statsIter) Next() (tuple.Tuple, bool, error) {
 	if ok {
 		s.rows.Inc()
 		if s.st != nil {
+			if s.sizer != nil {
+				s.last = s.sizer.lastRowBytes()
+			} else {
+				s.last = t.EncodedSize()
+			}
 			s.st.Rows++
-			s.st.Bytes += float64(t.EncodedSize())
+			s.st.Bytes += float64(s.last)
 		}
 	}
 	return t, ok, err

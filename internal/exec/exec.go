@@ -64,6 +64,11 @@ type Env struct {
 	// bypasses the iterator Close chain.
 	temps []storage.FileID
 
+	// wrap, when non-nil, wraps every operator Build constructs; the
+	// ownership-contract tests use it to put a poisoning iterator under
+	// every consumer.
+	wrap func(Iterator) Iterator
+
 	// scans tracks the pinning base-table scanners opened by this
 	// query's scan operators so ReleaseScans can drop their buffer-pool
 	// pins even when an error or panic bypasses the Close chain.
@@ -223,7 +228,9 @@ func (nopReporter) OutputTuple(int, int)                 {}
 func (nopReporter) Extra(int, float64)                   {}
 func (nopReporter) SegmentDone(int)                      {}
 
-// Iterator is the executor's pull interface.
+// Iterator is the executor's pull interface. The tuple Next returns
+// belongs to the iterator and is valid only until its next Next or Close
+// (see rows.go); a caller that keeps it copies it.
 type Iterator interface {
 	Open() error
 	Next() (tuple.Tuple, bool, error)
@@ -236,45 +243,70 @@ type Iterator interface {
 // times, and per-operator row counters; when both are disabled the bare
 // iterators are returned unchanged.
 func Build(n plan.Node, env *Env) (Iterator, error) {
-	it, err := buildNode(n, env)
+	return build(n, env, nil)
+}
+
+// build is Build with column pruning: need, when non-nil, marks the
+// columns of n's output that the plan above n reads. Only a Project sets
+// it, only Filters pass it down and only base scans use it — every other
+// operator needs its children's rows whole.
+func build(n plan.Node, env *Env, need []bool) (Iterator, error) {
+	it, err := buildNode(n, env, need)
 	if err != nil {
 		return nil, err
+	}
+	if env.wrap != nil {
+		it = env.wrap(it)
 	}
 	if env.Collect == nil && !env.Met.Enabled() {
 		return it, nil
 	}
-	return &statsIter{
+	si := &statsIter{
 		inner: it,
 		env:   env,
 		st:    env.Collect.Stats(n),
 		rows:  env.Met.RowsOut(opName(n)),
-	}, nil
+	}
+	si.sizer, _ = it.(rowSizer)
+	return si, nil
 }
 
 // buildNode constructs the bare iterator for one plan node, recursing
 // through Build so children pick up stats wrapping.
-func buildNode(n plan.Node, env *Env) (Iterator, error) {
+func buildNode(n plan.Node, env *Env, need []bool) (Iterator, error) {
 	switch node := n.(type) {
 	case *plan.SeqScan:
 		info, err := env.info(node)
 		if err != nil {
 			return nil, err
 		}
-		return &seqScan{node: node, env: env, tag: info}, nil
+		return &seqScan{node: node, env: env, tag: info, scanSlot: scanSlot{need: need}}, nil
 	case *plan.IndexScan:
 		info, err := env.info(node)
 		if err != nil {
 			return nil, err
 		}
-		return &indexScan{node: node, env: env, tag: info}, nil
+		return &indexScan{node: node, env: env, tag: info, scanSlot: scanSlot{need: need}}, nil
 	case *plan.Filter:
-		child, err := Build(node.Child, env)
+		if need != nil {
+			need = append([]bool(nil), need...)
+			for _, c := range expr.ColumnsUsed(node.Pred) {
+				need[c] = true
+			}
+		}
+		child, err := build(node.Child, env, need)
 		if err != nil {
 			return nil, err
 		}
-		return &filterIter{node: node, env: env, child: child, predCost: exprCost(node.Pred)}, nil
+		f := &filterIter{node: node, env: env, child: child, predCost: exprCost(node.Pred)}
+		f.src, _ = child.(rowSizer)
+		return f, nil
 	case *plan.Project:
-		child, err := Build(node.Child, env)
+		need := make([]bool, node.Child.Schema().Arity())
+		for _, c := range node.Cols {
+			need[c] = true
+		}
+		child, err := build(node.Child, env, need)
 		if err != nil {
 			return nil, err
 		}

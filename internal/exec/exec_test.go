@@ -126,15 +126,7 @@ func runSQL(t *testing.T, cat *catalog.Catalog, clock *vclock.Clock, sql string,
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := segment.Decompose(p, workMem)
-	env := &Env{Pool: cat.Pool(), Clock: clock, WorkMemPages: workMem, Reporter: rep, Decomp: d}
-	var rows []string
-	if _, err := Run(env, p, func(tp tuple.Tuple) error {
-		rows = append(rows, tp.String())
-		return nil
-	}); err != nil {
-		t.Fatalf("Run(%q): %v", sql, err)
-	}
+	rows := execChecked(t, cat, clock, p, workMem, rep)
 	sort.Strings(rows)
 	return rows
 }

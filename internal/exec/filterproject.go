@@ -12,9 +12,15 @@ type filterIter struct {
 	env      *Env
 	child    Iterator
 	predCost float64
+	// src is the child as a rowSizer. It is asked only by this filter's
+	// statsIter, and whenever there is one the child is a statsIter too.
+	src rowSizer
 }
 
 func (f *filterIter) Open() error { return f.child.Open() }
+
+// lastRowBytes: a filter hands on its child's row, pruned or not.
+func (f *filterIter) lastRowBytes() int { return f.src.lastRowBytes() }
 
 func (f *filterIter) Next() (tuple.Tuple, bool, error) {
 	for {
@@ -40,6 +46,7 @@ type projectIter struct {
 	node  *plan.Project
 	env   *Env
 	child Iterator
+	out   tuple.Tuple // reused output row
 }
 
 func (p *projectIter) Open() error { return p.child.Open() }
@@ -49,12 +56,12 @@ func (p *projectIter) Next() (tuple.Tuple, bool, error) {
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	out := make(tuple.Tuple, len(p.node.Cols))
-	for i, c := range p.node.Cols {
-		out[i] = t[c]
+	p.out = p.out[:0]
+	for _, c := range p.node.Cols {
+		p.out = append(p.out, t[c])
 	}
 	p.env.Clock.ChargeCPU(cpuTuple)
-	return out, true, nil
+	return p.out, true, nil
 }
 
 func (p *projectIter) Close() error { return p.child.Close() }

@@ -45,6 +45,7 @@ func (p *partitionIter) run(nbatch int) error {
 	}
 	p.env.Met.SpillPartitions.Add(int64(nbatch))
 	rep := p.env.rep()
+	var enc []byte // reused: Append copies the record
 	for {
 		t, ok, err := p.child.Next()
 		if err != nil {
@@ -53,7 +54,7 @@ func (p *partitionIter) run(nbatch int) error {
 		if !ok {
 			break
 		}
-		enc := t.Encode(nil)
+		enc = t.Encode(enc[:0])
 		p.env.Clock.ChargeCPU(cpuHashOp)
 		rep.OutputTuple(p.tag.ProducerSeg, len(enc))
 		rows.Inc()
@@ -119,11 +120,12 @@ type graceJoin struct {
 	nbatch int
 	batch  int
 
-	table      map[tuple.Value][]tuple.Tuple
+	table      rowTable
 	probeScan  *storage.Scanner
-	matches    []tuple.Tuple
-	matchIdx   int
-	curProbe   tuple.Tuple
+	match      int32       // next build row matching curProbe, -1 when drained
+	curProbe   tuple.Tuple // reused slot for probe rows read back
+	buildRow   tuple.Tuple // reused slot for build rows read back
+	out        tuple.Tuple // reused output row
 	buildArity int
 	probeArity int
 }
@@ -153,16 +155,18 @@ func (g *graceJoin) Open() error {
 		return err
 	}
 	g.batch = -1
+	g.match = -1
 	return nil
 }
 
 func (g *graceJoin) Next() (tuple.Tuple, bool, error) {
 	rep := g.env.rep()
 	for {
-		for g.matchIdx < len(g.matches) {
-			b := g.matches[g.matchIdx]
-			g.matchIdx++
-			out := b.Concat(g.curProbe)
+		for g.match >= 0 {
+			b := g.table.rows[g.match]
+			g.match = g.table.next[g.match]
+			g.out = joinRow(g.out, b, g.curProbe)
+			out := g.out
 			g.env.Clock.ChargeCPU(cpuTuple + g.predCost)
 			if g.node.ExtraPred != nil {
 				pass, err := expr.EvalBool(g.node.ExtraPred, out)
@@ -179,18 +183,17 @@ func (g *graceJoin) Next() (tuple.Tuple, bool, error) {
 		if g.probeScan != nil {
 			rec, _, ok := g.probeScan.Next()
 			if ok {
-				t, err := tuple.Decode(rec, g.probeArity)
+				t, err := tuple.DecodeInto(g.curProbe, rec, g.probeArity, nil)
 				if err != nil {
 					return nil, false, err
 				}
+				g.curProbe = t
 				g.env.Clock.ChargeCPU(cpuHashOp)
 				if err := g.env.yield(); err != nil {
 					return nil, false, err
 				}
 				rep.InputTuple(g.probePart.tag.Seg, g.probePart.tag.Input, len(rec))
-				g.curProbe = t
-				g.matches = g.table[t[g.node.ProbeKey]]
-				g.matchIdx = 0
+				g.match = g.table.first(t[g.node.ProbeKey])
 				continue
 			}
 			if err := g.probeScan.Err(); err != nil {
@@ -214,7 +217,7 @@ func (g *graceJoin) Next() (tuple.Tuple, bool, error) {
 }
 
 func (g *graceJoin) loadBuildBatch(b int) error {
-	g.table = make(map[tuple.Value][]tuple.Tuple)
+	g.table.reset()
 	rep := g.env.rep()
 	sc := g.buildPart.files[b].NewScanner()
 	for {
@@ -228,14 +231,14 @@ func (g *graceJoin) loadBuildBatch(b int) error {
 		if err := g.env.yield(); err != nil {
 			return err
 		}
-		t, err := tuple.Decode(rec, g.buildArity)
+		t, err := tuple.DecodeInto(g.buildRow, rec, g.buildArity, nil)
 		if err != nil {
 			return err
 		}
+		g.buildRow = t
 		g.env.Clock.ChargeCPU(cpuHashOp)
 		rep.InputTuple(g.buildPart.tag.Seg, g.buildPart.tag.Input, len(rec))
-		k := t[g.node.BuildKey]
-		g.table[k] = append(g.table[k], t)
+		g.table.insert(t[g.node.BuildKey], t)
 	}
 	return sc.Err()
 }
@@ -243,7 +246,7 @@ func (g *graceJoin) loadBuildBatch(b int) error {
 func (g *graceJoin) Close() error {
 	err1 := g.buildPart.drop()
 	err2 := g.probePart.drop()
-	g.table = nil
+	g.table = rowTable{}
 	if err1 != nil {
 		return fmt.Errorf("exec: dropping grace-join build partitions: %w", err1)
 	}

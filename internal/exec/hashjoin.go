@@ -32,7 +32,7 @@ type hashJoin struct {
 	probe    Iterator
 	predCost float64
 
-	table      map[tuple.Value][]tuple.Tuple
+	table      rowTable
 	tableBytes float64
 
 	spilled     bool
@@ -42,9 +42,11 @@ type hashJoin struct {
 	buildClosed bool
 
 	// emission state
-	matches  []tuple.Tuple
-	matchIdx int
+	match    int32 // next build row matching curProbe, -1 when drained
 	curProbe tuple.Tuple
+	out      tuple.Tuple // reused output row
+	spillRow tuple.Tuple // reused slot for rows re-read from spill files
+	enc      []byte      // reused spill-write buffer
 
 	// batch-processing state
 	probeExhausted bool
@@ -55,7 +57,7 @@ type hashJoin struct {
 }
 
 func (h *hashJoin) Open() error {
-	h.table = make(map[tuple.Value][]tuple.Tuple)
+	h.match = -1
 	h.buildArity = h.node.Build.Schema().Arity()
 	h.probeArity = h.node.Probe.Schema().Arity()
 
@@ -84,7 +86,7 @@ func (h *hashJoin) Open() error {
 				inMemTuples++
 				inMemBytes += float64(sz)
 			} else {
-				if _, err := h.buildFiles[b].Append(t.Encode(nil)); err != nil {
+				if err := h.spillBuild(b, t); err != nil {
 					return err
 				}
 			}
@@ -97,7 +99,7 @@ func (h *hashJoin) Open() error {
 			if err := h.startSpill(); err != nil {
 				return err
 			}
-			inMemTuples, inMemBytes = h.countTable()
+			inMemTuples, inMemBytes = int64(len(h.table.rows)), h.tableBytes
 		}
 	}
 	if err := h.build.Close(); err != nil {
@@ -123,21 +125,16 @@ func (h *hashJoin) Open() error {
 }
 
 func (h *hashJoin) addToTable(t tuple.Tuple, sz int) {
-	k := t[h.node.BuildKey]
-	h.table[k] = append(h.table[k], t)
+	h.table.insert(t[h.node.BuildKey], t)
 	h.tableBytes += float64(sz)
 }
 
-func (h *hashJoin) countTable() (int64, float64) {
-	var n int64
-	var b float64
-	for _, ts := range h.table {
-		for _, t := range ts {
-			n++
-			b += float64(t.EncodedSize())
-		}
-	}
-	return n, b
+// spillBuild appends build tuple t to batch b's temp file (Append copies
+// the record, so one encode buffer serves every write).
+func (h *hashJoin) spillBuild(b int, t tuple.Tuple) error {
+	h.enc = t.Encode(h.enc[:0])
+	_, err := h.buildFiles[b].Append(h.enc)
+	return err
 }
 
 // startSpill switches to multi-batch mode, redistributing the current
@@ -161,17 +158,13 @@ func (h *hashJoin) startSpill() error {
 	h.env.Met.SpillPartitions.Add(int64(h.nbatch - 1))
 	h.env.Collect.Notef(h.node, "build exceeded work_mem: spilled to %d batches", h.nbatch)
 	old := h.table
-	h.table = make(map[tuple.Value][]tuple.Tuple)
+	h.table = rowTable{}
 	h.tableBytes = 0
-	for _, ts := range old {
-		for _, t := range ts {
-			if b := h.batchOf(t[h.node.BuildKey]); b == 0 {
-				h.addToTable(t, t.EncodedSize())
-			} else {
-				if _, err := h.buildFiles[b].Append(t.Encode(nil)); err != nil {
-					return err
-				}
-			}
+	for _, t := range old.rows {
+		if b := h.batchOf(t[h.node.BuildKey]); b == 0 {
+			h.addToTable(t, t.EncodedSize())
+		} else if err := h.spillBuild(b, t); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -184,7 +177,7 @@ func (h *hashJoin) batchOf(k tuple.Value) int {
 // hashValue hashes a join key (FNV-1a over its encoded form).
 func hashValue(v tuple.Value) uint64 {
 	var buf [16]byte
-	enc := tuple.Tuple{v}.Encode(buf[:0])
+	enc := v.Encode(buf[:0])
 	var h uint64 = 14695981039346656037
 	for _, b := range enc {
 		h ^= uint64(b)
@@ -197,10 +190,11 @@ func (h *hashJoin) Next() (tuple.Tuple, bool, error) {
 	rep := h.env.rep()
 	for {
 		// Drain pending matches first.
-		for h.matchIdx < len(h.matches) {
-			b := h.matches[h.matchIdx]
-			h.matchIdx++
-			out := b.Concat(h.curProbe)
+		for h.match >= 0 {
+			b := h.table.rows[h.match]
+			h.match = h.table.next[h.match]
+			h.out = joinRow(h.out, b, h.curProbe)
+			out := h.out
 			h.env.Clock.ChargeCPU(cpuTuple + h.predCost)
 			if h.node.ExtraPred != nil {
 				pass, err := expr.EvalBool(h.node.ExtraPred, out)
@@ -234,17 +228,16 @@ func (h *hashJoin) Next() (tuple.Tuple, bool, error) {
 			if h.spilled {
 				if b := h.batchOf(t[h.node.ProbeKey]); b != 0 {
 					// Multi-stage write: counted once now, once on re-read.
-					enc := t.Encode(nil)
-					rep.Extra(h.tag.Seg, float64(len(enc)))
-					if _, err := h.probeFiles[b].Append(enc); err != nil {
+					h.enc = t.Encode(h.enc[:0])
+					rep.Extra(h.tag.Seg, float64(len(h.enc)))
+					if _, err := h.probeFiles[b].Append(h.enc); err != nil {
 						return nil, false, err
 					}
 					continue
 				}
 			}
 			h.curProbe = t
-			h.matches = h.table[t[h.node.ProbeKey]]
-			h.matchIdx = 0
+			h.match = h.table.first(t[h.node.ProbeKey])
 			continue
 		}
 
@@ -270,23 +263,23 @@ func (h *hashJoin) Next() (tuple.Tuple, bool, error) {
 			h.batchScan = nil
 			continue
 		}
-		t, err := tuple.Decode(rec, h.probeArity)
+		t, err := tuple.DecodeInto(h.spillRow, rec, h.probeArity, nil)
 		if err != nil {
 			return nil, false, err
 		}
+		h.spillRow = t
 		// Multi-stage re-read of a spilled probe tuple.
 		rep.Extra(h.tag.Seg, float64(len(rec)))
 		h.env.Clock.ChargeCPU(cpuHashOp)
 		h.curProbe = t
-		h.matches = h.table[t[h.node.ProbeKey]]
-		h.matchIdx = 0
+		h.match = h.table.first(t[h.node.ProbeKey])
 	}
 }
 
 // loadBatch replaces the in-memory table with spilled build batch b; the
 // read is the consumer segment finally consuming that part of the table.
 func (h *hashJoin) loadBatch(b int) error {
-	h.table = make(map[tuple.Value][]tuple.Tuple)
+	h.table.reset()
 	h.tableBytes = 0
 	sc := h.buildFiles[b].NewScanner()
 	rep := h.env.rep()
@@ -301,10 +294,11 @@ func (h *hashJoin) loadBatch(b int) error {
 		if err := h.env.yield(); err != nil {
 			return err
 		}
-		t, err := tuple.Decode(rec, h.buildArity)
+		t, err := tuple.DecodeInto(h.spillRow, rec, h.buildArity, nil)
 		if err != nil {
 			return err
 		}
+		h.spillRow = t
 		h.env.Clock.ChargeCPU(cpuHashOp)
 		rep.InputTuple(h.tag.Seg, h.tag.Input, len(rec))
 		h.addToTable(t, len(rec))
@@ -342,6 +336,6 @@ func (h *hashJoin) Close() error {
 		}
 	}
 	h.buildFiles, h.probeFiles = nil, nil
-	h.table = nil
+	h.table = rowTable{}
 	return firstErr
 }

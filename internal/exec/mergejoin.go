@@ -23,7 +23,9 @@ type mergeJoin struct {
 	lOk    bool
 	rOk    bool
 
-	group    []tuple.Tuple
+	slab     rowSlab
+	group    []tuple.Tuple // right rows of the current key, copied into slab
+	out      tuple.Tuple   // reused output row
 	haveKey  bool
 	groupKey tuple.Value
 	gIdx     int
@@ -52,7 +54,8 @@ func (m *mergeJoin) Next() (tuple.Tuple, bool, error) {
 		for m.haveKey && m.lOk && m.gIdx < len(m.group) {
 			r := m.group[m.gIdx]
 			m.gIdx++
-			out := m.lTuple.Concat(r)
+			m.out = joinRow(m.out, m.lTuple, r)
+			out := m.out
 			m.env.Clock.ChargeCPU(cpuTuple + m.predCost)
 			if m.node.ExtraPred != nil {
 				pass, err := expr.EvalBool(m.node.ExtraPred, out)
@@ -113,6 +116,7 @@ func (m *mergeJoin) Next() (tuple.Tuple, bool, error) {
 			m.groupKey = m.rTuple[m.node.RightKey]
 			m.haveKey = true
 			m.group = m.group[:0]
+			m.slab.reset()
 			m.gIdx = 0
 			for m.rOk {
 				cc, err := m.rTuple[m.node.RightKey].Compare(m.groupKey)
@@ -122,7 +126,7 @@ func (m *mergeJoin) Next() (tuple.Tuple, bool, error) {
 				if cc != 0 {
 					break
 				}
-				m.group = append(m.group, m.rTuple)
+				m.group = append(m.group, m.slab.keep(m.rTuple))
 				if m.rTuple, m.rOk, err = m.right.Next(); err != nil {
 					return nil, false, err
 				}
@@ -135,6 +139,7 @@ func (m *mergeJoin) Next() (tuple.Tuple, bool, error) {
 func (m *mergeJoin) Close() error {
 	err1 := m.left.Close()
 	err2 := m.right.Close()
+	m.group, m.slab = nil, rowSlab{}
 	if err1 != nil {
 		return err1
 	}

@@ -21,11 +21,13 @@ type nlJoin struct {
 	innerTag segment.NodeInfo
 	predCost float64
 
-	cache      []tuple.Tuple
+	slab       rowSlab
+	cache      []tuple.Tuple // inner rows, copied into slab
 	cacheBytes float64
 	firstPass  bool
 	curOuter   tuple.Tuple
 	innerIdx   int
+	out        tuple.Tuple // reused output row
 }
 
 func (j *nlJoin) Open() error {
@@ -71,7 +73,7 @@ func (j *nlJoin) Next() (tuple.Tuple, bool, error) {
 				j.curOuter = nil
 				continue
 			}
-			j.cache = append(j.cache, t)
+			j.cache = append(j.cache, j.slab.keep(t))
 			j.cacheBytes += float64(t.EncodedSize())
 			innerTuple = t
 		} else {
@@ -83,7 +85,8 @@ func (j *nlJoin) Next() (tuple.Tuple, bool, error) {
 			j.innerIdx++
 		}
 
-		out := j.curOuter.Concat(innerTuple)
+		j.out = joinRow(j.out, j.curOuter, innerTuple)
+		out := j.out
 		j.env.Clock.ChargeCPU(cpuPairBase + j.predCost)
 		if err := j.env.yield(); err != nil {
 			return nil, false, err
@@ -104,7 +107,7 @@ func (j *nlJoin) Next() (tuple.Tuple, bool, error) {
 func (j *nlJoin) Close() error {
 	err1 := j.outer.Close()
 	err2 := j.inner.Close()
-	j.cache = nil
+	j.cache, j.slab = nil, rowSlab{}
 	if err1 != nil {
 		return err1
 	}
@@ -119,7 +122,8 @@ type materialize struct {
 	child Iterator
 	tag   segment.NodeInfo
 
-	buf         []tuple.Tuple
+	slab        rowSlab
+	buf         []tuple.Tuple // child rows, copied into slab
 	idx         int
 	inputDone   bool
 	childOpen   bool
@@ -142,7 +146,7 @@ func (m *materialize) Open() error {
 		}
 		m.env.Clock.ChargeCPU(cpuTuple)
 		rep.OutputTuple(m.tag.ProducerSeg, t.EncodedSize())
-		m.buf = append(m.buf, t)
+		m.buf = append(m.buf, m.slab.keep(t))
 	}
 	if err := m.child.Close(); err != nil {
 		return err
@@ -169,7 +173,7 @@ func (m *materialize) Next() (tuple.Tuple, bool, error) {
 }
 
 func (m *materialize) Close() error {
-	m.buf = nil
+	m.buf, m.slab = nil, rowSlab{}
 	if m.childOpen && !m.childClosed {
 		// Open failed mid-drain: unwind the child so any temp files it
 		// holds are released.

@@ -8,7 +8,6 @@ import (
 
 	"progressdb/internal/catalog"
 	"progressdb/internal/optimizer"
-	"progressdb/internal/segment"
 	"progressdb/internal/sqlparser"
 	"progressdb/internal/storage"
 	"progressdb/internal/tuple"
@@ -63,15 +62,7 @@ func runAlgo(t *testing.T, cat *catalog.Catalog, clock *vclock.Clock, sql, algo 
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := segment.Decompose(p, workMem)
-	env := &Env{Pool: cat.Pool(), Clock: clock, WorkMemPages: workMem, Decomp: d}
-	var rows []string
-	if _, err := Run(env, p, func(tp tuple.Tuple) error {
-		rows = append(rows, tp.String())
-		return nil
-	}); err != nil {
-		t.Fatalf("%s join on %q: %v", algo, sql, err)
-	}
+	rows := execChecked(t, cat, clock, p, workMem, nil)
 	sort.Strings(rows)
 	return rows
 }

@@ -15,9 +15,31 @@ type seqScan struct {
 	node *plan.SeqScan
 	env  *Env
 	tag  segment.NodeInfo
+	scanSlot
 	sc   *storage.Scanner
 	done bool
 }
+
+// scanSlot is the reused row a base-table scan decodes into. need is the
+// set of columns the plan reads above the scan (nil = all); the others
+// stay zero Values. recLen is the encoded size of the record last
+// decoded — the size of the row the slot stands for, pruned or not.
+type scanSlot struct {
+	need   []bool
+	slot   tuple.Tuple
+	recLen int
+}
+
+func (s *scanSlot) decode(rec []byte, arity int) (tuple.Tuple, error) {
+	row, err := tuple.DecodeInto(s.slot, rec, arity, s.need)
+	if err != nil {
+		return nil, err
+	}
+	s.slot, s.recLen = row, len(rec)
+	return row, nil
+}
+
+func (s *scanSlot) lastRowBytes() int { return s.recLen }
 
 func (s *seqScan) Open() error {
 	s.sc = s.env.newBaseScanner(s.node.Table.Heap)
@@ -37,7 +59,7 @@ func (s *seqScan) Next() (tuple.Tuple, bool, error) {
 		}
 		return nil, false, nil
 	}
-	row, err := tuple.Decode(rec, s.node.Table.Schema.Arity())
+	row, err := s.decode(rec, s.node.Table.Schema.Arity())
 	if err != nil {
 		return nil, false, err
 	}
@@ -63,6 +85,7 @@ type indexScan struct {
 	node *plan.IndexScan
 	env  *Env
 	tag  segment.NodeInfo
+	scanSlot
 	it   *btree.Iterator
 	done bool
 }
@@ -106,7 +129,7 @@ func (s *indexScan) Next() (tuple.Tuple, bool, error) {
 		if err != nil {
 			return nil, false, err
 		}
-		row, err := tuple.Decode(rec, s.node.Table.Schema.Arity())
+		row, err := s.decode(rec, s.node.Table.Schema.Arity())
 		if err != nil {
 			return nil, false, err
 		}

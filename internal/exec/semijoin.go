@@ -21,8 +21,10 @@ type semiJoin struct {
 	inner    Iterator
 	predCost float64
 
-	table map[tuple.Value][]tuple.Tuple // keyed path
-	cache []tuple.Tuple                 // keyless (pure NL) path
+	table rowTable      // keyed path
+	slab  rowSlab       // keyless (pure NL) path: cache's rows
+	cache []tuple.Tuple // keyless path
+	pair  tuple.Tuple   // reused outer×inner row for ExtraPred
 
 	innerOpen   bool
 	innerClosed bool
@@ -36,9 +38,6 @@ func (j *semiJoin) Open() error {
 	j.innerOpen = true
 	rep := j.env.rep()
 	keyed := j.node.OuterKey >= 0
-	if keyed {
-		j.table = make(map[tuple.Value][]tuple.Tuple)
-	}
 	var tuples int64
 	var bytes float64
 	for {
@@ -58,15 +57,12 @@ func (j *semiJoin) Open() error {
 			k := t[j.node.InnerKey]
 			// Without an extra predicate only key presence matters; keep
 			// one witness tuple per key.
-			if j.node.ExtraPred == nil {
-				if _, dup := j.table[k]; dup {
-					continue
-				}
-				j.table[k] = j.table[k][:0]
+			if j.node.ExtraPred == nil && j.table.first(k) >= 0 {
+				continue
 			}
-			j.table[k] = append(j.table[k], t)
+			j.table.insert(k, t)
 		} else {
-			j.cache = append(j.cache, t)
+			j.cache = append(j.cache, j.slab.keep(t))
 		}
 	}
 	if err := j.inner.Close(); err != nil {
@@ -104,31 +100,38 @@ func (j *semiJoin) Next() (tuple.Tuple, bool, error) {
 }
 
 func (j *semiJoin) matches(outer tuple.Tuple) (bool, error) {
-	var candidates []tuple.Tuple
-	if j.node.OuterKey >= 0 {
-		candidates = j.table[outer[j.node.OuterKey]]
-	} else {
-		candidates = j.cache
-	}
-	if j.node.ExtraPred == nil {
-		return len(candidates) > 0, nil
-	}
-	for _, c := range candidates {
-		j.env.Clock.ChargeCPU(j.predCost)
-		pass, err := expr.EvalBool(j.node.ExtraPred, outer.Concat(c))
-		if err != nil {
-			return false, err
+	if j.node.OuterKey < 0 {
+		if j.node.ExtraPred == nil {
+			return len(j.cache) > 0, nil
 		}
-		if pass {
-			return true, nil
+		for _, c := range j.cache {
+			if pass, err := j.passes(outer, c); err != nil || pass {
+				return pass, err
+			}
+		}
+		return false, nil
+	}
+	i := j.table.first(outer[j.node.OuterKey])
+	if j.node.ExtraPred == nil {
+		return i >= 0, nil
+	}
+	for ; i >= 0; i = j.table.next[i] {
+		if pass, err := j.passes(outer, j.table.rows[i]); err != nil || pass {
+			return pass, err
 		}
 	}
 	return false, nil
 }
 
+// passes evaluates ExtraPred over outer×inner.
+func (j *semiJoin) passes(outer, inner tuple.Tuple) (bool, error) {
+	j.env.Clock.ChargeCPU(j.predCost)
+	j.pair = joinRow(j.pair, outer, inner)
+	return expr.EvalBool(j.node.ExtraPred, j.pair)
+}
+
 func (j *semiJoin) Close() error {
-	j.table = nil
-	j.cache = nil
+	j.table, j.slab, j.cache = rowTable{}, rowSlab{}, nil
 	var firstErr error
 	if j.innerOpen && !j.innerClosed {
 		// Open failed mid-drain: unwind the inner so any temp files it

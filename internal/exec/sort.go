@@ -2,7 +2,7 @@ package exec
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"progressdb/internal/plan"
 	"progressdb/internal/segment"
@@ -21,8 +21,10 @@ type sortIter struct {
 	child Iterator
 	tag   segment.NodeInfo
 
+	slab rowSlab       // the run being formed: child rows are copied here
 	mem  []tuple.Tuple // single in-memory run when nothing spilled
 	runs []*storage.HeapFile
+	enc  []byte // reused run-write buffer (HeapFile.Append copies)
 
 	memIdx      int
 	merge       *runMerger
@@ -61,7 +63,8 @@ func (s *sortIter) Open() error {
 		}
 		f := s.env.newTempFile()
 		for _, t := range buf {
-			if _, err := f.Append(t.Encode(nil)); err != nil {
+			s.enc = t.Encode(s.enc[:0])
+			if _, err := f.Append(s.enc); err != nil {
 				return err
 			}
 		}
@@ -70,7 +73,8 @@ func (s *sortIter) Open() error {
 		}
 		s.runs = append(s.runs, f)
 		s.env.Met.SortRuns.Inc()
-		buf, bufBytes = nil, 0
+		buf, bufBytes = buf[:0], 0
+		s.slab.reset()
 		return nil
 	}
 
@@ -85,7 +89,7 @@ func (s *sortIter) Open() error {
 		sz := t.EncodedSize()
 		s.env.Clock.ChargeCPU(cpuTuple)
 		rep.OutputTuple(s.tag.ProducerSeg, sz)
-		buf = append(buf, t)
+		buf = append(buf, s.slab.keep(t))
 		bufBytes += float64(sz)
 		if memLimit > 0 && bufBytes >= memLimit {
 			if err := flush(); err != nil {
@@ -124,12 +128,12 @@ func (s *sortIter) sortTuples(ts []tuple.Tuple) error {
 		s.env.Clock.ChargeCPU(float64(len(ts)) * math.Log2(float64(len(ts))))
 	}
 	var sortErr error
-	sort.SliceStable(ts, func(i, j int) bool {
-		c, err := s.compare(ts[i], ts[j])
+	slices.SortStableFunc(ts, func(a, b tuple.Tuple) int {
+		c, err := s.compare(a, b)
 		if err != nil && sortErr == nil {
 			sortErr = err
 		}
-		return c < 0
+		return c
 	})
 	return sortErr
 }
@@ -187,7 +191,8 @@ func (s *sortIter) intermediateMerges() error {
 				sz := t.EncodedSize()
 				s.env.Clock.ChargeCPU(cpuTuple * 2)
 				rep.Extra(s.tag.ProducerSeg, 2*float64(sz))
-				if _, err := out.Append(t.Encode(nil)); err != nil {
+				s.enc = t.Encode(s.enc[:0])
+				if _, err := out.Append(s.enc); err != nil {
 					return err
 				}
 			}
@@ -258,25 +263,30 @@ func (s *sortIter) Close() error {
 		}
 	}
 	s.runs = nil
-	s.mem = nil
+	s.mem, s.slab = nil, rowSlab{}
 	return firstErr
 }
 
 // runMerger streams the k-way merge of sorted runs. k is bounded by the
-// merge fan-in, so a linear minimum scan per tuple is fine.
+// merge fan-in, so a linear minimum scan per tuple is fine. Each run
+// decodes into its own reused head slot; next copies the winner into out
+// before refilling that slot, so the tuple it returns is valid until the
+// following next.
 type runMerger struct {
 	s     *sortIter
 	scans []*storage.Scanner
-	heads []tuple.Tuple
+	slots []tuple.Tuple
+	live  []bool // slots[i] holds run i's current head
+	out   tuple.Tuple
 }
 
 func newRunMerger(s *sortIter, runs []*storage.HeapFile) (*runMerger, error) {
 	m := &runMerger{s: s}
 	for _, f := range runs {
-		sc := f.NewScanner()
-		m.scans = append(m.scans, sc)
-		m.heads = append(m.heads, nil)
+		m.scans = append(m.scans, f.NewScanner())
 	}
+	m.slots = make([]tuple.Tuple, len(runs))
+	m.live = make([]bool, len(runs))
 	for i := range m.scans {
 		if err := m.advance(i); err != nil {
 			return nil, err
@@ -288,28 +298,28 @@ func newRunMerger(s *sortIter, runs []*storage.HeapFile) (*runMerger, error) {
 func (m *runMerger) advance(i int) error {
 	rec, _, ok := m.scans[i].Next()
 	if !ok {
-		m.heads[i] = nil
+		m.live[i] = false
 		return m.scans[i].Err()
 	}
-	t, err := tuple.Decode(rec, m.s.arity)
+	t, err := tuple.DecodeInto(m.slots[i], rec, m.s.arity, nil)
 	if err != nil {
 		return err
 	}
-	m.heads[i] = t
+	m.slots[i], m.live[i] = t, true
 	return nil
 }
 
 func (m *runMerger) next() (tuple.Tuple, bool, error) {
 	best := -1
-	for i, h := range m.heads {
-		if h == nil {
+	for i, h := range m.slots {
+		if !m.live[i] {
 			continue
 		}
 		if best < 0 {
 			best = i
 			continue
 		}
-		c, err := m.s.compare(h, m.heads[best])
+		c, err := m.s.compare(h, m.slots[best])
 		if err != nil {
 			return nil, false, err
 		}
@@ -320,9 +330,9 @@ func (m *runMerger) next() (tuple.Tuple, bool, error) {
 	if best < 0 {
 		return nil, false, nil
 	}
-	t := m.heads[best]
+	m.out = append(m.out[:0], m.slots[best]...)
 	if err := m.advance(best); err != nil {
 		return nil, false, err
 	}
-	return t, true, nil
+	return m.out, true, nil
 }

@@ -167,24 +167,62 @@ func (a *And) String() string {
 }
 
 // Func is a scalar function call. Supported: absolute(x), mod(x, y).
+// Build it with NewFunc so the name is resolved once; a literal-built
+// node evaluates the same but resolves the name on every Eval.
 type Func struct {
 	Name string
 	Args []Expr
+	kind funcKind
+}
+
+// funcKind is a function name resolved to its implementation.
+type funcKind uint8
+
+const (
+	funcUnresolved funcKind = iota // literal-built node
+	funcUnknown
+	funcAbs
+	funcMod
+)
+
+func resolveFunc(name string) funcKind {
+	switch strings.ToLower(name) {
+	case "absolute", "abs":
+		return funcAbs
+	case "mod":
+		return funcMod
+	default:
+		return funcUnknown
+	}
+}
+
+// NewFunc returns a call node with its implementation resolved. An
+// unknown name is not rejected here: it is an error of Eval.
+func NewFunc(name string, args []Expr) *Func {
+	return &Func{Name: name, Args: args, kind: resolveFunc(name)}
 }
 
 // Eval implements Expr.
 func (f *Func) Eval(row tuple.Tuple) (tuple.Value, error) {
-	args := make([]tuple.Value, len(f.Args))
+	// No supported function takes more than two arguments; further ones
+	// are still evaluated so their errors surface before the arity error.
+	var args [2]tuple.Value
 	for i, a := range f.Args {
 		v, err := a.Eval(row)
 		if err != nil {
 			return tuple.Value{}, err
 		}
-		args[i] = v
+		if i < len(args) {
+			args[i] = v
+		}
 	}
-	switch strings.ToLower(f.Name) {
-	case "absolute", "abs":
-		if len(args) != 1 {
+	kind := f.kind
+	if kind == funcUnresolved {
+		kind = resolveFunc(f.Name)
+	}
+	switch kind {
+	case funcAbs:
+		if len(f.Args) != 1 {
 			return tuple.Value{}, fmt.Errorf("expr: %s takes 1 argument", f.Name)
 		}
 		switch args[0].Kind {
@@ -199,8 +237,8 @@ func (f *Func) Eval(row tuple.Tuple) (tuple.Value, error) {
 		default:
 			return tuple.Value{}, fmt.Errorf("expr: %s of non-numeric value", f.Name)
 		}
-	case "mod":
-		if len(args) != 2 || args[0].Kind != tuple.Int || args[1].Kind != tuple.Int {
+	case funcMod:
+		if len(f.Args) != 2 || args[0].Kind != tuple.Int || args[1].Kind != tuple.Int {
 			return tuple.Value{}, fmt.Errorf("expr: mod takes 2 int arguments")
 		}
 		if args[1].I == 0 {
@@ -365,7 +403,7 @@ func Remap(e Expr, m map[int]int) (Expr, error) {
 			}
 			args[i] = na
 		}
-		return &Func{Name: n.Name, Args: args}, nil
+		return NewFunc(n.Name, args), nil
 	default:
 		return nil, fmt.Errorf("expr: unknown node %T", e)
 	}

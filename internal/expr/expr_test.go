@@ -74,6 +74,48 @@ func TestAndShortCircuit(t *testing.T) {
 	}
 }
 
+// A resolved node (NewFunc, what the binder and Remap build) and a
+// literal-built one agree on every value and every error text, and the
+// resolved form evaluates without allocating.
+func TestNewFuncMatchesLiteral(t *testing.T) {
+	c := func(v tuple.Value) Expr { return &Const{V: v} }
+	one, str := c(tuple.NewInt(-3)), c(tuple.NewString("x"))
+	for _, tc := range []struct {
+		name string
+		args []Expr
+		err  string
+	}{
+		{"Absolute", []Expr{one}, ""},
+		{"abs", []Expr{c(tuple.NewFloat(-1.5))}, ""},
+		{"mod", []Expr{c(tuple.NewInt(17)), c(tuple.NewInt(5))}, ""},
+		{"ABS", []Expr{one, one}, "expr: ABS takes 1 argument"},
+		{"abs", nil, "expr: abs takes 1 argument"},
+		{"absolute", []Expr{str}, "expr: absolute of non-numeric value"},
+		{"mod", []Expr{one}, "expr: mod takes 2 int arguments"},
+		{"mod", []Expr{one, one, one}, "expr: mod takes 2 int arguments"},
+		{"mod", []Expr{one, c(tuple.NewInt(0))}, "expr: mod by zero"},
+		{"NoSuch", []Expr{one}, `expr: unknown function "NoSuch"`},
+	} {
+		want, wantErr := (&Func{Name: tc.name, Args: tc.args}).Eval(nil)
+		got, err := NewFunc(tc.name, tc.args).Eval(nil)
+		if got != want || (err == nil) != (wantErr == nil) {
+			t.Fatalf("%s: NewFunc = %v, %v; literal = %v, %v", tc.name, got, err, want, wantErr)
+		}
+		if (tc.err == "") != (err == nil) || (err != nil && (err.Error() != tc.err || wantErr.Error() != tc.err)) {
+			t.Fatalf("%s: err = %v / %v, want %q", tc.name, err, wantErr, tc.err)
+		}
+	}
+	pred := &Cmp{Op: GT, L: NewFunc("absolute", []Expr{&ColRef{Index: 0}}), R: c(tuple.NewInt(0))}
+	r := row(tuple.NewInt(-9))
+	if n := testing.AllocsPerRun(100, func() {
+		if ok, err := EvalBool(pred, r); err != nil || !ok {
+			t.Fatal(ok, err)
+		}
+	}); n != 0 {
+		t.Fatalf("absolute(col) > 0 allocated %v times per row", n)
+	}
+}
+
 func TestFuncAbsoluteAndMod(t *testing.T) {
 	r := row(tuple.NewInt(-9), tuple.NewFloat(-2.5))
 	v, err := (&Func{Name: "absolute", Args: []Expr{&ColRef{Index: 0}}}).Eval(r)

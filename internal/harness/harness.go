@@ -305,29 +305,38 @@ func (r Runner) Table1() (string, error) {
 	return eng.ds.Table1(eng.cat)
 }
 
+// overheadSetup loads one engine and plans and decomposes query q on it:
+// what OverheadProbe keeps outside its timed region.
+func (r Runner) overheadSetup(q int) (*engine, plan.Node, *segment.Decomposition, error) {
+	eng, err := r.newEngine(q == 3)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	sql, err := workload.QuerySQL(q)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	stmt, err := sqlparser.Parse(sql)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	p, err := optimizer.Plan(eng.cat, stmt, optimizer.Options{WorkMemPages: r.WorkMemPages})
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return eng, p, segment.Decompose(p, r.WorkMemPages), nil
+}
+
 // OverheadProbe prepares one engine and plan for query q and returns a
 // function that executes the query once, with or without the indicator —
 // the benchmark form of Overhead (the per-run setup stays outside the
 // timed region).
 func (r Runner) OverheadProbe(q int) (func(withIndicator bool) error, error) {
 	r = r.withDefaults()
-	eng, err := r.newEngine(q == 3)
+	eng, p, d, err := r.overheadSetup(q)
 	if err != nil {
 		return nil, err
 	}
-	sql, err := workload.QuerySQL(q)
-	if err != nil {
-		return nil, err
-	}
-	stmt, err := sqlparser.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	p, err := optimizer.Plan(eng.cat, stmt, optimizer.Options{WorkMemPages: r.WorkMemPages})
-	if err != nil {
-		return nil, err
-	}
-	d := segment.Decompose(p, r.WorkMemPages)
 	return func(withIndicator bool) error {
 		var rep segment.WorkReporter
 		if withIndicator {
@@ -346,51 +355,26 @@ func (r Runner) OverheadProbe(q int) (func(withIndicator bool) error, error) {
 }
 
 // Overhead measures the real (wall-clock) cost of the progress indicator
-// by running query q with and without the reporter, returning the
-// fractional overhead ((with-without)/without). The paper reports <1%;
-// exact numbers vary by machine, the bench target reports both times.
+// by running query q iters times with and without the reporter, returning
+// the two wall totals. The paper reports <1%; exact numbers vary by
+// machine, so this is for reporting (cmd/experiments), not for gating.
 func (r Runner) Overhead(q int, iters int) (withSec, withoutSec float64, err error) {
-	r = r.withDefaults()
-	eng, err := r.newEngine(q == 3)
+	probe, err := r.OverheadProbe(q)
 	if err != nil {
 		return 0, 0, err
-	}
-	sql, _ := workload.QuerySQL(q)
-	stmt, _ := sqlparser.Parse(sql)
-	p, err := optimizer.Plan(eng.cat, stmt, optimizer.Options{WorkMemPages: r.WorkMemPages})
-	if err != nil {
-		return 0, 0, err
-	}
-	d := segment.Decompose(p, r.WorkMemPages)
-	run := func(withInd bool) (float64, error) {
-		var rep segment.WorkReporter
-		if withInd {
-			ind := core.New(eng.clock, d, core.Options{UpdatePeriod: r.UpdatePeriod})
-			ind.Start()
-			defer ind.Stop()
-			rep = ind
-		}
-		env := &exec.Env{
-			Pool: eng.cat.Pool(), Clock: eng.clock,
-			WorkMemPages: r.WorkMemPages, Reporter: rep, Decomp: d,
-		}
-		t0 := time.Now()
-		if _, err := exec.Run(env, p, nil); err != nil {
-			return 0, err
-		}
-		return time.Since(t0).Seconds(), nil
 	}
 	for i := 0; i < iters; i++ {
-		w, err := run(true)
-		if err != nil {
-			return 0, 0, err
+		for _, with := range []bool{true, false} {
+			t0 := time.Now()
+			if err := probe(with); err != nil {
+				return 0, 0, err
+			}
+			if d := time.Since(t0).Seconds(); with {
+				withSec += d
+			} else {
+				withoutSec += d
+			}
 		}
-		withSec += w
-		wo, err := run(false)
-		if err != nil {
-			return 0, 0, err
-		}
-		withoutSec += wo
 	}
 	return withSec, withoutSec, nil
 }

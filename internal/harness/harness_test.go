@@ -5,6 +5,10 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"progressdb/internal/core"
+	"progressdb/internal/exec"
+	"progressdb/internal/segment"
 )
 
 // One shared session for all shape tests: seven scenarios behind the 16
@@ -409,19 +413,95 @@ func TestTable1AndPlan(t *testing.T) {
 	}
 }
 
+// countingReporter counts the calls the executor makes on the indicator.
+type countingReporter struct {
+	segment.WorkReporter
+	n int64
+}
+
+func (c *countingReporter) InputTuple(seg, input, bytes int) {
+	c.n++
+	c.WorkReporter.InputTuple(seg, input, bytes)
+}
+func (c *countingReporter) InputBulk(seg, input int, tuples int64, bytes float64) {
+	c.n++
+	c.WorkReporter.InputBulk(seg, input, tuples, bytes)
+}
+func (c *countingReporter) InputRepeat(seg, input int, tuples int64, bytes float64) {
+	c.n++
+	c.WorkReporter.InputRepeat(seg, input, tuples, bytes)
+}
+func (c *countingReporter) InputDone(seg, input int) {
+	c.n++
+	c.WorkReporter.InputDone(seg, input)
+}
+func (c *countingReporter) OutputTuple(seg, bytes int) {
+	c.n++
+	c.WorkReporter.OutputTuple(seg, bytes)
+}
+func (c *countingReporter) Extra(seg int, bytes float64) {
+	c.n++
+	c.WorkReporter.Extra(seg, bytes)
+}
+func (c *countingReporter) SegmentDone(seg int) {
+	c.n++
+	c.WorkReporter.SegmentDone(seg)
+}
+
+// The indicator's overhead is small by construction, and that is what is
+// gated, as counts (a wall-clock ratio of two runs is a coin flip on a
+// loaded host): the executor calls the reporter once per tuple at each
+// segment boundary the tuple crosses — read from a base table, written to
+// a partition or hash table, read back — and never per probe or per
+// output row, so Q2 under the harness's Grace-sized work_mem stays under
+// four calls per base tuple; the count is the same on every run; and
+// without a reporter nothing is called at all. The per-call cost that
+// turns the count into the paper's "< 1 %" is the benchmark's
+// core.reporter_call_ns / core.indicator_modelled_pct.
 func TestOverheadSmall(t *testing.T) {
-	r := Runner{Scale: 0.01, Seed: 1}
-	with, without, err := r.Overhead(2, 3)
+	r := Runner{Scale: 0.01, Seed: 1}.withDefaults()
+	eng, p, d, err := r.overheadSetup(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if with <= 0 || without <= 0 {
-		t.Fatalf("overhead times: %g %g", with, without)
+	var baseRows int64
+	for _, name := range []string{"customer", "orders", "lineitem"} {
+		tb, err := eng.cat.Table(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		baseRows += tb.Stats.RowCount
 	}
-	// The paper claims <1%; allow generous slack for machine noise but
-	// catch gross regressions.
-	if with > without*1.5 {
-		t.Fatalf("indicator overhead too high: with=%.4fs without=%.4fs", with, without)
+	ind := core.New(eng.clock, d, core.Options{UpdatePeriod: r.UpdatePeriod})
+	ind.Start()
+	defer ind.Stop()
+	cr := &countingReporter{WorkReporter: ind}
+	run := func(rep segment.WorkReporter) {
+		t.Helper()
+		env := &exec.Env{Pool: eng.cat.Pool(), Clock: eng.clock,
+			WorkMemPages: r.WorkMemPages, Reporter: rep, Decomp: d}
+		if _, err := exec.Run(env, p, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run(cr)
+	calls := cr.n
+	if calls < baseRows || calls > 4*baseRows {
+		t.Fatalf("reporter calls = %d for %d base tuples, want between 1 and 4 per tuple", calls, baseRows)
+	}
+	done := ind.Current().DoneU
+	run(nil)
+	if cr.n != calls || ind.Current().DoneU != done {
+		t.Fatalf("a run without a reporter reached the indicator: calls %d -> %d, DoneU %g -> %g",
+			calls, cr.n, done, ind.Current().DoneU)
+	}
+	ind2 := core.New(eng.clock, d, core.Options{UpdatePeriod: r.UpdatePeriod})
+	ind2.Start()
+	defer ind2.Stop()
+	cr2 := &countingReporter{WorkReporter: ind2}
+	run(cr2)
+	if cr2.n != calls {
+		t.Fatalf("reporter calls differ between runs: %d then %d", calls, cr2.n)
 	}
 }
 

@@ -285,7 +285,7 @@ func (bq *boundQuery) bindExpr(e sqlparser.Expr) (expr.Expr, uint32, error) {
 			args = append(args, ba)
 			mask |= m
 		}
-		return &expr.Func{Name: n.Name, Args: args}, mask, nil
+		return expr.NewFunc(n.Name, args), mask, nil
 	case sqlparser.Comparison:
 		l, ml, err := bq.bindExpr(n.L)
 		if err != nil {

@@ -715,11 +715,13 @@ func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 			// SSE comment line: ignored by event parsers, but keeps the
 			// connection warm through proxies while a slow (or paced)
 			// query is between refreshes.
+			// Counted before the write: a client that has read the ping
+			// must already see it in the counter.
+			s.met.pings.Inc()
 			if _, err := fmt.Fprint(w, ": ping\n\n"); err != nil {
 				return
 			}
 			fl.Flush()
-			s.met.pings.Inc()
 			continue
 		}
 		for _, ev := range evs {

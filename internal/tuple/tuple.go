@@ -189,51 +189,74 @@ func (t Tuple) EncodedSize() int {
 	return n
 }
 
-// Encode appends the tuple's binary encoding to dst and returns it.
-func (t Tuple) Encode(dst []byte) []byte {
-	for _, v := range t {
-		dst = append(dst, byte(v.Kind))
-		switch v.Kind {
-		case Int:
-			var b [8]byte
-			binary.LittleEndian.PutUint64(b[:], uint64(v.I))
-			dst = append(dst, b[:]...)
-		case Float:
-			var b [8]byte
-			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v.F))
-			dst = append(dst, b[:]...)
-		case String:
-			var b [4]byte
-			binary.LittleEndian.PutUint32(b[:], uint32(len(v.S)))
-			dst = append(dst, b[:]...)
-			dst = append(dst, v.S...)
-		}
+// Encode appends the value's binary encoding (kind tag, then payload) to
+// dst and returns it.
+func (v Value) Encode(dst []byte) []byte {
+	dst = append(dst, byte(v.Kind))
+	switch v.Kind {
+	case Int:
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(v.I))
+	case Float:
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.F))
+	case String:
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(v.S)))
+		dst = append(dst, v.S...)
 	}
 	return dst
 }
 
-// Decode parses a tuple with the given arity from rec.
+// Encode appends the tuple's binary encoding to dst and returns it.
+func (t Tuple) Encode(dst []byte) []byte {
+	for _, v := range t {
+		dst = v.Encode(dst)
+	}
+	return dst
+}
+
+// Decode parses a tuple with the given arity from rec into a fresh tuple
+// the caller may keep.
 func Decode(rec []byte, arity int) (Tuple, error) {
-	t := make(Tuple, 0, arity)
+	return DecodeInto(nil, rec, arity, nil)
+}
+
+// DecodeInto parses a tuple with the given arity from rec into dst's
+// backing array (allocating only when dst is too small) and returns it.
+// need selects the columns to materialise: need[i] false leaves column i
+// as the zero Value, so a pruned string column costs no allocation. A nil
+// need means every column. Skipped fields are still validated — every
+// tag and length is checked exactly as for a materialised one.
+func DecodeInto(dst Tuple, rec []byte, arity int, need []bool) (Tuple, error) {
+	if dst == nil || cap(dst) < arity {
+		dst = make(Tuple, arity)
+	}
+	dst = dst[:arity]
 	off := 0
-	for i := 0; i < arity; i++ {
+	for i := range dst {
 		if off >= len(rec) {
 			return nil, fmt.Errorf("tuple: truncated record at field %d", i)
 		}
 		kind := Type(rec[off])
 		off++
+		keep := need == nil || need[i]
+		if !keep {
+			dst[i] = Value{}
+		}
 		switch kind {
 		case Int:
 			if off+8 > len(rec) {
 				return nil, fmt.Errorf("tuple: truncated int at field %d", i)
 			}
-			t = append(t, NewInt(int64(binary.LittleEndian.Uint64(rec[off:]))))
+			if keep {
+				dst[i] = NewInt(int64(binary.LittleEndian.Uint64(rec[off:])))
+			}
 			off += 8
 		case Float:
 			if off+8 > len(rec) {
 				return nil, fmt.Errorf("tuple: truncated float at field %d", i)
 			}
-			t = append(t, NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(rec[off:]))))
+			if keep {
+				dst[i] = NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(rec[off:])))
+			}
 			off += 8
 		case String:
 			if off+4 > len(rec) {
@@ -244,13 +267,15 @@ func Decode(rec []byte, arity int) (Tuple, error) {
 			if off+l > len(rec) {
 				return nil, fmt.Errorf("tuple: truncated string at field %d", i)
 			}
-			t = append(t, NewString(string(rec[off:off+l])))
+			if keep {
+				dst[i] = NewString(string(rec[off : off+l]))
+			}
 			off += l
 		default:
 			return nil, fmt.Errorf("tuple: bad type tag %d at field %d", kind, i)
 		}
 	}
-	return t, nil
+	return dst, nil
 }
 
 // String renders the tuple as "(v1, v2, ...)".

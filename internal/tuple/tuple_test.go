@@ -2,7 +2,9 @@ package tuple
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -158,4 +160,114 @@ func TestPropertyCompareAntisymmetric(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// randTuple draws a tuple of mixed kinds, including empty strings.
+func randTuple(rng *rand.Rand) Tuple {
+	t := make(Tuple, rng.Intn(12))
+	for i := range t {
+		switch rng.Intn(3) {
+		case 0:
+			t[i] = NewInt(rng.Int63() - rng.Int63())
+		case 1:
+			t[i] = NewFloat(rng.NormFloat64())
+		default:
+			t[i] = NewString(strings.Repeat("x", rng.Intn(9)))
+		}
+	}
+	return t
+}
+
+// checkDecodeInto holds DecodeInto to Decode on one record: same error
+// text whatever is pruned or reused; on success the needed columns equal
+// Decode's and the pruned ones are zero Values.
+func checkDecodeInto(t *testing.T, rec []byte, arity int, need []bool, dst Tuple) {
+	t.Helper()
+	want, wantErr := Decode(rec, arity)
+	got, err := DecodeInto(dst, rec, arity, need)
+	if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+		t.Fatalf("DecodeInto(need=%v) err = %v, Decode err = %v", need, err, wantErr)
+	}
+	if err != nil {
+		return
+	}
+	if len(got) != arity {
+		t.Fatalf("DecodeInto arity = %d, want %d", len(got), arity)
+	}
+	for i := range got {
+		w := want[i]
+		if need != nil && !need[i] {
+			w = Value{}
+		}
+		if got[i] != w && !(w.Kind == Float && math.IsNaN(w.F) && math.IsNaN(got[i].F)) {
+			t.Fatalf("DecodeInto(need=%v) col %d = %#v, want %#v", need, i, got[i], w)
+		}
+	}
+}
+
+func TestDecodeIntoMatchesDecode(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	slot := make(Tuple, 12) // reused across iterations, stale contents and all
+	for trial := 0; trial < 300; trial++ {
+		in := randTuple(rng)
+		rec := in.Encode(nil)
+		fresh, err := DecodeInto(nil, rec, len(in), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, _ := Decode(rec, len(in)); !reflect.DeepEqual(fresh, want) {
+			t.Fatalf("DecodeInto(nil, …, nil) = %v, Decode = %v", fresh, want)
+		}
+		need := make([]bool, len(in))
+		for i := range need {
+			need[i] = rng.Intn(2) == 0
+		}
+		checkDecodeInto(t, rec, len(in), need, slot)
+		// Skipped fields are validated all the same: truncate and corrupt
+		// with every column pruned.
+		none := make([]bool, len(in))
+		for cut := 0; cut < len(rec); cut++ {
+			checkDecodeInto(t, rec[:cut], len(in), none, slot)
+		}
+		if len(rec) > 0 {
+			bad := append([]byte{}, rec...)
+			bad[0] = 99
+			checkDecodeInto(t, bad, len(in), none, slot)
+		}
+	}
+}
+
+// A large-enough dst is reused, and pruned strings cost nothing.
+func TestDecodeIntoReusesSlot(t *testing.T) {
+	rec := Tuple{NewInt(1), NewString("pruned away"), NewFloat(2)}.Encode(nil)
+	slot := make(Tuple, 3)
+	need := []bool{true, false, true}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := DecodeInto(slot, rec, 3, need); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("DecodeInto into a reused slot allocated %v times per call", n)
+	}
+	if slot[0].I != 1 || slot[1] != (Value{}) || slot[2].F != 2 {
+		t.Fatalf("slot = %v", slot)
+	}
+}
+
+// FuzzDecodeInto feeds arbitrary records: pruning and slot reuse must
+// never change which records are rejected, or why.
+func FuzzDecodeInto(f *testing.F) {
+	f.Add(Tuple{NewInt(-1), NewString("abc"), NewFloat(2.5)}.Encode(nil), 3, uint16(0b010))
+	f.Add(Tuple{NewString(""), NewString("only")}.Encode(nil)[:7], 2, uint16(0))
+	f.Add([]byte{99, 0, 0}, 1, uint16(1))
+	f.Fuzz(func(t *testing.T, rec []byte, arity int, mask uint16) {
+		if arity < 0 || arity > 16 {
+			return
+		}
+		need := make([]bool, arity)
+		for i := range need {
+			need[i] = mask&(1<<i) != 0
+		}
+		checkDecodeInto(t, rec, arity, need, make(Tuple, 2))
+	})
 }
