@@ -1,6 +1,6 @@
 # Developer entry points; `make check` is what CI runs.
 
-.PHONY: check test build vet fmt lint lint-report fuzz bench-obs bench-fleet bench-mt bench-snapshot chaos dash
+.PHONY: check test build vet fmt lint fuzz bench-obs bench-fleet bench-mt chaos dash
 
 check:
 	./ci.sh
@@ -21,14 +21,6 @@ fmt:
 # findings; fix them or add `//lint:ignore <analyzer> <reason>`.
 lint:
 	go run ./cmd/progresslint ./...
-
-# Lint plus the machine-readable artifacts: the full diagnostic stream
-# as JSON and the sharedstate concurrency-readiness inventory — every
-# shared-mutable site in the engine-core packages with its guard
-# situation, the worklist for the multi-core engine (ROADMAP item 1).
-lint-report:
-	go run ./cmd/progresslint -json -sharedstate CONCURRENCY.json ./...
-	@echo "wrote CONCURRENCY.json"
 
 # Open-ended fuzzing of the two engine-boundary parsers and the record decoder. Override the
 # budget per target: make fuzz FUZZTIME=5m
@@ -59,16 +51,6 @@ bench-fleet:
 # workers = 1, 2, 4 over the mixed chaos workload.
 bench-mt:
 	go test . -run XXX -bench 'BenchmarkConcurrentThroughput' -benchtime 10x -benchmem
-
-# Refresh the committed baselines. Review the BENCH_*.json diffs like
-# code: a regression here is a hot-path or cost-model change.
-bench-snapshot:
-	go test . -run XXX -bench 'BenchmarkObs(Disabled|Enabled)' -benchtime 50x -benchmem \
-		| go run ./cmd/benchsnap > BENCH_obs.json
-	go test ./internal/fleet -run XXX -bench 'BenchmarkFleet' -benchtime 10x -benchmem \
-		| go run ./cmd/benchsnap > BENCH_fleet.json
-	go test . -run XXX -bench 'BenchmarkConcurrentThroughput' -benchtime 10x -benchmem \
-		| go run ./cmd/benchsnap > BENCH_mt.json
 
 # Run the daemon with the embedded dashboard on the default port.
 dash:

@@ -250,9 +250,10 @@ func BenchmarkExtraConcurrentContention(b *testing.B) {
 	b.ReportMetric(stretch, "stretch_x")
 }
 
-// BenchmarkConcurrentThroughput is the multi-core lift's headline
-// number (the committed BENCH_mt.json baseline): real wall-clock query
-// throughput of one shared engine as the worker count grows. Each
+// BenchmarkConcurrentThroughput is the multi-core lift in isolation:
+// real wall-clock query throughput of one shared engine as the worker
+// count grows (bench/'s serve_heavy against engine_hot is the recorded
+// form, with machine provenance). Each
 // iteration pushes a fixed batch of mixed queries (scans, sorts, joins,
 // aggregates — the chaos workload) through W goroutines; queries/s
 // should rise with W because workers now genuinely execute in parallel

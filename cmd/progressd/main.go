@@ -49,7 +49,7 @@ func main() {
 	fault := flag.String("fault", "", "chaos-testing fault spec, e.g. seed=7,readerr=0.01,transient=0.5,target=temp (see DESIGN.md)")
 	queryTimeout := flag.Duration("query-timeout", 0, "per-query wall-clock deadline (0 = none); expired queries fail with a timeout error")
 	sample := flag.Duration("sample-interval", time.Second, "timeseries sampler cadence behind /api/timeseries (negative disables)")
-	histDepth := flag.Int("history-depth", 256, "completed-query profiles retained behind /api/history")
+	histDepth := flag.Int("history-depth", 256, "finished queries kept addressable (/queries/{id}, its result, its /api/history profile)")
 	keepAlive := flag.Duration("keepalive", 15*time.Second, "SSE idle keep-alive interval (negative disables pings)")
 	maxInflightU := flag.Float64("max-inflight-u", 0, "in-flight remaining-work admission budget in U (0 = unlimited); excess submits are shed with 429 + Retry-After")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "how long SIGTERM / POST /admin/drain waits for in-flight queries before force-canceling")

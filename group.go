@@ -6,10 +6,7 @@ import (
 	"runtime/debug"
 	"strings"
 
-	"progressdb/internal/core"
 	"progressdb/internal/exec"
-	"progressdb/internal/segment"
-	"progressdb/internal/tuple"
 )
 
 // GroupQuery is one member of a concurrently executing query group.
@@ -201,74 +198,28 @@ func (db *DB) ExecGroup(queries []GroupQuery) ([]*Result, error) {
 	return results, nil
 }
 
-// execOne plans and runs one group member with its own indicator. Like
-// db.run it is a panic boundary: a crash (e.g. an injected fault) fails
-// only this member — converted to *exec.InternalError — and the
-// member's temp files are reclaimed, so the rest of the group keeps
-// running. Config.QueryTimeoutSeconds applies per member, layered on
-// the member's own Ctx.
+// execOne plans one group member and runs it, like any other query,
+// through db.run — on the engine's base clock, which all members
+// charge, with the scheduler's yield hook. A member runs on a goroutine
+// of its own, so a panic that db.run's boundary does not cover (the
+// planner's) is converted here too rather than left to end the process.
+// Config.QueryTimeoutSeconds applies per member, layered on the
+// member's own Ctx.
 func (db *DB) execOne(q GroupQuery, yield func()) (res *Result, err error) {
-	var env *exec.Env
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = nil, exec.NewInternalError(r, debug.Stack())
-		}
-		if err != nil && env != nil {
-			env.ReleaseScans()
-			env.ReclaimTemps()
 		}
 	}()
 	p, err := db.plan(q.SQL)
 	if err != nil {
 		return nil, err
 	}
-	d := segment.Decompose(p, db.cfg.WorkMemPages)
-	ind := core.New(db.clock, d, core.Options{
-		UpdatePeriod:    db.cfg.ProgressUpdateSeconds,
-		SpeedWindow:     db.cfg.SpeedWindowSeconds,
-		DecayAlpha:      db.cfg.SpeedDecayAlpha,
-		PerSegmentSpeed: db.cfg.PerSegmentSpeed,
-		Refine:          db.refine,
-	})
-	if q.OnProgress != nil {
-		ind.Subscribe(func(s core.Snapshot) { q.OnProgress(toReport(s)) })
-	}
-	ind.Start()
-	defer ind.Stop()
-
-	res = &Result{}
-	for _, c := range p.Schema().Cols {
-		res.Columns = append(res.Columns, c.Name)
-	}
-	env = &exec.Env{
-		Pool:         db.cat.Pool(),
-		Clock:        db.clock,
-		WorkMemPages: db.cfg.WorkMemPages,
-		Reporter:     ind,
-		Decomp:       d,
-		Met:          db.execMet,
-		Yield:        yield,
-	}
 	ctx, cancel := db.queryCtx(q.Ctx)
 	defer cancel()
-	if ctx != nil && ctx.Done() != nil {
-		env.Ctx = ctx
-	}
-	start := db.clock.Now()
-	var sink func(tuple.Tuple) error
-	if q.KeepRows {
-		sink = func(t tuple.Tuple) error {
-			res.Rows = append(res.Rows, tupleToRow(t))
-			return nil
-		}
-	}
-	if _, err := exec.Run(env, p, sink); err != nil {
+	out, err := db.run(ctx, db.clock, yield, p, q.Name, q.OnProgress, q.KeepRows, db.traceEnabled())
+	if err != nil {
 		return nil, err
 	}
-	db.queries.Inc()
-	res.VirtualSeconds = db.clock.Now() - start
-	for _, s := range ind.Snapshots() {
-		res.History = append(res.History, toReport(s))
-	}
-	return res, nil
+	return out.res, nil
 }

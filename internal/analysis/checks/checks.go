@@ -21,9 +21,7 @@ func All() []*analysis.Analyzer {
 		Obsnames,
 		Errwrap,
 		Lockdisc,
-		Atomicfield,
 		Sharedstate,
-		Goleak,
 	}
 }
 
@@ -39,7 +37,6 @@ var enginePackages = []string{
 	"progressdb/internal/segment",
 	"progressdb/internal/core",
 	"progressdb/internal/optimizer",
-	"progressdb/internal/txn",
 	"progressdb/internal/btree",
 	// The fleet coordinator charges retry backoff to shard vclocks so
 	// failover replays deterministically under seeded fault schedules; a

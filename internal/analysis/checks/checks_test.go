@@ -268,12 +268,6 @@ package fixture
 	}
 }
 
-func TestAtomicfieldFixture(t *testing.T) {
-	analysis.RunFixture(t, Atomicfield,
-		"progressdb/internal/obs",
-		"testdata/atomicfield/fields.go")
-}
-
 func TestSharedstateFixture(t *testing.T) {
 	analysis.RunFixture(t, Sharedstate,
 		"progressdb/internal/core",
@@ -348,33 +342,6 @@ func TestSharedstateReportInventory(t *testing.T) {
 	if s, ok := structs["cursor"]; !ok || !s.Unguarded {
 		t.Errorf("cursor inventoried as %+v, want unguarded struct", s)
 	}
-}
-
-func TestGoleakFixture(t *testing.T) {
-	analysis.RunFixture(t, Goleak,
-		"progressdb/internal/server",
-		"testdata/goleak/leaks.go")
-}
-
-// TestGoleakOutsideScope: goroutines outside engine/server/fleet (the
-// harness's measurement helpers, cmd binaries) are not checked.
-func TestGoleakOutsideScope(t *testing.T) {
-	analysis.RunSource(t, []*analysis.Analyzer{Goleak},
-		"progressdb/internal/harness", "harness_goroutine_fixture.go", `
-package fixture
-
-type job struct{ n int }
-
-func (j *job) spin() {
-	for {
-		j.n++
-	}
-}
-
-func (j *job) launch() {
-	go j.spin()
-}
-`)
 }
 
 // TestAllCleanOnFixturelessSource is a smoke check that the full suite

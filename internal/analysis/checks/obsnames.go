@@ -47,7 +47,6 @@ var knownSubsystems = map[string]bool{
 	"vclock":      true,
 	"exec":        true,
 	"segment":     true,
-	"txn":         true,
 	"server":      true,
 	"fleet":       true, // sharded-serving coordinator (merge, fan-out, per-shard gauges)
 	"faultinject": true,

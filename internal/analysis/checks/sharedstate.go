@@ -34,8 +34,8 @@ import (
 //
 // Scope: internal/{core,exec,catalog,stats,storage,segment,vclock} —
 // the packages a concurrent executor would share. The serving layers
-// (server, fleet) already run concurrent and are covered by lockdisc,
-// atomicfield, and goleak.
+// (server, fleet) already run concurrent and are covered by lockdisc
+// and `go test -race`.
 var Sharedstate = &analysis.Analyzer{
 	Name: "sharedstate",
 	Doc: "mutable package-level state in engine-core packages must be " +

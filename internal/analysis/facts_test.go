@@ -118,7 +118,7 @@ func TestFactsModuleWide(t *testing.T) {
 		}
 	}
 	// At least one call edge must cross between two internal packages —
-	// the property that makes lockdisc/goleak interprocedural.
+	// the property that makes lockdisc interprocedural.
 	crossPkg := false
 	for caller, calls := range facts.Calls {
 		callerPkg := internalPkgOf(caller)

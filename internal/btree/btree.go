@@ -206,7 +206,7 @@ func (t *Tree) writeMeta() error {
 }
 
 // getPage reads a tree page through the pool, charging clk (nil means
-// the disk's base clock — the single-threaded DDL/load/txn paths).
+// the disk's base clock — the single-threaded DDL/load paths).
 func (t *Tree) getPage(clk *vclock.Clock, num int32) ([]byte, error) {
 	if clk == nil {
 		clk = t.pool.Disk().Clock()

@@ -57,8 +57,8 @@ func benchFleet(b *testing.B, shards, rows int) *Fleet {
 // simulation (DESIGN.md §1): a query's duration is the virtual seconds
 // its I/O and CPU cost model accumulates, and a fleet's duration is the
 // slowest shard's — each shard owns 1/N of the pages, so sharding
-// divides the modeled latency. That division is what BENCH_fleet.json
-// pins. Wall-clock nanoseconds stay visible as wall_ns/op; on a
+// divides the modeled latency. That division is what this benchmark
+// shows. Wall-clock nanoseconds stay visible as wall_ns/op; on a
 // single-core host they measure allocator throughput, not the modeled
 // system, so they are the footnote rather than the headline.
 func runBench(b *testing.B, f *Fleet, sql string) {

@@ -218,11 +218,9 @@ func (f *Fleet) wireMetrics() {
 // Shards returns the shard count.
 func (f *Fleet) Shards() int { return len(f.shards) }
 
-// Registry exposes the coordinator's metrics registry (fleet_* series).
-// Shard-internal engine instruments stay on their own registries.
-func (f *Fleet) Registry() *obs.Registry { return f.reg }
-
-// Metrics snapshots the coordinator instruments, sorted by series ID.
+// Metrics snapshots the coordinator instruments (fleet_* series), sorted
+// by series ID. Shard-internal engine instruments stay on their own
+// registries.
 func (f *Fleet) Metrics() []obs.Sample { return f.reg.Snapshot() }
 
 // MetricsText renders the coordinator instruments in the Prometheus text

@@ -2,13 +2,12 @@
 // funnel into Server.Drain, which stops admitting new queries, lets the
 // in-flight ones finish within the drain deadline, and then cancels the
 // stragglers at their next executor safe point. Terminal transitions go
-// through the same finish/retire path as every other ending, so each
-// drained query still publishes exactly one terminal SSE event and lands
-// in the history store exactly once.
+// through the ledger's one terminal transition like every other ending,
+// so each drained query still publishes exactly one terminal SSE event
+// and lands in the history store exactly once.
 package server
 
 import (
-	"errors"
 	"net/http"
 	"strconv"
 	"time"
@@ -16,8 +15,8 @@ import (
 	"progressdb/client"
 )
 
-// drainPollInterval is how often Drain re-checks the registry for
-// remaining non-terminal jobs while waiting out the deadline.
+// drainPollInterval is how often Drain re-checks the ledger for live
+// jobs while waiting out the deadline.
 const drainPollInterval = 5 * time.Millisecond
 
 // drainForceWait bounds the post-cancel wait for force-canceled queries
@@ -35,59 +34,35 @@ func (s *Server) Drain(timeout time.Duration) client.DrainResponse {
 	if timeout <= 0 {
 		timeout = s.cfg.DrainTimeout
 	}
-	if s.draining.CompareAndSwap(false, true) {
+	if s.reg.drain() {
 		s.met.drains.Inc()
 		s.met.drainingG.Set(1)
 	}
 	start := time.Now()
 	deadline := start.Add(timeout)
 	for time.Now().Before(deadline) {
-		if len(s.nonTerminal()) == 0 {
+		if len(s.reg.live()) == 0 {
 			return client.DrainResponse{Drained: true, WaitedMS: time.Since(start).Milliseconds()}
 		}
 		time.Sleep(drainPollInterval)
 	}
 
-	// Deadline expired: cancel whatever is left. Queued jobs transition
-	// immediately (their worker observes the terminal state and skips
-	// them); running jobs unwind at the executor's next safe point.
-	forced := 0
-	for _, j := range s.nonTerminal() {
-		forced++
+	// Deadline expired: cancel whatever is left. Queued jobs end at once;
+	// running jobs unwind at the executor's next safe point.
+	forced := s.reg.live()
+	for _, j := range forced {
 		s.met.drainForced.Inc()
-		j.cancel()
-		j.mu.Lock()
-		queued := j.state == client.StateQueued
-		j.mu.Unlock()
-		if queued {
-			if j.finish(client.StateCanceled, errors.New("canceled by drain"), nil) {
-				s.met.canceled.Inc()
-				s.retire(j)
-			}
-		}
+		s.reg.cancel(j, "canceled by drain")
 	}
 	forceDeadline := time.Now().Add(drainForceWait)
-	for time.Now().Before(forceDeadline) && len(s.nonTerminal()) > 0 {
+	for time.Now().Before(forceDeadline) && len(s.reg.live()) > 0 {
 		time.Sleep(drainPollInterval)
 	}
 	return client.DrainResponse{
-		Drained:       len(s.nonTerminal()) == 0 && forced == 0,
-		ForcedCancels: forced,
+		Drained:       len(s.reg.live()) == 0 && len(forced) == 0,
+		ForcedCancels: len(forced),
 		WaitedMS:      time.Since(start).Milliseconds(),
 	}
-}
-
-// nonTerminal lists the registry's jobs that have not finished yet.
-func (s *Server) nonTerminal() []*job {
-	var out []*job
-	for _, j := range s.reg.list() {
-		switch j.currentState() {
-		case client.StateDone, client.StateFailed, client.StateCanceled:
-		default:
-			out = append(out, j)
-		}
-	}
-	return out
 }
 
 // handleDrain is POST /admin/drain?timeout_ms=N. It blocks until the

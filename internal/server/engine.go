@@ -28,16 +28,10 @@ type Engine interface {
 	// keepRows is set, and invokes onProgress (if non-nil) at every
 	// progress refresh.
 	ExecQuery(ctx context.Context, sql string, keepRows bool, onProgress func(Progress)) (*progressdb.Result, error)
-	// Registry returns the engine-side metrics registry, or nil when
-	// engine metrics are disabled (the server then keeps a private one).
-	Registry() *obs.Registry
 	// Metrics snapshots the engine-side instruments (empty when
 	// disabled). Safe to call while queries run: instruments are
 	// atomic and clock gauges read the engine's shared clock group.
 	Metrics() []obs.Sample
-	// MetricsText renders the engine-side Prometheus page (empty when
-	// disabled). Safe to call while queries run.
-	MetricsText() string
 	// Shards returns the engine's shard count: 1 for a single DB, N for
 	// a fleet.
 	Shards() int
@@ -64,10 +58,8 @@ func (e dbEngine) ExecQuery(ctx context.Context, sql string, keepRows bool, onPr
 	return e.db.ExecDiscardContext(ctx, sql, cb)
 }
 
-func (e dbEngine) Registry() *obs.Registry { return e.db.Registry() }
-func (e dbEngine) Metrics() []obs.Sample   { return e.db.Metrics() }
-func (e dbEngine) MetricsText() string     { return e.db.MetricsText() }
-func (e dbEngine) Shards() int             { return 1 }
+func (e dbEngine) Metrics() []obs.Sample { return e.db.Metrics() }
+func (e dbEngine) Shards() int           { return 1 }
 
 func (e dbEngine) EstimateCostU(sql string) (float64, error) { return e.db.EstimateCostU(sql) }
 func (e dbEngine) Health() []client.ShardHealth              { return nil }
@@ -107,10 +99,8 @@ func (e fleetEngine) ExecQuery(ctx context.Context, sql string, keepRows bool, o
 	return out, nil
 }
 
-func (e fleetEngine) Registry() *obs.Registry { return e.f.Registry() }
-func (e fleetEngine) Metrics() []obs.Sample   { return e.f.Metrics() }
-func (e fleetEngine) MetricsText() string     { return e.f.MetricsText() }
-func (e fleetEngine) Shards() int             { return e.f.Shards() }
+func (e fleetEngine) Metrics() []obs.Sample { return e.f.Metrics() }
+func (e fleetEngine) Shards() int           { return e.f.Shards() }
 
 func (e fleetEngine) EstimateCostU(sql string) (float64, error) { return e.f.EstimateCostU(sql) }
 

@@ -62,13 +62,17 @@ func TestPanickedJobFailsOnlyThatJob(t *testing.T) {
 // finishes "failed" with a timeout error (not "canceled" — that state is
 // reserved for user cancellation), and ticks the timedout counter;
 // an un-paced query on the same server finishes inside the deadline.
+// The deadline is wall-clock, so it is set where a loaded host cannot
+// turn it around: the un-paced scan takes a few milliseconds of CPU
+// (it was seen to miss 120 ms once, under -race with the cores shared)
+// and the paced one a minute.
 func TestQueryTimeoutFailsJob(t *testing.T) {
 	db := syntheticDB(t)
-	_, cl := testServer(t, db, Config{Workers: 1, QueueDepth: 4, QueryTimeout: 120 * time.Millisecond})
+	_, cl := testServer(t, db, Config{Workers: 1, QueueDepth: 4, QueryTimeout: time.Second})
 	ctx := context.Background()
 
 	// PaceMS stretches real execution far past the deadline.
-	slow, err := cl.Submit(ctx, client.SubmitRequest{SQL: "select * from t", PaceMS: 60})
+	slow, err := cl.Submit(ctx, client.SubmitRequest{SQL: "select * from t", PaceMS: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}

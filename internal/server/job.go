@@ -3,6 +3,8 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -14,21 +16,26 @@ import (
 // (queued → running → done/failed/canceled), its progress-event history,
 // and its fan-out subscriber set.
 //
-// Locking: j.mu guards every mutable field. publish and finish assign
-// event sequence numbers and append to history under the lock, then
-// push to each subscriber's private buffer — so a subscriber that
-// replays history at subscribe time and then drains its buffer sees
-// every event exactly once, in order, with exactly one terminal event.
-// The push into a subscriber's buffer nests its lock inside the job's;
-// progresslint enforces that the order never inverts:
+// Locking: j.mu guards every mutable field. publish and the ledger's
+// terminal transition assign event sequence numbers and append to
+// history under the lock, then push to each subscriber's private buffer
+// — so a subscriber that replays history at subscribe time and then
+// drains its buffer sees every event exactly once, in order, with
+// exactly one terminal event. The push into a subscriber's buffer nests
+// its lock inside the job's; progresslint enforces that the order never
+// inverts:
 //
 //lint:lockorder job.mu < subscriber.mu
 type job struct {
+	n        int // submission sequence number; id is "q<n>"
 	id       string
 	name     string
 	sql      string
 	keepRows bool
 	pace     time.Duration
+	// costU is the optimizer's price at admission, in U; < 0 when the
+	// query could not be priced.
+	costU float64
 
 	// ctx is canceled by DELETE /queries/{id} or server shutdown; the
 	// executor observes it at its safe points.
@@ -49,14 +56,19 @@ type job struct {
 	finished  time.Time
 }
 
-func newJob(id, name, sql string, keepRows bool, pace time.Duration) *job {
+func newJob(n int, req client.SubmitRequest, costU float64, now time.Time) *job {
 	ctx, cancel := context.WithCancel(context.Background())
-	return &job{
-		id: id, name: name, sql: sql, keepRows: keepRows, pace: pace,
+	j := &job{
+		n: n, id: fmt.Sprintf("q%d", n), name: req.Name, sql: req.SQL, keepRows: req.KeepRows,
+		pace: time.Duration(req.PaceMS) * time.Millisecond, costU: costU,
 		ctx: ctx, cancel: cancel,
 		state: client.StateQueued, subs: make(map[int]*subscriber),
-		submitted: time.Now(),
+		submitted: now,
 	}
+	if j.name == "" {
+		j.name = j.id
+	}
+	return j
 }
 
 // publish appends one progress event (assigning its sequence number)
@@ -68,45 +80,42 @@ func (j *job) publish(ev client.ProgressEvent) {
 	if j.state.Terminal() {
 		return
 	}
-	j.publishLocked(ev)
+	j.fanOutLocked(j.appendLocked(ev))
 }
 
-func (j *job) publishLocked(ev client.ProgressEvent) {
+// appendLocked gives ev the next sequence number and records it in the
+// history.
+func (j *job) appendLocked(ev client.ProgressEvent) client.ProgressEvent {
 	j.seq++
 	ev.Seq = j.seq
 	ev.QueryID = j.id
 	j.history = append(j.history, ev)
+	return ev
+}
+
+func (j *job) fanOutLocked(ev client.ProgressEvent) {
 	for _, sub := range j.subs {
 		sub.push(ev)
 	}
 }
 
-// setRunning transitions queued → running; returns false if the job is
-// already terminal (lost a race with cancellation).
-func (j *job) setRunning() bool {
+// setRunning marks the job handed to a worker. Called by the ledger,
+// which only hands out jobs that are still queued.
+func (j *job) setRunning(now time.Time) {
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state != client.StateQueued {
-		return false
-	}
 	j.state = client.StateRunning
-	j.started = time.Now()
-	return true
+	j.started = now
+	j.mu.Unlock()
 }
 
-// finish moves the job to a terminal state exactly once, records the
-// outcome, and publishes the terminal event. Returns true only for the
-// call that performed the transition (callers bump metrics on true).
-func (j *job) finish(state client.State, err error, res *progressdb.Result) bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state.Terminal() {
-		return false
-	}
+// endLocked records the outcome and appends the terminal event to the
+// history, returning it for the ledger to fan out once the job is
+// accounted for. Called exactly once, with j.mu held.
+func (j *job) endLocked(state client.State, err error, res *progressdb.Result, now time.Time) client.ProgressEvent {
 	j.state = state
 	j.err = err
 	j.res = res
-	j.finished = time.Now()
+	j.finished = now
 
 	// Terminal event: carry the last refresh's figures forward so late
 	// subscribers still see how far the query got.
@@ -127,8 +136,46 @@ func (j *job) finish(state client.State, err error, res *progressdb.Result) bool
 	if err != nil {
 		ev.Error = err.Error()
 	}
-	j.publishLocked(ev)
-	return true
+	return j.appendLocked(ev)
+}
+
+// remainingU is the job's outstanding work in U: the admission price,
+// refined by the latest progress refresh. A query that could not be
+// priced charges nothing until a refresh prices it.
+func (j *job) remainingU() float64 {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	est, done := j.costU, 0.0
+	if n := len(j.history); n > 0 {
+		ev := j.history[n-1]
+		if ev.EstTotalU > 0 {
+			est = ev.EstTotalU
+		}
+		done = ev.DoneU
+	}
+	if est < 0 {
+		return 0
+	}
+	return math.Max(est-done, 0)
+}
+
+// remainingWall is the job's remaining-time estimate in wall seconds:
+// the indicator's virtual estimate scaled by the job's own observed
+// virtual-to-wall rate (paced queries run virtual seconds in wall
+// seconds; unpaced ones in microseconds). ok=false until a refresh has
+// produced an estimate.
+func (j *job) remainingWall(now time.Time) (rem float64, ok bool) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	n := len(j.history)
+	if n == 0 {
+		return 0, false
+	}
+	ev, wall := j.history[n-1], now.Sub(j.started).Seconds()
+	if ev.ElapsedSeconds <= 0 || ev.RemainingSeconds < 0 || wall <= 0 {
+		return 0, false
+	}
+	return ev.RemainingSeconds * (wall / ev.ElapsedSeconds), true
 }
 
 // subscribe registers a new subscriber and atomically returns the event
@@ -153,7 +200,7 @@ func (j *job) unsubscribe(id int) {
 }
 
 // info snapshots the job for the REST surface. queuePos is computed by
-// the registry (0 when not queued).
+// the ledger (0 when not queued).
 func (j *job) info(queuePos int) client.QueryInfo {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -189,22 +236,20 @@ func (j *job) info(queuePos int) client.QueryInfo {
 
 // setCounters records the engine counter deltas attributable to this
 // job's execution, for its history profile. Called by the worker between
-// the executor returning and finish().
+// the executor returning and the terminal transition.
 func (j *job) setCounters(c map[string]float64) {
 	j.mu.Lock()
 	j.counters = c
 	j.mu.Unlock()
 }
 
-// profile freezes the terminal job into its history record: the final
+// profileLocked freezes the terminal job into its history record: the final
 // lifecycle snapshot, the complete progress-event ledger, and — for
 // queries that ran to completion — the per-segment estimated-vs-actual
 // figures, the remaining-time q-error trajectory, and the trace span
 // tree. The result must not be mutated afterwards (the history store
 // shares it across readers).
-func (j *job) profile() *client.QueryProfile {
-	j.mu.Lock()
-	defer j.mu.Unlock()
+func (j *job) profileLocked() *client.QueryProfile {
 	p := &client.QueryProfile{
 		Query: client.QueryInfo{
 			ID:            j.id,
@@ -359,55 +404,4 @@ func (s *subscriber) waitKeepAlive(ctx context.Context, d time.Duration) (evs []
 			return nil, false, false
 		}
 	}
-}
-
-// registry indexes jobs by ID and submission order.
-type registry struct {
-	mu    sync.Mutex
-	jobs  map[string]*job
-	order []*job
-}
-
-func newRegistry() *registry {
-	return &registry{jobs: make(map[string]*job)}
-}
-
-func (r *registry) add(j *job) {
-	r.mu.Lock()
-	r.jobs[j.id] = j
-	r.order = append(r.order, j)
-	r.mu.Unlock()
-}
-
-func (r *registry) get(id string) (*job, bool) {
-	r.mu.Lock()
-	j, ok := r.jobs[id]
-	r.mu.Unlock()
-	return j, ok
-}
-
-func (r *registry) list() []*job {
-	r.mu.Lock()
-	out := append([]*job(nil), r.order...)
-	r.mu.Unlock()
-	return out
-}
-
-// queuePosition returns j's 1-based position among still-queued jobs in
-// submission order (0 if j is not queued).
-func (r *registry) queuePosition(j *job) int {
-	r.mu.Lock()
-	order := append([]*job(nil), r.order...)
-	r.mu.Unlock()
-	pos := 0
-	for _, other := range order {
-		if other.currentState() != client.StateQueued {
-			continue
-		}
-		pos++
-		if other == j {
-			return pos
-		}
-	}
-	return 0
 }

@@ -64,9 +64,9 @@ var fleetSeries = []string{
 var fleetShardPercentSeries = tsdb.Ref("fleet_shard_percent")
 
 // profileCounters are the engine counter families whose per-query deltas
-// are attached to history profiles. The engine semaphore is held for the
-// whole execution, so post-minus-pre deltas are exactly one query's
-// doing. Ref-checked like the dashboard list.
+// are attached to history profiles: exactly one query's doing with
+// Workers == 1, neighbors' work included otherwise. Ref-checked like
+// the dashboard list.
 var profileCounters = map[string]bool{
 	tsdb.Ref("bufferpool_hits_total"):              true,
 	tsdb.Ref("bufferpool_misses_total"):            true,
@@ -109,26 +109,19 @@ func (s *Server) sampler() {
 	}
 }
 
-// sampleOnce records one sampler pass at time now (seconds). When the
-// engine is idle it is snapshotted in full — virtual-clock gauges synced
-// — exactly like /metrics; while a query holds the engine only the
-// registry's atomic instruments are read, so sampling never blocks on
-// (or races with) execution.
+// sampleOnce records one sampler pass at time now (seconds): the same
+// full snapshot /metrics renders, virtual-clock gauges synced.
 func (s *Server) sampleOnce(now float64) {
-	var samples []obs.Sample
-	select {
-	case s.engine <- struct{}{}:
-		samples = s.eng.Metrics()
-		<-s.engine
-		if !s.met.shared {
-			samples = append(s.met.reg.Snapshot(), samples...)
-		}
-	default:
-		samples = s.met.reg.Snapshot()
-	}
-	s.ts.Record(now, samples)
+	s.ts.Record(now, s.samples())
 	s.lastSample.Store(math.Float64bits(now))
 	s.met.samples.Inc()
+}
+
+// samples snapshots every instrument, the server's and the engine's.
+// Engine.Metrics is safe while queries run, so nothing is waited for.
+func (s *Server) samples() []obs.Sample {
+	s.reg.syncGauges()
+	return append(s.met.reg.Snapshot(), s.eng.Metrics()...)
 }
 
 // sampleNow returns the most recent sample timestamp (0 before the first
@@ -139,12 +132,12 @@ func (s *Server) sampleNow() float64 {
 
 // ---- per-query counter attribution -----------------------------------
 
-// counterBaseline snapshots the profile-relevant counters by series ID.
-// A nil registry (engine metrics off) yields an empty baseline and thus
-// profiles without counters.
-func counterBaseline(reg *obs.Registry) map[string]float64 {
+// counterBaseline picks the profile-relevant counters out of an engine
+// snapshot, by series ID. No samples (engine metrics off) yield an empty
+// baseline and thus profiles without counters.
+func counterBaseline(samples []obs.Sample) map[string]float64 {
 	out := make(map[string]float64)
-	for _, sm := range reg.Snapshot() {
+	for _, sm := range samples {
 		if sm.Kind == obs.KindCounter && profileCounters[sm.Name] {
 			out[sm.ID()] = sm.Value
 		}
@@ -155,9 +148,9 @@ func counterBaseline(reg *obs.Registry) map[string]float64 {
 // counterDeltas returns the counters that moved since before, keyed by
 // series ID. Nil when nothing moved (the common fault-free case keeps
 // profiles small).
-func counterDeltas(before map[string]float64, reg *obs.Registry) map[string]float64 {
+func counterDeltas(before map[string]float64, samples []obs.Sample) map[string]float64 {
 	var out map[string]float64
-	for _, sm := range reg.Snapshot() {
+	for _, sm := range samples {
 		if sm.Kind != obs.KindCounter || !profileCounters[sm.Name] {
 			continue
 		}
@@ -169,17 +162,6 @@ func counterDeltas(before map[string]float64, reg *obs.Registry) map[string]floa
 		}
 	}
 	return out
-}
-
-// retire captures a freshly terminal job's profile into the history
-// store. Callers invoke it exactly once per job, right after the
-// finish() call that performed the terminal transition returned true.
-func (s *Server) retire(j *job) {
-	s.hist.Add(j.profile())
-	s.met.profiles.Inc()
-	s.met.retained.Set(float64(s.hist.Len()))
-	s.adm.remove(j.id)
-	s.syncAdmissionGauges()
 }
 
 // ---- /api handlers ---------------------------------------------------

@@ -322,9 +322,10 @@ func TestHistoryConcurrentTrafficRace(t *testing.T) {
 		}()
 	}
 
-	for _, id := range ids {
-		waitState(t, cl, id, client.StateDone)
-	}
+	// The one worker runs them in submission order, so the last one done
+	// means all done; the first eight are no longer addressable by then
+	// (HistoryDepth 4 bounds /queries/{id} like it bounds /api/history).
+	waitState(t, cl, ids[len(ids)-1], client.StateDone)
 	close(stop)
 	readers.Wait()
 
@@ -337,7 +338,7 @@ func TestHistoryConcurrentTrafficRace(t *testing.T) {
 	}
 	// Newest-terminal-first: the retained set is the last four to finish,
 	// in reverse finish order (FinishedAtMS non-increasing breaks ties by
-	// capture order, which waitState's sequential drain makes strict).
+	// capture order, which the single worker makes strict).
 	for i := 1; i < len(hr.Profiles); i++ {
 		if hr.Profiles[i].FinishedAtMS > hr.Profiles[i-1].FinishedAtMS {
 			t.Fatalf("listing not newest-first at %d: %+v", i, hr.Profiles)

@@ -10,6 +10,7 @@ import (
 
 	"progressdb"
 	"progressdb/client"
+	"progressdb/internal/server/history"
 )
 
 const scanSQL = "select * from t"
@@ -265,42 +266,58 @@ func admissionReport(done, est, elapsed, remaining float64) progressdb.Report {
 }
 
 // TestAdmissionLedger unit-tests the ledger arithmetic: budget sums
-// remaining work, progress refreshes shrink it, removal frees it, and
+// remaining work, progress refreshes shrink it, endings free it, and
 // Retry-After follows the cheapest running query's scaled estimate.
 func TestAdmissionLedger(t *testing.T) {
-	a := newAdmission(100)
+	r := newRegistry(Config{MaxInflightU: 100}.withDefaults(), newMetrics(), history.New(4))
 	now := time.Now()
-	if v := a.admit("q1", 60, 0, now); v.reason != "" {
+	submit := func(costU float64, at time.Time) (*job, verdict) {
+		return r.admit(client.SubmitRequest{SQL: scanSQL}, costU, at)
+	}
+	q1, v := submit(60, now)
+	if v.reason != "" {
 		t.Fatalf("q1 shed: %+v", v)
 	}
-	if v := a.admit("q2", 60, 0, now); v.reason != client.ShedBudget {
-		t.Fatalf("q2 verdict %+v, want budget shed", v)
+	if _, v := submit(60, now); v.reason != client.ShedBudget || v.inflightU != 60 {
+		t.Fatalf("q2 verdict %+v, want budget shed with 60 U in flight", v)
 	}
 	// q1 progresses: 40 of its 60 U are done, leaving room for q2.
-	a.markRunning("q1", now)
-	a.update("q1", admissionReport(40, 60, 10, 5), now.Add(50*time.Millisecond))
-	if got := a.inflightU(); got != 20 {
+	if got := r.next(now); got != q1 {
+		t.Fatalf("next = %v, want q1", got)
+	}
+	q1.publish(client.EventFromReport(q1.id, admissionReport(40, 60, 10, 5)))
+	if got := r.load().inflightU; got != 20 {
 		t.Fatalf("inflightU = %g, want 20", got)
 	}
-	if v := a.admit("q2", 60, 0, now); v.reason != "" {
+	q2, v := submit(60, now)
+	if v.reason != "" {
 		t.Fatalf("q2 after progress: %+v, want admitted", v)
+	}
+	if q2.id != "q2" || r.queuePosition(q2) != 1 {
+		t.Fatalf("q2 = %s at position %d: a shed submit must not consume an ID or a slot", q2.id, r.queuePosition(q2))
 	}
 	// Retry-After: q1 ran 10 virtual seconds in 0.05 wall seconds and
 	// estimates 5 virtual seconds left → 0.025 wall seconds, clamped to 1.
-	a.remove("q2")
-	if ra := a.retryAfter(now.Add(50 * time.Millisecond)); ra != 1 {
-		t.Fatalf("retryAfter = %g, want clamp to 1", ra)
+	r.cancel(q2, "canceled while queued")
+	if q2.currentState() != client.StateCanceled || r.queuePosition(q2) != 0 {
+		t.Fatal("canceling a queued job did not end it at once")
 	}
-	a.remove("q1")
-	if a.inflightU() != 0 || a.count() != 0 {
-		t.Fatal("ledger not empty after removals")
+	if _, v := submit(90, now.Add(50*time.Millisecond)); v.reason != client.ShedBudget || v.retryAfter != 1 {
+		t.Fatalf("verdict %+v, want budget shed with Retry-After clamped to 1", v)
+	}
+	r.finish(q1, client.StateDone, nil, &progressdb.Result{})
+	if l := r.load(); l.inflightU != 0 || l.queued+l.running != 0 {
+		t.Fatalf("ledger not empty after both ended: %+v", l)
+	}
+	if got := r.met.inflightQ.Value(); got != 0 {
+		t.Fatalf("server_inflight_queries = %g after both ended, want 0", got)
 	}
 
 	// Unknown-cost queries are admitted and charge nothing.
-	if v := a.admit("q3", -1, 0, now); v.reason != "" {
+	if _, v := submit(-1, now); v.reason != "" {
 		t.Fatalf("unknown-cost admit: %+v", v)
 	}
-	if got := a.inflightU(); got != 0 {
+	if got := r.load().inflightU; got != 0 {
 		t.Fatalf("unknown-cost inflight = %g, want 0", got)
 	}
 }

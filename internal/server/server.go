@@ -1,13 +1,13 @@
 // Package server is progressd's HTTP query service: asynchronous query
-// submission backed by a bounded admission-control worker pool, live
-// progress streaming over Server-Sent Events, cancellation that unwinds
-// the executor at its safe points, and the engine's Prometheus registry
-// mounted at /metrics with server-level instruments alongside.
+// submission behind cost- and depth-bounded admission control, a worker
+// pool, live progress streaming over Server-Sent Events, cancellation
+// that unwinds the executor at its safe points, and the engine's
+// instruments served at /metrics with the server-level ones alongside.
 //
 // Surface:
 //
 //	POST   /queries               submit {sql, name?, keep_rows?, pace_ms?, deadline_ms?} → 202 {id, state, queue_position} | 429 {reason, retry_after_seconds?}
-//	GET    /queries               list all queries
+//	GET    /queries               list the live queries and the newest Config.HistoryDepth finished ones
 //	GET    /queries/{id}          lifecycle snapshot (state, latest progress, timings)
 //	GET    /queries/{id}/progress SSE stream: every indicator refresh as JSON, replay included
 //	GET    /queries/{id}/result   completed result rows
@@ -18,11 +18,12 @@
 //
 // Concurrency model: the engine executes queries concurrently — each
 // query runs on its own worker clock that merges into the engine's
-// shared time authority — so up to Config.Workers executions proceed
-// in parallel, bounded by an engine semaphore sized to the worker
-// pool; the admission queue bounds how much more may be queued
-// (admission control), and everything else — snapshots, SSE fan-out,
-// cancellation, /metrics — is fully concurrent.
+// shared time authority — and Config.Workers goroutines are the one
+// bound on how many do. One ledger (ledger.go) holds every job from the
+// admission decision to eviction; the bounds it enforces at admission
+// (queue depth, remaining-work budget) are how much more may wait.
+// Everything else — snapshots, SSE fan-out, cancellation, /metrics — is
+// fully concurrent.
 package server
 
 import (
@@ -52,10 +53,9 @@ import (
 // Config configures a Server.
 type Config struct {
 	// Workers is the number of queries that may execute on the engine
-	// simultaneously: it sizes both the admission worker pool and the
-	// engine semaphore, so -workers N means N truly parallel
-	// executions on the shared DB. Default 1 (serial, fully
-	// deterministic ordering).
+	// simultaneously: the size of the worker pool, so -workers N means
+	// N truly parallel executions on the shared DB. Default 1 (serial,
+	// fully deterministic ordering).
 	Workers int
 	// QueueDepth bounds the admission queue; a submit that finds it
 	// full is rejected with 429. Default 8.
@@ -75,9 +75,9 @@ type Config struct {
 	// TimeseriesPoints is the per-series ring capacity (default 720 —
 	// 12 minutes of history at the default cadence).
 	TimeseriesPoints int
-	// HistoryDepth bounds the completed-query profile store behind
-	// /api/history (default 256; oldest-terminal profiles are evicted
-	// first).
+	// HistoryDepth is how many finished queries stay addressable
+	// (default 256): /queries/{id}, its result and its /api/history
+	// profile go together when that many newer queries have ended.
 	HistoryDepth int
 	// KeepAlive is the idle interval after which an SSE progress
 	// stream emits a `: ping` comment so proxies and EventSource
@@ -122,12 +122,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// metrics are the server-level instruments. They live in the engine's
-// registry when Config.Metrics is on (one unified /metrics page) and in
-// a private registry otherwise.
+// metrics are the server-level instruments, in the server's own
+// registry; /metrics and the sampler merge them with the engine's.
 type metrics struct {
-	reg    *obs.Registry
-	shared bool
+	reg *obs.Registry
 
 	admitted  *obs.Counter
 	rejected  *obs.Counter
@@ -158,11 +156,8 @@ type metrics struct {
 	wall *obs.Histogram
 }
 
-func newMetrics(reg *obs.Registry) metrics {
-	m := metrics{reg: reg, shared: reg != nil}
-	if m.reg == nil {
-		m.reg = obs.NewRegistry()
-	}
+func newMetrics() *metrics {
+	m := &metrics{reg: obs.NewRegistry()}
 	m.admitted = m.reg.Counter("server_queries_admitted_total", "queries accepted into the admission queue")
 	m.rejected = m.reg.Counter("server_queries_rejected_total", "queries rejected with 429 (queue full)")
 	m.canceled = m.reg.Counter("server_queries_canceled_total", "queries canceled before or during execution")
@@ -202,7 +197,7 @@ type Server struct {
 	eng Engine
 	cfg Config
 	reg *registry
-	met metrics
+	met *metrics
 
 	ts   *tsdb.Store
 	hist *history.Store
@@ -212,17 +207,9 @@ type Server struct {
 	// tests).
 	lastSample atomic.Uint64
 
-	queue  chan *job
-	engine chan struct{} // capacity-Workers semaphore bounding parallel executions
-	quit   chan struct{}
-	wg     sync.WaitGroup
-	once   sync.Once
-
-	adm      *admission  // in-flight remaining-work ledger
-	draining atomic.Bool // set by Drain; submits shed with reason "draining"
-
-	mu    sync.Mutex
-	nextQ int
+	quit chan struct{}
+	wg   sync.WaitGroup
+	once sync.Once
 
 	mux *http.ServeMux
 }
@@ -245,18 +232,15 @@ func NewFleet(f *fleet.Fleet, cfg Config) *Server {
 func NewEngine(eng Engine, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		eng:    eng,
-		cfg:    cfg,
-		reg:    newRegistry(),
-		met:    newMetrics(eng.Registry()),
-		ts:     tsdb.New(cfg.TimeseriesPoints),
-		hist:   history.New(cfg.HistoryDepth),
-		queue:  make(chan *job, cfg.QueueDepth),
-		engine: make(chan struct{}, cfg.Workers),
-		quit:   make(chan struct{}),
-		adm:    newAdmission(cfg.MaxInflightU),
-		mux:    http.NewServeMux(),
+		eng:  eng,
+		cfg:  cfg,
+		met:  newMetrics(),
+		ts:   tsdb.New(cfg.TimeseriesPoints),
+		hist: history.New(cfg.HistoryDepth),
+		quit: make(chan struct{}),
+		mux:  http.NewServeMux(),
 	}
+	s.reg = newRegistry(cfg, s.met, s.hist)
 	s.routes()
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
@@ -272,29 +256,17 @@ func NewEngine(eng Engine, cfg Config) *Server {
 // Handler returns the HTTP surface.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Close stops the worker pool: running queries are canceled and unwound
-// at their next safe point, queued queries transition to canceled, and
-// Close returns when every worker has exited.
+// Close stops the worker pool: admission ends, queued queries transition
+// to canceled, running queries are canceled and unwound at their next
+// safe point, and Close returns when every worker has exited.
 func (s *Server) Close() {
 	s.once.Do(func() {
 		close(s.quit)
-		for _, j := range s.reg.list() {
-			j.cancel()
+		s.reg.drain()
+		for _, j := range s.reg.live() {
+			s.reg.cancel(j, "server shutting down")
 		}
 		s.wg.Wait()
-		// Finish jobs still sitting in the channel (never dequeued).
-		for {
-			select {
-			case j := <-s.queue:
-				if j.finish(client.StateCanceled, errors.New("server shutting down"), nil) {
-					s.met.canceled.Inc()
-					s.retire(j)
-				}
-			default:
-				s.met.queueDepth.Set(float64(len(s.queue)))
-				return
-			}
-		}
 	})
 }
 
@@ -321,44 +293,19 @@ func (s *Server) worker() {
 	defer s.wg.Done()
 	for {
 		select {
-		case j := <-s.queue:
-			s.met.queueDepth.Set(float64(len(s.queue)))
-			s.runJob(j)
+		case <-s.reg.ready:
+			if j := s.reg.next(time.Now()); j != nil {
+				s.runJob(j)
+			}
 		case <-s.quit:
 			return
 		}
 	}
 }
 
-// runJob owns one dequeued job: wait for the engine (abandoning the
-// wait if the job is canceled first), execute with progress fan-out,
-// and drive the terminal transition.
+// runJob owns one running job: execute with progress fan-out, then
+// drive the terminal transition.
 func (s *Server) runJob(j *job) {
-	select {
-	case s.engine <- struct{}{}:
-	case <-j.ctx.Done():
-		if j.finish(client.StateCanceled, errors.New("canceled while queued"), nil) {
-			s.met.canceled.Inc()
-			s.retire(j)
-		}
-		return
-	case <-s.quit:
-		if j.finish(client.StateCanceled, errors.New("server shutting down"), nil) {
-			s.met.canceled.Inc()
-			s.retire(j)
-		}
-		return
-	}
-	defer func() { <-s.engine }()
-
-	if !j.setRunning() {
-		// Canceled between dequeue and engine acquisition.
-		return
-	}
-	s.adm.markRunning(j.id, time.Now())
-	s.met.running.Add(1)
-	defer s.met.running.Add(-1)
-
 	// Per-query deadline: layered on the job's cancel context so a user
 	// cancel and a timeout are distinguishable afterwards.
 	runCtx, cancelRun := j.ctx, func() {}
@@ -370,12 +317,15 @@ func (s *Server) runJob(j *job) {
 	onProgress := func(p Progress) {
 		ev := client.EventFromReport(j.id, p.Report)
 		ev.Shards = p.Shards
-		j.publish(ev)
+		// Counted before it is published: whoever has read the event must
+		// already find it in the counter.
 		s.met.events.Inc()
-		// Refine the admission ledger with the indicator's live figures:
-		// the budget shrinks as work completes, not just when it finishes.
-		s.adm.update(j.id, p.Report, time.Now())
-		s.syncAdmissionGauges()
+		j.publish(ev)
+		// The event just published is what the ledger prices this job by
+		// from now on; all that is left to tell it is the drain rate.
+		if wall := time.Since(j.started).Seconds(); wall > 0.005 {
+			s.reg.observeRate(p.Report.DoneU, wall)
+		}
 		if j.pace > 0 {
 			t := time.NewTimer(j.pace)
 			select {
@@ -387,11 +337,11 @@ func (s *Server) runJob(j *job) {
 	}
 
 	// Counter baseline for the history profile. With Workers == 1 the
-	// engine is held exclusively, so post-minus-pre deltas of engine
-	// counters are exactly this query's doing; with Workers > 1 the
-	// deltas include neighbors' work and the profile's engine-counter
-	// section is approximate.
-	before := counterBaseline(s.eng.Registry())
+	// worker is the engine's only user, so post-minus-pre deltas of
+	// engine counters are exactly this query's doing; with Workers > 1
+	// the deltas include neighbors' work and the profile's
+	// engine-counter section is approximate.
+	before := counterBaseline(s.eng.Metrics())
 
 	start := time.Now()
 	var res *progressdb.Result
@@ -408,42 +358,21 @@ func (s *Server) runJob(j *job) {
 		res, err = s.eng.ExecQuery(runCtx, j.sql, j.keepRows, onProgress)
 	}()
 	s.met.wall.Observe(time.Since(start).Seconds())
-	j.setCounters(counterDeltas(before, s.eng.Registry()))
+	j.setCounters(counterDeltas(before, s.eng.Metrics()))
 
-	var internal *exec.InternalError
+	state := client.StateFailed
 	switch {
 	case err == nil:
-		if len(res.History) > 0 {
-			last := res.History[len(res.History)-1]
-			s.adm.observeCompletion(last.DoneU, time.Since(start).Seconds())
-		}
-		if j.finish(client.StateDone, nil, res) {
-			s.met.completed.Inc()
-			s.retire(j)
-		}
+		state = client.StateDone
 	case errors.Is(err, context.Canceled):
-		if j.finish(client.StateCanceled, err, nil) {
-			s.met.canceled.Inc()
-			s.retire(j)
-		}
+		state = client.StateCanceled
 	case errors.Is(err, context.DeadlineExceeded):
 		// A deadline expiry is the server's doing, not the user's: the
 		// job fails (with a timeout-flavored error) rather than reading
 		// as canceled.
-		if j.finish(client.StateFailed, fmt.Errorf("query timeout exceeded: %w", err), nil) {
-			s.met.failed.Inc()
-			s.met.timedout.Inc()
-			s.retire(j)
-		}
-	default:
-		if errors.As(err, &internal) {
-			s.met.panicked.Inc()
-		}
-		if j.finish(client.StateFailed, err, nil) {
-			s.met.failed.Inc()
-			s.retire(j)
-		}
+		err = fmt.Errorf("query timeout exceeded: %w", err)
 	}
+	s.reg.finish(j, state, err, res)
 }
 
 // ---- handlers --------------------------------------------------------
@@ -460,18 +389,30 @@ func writeErr(w http.ResponseWriter, status int, format string, args ...interfac
 	writeJSON(w, status, client.ErrorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
-// shed rejects one submit, tagging the response with the shed reason
-// and (when > 0) a Retry-After estimate carried both as the HTTP header
-// (whole seconds, rounded up) and with sub-second precision in the body.
-func (s *Server) shed(w http.ResponseWriter, status int, reason, msg string, retryAfter float64, queueDepth int) {
+// shed rejects one submit with the verdict's reason and, when the
+// verdict has one, its Retry-After estimate — as the HTTP header (whole
+// seconds, rounded up) and with sub-second precision in the body.
+func (s *Server) shed(w http.ResponseWriter, v verdict, req client.SubmitRequest, costU float64) {
 	s.met.rejected.Inc()
-	if c := s.met.shedByReason[reason]; c != nil {
-		c.Inc()
+	s.met.shedByReason[v.reason].Inc()
+	status := http.StatusTooManyRequests
+	resp := client.ErrorResponse{Reason: v.reason, RetryAfterSeconds: v.retryAfter}
+	switch v.reason {
+	case client.ShedDraining:
+		status = http.StatusServiceUnavailable
+		resp.Error = "server draining, not admitting new queries"
+	case client.ShedBudget:
+		resp.Error = fmt.Sprintf("in-flight work budget exhausted (%.0f U in flight, query needs %.0f U of %.0f U budget), retry later",
+			v.inflightU, costU, s.cfg.MaxInflightU)
+	case client.ShedDeadline:
+		resp.Error = fmt.Sprintf("estimated completion in %.0f ms exceeds deadline_ms=%d, failing fast",
+			v.estimatedMS, req.DeadlineMS)
+	case client.ShedQueueFull:
+		resp.Error = "admission queue full, retry later"
+		resp.QueueDepth = s.cfg.QueueDepth
 	}
-	resp := client.ErrorResponse{Error: msg, Reason: reason, QueueDepth: queueDepth}
-	if retryAfter > 0 {
-		resp.RetryAfterSeconds = retryAfter
-		w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(retryAfter))))
+	if v.retryAfter > 0 {
+		w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(v.retryAfter))))
 	}
 	writeJSON(w, status, resp)
 }
@@ -500,11 +441,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	default:
 	}
-	if s.draining.Load() {
-		s.shed(w, http.StatusServiceUnavailable, client.ShedDraining,
-			"server draining, not admitting new queries", 0, 0)
-		return
-	}
 
 	// Price the query with the optimizer's initial estimate — a pure
 	// catalog read, safe concurrently with whatever the engine is
@@ -515,57 +451,16 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		costU = -1
 	}
 
-	s.mu.Lock()
-	s.nextQ++
-	id := fmt.Sprintf("q%d", s.nextQ)
-	s.mu.Unlock()
-	name := req.Name
-	if name == "" {
-		name = id
-	}
-	j := newJob(id, name, req.SQL, req.KeepRows, time.Duration(req.PaceMS)*time.Millisecond)
-
-	// Cost- and deadline-based admission: check and ledger insert are
-	// atomic, so concurrent submits cannot overshoot the budget.
-	switch v := s.adm.admit(j.id, costU, req.DeadlineMS, time.Now()); v.reason {
-	case client.ShedBudget:
-		s.shed(w, http.StatusTooManyRequests, v.reason,
-			fmt.Sprintf("in-flight work budget exhausted (%.0f U in flight, query needs %.0f U of %.0f U budget), retry later",
-				s.adm.inflightU(), costU, s.cfg.MaxInflightU),
-			v.retryAfter, 0)
-		return
-	case client.ShedDeadline:
-		s.shed(w, http.StatusTooManyRequests, v.reason,
-			fmt.Sprintf("estimated completion in %.0f ms exceeds deadline_ms=%d, failing fast",
-				v.estimatedMS, req.DeadlineMS), 0, 0)
+	j, v := s.reg.admit(req, costU, time.Now())
+	if j == nil {
+		s.shed(w, v, req, costU)
 		return
 	}
-
-	// Queue-depth admission: reject rather than block when full.
-	select {
-	case s.queue <- j:
-	default:
-		s.adm.remove(j.id)
-		s.shed(w, http.StatusTooManyRequests, client.ShedQueueFull,
-			"admission queue full, retry later", s.adm.retryAfter(time.Now()), cap(s.queue))
-		return
-	}
-	s.reg.add(j)
-	s.met.admitted.Inc()
-	s.met.queueDepth.Set(float64(len(s.queue)))
-	s.syncAdmissionGauges()
 	writeJSON(w, http.StatusAccepted, client.SubmitResponse{
 		ID:            j.id,
 		State:         j.currentState(),
 		QueuePosition: s.reg.queuePosition(j),
 	})
-}
-
-// syncAdmissionGauges refreshes the budget gauges from the ledger.
-func (s *Server) syncAdmissionGauges() {
-	s.met.inflightU.Set(s.adm.inflightU())
-	s.met.inflightQ.Set(float64(s.adm.count()))
-	s.met.drainRate.Set(s.adm.rate())
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
@@ -600,19 +495,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	j.cancel()
-	// A job still waiting in the queue (or for the engine) transitions
-	// immediately; its worker will observe the terminal state and skip
-	// it. A running job transitions when the executor unwinds.
-	j.mu.Lock()
-	queued := j.state == client.StateQueued
-	j.mu.Unlock()
-	if queued {
-		if j.finish(client.StateCanceled, errors.New("canceled while queued"), nil) {
-			s.met.canceled.Inc()
-			s.retire(j)
-		}
-	}
+	s.reg.cancel(j, "canceled while queued")
 	writeJSON(w, http.StatusOK, j.info(0))
 }
 
@@ -732,34 +615,29 @@ func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleMetrics serves the Prometheus page. The engine's instruments
-// are atomic and its clock gauges read the shared clock group, so the
-// full page renders concurrently with running queries — no engine
-// acquisition needed.
+// handleMetrics serves the Prometheus page: the server's instruments and
+// the engine's, one sorted page. The engine's instruments are atomic
+// and its clock gauges read the shared clock group, so the page renders
+// concurrently with running queries.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	var text string
-	if s.met.shared {
-		text = s.eng.MetricsText()
-	} else {
-		text = s.met.reg.PrometheusText() + s.eng.MetricsText()
-	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
-	fmt.Fprint(w, text)
+	fmt.Fprint(w, obs.FormatPrometheusText(s.samples()))
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
+	l := s.reg.load()
 	status := "ok"
-	if s.draining.Load() {
+	if l.draining {
 		status = "draining"
 	}
 	writeJSON(w, http.StatusOK, client.HealthResponse{
 		Status:          status,
-		Queued:          len(s.queue),
-		Running:         int(s.met.running.Value()),
+		Queued:          l.queued,
+		Running:         l.running,
 		Workers:         s.cfg.Workers,
-		InflightU:       s.adm.inflightU(),
-		InflightQueries: s.adm.count(),
+		InflightU:       l.inflightU,
+		InflightQueries: l.queued + l.running,
 		MaxInflightU:    s.cfg.MaxInflightU,
 		Shards:          s.eng.Health(),
 	})

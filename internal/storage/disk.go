@@ -33,7 +33,7 @@ type FileClass int
 
 // File classes.
 const (
-	// ClassBase marks durable files: table heaps, indexes, the txn log.
+	// ClassBase marks durable files: table heaps, indexes.
 	ClassBase FileClass = iota
 	// ClassTemp marks per-query scratch files that must be removed on
 	// every exit path.

@@ -49,7 +49,7 @@ type HeapFile struct {
 }
 
 // CreateHeapFile allocates a new empty ClassBase heap file on the
-// pool's disk (table heaps, the txn log — files that outlive queries).
+// pool's disk (table heaps — files that outlive queries).
 func CreateHeapFile(pool *BufferPool) *HeapFile {
 	return &HeapFile{pool: pool, id: pool.Disk().Create(), clock: pool.Disk().Clock(), curPage: -1}
 }

@@ -52,12 +52,6 @@ func (db *DB) wireMetrics(pool *storage.BufferPool, disk *storage.Disk) {
 // MetricsEnabled reports whether the engine-wide registry is active.
 func (db *DB) MetricsEnabled() bool { return db.reg != nil }
 
-// Registry exposes the engine's metrics registry so embedding layers
-// (e.g. internal/server) can register their own instruments alongside
-// the engine's and serve one unified /metrics page. Nil when
-// Config.Metrics is off.
-func (db *DB) Registry() *obs.Registry { return db.reg }
-
 // Metrics returns a point-in-time snapshot of every engine-wide
 // instrument, sorted by series ID. Nil when Config.Metrics is off.
 func (db *DB) Metrics() []obs.Sample {
@@ -106,10 +100,23 @@ type runOut struct {
 	coll *exec.Collector
 }
 
-// run executes an already-planned query with full observability wiring:
-// the indicator gets the refinement instruments and event sink, the
-// executor gets engine metrics and (optionally) a per-operator collector,
-// and the trace is assembled afterwards. ctx cancels execution at the
+// workerClock draws a fresh per-query clock from the engine's clock
+// group: charges advance it independently of concurrent queries, and it
+// max-merges into the group at segment boundaries, report snapshots, and
+// query end. The base clock is published first so the worker starts no
+// earlier than any completed setup work.
+func (db *DB) workerClock() *vclock.Clock {
+	db.clock.Sync()
+	return db.group.Worker()
+}
+
+// run executes an already-planned query on clk with full observability
+// wiring: the indicator gets the refinement instruments and event sink,
+// the executor gets engine metrics and (optionally) a per-operator
+// collector, and the trace is assembled afterwards. clk is a
+// workerClock for a query that runs on its own, or the engine's base
+// clock for an ExecGroup member, whose yield hook (nil otherwise) hands
+// the machine to the next member. ctx cancels execution at the
 // executor's safe points.
 //
 // run is also the engine's panic boundary and cleanup backstop: a panic
@@ -117,14 +124,7 @@ type runOut struct {
 // converted into a typed *exec.InternalError that fails only this
 // query, and on any failure the query's tracked temp files are
 // reclaimed so the engine stays leak-free and reusable.
-func (db *DB) run(ctx context.Context, p plan.Node, name string, onProgress func(Report), keepRows, collect bool) (out *runOut, err error) {
-	// Each query executes on its own worker clock drawn from the engine's
-	// clock group: charges advance it independently of concurrent
-	// queries, and it max-merges into the group at segment boundaries,
-	// report snapshots, and query end. Publish the base clock first so
-	// the worker starts no earlier than any completed setup work.
-	db.clock.Sync()
-	clk := db.group.Worker()
+func (db *DB) run(ctx context.Context, clk *vclock.Clock, yield func(), p plan.Node, name string, onProgress func(Report), keepRows, collect bool) (out *runOut, err error) {
 	var env *exec.Env
 	defer func() {
 		if r := recover(); r != nil {
@@ -167,6 +167,7 @@ func (db *DB) run(ctx context.Context, p plan.Node, name string, onProgress func
 		Decomp:       d,
 		Met:          db.execMet,
 		Collect:      coll,
+		Yield:        yield,
 	}
 	if ctx != nil && ctx.Done() != nil {
 		env.Ctx = ctx
@@ -285,7 +286,7 @@ func (db *DB) ExplainAnalyze(sql string) (*Result, string, error) {
 	}
 	ctx, cancel := db.queryCtx(context.Background())
 	defer cancel()
-	out, err := db.run(ctx, p, st.Select.String(), nil, true, true)
+	out, err := db.run(ctx, db.workerClock(), nil, p, st.Select.String(), nil, true, true)
 	if err != nil {
 		return nil, "", err
 	}

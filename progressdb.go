@@ -121,7 +121,7 @@ type Config struct {
 // query runs on its own worker clock and the storage layers are latched.
 // Setup and maintenance — CreateTable, Insert, Analyze, CreateIndex,
 // DropTable, LoadPaperWorkload*, SetInterference, SetFaultSpec,
-// ColdRestart, ExecGroup, and the txn API — are single-threaded and must
+// ColdRestart and ExecGroup — are single-threaded and must
 // not overlap each other or running queries, matching the paper's
 // load-then-query methodology.
 type DB struct {
@@ -543,7 +543,7 @@ func (db *DB) exec(ctx context.Context, sql string, onProgress func(Report), kee
 	}
 	ctx, cancel := db.queryCtx(ctx)
 	defer cancel()
-	out, err := db.run(ctx, p, sql, onProgress, keepRows, db.traceEnabled())
+	out, err := db.run(ctx, db.workerClock(), nil, p, sql, onProgress, keepRows, db.traceEnabled())
 	if err != nil {
 		return nil, err
 	}
@@ -563,7 +563,7 @@ func (db *DB) ExecAnalyze(sql string) (*Result, string, error) {
 	}
 	ctx, cancel := db.queryCtx(context.Background())
 	defer cancel()
-	out, err := db.run(ctx, p, sql, nil, false, true)
+	out, err := db.run(ctx, db.workerClock(), nil, p, sql, nil, false, true)
 	if err != nil {
 		return nil, "", err
 	}
