@@ -1,6 +1,7 @@
 #!/bin/sh
 # ci.sh — the repo's check suite: formatting, vet, build (library +
-# every cmd binary), the progressd end-to-end smoke, race tests.
+# every cmd binary, the bench module), the progressd end-to-end smoke,
+# race tests.
 # Run directly or via `make check`.
 set -eu
 
@@ -24,6 +25,12 @@ go vet ./...
 
 echo "== go build =="
 go build ./...
+
+echo "== bench module =="
+# bench/ is a module of its own, so nothing above descends into it, yet it
+# compiles against internal packages: vet it and run its tests (the
+# -smoke pass through every workload and the oracle, under 5 s).
+(cd bench && go vet . && go test ./...)
 
 echo "== build binaries =="
 bindir=$(mktemp -d)

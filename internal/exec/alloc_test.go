@@ -16,8 +16,8 @@ import (
 // allocsPerQuery loads a fixed 40-row table small and an n-row table big
 // (with a string column no query below reads) on a pool that holds both,
 // plans sql with the given join algorithm and returns the allocations of
-// one whole Run — Build, Open, every Next, Close.
-func allocsPerQuery(t *testing.T, n int, sql, algo string) (allocs float64, rows int64) {
+// one whole Run — Build, Open, every Next, Close — and of its Build alone.
+func allocsPerQuery(t *testing.T, n int, sql, algo string) (allocs, build float64, rows int64) {
 	t.Helper()
 	clock := vclock.New(vclock.Costs{SeqPage: 1e-5, RandPage: 8e-5, CPUTuple: 1e-8}, nil)
 	cat := catalog.New(storage.NewBufferPool(storage.NewDisk(clock), 1024))
@@ -63,7 +63,13 @@ func allocsPerQuery(t *testing.T, n int, sql, algo string) (allocs float64, rows
 			t.Fatal(err)
 		}
 	})
-	return allocs, rows
+	build = testing.AllocsPerRun(3, func() {
+		env := &Env{Pool: cat.Pool(), Clock: clock, WorkMemPages: 512, Decomp: d}
+		if _, err := Build(p, env); err != nil {
+			t.Fatal(err)
+		}
+	})
+	return allocs, build, rows
 }
 
 // The machine-independent form of "the per-row path does not allocate":
@@ -71,16 +77,23 @@ func allocsPerQuery(t *testing.T, n int, sql, algo string) (allocs float64, rows
 // hash probe) and the outer side of Q5's (nested loops over a cached
 // inner) quadruples the rows and leaves the allocations of a query where
 // they were (the slack of 4 is for amortised slice growth, not rows).
+// Every predicate on those paths is compiled (expr.CompilePred) when the
+// operator is built, so the same holds for the closures: Build allocates
+// the same whatever the tables hold, and no row adds to it.
 func TestAllocationsDoNotGrowWithProbeRows(t *testing.T) {
 	for _, tc := range []struct {
 		name, sql, algo string
 	}{
 		{"hash probe", "select b.v, s.v from small s, big b where s.k = b.k and absolute(b.v) > 0", "hash"},
 		{"nested loops", "select b.v, s.v from big b, small s where b.v <> s.v", "nl"},
+		{"conjunction and join residual", "select b.v, s.v from small s, big b where s.k = b.k and s.v <> b.v and b.v > 0 and b.k < 40 and absolute(b.v) > 0", "hash"},
 	} {
-		a1, r1 := allocsPerQuery(t, 500, tc.sql, tc.algo)
-		a4, r4 := allocsPerQuery(t, 2000, tc.sql, tc.algo)
-		t.Logf("%s: %d rows -> %.0f allocs, %d rows -> %.0f allocs", tc.name, r1, a1, r4, a4)
+		a1, b1, r1 := allocsPerQuery(t, 500, tc.sql, tc.algo)
+		a4, b4, r4 := allocsPerQuery(t, 2000, tc.sql, tc.algo)
+		t.Logf("%s: %d rows -> %.0f allocs (%.0f in Build), %d rows -> %.0f allocs (%.0f in Build)", tc.name, r1, a1, b1, r4, a4, b4)
+		if b1 != b4 {
+			t.Fatalf("%s: Build allocated %.0f times over 500 rows, %.0f over 2000", tc.name, b1, b4)
+		}
 		if r4 < 4*r1 || r1 == 0 {
 			t.Fatalf("%s: result rows %d -> %d, want x4", tc.name, r1, r4)
 		}

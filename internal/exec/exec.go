@@ -298,7 +298,7 @@ func buildNode(n plan.Node, env *Env, need []bool) (Iterator, error) {
 		if err != nil {
 			return nil, err
 		}
-		f := &filterIter{node: node, env: env, child: child, predCost: exprCost(node.Pred)}
+		f := &filterIter{env: env, child: child, pred: expr.CompilePred(node.Pred), predCost: exprCost(node.Pred)}
 		f.src, _ = child.(rowSizer)
 		return f, nil
 	case *plan.Project:
@@ -330,7 +330,7 @@ func buildNode(n plan.Node, env *Env, need []bool) (Iterator, error) {
 		return &hashJoin{
 			node: node, env: env, tag: info,
 			build: build, probe: probe,
-			predCost: exprCost(node.ExtraPred),
+			pred: expr.CompilePred(node.ExtraPred), predCost: exprCost(node.ExtraPred),
 		}, nil
 	case *plan.Partition:
 		return nil, fmt.Errorf("exec: Partition outside a Grace hash join")
@@ -352,7 +352,7 @@ func buildNode(n plan.Node, env *Env, need []bool) (Iterator, error) {
 		return &nlJoin{
 			node: node, env: env,
 			outer: outer, inner: inner, innerTag: innerTag,
-			predCost: exprCost(node.Pred),
+			pred: expr.CompilePred(node.Pred), predCost: exprCost(node.Pred),
 		}, nil
 	case *plan.MergeJoin:
 		left, err := Build(node.Left, env)
@@ -365,7 +365,7 @@ func buildNode(n plan.Node, env *Env, need []bool) (Iterator, error) {
 		}
 		return &mergeJoin{
 			node: node, env: env, left: left, right: right,
-			predCost: exprCost(node.ExtraPred),
+			pred: expr.CompilePred(node.ExtraPred), predCost: exprCost(node.ExtraPred),
 		}, nil
 	case *plan.Sort:
 		child, err := Build(node.Child, env)
@@ -419,7 +419,7 @@ func buildNode(n plan.Node, env *Env, need []bool) (Iterator, error) {
 		return &semiJoin{
 			node: node, env: env, tag: info,
 			outer: outer, inner: inner,
-			predCost: exprCost(node.ExtraPred),
+			pred: expr.CompilePred(node.ExtraPred), predCost: exprCost(node.ExtraPred),
 		}, nil
 	default:
 		return nil, fmt.Errorf("exec: unknown plan node %T", n)
@@ -455,7 +455,7 @@ func buildGraceJoin(node *plan.HashJoin, env *Env) (Iterator, error) {
 	return &graceJoin{
 		node: node, env: env,
 		buildPart: buildPart, probePart: probePart,
-		predCost: exprCost(node.ExtraPred),
+		pred: expr.CompilePred(node.ExtraPred), predCost: exprCost(node.ExtraPred),
 	}, nil
 }
 
@@ -521,9 +521,10 @@ func Run(env *Env, root plan.Node, fn func(tuple.Tuple) error) (int64, error) {
 	return count, nil
 }
 
-// exprCost estimates the CPU units needed to evaluate e once: one unit
-// per expression node. The interpreter really does walk every node, so
-// this keeps virtual CPU time roughly proportional to real work.
+// exprCost is the cost model's price for evaluating e once: one CPU unit
+// per expression node, two for a function call. It is a property of the
+// simulated machine, not of how this process evaluates e — a predicate
+// compiled by expr.CompilePred is charged exactly what the tree walk was.
 func exprCost(e expr.Expr) float64 {
 	if e == nil {
 		return 0

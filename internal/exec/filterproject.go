@@ -1,16 +1,15 @@
 package exec
 
 import (
-	"progressdb/internal/expr"
 	"progressdb/internal/plan"
 	"progressdb/internal/tuple"
 )
 
 // filterIter drops tuples failing the predicate.
 type filterIter struct {
-	node     *plan.Filter
 	env      *Env
 	child    Iterator
+	pred     func(tuple.Tuple) (bool, error) // node.Pred, compiled
 	predCost float64
 	// src is the child as a rowSizer. It is asked only by this filter's
 	// statsIter, and whenever there is one the child is a statsIter too.
@@ -29,7 +28,7 @@ func (f *filterIter) Next() (tuple.Tuple, bool, error) {
 			return nil, false, err
 		}
 		f.env.Clock.ChargeCPU(f.predCost)
-		pass, err := expr.EvalBool(f.node.Pred, t)
+		pass, err := f.pred(t)
 		if err != nil {
 			return nil, false, err
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"progressdb/internal/expr"
 	"progressdb/internal/plan"
 	"progressdb/internal/segment"
 	"progressdb/internal/storage"
@@ -115,6 +114,7 @@ type graceJoin struct {
 	env       *Env
 	buildPart *partitionIter
 	probePart *partitionIter
+	pred      func(tuple.Tuple) (bool, error) // node.ExtraPred compiled, nil if none
 	predCost  float64
 
 	nbatch int
@@ -168,8 +168,8 @@ func (g *graceJoin) Next() (tuple.Tuple, bool, error) {
 			g.out = joinRow(g.out, b, g.curProbe)
 			out := g.out
 			g.env.Clock.ChargeCPU(cpuTuple + g.predCost)
-			if g.node.ExtraPred != nil {
-				pass, err := expr.EvalBool(g.node.ExtraPred, out)
+			if g.pred != nil {
+				pass, err := g.pred(out)
 				if err != nil {
 					return nil, false, err
 				}

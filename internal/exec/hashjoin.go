@@ -3,7 +3,6 @@ package exec
 import (
 	"fmt"
 
-	"progressdb/internal/expr"
 	"progressdb/internal/plan"
 	"progressdb/internal/segment"
 	"progressdb/internal/storage"
@@ -30,6 +29,7 @@ type hashJoin struct {
 	tag      segment.NodeInfo // Seg = consumer, Input = hash-table slot, ProducerSeg = build segment
 	build    Iterator
 	probe    Iterator
+	pred     func(tuple.Tuple) (bool, error) // node.ExtraPred compiled, nil if none
 	predCost float64
 
 	table      rowTable
@@ -196,8 +196,8 @@ func (h *hashJoin) Next() (tuple.Tuple, bool, error) {
 			h.out = joinRow(h.out, b, h.curProbe)
 			out := h.out
 			h.env.Clock.ChargeCPU(cpuTuple + h.predCost)
-			if h.node.ExtraPred != nil {
-				pass, err := expr.EvalBool(h.node.ExtraPred, out)
+			if h.pred != nil {
+				pass, err := h.pred(out)
 				if err != nil {
 					return nil, false, err
 				}

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"progressdb/internal/expr"
 	"progressdb/internal/plan"
 	"progressdb/internal/tuple"
 )
@@ -16,6 +15,7 @@ type mergeJoin struct {
 	env      *Env
 	left     Iterator
 	right    Iterator
+	pred     func(tuple.Tuple) (bool, error) // node.ExtraPred compiled, nil if none
 	predCost float64
 
 	lTuple tuple.Tuple
@@ -57,8 +57,8 @@ func (m *mergeJoin) Next() (tuple.Tuple, bool, error) {
 			m.out = joinRow(m.out, m.lTuple, r)
 			out := m.out
 			m.env.Clock.ChargeCPU(cpuTuple + m.predCost)
-			if m.node.ExtraPred != nil {
-				pass, err := expr.EvalBool(m.node.ExtraPred, out)
+			if m.pred != nil {
+				pass, err := m.pred(out)
 				if err != nil {
 					return nil, false, err
 				}

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"progressdb/internal/expr"
 	"progressdb/internal/plan"
 	"progressdb/internal/segment"
 	"progressdb/internal/tuple"
@@ -19,6 +18,7 @@ type nlJoin struct {
 	outer    Iterator
 	inner    Iterator
 	innerTag segment.NodeInfo
+	pred     func(tuple.Tuple) (bool, error) // node.Pred compiled, nil if none
 	predCost float64
 
 	slab       rowSlab
@@ -91,8 +91,8 @@ func (j *nlJoin) Next() (tuple.Tuple, bool, error) {
 		if err := j.env.yield(); err != nil {
 			return nil, false, err
 		}
-		if j.node.Pred != nil {
-			pass, err := expr.EvalBool(j.node.Pred, out)
+		if j.pred != nil {
+			pass, err := j.pred(out)
 			if err != nil {
 				return nil, false, err
 			}

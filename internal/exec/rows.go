@@ -65,12 +65,16 @@ func joinRow(dst, a, b tuple.Tuple) tuple.Tuple {
 // rowTable is the executor's one hash table of retained rows, shared by
 // the hash, Grace and semi joins. Rows with equal keys are chained
 // through next in insertion order, so a probe emits matches in the order
-// the build side produced them, with no slice per key.
+// the build side produced them, with no slice per key. Int keys — every
+// join key of the paper's queries — are indexed by their int64, which
+// hashes a word instead of a struct holding a string; the two indexes
+// never hold equal keys, since Values of different kinds are unequal.
 type rowTable struct {
 	slab  rowSlab
 	rows  []tuple.Tuple // insertion order
 	next  []int32       // next row with the same key, -1 at the end
-	index map[tuple.Value]rowChain
+	ints  map[int64]rowChain
+	other map[tuple.Value]rowChain // keys that are not Ints
 }
 
 type rowChain struct{ head, tail int32 }
@@ -81,32 +85,52 @@ func (rt *rowTable) reset() {
 	rt.slab.reset()
 	rt.rows = rt.rows[:0]
 	rt.next = rt.next[:0]
-	clear(rt.index)
+	clear(rt.ints)
+	clear(rt.other)
 }
 
 // insert copies t into the table under key.
 func (rt *rowTable) insert(key tuple.Value, t tuple.Tuple) {
-	if rt.index == nil {
-		rt.index = make(map[tuple.Value]rowChain)
-	}
 	i := int32(len(rt.rows))
 	rt.rows = append(rt.rows, rt.slab.keep(t))
 	rt.next = append(rt.next, -1)
-	ch, ok := rt.index[key]
-	if ok {
-		rt.next[ch.tail] = i
-		ch.tail = i
-	} else {
-		ch = rowChain{head: i, tail: i}
+	if key.Kind == tuple.Int {
+		if rt.ints == nil {
+			rt.ints = make(map[int64]rowChain)
+		}
+		ch, ok := rt.ints[key.I]
+		rt.ints[key.I] = rt.link(ch, ok, i)
+		return
 	}
-	rt.index[key] = ch
+	if rt.other == nil {
+		rt.other = make(map[tuple.Value]rowChain)
+	}
+	ch, ok := rt.other[key]
+	rt.other[key] = rt.link(ch, ok, i)
+}
+
+// link returns key's chain with row i at its end; ok false starts one.
+func (rt *rowTable) link(ch rowChain, ok bool, i int32) rowChain {
+	if !ok {
+		return rowChain{head: i, tail: i}
+	}
+	rt.next[ch.tail] = i
+	ch.tail = i
+	return ch
 }
 
 // first returns the index of the first row inserted under key, or -1;
 // follow next from there.
 func (rt *rowTable) first(key tuple.Value) int32 {
-	if ch, ok := rt.index[key]; ok {
-		return ch.head
+	var ch rowChain
+	var ok bool
+	if key.Kind == tuple.Int {
+		ch, ok = rt.ints[key.I]
+	} else {
+		ch, ok = rt.other[key]
 	}
-	return -1
+	if !ok {
+		return -1
+	}
+	return ch.head
 }

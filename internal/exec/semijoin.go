@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"progressdb/internal/expr"
 	"progressdb/internal/plan"
 	"progressdb/internal/segment"
 	"progressdb/internal/tuple"
@@ -19,6 +18,7 @@ type semiJoin struct {
 	tag      segment.NodeInfo
 	outer    Iterator
 	inner    Iterator
+	pred     func(tuple.Tuple) (bool, error) // node.ExtraPred compiled, nil if none
 	predCost float64
 
 	table rowTable      // keyed path
@@ -127,7 +127,7 @@ func (j *semiJoin) matches(outer tuple.Tuple) (bool, error) {
 func (j *semiJoin) passes(outer, inner tuple.Tuple) (bool, error) {
 	j.env.Clock.ChargeCPU(j.predCost)
 	j.pair = joinRow(j.pair, outer, inner)
-	return expr.EvalBool(j.node.ExtraPred, j.pair)
+	return j.pred(j.pair)
 }
 
 func (j *semiJoin) Close() error {

@@ -116,25 +116,30 @@ func (c *Cmp) Eval(row tuple.Tuple) (tuple.Value, error) {
 	if err != nil {
 		return tuple.Value{}, fmt.Errorf("expr: %s: %w", c, err)
 	}
-	var b bool
-	switch c.Op {
-	case EQ:
-		b = cv == 0
-	case NE:
-		b = cv != 0
-	case LT:
-		b = cv < 0
-	case LE:
-		b = cv <= 0
-	case GT:
-		b = cv > 0
-	case GE:
-		b = cv >= 0
-	}
-	if b {
+	if c.Op.holds(cv) {
 		return tuple.NewInt(1), nil
 	}
 	return tuple.NewInt(0), nil
+}
+
+// holds reports whether a comparison result cv (-1, 0, +1) satisfies op.
+func (op CmpOp) holds(cv int) bool {
+	switch op {
+	case EQ:
+		return cv == 0
+	case NE:
+		return cv != 0
+	case LT:
+		return cv < 0
+	case LE:
+		return cv <= 0
+	case GT:
+		return cv > 0
+	case GE:
+		return cv >= 0
+	default:
+		return false
+	}
 }
 
 func (c *Cmp) String() string { return fmt.Sprintf("%s %s %s", c.L, c.Op, c.R) }
@@ -202,6 +207,15 @@ func NewFunc(name string, args []Expr) *Func {
 	return &Func{Name: name, Args: args, kind: resolveFunc(name)}
 }
 
+// impl returns the node's implementation, resolving a literal-built
+// node's name.
+func (f *Func) impl() funcKind {
+	if f.kind == funcUnresolved {
+		return resolveFunc(f.Name)
+	}
+	return f.kind
+}
+
 // Eval implements Expr.
 func (f *Func) Eval(row tuple.Tuple) (tuple.Value, error) {
 	// No supported function takes more than two arguments; further ones
@@ -216,27 +230,15 @@ func (f *Func) Eval(row tuple.Tuple) (tuple.Value, error) {
 			args[i] = v
 		}
 	}
-	kind := f.kind
-	if kind == funcUnresolved {
-		kind = resolveFunc(f.Name)
-	}
-	switch kind {
+	switch f.impl() {
 	case funcAbs:
 		if len(f.Args) != 1 {
 			return tuple.Value{}, fmt.Errorf("expr: %s takes 1 argument", f.Name)
 		}
-		switch args[0].Kind {
-		case tuple.Int:
-			v := args[0].I
-			if v < 0 {
-				v = -v
-			}
-			return tuple.NewInt(v), nil
-		case tuple.Float:
-			return tuple.NewFloat(math.Abs(args[0].F)), nil
-		default:
-			return tuple.Value{}, fmt.Errorf("expr: %s of non-numeric value", f.Name)
+		if v, ok := absolute(&args[0]); ok {
+			return v, nil
 		}
+		return tuple.Value{}, fmt.Errorf("expr: %s of non-numeric value", f.Name)
 	case funcMod:
 		if len(f.Args) != 2 || args[0].Kind != tuple.Int || args[1].Kind != tuple.Int {
 			return tuple.Value{}, fmt.Errorf("expr: mod takes 2 int arguments")
@@ -247,6 +249,21 @@ func (f *Func) Eval(row tuple.Tuple) (tuple.Value, error) {
 		return tuple.NewInt(args[0].I % args[1].I), nil
 	default:
 		return tuple.Value{}, fmt.Errorf("expr: unknown function %q", f.Name)
+	}
+}
+
+// absolute returns |v|; ok is false for a non-numeric v.
+func absolute(v *tuple.Value) (abs tuple.Value, ok bool) {
+	switch v.Kind {
+	case tuple.Int:
+		if v.I < 0 {
+			return tuple.NewInt(-v.I), true
+		}
+		return tuple.NewInt(v.I), true
+	case tuple.Float:
+		return tuple.NewFloat(math.Abs(v.F)), true
+	default:
+		return tuple.Value{}, false
 	}
 }
 

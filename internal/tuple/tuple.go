@@ -5,6 +5,7 @@
 package tuple
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -122,10 +123,15 @@ func (v Value) AsFloat() float64 {
 	return v.F
 }
 
-// Compare orders two values: -1, 0, +1. Numeric kinds compare numerically
-// across Int/Float; strings compare lexicographically. Comparing a string
-// with a numeric value is a type error.
+// Compare orders two values: -1, 0, +1. Two Ints compare as integers —
+// exactly, so keys beyond 2^53 order the way a hash table keyed on them
+// matches; any other numeric pair compares as floats; strings compare
+// lexicographically. Comparing a string with a numeric value is a type
+// error.
 func (v Value) Compare(o Value) (int, error) {
+	if v.Kind == Int && o.Kind == Int {
+		return cmp.Compare(v.I, o.I), nil
+	}
 	if v.Kind == String || o.Kind == String {
 		if v.Kind != String || o.Kind != String {
 			return 0, fmt.Errorf("tuple: cannot compare %s with %s", v.Kind, o.Kind)

@@ -49,6 +49,18 @@ func TestValueCompare(t *testing.T) {
 		{NewFloat(2.5), NewInt(2), 1},
 		{NewString("abc"), NewString("abd"), -1},
 		{NewString("abc"), NewString("abc"), 0},
+		// Ints compare as integers: float64 cannot tell 2^53 from 2^53+1,
+		// nor the two ends of the int64 range from their neighbours.
+		{NewInt(1 << 53), NewInt(1<<53 + 1), -1},
+		{NewInt(1<<53 + 1), NewInt(1 << 53), 1},
+		{NewInt(-(1 << 53)), NewInt(-(1<<53 + 1)), 1},
+		{NewInt(math.MaxInt64), NewInt(math.MaxInt64 - 1), 1},
+		{NewInt(math.MinInt64), NewInt(math.MinInt64 + 1), -1},
+		{NewInt(math.MinInt64), NewInt(math.MaxInt64), -1},
+		{NewInt(1<<53 + 1), NewInt(1<<53 + 1), 0},
+		// An Int against a Float still compares as floats.
+		{NewInt(1<<53 + 1), NewFloat(1 << 53), 0},
+		{NewFloat(math.NaN()), NewInt(3), 0},
 	}
 	for _, c := range cases {
 		got, err := c.a.Compare(c.b)

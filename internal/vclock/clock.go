@@ -164,6 +164,20 @@ type Clock struct {
 	// Work accounting, by kind, in units (pages or tuples).
 	units [3]float64
 
+	// Charge's fast path. While now < horizon no ticker is due and the
+	// load profile's factors, cached per kind in factor, hold until until;
+	// horizon = min(until, earliest ticker fire). A charge ending before
+	// horizon is therefore advance's single-span branch with nothing for
+	// moveTo to fire, and Charge evaluates that branch's expression
+	// itself. A horizon at or behind now serves no charge, so the zero
+	// value means "not known" and the charge that finds out recomputes
+	// it. Time moving on (Idle, ticks firing) or a ticker leaving only
+	// ever leaves horizon too early, which is safe; a new ticker or a new
+	// profile could leave it too late, so AddTicker and SetProfile zero it.
+	horizon float64
+	until   float64
+	factor  [3]float64
+
 	// group, when non-nil, is the shared time authority this clock
 	// publishes into on Sync; synced tracks the units already published
 	// so Sync only pushes the delta. syncMu serializes concurrent Sync
@@ -185,7 +199,10 @@ func (c *Clock) Now() float64 { return c.now }
 
 // SetProfile replaces the load profile from the current time onward
 // (used to start interference relative to a query's start time).
-func (c *Clock) SetProfile(p *LoadProfile) { c.profile = p }
+func (c *Clock) SetProfile(p *LoadProfile) {
+	c.profile = p
+	c.horizon = 0
+}
 
 // Costs returns the clock's base cost table.
 func (c *Clock) Costs() Costs { return c.costs }
@@ -202,6 +219,7 @@ func (c *Clock) AddTicker(period float64, fn func(now float64)) *Ticker {
 	}
 	t := &Ticker{period: period, next: c.now + period, fn: fn}
 	c.tickers = append(c.tickers, t)
+	c.horizon = 0
 	return t
 }
 
@@ -224,7 +242,34 @@ func (c *Clock) Charge(kind WorkKind, n float64) {
 	}
 	c.units[kind] += n
 	base := n * c.unitCost(kind)
+	// Fast path: what advance and moveTo below would do when the charge
+	// fits the current profile span and crosses no tick. With factor 1
+	// advance's fit test, (until-now)/1 >= base, follows from t < until
+	// (rounding is monotone); with any other factor the division may round
+	// the other way within an ulp of the boundary, so the test itself is
+	// evaluated. A NaN or infinite charge fails t < horizon.
+	f := c.factor[kind]
+	if t := c.now + base*f; t < c.horizon && (f == 1 || (c.until-c.now)/f >= base) {
+		c.now = t
+		return
+	}
 	c.advance(base, kind)
+	c.setHorizon()
+}
+
+// setHorizon recomputes the fast path's cache for the current now,
+// profile and tickers.
+func (c *Clock) setHorizon() {
+	io, until := c.profile.factorAt(c.now, SeqIO)
+	cpu, _ := c.profile.factorAt(c.now, CPU)
+	c.factor = [3]float64{SeqIO: io, RandIO: io, CPU: cpu}
+	c.until = until
+	c.horizon = until
+	for _, tk := range c.tickers {
+		if tk.next < c.horizon {
+			c.horizon = tk.next
+		}
+	}
 }
 
 // ChargeSeqIO charges pages sequential page I/Os.
