@@ -1,6 +1,6 @@
 # Developer entry points; `make check` is what CI runs.
 
-.PHONY: check test build vet fmt lint fuzz bench-obs bench-fleet bench-mt chaos dash
+.PHONY: check test build vet fmt lint fuzz chaos loc dash
 
 check:
 	./ci.sh
@@ -36,21 +36,14 @@ fuzz:
 chaos:
 	PROGRESSDB_CHAOS_SCHEDULES=500 go test -race -v -run TestChaosRandomFaultSchedules .
 
-# Compare the observability-disabled and -enabled hot paths (the paper's
-# "< 1% penalty" budget).
-bench-obs:
-	go test . -run XXX -bench 'BenchmarkObs(Disabled|Enabled)' -benchtime 50x
-
-# Sharded-serving speedup: modeled query latency (virtual seconds, the
-# simulation's own clock) for shards=4 vs shards=1 on a partitioned
-# scan and a co-partitioned join.
-bench-fleet:
-	go test ./internal/fleet -run XXX -bench 'BenchmarkFleet' -benchtime 10x -benchmem
-
-# Multi-worker throughput on one shared engine: wall-clock queries/s at
-# workers = 1, 2, 4 over the mixed chaos workload.
-bench-mt:
-	go test . -run XXX -bench 'BenchmarkConcurrentThroughput' -benchtime 10x -benchmem
+# Non-test Go lines per top-level directory (bench/, its own module, and
+# testdata fixtures left out) — the table a deleting PR quotes before
+# and after.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' ! -path '*/testdata/*' -exec wc -l {} + \
+		| awk '$$2 != "total" { n = split($$2, p, "/"); d = (n > 2) ? p[2] : "."; s[d] += $$1; t += $$1 } \
+			END { for (d in s) printf "%-10s %6d\n", d, s[d]; printf "%-10s %6d\n", "total", t }' \
+		| sort
 
 # Run the daemon with the embedded dashboard on the default port.
 dash:

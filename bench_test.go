@@ -12,9 +12,7 @@
 package progressdb
 
 import (
-	"fmt"
 	"math"
-	"sync"
 	"testing"
 
 	"progressdb/internal/core"
@@ -248,133 +246,4 @@ func BenchmarkExtraConcurrentContention(b *testing.B) {
 		stretch = both[0].VirtualSeconds / solo[0].VirtualSeconds
 	}
 	b.ReportMetric(stretch, "stretch_x")
-}
-
-// BenchmarkConcurrentThroughput is the multi-core lift in isolation:
-// real wall-clock query throughput of one shared engine as the worker
-// count grows (bench/'s serve_heavy against engine_hot is the recorded
-// form, with machine provenance). Each
-// iteration pushes a fixed batch of mixed queries (scans, sorts, joins,
-// aggregates — the chaos workload) through W goroutines; queries/s
-// should rise with W because workers now genuinely execute in parallel
-// on per-query worker clocks.
-func BenchmarkConcurrentThroughput(b *testing.B) {
-	// A cache-resident workload: the pool holds both tables, work_mem
-	// holds every sort and hash table, so after warm-up the queries are
-	// pure executor CPU over sharded buffer-pool hits — the part of the
-	// engine the multi-core lift parallelizes. (A cold, pool-thrashing
-	// workload serializes on the simulated disk by design; and on a
-	// single-core host the worker counts necessarily tie.)
-	mkdb := func(b *testing.B) *DB {
-		db := Open(Config{WorkMemPages: 64, BufferPoolPages: 2048})
-		db.MustCreateTable("r", Col("k", Int), Col("v", Int), Col("pad", Text))
-		db.MustCreateTable("s", Col("k", Int), Col("v", Int))
-		pad := "xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx"
-		for i := 0; i < 8000; i++ {
-			db.MustInsert("r", int64(i), int64(i%97), pad)
-		}
-		for i := 0; i < 6000; i++ {
-			db.MustInsert("s", int64(i%8000), int64(i))
-		}
-		if err := db.Analyze(); err != nil {
-			b.Fatal(err)
-		}
-		return db
-	}
-	queries := []string{
-		"select v, count(*), sum(k) from r group by v order by v",
-		"select * from r order by v, k",
-		"select r.k, r.v, s.v from r, s where r.k = s.k",
-		"select * from r where exists (select * from s where s.k = r.k)",
-	}
-	const batch = 8 // total queries per iteration, fixed across worker counts
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			db := mkdb(b)
-			for _, sql := range queries { // warm the pool
-				if _, err := db.ExecDiscard(sql, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var wg sync.WaitGroup
-				for w := 0; w < workers; w++ {
-					wg.Add(1)
-					go func(w int) {
-						defer wg.Done()
-						for j := w; j < batch; j += workers {
-							if _, err := db.ExecDiscard(queries[j%len(queries)], nil); err != nil {
-								b.Error(err)
-							}
-						}
-					}(w)
-				}
-				wg.Wait()
-			}
-			b.StopTimer()
-			if err := db.CheckLeaks(); err != nil {
-				b.Fatal(err)
-			}
-			if secs := b.Elapsed().Seconds(); secs > 0 {
-				b.ReportMetric(float64(b.N*batch)/secs, "queries/s")
-			}
-		})
-	}
-}
-
-// BenchmarkObsDisabled/Enabled compare the engine-wide observability
-// layer off (the default: nil instruments, bare nil checks on the hot
-// path) and on (Config.Metrics wires the registry into every layer).
-// The comparison backs the paper's "< 1% penalty" budget for statistics
-// collection applied to the metrics/tracing subsystem.
-func BenchmarkObsDisabled(b *testing.B) {
-	benchObsQuery(b, Config{WorkMemPages: 16})
-}
-
-func BenchmarkObsEnabled(b *testing.B) {
-	benchObsQuery(b, Config{WorkMemPages: 16, Metrics: true})
-}
-
-func benchObsQuery(b *testing.B, cfg Config) {
-	db := loadObsWorkload(b, cfg)
-	if _, err := db.ExecDiscard(twoJoinSQL, nil); err != nil { // warm
-		b.Fatal(err)
-	}
-	tuples := obsQueryTuples(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := db.ExecDiscard(twoJoinSQL, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	// ns/tuple normalizes the comparison by the query's fixed operator
-	// traffic, so the obs on/off delta reads as per-tuple overhead.
-	if tuples > 0 && b.N > 0 {
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/tuples, "ns/tuple")
-	}
-}
-
-var (
-	obsTuplesOnce sync.Once
-	obsTuples     float64
-)
-
-// obsQueryTuples counts the tuples every operator of twoJoinSQL emits,
-// measured once on a metrics-enabled engine (the count is deterministic:
-// same data, same plan, virtual clock).
-func obsQueryTuples(b *testing.B) float64 {
-	obsTuplesOnce.Do(func() {
-		db := loadObsWorkload(b, Config{WorkMemPages: 16, Metrics: true})
-		if _, err := db.ExecDiscard(twoJoinSQL, nil); err != nil {
-			b.Fatal(err)
-		}
-		for _, s := range db.Metrics() {
-			if s.Name == "exec_rows_out_total" {
-				obsTuples += s.Value
-			}
-		}
-	})
-	return obsTuples
 }

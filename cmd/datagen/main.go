@@ -1,15 +1,9 @@
 // Command datagen generates the paper's Table 1 data set at a chosen
 // scale and prints the table of cardinalities and sizes.
 //
-// With -partitions N it instead emits N hash-partitioned files per table
-// (<table>.p<i>.tbl under -out) that fleet shard bootstrap consumes: each
-// row lands in the file of the shard its partition key hashes to, so the
-// union of the N files is exactly the unpartitioned data set.
-//
 // Usage:
 //
 //	datagen [-scale 0.05] [-correlated] [-seed 0]
-//	datagen -partitions 4 [-out dir] [-scale 0.05] [-correlated] [-seed 0]
 package main
 
 import (
@@ -27,25 +21,9 @@ func main() {
 	scale := flag.Float64("scale", 0.05, "fraction of the paper's Table 1 cardinalities (1.0 = 0.15M/1.5M/6M rows)")
 	correlated := flag.Bool("correlated", false, "use the Q3 correlated-orders variant")
 	seed := flag.Int64("seed", 0, "generator seed")
-	partitions := flag.Int("partitions", 0, "emit N hash-partitioned table files instead of loading in-memory")
-	out := flag.String("out", ".", "output directory for -partitions files")
 	flag.Parse()
 
 	cfg := workload.Config{Scale: *scale, Seed: *seed, CorrelatedOrders: *correlated}
-
-	if *partitions > 0 {
-		ds, err := workload.WritePartitionFiles(*out, cfg, *partitions)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "datagen:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %d partitions of %d customer / %d orders / %d lineitem rows to %s\n",
-			*partitions, ds.Customers, ds.Orders, ds.Lineitems, *out)
-		for table, key := range workload.PartitionKeys() {
-			fmt.Printf("  %-18s hashed on %s\n", table, key)
-		}
-		return
-	}
 
 	clock := vclock.New(vclock.DefaultCosts(), nil)
 	cat := catalog.New(storage.NewBufferPool(storage.NewDisk(clock), 4096))

@@ -5,21 +5,17 @@
 //
 // Usage:
 //
-//	progresslint [-json] [-list] [-sharedstate file] [-assert-guarded list] [packages...]
+//	progresslint [-json] [-list] [-assert-guarded list] [packages...]
 //
 // With no package patterns it checks ./... from the current module.
 // Violations are printed one per line as file:line:col: [analyzer]
 // message; -json emits them as a stable JSON array instead (schema:
 // internal/analysis.JSONDiagnostic, documented in the README).
-// -sharedstate additionally writes the sharedstate analyzer's
-// concurrency-readiness inventory — every package-level variable and
-// mutable struct in the engine-core packages, with its guard situation
-// — as JSON to the given file ("-" for stdout): the machine-readable
-// worklist for the multi-core engine (ROADMAP item 1).
 // -assert-guarded takes a comma-separated list of pkg.Type entries
 // (e.g. storage.Disk,catalog.Catalog) and fails the run if any listed
-// struct is absent from the inventory or still unguarded — CI's proof
-// that the multi-core refactor's newly latched structs stay latched.
+// struct is absent from the sharedstate analyzer's inventory of the
+// engine-core packages or is unguarded there — CI's proof that the
+// multi-core refactor's latched structs stay latched.
 //
 // Suppress a finding with //lint:ignore <analyzer> <reason> on the
 // offending line or the line above; the suppression inventory is
@@ -30,7 +26,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -43,13 +38,11 @@ import (
 func main() {
 	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array (stable schema)")
 	list := flag.Bool("list", false, "list analyzers and exit")
-	sharedstateOut := flag.String("sharedstate", "",
-		`write the sharedstate concurrency-readiness report (JSON) to this file ("-" for stdout)`)
 	assertGuarded := flag.String("assert-guarded", "",
 		"comma-separated pkg.Type list that must appear guarded in the sharedstate inventory (e.g. storage.Disk,catalog.Catalog)")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: progresslint [-json] [-list] [-sharedstate file] [-assert-guarded list] [packages...]\n\n"+
+			"usage: progresslint [-json] [-list] [-assert-guarded list] [packages...]\n\n"+
 				"Checks the module's engine invariants (DESIGN.md §7).\n\n")
 		flag.PrintDefaults()
 	}
@@ -76,11 +69,6 @@ func main() {
 		fatal(err)
 	}
 
-	if *sharedstateOut != "" {
-		if err := writeSharedstate(state, *sharedstateOut, root); err != nil {
-			fatal(err)
-		}
-	}
 	if *assertGuarded != "" {
 		if err := checkGuarded(state, *assertGuarded); err != nil {
 			fmt.Fprintln(os.Stderr, "progresslint:", err)
@@ -106,40 +94,6 @@ func main() {
 			len(diags), len(mod.Packages))
 		os.Exit(1)
 	}
-}
-
-// writeSharedstate serializes the concurrency-readiness inventory the
-// sharedstate analyzer left in the run's shared state. Positions are
-// relativized to the module root and empty sections encode as [] so
-// the artifact is stable across checkouts and safe to index.
-func writeSharedstate(state *analysis.State, path, root string) error {
-	rep, ok := checks.SharedStateReport(state)
-	if !ok {
-		return fmt.Errorf("sharedstate report requested but the analyzer saw no " +
-			"engine-core package: include the module root packages in the run")
-	}
-	for i := range rep.PackageVars {
-		rep.PackageVars[i].Pos = strings.TrimPrefix(rep.PackageVars[i].Pos, root+string(os.PathSeparator))
-	}
-	for i := range rep.Structs {
-		rep.Structs[i].Pos = strings.TrimPrefix(rep.Structs[i].Pos, root+string(os.PathSeparator))
-	}
-	if rep.PackageVars == nil {
-		rep.PackageVars = []checks.VarSite{}
-	}
-	if rep.Structs == nil {
-		rep.Structs = []checks.StructSite{}
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if path == "-" {
-		_, err := os.Stdout.Write(data)
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
 }
 
 // checkGuarded enforces -assert-guarded: every listed pkg.Type (package

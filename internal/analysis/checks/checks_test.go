@@ -287,9 +287,9 @@ func remember(k string, v int) { cache[k] = v }
 `)
 }
 
-// TestSharedstateReportInventory pins the machine-readable inventory a
-// run leaves in the shared State: guards classified, written-outside-init
-// detected, structs sorted into guarded and unguarded.
+// TestSharedstateReportInventory pins the inventory a run leaves in the
+// shared State: guards classified, structs sorted into guarded and
+// unguarded.
 func TestSharedstateReportInventory(t *testing.T) {
 	m, err := analysis.FixtureModule()
 	if err != nil {
@@ -311,25 +311,21 @@ func TestSharedstateReportInventory(t *testing.T) {
 	for _, v := range rep.PackageVars {
 		vars[v.Name] = v
 	}
-	for name, want := range map[string]struct {
-		guard   string
-		written bool
-	}{
-		"cache":       {"none", true},
-		"registry":    {"none", true},
-		"defaults":    {"none", false},
-		"once":        {"sync", false},
-		"hits":        {"atomic", true},
-		"initialized": {"none", false},
+	for name, guard := range map[string]string{
+		"cache":       "none",
+		"registry":    "none",
+		"defaults":    "none",
+		"once":        "sync",
+		"hits":        "atomic",
+		"initialized": "none",
 	} {
 		v, ok := vars[name]
 		if !ok {
 			t.Errorf("package var %s missing from inventory", name)
 			continue
 		}
-		if v.Guard != want.guard || v.WrittenOutsideInit != want.written {
-			t.Errorf("%s: guard=%q written=%v, want guard=%q written=%v",
-				name, v.Guard, v.WrittenOutsideInit, want.guard, want.written)
+		if v.Guard != guard {
+			t.Errorf("%s: guard=%q, want %q", name, v.Guard, guard)
 		}
 	}
 	structs := make(map[string]StructSite)

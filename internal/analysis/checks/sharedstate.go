@@ -27,10 +27,8 @@ import (
 //   - Inventory: every package-level variable and every struct type
 //     with mutable fields in scope is recorded into the run's State,
 //     with its guard situation (mutex field, atomic fields, or
-//     nothing). cmd/progresslint serializes it with -sharedstate as
-//     the machine-readable worklist: each "unguarded" entry is a site
-//     the multi-core engine must fence, refactor, or prove
-//     single-writer.
+//     nothing). cmd/progresslint's -assert-guarded reads it: the
+//     structs the multi-core engine latched must stay latched.
 //
 // Scope: internal/{core,exec,catalog,stats,storage,segment,vclock} —
 // the packages a concurrent executor would share. The serving layers
@@ -70,15 +68,10 @@ func isSharedStatePackage(path string) bool {
 
 // VarSite is one package-level variable in the inventory.
 type VarSite struct {
-	Package string `json:"package"`
-	Name    string `json:"name"`
-	Type    string `json:"type"`
-	Pos     string `json:"pos"`
+	Package string
+	Name    string
 	// Guard is "sync", "atomic", or "none".
-	Guard string `json:"guard"`
-	// WrittenOutsideInit marks variables mutated (or address-escaped)
-	// after initialization — the racy subset.
-	WrittenOutsideInit bool `json:"written_outside_init"`
+	Guard string
 
 	pos token.Pos
 	key string
@@ -86,28 +79,26 @@ type VarSite struct {
 
 // StructSite is one struct type in the inventory.
 type StructSite struct {
-	Package string `json:"package"`
-	Type    string `json:"type"`
-	Pos     string `json:"pos"`
+	Package string
+	Type    string
+	Pos     string
 	// Guards lists the mutex fields, if any.
-	Guards []string `json:"guards,omitempty"`
+	Guards []string
 	// AtomicFields lists fields of sync/atomic type.
-	AtomicFields []string `json:"atomic_fields,omitempty"`
+	AtomicFields []string
 	// PlainFields lists the mutable fields not individually atomic.
-	PlainFields []string `json:"plain_fields,omitempty"`
+	PlainFields []string
 	// Unguarded marks structs with plain mutable fields and no mutex:
 	// safe only while a single worker owns each instance.
-	Unguarded bool `json:"unguarded"`
+	Unguarded bool
 }
 
-// ConcurrencyReport is the machine-readable sharedstate inventory.
+// ConcurrencyReport is the sharedstate inventory.
 type ConcurrencyReport struct {
-	// Scope lists the audited package patterns.
-	Scope []string `json:"scope"`
 	// PackageVars inventories package-level variables in scope.
-	PackageVars []VarSite `json:"package_vars"`
+	PackageVars []VarSite
 	// Structs inventories struct types with mutable fields in scope.
-	Structs []StructSite `json:"structs"`
+	Structs []StructSite
 }
 
 // SharedStateReport extracts the inventory a sharedstate run left in
@@ -121,7 +112,7 @@ func sharedstateReportOf(pass *analysis.Pass) *ConcurrencyReport {
 	if r, ok := pass.State.Get(sharedstateStateKey).(*ConcurrencyReport); ok {
 		return r
 	}
-	r := &ConcurrencyReport{Scope: sharedStatePackages}
+	r := &ConcurrencyReport{}
 	pass.State.Set(sharedstateStateKey, r)
 	return r
 }
@@ -155,8 +146,6 @@ func runSharedstate(pass *analysis.Pass) error {
 						report.PackageVars = append(report.PackageVars, VarSite{
 							Package: pass.Path,
 							Name:    name.Name,
-							Type:    types.TypeString(v.Type(), shortQualifier),
-							Pos:     pass.Fset.Position(name.Pos()).String(),
 							Guard:   varGuard(v.Type()),
 							pos:     name.Pos(),
 							key:     pass.Path + "." + name.Name,
@@ -270,8 +259,10 @@ func endSharedstate(pass *analysis.Pass) error {
 		}
 		return a.Type < b.Type
 	})
-	for i := range report.PackageVars {
-		v := &report.PackageVars[i]
+	for _, v := range report.PackageVars {
+		if v.Guard != "none" {
+			continue
+		}
 		for _, a := range pass.Facts.Accesses[v.key] {
 			if a.Mode == analysis.ModeRead {
 				continue
@@ -279,15 +270,12 @@ func endSharedstate(pass *analysis.Pass) error {
 			if a.Func == "" || a.Func == v.Package+".init" {
 				continue // initialization
 			}
-			v.WrittenOutsideInit = true
-			if v.Guard == "none" {
-				pass.Reportf(v.pos,
-					"unguarded mutable package-level variable %s (%s at %s): a "+
-						"multi-worker engine races on it — move it into the engine "+
-						"instance, guard it, or make it init-only",
-					v.Name, a.Mode, pass.Fset.Position(a.Pos))
-				break
-			}
+			pass.Reportf(v.pos,
+				"unguarded mutable package-level variable %s (%s at %s): a "+
+					"multi-worker engine races on it — move it into the engine "+
+					"instance, guard it, or make it init-only",
+				v.Name, a.Mode, pass.Fset.Position(a.Pos))
+			break
 		}
 	}
 	return nil

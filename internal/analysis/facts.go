@@ -27,10 +27,9 @@ import (
 	"go/types"
 	"sort"
 	"strconv"
-	"strings"
 )
 
-// AccessMode classifies one field or package-variable access.
+// AccessMode classifies one package-variable access.
 type AccessMode int
 
 const (
@@ -39,8 +38,8 @@ const (
 	// ModeWrite is a plain write (assignment, ++/--, container mutation
 	// through an index expression).
 	ModeWrite
-	// ModeAddr is an address-taking &x.f not consumed by a sync/atomic
-	// call: the pointer escapes, so any access may happen through it.
+	// ModeAddr is an address-taking &x: the pointer escapes, so any
+	// access may happen through it.
 	ModeAddr
 )
 
@@ -55,30 +54,15 @@ func (m AccessMode) String() string {
 	}
 }
 
-// Access is one recorded access to a struct field or package-level
-// variable.
+// Access is one recorded access to a package-level variable.
 type Access struct {
-	// Key identifies the accessed site: "pkg.Type.field" for struct
-	// fields (receiver-named, so promoted accesses key on the outer
-	// type) or "pkg.var" for package-level variables.
+	// Key identifies the variable: "pkg.var".
 	Key string
 	// Func is the enclosing function's key; "" for package-level
 	// initializer expressions.
 	Func string
-	// Pkg is the import path of the package the access occurs in.
-	Pkg string
-	Pos token.Pos
-	// Field distinguishes struct fields from package-level variables.
-	Field bool
-	Mode  AccessMode
-	// Atomic marks accesses made through the sync/atomic package: the
-	// address passed to an atomic.* function, or a method call on an
-	// atomic.Int64-style typed field.
-	Atomic bool
-	// AtomicType marks sites whose declared type lives in sync/atomic
-	// (atomic.Int64 etc.); a plain Mode access to one of those copies
-	// the value, bypassing the atomic API.
-	AtomicType bool
+	Pos  token.Pos
+	Mode AccessMode
 }
 
 // Call is one static call edge.
@@ -100,7 +84,7 @@ type Call struct {
 type Facts struct {
 	// Calls maps a caller key to its call sites, in source order.
 	Calls map[string][]Call
-	// Accesses maps a field/variable key to every access in the run.
+	// Accesses maps a package-variable key to every access in the run.
 	Accesses map[string][]Access
 	// Funcs holds every function key with a body in the run.
 	Funcs map[string]token.Pos
@@ -296,15 +280,6 @@ func (b *factsBuilder) addCall(c Call) {
 	b.facts.Calls[c.Caller] = append(b.facts.Calls[c.Caller], c)
 }
 
-func (b *factsBuilder) record(a Access) {
-	if a.Key == "" {
-		return
-	}
-	a.Func = b.fn
-	a.Pkg = b.pkg.Path
-	b.facts.Accesses[a.Key] = append(b.facts.Accesses[a.Key], a)
-}
-
 // ---- statements ----
 
 func (b *factsBuilder) stmt(s ast.Stmt) {
@@ -461,19 +436,7 @@ func (b *factsBuilder) expr(e ast.Expr, mode AccessMode) {
 		b.expr(e.Key, ModeRead)
 		b.expr(e.Value, ModeRead)
 	case *ast.CompositeLit:
-		// Struct literal field keys are initialization, not shared-state
-		// access: `T{f: v}` builds a fresh value that is not yet visible
-		// to anyone else, so the keys are skipped and only the values are
-		// walked.
 		for _, elt := range e.Elts {
-			if kv, ok := elt.(*ast.KeyValueExpr); ok {
-				if _, isIdent := kv.Key.(*ast.Ident); isIdent {
-					if _, isField := b.pkg.Info.Uses[kv.Key.(*ast.Ident)].(*types.Var); isField {
-						b.expr(kv.Value, ModeRead)
-						continue
-					}
-				}
-			}
 			b.expr(elt, ModeRead)
 		}
 	}
@@ -502,75 +465,21 @@ func (b *factsBuilder) ident(e *ast.Ident, mode AccessMode) {
 	if !ok || v.Pkg() == nil || v.Parent() != v.Pkg().Scope() {
 		return
 	}
-	b.record(Access{
-		Key:        v.Pkg().Path() + "." + v.Name(),
-		Pos:        e.Pos(),
-		Mode:       mode,
-		AtomicType: isAtomicType(v.Type()),
-	})
+	key := v.Pkg().Path() + "." + v.Name()
+	b.facts.Accesses[key] = append(b.facts.Accesses[key], Access{Key: key, Func: b.fn, Pos: e.Pos(), Mode: mode})
 }
 
-// sel records a struct-field access (or a qualified package-variable
-// access) and walks the base expression as a read.
+// sel walks a selector: the base of a field or method selection is a
+// read; a qualified identifier pkg.Name may itself be a package variable.
 func (b *factsBuilder) sel(e *ast.SelectorExpr, mode AccessMode) {
-	if sel, ok := b.pkg.Info.Selections[e]; ok {
-		if sel.Kind() == types.FieldVal {
-			if key := fieldKey(sel); key != "" {
-				b.record(Access{
-					Key:        key,
-					Pos:        e.Sel.Pos(),
-					Mode:       mode,
-					Field:      true,
-					AtomicType: isAtomicType(sel.Obj().Type()),
-				})
-			}
-		}
+	if _, ok := b.pkg.Info.Selections[e]; ok {
 		b.expr(e.X, ModeRead)
 		return
 	}
-	// No selection: a qualified identifier pkg.Name.
 	b.ident(e.Sel, mode)
 }
 
-// fieldKey names a field by its receiver's named type:
-// "pkg.Type.field". Accesses through an anonymous struct type have no
-// stable name and return "".
-func fieldKey(sel *types.Selection) string {
-	t := sel.Recv()
-	for {
-		if p, ok := t.(*types.Pointer); ok {
-			t = p.Elem()
-			continue
-		}
-		break
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return ""
-	}
-	return named.Obj().Pkg().Path() + "." + named.Obj().Name() + "." + sel.Obj().Name()
-}
-
-// isAtomicType reports whether t (or its pointee) is a named type from
-// sync/atomic, e.g. atomic.Int64.
-func isAtomicType(t types.Type) bool {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	return ok && named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == "sync/atomic"
-}
-
 // ---- calls ----
-
-// atomicWriters maps sync/atomic function and method name prefixes to
-// the access mode they imply. Load* is a read; everything else mutates.
-func atomicAccessMode(name string) AccessMode {
-	if strings.HasPrefix(name, "Load") {
-		return ModeRead
-	}
-	return ModeWrite
-}
 
 func (b *factsBuilder) call(call *ast.CallExpr, goLaunch, deferred bool) {
 	info := b.pkg.Info
@@ -599,30 +508,9 @@ func (b *factsBuilder) call(call *ast.CallExpr, goLaunch, deferred bool) {
 		b.callArgs(call)
 		return
 	case *ast.SelectorExpr:
-		// atomic.AddInt64(&s.f, 1) and friends: the addressed selector
-		// is an atomic access, not an escape.
-		if f, ok := info.Uses[fn.Sel].(*types.Func); ok && f.Pkg() != nil &&
-			f.Pkg().Path() == "sync/atomic" && info.Selections[fn] == nil {
-			mode := atomicAccessMode(f.Name())
-			for i, a := range call.Args {
-				if u, ok := ast.Unparen(a).(*ast.UnaryExpr); ok && u.Op == token.AND && i == 0 {
-					b.atomicTarget(u.X, mode)
-					continue
-				}
-				b.expr(a, ModeRead)
-			}
-			return
-		}
 		if sel, ok := info.Selections[fn]; ok && sel.Kind() == types.MethodVal {
 			m, _ := sel.Obj().(*types.Func)
 			if m != nil {
-				// s.total.Add(1): a method on an atomic.T-typed field is
-				// an atomic access to that field.
-				if isAtomicType(sel.Recv()) {
-					b.atomicMethodRecv(fn.X, atomicAccessMode(m.Name()))
-					b.callArgs(call)
-					return
-				}
 				b.edge(m, call, goLaunch, deferred)
 				if types.IsInterface(sel.Recv()) {
 					if iface, ok := sel.Recv().Underlying().(*types.Interface); ok {
@@ -659,48 +547,6 @@ func (b *factsBuilder) edge(f *types.Func, call *ast.CallExpr, goLaunch, deferre
 		return
 	}
 	b.addCall(Call{Caller: b.fn, Callee: f.FullName(), Pos: call.Pos(), Go: goLaunch, Defer: deferred})
-}
-
-// atomicTarget records the &x passed to a sync/atomic function.
-func (b *factsBuilder) atomicTarget(e ast.Expr, mode AccessMode) {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		if v, ok := b.pkg.Info.Uses[e].(*types.Var); ok && v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
-			b.record(Access{Key: v.Pkg().Path() + "." + v.Name(), Pos: e.Pos(), Mode: mode, Atomic: true})
-		}
-	case *ast.SelectorExpr:
-		if sel, ok := b.pkg.Info.Selections[e]; ok && sel.Kind() == types.FieldVal {
-			if key := fieldKey(sel); key != "" {
-				b.record(Access{Key: key, Pos: e.Sel.Pos(), Mode: mode, Field: true, Atomic: true})
-			}
-			b.expr(e.X, ModeRead)
-			return
-		}
-		b.expr(e, ModeRead)
-	default:
-		b.expr(e, ModeRead)
-	}
-}
-
-// atomicMethodRecv records the receiver of an atomic.T method call as
-// an atomic access to the underlying field or variable.
-func (b *factsBuilder) atomicMethodRecv(recv ast.Expr, mode AccessMode) {
-	switch e := ast.Unparen(recv).(type) {
-	case *ast.Ident:
-		if v, ok := b.pkg.Info.Uses[e].(*types.Var); ok && v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
-			b.record(Access{Key: v.Pkg().Path() + "." + v.Name(), Pos: e.Pos(), Mode: mode, Atomic: true, AtomicType: true})
-			return
-		}
-	case *ast.SelectorExpr:
-		if sel, ok := b.pkg.Info.Selections[e]; ok && sel.Kind() == types.FieldVal {
-			if key := fieldKey(sel); key != "" {
-				b.record(Access{Key: key, Pos: e.Sel.Pos(), Mode: mode, Field: true, Atomic: true, AtomicType: true})
-			}
-			b.expr(e.X, ModeRead)
-			return
-		}
-	}
-	b.expr(recv, ModeRead)
 }
 
 // ---- interface devirtualization ----

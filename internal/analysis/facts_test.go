@@ -9,7 +9,7 @@ import (
 // semantics on a synthetic package: FullName keys for functions and
 // methods, $litN keys for literals, go-launch edges excluded from
 // synchronous reachability, interface calls devirtualized to structural
-// implementors, and the field-access index with modes.
+// implementors, and the package-variable access index with modes.
 func TestFactsCallGraphAndAccess(t *testing.T) {
 	m, err := FixtureModule()
 	if err != nil {
@@ -23,7 +23,9 @@ type counterI interface{ Bump() }
 
 type impl struct{ n int }
 
-func (i *impl) Bump() { i.n++ }
+var bumps int
+
+func (i *impl) Bump() { i.n++; bumps++ }
 
 func callIface(c counterI) { c.Bump() }
 
@@ -87,14 +89,17 @@ func lits() {
 			implKey, facts.Calls[path+".callIface"], facts.Calls[ifaceKey])
 	}
 
-	// The access index records the field write with its enclosing
-	// function.
-	accesses := facts.Accesses[path+".impl.n"]
+	// The access index records the package-variable write with its
+	// enclosing function, and nothing for the struct field beside it.
+	accesses := facts.Accesses[path+".bumps"]
 	if len(accesses) != 1 {
-		t.Fatalf("impl.n accesses = %v, want exactly one", accesses)
+		t.Fatalf("bumps accesses = %v, want exactly one", accesses)
 	}
-	if a := accesses[0]; a.Mode != ModeWrite || !a.Field || a.Func != implKey {
-		t.Errorf("impl.n access = %+v, want field write inside %s", a, implKey)
+	if a := accesses[0]; a.Mode != ModeWrite || a.Func != implKey {
+		t.Errorf("bumps access = %+v, want write inside %s", a, implKey)
+	}
+	if len(facts.Accesses) != 1 {
+		t.Errorf("access index = %v, want only the package variable", facts.Accesses)
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -43,37 +42,4 @@ func Format(name string, s Snapshot) string {
 	fmt.Fprintf(&b, "Estimated cost   %.0f U\n", s.EstTotalU)
 	fmt.Fprintf(&b, "Execution speed  %.0f U/Sec\n", s.SpeedU)
 	return b.String()
-}
-
-// RankByRemaining implements the paper's Section 6 load-management use:
-// given the latest snapshot of each running query, return the query names
-// ordered by estimated remaining execution time, longest first — the
-// candidates a DBA would block to relieve the system.
-//
-// An unknown estimate (NaN) sorts as +Inf — a query whose remaining time
-// cannot be bounded is the first candidate to block. Ties (including
-// multiple NaNs) break deterministically by name. The NaN normalization
-// matters for correctness, not just presentation: NaN compares unequal
-// to everything, so using it raw in the comparator breaks sort's strict
-// weak ordering and yields map-iteration-order-dependent output.
-func RankByRemaining(latest map[string]Snapshot) []string {
-	names := make([]string, 0, len(latest))
-	for n := range latest {
-		names = append(names, n)
-	}
-	key := func(name string) float64 {
-		r := latest[name].RemainingSeconds
-		if math.IsNaN(r) {
-			return math.Inf(1)
-		}
-		return r
-	}
-	sort.Slice(names, func(i, j int) bool {
-		a, b := key(names[i]), key(names[j])
-		if a != b {
-			return a > b
-		}
-		return names[i] < names[j]
-	})
-	return names
 }

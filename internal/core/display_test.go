@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"reflect"
 	"testing"
 )
 
@@ -45,55 +44,5 @@ func TestFormatDurationTable(t *testing.T) {
 		if got := FormatDuration(c.in); got != c.want {
 			t.Errorf("FormatDuration(%v) = %q, want %q", c.in, got, c.want)
 		}
-	}
-}
-
-// TestRankByRemainingTieBreak checks that equal estimates order
-// deterministically by name.
-func TestRankByRemainingTieBreak(t *testing.T) {
-	latest := map[string]Snapshot{
-		"qc": {RemainingSeconds: 50},
-		"qa": {RemainingSeconds: 50},
-		"qb": {RemainingSeconds: 50},
-		"qd": {RemainingSeconds: 90},
-	}
-	want := []string{"qd", "qa", "qb", "qc"}
-	for i := 0; i < 10; i++ { // map iteration order must not leak through
-		if got := RankByRemaining(latest); !reflect.DeepEqual(got, want) {
-			t.Fatalf("RankByRemaining = %v, want %v", got, want)
-		}
-	}
-}
-
-// TestRankByRemainingNaN checks that NaN estimates sort as +Inf
-// (longest-first, so ahead of every finite estimate) and that multiple
-// NaNs tie-break by name instead of inheriting map iteration order.
-func TestRankByRemainingNaN(t *testing.T) {
-	latest := map[string]Snapshot{
-		"finite-long":  {RemainingSeconds: 1e6},
-		"nan-b":        {RemainingSeconds: math.NaN()},
-		"nan-a":        {RemainingSeconds: math.NaN()},
-		"finite-short": {RemainingSeconds: 3},
-		"inf":          {RemainingSeconds: math.Inf(1)},
-	}
-	want := []string{"inf", "nan-a", "nan-b", "finite-long", "finite-short"}
-	for i := 0; i < 10; i++ {
-		if got := RankByRemaining(latest); !reflect.DeepEqual(got, want) {
-			t.Fatalf("RankByRemaining = %v, want %v", got, want)
-		}
-	}
-}
-
-// TestRankByRemainingNegative checks that negative estimates (possible
-// transiently when the blend overshoots) sort after all positive ones.
-func TestRankByRemainingNegative(t *testing.T) {
-	latest := map[string]Snapshot{
-		"neg":  {RemainingSeconds: -5},
-		"zero": {RemainingSeconds: 0},
-		"pos":  {RemainingSeconds: 10},
-	}
-	want := []string{"pos", "zero", "neg"}
-	if got := RankByRemaining(latest); !reflect.DeepEqual(got, want) {
-		t.Fatalf("RankByRemaining = %v, want %v", got, want)
 	}
 }

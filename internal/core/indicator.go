@@ -215,7 +215,6 @@ type Indicator struct {
 
 	snapshots   []Snapshot
 	subscribers []func(Snapshot)
-	triggers    []*Trigger
 
 	updateTicker *vclock.Ticker
 	sampleTicker *vclock.Ticker
@@ -650,7 +649,6 @@ func (ind *Indicator) takeSnapshot() {
 	for _, fn := range ind.subscribers {
 		fn(snap)
 	}
-	ind.fireTriggers(snap)
 }
 
 // observe publishes one snapshot to the refinement instruments and the

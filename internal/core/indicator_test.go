@@ -291,57 +291,6 @@ func TestDecayingAverageSmoothing(t *testing.T) {
 	}
 }
 
-func TestTriggersFire(t *testing.T) {
-	te := buildEnv(t, nil)
-	stmt, _ := sqlparser.Parse("select * from lineitem")
-	p, err := optimizer.Plan(te.cat, stmt, optimizer.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := segment.Decompose(p, 1024)
-	te.cat.Pool().Flush()
-	te.cat.Pool().Clear()
-	ind := New(te.clock, d, fastOpts)
-	fired := 0
-	// "Alert if after 1 virtual second less than 99% done" — will fire.
-	ind.AddTrigger(SlowProgressTrigger("slow", 1.0, 99, func(Snapshot) { fired++ }))
-	// Fire-once semantics.
-	if err := ind.AddTrigger(&Trigger{}); err == nil {
-		t.Fatal("trigger without Cond/Action must be rejected")
-	}
-	ind.Start()
-	env := &exec.Env{Pool: te.cat.Pool(), Clock: te.clock, WorkMemPages: 1024, Reporter: ind, Decomp: d}
-	if _, err := exec.Run(env, p, nil); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 1 {
-		t.Fatalf("fire-once trigger fired %d times", fired)
-	}
-}
-
-func TestRepeatingTrigger(t *testing.T) {
-	te := buildEnv(t, nil)
-	stmt, _ := sqlparser.Parse("select * from lineitem")
-	p, _ := optimizer.Plan(te.cat, stmt, optimizer.Options{})
-	d := segment.Decompose(p, 1024)
-	te.cat.Pool().Flush()
-	te.cat.Pool().Clear()
-	ind := New(te.clock, d, fastOpts)
-	fired := 0
-	ind.AddTrigger(&Trigger{
-		Name:   "every-snapshot",
-		Cond:   func(Snapshot) bool { return true },
-		Action: func(Snapshot) { fired++ },
-		Repeat: true,
-	})
-	ind.Start()
-	env := &exec.Env{Pool: te.cat.Pool(), Clock: te.clock, WorkMemPages: 1024, Reporter: ind, Decomp: d}
-	exec.Run(env, p, nil)
-	if fired < 3 {
-		t.Fatalf("repeating trigger fired %d times", fired)
-	}
-}
-
 func TestStepBaselineCoarseness(t *testing.T) {
 	te := buildEnv(t, nil)
 	sql := `select c.custkey, o.orderkey, l.partkey
@@ -452,21 +401,6 @@ func TestFormatHelpers(t *testing.T) {
 	for _, want := range []string{"Query 1", "1 min 5 sec", "1502831 U", "22 U/Sec", "87% done"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("Format missing %q:\n%s", want, s)
-		}
-	}
-}
-
-func TestRankByRemaining(t *testing.T) {
-	latest := map[string]Snapshot{
-		"fast":   {RemainingSeconds: 10},
-		"slow":   {RemainingSeconds: 1000},
-		"medium": {RemainingSeconds: 100},
-	}
-	got := RankByRemaining(latest)
-	want := []string{"slow", "medium", "fast"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("RankByRemaining = %v", got)
 		}
 	}
 }

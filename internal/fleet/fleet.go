@@ -227,20 +227,6 @@ func (f *Fleet) Metrics() []obs.Sample { return f.reg.Snapshot() }
 // format.
 func (f *Fleet) MetricsText() string { return f.reg.PrometheusText() }
 
-// ShardMetricsText renders one shard's engine instruments (empty when
-// the shard config has Metrics off). Exposed for per-shard inspection;
-// the series names are identical across shards, which is why they are
-// not merged into MetricsText.
-func (f *Fleet) ShardMetricsText(shard int) (string, error) {
-	if shard < 0 || shard >= len(f.shards) {
-		return "", fmt.Errorf("fleet: no shard %d (have %d)", shard, len(f.shards))
-	}
-	sh := f.shards[shard]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.db.MetricsText(), nil
-}
-
 // ---- placement & routing ---------------------------------------------
 
 // CreateTable creates the table on every shard and records its partition
@@ -405,52 +391,4 @@ func (f *Fleet) registerPaperTables() {
 	for t, k := range workload.PartitionKeys() {
 		f.tables[t] = &tableInfo{key: k, keyIdx: schemaOf[t].ColIndex(k)}
 	}
-}
-
-// LoadDir bootstraps every shard from datagen -partitions output in dir
-// (shard i reads the *.p<i>.tbl files) and registers each table's
-// partition key from the file headers. The files' partition count must
-// match the fleet's shard count.
-func (f *Fleet) LoadDir(dir string) error {
-	errs := make([]error, len(f.shards))
-	var wg sync.WaitGroup
-	for _, sh := range f.shards {
-		wg.Add(1)
-		go func(sh *shard) {
-			defer wg.Done()
-			sh.mu.Lock()
-			defer sh.mu.Unlock()
-			parts, err := sh.db.LoadPartitionFiles(dir, sh.id)
-			if err == nil && parts != len(f.shards) {
-				err = fmt.Errorf("files are cut into %d partitions, fleet has %d shards", parts, len(f.shards))
-			}
-			errs[sh.id] = err
-		}(sh)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("fleet: shard %d bootstrap: %w", i, err)
-		}
-	}
-	hdrs, err := workload.PartitionHeaders(dir, 0)
-	if err != nil {
-		return fmt.Errorf("fleet: bootstrap headers: %w", err)
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for _, h := range hdrs {
-		keyIdx := -1
-		for i, c := range h.Columns {
-			if strings.EqualFold(c.Name, h.Key) {
-				keyIdx = i
-				break
-			}
-		}
-		if keyIdx < 0 {
-			return fmt.Errorf("fleet: bootstrap: table %q header names key %q not in its columns", h.Table, h.Key)
-		}
-		f.tables[strings.ToLower(h.Table)] = &tableInfo{key: h.Key, keyIdx: keyIdx}
-	}
-	return nil
 }

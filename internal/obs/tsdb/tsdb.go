@@ -20,6 +20,7 @@
 package tsdb
 
 import (
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -116,6 +117,12 @@ func (st *Store) Record(now float64, samples []obs.Sample) {
 			st.get(s.ID()+"_count", s.Kind, s.Help).append(Point{T: now, V: float64(s.Count)})
 			st.get(s.ID()+"_sum", s.Kind, s.Help).append(Point{T: now, V: s.Sum})
 		default:
+			// A gauge reading ±Inf or NaN (remaining time before any speed
+			// is known) leaves a gap: a plot cannot place it and JSON
+			// cannot carry it.
+			if math.IsInf(s.Value, 0) || math.IsNaN(s.Value) {
+				continue
+			}
 			st.get(s.ID(), s.Kind, s.Help).append(Point{T: now, V: s.Value})
 		}
 	}

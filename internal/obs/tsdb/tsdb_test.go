@@ -22,6 +22,10 @@ func TestRecordAndQueryWindow(t *testing.T) {
 		st.Record(float64(i), sampleSet(reg))
 	}
 
+	// A non-finite reading is a gap, not a point.
+	g.Set(math.Inf(1))
+	st.Record(5.5, sampleSet(reg))
+
 	got := st.Query([]string{"server_queue_depth"}, 3, 7, 0)
 	if len(got) != 1 {
 		t.Fatalf("series = %d, want 1", len(got))

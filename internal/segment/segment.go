@@ -47,14 +47,9 @@ type WorkReporter interface {
 	SegmentDone(seg int)
 }
 
-// Est is a (cardinality, average width) estimate.
-type Est struct {
-	Card  float64
-	Width float64
-}
-
-// Bytes is Card × Width.
-func (e Est) Bytes() float64 { return e.Card * e.Width }
+// Est is a (cardinality, average width) estimate: the optimizer's own
+// type, so a plan node's estimate is a segment input's without conversion.
+type Est = plan.Est
 
 // Input is one input of a segment: either a base relation access or the
 // output of a lower-level segment.
@@ -119,15 +114,6 @@ type Segment struct {
 	InitCost float64
 
 	inputByNode map[plan.Node]int
-}
-
-// InputIndex returns the input slot fed by the given boundary node, or -1.
-func (s *Segment) InputIndex(n plan.Node) int {
-	i, ok := s.inputByNode[n]
-	if !ok {
-		return -1
-	}
-	return i
 }
 
 // NodeInfo tells the executor how to tag a node's boundary events.
@@ -244,7 +230,7 @@ func (d *Decomposition) addBaseInput(s *Segment, n plan.Node, tbl *catalog.Table
 		Node:  n,
 		Base:  true,
 		Table: tbl,
-		Init:  Est{Card: n.Est().Card, Width: n.Est().Width},
+		Init:  n.Est(),
 	})
 	s.inputByNode[n] = idx
 	return idx
@@ -255,6 +241,23 @@ func (d *Decomposition) addSegInput(s *Segment, n plan.Node, child *Segment, est
 	s.Inputs = append(s.Inputs, &Input{Node: n, Child: child, Init: est})
 	s.inputByNode[n] = idx
 	return idx
+}
+
+// blockingBoundary returns, for a single-child blocking operator, the
+// kind of the producer segment it ends and the child that segment runs.
+func blockingBoundary(n plan.Node) (Kind, plan.Node) {
+	switch node := n.(type) {
+	case *plan.Partition:
+		return KindPartition, node.Child
+	case *plan.Sort:
+		return KindSort, node.Child
+	case *plan.Materialize:
+		return KindMaterialize, node.Child
+	case *plan.HashAgg:
+		return KindAggregate, node.Child
+	}
+	//lint:ignore errwrap sanctioned: callers switch on these four types first; recovered at the DB.Exec boundary
+	panic(fmt.Sprintf("segment: %T is not a blocking boundary", n))
 }
 
 // attach assigns node's output processing to segment s, recursing into
@@ -288,38 +291,18 @@ func (d *Decomposition) attach(n plan.Node, s *Segment) {
 		// probe side pipelines within s.
 		p := d.newSegment(node.Build, false, KindHashBuild)
 		d.attach(node.Build, p)
-		est := Est{Card: node.Build.Est().Card, Width: node.Build.Est().Width}
-		idx := d.addSegInput(s, node, p, est)
+		idx := d.addSegInput(s, node, p, node.Build.Est())
 		d.Info[node] = NodeInfo{Seg: s.ID, Input: idx, ProducerSeg: p.ID}
 		d.attach(node.Probe, s)
-	case *plan.Partition:
-		p := d.newSegment(node, false, KindPartition)
-		d.NodeSeg[node] = p.ID
-		d.attach(node.Child, p)
-		est := Est{Card: node.Est().Card, Width: node.Est().Width}
-		idx := d.addSegInput(s, node, p, est)
-		d.Info[node] = NodeInfo{Seg: s.ID, Input: idx, ProducerSeg: p.ID}
-	case *plan.Sort:
-		p := d.newSegment(node, false, KindSort)
-		d.NodeSeg[node] = p.ID
-		d.attach(node.Child, p)
-		est := Est{Card: node.Est().Card, Width: node.Est().Width}
-		idx := d.addSegInput(s, node, p, est)
-		d.Info[node] = NodeInfo{Seg: s.ID, Input: idx, ProducerSeg: p.ID}
-	case *plan.Materialize:
-		p := d.newSegment(node, false, KindMaterialize)
-		d.NodeSeg[node] = p.ID
-		d.attach(node.Child, p)
-		est := Est{Card: node.Est().Card, Width: node.Est().Width}
-		idx := d.addSegInput(s, node, p, est)
-		d.Info[node] = NodeInfo{Seg: s.ID, Input: idx, ProducerSeg: p.ID}
-	case *plan.HashAgg:
-		p := d.newSegment(node, false, KindAggregate)
-		d.NodeSeg[node] = p.ID
-		d.attach(node.Child, p)
-		est := Est{Card: node.Est().Card, Width: node.Est().Width}
-		idx := d.addSegInput(s, node, p, est)
-		d.Info[node] = NodeInfo{Seg: s.ID, Input: idx, ProducerSeg: p.ID}
+	case *plan.Partition, *plan.Sort, *plan.Materialize, *plan.HashAgg:
+		// The operator and everything below it form a producer segment
+		// whose output is an input of s.
+		kind, child := blockingBoundary(n)
+		p := d.newSegment(n, false, kind)
+		d.NodeSeg[n] = p.ID
+		d.attach(child, p)
+		idx := d.addSegInput(s, n, p, n.Est())
+		d.Info[n] = NodeInfo{Seg: s.ID, Input: idx, ProducerSeg: p.ID}
 	case *plan.Limit:
 		d.attach(node.Child, s)
 	case *plan.NLJoin:
@@ -331,8 +314,7 @@ func (d *Decomposition) attach(n plan.Node, s *Segment) {
 		// is an input of s; the outer pipelines within s.
 		p := d.newSegment(node.Inner, false, KindHashBuild)
 		d.attach(node.Inner, p)
-		est := Est{Card: node.Inner.Est().Card, Width: node.Inner.Est().Width}
-		idx := d.addSegInput(s, node, p, est)
+		idx := d.addSegInput(s, node, p, node.Inner.Est())
 		d.Info[node] = NodeInfo{Seg: s.ID, Input: idx, ProducerSeg: p.ID}
 		d.attach(node.Outer, s)
 	case *plan.MergeJoin:
@@ -362,28 +344,13 @@ func dominantInputs(s *Segment) []int {
 			at = node.Child
 		case *plan.Project:
 			at = node.Child
-		case *plan.Sort:
+		case *plan.Partition, *plan.Sort, *plan.Materialize, *plan.HashAgg:
 			// Registered: a boundary read from a lower segment. Not
 			// registered: this segment's own producer root.
 			if idx, ok := s.inputByNode[at]; ok {
 				return []int{idx}
 			}
-			at = node.Child
-		case *plan.Materialize:
-			if idx, ok := s.inputByNode[at]; ok {
-				return []int{idx}
-			}
-			at = node.Child
-		case *plan.Partition:
-			if idx, ok := s.inputByNode[at]; ok {
-				return []int{idx}
-			}
-			at = node.Child
-		case *plan.HashAgg:
-			if idx, ok := s.inputByNode[at]; ok {
-				return []int{idx}
-			}
-			at = node.Child
+			_, at = blockingBoundary(at)
 		case *plan.Limit:
 			at = node.Child
 		case *plan.HashJoin:

@@ -136,6 +136,18 @@ func TestFleetServing(t *testing.T) {
 		}
 	}
 
+	// A cancel over HTTP reaches every shard.
+	victim, err := cl.Submit(ctx, client.SubmitRequest{SQL: "select * from t", PaceMS: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, cl, victim.ID, client.StateRunning)
+	if _, err := cl.Cancel(ctx, victim.ID); err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, cl, victim.ID, client.StateCanceled)
+	wantMetrics(t, cl, "fleet_queries_total 2", "fleet_cancels_propagated_total 1")
+
 	// Dashboard config flips into fleet mode.
 	cfgResp := struct {
 		Shards          int      `json:"shards"`

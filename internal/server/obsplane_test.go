@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"context"
 	"fmt"
+	"io"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"sync"
@@ -351,6 +353,33 @@ func TestHistoryConcurrentTrafficRace(t *testing.T) {
 	for _, sum := range hr.Profiles {
 		if !want[sum.ID] {
 			t.Fatalf("retained %s, want only the newest four %v", sum.ID, ids[len(ids)-4:])
+		}
+	}
+}
+
+// TestDashboardAndDebugSurface fetches the two surfaces no client method
+// reaches: the embedded dashboard page at / and the handler progressd
+// mounts on -debug-addr.
+func TestDashboardAndDebugSurface(t *testing.T) {
+	_, cl := testServer(t, progressdb.Open(progressdb.Config{}), Config{SampleInterval: -1})
+	debug := httptest.NewServer(DebugHandler())
+	defer debug.Close()
+	for _, c := range []struct{ url, want string }{
+		{cl.BaseURL() + "/", "<title>progressd</title>"},
+		{debug.URL + "/debug/pprof/cmdline", ""},
+		{debug.URL + "/debug/runtime", "/gc/"},
+	} {
+		resp, err := http.Get(c.url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), c.want) {
+			t.Errorf("GET %s = %d, body lacks %q", c.url, resp.StatusCode, c.want)
 		}
 	}
 }

@@ -28,6 +28,20 @@ func shedError(t *testing.T, err error, status int, reason string) *client.APIEr
 	return ae
 }
 
+// wantMetrics asserts the /metrics page carries every given line.
+func wantMetrics(t *testing.T, cl *client.Client, lines ...string) {
+	t.Helper()
+	text, err := cl.MetricsText(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range lines {
+		if !strings.Contains(text, want) {
+			t.Errorf("/metrics missing %q", want)
+		}
+	}
+}
+
 // TestAdmissionBudgetShed drives the server into a cost-based shed: with
 // a budget sized for one scan, the second submit is rejected with 429,
 // reason "budget", and a Retry-After estimate; once the in-flight query
@@ -63,6 +77,7 @@ func TestAdmissionBudgetShed(t *testing.T) {
 	if h.InflightQueries != 1 || h.MaxInflightU != 1.5*costU || h.InflightU <= 0 {
 		t.Fatalf("healthz budget figures: %+v", h)
 	}
+	wantMetrics(t, cl, `server_shed_total{reason="budget"} 1`)
 
 	// Retire the running query: the ledger entry goes with it and the
 	// same submit is admitted.
@@ -192,6 +207,8 @@ func TestDrainForcesStragglers(t *testing.T) {
 	}
 	_, err = cl.Submit(ctx, client.SubmitRequest{SQL: scanSQL})
 	shedError(t, err, http.StatusServiceUnavailable, client.ShedDraining)
+	wantMetrics(t, cl, `server_shed_total{reason="draining"} 1`, "server_drains_total 1",
+		"server_drain_forced_cancels_total 1", "server_draining 1")
 
 	// Idempotent: a second drain resolves clean immediately.
 	dr2, err := cl.Drain(ctx, time.Second)

@@ -330,6 +330,96 @@ func TestConcurrentSubscribersTerminalDelivery(t *testing.T) {
 	}
 }
 
+// TestWorkersRunConcurrently is the multi-worker lift seen through HTTP:
+// more paced queries than the four workers sharing one engine, at least
+// two of them running in one listing, every stream monotone with exactly
+// one terminal event delivered last, every count right, the ticking
+// sampler feeding /api/timeseries throughout, and the engine leak-free
+// afterwards.
+func TestWorkersRunConcurrently(t *testing.T) {
+	db := syntheticDB(t)
+	s, cl := testServer(t, db, Config{Workers: 4, QueueDepth: 8, SampleInterval: 10 * time.Millisecond})
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	subs := make([]client.SubmitResponse, 5)
+	for i := range subs {
+		var err error
+		subs[i], err = cl.Submit(ctx, client.SubmitRequest{
+			SQL: "select count(*) from t", Name: fmt.Sprintf("conc-%d", i), PaceMS: 4, KeepRows: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for {
+		infos, err := cl.List(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		running, ended := 0, 0
+		for _, info := range infos {
+			if info.State == client.StateRunning {
+				running++
+			} else if info.State.Terminal() {
+				ended++
+			}
+		}
+		if running >= 2 {
+			break
+		}
+		if ended == len(subs) {
+			t.Fatal("every query ended without two ever listed running together")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+
+	for _, sub := range subs {
+		lastPct, terminals := -1.0, 0
+		var last client.ProgressEvent
+		if err := cl.Stream(ctx, sub.ID, func(ev client.ProgressEvent) error {
+			if ev.Percent < lastPct {
+				return fmt.Errorf("progress regressed: %.2f%% after %.2f%%", ev.Percent, lastPct)
+			}
+			lastPct = ev.Percent
+			if ev.Terminal() {
+				terminals++
+			}
+			last = ev
+			return nil
+		}); err != nil {
+			t.Fatalf("stream %s: %v", sub.ID, err)
+		}
+		if terminals != 1 || last.State != client.StateDone {
+			t.Fatalf("%s: %d terminal events, last state %s; want exactly one, last, done", sub.ID, terminals, last.State)
+		}
+		res, err := cl.Result(ctx, sub.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != 1 || fmt.Sprint(res.Rows[0][0]) != "20000" {
+			t.Fatalf("%s: count(*) = %v, want 20000", sub.ID, res.Rows)
+		}
+	}
+	tsr, err := cl.Timeseries(ctx, client.TimeseriesRequest{WindowSeconds: 60})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sampled := 0
+	for _, series := range tsr.Series {
+		if len(series.Points) > 0 {
+			sampled++
+		}
+	}
+	if sampled < 10 {
+		t.Fatalf("%d series with sampled points, want >= 10", sampled)
+	}
+	s.Close()
+	if err := db.CheckLeaks(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestResultAndList covers the data path: keep_rows materializes the
 // result for fetching, listings carry lifecycle snapshots, and a late
 // progress subscriber replays the full history including the terminal

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"path/filepath"
 	"testing"
 
 	"progressdb/internal/catalog"
@@ -145,59 +144,5 @@ func TestPartitionOfProperties(t *testing.T) {
 		if p := PartitionOfValue(v, parts); p < 0 || p >= parts {
 			t.Fatalf("PartitionOfValue(%v) = %d out of range", v, p)
 		}
-	}
-}
-
-// Round trip: datagen writes partition files, shard bootstrap reads them,
-// and the union matches a direct full Load of the same config.
-func TestPartitionFilesRoundTrip(t *testing.T) {
-	base := Config{Scale: 0.002, SubsetRows: 25, Seed: 11}
-	dir := t.TempDir()
-
-	const parts = 3
-	ds, err := WritePartitionFiles(dir, base, parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ds.Customers != 300 || ds.Orders != 3000 {
-		t.Fatalf("writer dataset counts = %d customers / %d orders, want 300/3000", ds.Customers, ds.Orders)
-	}
-
-	hdr, rows, err := ReadPartitionFile(filepath.Join(dir, PartitionFileName("orders", 1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hdr.Key != "custkey" || hdr.Partitions != parts || hdr.Rows != len(rows) {
-		t.Fatalf("orders header = %+v (%d rows)", hdr, len(rows))
-	}
-
-	full, _ := load(t, base)
-	union := map[string]map[string]int{}
-	for p := 0; p < parts; p++ {
-		cat := newCat()
-		gotParts, err := LoadPartitionFiles(cat, dir, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotParts != parts {
-			t.Fatalf("LoadPartitionFiles reports %d partitions, want %d", gotParts, parts)
-		}
-		for _, name := range paperTables {
-			if union[name] == nil {
-				union[name] = map[string]int{}
-			}
-			for rec, n := range tableMultiset(t, cat, name) {
-				union[name][rec] += n
-			}
-		}
-	}
-	for _, name := range paperTables {
-		if !sameMultiset(tableMultiset(t, full, name), union[name]) {
-			t.Errorf("%s: file-bootstrapped union differs from direct Load", name)
-		}
-	}
-
-	if _, err := LoadPartitionFiles(newCat(), dir, parts); err == nil {
-		t.Fatal("missing partition index must error")
 	}
 }

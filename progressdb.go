@@ -351,14 +351,6 @@ func (db *DB) LoadPaperWorkloadPartition(scale float64, correlated bool, partiti
 	return err
 }
 
-// LoadPartitionFiles bootstraps this engine from datagen -partitions
-// output: every <table>.p<partition>.tbl file in dir is created, filled,
-// and analyzed. The returned count is the partition count recorded in the
-// file headers.
-func (db *DB) LoadPartitionFiles(dir string, partition int) (int, error) {
-	return workload.LoadPartitionFiles(db.cat, dir, partition)
-}
-
 // PaperQuery returns the paper's query Q1–Q5, verbatim.
 func PaperQuery(n int) (string, error) { return workload.QuerySQL(n) }
 
