@@ -3,11 +3,10 @@
 // indicator over Server-Sent Events, fetch results, and cancel.
 //
 // This file defines the wire schema shared by the server
-// (internal/server), the daemon (cmd/progressd), and the -json output
-// of cmd/progress. Every progress refresh travels as one ProgressEvent
-// JSON object — the paper's Figure 2 fields (percent done, estimated
-// remaining seconds, execution speed, cost in U) plus the current
-// segment's estimator internals.
+// (internal/server) and the daemon (cmd/progressd). Every progress
+// refresh travels as one ProgressEvent JSON object — the paper's Figure
+// 2 fields (percent done, estimated remaining seconds, execution speed,
+// cost in U) plus the current segment's estimator internals.
 package client
 
 import (
@@ -114,11 +113,11 @@ type SegmentDetail struct {
 }
 
 // ProgressEvent is one progress-indicator refresh on the wire: the SSE
-// stream's data payload and cmd/progress -json's line format. Non-finite
-// numbers (an unknown remaining time is NaN or +Inf early on) are
-// encoded as -1, since JSON cannot carry them.
+// stream's data payload. Non-finite numbers (an unknown remaining time
+// is NaN or +Inf early on) are encoded as -1, since JSON cannot carry
+// them.
 type ProgressEvent struct {
-	// QueryID identifies the query (empty in cmd/progress -json output).
+	// QueryID identifies the query.
 	QueryID string `json:"query_id,omitempty"`
 	// Seq numbers the query's events from 1, strictly increasing; the
 	// terminal event has the highest Seq.

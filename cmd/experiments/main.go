@@ -1,8 +1,10 @@
 // Command experiments regenerates every table and figure of the paper's
 // evaluation section: Table 1, Figures 4–7 (Q1), 9–16 (Q2 unloaded and
-// under I/O interference), 17 (Q3), 18 (Q4), 19–20 (Q5), plus the <1%
-// overhead measurement. Series are written as CSV files and rendered as
-// ASCII plots on stdout.
+// under I/O interference), 17 (Q3), 18 (Q4), 19–20 (Q5). Series are
+// written as CSV files and rendered as ASCII plots on stdout. Every
+// number is virtual, so a rerun at the committed scale and seed
+// rewrites results/ byte for byte (internal/harness's golden test
+// checks exactly that).
 //
 // Usage:
 //
@@ -14,18 +16,21 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 
 	"progressdb/internal/harness"
 )
+
+// ASCII plot size in characters.
+const plotWidth, plotHeight = 72, 14
 
 func main() {
 	scale := flag.Float64("scale", 0.02, "workload scale (1.0 = the paper's Table 1)")
 	seed := flag.Int64("seed", 1, "data generator seed")
 	outdir := flag.String("outdir", "results", "directory for CSV output (empty = no CSV)")
-	only := flag.String("only", "", "run a single experiment id (e.g. fig09)")
+	only := flag.String("only", "", "run a single experiment id (table1, or e.g. fig09)")
 	quiet := flag.Bool("quiet", false, "skip ASCII plots")
-	width := flag.Int("width", 72, "ASCII plot width")
-	height := flag.Int("height", 14, "ASCII plot height")
 	flag.Parse()
 
 	die := func(err error) {
@@ -33,72 +38,40 @@ func main() {
 		os.Exit(1)
 	}
 
+	ids := harness.IDs()
+	if *only != "" {
+		if !slices.Contains(ids, *only) {
+			fmt.Fprintf(os.Stderr, "experiments: no experiment %q; valid ids: %s\n", *only, strings.Join(ids, " "))
+			os.Exit(2)
+		}
+		ids = []string{*only}
+	}
 	if *outdir != "" {
 		if err := os.MkdirAll(*outdir, 0o755); err != nil {
 			die(err)
 		}
 	}
 
-	runner := harness.Runner{Scale: *scale, Seed: *seed}
-	sess := harness.NewSession(runner)
-
-	// Table 1.
-	if *only == "" || *only == "table1" {
-		tbl, err := runner.Table1()
+	sess := harness.NewSession(harness.Runner{Scale: *scale, Seed: *seed})
+	for _, id := range ids {
+		a, err := sess.Render(id)
 		if err != nil {
 			die(err)
 		}
-		fmt.Println("=== Table 1. Test data set ===")
-		fmt.Print(tbl)
-		fmt.Println()
-		if *outdir != "" {
-			if err := os.WriteFile(filepath.Join(*outdir, "table1.txt"), []byte(tbl), 0o644); err != nil {
-				die(err)
+		if a.Fig == nil {
+			fmt.Println("=== Table 1. Test data set ===")
+			fmt.Print(a.Text)
+		} else {
+			fmt.Printf("=== %s: %s ===\n", a.Exp.ID, a.Exp.Title)
+			fmt.Printf("query Q%d, %s, actual duration %.0f vsec, initial estimate %.0f U, exact cost %.0f U\n",
+				a.Exp.Query, a.Run.Scenario, a.Run.ActualSeconds, a.Run.InitialEstU, a.Run.ExactCostU)
+			if !*quiet {
+				fmt.Print(a.Fig.ASCII(plotWidth, plotHeight))
 			}
-		}
-	}
-
-	for _, e := range harness.Experiments {
-		if *only != "" && e.ID != *only {
-			continue
-		}
-		fig, err := sess.Figure(e)
-		if err != nil {
-			die(fmt.Errorf("%s: %w", e.ID, err))
-		}
-		res, err := sess.Result(e)
-		if err != nil {
-			die(err)
-		}
-		fmt.Printf("=== %s: %s ===\n", e.ID, e.Title)
-		fmt.Printf("query Q%d, %s, actual duration %.0f vsec, initial estimate %.0f U, exact cost %.0f U\n",
-			e.Query, res.Scenario, res.ActualSeconds, res.InitialEstU, res.ExactCostU)
-		if !*quiet {
-			fmt.Print(fig.ASCII(*width, *height))
 		}
 		fmt.Println()
 		if *outdir != "" {
-			path := filepath.Join(*outdir, e.ID+".csv")
-			if err := os.WriteFile(path, []byte(fig.CSV()), 0o644); err != nil {
-				die(err)
-			}
-		}
-	}
-
-	// Overhead (the paper's "<1% penalty" claim). Real wall time, so the
-	// exact figure is machine-dependent.
-	if *only == "" || *only == "overhead" {
-		withInd, withoutInd, err := runner.Overhead(2, 3)
-		if err != nil {
-			die(err)
-		}
-		pct := 100 * (withInd - withoutInd) / withoutInd
-		fmt.Println("=== Overhead (paper claims < 1%) ===")
-		fmt.Printf("Q2 x3, wall time with indicator %.4fs, without %.4fs, overhead %.2f%%\n",
-			withInd, withoutInd, pct)
-		if *outdir != "" {
-			line := fmt.Sprintf("with,without,overhead_pct\n%.6f,%.6f,%.3f\n", withInd, withoutInd, pct)
-			if err := os.WriteFile(filepath.Join(*outdir, "overhead.csv"), []byte(line), 0o644); err != nil {
+			if err := os.WriteFile(filepath.Join(*outdir, a.File), []byte(a.Text), 0o644); err != nil {
 				die(err)
 			}
 		}

@@ -1,13 +1,20 @@
-// Command pgsh is a small interactive shell over the engine: type SPJ
-// SQL and watch the progress indicator while it runs.
+// Command pgsh is a small shell over the engine: type SPJ SQL and watch
+// the progress indicator — the text form of the paper's Figure 2
+// interface, one box per refresh — while it runs.
 //
 //	$ go run ./cmd/pgsh -scale 0.01
 //	pgsh> \tables
-//	pgsh> \explain select * from lineitem
+//	pgsh> explain select * from lineitem
 //	pgsh> select c.custkey, o.orderkey from customer c, orders o where c.custkey = o.custkey
+//	pgsh> \paper 2
 //
-// Commands: \tables, \explain <sql>, \metrics (engine metrics snapshot),
-// \cold (empty the buffer pool), \io <start> <end> <factor> / \cpu ...
+// It reads commands from stdin, so a one-shot run is a pipe:
+//
+//	$ printf '%s\n' '\io 190 885 4' '\paper 2' | go run ./cmd/pgsh -scale 0.02
+//
+// Commands: \tables, \paper <1-5> (run the paper's query Qn cold,
+// discarding its rows), \metrics (engine metrics snapshot), \cold (empty
+// the buffer pool), \io <start> <end> <factor> / \cpu ... / \clear
 // (interference), \help, \q. SQL statements may be prefixed with EXPLAIN
 // or EXPLAIN ANALYZE.
 package main
@@ -33,9 +40,10 @@ func main() {
 	db := progressdb.Open(progressdb.Config{
 		WorkMemPages:          *workMem,
 		ProgressUpdateSeconds: *update,
-		SeqPageCost:           0.8e-3 / maxf(*scale, 0.01),
-		RandPageCost:          6.4e-3 / maxf(*scale, 0.01),
-		Metrics:               true,
+		// Calibrate virtual time to full-scale durations (see DESIGN.md).
+		SeqPageCost:  0.8e-3 / max(*scale, 0.01),
+		RandPageCost: 6.4e-3 / max(*scale, 0.01),
+		Metrics:      true,
 	})
 	if *scale > 0 {
 		fmt.Printf("loading paper workload at scale %g ...\n", *scale)
@@ -63,15 +71,15 @@ func main() {
 			return
 		case line == `\help`:
 			fmt.Println(`\tables            list tables
-\explain <sql>     show plan and segments
-\analyze <sql>     run and show per-segment estimated vs actual
+\paper <1-5>       run the paper's query Qn on a cold buffer pool, rows discarded
 \metrics           engine metrics snapshot (Prometheus text format)
 \cold              empty the buffer pool
-\io <s> <e> <f>    4-arg: I/O interference from s to e (virtual sec), factor f
+\io <s> <e> <f>    I/O interference from s to e (virtual sec from now), factor f
 \cpu <s> <e> <f>   CPU interference
 \clear             remove interference
 \q                 quit
-explain [analyze] <sql>   plan only, or run + annotated plan with actuals
+explain [analyze] <sql>   plan and segments only, or run + annotated plan with
+                   per-segment estimated vs actual
 anything else      run as SQL with a live progress indicator`)
 		case line == `\tables`:
 			for _, q := range []string{"customer", "orders", "lineitem", "customer_subset1", "customer_subset2"} {
@@ -114,21 +122,24 @@ anything else      run as SQL with a live progress indicator`)
 			} else {
 				fmt.Printf("%s x%g over [now+%g, now+%g]\n", kind, f, s, e)
 			}
-		case strings.HasPrefix(line, `\explain `):
-			out, err := db.Explain(strings.TrimPrefix(line, `\explain `))
+		case strings.HasPrefix(line, `\paper `):
+			n, err := strconv.Atoi(strings.TrimSpace(strings.TrimPrefix(line, `\paper `)))
+			if err != nil {
+				fmt.Println(`usage: \paper <1-5>`)
+				continue
+			}
+			sql, err := progressdb.PaperQuery(n)
 			if err != nil {
 				fmt.Println("error:", err)
 				continue
 			}
-			fmt.Print(out)
-		case strings.HasPrefix(line, `\analyze `):
-			res, table, err := db.ExecAnalyze(strings.TrimPrefix(line, `\analyze `))
-			if err != nil {
+			// On one line, so it can be pasted back behind "explain".
+			fmt.Printf("SQL: %s\n", strings.Join(strings.Fields(sql), " "))
+			if err := db.ColdRestart(); err != nil {
 				fmt.Println("error:", err)
 				continue
 			}
-			fmt.Print(table)
-			fmt.Printf("(%.1f virtual seconds)\n", res.VirtualSeconds)
+			runSQL(db, fmt.Sprintf("Query %d", n), sql, 0)
 		case strings.HasPrefix(line, `\`):
 			fmt.Println("unknown command; try \\help")
 		case hasKeywordPrefix(line, "explain", "analyze"):
@@ -140,40 +151,51 @@ anything else      run as SQL with a live progress indicator`)
 			fmt.Print(tree)
 			fmt.Printf("(%.1f virtual seconds)\n", res.VirtualSeconds)
 		case hasKeywordPrefix(line, "explain"):
-			out, err := db.Explain(stripKeywords(line, "explain"))
+			out, err := db.Explain(strings.TrimSpace(line[len("explain"):]))
 			if err != nil {
 				fmt.Println("error:", err)
 				continue
 			}
 			fmt.Print(out)
 		default:
-			runSQL(db, line, *maxRows)
+			runSQL(db, "Query", line, *maxRows)
 		}
 	}
 }
 
-func runSQL(db *progressdb.DB, sql string, maxRows int) {
-	res, err := db.Exec(sql, func(r progressdb.Report) {
-		fmt.Printf("  ... %5.1f%% done, est %s left (%.0f U at %.0f U/s)\n",
-			r.Percent, short(r.RemainingSeconds), r.EstimatedCostU, r.SpeedU)
+// runSQL executes sql, printing the Figure 2 box at every refresh, then
+// the first maxRows result rows; with maxRows 0 (what \paper passes)
+// there is nothing to print, so no row is materialized either.
+func runSQL(db *progressdb.DB, name, sql string, maxRows int) {
+	exec := db.Exec
+	if maxRows == 0 {
+		exec = db.ExecDiscard
+	}
+	res, err := exec(sql, func(r progressdb.Report) {
+		fmt.Println("----------------------------------------")
+		fmt.Print(progressdb.FormatReport(name, r))
 	})
 	if err != nil {
 		fmt.Println("error:", err)
 		return
 	}
-	fmt.Println(strings.Join(res.Columns, " | "))
-	for i, row := range res.Rows {
-		if i >= maxRows {
-			fmt.Printf("... (%d more rows)\n", len(res.Rows)-maxRows)
-			break
+	fmt.Println("========================================")
+	if maxRows > 0 {
+		fmt.Println(strings.Join(res.Columns, " | "))
+		for i, row := range res.Rows {
+			if i >= maxRows {
+				fmt.Printf("... (%d more rows)\n", len(res.Rows)-maxRows)
+				break
+			}
+			parts := make([]string, len(row))
+			for j, v := range row {
+				parts[j] = fmt.Sprint(v)
+			}
+			fmt.Println(strings.Join(parts, " | "))
 		}
-		parts := make([]string, len(row))
-		for j, v := range row {
-			parts[j] = fmt.Sprint(v)
-		}
-		fmt.Println(strings.Join(parts, " | "))
+		fmt.Printf("%d rows, ", res.RowCount())
 	}
-	fmt.Printf("%d rows in %.1f virtual seconds\n", res.RowCount(), res.VirtualSeconds)
+	fmt.Printf("%d progress refreshes over %.1f virtual seconds\n", len(res.History), res.VirtualSeconds)
 }
 
 // hasKeywordPrefix reports whether line starts with the given keywords,
@@ -189,31 +211,4 @@ func hasKeywordPrefix(line string, kws ...string) bool {
 		}
 	}
 	return true
-}
-
-// stripKeywords removes the leading keywords from line, returning the rest.
-func stripKeywords(line string, kws ...string) string {
-	rest := strings.TrimSpace(line)
-	for range kws {
-		fields := strings.SplitN(rest, " ", 2)
-		if len(fields) < 2 {
-			return ""
-		}
-		rest = strings.TrimSpace(fields[1])
-	}
-	return rest
-}
-
-func short(sec float64) string {
-	if sec > 1e8 {
-		return "?"
-	}
-	return fmt.Sprintf("%.0fs", sec)
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

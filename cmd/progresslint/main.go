@@ -5,17 +5,12 @@
 //
 // Usage:
 //
-//	progresslint [-json] [-list] [-assert-guarded list] [packages...]
+//	progresslint [-json] [-list] [packages...]
 //
 // With no package patterns it checks ./... from the current module.
 // Violations are printed one per line as file:line:col: [analyzer]
 // message; -json emits them as a stable JSON array instead (schema:
 // internal/analysis.JSONDiagnostic, documented in the README).
-// -assert-guarded takes a comma-separated list of pkg.Type entries
-// (e.g. storage.Disk,catalog.Catalog) and fails the run if any listed
-// struct is absent from the sharedstate analyzer's inventory of the
-// engine-core packages or is unguarded there — CI's proof that the
-// multi-core refactor's latched structs stay latched.
 //
 // Suppress a finding with //lint:ignore <analyzer> <reason> on the
 // offending line or the line above; the suppression inventory is
@@ -29,7 +24,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"progressdb/internal/analysis"
 	"progressdb/internal/analysis/checks"
@@ -38,11 +32,9 @@ import (
 func main() {
 	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array (stable schema)")
 	list := flag.Bool("list", false, "list analyzers and exit")
-	assertGuarded := flag.String("assert-guarded", "",
-		"comma-separated pkg.Type list that must appear guarded in the sharedstate inventory (e.g. storage.Disk,catalog.Catalog)")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: progresslint [-json] [-list] [-assert-guarded list] [packages...]\n\n"+
+			"usage: progresslint [-json] [-list] [packages...]\n\n"+
 				"Checks the module's engine invariants (DESIGN.md §7).\n\n")
 		flag.PrintDefaults()
 	}
@@ -64,16 +56,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	diags, state, err := analysis.RunWithState(mod.Fset, mod.Packages, analyzers)
+	diags, err := analysis.Run(mod.Fset, mod.Packages, analyzers)
 	if err != nil {
 		fatal(err)
-	}
-
-	if *assertGuarded != "" {
-		if err := checkGuarded(state, *assertGuarded); err != nil {
-			fmt.Fprintln(os.Stderr, "progresslint:", err)
-			os.Exit(1)
-		}
 	}
 
 	if *jsonOut {
@@ -94,47 +79,6 @@ func main() {
 			len(diags), len(mod.Packages))
 		os.Exit(1)
 	}
-}
-
-// checkGuarded enforces -assert-guarded: every listed pkg.Type (package
-// matched by its last path element) must be present in the sharedstate
-// inventory with at least one mutex guard and not flagged unguarded.
-func checkGuarded(state *analysis.State, list string) error {
-	rep, ok := checks.SharedStateReport(state)
-	if !ok {
-		return fmt.Errorf("-assert-guarded needs the sharedstate analyzer's inventory: " +
-			"include the engine-core packages in the run")
-	}
-	var bad []string
-	for _, entry := range strings.Split(list, ",") {
-		entry = strings.TrimSpace(entry)
-		if entry == "" {
-			continue
-		}
-		dot := strings.LastIndex(entry, ".")
-		if dot < 1 || dot == len(entry)-1 {
-			return fmt.Errorf("-assert-guarded entry %q: want pkg.Type", entry)
-		}
-		pkg, typ := entry[:dot], entry[dot+1:]
-		found := false
-		for _, s := range rep.Structs {
-			if s.Type != typ || (s.Package != pkg && !strings.HasSuffix(s.Package, "/"+pkg)) {
-				continue
-			}
-			found = true
-			if s.Unguarded || len(s.Guards) == 0 {
-				bad = append(bad, fmt.Sprintf("%s is unguarded (%s)", entry, s.Pos))
-			}
-			break
-		}
-		if !found {
-			bad = append(bad, fmt.Sprintf("%s not found in the sharedstate inventory", entry))
-		}
-	}
-	if len(bad) > 0 {
-		return fmt.Errorf("assert-guarded failed:\n  %s", strings.Join(bad, "\n  "))
-	}
-	return nil
 }
 
 func fatal(err error) {

@@ -1,17 +1,17 @@
 package progressdb
 
 import (
-	"context"
 	"fmt"
-	"time"
 
 	"progressdb/internal/faultinject"
 	"progressdb/internal/storage"
 )
 
 // This file is the engine's failure-model surface: fault injection for
-// chaos testing, per-query deadlines, and the resource-leak checks that
-// the randomized fault-schedule suite asserts after every failed query.
+// chaos testing and the resource-leak checks that the randomized
+// fault-schedule suite asserts after every failed query. Deadlines are
+// the caller's: they arrive on the context of ExecContext,
+// ExecDiscardContext or GroupQuery.Ctx.
 
 // SetFaultSpec installs (or, with an empty spec, removes) a storage
 // fault injector. The spec grammar is internal/faultinject's compact
@@ -92,19 +92,4 @@ func (db *DB) CheckLeaks() error {
 		return fmt.Errorf("progressdb: buffer pool holds %d leaked frame pin(s)", pins)
 	}
 	return nil
-}
-
-// queryCtx applies Config.QueryTimeoutSeconds: when set, every query
-// runs under a wall-clock deadline and fails with an error satisfying
-// errors.Is(err, context.DeadlineExceeded) once it expires, unwinding
-// through the executor's cancellation safe points like a user cancel.
-func (db *DB) queryCtx(ctx context.Context) (context.Context, context.CancelFunc) {
-	if db.cfg.QueryTimeoutSeconds <= 0 {
-		return ctx, func() {}
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	d := time.Duration(db.cfg.QueryTimeoutSeconds * float64(time.Second))
-	return context.WithTimeout(ctx, d)
 }

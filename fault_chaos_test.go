@@ -13,6 +13,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"progressdb/internal/exec"
 	"progressdb/internal/faultinject"
@@ -508,12 +509,13 @@ func TestInjectedPanicInGroupFailsOnlyMember(t *testing.T) {
 	}
 }
 
-// TestQueryTimeout: Config.QueryTimeoutSeconds bounds a query by a
-// wall-clock deadline surfaced as context.DeadlineExceeded.
+// TestQueryTimeout: a deadline on ExecContext's context bounds a query
+// by wall-clock time, surfaced as context.DeadlineExceeded.
 func TestQueryTimeout(t *testing.T) {
 	db := chaosDB(t)
-	db.cfg.QueryTimeoutSeconds = 1e-9 // expires before the first safe point
-	_, err := db.Exec("select * from r order by pad desc, k", nil)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond) // expires before the first safe point
+	defer cancel()
+	_, err := db.ExecContext(ctx, "select * from r order by pad desc, k", nil)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want errors.Is(context.DeadlineExceeded)", err)
 	}
@@ -521,8 +523,9 @@ func TestQueryTimeout(t *testing.T) {
 		t.Fatalf("after timeout: %v", err)
 	}
 
-	db.cfg.QueryTimeoutSeconds = 300 // generous: must not fire
-	res, err := db.Exec("select * from r where v < 50", nil)
+	ctx, cancel = context.WithTimeout(context.Background(), 5*time.Minute) // generous: must not fire
+	defer cancel()
+	res, err := db.ExecContext(ctx, "select * from r where v < 50", nil)
 	if err != nil || res.RowCount() == 0 {
 		t.Fatalf("query under generous deadline: %v", err)
 	}

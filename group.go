@@ -203,8 +203,6 @@ func (db *DB) ExecGroup(queries []GroupQuery) ([]*Result, error) {
 // charge, with the scheduler's yield hook. A member runs on a goroutine
 // of its own, so a panic that db.run's boundary does not cover (the
 // planner's) is converted here too rather than left to end the process.
-// Config.QueryTimeoutSeconds applies per member, layered on the
-// member's own Ctx.
 func (db *DB) execOne(q GroupQuery, yield func()) (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -215,9 +213,7 @@ func (db *DB) execOne(q GroupQuery, yield func()) (res *Result, err error) {
 	if err != nil {
 		return nil, err
 	}
-	ctx, cancel := db.queryCtx(q.Ctx)
-	defer cancel()
-	out, err := db.run(ctx, db.clock, yield, p, q.Name, q.OnProgress, q.KeepRows, db.traceEnabled())
+	out, err := db.run(q.Ctx, db.clock, yield, p, q.Name, q.OnProgress, q.KeepRows, db.traceEnabled())
 	if err != nil {
 		return nil, err
 	}

@@ -76,9 +76,8 @@ type Pass struct {
 	// state is deterministic.
 	State *State
 	// Facts is the run's interprocedural fact store — the module-wide
-	// call graph and field/variable access index built over every
-	// package before any analyzer runs (see facts.go). It is available
-	// to Run and End passes alike.
+	// call graph built over every package before any analyzer runs (see
+	// facts.go). It is available to Run and End passes alike.
 	Facts *Facts
 
 	diags *[]Diagnostic
@@ -121,15 +120,6 @@ func (s *State) Set(key string, v interface{}) { s.m[key] = v }
 // suppressions, and returns the surviving diagnostics sorted by
 // position. Packages are visited in sorted Path order.
 func Run(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	diags, _, err := RunWithState(fset, pkgs, analyzers)
-	return diags, err
-}
-
-// RunWithState is Run exposing the run's shared State, so callers can
-// extract module-wide artifacts an analyzer leaves behind — e.g. the
-// sharedstate analyzer's concurrency-readiness inventory, which
-// cmd/progresslint serializes as a machine-readable report.
-func RunWithState(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, *State, error) {
 	sorted := make([]*Package, len(pkgs))
 	copy(sorted, pkgs)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Path < sorted[j].Path })
@@ -140,8 +130,7 @@ func RunWithState(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) (
 	}
 
 	// The interprocedural pre-pass: every Run pass already sees the
-	// whole module's call graph and access index, not just the packages
-	// visited so far.
+	// whole module's call graph, not just the packages visited so far.
 	facts := BuildFacts(fset, sorted)
 
 	state := NewState()
@@ -162,7 +151,7 @@ func RunWithState(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) (
 				diags:     &raw,
 			}
 			if err := a.Run(pass); err != nil {
-				return nil, nil, fmt.Errorf("analysis: %s on %s: %w", a.Name, pkg.Path, err)
+				return nil, fmt.Errorf("analysis: %s on %s: %w", a.Name, pkg.Path, err)
 			}
 		}
 	}
@@ -172,7 +161,7 @@ func RunWithState(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) (
 		}
 		pass := &Pass{Analyzer: a, Fset: fset, State: state, Facts: facts, diags: &raw}
 		if err := a.End(pass); err != nil {
-			return nil, nil, fmt.Errorf("analysis: %s end: %w", a.Name, err)
+			return nil, fmt.Errorf("analysis: %s end: %w", a.Name, err)
 		}
 	}
 
@@ -191,5 +180,5 @@ func RunWithState(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) (
 		}
 		return a.Analyzer < b.Analyzer
 	})
-	return kept, state, nil
+	return kept, nil
 }

@@ -21,16 +21,14 @@ func All() []*analysis.Analyzer {
 		Obsnames,
 		Errwrap,
 		Lockdisc,
-		Sharedstate,
 	}
 }
 
 // enginePackages are the packages whose "time" is the virtual clock:
 // everything that charges work, accounts U, or is replayed by the
-// deterministic fault/chaos harnesses. internal/server and
-// internal/harness intentionally sit outside the list — the daemon's
-// wall-clock latencies and the harness's real-time measurements are
-// about the outside world, not engine time.
+// deterministic fault/chaos harnesses. internal/server intentionally
+// sits outside the list — the daemon's wall-clock latencies are about
+// the outside world, not engine time.
 var enginePackages = []string{
 	"progressdb/internal/storage",
 	"progressdb/internal/exec",

@@ -268,78 +268,6 @@ package fixture
 	}
 }
 
-func TestSharedstateFixture(t *testing.T) {
-	analysis.RunFixture(t, Sharedstate,
-		"progressdb/internal/core",
-		"testdata/sharedstate/vars.go")
-}
-
-// TestSharedstateOutsideScope: the same mutable singletons outside the
-// engine-core packages are out of scope.
-func TestSharedstateOutsideScope(t *testing.T) {
-	analysis.RunSource(t, []*analysis.Analyzer{Sharedstate},
-		"progressdb/internal/harness", "harness_state_fixture.go", `
-package fixture
-
-var cache = map[string]int{}
-
-func remember(k string, v int) { cache[k] = v }
-`)
-}
-
-// TestSharedstateReportInventory pins the inventory a run leaves in the
-// shared State: guards classified, structs sorted into guarded and
-// unguarded.
-func TestSharedstateReportInventory(t *testing.T) {
-	m, err := analysis.FixtureModule()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := m.CheckFiles("progressdb/internal/core", "testdata/sharedstate/vars.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, state, err := analysis.RunWithState(m.Fset, []*analysis.Package{pkg}, []*analysis.Analyzer{Sharedstate})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, ok := SharedStateReport(state)
-	if !ok {
-		t.Fatal("no sharedstate report in the run state")
-	}
-	vars := make(map[string]VarSite)
-	for _, v := range rep.PackageVars {
-		vars[v.Name] = v
-	}
-	for name, guard := range map[string]string{
-		"cache":       "none",
-		"registry":    "none",
-		"defaults":    "none",
-		"once":        "sync",
-		"hits":        "atomic",
-		"initialized": "none",
-	} {
-		v, ok := vars[name]
-		if !ok {
-			t.Errorf("package var %s missing from inventory", name)
-			continue
-		}
-		if v.Guard != guard {
-			t.Errorf("%s: guard=%q, want %q", name, v.Guard, guard)
-		}
-	}
-	structs := make(map[string]StructSite)
-	for _, s := range rep.Structs {
-		structs[s.Type] = s
-	}
-	if s, ok := structs["table"]; !ok || s.Unguarded || len(s.Guards) != 1 {
-		t.Errorf("table inventoried as %+v, want guarded struct with one mutex", s)
-	}
-	if s, ok := structs["cursor"]; !ok || !s.Unguarded {
-		t.Errorf("cursor inventoried as %+v, want unguarded struct", s)
-	}
-}
-
 // TestAllCleanOnFixturelessSource is a smoke check that the full suite
 // coexists on one innocuous package.
 func TestAllCleanOnFixturelessSource(t *testing.T) {

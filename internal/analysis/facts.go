@@ -29,42 +29,6 @@ import (
 	"strconv"
 )
 
-// AccessMode classifies one package-variable access.
-type AccessMode int
-
-const (
-	// ModeRead is a plain read.
-	ModeRead AccessMode = iota
-	// ModeWrite is a plain write (assignment, ++/--, container mutation
-	// through an index expression).
-	ModeWrite
-	// ModeAddr is an address-taking &x: the pointer escapes, so any
-	// access may happen through it.
-	ModeAddr
-)
-
-func (m AccessMode) String() string {
-	switch m {
-	case ModeWrite:
-		return "write"
-	case ModeAddr:
-		return "address-taken"
-	default:
-		return "read"
-	}
-}
-
-// Access is one recorded access to a package-level variable.
-type Access struct {
-	// Key identifies the variable: "pkg.var".
-	Key string
-	// Func is the enclosing function's key; "" for package-level
-	// initializer expressions.
-	Func string
-	Pos  token.Pos
-	Mode AccessMode
-}
-
 // Call is one static call edge.
 type Call struct {
 	Caller string
@@ -84,8 +48,6 @@ type Call struct {
 type Facts struct {
 	// Calls maps a caller key to its call sites, in source order.
 	Calls map[string][]Call
-	// Accesses maps a package-variable key to every access in the run.
-	Accesses map[string][]Access
 	// Funcs holds every function key with a body in the run.
 	Funcs map[string]token.Pos
 
@@ -193,7 +155,6 @@ func BuildFacts(fset *token.FileSet, pkgs []*Package) *Facts {
 
 	f := &Facts{
 		Calls:     make(map[string][]Call),
-		Accesses:  make(map[string][]Access),
 		Funcs:     make(map[string]token.Pos),
 		funcKeyAt: make(map[token.Pos]string),
 	}
@@ -247,7 +208,7 @@ func (b *factsBuilder) file(file *ast.File) {
 					continue
 				}
 				for _, v := range vs.Values {
-					b.inFunc("", func() { b.expr(v, ModeRead) })
+					b.inFunc("", func() { b.expr(v) })
 				}
 			}
 		}
@@ -290,52 +251,52 @@ func (b *factsBuilder) stmt(s ast.Stmt) {
 			b.stmt(st)
 		}
 	case *ast.ExprStmt:
-		b.expr(s.X, ModeRead)
+		b.expr(s.X)
 	case *ast.AssignStmt:
 		for _, l := range s.Lhs {
-			b.assignTarget(l)
+			b.expr(l)
 		}
 		for _, r := range s.Rhs {
-			b.expr(r, ModeRead)
+			b.expr(r)
 		}
 	case *ast.IncDecStmt:
-		b.assignTarget(s.X)
+		b.expr(s.X)
 	case *ast.SendStmt:
-		b.expr(s.Chan, ModeRead)
-		b.expr(s.Value, ModeRead)
+		b.expr(s.Chan)
+		b.expr(s.Value)
 	case *ast.GoStmt:
 		b.call(s.Call, true, false)
 	case *ast.DeferStmt:
 		b.call(s.Call, false, true)
 	case *ast.ReturnStmt:
 		for _, r := range s.Results {
-			b.expr(r, ModeRead)
+			b.expr(r)
 		}
 	case *ast.IfStmt:
 		b.stmt(s.Init)
-		b.expr(s.Cond, ModeRead)
+		b.expr(s.Cond)
 		b.stmt(s.Body)
 		b.stmt(s.Else)
 	case *ast.ForStmt:
 		b.stmt(s.Init)
 		if s.Cond != nil {
-			b.expr(s.Cond, ModeRead)
+			b.expr(s.Cond)
 		}
 		b.stmt(s.Post)
 		b.stmt(s.Body)
 	case *ast.RangeStmt:
 		if s.Key != nil {
-			b.assignTarget(s.Key)
+			b.expr(s.Key)
 		}
 		if s.Value != nil {
-			b.assignTarget(s.Value)
+			b.expr(s.Value)
 		}
-		b.expr(s.X, ModeRead)
+		b.expr(s.X)
 		b.stmt(s.Body)
 	case *ast.SwitchStmt:
 		b.stmt(s.Init)
 		if s.Tag != nil {
-			b.expr(s.Tag, ModeRead)
+			b.expr(s.Tag)
 		}
 		b.stmt(s.Body)
 	case *ast.TypeSwitchStmt:
@@ -346,7 +307,7 @@ func (b *factsBuilder) stmt(s ast.Stmt) {
 		b.stmt(s.Body)
 	case *ast.CaseClause:
 		for _, e := range s.List {
-			b.expr(e, ModeRead)
+			b.expr(e)
 		}
 		for _, st := range s.Body {
 			b.stmt(st)
@@ -363,7 +324,7 @@ func (b *factsBuilder) stmt(s ast.Stmt) {
 			for _, spec := range gd.Specs {
 				if vs, ok := spec.(*ast.ValueSpec); ok {
 					for _, v := range vs.Values {
-						b.expr(v, ModeRead)
+						b.expr(v)
 					}
 				}
 			}
@@ -371,112 +332,52 @@ func (b *factsBuilder) stmt(s ast.Stmt) {
 	}
 }
 
-// assignTarget records the write side of an assignment. Writes through
-// an index expression count against the container (mutating a map or
-// slice element mutates shared state the container owns); writes
-// through a dereferenced pointer only read the pointer.
-func (b *factsBuilder) assignTarget(e ast.Expr) {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		b.ident(e, ModeWrite)
-	case *ast.SelectorExpr:
-		b.sel(e, ModeWrite)
-	case *ast.IndexExpr:
-		b.expr(e.X, ModeWrite)
-		b.expr(e.Index, ModeRead)
-	case *ast.StarExpr:
-		b.expr(e.X, ModeRead)
-	default:
-		b.expr(e, ModeRead)
-	}
-}
-
 // ---- expressions ----
 
-func (b *factsBuilder) expr(e ast.Expr, mode AccessMode) {
+func (b *factsBuilder) expr(e ast.Expr) {
 	switch e := e.(type) {
 	case nil:
-	case *ast.Ident:
-		b.ident(e, mode)
 	case *ast.SelectorExpr:
-		b.sel(e, mode)
+		// A qualified identifier pkg.Name has nothing to walk.
+		if _, ok := b.pkg.Info.Selections[e]; ok {
+			b.expr(e.X)
+		}
 	case *ast.CallExpr:
 		b.call(e, false, false)
 	case *ast.FuncLit:
 		b.funcLit(e, false)
 	case *ast.UnaryExpr:
-		if e.Op == token.AND {
-			b.addrOf(e.X)
-			return
-		}
-		b.expr(e.X, ModeRead)
+		b.expr(e.X)
 	case *ast.StarExpr:
-		b.expr(e.X, ModeRead)
+		b.expr(e.X)
 	case *ast.ParenExpr:
-		b.expr(e.X, mode)
+		b.expr(e.X)
 	case *ast.IndexExpr:
-		b.expr(e.X, mode)
-		b.expr(e.Index, ModeRead)
+		b.expr(e.X)
+		b.expr(e.Index)
 	case *ast.IndexListExpr:
-		b.expr(e.X, mode)
+		b.expr(e.X)
 		for _, i := range e.Indices {
-			b.expr(i, ModeRead)
+			b.expr(i)
 		}
 	case *ast.SliceExpr:
-		b.expr(e.X, ModeRead)
-		b.expr(e.Low, ModeRead)
-		b.expr(e.High, ModeRead)
-		b.expr(e.Max, ModeRead)
+		b.expr(e.X)
+		b.expr(e.Low)
+		b.expr(e.High)
+		b.expr(e.Max)
 	case *ast.TypeAssertExpr:
-		b.expr(e.X, ModeRead)
+		b.expr(e.X)
 	case *ast.BinaryExpr:
-		b.expr(e.X, ModeRead)
-		b.expr(e.Y, ModeRead)
+		b.expr(e.X)
+		b.expr(e.Y)
 	case *ast.KeyValueExpr:
-		b.expr(e.Key, ModeRead)
-		b.expr(e.Value, ModeRead)
+		b.expr(e.Key)
+		b.expr(e.Value)
 	case *ast.CompositeLit:
 		for _, elt := range e.Elts {
-			b.expr(elt, ModeRead)
+			b.expr(elt)
 		}
 	}
-}
-
-// addrOf records &target as an address-taken access.
-func (b *factsBuilder) addrOf(e ast.Expr) {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		b.ident(e, ModeAddr)
-	case *ast.SelectorExpr:
-		b.sel(e, ModeAddr)
-	default:
-		b.expr(e, ModeRead)
-	}
-}
-
-// ident records an access if the identifier names a package-level
-// variable (of any package in or out of the run).
-func (b *factsBuilder) ident(e *ast.Ident, mode AccessMode) {
-	obj := b.pkg.Info.Uses[e]
-	if obj == nil {
-		obj = b.pkg.Info.Defs[e]
-	}
-	v, ok := obj.(*types.Var)
-	if !ok || v.Pkg() == nil || v.Parent() != v.Pkg().Scope() {
-		return
-	}
-	key := v.Pkg().Path() + "." + v.Name()
-	b.facts.Accesses[key] = append(b.facts.Accesses[key], Access{Key: key, Func: b.fn, Pos: e.Pos(), Mode: mode})
-}
-
-// sel walks a selector: the base of a field or method selection is a
-// read; a qualified identifier pkg.Name may itself be a package variable.
-func (b *factsBuilder) sel(e *ast.SelectorExpr, mode AccessMode) {
-	if _, ok := b.pkg.Info.Selections[e]; ok {
-		b.expr(e.X, ModeRead)
-		return
-	}
-	b.ident(e.Sel, mode)
 }
 
 // ---- calls ----
@@ -488,7 +389,7 @@ func (b *factsBuilder) call(call *ast.CallExpr, goLaunch, deferred bool) {
 	// Conversions: T(x) walks x and records no edge.
 	if tv, ok := info.Types[fun]; ok && tv.IsType() {
 		for _, a := range call.Args {
-			b.expr(a, ModeRead)
+			b.expr(a)
 		}
 		return
 	}
@@ -518,7 +419,7 @@ func (b *factsBuilder) call(call *ast.CallExpr, goLaunch, deferred bool) {
 					}
 				}
 			}
-			b.expr(fn.X, ModeRead)
+			b.expr(fn.X)
 			b.callArgs(call)
 			return
 		}
@@ -526,19 +427,19 @@ func (b *factsBuilder) call(call *ast.CallExpr, goLaunch, deferred bool) {
 		if f, ok := info.Uses[fn.Sel].(*types.Func); ok {
 			b.edge(f, call, goLaunch, deferred)
 		} else {
-			b.expr(fn, ModeRead) // function-typed package var: dynamic
+			b.expr(fn) // function-typed package var: dynamic
 		}
 		b.callArgs(call)
 		return
 	}
 	// Dynamic call through an arbitrary expression.
-	b.expr(fun, ModeRead)
+	b.expr(fun)
 	b.callArgs(call)
 }
 
 func (b *factsBuilder) callArgs(call *ast.CallExpr) {
 	for _, a := range call.Args {
-		b.expr(a, ModeRead)
+		b.expr(a)
 	}
 }
 

@@ -5,12 +5,12 @@ import (
 	"testing"
 )
 
-// TestFactsCallGraphAndAccess pins the fact-store key scheme and edge
-// semantics on a synthetic package: FullName keys for functions and
-// methods, $litN keys for literals, go-launch edges excluded from
-// synchronous reachability, interface calls devirtualized to structural
-// implementors, and the package-variable access index with modes.
-func TestFactsCallGraphAndAccess(t *testing.T) {
+// TestFactsCallGraph pins the fact-store key scheme and edge semantics
+// on a synthetic package: FullName keys for functions and methods,
+// $litN keys for literals, go-launch edges excluded from synchronous
+// reachability, interface calls devirtualized to structural
+// implementors.
+func TestFactsCallGraph(t *testing.T) {
 	m, err := FixtureModule()
 	if err != nil {
 		t.Fatal(err)
@@ -89,18 +89,6 @@ func lits() {
 			implKey, facts.Calls[path+".callIface"], facts.Calls[ifaceKey])
 	}
 
-	// The access index records the package-variable write with its
-	// enclosing function, and nothing for the struct field beside it.
-	accesses := facts.Accesses[path+".bumps"]
-	if len(accesses) != 1 {
-		t.Fatalf("bumps accesses = %v, want exactly one", accesses)
-	}
-	if a := accesses[0]; a.Mode != ModeWrite || a.Func != implKey {
-		t.Errorf("bumps access = %+v, want write inside %s", a, implKey)
-	}
-	if len(facts.Accesses) != 1 {
-		t.Errorf("access index = %v, want only the package variable", facts.Accesses)
-	}
 }
 
 // TestFactsModuleWide builds facts over the real module and checks the
@@ -113,9 +101,8 @@ func TestFactsModuleWide(t *testing.T) {
 		t.Fatal(err)
 	}
 	facts := BuildFacts(m.Fset, m.Packages)
-	if len(facts.Funcs) == 0 || len(facts.Calls) == 0 || len(facts.Accesses) == 0 {
-		t.Fatalf("empty fact store over the module: %d funcs, %d callers, %d access keys",
-			len(facts.Funcs), len(facts.Calls), len(facts.Accesses))
+	if len(facts.Funcs) == 0 || len(facts.Calls) == 0 {
+		t.Fatalf("empty fact store over the module: %d funcs, %d callers", len(facts.Funcs), len(facts.Calls))
 	}
 	for key, pos := range facts.Funcs {
 		if got := facts.FuncKeyAt(pos); got != key {

@@ -47,11 +47,6 @@ type Options struct {
 	// exponentially decayed average of window speeds — the smoothing the
 	// paper suggests as future work in Section 4.6. 0 disables it.
 	DecayAlpha float64
-	// OptimizerBytesPerSec is the unloaded-system processing rate the
-	// trivial optimizer-only baseline assumes (the paper's dotted line:
-	// estimated I/Os ÷ assumed disk speed). If 0 it is derived from the
-	// clock's sequential page cost.
-	OptimizerBytesPerSec float64
 	// PerSegmentSpeed enables the Section 4.6 future-work refinement:
 	// instead of dividing all remaining U by the single observed speed,
 	// future segments are timed with a predicted per-segment rate (from
@@ -60,9 +55,6 @@ type Options struct {
 	// I/O-bound running segment makes the naive conversion overestimate
 	// a fast memory-bound successor.
 	PerSegmentSpeed bool
-	// MemSpeedup is the assumed ratio of memory-resident to sequential-
-	// disk byte processing rates for PerSegmentSpeed (default 8).
-	MemSpeedup float64
 	// Estimator selects the current-segment output estimator; the
 	// default is the paper's blend. The alternatives exist for ablation
 	// (see bench_test.go).
@@ -93,7 +85,11 @@ const (
 	EstimatorLinear
 )
 
-func (o Options) withDefaults(clock *vclock.Clock) Options {
+// memSpeedup is the assumed ratio of memory-resident to sequential-disk
+// byte processing rates for PerSegmentSpeed.
+const memSpeedup = 8
+
+func (o Options) withDefaults() Options {
 	if o.UpdatePeriod <= 0 {
 		o.UpdatePeriod = 10
 	}
@@ -103,17 +99,18 @@ func (o Options) withDefaults(clock *vclock.Clock) Options {
 	if o.SamplePeriod <= 0 {
 		o.SamplePeriod = 1
 	}
-	if o.OptimizerBytesPerSec <= 0 {
-		if c := clock.Costs().SeqPage; c > 0 {
-			o.OptimizerBytesPerSec = storage.PageSize / c
-		} else {
-			o.OptimizerBytesPerSec = storage.PageSize * 1000
-		}
-	}
-	if o.MemSpeedup <= 0 {
-		o.MemSpeedup = 8
-	}
 	return o
+}
+
+// optimizerBytesPerSec is the unloaded-system processing rate the
+// trivial optimizer-only baseline assumes (the paper's dotted line:
+// estimated I/Os ÷ assumed disk speed): one page per sequential page
+// cost of the clock.
+func (ind *Indicator) optimizerBytesPerSec() float64 {
+	if c := ind.clock.Costs().SeqPage; c > 0 {
+		return storage.PageSize / c
+	}
+	return storage.PageSize * 1000
 }
 
 // Snapshot is one refresh of the progress display (the paper's Figure 2
@@ -231,7 +228,7 @@ func New(clock *vclock.Clock, decomp *segment.Decomposition, opts Options) *Indi
 	ind := &Indicator{
 		clock:  clock,
 		decomp: decomp,
-		opts:   opts.withDefaults(clock),
+		opts:   opts.withDefaults(),
 	}
 	for _, s := range decomp.Segments {
 		ind.segs = append(ind.segs, &segState{
@@ -549,7 +546,7 @@ func (ind *Indicator) remainingSeconds(est estimation, speed float64) float64 {
 		return (est.totalBytes - ind.totalDone) / speed
 	}
 	ioTPB := ind.clock.Costs().SeqPage / storage.PageSize // seconds per byte from disk
-	memTPB := ioTPB / ind.opts.MemSpeedup
+	memTPB := ioTPB / memSpeedup
 	pred := func(i int) float64 {
 		s := est.ioShare[i]
 		return s*ioTPB + (1-s)*memTPB
@@ -721,7 +718,7 @@ func (ind *Indicator) buildSnapshot() Snapshot {
 	if n := len(ind.segs); n > 0 {
 		snap.StepPercent = 100 * float64(done) / float64(n)
 	}
-	optTotal := ind.initTotalBytes / ind.opts.OptimizerBytesPerSec
+	optTotal := ind.initTotalBytes / ind.optimizerBytesPerSec()
 	snap.OptimizerRemainingSeconds = math.Max(0, optTotal-snap.Elapsed)
 	return snap
 }

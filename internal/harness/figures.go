@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"progressdb/internal/core"
@@ -99,15 +98,6 @@ func (s *Session) Result(e Experiment) (*RunResult, error) {
 	}
 	s.cache[key] = res
 	return res, nil
-}
-
-// Figure runs e and extracts its figure.
-func (s *Session) Figure(e Experiment) (*Figure, error) {
-	res, err := s.Result(e)
-	if err != nil {
-		return nil, err
-	}
-	return ExtractFigure(e, res), nil
 }
 
 // ExtractFigure builds the figure series from a run.
@@ -263,12 +253,45 @@ func ExperimentByID(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// SortedIDs returns all experiment IDs in order.
-func SortedIDs() []string {
-	ids := make([]string, len(Experiments))
-	for i, e := range Experiments {
-		ids[i] = e.ID
+// Table1ID names the one artefact of results/ that is not a figure.
+const Table1ID = "table1"
+
+// IDs lists every artefact of results/ in the order cmd/experiments
+// writes them: Table 1, then the figures.
+func IDs() []string {
+	ids := []string{Table1ID}
+	for _, e := range Experiments {
+		ids = append(ids, e.ID)
 	}
-	sort.Strings(ids)
 	return ids
+}
+
+// Artifact is one regenerated file of results/: its name there and its
+// exact bytes, plus — for a figure — the experiment, run and series it
+// was rendered from.
+type Artifact struct {
+	File, Text string
+	Exp        Experiment
+	Run        *RunResult // nil for Table 1
+	Fig        *Figure    // nil for Table 1
+}
+
+// Render regenerates one artefact of results/. cmd/experiments writes
+// what this returns and the golden test compares it with what is
+// committed, so the two cannot drift apart.
+func (s *Session) Render(id string) (*Artifact, error) {
+	if id == Table1ID {
+		text, err := s.Runner.Table1()
+		return &Artifact{File: "table1.txt", Text: text}, err
+	}
+	e, ok := ExperimentByID(id)
+	if !ok {
+		return nil, fmt.Errorf("harness: no experiment %q (valid: %s)", id, strings.Join(IDs(), " "))
+	}
+	res, err := s.Result(e)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", id, err)
+	}
+	fig := ExtractFigure(e, res)
+	return &Artifact{File: id + ".csv", Text: fig.CSV(), Exp: e, Run: res, Fig: fig}, nil
 }

@@ -1,7 +1,8 @@
 // Package harness reproduces the paper's evaluation (Section 5): it runs
 // Q1–Q5 under unloaded, I/O-interference, and CPU-interference scenarios
-// and extracts the series behind every figure (4–7, 9–20), plus Table 1
-// and the <1% overhead claim.
+// and extracts the series behind every figure (4–7, 9–20), plus Table 1.
+// Everything it reports is on the virtual ledger, so every number is
+// the same on every run and results/ pins it byte for byte.
 //
 // All times are virtual seconds. The clock's base costs are divided by
 // the data scale so that the time axes remain comparable to the paper's
@@ -13,7 +14,6 @@ package harness
 
 import (
 	"fmt"
-	"time"
 
 	"progressdb/internal/catalog"
 	"progressdb/internal/core"
@@ -115,9 +115,6 @@ type RunResult struct {
 	// ExactCostU is the true query cost (work done at completion).
 	ExactCostU float64
 	Rows       int64
-	// WallSeconds is real (not virtual) execution time, for overhead
-	// reporting.
-	WallSeconds float64
 	// Interference bounds in elapsed virtual seconds (zero if unloaded).
 	InterfStart, InterfEnd float64
 }
@@ -144,24 +141,60 @@ func (r Runner) newEngine(correlated bool) (*engine, error) {
 	return &engine{clock: clock, cat: cat, ds: ds}, nil
 }
 
+// compile loads a fresh engine and takes sql through parse →
+// optimizer.Plan → segment.Decompose on it: everything a run or a
+// probe needs before the first page is read.
+func (r Runner) compile(sql string, correlated bool, forceAlgo string) (*engine, plan.Node, *segment.Decomposition, error) {
+	eng, err := r.newEngine(correlated)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	stmt, err := sqlparser.Parse(sql)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	p, err := optimizer.Plan(eng.cat, stmt, optimizer.Options{
+		WorkMemPages:  r.WorkMemPages,
+		ForceJoinAlgo: forceAlgo,
+	})
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return eng, p, segment.Decompose(p, r.WorkMemPages), nil
+}
+
+// compileQuery is compile for workload query q (1–5); Q3 uses the
+// correlated orders data, as in the paper.
+func (r Runner) compileQuery(q int) (*engine, plan.Node, *segment.Decomposition, error) {
+	sql, err := workload.QuerySQL(q)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return r.compile(sql, q == 3, "")
+}
+
 // Run executes query q (1–5) under the given interference and returns
 // the collected snapshots and ground truth. Q3 automatically uses the
 // correlated orders data, as in the paper.
 func (r Runner) Run(q int, interf Interference) (*RunResult, error) {
 	r = r.withDefaults()
+	sql, err := workload.QuerySQL(q)
+	if err != nil {
+		return nil, err
+	}
 	correlated := q == 3
 
 	// Interference timing is relative to the unloaded duration; measure
 	// that first on an identical engine when needed.
 	var unloadedD float64
 	if interf.Kind != "" {
-		res, err := r.runOnce(q, correlated, nil, 0)
+		res, err := r.runSQL(sql, q, correlated, "", nil, 0)
 		if err != nil {
 			return nil, fmt.Errorf("harness: unloaded calibration run: %w", err)
 		}
 		unloadedD = res.ActualSeconds
 	}
-	return r.runOnce(q, correlated, &interf, unloadedD)
+	return r.runSQL(sql, q, correlated, "", &interf, unloadedD)
 }
 
 // RunSMJ runs a customer⋈orders join with a forced sort-merge join —
@@ -174,27 +207,8 @@ func (r Runner) RunSMJ() (*RunResult, error) {
 		0, false, "merge", nil, 0)
 }
 
-func (r Runner) runOnce(q int, correlated bool, interf *Interference, unloadedD float64) (*RunResult, error) {
-	sql, err := workload.QuerySQL(q)
-	if err != nil {
-		return nil, err
-	}
-	return r.runSQL(sql, q, correlated, "", interf, unloadedD)
-}
-
 func (r Runner) runSQL(sql string, q int, correlated bool, forceAlgo string, interf *Interference, unloadedD float64) (*RunResult, error) {
-	eng, err := r.newEngine(correlated)
-	if err != nil {
-		return nil, err
-	}
-	stmt, err := sqlparser.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	p, err := optimizer.Plan(eng.cat, stmt, optimizer.Options{
-		WorkMemPages:  r.WorkMemPages,
-		ForceJoinAlgo: forceAlgo,
-	})
+	eng, p, d, err := r.compile(sql, correlated, forceAlgo)
 	if err != nil {
 		return nil, err
 	}
@@ -231,7 +245,6 @@ func (r Runner) runSQL(sql string, q int, correlated bool, forceAlgo string, int
 		res.InterfEnd = e - start
 	}
 
-	d := segment.Decompose(p, r.WorkMemPages)
 	ind := core.New(eng.clock, d, core.Options{
 		UpdatePeriod:    r.UpdatePeriod,
 		SpeedWindow:     r.SpeedWindow,
@@ -249,12 +262,10 @@ func (r Runner) runSQL(sql string, q int, correlated bool, forceAlgo string, int
 		Reporter:     ind,
 		Decomp:       d,
 	}
-	wallStart := time.Now()
 	rows, err := exec.Run(env, p, nil)
 	if err != nil {
 		return nil, fmt.Errorf("harness: Q%d: %w", q, err)
 	}
-	res.WallSeconds = time.Since(wallStart).Seconds()
 	res.Rows = rows
 	res.ActualSeconds = eng.clock.Now() - start
 	res.Snapshots = ind.Snapshots()
@@ -271,30 +282,6 @@ func scenarioName(interf *Interference) string {
 	return interf.Kind + "-interference"
 }
 
-// Plan compiles a workload query for inspection (EXPLAIN-style output in
-// cmd/experiments).
-func (r Runner) Plan(q int) (string, error) {
-	r = r.withDefaults()
-	eng, err := r.newEngine(q == 3)
-	if err != nil {
-		return "", err
-	}
-	sql, err := workload.QuerySQL(q)
-	if err != nil {
-		return "", err
-	}
-	stmt, err := sqlparser.Parse(sql)
-	if err != nil {
-		return "", err
-	}
-	p, err := optimizer.Plan(eng.cat, stmt, optimizer.Options{WorkMemPages: r.WorkMemPages})
-	if err != nil {
-		return "", err
-	}
-	d := segment.Decompose(p, r.WorkMemPages)
-	return plan.Format(p) + "\n" + d.String(), nil
-}
-
 // Table1 loads the data set and renders the paper's Table 1.
 func (r Runner) Table1() (string, error) {
 	r = r.withDefaults()
@@ -305,35 +292,13 @@ func (r Runner) Table1() (string, error) {
 	return eng.ds.Table1(eng.cat)
 }
 
-// overheadSetup loads one engine and plans and decomposes query q on it:
-// what OverheadProbe keeps outside its timed region.
-func (r Runner) overheadSetup(q int) (*engine, plan.Node, *segment.Decomposition, error) {
-	eng, err := r.newEngine(q == 3)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	sql, err := workload.QuerySQL(q)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	stmt, err := sqlparser.Parse(sql)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	p, err := optimizer.Plan(eng.cat, stmt, optimizer.Options{WorkMemPages: r.WorkMemPages})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return eng, p, segment.Decompose(p, r.WorkMemPages), nil
-}
-
 // OverheadProbe prepares one engine and plan for query q and returns a
-// function that executes the query once, with or without the indicator —
-// the benchmark form of Overhead (the per-run setup stays outside the
-// timed region).
+// function that executes the query once, with or without the indicator:
+// what bench/ times for core.indicator_wall_ratio, the per-run setup
+// kept outside the timed region.
 func (r Runner) OverheadProbe(q int) (func(withIndicator bool) error, error) {
 	r = r.withDefaults()
-	eng, p, d, err := r.overheadSetup(q)
+	eng, p, d, err := r.compileQuery(q)
 	if err != nil {
 		return nil, err
 	}
@@ -352,29 +317,4 @@ func (r Runner) OverheadProbe(q int) (func(withIndicator bool) error, error) {
 		_, err := exec.Run(env, p, nil)
 		return err
 	}, nil
-}
-
-// Overhead measures the real (wall-clock) cost of the progress indicator
-// by running query q iters times with and without the reporter, returning
-// the two wall totals. The paper reports <1%; exact numbers vary by
-// machine, so this is for reporting (cmd/experiments), not for gating.
-func (r Runner) Overhead(q int, iters int) (withSec, withoutSec float64, err error) {
-	probe, err := r.OverheadProbe(q)
-	if err != nil {
-		return 0, 0, err
-	}
-	for i := 0; i < iters; i++ {
-		for _, with := range []bool{true, false} {
-			t0 := time.Now()
-			if err := probe(with); err != nil {
-				return 0, 0, err
-			}
-			if d := time.Since(t0).Seconds(); with {
-				withSec += d
-			} else {
-				withoutSec += d
-			}
-		}
-	}
-	return withSec, withoutSec, nil
 }

@@ -2,12 +2,15 @@ package harness
 
 import (
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
 	"progressdb/internal/core"
 	"progressdb/internal/exec"
+	"progressdb/internal/plan"
 	"progressdb/internal/segment"
 )
 
@@ -366,10 +369,11 @@ func TestFig20Q5CPUInterference(t *testing.T) {
 func TestFigureExtractionAndRendering(t *testing.T) {
 	s := session(t)
 	for _, e := range Experiments {
-		fig, err := s.Figure(e)
+		a, err := s.Render(e.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
+		fig := a.Fig
 		if len(fig.Series) == 0 || len(fig.Series[0].X) == 0 {
 			t.Fatalf("%s: empty figure", e.ID)
 		}
@@ -388,8 +392,60 @@ func TestFigureExtractionAndRendering(t *testing.T) {
 	if _, ok := ExperimentByID("nope"); ok {
 		t.Fatal("unknown id must not resolve")
 	}
-	if len(SortedIDs()) != len(Experiments) {
-		t.Fatal("SortedIDs wrong length")
+	if ids := IDs(); len(ids) != len(Experiments)+1 || ids[0] != Table1ID {
+		t.Fatalf("IDs() = %v, want table1 then every figure", ids)
+	}
+	if _, err := s.Render("nope"); err == nil || !strings.Contains(err.Error(), "fig20") {
+		t.Fatalf("Render of an unknown id: %v, want an error listing the valid ids", err)
+	}
+}
+
+// TestResultsGolden: results/ is the virtual ledger, so it reproduces
+// byte for byte. Table 1 and all sixteen figures, rendered from the
+// session the shape tests share (the scale and seed results/ was
+// written at) through the function cmd/experiments writes them with,
+// must equal the committed files — and results/ must hold nothing else.
+func TestResultsGolden(t *testing.T) {
+	const dir, rewrite = "../../results", "go run ./cmd/experiments -outdir results"
+	s := session(t)
+	files := map[string]bool{}
+	for _, id := range IDs() {
+		a, err := s.Render(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		file, got := a.File, a.Text
+		files[file] = true
+		want, err := os.ReadFile(filepath.Join(dir, file))
+		if err != nil {
+			t.Errorf("%v; rewrite with: %s", err, rewrite)
+			continue
+		}
+		if got == string(want) {
+			continue
+		}
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		n := 0
+		for n < len(gl) && n < len(wl) && gl[n] == wl[n] {
+			n++
+		}
+		line := func(ls []string) string {
+			if n < len(ls) {
+				return ls[n]
+			}
+			return "<end of file>"
+		}
+		t.Errorf("results/%s differs at line %d:\n  generated: %s\n  committed: %s\nif the change is intended, rewrite with: %s",
+			file, n+1, line(gl), line(wl), rewrite)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if !files[e.Name()] {
+			t.Errorf("results/%s is not an artefact %q writes: results/ holds the virtual ledger only", e.Name(), rewrite)
+		}
 	}
 }
 
@@ -404,10 +460,11 @@ func TestTable1AndPlan(t *testing.T) {
 			t.Fatalf("Table1 missing %s:\n%s", want, tbl)
 		}
 	}
-	pl, err := r.Plan(2)
+	_, p, d, err := r.withDefaults().compileQuery(2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	pl := plan.Format(p) + "\n" + d.String()
 	if !strings.Contains(pl, "SeqScan lineitem") || !strings.Contains(pl, "[dominant]") {
 		t.Fatalf("Plan(2) output:\n%s", pl)
 	}
@@ -460,7 +517,7 @@ func (c *countingReporter) SegmentDone(seg int) {
 // core.reporter_call_ns / core.indicator_modelled_pct.
 func TestOverheadSmall(t *testing.T) {
 	r := Runner{Scale: 0.01, Seed: 1}.withDefaults()
-	eng, p, d, err := r.overheadSetup(2)
+	eng, p, d, err := r.compileQuery(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,6 +546,7 @@ func TestOverheadSmall(t *testing.T) {
 	if calls < baseRows || calls > 4*baseRows {
 		t.Fatalf("reporter calls = %d for %d base tuples, want between 1 and 4 per tuple", calls, baseRows)
 	}
+	t.Logf("Q2: %d reporter calls for %d base tuples (%.2f per tuple)", calls, baseRows, float64(calls)/float64(baseRows))
 	done := ind.Current().DoneU
 	run(nil)
 	if cr.n != calls || ind.Current().DoneU != done {

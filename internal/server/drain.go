@@ -4,7 +4,7 @@
 // stragglers at their next executor safe point. Terminal transitions go
 // through the ledger's one terminal transition like every other ending,
 // so each drained query still publishes exactly one terminal SSE event
-// and lands in the history store exactly once.
+// and leaves its history profile exactly once.
 package server
 
 import (

@@ -1,89 +1,20 @@
-// Package history is the observability plane's per-query profile
-// store: a bounded, newest-terminal-first record of every query that
-// reached a terminal state, retaining the full progress-event ledger,
-// the per-segment estimated-vs-actual figures, engine counter deltas,
-// and the trace span tree.
-//
-// The paper's indicator is something a user watches live; König et
-// al.'s critique (judging an estimator needs the whole progress-vs-time
-// trajectory of *completed* queries) is why finished queries must leave
-// a profile behind instead of evaporating with their SSE stream. The
-// store is bounded because progressd is long-running: profiles carry
-// whole event ledgers, so an unbounded map is a slow memory leak. When
-// full, the oldest terminal profile is evicted — the retained set is
-// always the N most recently finished queries.
-//
-// Profiles are immutable once added; the store hands out the same
-// pointer to every reader, which is what makes concurrent dashboard
-// paging cheap.
+// Package history ranks and summarizes the profiles finished queries
+// leave behind. The paper's indicator is something a user watches live;
+// König et al.'s critique (judging an estimator needs the whole
+// progress-vs-time trajectory of *completed* queries) is why a finished
+// query keeps a profile instead of evaporating with its SSE stream. The
+// profiles themselves live on the server's job ledger, which bounds
+// them; what is here is pure functions over them.
 package history
 
 import (
-	"sync"
+	"cmp"
+	"slices"
 
 	"progressdb/client"
 )
 
-// Store is a bounded, concurrency-safe profile store.
-type Store struct {
-	mu       sync.RWMutex
-	capacity int
-	byID     map[string]*client.QueryProfile
-	order    []*client.QueryProfile // newest terminal first
-}
-
-// New creates a store bounded to capacity profiles (minimum 1).
-func New(capacity int) *Store {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Store{capacity: capacity, byID: make(map[string]*client.QueryProfile)}
-}
-
-// Capacity returns the store's bound.
-func (s *Store) Capacity() int { return s.capacity }
-
-// Len returns the number of retained profiles.
-func (s *Store) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.order)
-}
-
-// Add retains p, evicting the oldest profile when the store is full.
-// The caller must not mutate p afterwards. A profile whose query ID is
-// already retained replaces the old entry (terminal transitions are
-// exactly-once upstream, so this only happens if an ID is reused).
-func (s *Store) Add(p *client.QueryProfile) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	id := p.Query.ID
-	if old, ok := s.byID[id]; ok {
-		for i, q := range s.order {
-			if q == old {
-				s.order = append(s.order[:i], s.order[i+1:]...)
-				break
-			}
-		}
-	}
-	s.byID[id] = p
-	s.order = append([]*client.QueryProfile{p}, s.order...)
-	for len(s.order) > s.capacity {
-		evicted := s.order[len(s.order)-1]
-		s.order = s.order[:len(s.order)-1]
-		delete(s.byID, evicted.Query.ID)
-	}
-}
-
-// Get returns the retained profile for id, if any.
-func (s *Store) Get(id string) (*client.QueryProfile, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	p, ok := s.byID[id]
-	return p, ok
-}
-
-// Sort orders for List.
+// Sort orders for Rank.
 const (
 	// SortFinished ranks newest-terminal-first (the default).
 	SortFinished = "finished"
@@ -94,27 +25,24 @@ const (
 	SortQError = "qerror"
 )
 
-// List returns ranked summaries of the retained profiles. sortBy is one
-// of the Sort constants (unknown values fall back to SortFinished);
-// limit caps the result length (<= 0 means all retained).
-func (s *Store) List(sortBy string, limit int) []client.HistorySummary {
-	s.mu.RLock()
-	profiles := append([]*client.QueryProfile(nil), s.order...)
-	s.mu.RUnlock()
-
+// Rank returns ranked summaries of profiles, which arrive newest-
+// terminal-first. sortBy is one of the Sort constants (unknown values
+// fall back to SortFinished); equal keys keep their newest-first order;
+// limit caps the result length (<= 0 means all).
+func Rank(profiles []*client.QueryProfile, sortBy string, limit int) []client.HistorySummary {
 	out := make([]client.HistorySummary, 0, len(profiles))
 	for _, p := range profiles {
 		out = append(out, Summarize(p))
 	}
 	switch sortBy {
 	case SortDuration:
-		stableSort(out, func(a, b client.HistorySummary) bool { return a.VirtualSecs > b.VirtualSecs })
-	case SortQError:
-		stableSort(out, func(a, b client.HistorySummary) bool {
-			return a.MeanRemainingQError > b.MeanRemainingQError
+		slices.SortStableFunc(out, func(a, b client.HistorySummary) int {
+			return cmp.Compare(b.VirtualSecs, a.VirtualSecs)
 		})
-	default:
-		// Already newest-terminal-first by construction.
+	case SortQError:
+		slices.SortStableFunc(out, func(a, b client.HistorySummary) int {
+			return cmp.Compare(b.MeanRemainingQError, a.MeanRemainingQError)
+		})
 	}
 	if limit > 0 && len(out) > limit {
 		out = out[:limit]
@@ -122,20 +50,9 @@ func (s *Store) List(sortBy string, limit int) []client.HistorySummary {
 	return out
 }
 
-// stableSort is insertion sort: result sets are bounded by the store
-// capacity (hundreds), and stability keeps equal-keyed profiles in
-// their newest-first order.
-func stableSort(s []client.HistorySummary, less func(a, b client.HistorySummary) bool) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && less(s[j], s[j-1]); j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
 // Summarize reduces a profile to its listing row.
 func Summarize(p *client.QueryProfile) client.HistorySummary {
-	sum := client.HistorySummary{
+	return client.HistorySummary{
 		ID:                  p.Query.ID,
 		Name:                p.Query.Name,
 		State:               p.Query.State,
@@ -146,7 +63,6 @@ func Summarize(p *client.QueryProfile) client.HistorySummary {
 		MeanRemainingQError: MeanQError(p.RemainingQError),
 		Error:               p.Query.Error,
 	}
-	return sum
 }
 
 // MeanQError averages the defined (>= 1) entries of a q-error

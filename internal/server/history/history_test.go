@@ -1,8 +1,6 @@
 package history
 
 import (
-	"fmt"
-	"sync"
 	"testing"
 
 	"progressdb/client"
@@ -22,46 +20,33 @@ func profile(id string, finishedMS int64, vsecs float64, qerrs ...float64) *clie
 	}
 }
 
-func TestEvictionKeepsNewestTerminalFirst(t *testing.T) {
-	s := New(3)
-	for i := 1; i <= 5; i++ {
-		s.Add(profile(fmt.Sprintf("q%d", i), int64(i*1000), float64(i)))
-	}
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", s.Len())
-	}
-	got := s.List(SortFinished, 0)
-	want := []string{"q5", "q4", "q3"}
-	for i, w := range want {
-		if got[i].ID != w {
-			t.Fatalf("List[%d] = %s, want %s (full: %+v)", i, got[i].ID, w, got)
-		}
-	}
-	for _, evicted := range []string{"q1", "q2"} {
-		if _, ok := s.Get(evicted); ok {
-			t.Fatalf("%s should have been evicted", evicted)
-		}
-	}
-	if _, ok := s.Get("q4"); !ok {
-		t.Fatal("q4 should be retained")
-	}
-}
-
 func TestRankedListings(t *testing.T) {
-	s := New(8)
-	s.Add(profile("fast", 1000, 5, 1.1, 1.2))
-	s.Add(profile("slow", 2000, 500, 1.05))
-	s.Add(profile("wrong", 3000, 50, 9, 11))
-	byDur := s.List(SortDuration, 0)
-	if byDur[0].ID != "slow" {
-		t.Fatalf("duration rank = %s, want slow", byDur[0].ID)
+	// Newest terminal first, as the ledger hands them over.
+	ps := []*client.QueryProfile{
+		profile("wrong", 3000, 50, 9, 11),
+		profile("slow", 2000, 500, 1.05),
+		profile("fast", 1000, 5, 1.1, 1.2),
+		profile("fast2", 500, 5),
 	}
-	byQ := s.List(SortQError, 2)
+	byFin := Rank(ps, SortFinished, 0)
+	for i, want := range []string{"wrong", "slow", "fast", "fast2"} {
+		if byFin[i].ID != want {
+			t.Fatalf("finished rank[%d] = %s, want %s", i, byFin[i].ID, want)
+		}
+	}
+	byDur := Rank(ps, SortDuration, 0)
+	if byDur[0].ID != "slow" || byDur[2].ID != "fast" || byDur[3].ID != "fast2" {
+		t.Fatalf("duration rank = %+v, want slow first and the tie newest-first", byDur)
+	}
+	byQ := Rank(ps, SortQError, 2)
 	if len(byQ) != 2 || byQ[0].ID != "wrong" {
 		t.Fatalf("qerror rank = %+v, want wrong first, 2 entries", byQ)
 	}
 	if got := byQ[0].MeanRemainingQError; got != 10 {
 		t.Fatalf("mean q-error = %g, want 10", got)
+	}
+	if ps[0].Query.ID != "wrong" {
+		t.Fatal("Rank reordered its input")
 	}
 }
 
@@ -72,68 +57,4 @@ func TestMeanQErrorUndefined(t *testing.T) {
 	if got := MeanQError([]float64{-1, -1}); got != -1 {
 		t.Fatalf("MeanQError(all undefined) = %g, want -1", got)
 	}
-}
-
-func TestReplaceSameID(t *testing.T) {
-	s := New(4)
-	s.Add(profile("q1", 1000, 1))
-	s.Add(profile("q2", 2000, 2))
-	s.Add(profile("q1", 3000, 3))
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d, want 2 after replace", s.Len())
-	}
-	p, _ := s.Get("q1")
-	if p.Query.FinishedAtMS != 3000 {
-		t.Fatal("replacement must win")
-	}
-	if got := s.List(SortFinished, 0)[0].ID; got != "q1" {
-		t.Fatalf("newest first = %s, want q1", got)
-	}
-}
-
-// TestConcurrentAddList hammers the store from writers and readers
-// under -race; invariants: Len never exceeds capacity, every listed
-// profile Gets successfully.
-func TestConcurrentAddList(t *testing.T) {
-	s := New(16)
-	var readers, writers sync.WaitGroup
-	stop := make(chan struct{})
-	for r := 0; r < 4; r++ {
-		readers.Add(1)
-		go func() {
-			defer readers.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				// A listed profile may be evicted before the Get (writers
-				// race with us) — exercise both paths, assert only that a
-				// still-present profile round-trips intact.
-				for _, sum := range s.List(SortFinished, 0) {
-					if p, ok := s.Get(sum.ID); ok && p.Query.ID != sum.ID {
-						t.Error("Get returned a profile with a foreign ID")
-						return
-					}
-				}
-			}
-		}()
-	}
-	for w := 0; w < 4; w++ {
-		writers.Add(1)
-		go func(w int) {
-			defer writers.Done()
-			for i := 0; i < 200; i++ {
-				s.Add(profile(fmt.Sprintf("w%d-q%d", w, i), int64(i), float64(i)))
-				if s.Len() > 16 {
-					t.Error("store exceeded capacity")
-					return
-				}
-			}
-		}(w)
-	}
-	writers.Wait()
-	close(stop)
-	readers.Wait()
 }

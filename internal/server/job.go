@@ -54,6 +54,13 @@ type job struct {
 	submitted time.Time
 	started   time.Time
 	finished  time.Time
+
+	// profile is what /api/history serves of a finished job; nil while
+	// the job is live. The ledger's terminal transition writes it once,
+	// holding both the ledger's lock and mu, and nothing changes it or
+	// what it points to afterwards, so a holder of either lock may read
+	// it and every reader may share it.
+	profile *client.QueryProfile
 }
 
 func newJob(n int, req client.SubmitRequest, costU float64, now time.Time) *job {
@@ -247,8 +254,8 @@ func (j *job) setCounters(c map[string]float64) {
 // lifecycle snapshot, the complete progress-event ledger, and — for
 // queries that ran to completion — the per-segment estimated-vs-actual
 // figures, the remaining-time q-error trajectory, and the trace span
-// tree. The result must not be mutated afterwards (the history store
-// shares it across readers).
+// tree. The event ledger is the job's own slice, not a copy: the
+// terminal event is in it and publish appends nothing after that one.
 func (j *job) profileLocked() *client.QueryProfile {
 	p := &client.QueryProfile{
 		Query: client.QueryInfo{
@@ -258,7 +265,7 @@ func (j *job) profileLocked() *client.QueryProfile {
 			State:         j.state,
 			SubmittedAtMS: j.submitted.UnixMilli(),
 		},
-		Events:   append([]client.ProgressEvent(nil), j.history...),
+		Events:   j.history[:len(j.history):len(j.history)],
 		Counters: j.counters,
 	}
 	if !j.started.IsZero() {

@@ -33,15 +33,14 @@ import (
 	"progressdb"
 	"progressdb/client"
 	"progressdb/internal/exec"
-	"progressdb/internal/server/history"
 )
 
 // registry is the ledger. A live job is in exactly one of queued and
 // running, and whoever takes it out ends it: that membership, read and
 // written under mu, is what makes the terminal transition happen once.
-// Terminal jobs stay addressable until retain newer ones have ended;
-// the history store has the same bound and is fed in the same order
-// under mu, so a job and its profile are evicted together.
+// Terminal jobs stay addressable until retain newer ones have ended,
+// and each carries its own profile, so the retired ring is also the
+// store behind /api/history: a job and its profile go together.
 //
 // mu is the package's outermost lock and nothing blocks under it:
 //
@@ -51,7 +50,6 @@ type registry struct {
 	maxInflightU float64 // 0 = unlimited
 	retain       int
 	met          *metrics
-	hist         *history.Store
 
 	// ready carries a wake token per queued job. A send that finds it
 	// full is dropped: it then already holds a token for every job the
@@ -72,13 +70,12 @@ type registry struct {
 
 const admissionRateAlpha = 0.3 // EWMA weight of the newest rate sample
 
-func newRegistry(cfg Config, met *metrics, hist *history.Store) *registry {
+func newRegistry(cfg Config, met *metrics) *registry {
 	return &registry{
 		queueDepth:   cfg.QueueDepth,
 		maxInflightU: cfg.MaxInflightU,
 		retain:       cfg.HistoryDepth,
 		met:          met,
-		hist:         hist,
 		ready:        make(chan struct{}, cfg.QueueDepth),
 		jobs:         make(map[string]*job),
 	}
@@ -215,9 +212,9 @@ func (r *registry) finishLocked(j *job, state client.State, err error, res *prog
 
 	j.mu.Lock()
 	ev := j.endLocked(state, err, res, now)
-	r.hist.Add(j.profileLocked())
+	j.profile = j.profileLocked()
 	r.met.profiles.Inc()
-	r.met.retained.Set(float64(r.hist.Len()))
+	r.met.retained.Set(float64(len(r.retired)))
 	j.fanOutLocked(ev)
 	j.mu.Unlock()
 }
@@ -316,6 +313,28 @@ func (r *registry) get(id string) (*job, bool) {
 	j, ok := r.jobs[id]
 	r.mu.Unlock()
 	return j, ok
+}
+
+// profile returns the retained profile of the finished query id, if any.
+func (r *registry) profile(id string) (*client.QueryProfile, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	j, ok := r.jobs[id]
+	if !ok || j.profile == nil {
+		return nil, false
+	}
+	return j.profile, true
+}
+
+// profiles returns the retained profiles, newest terminal first.
+func (r *registry) profiles() []*client.QueryProfile {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([]*client.QueryProfile, 0, len(r.retired))
+	for i := len(r.retired) - 1; i >= 0; i-- {
+		out = append(out, r.retired[i].profile)
+	}
+	return out
 }
 
 // list returns the live and retained jobs in submission order.

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"testing"
 	"time"
 
@@ -142,6 +143,61 @@ func TestRetentionBound(t *testing.T) {
 	}
 }
 
+// TestEvictionKeepsNewestTerminalFirst: /api/history lists the retained
+// profiles newest terminal first — by when a query ended, not when it
+// was submitted — reports the ledger's bound as its capacity, and a
+// profile evicted from the ring is gone from the listing too.
+func TestEvictionKeepsNewestTerminalFirst(t *testing.T) {
+	const depth = 3
+	s, eng := stubServer(t, Config{Workers: 2, HistoryDepth: depth})
+	held := submitStub(t, s, "hold") // q1 ends last of the first three
+	settle(t, s, 0, 1)
+	for i := 0; i < 2; i++ {
+		submitStub(t, s, "ok")
+		settle(t, s, 0, 1)
+	}
+	eng.release <- struct{}{}
+	settle(t, s, 0, 0)
+
+	history := func() client.HistoryResponse {
+		var h client.HistoryResponse
+		if code := call(t, s, "GET", "/api/history", "", &h); code != http.StatusOK {
+			t.Fatalf("GET /api/history = %d", code)
+		}
+		return h
+	}
+	ids := func(h client.HistoryResponse) (out []string) {
+		for _, p := range h.Profiles {
+			out = append(out, p.ID)
+		}
+		return out
+	}
+	h := history()
+	if got := ids(h); !slices.Equal(got, []string{held.id, "q3", "q2"}) {
+		t.Fatalf("history = %v, want q1 (ended last) first, then q3, q2", got)
+	}
+	if h.Capacity != depth || h.Retained != depth {
+		t.Fatalf("capacity %d retained %d, want %d of %d", h.Capacity, h.Retained, depth, depth)
+	}
+
+	for i := 0; i < 2; i++ { // q4, q5 push q2 and q3 out
+		submitStub(t, s, "ok")
+		settle(t, s, 0, 0)
+	}
+	h = history()
+	if got := ids(h); !slices.Equal(got, []string{"q5", "q4", held.id}) || h.Retained != depth {
+		t.Fatalf("history = %v (%d retained), want q5, q4, q1", got, h.Retained)
+	}
+	for _, id := range []string{"q2", "q3"} {
+		if _, ok := s.reg.profile(id); ok {
+			t.Fatalf("%s should have been evicted", id)
+		}
+	}
+	if got := s.met.retained.Value(); got != depth {
+		t.Fatalf("server_history_retained = %g, want %d", got, depth)
+	}
+}
+
 // TestSubmitCostIsFlat: what one submit allocates does not grow with
 // how many queries the server has ever run. The measured submits queue
 // behind a held query, so each window is the handler and the ledger's
@@ -260,7 +316,7 @@ func TestAccountBeforePublish(t *testing.T) {
 				for {
 					for _, ev := range evs {
 						if ev.Terminal() {
-							_, ok := s.hist.Get(j.id)
+							_, ok := s.reg.profile(j.id)
 							got <- seen{ev, ok, e.counter(s.met).Value(), s.met.inflightQ.Value()}
 							return
 						}

@@ -1,7 +1,7 @@
 // Observability plane: the wall-clock sampler feeding the in-process
-// timeseries store, per-query engine-counter attribution, terminal
-// profile capture into the history store, and the /api handlers the
-// embedded dashboard consumes.
+// timeseries store, per-query engine-counter attribution, and the /api
+// handlers the embedded dashboard consumes (the profiles behind
+// /api/history are the ledger's finished jobs').
 package server
 
 import (
@@ -238,16 +238,17 @@ func (s *Server) handleHistoryList(w http.ResponseWriter, r *http.Request) {
 		}
 		limit = n
 	}
+	profiles := s.reg.profiles()
 	writeJSON(w, http.StatusOK, client.HistoryResponse{
-		Capacity: s.hist.Capacity(),
-		Retained: s.hist.Len(),
-		Profiles: s.hist.List(sortBy, limit),
+		Capacity: s.cfg.HistoryDepth,
+		Retained: len(profiles),
+		Profiles: history.Rank(profiles, sortBy, limit),
 	})
 }
 
 func (s *Server) handleHistoryGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	p, ok := s.hist.Get(id)
+	p, ok := s.reg.profile(id)
 	if !ok {
 		writeErr(w, http.StatusNotFound, "no retained profile for query %q", id)
 		return
@@ -258,7 +259,7 @@ func (s *Server) handleHistoryGet(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleDashboardConfig(w http.ResponseWriter, r *http.Request) {
 	cfg := client.DashboardConfig{
 		SparklineSeries: dashboardSeries,
-		HistoryCapacity: s.hist.Capacity(),
+		HistoryCapacity: s.cfg.HistoryDepth,
 		Shards:          s.eng.Shards(),
 	}
 	if cfg.Shards > 1 {

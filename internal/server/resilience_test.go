@@ -10,7 +10,6 @@ import (
 
 	"progressdb"
 	"progressdb/client"
-	"progressdb/internal/server/history"
 )
 
 const scanSQL = "select * from t"
@@ -286,7 +285,7 @@ func admissionReport(done, est, elapsed, remaining float64) progressdb.Report {
 // remaining work, progress refreshes shrink it, endings free it, and
 // Retry-After follows the cheapest running query's scaled estimate.
 func TestAdmissionLedger(t *testing.T) {
-	r := newRegistry(Config{MaxInflightU: 100}.withDefaults(), newMetrics(), history.New(4))
+	r := newRegistry(Config{MaxInflightU: 100}.withDefaults(), newMetrics())
 	now := time.Now()
 	submit := func(costU float64, at time.Time) (*job, verdict) {
 		return r.admit(client.SubmitRequest{SQL: scanSQL}, costU, at)

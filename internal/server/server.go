@@ -47,7 +47,6 @@ import (
 	"progressdb/internal/obs"
 	"progressdb/internal/obs/tsdb"
 	"progressdb/internal/server/dashboard"
-	"progressdb/internal/server/history"
 )
 
 // Config configures a Server.
@@ -72,9 +71,6 @@ type Config struct {
 	// default; negative disables the wall-clock sampler entirely
 	// (tests then drive sampleOnce with virtual timestamps).
 	SampleInterval time.Duration
-	// TimeseriesPoints is the per-series ring capacity (default 720 —
-	// 12 minutes of history at the default cadence).
-	TimeseriesPoints int
 	// HistoryDepth is how many finished queries stay addressable
 	// (default 256): /queries/{id}, its result and its /api/history
 	// profile go together when that many newer queries have ended.
@@ -97,6 +93,10 @@ type Config struct {
 	DrainTimeout time.Duration
 }
 
+// timeseriesPoints is the per-series ring capacity of the timeseries
+// store: 12 minutes of history at the default sampling cadence.
+const timeseriesPoints = 720
+
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = 1
@@ -106,9 +106,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SampleInterval == 0 {
 		c.SampleInterval = time.Second
-	}
-	if c.TimeseriesPoints <= 0 {
-		c.TimeseriesPoints = 720
 	}
 	if c.HistoryDepth <= 0 {
 		c.HistoryDepth = 256
@@ -199,8 +196,7 @@ type Server struct {
 	reg *registry
 	met *metrics
 
-	ts   *tsdb.Store
-	hist *history.Store
+	ts *tsdb.Store
 	// lastSample holds the float64 bits of the most recent sample
 	// timestamp — the /api/timeseries notion of "now", which follows
 	// whichever clock feeds the sampler (wall in the daemon, virtual in
@@ -235,12 +231,11 @@ func NewEngine(eng Engine, cfg Config) *Server {
 		eng:  eng,
 		cfg:  cfg,
 		met:  newMetrics(),
-		ts:   tsdb.New(cfg.TimeseriesPoints),
-		hist: history.New(cfg.HistoryDepth),
+		ts:   tsdb.New(timeseriesPoints),
 		quit: make(chan struct{}),
 		mux:  http.NewServeMux(),
 	}
-	s.reg = newRegistry(cfg, s.met, s.hist)
+	s.reg = newRegistry(cfg, s.met)
 	s.routes()
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)

@@ -284,9 +284,7 @@ func (db *DB) ExplainAnalyze(sql string) (*Result, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	ctx, cancel := db.queryCtx(context.Background())
-	defer cancel()
-	out, err := db.run(ctx, db.workerClock(), nil, p, st.Select.String(), nil, true, true)
+	out, err := db.run(context.Background(), db.workerClock(), nil, p, st.Select.String(), nil, true, true)
 	if err != nil {
 		return nil, "", err
 	}

@@ -105,11 +105,6 @@ type Config struct {
 	// for the grammar and semantics. Open panics if the spec does not
 	// parse; SetFaultSpec is the error-returning form.
 	FaultSpec string
-	// QueryTimeoutSeconds, when > 0, bounds every Exec* call by a
-	// wall-clock deadline. A query that exceeds it unwinds at the
-	// executor's next safe point, releases its resources, and returns
-	// an error satisfying errors.Is(err, context.DeadlineExceeded).
-	QueryTimeoutSeconds float64
 }
 
 // DB is one engine instance: simulated storage, a catalog, and a virtual
@@ -119,10 +114,10 @@ type Config struct {
 // ExecDiscardContext, EstimateCostU, Explain, CheckLeaks, Now, and the
 // metrics accessors — are safe to call from multiple goroutines; each
 // query runs on its own worker clock and the storage layers are latched.
-// Setup and maintenance — CreateTable, Insert, Analyze, CreateIndex,
-// DropTable, LoadPaperWorkload*, SetInterference, SetFaultSpec,
-// ColdRestart and ExecGroup — are single-threaded and must
-// not overlap each other or running queries, matching the paper's
+// Setup and maintenance — CreateTable, Insert, FlushTable, Analyze,
+// CreateIndex, LoadPaperWorkload*, SetInterference, ClearInterference,
+// SetFaultSpec, ColdRestart and ExecGroup — are single-threaded and
+// must not overlap each other or running queries, matching the paper's
 // load-then-query methodology.
 type DB struct {
 	cfg   Config
@@ -493,7 +488,7 @@ type Result struct {
 	Segments []SegmentStats
 	// Trace is the per-query span tree (query → segment → operator),
 	// filled when Config.Trace is set, Config.TraceSink is non-nil, or
-	// the query ran under ExecAnalyze / ExplainAnalyze; nil otherwise.
+	// the query ran under ExplainAnalyze; nil otherwise.
 	Trace *obs.Trace
 }
 
@@ -533,33 +528,11 @@ func (db *DB) exec(ctx context.Context, sql string, onProgress func(Report), kee
 	if err != nil {
 		return nil, err
 	}
-	ctx, cancel := db.queryCtx(ctx)
-	defer cancel()
 	out, err := db.run(ctx, db.workerClock(), nil, p, sql, onProgress, keepRows, db.traceEnabled())
 	if err != nil {
 		return nil, err
 	}
 	return out.res, nil
-}
-
-// ExecAnalyze runs a query and returns, alongside the result, an
-// EXPLAIN ANALYZE-style per-segment table comparing the optimizer's
-// initial estimates with what actually happened and where the (virtual)
-// time went — the paper's Section 6 "performance tuning" use of the
-// progress indicator's history. For the per-operator annotated plan
-// tree, use ExplainAnalyze.
-func (db *DB) ExecAnalyze(sql string) (*Result, string, error) {
-	p, err := db.plan(sql)
-	if err != nil {
-		return nil, "", err
-	}
-	ctx, cancel := db.queryCtx(context.Background())
-	defer cancel()
-	out, err := db.run(ctx, db.workerClock(), nil, p, sql, nil, false, true)
-	if err != nil {
-		return nil, "", err
-	}
-	return out.res, core.FormatSegmentReports(out.ind.SegmentReports()), nil
 }
 
 // FormatReport renders a report as the paper's Figure 2 progress box.

@@ -263,23 +263,26 @@ func TestFacadeSubqueries(t *testing.T) {
 	}
 }
 
-func TestFacadeExecAnalyze(t *testing.T) {
+// The per-segment estimated-vs-actual table is the tail of
+// ExplainAnalyze's text, after the annotated plan tree.
+func TestFacadeExplainAnalyze(t *testing.T) {
 	db := Open(Config{WorkMemPages: 16})
 	if err := db.LoadPaperWorkload(0.002, false); err != nil {
 		t.Fatal(err)
 	}
 	sql, _ := PaperQuery(2)
-	res, table, err := db.ExecAnalyze(sql)
+	res, text, err := db.ExplainAnalyze(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.VirtualSeconds <= 0 {
 		t.Fatal("no time elapsed")
 	}
+	table := text[strings.Index(text, "\n\n")+2:]
 	if !strings.Contains(table, "est U") || strings.Count(table, "\n") < 3 {
 		t.Fatalf("analyze table:\n%s", table)
 	}
-	if _, _, err := db.ExecAnalyze("not sql"); err == nil {
+	if _, _, err := db.ExplainAnalyze("not sql"); err == nil {
 		t.Fatal("bad sql must fail")
 	}
 }
