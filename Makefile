@@ -29,6 +29,7 @@ fuzz:
 	go test -run FuzzParse -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/faultinject/
 	go test -run FuzzParseStatement -fuzz FuzzParseStatement -fuzztime $(FUZZTIME) ./internal/sqlparser/
 	go test -run FuzzDecodeInto -fuzz FuzzDecodeInto -fuzztime $(FUZZTIME) ./internal/tuple/
+	go test -run FuzzDecodeSequence -fuzz FuzzDecodeSequence -fuzztime $(FUZZTIME) ./internal/tuple/
 
 # Randomized fault-schedule property suite at full depth (DESIGN.md §6):
 # hundreds of deterministic random fault schedules under -race, each

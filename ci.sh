@@ -52,6 +52,7 @@ echo "== fuzz smoke =="
 go test -run FuzzParse -fuzz FuzzParse -fuzztime 10s ./internal/faultinject/
 go test -run FuzzParseStatement -fuzz FuzzParseStatement -fuzztime 10s ./internal/sqlparser/
 go test -run FuzzDecodeInto -fuzz FuzzDecodeInto -fuzztime 5s ./internal/tuple/
+go test -run FuzzDecodeSequence -fuzz FuzzDecodeSequence -fuzztime 5s ./internal/tuple/
 
 echo "== progressd start/stop =="
 # The one check that goes through main() itself — flags into Config, the

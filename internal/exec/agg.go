@@ -34,6 +34,35 @@ type aggState struct {
 	seen   bool
 }
 
+// groupIndex numbers group keys in first-seen order. A single Int group
+// column is indexed by its int64: a word hashed per row instead of a key
+// encoded and its bytes hashed. Every other key goes through its
+// encoding; the two maps never hold equal keys, since Values of different
+// kinds are unequal.
+type groupIndex struct {
+	ints map[int64]int
+	enc  map[string]int
+	buf  []byte
+}
+
+// lookup returns key's group number and whether it was there; a new key
+// is entered as group n.
+func (x *groupIndex) lookup(key tuple.Tuple, n int) (int, bool) {
+	if len(key) == 1 && key[0].Kind == tuple.Int {
+		g, ok := x.ints[key[0].I]
+		if !ok {
+			g, x.ints[key[0].I] = n, n
+		}
+		return g, ok
+	}
+	x.buf = key.Encode(x.buf[:0])
+	g, ok := x.enc[string(x.buf)] // lookup does not copy buf
+	if !ok {
+		g, x.enc[string(x.buf)] = n, n
+	}
+	return g, ok
+}
+
 func (h *hashAgg) Open() error {
 	if err := h.child.Open(); err != nil {
 		return err
@@ -43,10 +72,9 @@ func (h *hashAgg) Open() error {
 	// Groups are numbered in first-seen order, which is the output order;
 	// group g's key is keys[g] and its accumulators are
 	// states[g*naggs : (g+1)*naggs].
-	index := make(map[string]int) // encoded group key -> group number
+	index := groupIndex{ints: make(map[int64]int), enc: make(map[string]int)}
 	var keys []tuple.Tuple
 	var states []aggState
-	var keyBuf []byte
 	keyVals := make(tuple.Tuple, len(h.node.GroupCols))
 	for {
 		t, ok, err := h.child.Next()
@@ -57,15 +85,11 @@ func (h *hashAgg) Open() error {
 			break
 		}
 		h.env.Clock.ChargeCPU(cpuHashOp)
-		keyBuf = keyBuf[:0]
 		for i, c := range h.node.GroupCols {
 			keyVals[i] = t[c]
-			keyBuf = t[c].Encode(keyBuf)
 		}
-		g, okk := index[string(keyBuf)] // lookup does not copy keyBuf
-		if !okk {
-			g = len(keys)
-			index[string(keyBuf)] = g
+		g, seen := index.lookup(keyVals, len(keys))
+		if !seen {
 			keys = append(keys, h.slab.keep(keyVals))
 			states = append(states, make([]aggState, naggs)...)
 		}

@@ -3,14 +3,19 @@ package exec
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
+	"progressdb/internal/catalog"
 	"progressdb/internal/optimizer"
 	"progressdb/internal/plan"
 	"progressdb/internal/segment"
 	"progressdb/internal/sqlparser"
+	"progressdb/internal/storage"
 	"progressdb/internal/tuple"
+	"progressdb/internal/vclock"
 )
 
 func TestGlobalAggregates(t *testing.T) {
@@ -216,5 +221,80 @@ func TestAggregateOverEmptyTable(t *testing.T) {
 		optimizer.Options{}, 512, nil)
 	if len(rows) != 0 {
 		t.Fatalf("rows = %v", rows)
+	}
+}
+
+// hashAgg indexes a single Int group key by its int64 and every other key
+// by its encoding. Grouping by (k, one), one a constant column, is the
+// encoded path run alone; grouping by k must give the same groups in the
+// same first-seen order with the same aggregates, whatever k holds — Ints
+// that are one float64 (2^53±1), the extremes, a Float or String column
+// (the fallback), or Int and Float kinds mixed in one column, where 1 and
+// 1.0 are two groups.
+func TestHashAggIntKeyMatchesGeneric(t *testing.T) {
+	I, F, S := tuple.NewInt, tuple.NewFloat, tuple.NewString
+	for name, keys := range map[string]struct {
+		typ  tuple.Type
+		pool []tuple.Value
+	}{
+		"int":    {tuple.Int, []tuple.Value{I(0), I(1), I(-1), I(1<<53 - 1), I(1 << 53), I(1<<53 + 1), I(math.MinInt64), I(math.MaxInt64)}},
+		"float":  {tuple.Float, []tuple.Value{F(0), F(1), F(1 << 53), F(-2.5), F(math.Inf(1))}},
+		"string": {tuple.String, []tuple.Value{S(""), S("1"), S("a"), S("ab")}},
+		"mixed":  {tuple.Int, []tuple.Value{I(1), F(1), I(1 << 53), F(1 << 53), I(0), F(0), I(1<<53 + 1)}},
+	} {
+		rng := rand.New(rand.NewSource(23))
+		clock := vclock.New(vclock.Costs{SeqPage: 1e-5, RandPage: 8e-5, CPUTuple: 1e-8}, nil)
+		cat := catalog.New(storage.NewBufferPool(storage.NewDisk(clock), 256))
+		tb, err := cat.CreateTable("g", tuple.NewSchema(
+			tuple.Column{Name: "k", Type: keys.typ},
+			tuple.Column{Name: "one", Type: tuple.Int},
+			tuple.Column{Name: "v", Type: tuple.Int}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 500; i++ {
+			// Appended past catalog.Insert, which would refuse the mixed column.
+			row := tuple.Tuple{keys.pool[rng.Intn(len(keys.pool))], I(1), I(rng.Int63n(1000) - 500)}
+			if _, err := tb.Heap.Append(row.Encode(nil)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tb.Heap.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if err := cat.AnalyzeAll(); err != nil {
+			t.Fatal(err)
+		}
+		run := func(sql string) []tuple.Tuple {
+			stmt, err := sqlparser.Parse(sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := optimizer.Plan(cat, stmt, optimizer.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			env := &Env{Pool: cat.Pool(), Clock: clock, WorkMemPages: 512, Decomp: segment.Decompose(p, 512)}
+			var rows []tuple.Tuple
+			if _, err := Run(env, p, func(tp tuple.Tuple) error {
+				rows = append(rows, tp.Clone())
+				return nil
+			}); err != nil {
+				t.Fatalf("%s: %v", sql, err)
+			}
+			return rows
+		}
+		const aggs = "count(*), sum(v), min(v), max(v), avg(v)"
+		got := run("select k, " + aggs + " from g group by k")
+		want := run("select k, one, " + aggs + " from g group by k, one")
+		if len(got) != len(want) || len(got) != len(keys.pool) {
+			t.Fatalf("%s keys: %d groups by k, %d by (k, one), %d distinct keys", name, len(got), len(want), len(keys.pool))
+		}
+		for g := range want {
+			w := append(tuple.Tuple{want[g][0]}, want[g][2:]...)
+			if !reflect.DeepEqual(got[g], w) {
+				t.Fatalf("%s keys: group %d by k = %v, by (k, one) = %v", name, g, got[g], w)
+			}
+		}
 	}
 }

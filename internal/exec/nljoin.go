@@ -27,7 +27,12 @@ type nlJoin struct {
 	firstPass  bool
 	curOuter   tuple.Tuple
 	innerIdx   int
-	out        tuple.Tuple // reused output row
+	// out is the reused output row outer‖inner. Its outer half is written
+	// once per outer row and only the inner half per pair, which holds
+	// because no consumer writes to a row it was handed (rows.go). The
+	// other joins keep joinRow: an equijoin probe here matches one build
+	// row, so the half that changes is the whole row.
+	out tuple.Tuple
 }
 
 func (j *nlJoin) Open() error {
@@ -54,6 +59,7 @@ func (j *nlJoin) Next() (tuple.Tuple, bool, error) {
 			}
 			j.curOuter = t
 			j.innerIdx = 0
+			j.out = append(j.out[:0], t...)
 			if !j.firstPass {
 				// One full logical pass over the cached inner.
 				j.env.rep().InputRepeat(j.innerTag.Seg, j.innerTag.Input,
@@ -85,7 +91,7 @@ func (j *nlJoin) Next() (tuple.Tuple, bool, error) {
 			j.innerIdx++
 		}
 
-		j.out = joinRow(j.out, j.curOuter, innerTuple)
+		j.out = append(j.out[:len(j.curOuter)], innerTuple...)
 		out := j.out
 		j.env.Clock.ChargeCPU(cpuPairBase + j.predCost)
 		if err := j.env.yield(); err != nil {

@@ -14,10 +14,13 @@ import (
 
 // poisonIter enforces the row-ownership contract from the consumer's
 // side: the tuple an operator hands out is the operator's again at its
-// next Next or Close, so before forwarding either call the wrapper
-// overwrites every Value of the tuple it handed out last. A consumer that
-// kept that tuple without copying it then reads poison, and the query's
-// result changes.
+// next Next or Close. The wrapper hands up a copy of each row and, before
+// forwarding either call, overwrites every Value of the copy it handed
+// out last. A consumer that kept that tuple without copying it then reads
+// poison, and the query's result changes. It is the copy that is
+// scribbled on, never the producer's slot: a producer's slot is its own
+// (nlJoin relies on the outer half of its slot staying as written), and a
+// consumer may not write to a row it was handed.
 type poisonIter struct {
 	inner Iterator
 	last  tuple.Tuple
@@ -38,6 +41,7 @@ func (p *poisonIter) Next() (tuple.Tuple, bool, error) {
 	p.scribble()
 	t, ok, err := p.inner.Next()
 	if ok {
+		t = t.Clone()
 		p.last = t
 	}
 	return t, ok, err

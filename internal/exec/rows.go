@@ -7,7 +7,10 @@ import "progressdb/internal/tuple"
 // Next or Close. Scans decode into one reused slot, project and the joins
 // write into one output slot, pass-through operators hand on their
 // child's. An operator that keeps a row past that point copies it into
-// its rowSlab (or rowTable), which lives until the operator's Close.
+// its rowSlab (or rowTable), which lives until the operator's Close. A
+// consumer never writes to a row it was handed: between two Nexts the
+// slot is still the producer's, and nlJoin counts on the outer half of
+// its slot staying as it wrote it.
 
 // Slab chunks start small, so a ten-row index lookup does not pay for a
 // big one, and double up to slabMaxChunk values.

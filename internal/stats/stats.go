@@ -155,7 +155,12 @@ func Analyze(hf *storage.HeapFile, schema *tuple.Schema) (*TableStats, error) {
 	const sampleCap = 30000
 	ts := &TableStats{Cols: make(map[string]*ColStats, schema.Arity())}
 	type colAcc struct {
-		distinct map[tuple.Value]struct{}
+		// Distinct values, one set per kind: a word or a string hashed per
+		// value instead of a whole Value. Kinds never compare equal, so
+		// NDV is the three sizes added (NaNs stay distinct, ±0 one).
+		ints     map[int64]struct{}
+		floats   map[float64]struct{}
+		strs     map[string]struct{}
 		sample   []float64
 		min, max float64
 		numeric  bool
@@ -165,10 +170,12 @@ func Analyze(hf *storage.HeapFile, schema *tuple.Schema) (*TableStats, error) {
 	accs := make([]*colAcc, schema.Arity())
 	for i, c := range schema.Cols {
 		accs[i] = &colAcc{
-			distinct: make(map[tuple.Value]struct{}),
-			numeric:  c.Type == tuple.Int || c.Type == tuple.Float,
-			min:      math.Inf(1),
-			max:      math.Inf(-1),
+			ints:    make(map[int64]struct{}),
+			floats:  make(map[float64]struct{}),
+			strs:    make(map[string]struct{}),
+			numeric: c.Type == tuple.Int || c.Type == tuple.Float,
+			min:     math.Inf(1),
+			max:     math.Inf(-1),
 		}
 	}
 	var widthSum int64
@@ -182,12 +189,14 @@ func Analyze(hf *storage.HeapFile, schema *tuple.Schema) (*TableStats, error) {
 		lcg ^= lcg << 17
 		return int64(lcg % uint64(n))
 	}
+	var row tuple.Tuple // one slot, decoded into per record
 	for {
 		rec, _, ok := sc.Next()
 		if !ok {
 			break
 		}
-		row, err := tuple.Decode(rec, schema.Arity())
+		var err error
+		row, err = tuple.DecodeInto(row, rec, schema.Arity(), nil)
 		if err != nil {
 			return nil, fmt.Errorf("stats: %w", err)
 		}
@@ -197,7 +206,14 @@ func Analyze(hf *storage.HeapFile, schema *tuple.Schema) (*TableStats, error) {
 			a := accs[i]
 			a.seen++
 			a.widthSum += int64(valueWidth(v))
-			a.distinct[v] = struct{}{}
+			switch v.Kind {
+			case tuple.Int:
+				a.ints[v.I] = struct{}{}
+			case tuple.Float:
+				a.floats[v.F] = struct{}{}
+			default:
+				a.strs[v.S] = struct{}{}
+			}
 			if a.numeric {
 				f := v.AsFloat()
 				if f < a.min {
@@ -223,7 +239,7 @@ func Analyze(hf *storage.HeapFile, schema *tuple.Schema) (*TableStats, error) {
 	ts.Pages = hf.NumPages()
 	for i, c := range schema.Cols {
 		a := accs[i]
-		cs := &ColStats{NDV: int64(len(a.distinct)), Numeric: a.numeric}
+		cs := &ColStats{NDV: int64(len(a.ints) + len(a.floats) + len(a.strs)), Numeric: a.numeric}
 		if a.seen > 0 {
 			cs.AvgWidth = float64(a.widthSum) / float64(a.seen)
 		}

@@ -231,6 +231,12 @@ func Decode(rec []byte, arity int) (Tuple, error) {
 // as the zero Value, so a pruned string column costs no allocation. A nil
 // need means every column. Skipped fields are still validated — every
 // tag and length is checked exactly as for a materialised one.
+//
+// A String column whose bytes equal the String dst already holds for it
+// keeps that value instead of making the same string again: a column
+// that repeats down a table (lineitem's linestatus pad) then costs one
+// allocation per run of equal values, not one per row. Strings are
+// immutable and equal ones indistinguishable, so no caller can tell.
 func DecodeInto(dst Tuple, rec []byte, arity int, need []bool) (Tuple, error) {
 	if dst == nil || cap(dst) < arity {
 		dst = make(Tuple, arity)
@@ -273,8 +279,9 @@ func DecodeInto(dst Tuple, rec []byte, arity int, need []bool) (Tuple, error) {
 			if off+l > len(rec) {
 				return nil, fmt.Errorf("tuple: truncated string at field %d", i)
 			}
-			if keep {
-				dst[i] = NewString(string(rec[off : off+l]))
+			// The comparison converts without allocating.
+			if p := &dst[i]; keep && (p.Kind != String || p.S != string(rec[off:off+l])) {
+				*p = NewString(string(rec[off : off+l]))
 			}
 			off += l
 		default:

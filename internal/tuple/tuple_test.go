@@ -192,8 +192,10 @@ func randTuple(rng *rand.Rand) Tuple {
 
 // checkDecodeInto holds DecodeInto to Decode on one record: same error
 // text whatever is pruned or reused; on success the needed columns equal
-// Decode's and the pruned ones are zero Values.
-func checkDecodeInto(t *testing.T, rec []byte, arity int, need []bool, dst Tuple) {
+// Decode's and the pruned ones are zero Values. It returns the slot for
+// the next decode of a sequence: the decoded tuple, or dst with whatever a
+// failed decode left in it.
+func checkDecodeInto(t *testing.T, rec []byte, arity int, need []bool, dst Tuple) Tuple {
 	t.Helper()
 	want, wantErr := Decode(rec, arity)
 	got, err := DecodeInto(dst, rec, arity, need)
@@ -201,7 +203,7 @@ func checkDecodeInto(t *testing.T, rec []byte, arity int, need []bool, dst Tuple
 		t.Fatalf("DecodeInto(need=%v) err = %v, Decode err = %v", need, err, wantErr)
 	}
 	if err != nil {
-		return
+		return dst
 	}
 	if len(got) != arity {
 		t.Fatalf("DecodeInto arity = %d, want %d", len(got), arity)
@@ -215,6 +217,7 @@ func checkDecodeInto(t *testing.T, rec []byte, arity int, need []bool, dst Tuple
 			t.Fatalf("DecodeInto(need=%v) col %d = %#v, want %#v", need, i, got[i], w)
 		}
 	}
+	return got
 }
 
 func TestDecodeIntoMatchesDecode(t *testing.T) {
@@ -276,10 +279,119 @@ func FuzzDecodeInto(f *testing.F) {
 		if arity < 0 || arity > 16 {
 			return
 		}
-		need := make([]bool, arity)
-		for i := range need {
-			need[i] = mask&(1<<i) != 0
+		checkDecodeInto(t, rec, arity, maskNeed(arity, mask), make(Tuple, 2))
+	})
+}
+
+// maskNeed expands a bit mask into a need set.
+func maskNeed(arity int, mask uint16) []bool {
+	need := make([]bool, arity)
+	for i := range need {
+		need[i] = mask&(1<<i) != 0
+	}
+	return need
+}
+
+// DecodeInto keeps the String a slot already holds when the record's
+// bytes equal it, so what a decode returns depends on what the slot held
+// before — which one decode into a zeroed slot never shows. Every decode
+// of a sequence into one slot must still equal Decode of the same record,
+// in value and in error text.
+func TestDecodeIntoSequence(t *testing.T) {
+	S, I, F := NewString, NewInt, NewFloat
+	enc := func(vs ...Value) []byte { return Tuple(vs).Encode(nil) }
+	type step struct {
+		rec  []byte
+		need []bool // nil: every column
+	}
+	for _, tc := range []struct {
+		name  string
+		arity int
+		steps []step
+	}{
+		{"equal adjacent strings", 2, []step{{enc(I(1), S("F")), nil}, {enc(I(2), S("F")), nil}, {enc(I(3), S("F")), nil}}},
+		{"same length, different bytes", 1, []step{{enc(S("abc")), nil}, {enc(S("abd")), nil}, {enc(S("abc")), nil}}},
+		{"prefix and extension", 1, []step{{enc(S("abc")), nil}, {enc(S("ab")), nil}, {enc(S("abcd")), nil}}},
+		{"empty strings", 2, []step{{enc(S(""), S("x")), nil}, {enc(S(""), S("")), nil}, {enc(S("y"), S("")), nil}}},
+		{"pruned, then needed", 2, []step{{enc(S("keep"), I(1)), nil}, {enc(S("keep"), I(2)), []bool{false, true}},
+			{enc(S("keep"), I(3)), nil}, {enc(S("other"), I(4)), []bool{false, false}}, {enc(S("keep"), I(5)), nil}}},
+		{"slot held an Int, then a Float", 1, []step{{enc(I(7)), nil}, {enc(S("")), nil}, {enc(F(0)), nil}, {enc(S("")), nil}, {enc(S("s")), nil}}},
+		{"truncated after a good one", 2, []step{{enc(I(1), S("same")), nil}, {enc(I(2), S("same"))[:13], nil},
+			{enc(I(3), S("same")), nil}, {enc(S("same"), S("same"))[:9], nil}, {enc(S("same"), S("same")), nil}}},
+		{"bad tag after a good one", 2, []step{{enc(S("a"), S("b")), nil}, {append(enc(S("a")), 9, 0), nil}, {enc(S("a"), S("c")), nil}}},
+	} {
+		slot := make(Tuple, 0)
+		for _, st := range tc.steps {
+			slot = checkDecodeInto(t, st.rec, tc.arity, st.need, slot)
 		}
-		checkDecodeInto(t, rec, arity, need, make(Tuple, 2))
+	}
+
+	// Seeded sequences over a small pool of values, so equal neighbours,
+	// kind changes and equal-length strings all come up, with a random need
+	// set per decode and one record in eight cut short.
+	pool := []Value{S(""), S("F"), S("O"), S("same pad"), S("same pax"), I(0), I(70), F(0), F(2.5)}
+	rng := rand.New(rand.NewSource(23))
+	for seq := 0; seq < 2000; seq++ {
+		arity := 1 + rng.Intn(4)
+		var slot Tuple
+		for n := 2 + rng.Intn(6); n > 0; n-- {
+			row := make(Tuple, arity)
+			for i := range row {
+				row[i] = pool[rng.Intn(len(pool))]
+			}
+			rec := row.Encode(nil)
+			if rng.Intn(8) == 0 {
+				rec = rec[:rng.Intn(len(rec))]
+			}
+			var need []bool
+			if rng.Intn(3) > 0 {
+				need = maskNeed(arity, uint16(rng.Intn(16)))
+			}
+			slot = checkDecodeInto(t, rec, arity, need, slot)
+		}
+	}
+
+	// A run of equal strings costs what its first row costs: the
+	// allocations of n decodes do not grow with n, where a column that
+	// changes every row pays one each.
+	constant := Tuple{NewInt(1), NewString("the same pad on every row")}.Encode(nil)
+	a := Tuple{NewInt(1), NewString("one value")}.Encode(nil)
+	b := Tuple{NewInt(1), NewString("the other")}.Encode(nil)
+	run := func(n int, recs ...[]byte) float64 {
+		return testing.AllocsPerRun(10, func() {
+			slot := make(Tuple, 2)
+			for i := 0; i < n; i++ {
+				var err error
+				if slot, err = DecodeInto(slot, recs[i%len(recs)], 2, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+	if n100, n1000 := run(100, constant), run(1000, constant); n100 != n1000 || n1000 > 2 {
+		t.Fatalf("a run of equal strings allocated %v times over 100 rows, %v over 1000", n100, n1000)
+	}
+	if n := run(1000, a, b); n < 1000 {
+		t.Fatalf("alternating strings allocated %v times over 1000 rows: the slot kept a stale value?", n)
+	}
+}
+
+// FuzzDecodeSequence decodes two arbitrary records into one slot, each
+// under its own need set: what the first left behind — a string to reuse,
+// another kind, a half-written slot — must never change what the second
+// returns or why it is rejected.
+func FuzzDecodeSequence(f *testing.F) {
+	same := Tuple{NewInt(1), NewString("pad")}.Encode(nil)
+	f.Add(same, same, 2, uint16(3), uint16(3))
+	f.Add(same, Tuple{NewInt(1), NewString("pax")}.Encode(nil), 2, uint16(3), uint16(2))
+	f.Add(same, same[:11], 2, uint16(1), uint16(3))
+	f.Add(Tuple{NewString(""), NewFloat(1)}.Encode(nil), Tuple{NewString(""), NewString("")}.Encode(nil), 2, uint16(0), uint16(3))
+	f.Fuzz(func(t *testing.T, rec1, rec2 []byte, arity int, mask1, mask2 uint16) {
+		if arity < 0 || arity > 16 {
+			return
+		}
+		slot := checkDecodeInto(t, rec1, arity, maskNeed(arity, mask1), nil)
+		slot = checkDecodeInto(t, rec2, arity, maskNeed(arity, mask2), slot)
+		checkDecodeInto(t, rec1, arity, nil, slot)
 	})
 }
