@@ -165,6 +165,65 @@ func TestCancelMidSpilledHashJoin(t *testing.T) {
 	testCancelMidSpill(t, "select * from big b1, big2 b2 where b1.k = b2.k and b2.k < 4000")
 }
 
+// TestCancelMidSpilledHashJoinNoMatch cancels a hybrid hash join while it
+// re-reads a spilled probe batch none of whose rows match: that loop
+// returns to no caller and pumps no child, so only its own safe point
+// hears the cancel (without one the query ran to completion, err == nil).
+func TestCancelMidSpilledHashJoinNoMatch(t *testing.T) {
+	db := Open(Config{
+		ProgressUpdateSeconds: 0.2,
+		SpeedWindowSeconds:    1,
+		SeqPageCost:           0.01,
+		RandPageCost:          0.08,
+		BufferPoolPages:       64,
+		WorkMemPages:          16,
+	})
+	pad := strings.Repeat("x", 100)
+	// absolute(k) > 0 is estimated at 1/3: the build side is planned
+	// in-memory (hybrid, not Grace) and really is three times work_mem.
+	// The probe keys are disjoint from the build's.
+	for _, tbl := range []struct {
+		name     string
+		rows, k0 int
+	}{{"small", 3000, 1}, {"far", 30000, 1_000_000}} {
+		db.MustCreateTable(tbl.name, Col("k", Int), Col("pad", Text))
+		for i := 0; i < tbl.rows; i++ {
+			db.MustInsert(tbl.name, int64(tbl.k0+i), pad)
+		}
+	}
+	if err := db.Analyze(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.ColdRestart(); err != nil {
+		t.Fatal(err)
+	}
+	const sql = "select * from small s, far f where s.k = f.k and absolute(s.k) > 0"
+	if pl, err := db.Explain(sql); err != nil || !strings.Contains(pl, "HashJoin") || strings.Contains(pl, "GraceHashJoin") {
+		t.Fatalf("want a hybrid hash join (err %v):\n%s", err, pl)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	tail := 0
+	_, err := db.ExecDiscardContext(ctx, sql, func(r Report) {
+		// p = 1 on the last segment: the probe scan is read to its end
+		// and what remains is the spilled batches — a fifth of a second
+		// reloading the build batch (loadBatch has its own safe point),
+		// then three re-reading the probe batch. Cancel one second in.
+		if r.CurrentP >= 1 && r.SegmentsDone == 1 && !r.Finished {
+			if tail++; tail == 5 {
+				cancel()
+			}
+		}
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want errors.Is(context.Canceled)", err)
+	}
+	if err := db.CheckLeaks(); err != nil {
+		t.Fatalf("after cancel: %v", err)
+	}
+}
+
 func TestCancelMidSortedJoin(t *testing.T) {
 	// Sort feeding a join: cancel while multiple operators hold spills.
 	testCancelMidSpill(t, "select * from big b1, big2 b2 where b1.k = b2.k order by b1.pad desc, b2.k")

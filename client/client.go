@@ -229,29 +229,6 @@ func (c *Client) SubmitWithRetry(ctx context.Context, req SubmitRequest, policy 
 	return SubmitResponse{}, fmt.Errorf("client: submit shed %d times, giving up: %w", policy.MaxAttempts, lastErr)
 }
 
-// SubmitAndWait submits with retry and then follows the query's progress
-// stream to its terminal event, invoking onEvent (when non-nil) for every
-// event along the way. It returns the query's final lifecycle snapshot;
-// a query that ends failed or canceled is reported through the snapshot's
-// State/Error fields, not through the error return (which covers
-// transport and admission problems only).
-func (c *Client) SubmitAndWait(ctx context.Context, req SubmitRequest, policy RetryPolicy, onEvent func(ProgressEvent)) (QueryInfo, error) {
-	sub, err := c.SubmitWithRetry(ctx, req, policy)
-	if err != nil {
-		return QueryInfo{}, err
-	}
-	err = c.Stream(ctx, sub.ID, func(ev ProgressEvent) error {
-		if onEvent != nil {
-			onEvent(ev)
-		}
-		return nil
-	})
-	if err != nil {
-		return QueryInfo{}, err
-	}
-	return c.Get(ctx, sub.ID)
-}
-
 // Drain asks the server to drain (POST /admin/drain): stop admitting,
 // wait up to timeout for in-flight queries, then force-cancel stragglers.
 // timeout <= 0 uses the server's configured default. The call blocks

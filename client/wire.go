@@ -213,6 +213,20 @@ func EventFromReport(queryID string, r progressdb.Report) ProgressEvent {
 	return ev
 }
 
+// ShardProgressFromReport converts one shard's progress report to the
+// wire form, under EventFromReport's rule for non-finite numbers.
+func ShardProgressFromReport(shard int, r progressdb.Report) ShardProgress {
+	return ShardProgress{
+		Shard:          shard,
+		Percent:        finite(r.Percent),
+		DoneU:          finite(r.DoneU),
+		EstTotalU:      finite(r.EstimatedCostU),
+		SpeedU:         finite(r.SpeedU),
+		ElapsedSeconds: finite(r.ElapsedSeconds),
+		Finished:       r.Finished,
+	}
+}
+
 // QueryInfo is one query's snapshot: GET /queries/{id} and the elements
 // of GET /queries.
 type QueryInfo struct {

@@ -1,6 +1,7 @@
 // Command experiments regenerates every table and figure of the paper's
 // evaluation section: Table 1, Figures 4–7 (Q1), 9–16 (Q2 unloaded and
-// under I/O interference), 17 (Q3), 18 (Q4), 19–20 (Q5). Series are
+// under I/O interference), 17 (Q3), 18 (Q4), 19–20 (Q5), plus the plan
+// golden (Q1–Q5's plans and segments under each join hint). Series are
 // written as CSV files and rendered as ASCII plots on stdout. Every
 // number is virtual, so a rerun at the committed scale and seed
 // rewrites results/ byte for byte (internal/harness's golden test
@@ -29,7 +30,7 @@ func main() {
 	scale := flag.Float64("scale", 0.02, "workload scale (1.0 = the paper's Table 1)")
 	seed := flag.Int64("seed", 1, "data generator seed")
 	outdir := flag.String("outdir", "results", "directory for CSV output (empty = no CSV)")
-	only := flag.String("only", "", "run a single experiment id (table1, or e.g. fig09)")
+	only := flag.String("only", "", "run a single experiment id (table1, plans, or e.g. fig09)")
 	quiet := flag.Bool("quiet", false, "skip ASCII plots")
 	flag.Parse()
 
@@ -59,7 +60,7 @@ func main() {
 			die(err)
 		}
 		if a.Fig == nil {
-			fmt.Println("=== Table 1. Test data set ===")
+			fmt.Printf("=== %s ===\n", a.Exp.Title)
 			fmt.Print(a.Text)
 		} else {
 			fmt.Printf("=== %s: %s ===\n", a.Exp.ID, a.Exp.Title)

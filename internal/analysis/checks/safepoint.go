@@ -25,7 +25,9 @@ import (
 //     with the Iterator shape `func() (T, bool, error)`. Exported
 //     Iterator.Next is safe because the pull chain bottoms out at a
 //     scan, and scans yield per tuple; unexported helpers and raw
-//     storage scanners carry no such guarantee.
+//     storage scanners carry no such guarantee, so a loop that also
+//     pumps one of those (on another branch, after the Iterator is
+//     drained) needs the direct safe point.
 //
 // Bounded loops (range loops, condition loops over in-memory state) are
 // exempt: their work per entry is limited by what an enclosing safe
@@ -141,6 +143,7 @@ func isContextValue(pass *analysis.Pass, expr ast.Expr) bool {
 // scanLoopBody walks one loop body and reports whether it performs
 // per-tuple work and whether it reaches a safe point.
 func scanLoopBody(pass *analysis.Pass, body *ast.BlockStmt) (works, safe bool) {
+	direct, pumpsIter, pumpsRaw := false, false, false
 	ast.Inspect(body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
@@ -153,20 +156,25 @@ func scanLoopBody(pass *analysis.Pass, body *ast.BlockStmt) (works, safe bool) {
 		name := sel.Sel.Name
 		switch name {
 		case "yield", "checkCancel", "Yield":
-			safe = true
+			direct = true
 		case "ChargeCPU", "ChargeSeqIO", "ChargeRandIO", "Charge":
 			works = true
 		case "Next", "next":
 			if len(call.Args) == 0 {
 				works = true
 				if name == "Next" && isIteratorShape(pass, call) {
-					safe = true
+					pumpsIter = true
+				} else {
+					pumpsRaw = true
 				}
 			}
 		}
 		return true
 	})
-	return works, safe
+	// A loop that pumps an Iterator on one branch and a raw scanner on
+	// another is only as safe as the raw branch: once the Iterator is
+	// drained, nothing it yields through runs again.
+	return works, direct || (pumpsIter && !pumpsRaw)
 }
 
 // isIteratorShape reports whether the called method has the executor's

@@ -94,6 +94,24 @@ func mergeWithCheckCancel(m merger, e env) error {
 	}
 }
 
+func probeThenSpilledBatch(it iter, sc scanner) error {
+	drained := false
+	for { // want `unbounded tuple loop without a cancellation safe point`
+		if !drained { // hashJoin.Next's shape: the Iterator branch ends,
+			_, ok, err := it.Next()
+			if err != nil {
+				return err
+			}
+			drained = !ok
+			continue
+		}
+		// ...and the raw-scanner branch then runs alone, deaf to cancel.
+		if _, _, ok := sc.Next(); !ok {
+			return nil
+		}
+	}
+}
+
 func boundedLoop(rows []row, c clock) {
 	// Bounded loops (condition or range) are exempt: their per-entry
 	// work is limited by what an enclosing safe loop handed them.

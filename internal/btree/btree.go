@@ -301,13 +301,8 @@ func (t *Tree) SeekGEOn(clk *vclock.Clock, key int64) (*Iterator, error) {
 	return it, nil
 }
 
-// First returns an iterator over all entries, charging the disk's base
-// clock.
-func (t *Tree) First() (*Iterator, error) {
-	return t.FirstOn(nil)
-}
-
-// FirstOn is First charging the given worker clock.
+// FirstOn returns an iterator over all entries, charging the given
+// clock (nil: the disk's base clock).
 func (t *Tree) FirstOn(clk *vclock.Clock) (*Iterator, error) {
 	// Descend along the leftmost spine.
 	cur := t.root

@@ -54,7 +54,7 @@ func TestBulkLoadAndScan(t *testing.T) {
 	if tree.Height() < 2 {
 		t.Fatalf("10k entries should need height >= 2, got %d", tree.Height())
 	}
-	it, err := tree.First()
+	it, err := tree.FirstOn(pool.Disk().Clock())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestInsertIntoEmpty(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	it, _ := tree.First()
+	it, _ := tree.FirstOn(pool.Disk().Clock())
 	got := collect(t, it)
 	var gk []int64
 	for _, e := range got {
@@ -257,7 +257,7 @@ func TestInsertManySplits(t *testing.T) {
 	if tree.Height() < 2 {
 		t.Fatalf("height = %d after %d inserts", tree.Height(), n)
 	}
-	it, _ := tree.First()
+	it, _ := tree.FirstOn(pool.Disk().Clock())
 	got := collect(t, it)
 	if len(got) != n {
 		t.Fatalf("scan found %d entries, want %d", len(got), n)
@@ -287,7 +287,7 @@ func TestInsertIntoBulkLoaded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	it, _ := tree.First()
+	it, _ := tree.FirstOn(pool.Disk().Clock())
 	got := collect(t, it)
 	if len(got) != 6000 {
 		t.Fatalf("scan = %d entries", len(got))
@@ -326,7 +326,7 @@ func TestIndexScanChargesIO(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := clock.Now()
-	it, _ := tree.First()
+	it, _ := tree.FirstOn(pool.Disk().Clock())
 	n := 0
 	for {
 		_, ok, err := it.Next()

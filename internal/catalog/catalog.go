@@ -45,7 +45,7 @@ func (t *Table) IndexOn(column string) *Index {
 
 // Catalog is the set of known tables. Lookups (Table, Tables) are safe
 // to call concurrently with each other and with running queries; DDL
-// (CreateTable, DropTable, CreateIndex, Analyze) takes the write lock
+// (CreateTable, CreateIndex, Analyze) takes the write lock
 // for the name-table mutation but must not run concurrently with
 // queries that use the affected table — the engine runs DDL only while
 // idle, matching the paper's load-then-query methodology.
@@ -83,27 +83,6 @@ func (c *Catalog) CreateTable(name string, schema *tuple.Schema) (*Table, error)
 	}
 	c.tables[key] = t
 	return t, nil
-}
-
-// DropTable removes a table and its heap file and index files.
-func (c *Catalog) DropTable(name string) error {
-	key := strings.ToLower(name)
-	c.mu.Lock()
-	t, ok := c.tables[key]
-	if ok {
-		delete(c.tables, key)
-	}
-	c.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("catalog: no table %q", name)
-	}
-	for _, ix := range t.Indexes {
-		c.pool.DropFile(ix.Tree.File())
-		if err := c.pool.Disk().Remove(ix.Tree.File()); err != nil {
-			return err
-		}
-	}
-	return t.Heap.Drop()
 }
 
 // Table returns the named table.

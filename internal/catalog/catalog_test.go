@@ -94,7 +94,7 @@ func TestCreateIndexAndSearch(t *testing.T) {
 		t.Fatalf("index search found %d rids, want 20", len(rids))
 	}
 	// Verify a rid resolves to a matching row.
-	rec, err := tb.Heap.Fetch(rids[0])
+	rec, err := tb.Heap.FetchOn(c.Pool().Disk().Clock(), rids[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,26 +115,5 @@ func TestIndexOnNonIntRejected(t *testing.T) {
 	tb, _ := c.CreateTable("t", custSchema())
 	if _, err := c.CreateIndex(tb, "name"); err == nil {
 		t.Fatal("index on TEXT column must fail")
-	}
-}
-
-func TestDropTable(t *testing.T) {
-	c := testCatalog()
-	tb, _ := c.CreateTable("t", tuple.NewSchema(tuple.Column{Name: "k", Type: tuple.Int}))
-	for i := 0; i < 10; i++ {
-		c.Insert(tb, tuple.Tuple{tuple.NewInt(int64(i))})
-	}
-	tb.Heap.Sync()
-	if _, err := c.CreateIndex(tb, "k"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.DropTable("t"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Table("t"); err == nil {
-		t.Fatal("dropped table must be gone")
-	}
-	if err := c.DropTable("t"); err == nil {
-		t.Fatal("double drop must fail")
 	}
 }

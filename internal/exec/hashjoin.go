@@ -263,6 +263,12 @@ func (h *hashJoin) Next() (tuple.Tuple, bool, error) {
 			h.batchScan = nil
 			continue
 		}
+		// Safe point: a spilled probe batch streams from a raw scanner,
+		// and one whose rows find no match never returns to a caller that
+		// polls.
+		if err := h.env.yield(); err != nil {
+			return nil, false, err
+		}
 		t, err := tuple.DecodeInto(h.spillRow, rec, h.probeArity, nil)
 		if err != nil {
 			return nil, false, err

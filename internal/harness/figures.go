@@ -253,13 +253,17 @@ func ExperimentByID(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// Table1ID names the one artefact of results/ that is not a figure.
-const Table1ID = "table1"
+// Table1ID and PlansID name the two artefacts of results/ that are not
+// figures.
+const (
+	Table1ID = "table1"
+	PlansID  = "plans"
+)
 
 // IDs lists every artefact of results/ in the order cmd/experiments
-// writes them: Table 1, then the figures.
+// writes them: Table 1, the plan golden, then the figures.
 func IDs() []string {
-	ids := []string{Table1ID}
+	ids := []string{Table1ID, PlansID}
 	for _, e := range Experiments {
 		ids = append(ids, e.ID)
 	}
@@ -267,22 +271,26 @@ func IDs() []string {
 }
 
 // Artifact is one regenerated file of results/: its name there and its
-// exact bytes, plus — for a figure — the experiment, run and series it
-// was rendered from.
+// exact bytes, plus — for a figure — the run and series it was rendered
+// from (Exp carries only ID and Title otherwise).
 type Artifact struct {
 	File, Text string
 	Exp        Experiment
-	Run        *RunResult // nil for Table 1
-	Fig        *Figure    // nil for Table 1
+	Run        *RunResult // nil unless a figure
+	Fig        *Figure    // nil unless a figure
 }
 
 // Render regenerates one artefact of results/. cmd/experiments writes
 // what this returns and the golden test compares it with what is
 // committed, so the two cannot drift apart.
 func (s *Session) Render(id string) (*Artifact, error) {
-	if id == Table1ID {
+	switch id {
+	case Table1ID:
 		text, err := s.Runner.Table1()
-		return &Artifact{File: "table1.txt", Text: text}, err
+		return &Artifact{File: "table1.txt", Text: text, Exp: Experiment{ID: id, Title: "Table 1. Test data set"}}, err
+	case PlansID:
+		text, err := s.Runner.Plans()
+		return &Artifact{File: "plans.txt", Text: text, Exp: Experiment{ID: id, Title: "Plans and segments of Q1–Q5 by forced join algorithm and work_mem"}}, err
 	}
 	e, ok := ExperimentByID(id)
 	if !ok {

@@ -14,6 +14,7 @@ package harness
 
 import (
 	"fmt"
+	"strings"
 
 	"progressdb/internal/catalog"
 	"progressdb/internal/core"
@@ -141,26 +142,32 @@ func (r Runner) newEngine(correlated bool) (*engine, error) {
 	return &engine{clock: clock, cat: cat, ds: ds}, nil
 }
 
-// compile loads a fresh engine and takes sql through parse →
-// optimizer.Plan → segment.Decompose on it: everything a run or a
-// probe needs before the first page is read.
+// compile loads a fresh engine and plans sql on it: everything a run or
+// a probe needs before the first page is read.
 func (r Runner) compile(sql string, correlated bool, forceAlgo string) (*engine, plan.Node, *segment.Decomposition, error) {
 	eng, err := r.newEngine(correlated)
 	if err != nil {
 		return nil, nil, nil, err
 	}
+	p, d, err := r.plan(eng, sql, forceAlgo)
+	return eng, p, d, err
+}
+
+// plan takes sql through parse → optimizer.Plan → segment.Decompose on
+// eng at r's work_mem.
+func (r Runner) plan(eng *engine, sql, forceAlgo string) (plan.Node, *segment.Decomposition, error) {
 	stmt, err := sqlparser.Parse(sql)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	p, err := optimizer.Plan(eng.cat, stmt, optimizer.Options{
 		WorkMemPages:  r.WorkMemPages,
 		ForceJoinAlgo: forceAlgo,
 	})
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	return eng, p, segment.Decompose(p, r.WorkMemPages), nil
+	return p, segment.Decompose(p, r.WorkMemPages), nil
 }
 
 // compileQuery is compile for workload query q (1–5); Q3 uses the
@@ -290,6 +297,43 @@ func (r Runner) Table1() (string, error) {
 		return "", err
 	}
 	return eng.ds.Table1(eng.cat)
+}
+
+// Plans renders the plan golden: Q1–Q5 under the cost-based choice and
+// each forced join algorithm, at the default work_mem and at 4 pages —
+// the EXPLAIN tree and its segment decomposition with every initial
+// cost. A change that must not move plan choice or any InitCost proves
+// it by leaving this text byte-identical.
+func (r Runner) Plans() (string, error) {
+	r = r.withDefaults()
+	var b strings.Builder
+	engines := map[bool]*engine{}
+	for q := 1; q <= 5; q++ {
+		sql, err := workload.QuerySQL(q)
+		if err != nil {
+			return "", err
+		}
+		correlated := q == 3
+		eng := engines[correlated]
+		if eng == nil {
+			if eng, err = r.newEngine(correlated); err != nil {
+				return "", err
+			}
+			engines[correlated] = eng
+		}
+		for _, mem := range []int{r.WorkMemPages, 4} {
+			for _, algo := range []string{"", "hash", "nl", "merge"} {
+				at := r
+				at.WorkMemPages = mem
+				p, d, err := at.plan(eng, sql, algo)
+				if err != nil {
+					return "", fmt.Errorf("harness: planning Q%d (work_mem %d, force %q): %w", q, mem, algo, err)
+				}
+				fmt.Fprintf(&b, "== Q%d work_mem=%d force=%q ==\n%s%s\n", q, mem, algo, plan.Format(p), d)
+			}
+		}
+	}
+	return b.String(), nil
 }
 
 // OverheadProbe prepares one engine and plan for query q and returns a

@@ -392,8 +392,8 @@ func TestFigureExtractionAndRendering(t *testing.T) {
 	if _, ok := ExperimentByID("nope"); ok {
 		t.Fatal("unknown id must not resolve")
 	}
-	if ids := IDs(); len(ids) != len(Experiments)+1 || ids[0] != Table1ID {
-		t.Fatalf("IDs() = %v, want table1 then every figure", ids)
+	if ids := IDs(); len(ids) != len(Experiments)+2 || ids[0] != Table1ID || ids[1] != PlansID {
+		t.Fatalf("IDs() = %v, want table1, plans, then every figure", ids)
 	}
 	if _, err := s.Render("nope"); err == nil || !strings.Contains(err.Error(), "fig20") {
 		t.Fatalf("Render of an unknown id: %v, want an error listing the valid ids", err)
@@ -401,7 +401,8 @@ func TestFigureExtractionAndRendering(t *testing.T) {
 }
 
 // TestResultsGolden: results/ is the virtual ledger, so it reproduces
-// byte for byte. Table 1 and all sixteen figures, rendered from the
+// byte for byte. Table 1, the plan golden (Q1–Q5's plans and segment
+// costs under every join hint) and all sixteen figures, rendered from the
 // session the shape tests share (the scale and seed results/ was
 // written at) through the function cmd/experiments writes them with,
 // must equal the committed files — and results/ must hold nothing else.

@@ -7,6 +7,7 @@ import (
 	"progressdb/internal/catalog"
 	"progressdb/internal/expr"
 	"progressdb/internal/plan"
+	"progressdb/internal/segment"
 	"progressdb/internal/sqlparser"
 	"progressdb/internal/stats"
 	"progressdb/internal/storage"
@@ -58,8 +59,9 @@ func Plan(cat *catalog.Catalog, stmt *sqlparser.SelectStmt, opt Options) (plan.N
 }
 
 // dpEntry is one memoized subplan: the plan node, the global column index
-// behind each schema position, and the choice cost (U bytes, with a
-// random-I/O penalty applied to index scans).
+// behind each schema position, and the choice cost: the subplan's U in
+// bytes, summed from the internal/segment calls the indicator re-costs its
+// segments with — except under an index scan (see indexPath).
 type dpEntry struct {
 	node plan.Node
 	cols []int
@@ -87,6 +89,15 @@ func (e *dpEntry) remap(x expr.Expr) (expr.Expr, error) {
 type planner struct {
 	bq  *boundQuery
 	opt Options
+	// priced, nil outside TestCostClosure, sees every entry priced: each
+	// access path, join candidate and semi-join.
+	priced func(*dpEntry)
+}
+
+func (p *planner) note(e *dpEntry) {
+	if p.priced != nil {
+		p.priced(e)
+	}
 }
 
 func (p *planner) run() (plan.Node, error) {
@@ -101,6 +112,7 @@ func (p *planner) run() (plan.Node, error) {
 		if err != nil {
 			return nil, err
 		}
+		p.note(best)
 	}
 	var node plan.Node
 	if p.bq.hasAgg {
@@ -144,6 +156,7 @@ func (p *planner) joinDP() (*dpEntry, error) {
 		if err != nil {
 			return nil, err
 		}
+		p.note(e)
 		dp[1<<uint(i)] = e
 	}
 
@@ -169,6 +182,7 @@ func (p *planner) joinDP() (*dpEntry, error) {
 				}
 				key := s | rm
 				for _, c := range cand {
+					p.note(c)
 					if best, ok := dp[key]; !ok || c.cost < best.cost {
 						dp[key] = c
 					}
@@ -355,7 +369,8 @@ func (p *planner) accessPath(ts *tableSource, need map[int]bool) (*dpEntry, erro
 		Alias:  ts.binding(),
 		OutEst: plan.Est{Card: rows, Width: width},
 	}
-	entry := &dpEntry{node: scan, cols: cols, cost: rows * width}
+	// A base input is read once: its bytes, as EvalSegment charges them.
+	entry := &dpEntry{node: scan, cols: cols, cost: scan.OutEst.Bytes()}
 
 	// Index-scan alternative: a range or equality predicate on an
 	// indexed column, costed with the random-I/O penalty.
@@ -450,7 +465,9 @@ func (p *planner) indexPath(ts *tableSource, preds []*conjunct, cols []int, rows
 			Sel:    sel,
 			OutEst: plan.Est{Card: rows * sel, Width: width},
 		}
-		// One random page fetch per matching tuple.
+		// The one cost term that is a choice heuristic and not U (the
+		// indicator counts the matching bytes): a random page fetch per
+		// matching tuple, so an index wins where it saves time, not bytes.
 		cost := rows * sel * storage.PageSize * p.opt.RandFactor
 		return &dpEntry{node: scan, cols: cols, cost: cost}
 	}
@@ -718,19 +735,12 @@ func (p *planner) hashJoin(build, probe *dpEntry, eq *conjunct, eqBuildCol, eqPr
 		Sch:       sch,
 		OutEst:    plan.Est{Card: outCard, Width: p.widthOf(cols)},
 	}
-	cost := build.cost + probe.cost + hashJoinLocalCost(buildBytes, probeBytes, p.opt.workMemBytes())
-	return &dpEntry{node: j, cols: cols, cost: cost}, nil
-}
-
-// hashJoinLocalCost is the U cost added by a hash join beyond its
-// children. In-memory hybrid: the hash table is written once and read
-// once (the paper's double counting at the build boundary). Grace: both
-// partition sets are written and read once each.
-func hashJoinLocalCost(buildBytes, probeBytes, memBytes float64) float64 {
-	if buildBytes > memBytes {
-		return 2*buildBytes + 2*probeBytes
+	// The hash table is a boundary; under Grace both partition sets are.
+	local := segment.BoundaryBytes(buildBytes)
+	if grace {
+		local += segment.BoundaryBytes(probeBytes)
 	}
-	return 2 * buildBytes
+	return &dpEntry{node: j, cols: cols, cost: build.cost + probe.cost + local}, nil
 }
 
 func (p *planner) mergeJoin(left, right *dpEntry, eq *conjunct, eqLeftCol, eqRightCol int, applied []*conjunct, outCard float64) (*dpEntry, error) {
@@ -769,26 +779,13 @@ func (p *planner) mergeJoin(left, right *dpEntry, eq *conjunct, eqLeftCol, eqRig
 		Sch:       sch,
 		OutEst:    plan.Est{Card: outCard, Width: p.widthOf(cols)},
 	}
+	// Each side's sorted runs are a boundary, plus any intermediate merges.
 	mem := p.opt.workMemBytes()
+	lBytes, rBytes := left.node.Est().Bytes(), right.node.Est().Bytes()
 	cost := left.cost + right.cost +
-		sortLocalCost(left.node.Est().Bytes(), mem, p.opt.WorkMemPages) +
-		sortLocalCost(right.node.Est().Bytes(), mem, p.opt.WorkMemPages)
+		(segment.BoundaryBytes(lBytes) + segment.SortMergeBytes(lBytes, mem)) +
+		(segment.BoundaryBytes(rBytes) + segment.SortMergeBytes(rBytes, mem))
 	return &dpEntry{node: j, cols: cols, cost: cost}, nil
-}
-
-// sortLocalCost is the U cost added by an external sort: runs written and
-// read once, plus any intermediate merge passes.
-func sortLocalCost(childBytes, memBytes float64, memPages int) float64 {
-	c := 2 * childBytes
-	if childBytes > memBytes && memBytes > 0 {
-		runs := math.Ceil(childBytes / memBytes)
-		fanin := math.Max(2, float64(memPages-1))
-		passes := math.Ceil(math.Log(runs) / math.Log(fanin))
-		if passes > 1 {
-			c += (passes - 1) * 2 * childBytes
-		}
-	}
-	return c
 }
 
 func (p *planner) nlJoin(outer, inner *dpEntry, applied []*conjunct, selProduct, outCard float64) (*dpEntry, error) {
@@ -798,7 +795,7 @@ func (p *planner) nlJoin(outer, inner *dpEntry, applied []*conjunct, selProduct,
 	if !isScan(inner.node) {
 		m := &plan.Materialize{Child: inner.node, OutEst: inner.node.Est()}
 		innerEntry = &dpEntry{node: m, cols: inner.cols}
-		innerCost += 2 * inner.node.Est().Bytes()
+		innerCost += segment.BoundaryBytes(inner.node.Est().Bytes())
 	}
 	cols, sch := concatEntry(p.bq, outer, innerEntry)
 	var terms []expr.Expr
@@ -817,9 +814,7 @@ func (p *planner) nlJoin(outer, inner *dpEntry, applied []*conjunct, selProduct,
 		Sch:    sch,
 		OutEst: plan.Est{Card: outCard, Width: p.widthOf(cols)},
 	}
-	// Each outer tuple after the first rescans the inner.
-	rescans := math.Max(0, outer.node.Est().Card-1)
-	cost := outer.cost + innerCost + rescans*innerEntry.node.Est().Bytes()
+	cost := outer.cost + innerCost + segment.RescanBytes(outer.node.Est().Card, innerEntry.node.Est().Bytes())
 	return &dpEntry{node: j, cols: cols, cost: cost}, nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"progressdb/internal/catalog"
 	"progressdb/internal/expr"
 	"progressdb/internal/plan"
+	"progressdb/internal/segment"
 	"progressdb/internal/sqlparser"
 	"progressdb/internal/stats"
 	"progressdb/internal/tuple"
@@ -218,7 +219,7 @@ func flipCmp(op expr.CmpOp) expr.CmpOp {
 // applySemiJoin plans one subquery and attaches it as a semi-join over
 // the outer entry.
 func (p *planner) applySemiJoin(outer *dpEntry, spec *subquerySpec) (*dpEntry, error) {
-	pi := &planner{bq: spec.sub, opt: p.opt}
+	pi := &planner{bq: spec.sub, opt: p.opt, priced: p.priced}
 	innerBest, err := pi.joinDP()
 	if err != nil {
 		return nil, fmt.Errorf("optimizer: planning subquery: %w", err)
@@ -269,12 +270,11 @@ func (p *planner) applySemiJoin(outer *dpEntry, spec *subquerySpec) (*dpEntry, e
 		Sel:       math.Max(0, sel),
 		OutEst:    outEst,
 	}
+	// The match set is a boundary; a pure NL semi also rescans it.
 	innerBytes := inner.node.Est().Bytes()
-	cost := outer.cost + inner.cost + 2*innerBytes
+	cost := outer.cost + inner.cost + segment.BoundaryBytes(innerBytes)
 	if outerKey < 0 {
-		// Pure NL semi: the cached inner is logically re-read per outer
-		// tuple.
-		cost += math.Max(0, outer.node.Est().Card-1) * innerBytes
+		cost += segment.RescanBytes(outer.node.Est().Card, innerBytes)
 	}
 	return &dpEntry{node: j, cols: outer.cols, cost: cost}, nil
 }

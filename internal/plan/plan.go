@@ -266,18 +266,6 @@ func (m *Materialize) Children() []Node      { return []Node{m.Child} }
 func (m *Materialize) Est() Est              { return m.OutEst }
 func (m *Materialize) Label() string         { return "Materialize" }
 
-// IsBlocking reports whether n is a pipeline breaker: its output segment
-// boundary per Section 4.2 of the paper (hash-table builds are modeled as
-// the boundary between a HashJoin's build child and the join itself).
-func IsBlocking(n Node) bool {
-	switch n.(type) {
-	case *Sort, *Materialize, *Partition, *HashAgg:
-		return true
-	default:
-		return false
-	}
-}
-
 // Format renders the plan tree with indentation and estimates, in the
 // style of EXPLAIN.
 func Format(n Node) string {

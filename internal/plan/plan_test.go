@@ -132,34 +132,6 @@ func TestOperatorLabelsAndShapes(t *testing.T) {
 	}
 }
 
-func TestIsBlocking(t *testing.T) {
-	tb := testTable(t, "t", tuple.Column{Name: "a", Type: tuple.Int})
-	scan := &SeqScan{Table: tb}
-	blocking := []Node{
-		&Sort{Child: scan},
-		&Materialize{Child: scan},
-		&Partition{Child: scan},
-	}
-	for _, n := range blocking {
-		if !IsBlocking(n) {
-			t.Fatalf("%T must be blocking", n)
-		}
-	}
-	streaming := []Node{
-		scan,
-		&Filter{Child: scan},
-		&Project{Child: scan, Sch: scan.Schema()},
-		&HashJoin{Build: scan, Probe: scan, Sch: scan.Schema()},
-		&NLJoin{Outer: scan, Inner: scan, Sch: scan.Schema()},
-		&MergeJoin{Left: scan, Right: scan, Sch: scan.Schema()},
-	}
-	for _, n := range streaming {
-		if IsBlocking(n) {
-			t.Fatalf("%T must not be blocking", n)
-		}
-	}
-}
-
 func TestFormatTree(t *testing.T) {
 	tb := testTable(t, "t", tuple.Column{Name: "a", Type: tuple.Int})
 	scan := &SeqScan{Table: tb, OutEst: Est{Card: 42, Width: 9}}
@@ -213,12 +185,8 @@ func TestAggLimitSemiJoinNodes(t *testing.T) {
 	if agg.Schema().Arity() != 6 || len(agg.Children()) != 1 || agg.Est().Card != 10 {
 		t.Fatal("agg node shape")
 	}
-	if !IsBlocking(agg) {
-		t.Fatal("HashAgg must be blocking")
-	}
-
 	lim := &Limit{Child: scan, N: 5, OutEst: Est{Card: 5, Width: 18}}
-	if lim.Label() != "Limit 5" || lim.Schema() != scan.Schema() || IsBlocking(lim) {
+	if lim.Label() != "Limit 5" || lim.Schema() != scan.Schema() {
 		t.Fatalf("limit node: %q", lim.Label())
 	}
 

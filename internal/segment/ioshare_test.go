@@ -1,26 +1,27 @@
-package segment
+package segment_test
 
 import (
 	"testing"
 
 	"progressdb/internal/optimizer"
+	"progressdb/internal/segment"
 )
 
 func TestSegmentKinds(t *testing.T) {
 	cat := buildCatalog(t)
 
-	// In-memory hybrid join (big work_mem): build segment is KindHashBuild.
+	// In-memory hybrid join (big work_mem): build segment is segment.KindHashBuild.
 	p := planFor(t, cat,
 		"select c.custkey, o.orderkey from customer c, orders o where c.custkey = o.custkey",
 		optimizer.Options{WorkMemPages: 4096})
-	d := Decompose(p, 4096)
+	d := segment.Decompose(p, 4096)
 	if len(d.Segments) != 2 {
 		t.Fatalf("want 2 segments:\n%s", d)
 	}
-	if d.Segments[0].Kind != KindHashBuild {
+	if d.Segments[0].Kind != segment.KindHashBuild {
 		t.Fatalf("build segment kind = %v", d.Segments[0].Kind)
 	}
-	if d.Segments[1].Kind != KindFinal {
+	if d.Segments[1].Kind != segment.KindFinal {
 		t.Fatalf("final segment kind = %v", d.Segments[1].Kind)
 	}
 
@@ -31,10 +32,10 @@ func TestSegmentKinds(t *testing.T) {
 		from customer c, orders o, lineitem l
 		where c.custkey = o.custkey and o.orderkey = l.orderkey`,
 		optimizer.Options{WorkMemPages: 1})
-	dg := Decompose(pg, 1)
+	dg := segment.Decompose(pg, 1)
 	nPart := 0
 	for _, s := range dg.Segments {
-		if s.Kind == KindPartition {
+		if s.Kind == segment.KindPartition {
 			nPart++
 		}
 	}
@@ -46,8 +47,8 @@ func TestSegmentKinds(t *testing.T) {
 	pm := planFor(t, cat,
 		"select c.custkey from customer c, orders o where c.custkey = o.custkey",
 		optimizer.Options{ForceJoinAlgo: "merge"})
-	dm := Decompose(pm, 2048)
-	if dm.Segments[0].Kind != KindSort || dm.Segments[1].Kind != KindSort {
+	dm := segment.Decompose(pm, 2048)
+	if dm.Segments[0].Kind != segment.KindSort || dm.Segments[1].Kind != segment.KindSort {
 		t.Fatalf("sort kinds: %v %v", dm.Segments[0].Kind, dm.Segments[1].Kind)
 	}
 
@@ -55,10 +56,10 @@ func TestSegmentKinds(t *testing.T) {
 	pn := planFor(t, cat,
 		"select c1.custkey, c2.custkey from customer c1, customer c2 where c1.custkey <> c2.custkey",
 		optimizer.Options{})
-	dn := Decompose(pn, 2048)
+	dn := segment.Decompose(pn, 2048)
 	foundMat := false
 	for _, s := range dn.Segments {
-		if s.Kind == KindMaterialize {
+		if s.Kind == segment.KindMaterialize {
 			foundMat = true
 		}
 	}
@@ -72,9 +73,9 @@ func TestIOShare(t *testing.T) {
 
 	// A single-segment scan: all bytes come from disk, output is final.
 	p1 := planFor(t, cat, "select * from lineitem", optimizer.Options{})
-	d1 := Decompose(p1, 2048)
+	d1 := segment.Decompose(p1, 2048)
 	s := d1.Segments[0]
-	share := d1.IOShare(s, []Est{s.Inputs[0].Init})
+	share := d1.IOShare(s, []segment.Est{s.Inputs[0].Init})
 	if share != 1 {
 		t.Fatalf("scan segment IO share = %g, want 1", share)
 	}
@@ -85,9 +86,9 @@ func TestIOShare(t *testing.T) {
 	p2 := planFor(t, cat,
 		"select c.custkey, o.orderkey from customer c, orders o where c.custkey = o.custkey",
 		optimizer.Options{WorkMemPages: 4096})
-	d2 := Decompose(p2, 4096)
+	d2 := segment.Decompose(p2, 4096)
 	final := d2.Segments[len(d2.Segments)-1]
-	ests := make([]Est, len(final.Inputs))
+	ests := make([]segment.Est, len(final.Inputs))
 	for i, in := range final.Inputs {
 		ests[i] = in.Init
 	}
@@ -103,9 +104,9 @@ func TestIOShare(t *testing.T) {
 		from customer c, orders o, lineitem l
 		where c.custkey = o.custkey and o.orderkey = l.orderkey`,
 		optimizer.Options{WorkMemPages: 1})
-	d3 := Decompose(p3, 1)
+	d3 := segment.Decompose(p3, 1)
 	gfinal := d3.Segments[len(d3.Segments)-1]
-	ests3 := make([]Est, len(gfinal.Inputs))
+	ests3 := make([]segment.Est, len(gfinal.Inputs))
 	for i, in := range gfinal.Inputs {
 		ests3[i] = in.Init
 	}
@@ -114,7 +115,7 @@ func TestIOShare(t *testing.T) {
 	}
 
 	// Degenerate input: zero estimates default to 1.
-	zero := make([]Est, len(gfinal.Inputs))
+	zero := make([]segment.Est, len(gfinal.Inputs))
 	if got := d3.IOShare(gfinal, zero); got != 1 {
 		t.Fatalf("zero-byte IO share = %g", got)
 	}

@@ -378,6 +378,47 @@ func dominantInputs(s *Segment) []int {
 	}
 }
 
+// The three U terms below are everything a plan costs beyond reading
+// its base inputs once. EvalSegment charges them when the indicator
+// re-costs a segment; internal/optimizer prices every candidate plan as a
+// sum of the same calls, so a plan is chosen by the arithmetic that later
+// tracks it (closure_test.go in the optimizer pins the two totals equal).
+
+// BoundaryBytes is the U a blocking boundary adds for the bytes crossing
+// it (a hash table, a partition set, sorted runs, a materialize buffer, a
+// semi-join's match set): they count twice, once as the producer
+// segment's output and once as the consumer segment's input — the paper's
+// double counting (Section 4.4). EvalSegment charges the halves apart,
+// the output where a non-final segment ends and the input where its
+// consumer reads it.
+func BoundaryBytes(bytes float64) float64 { return 2 * bytes }
+
+// SortMergeBytes is the U of an external sort's intermediate merge
+// passes over bytes of input: runs of one work_mem each are merged
+// fanin = max(2, pages−1) at a time, and every pass beyond the final one
+// (which streams to the consumer) writes and reads the data once more.
+// Zero when the input fits or merges in one pass. For a whole number of
+// pages workMemBytes/PageSize − 1 is float64(pages − 1) exactly, so
+// callers holding a page count and callers holding bytes agree.
+func SortMergeBytes(bytes, workMemBytes float64) float64 {
+	if bytes > workMemBytes && workMemBytes > 0 {
+		runs := math.Ceil(bytes / workMemBytes)
+		fanin := math.Max(2, workMemBytes/storage.PageSize-1)
+		if passes := math.Ceil(math.Log(runs) / math.Log(fanin)); passes > 1 {
+			return (passes - 1) * 2 * bytes
+		}
+	}
+	return 0
+}
+
+// RescanBytes is the U of a nested-loops rescan: the cached inner
+// (innerBytes) is logically re-read once per outer tuple after the
+// first. max(1, card) − 1 and max(0, card − 1) are the same float for
+// every non-negative cardinality.
+func RescanBytes(outerCard, innerBytes float64) float64 {
+	return (math.Max(1, outerCard) - 1) * innerBytes
+}
+
 // EvalSegment computes the segment's output estimate and cost in bytes,
 // given estimates for each input. This is the cost-estimation module the
 // progress indicator re-invokes during refinement; the executor's U
@@ -389,31 +430,31 @@ func (d *Decomposition) EvalSegment(s *Segment, inputs []Est) (out Est, costByte
 		panic("segment: EvalSegment input arity mismatch")
 	}
 	cost := 0.0
-	// inputEst reads a registered input, charging its bytes passMul times.
-	inputEst := func(n plan.Node, passMul float64) (Est, bool) {
+	// inputEst reads a registered input, charging its bytes once.
+	inputEst := func(n plan.Node) (Est, bool) {
 		idx, ok := s.inputByNode[n]
 		if !ok {
 			return Est{}, false
 		}
 		est := inputs[idx]
-		cost += est.Bytes() * passMul
+		cost += est.Bytes()
 		return est, true
 	}
-	var eval func(n plan.Node, passMul float64) Est
-	eval = func(n plan.Node, passMul float64) Est {
+	var eval func(n plan.Node) Est
+	eval = func(n plan.Node) Est {
 		switch node := n.(type) {
 		case *plan.SeqScan, *plan.IndexScan:
-			est, ok := inputEst(n, passMul)
+			est, ok := inputEst(n)
 			if !ok {
 				//lint:ignore errwrap sanctioned: decomposition invariant (every scan is a segment input); recovered at the DB.Exec boundary
 				panic("segment: scan not registered as segment input")
 			}
 			return est
 		case *plan.Filter:
-			in := eval(node.Child, passMul)
+			in := eval(node.Child)
 			return Est{Card: in.Card * node.Sel, Width: in.Width}
 		case *plan.Project:
-			in := eval(node.Child, passMul)
+			in := eval(node.Child)
 			// Scale the optimizer's projected width by the ratio of the
 			// refined input width to the optimizer's input width.
 			ratio := 1.0
@@ -428,13 +469,13 @@ func (d *Decomposition) EvalSegment(s *Segment, inputs []Est) (out Est, costByte
 			// side pipelines within this segment.
 			var build Est
 			if node.Grace {
-				build = eval(node.Build, passMul)
-			} else if est, ok := inputEst(n, passMul); ok {
+				build = eval(node.Build)
+			} else if est, ok := inputEst(n); ok {
 				build = est
 			} else {
-				build = eval(node.Build, passMul)
+				build = eval(node.Build)
 			}
-			probe := eval(node.Probe, passMul)
+			probe := eval(node.Probe)
 			outEst := Est{
 				Card:  node.Sel * build.Card * probe.Card,
 				Width: build.Width + probe.Width,
@@ -442,69 +483,63 @@ func (d *Decomposition) EvalSegment(s *Segment, inputs []Est) (out Est, costByte
 			// Probe-side spill traffic when an in-memory build
 			// unexpectedly exceeds memory (the planned spill case is
 			// Grace, whose partition traffic is counted at boundaries).
+			// The optimizer never plans this case, so it has no term
+			// there.
 			if bb := build.Bytes(); !node.Grace && bb > d.WorkMemBytes && bb > 0 {
 				spillFrac := 1 - d.WorkMemBytes/bb
-				cost += 2 * spillFrac * probe.Bytes() * passMul
+				cost += 2 * spillFrac * probe.Bytes()
 			}
 			return outEst
 		case *plan.Partition:
-			if est, ok := inputEst(n, passMul); ok {
+			if est, ok := inputEst(n); ok {
 				return est
 			}
-			return eval(node.Child, passMul)
+			return eval(node.Child)
 		case *plan.NLJoin:
-			outer := eval(node.Outer, passMul)
+			outer := eval(node.Outer)
 			// The inner is read once through its own pipeline, then its
 			// (filtered, cached) output is logically re-read once per
 			// further outer tuple — matching the executor's caching.
-			inner := eval(node.Inner, passMul)
-			cost += (math.Max(1, outer.Card) - 1) * inner.Bytes() * passMul
+			inner := eval(node.Inner)
+			cost += RescanBytes(outer.Card, inner.Bytes())
 			return Est{Card: node.Sel * outer.Card * inner.Card, Width: outer.Width + inner.Width}
 		case *plan.MergeJoin:
-			l := eval(node.Left, passMul)
-			r := eval(node.Right, passMul)
+			l := eval(node.Left)
+			r := eval(node.Right)
 			return Est{Card: node.Sel * l.Card * r.Card, Width: l.Width + r.Width}
 		case *plan.Sort:
 			// Registered: a sorted stream read from a lower segment.
 			// Unregistered: this segment's own producer root.
-			if est, ok := inputEst(n, passMul); ok {
+			if est, ok := inputEst(n); ok {
 				return est
 			}
-			in := eval(node.Child, passMul)
-			// Intermediate merge passes beyond the final merge.
-			if b := in.Bytes(); b > d.WorkMemBytes && d.WorkMemBytes > 0 {
-				runs := math.Ceil(b / d.WorkMemBytes)
-				fanin := math.Max(2, d.WorkMemBytes/storage.PageSize-1)
-				passes := math.Ceil(math.Log(runs) / math.Log(fanin))
-				if passes > 1 {
-					cost += (passes - 1) * 2 * b * passMul
-				}
-			}
+			in := eval(node.Child)
+			cost += SortMergeBytes(in.Bytes(), d.WorkMemBytes)
 			return in
 		case *plan.Materialize:
-			if est, ok := inputEst(n, passMul); ok {
+			if est, ok := inputEst(n); ok {
 				return est
 			}
-			return eval(node.Child, passMul)
+			return eval(node.Child)
 		case *plan.HashAgg:
-			if est, ok := inputEst(n, passMul); ok {
+			if est, ok := inputEst(n); ok {
 				return est
 			}
-			in := eval(node.Child, passMul)
+			in := eval(node.Child)
 			card := math.Min(math.Max(1, node.GroupsEst), math.Max(1, in.Card))
 			return Est{Card: card, Width: node.OutEst.Width}
 		case *plan.Limit:
-			in := eval(node.Child, passMul)
+			in := eval(node.Child)
 			return Est{Card: math.Min(in.Card, float64(node.N)), Width: in.Width}
 		case *plan.SemiJoin:
-			inner, ok := inputEst(n, passMul)
+			inner, ok := inputEst(n)
 			if !ok {
-				inner = eval(node.Inner, passMul)
+				inner = eval(node.Inner)
 			}
-			outer := eval(node.Outer, passMul)
+			outer := eval(node.Outer)
 			if node.OuterKey < 0 {
 				// NL semi: the cached inner is re-read per outer tuple.
-				cost += (math.Max(1, outer.Card) - 1) * inner.Bytes() * passMul
+				cost += RescanBytes(outer.Card, inner.Bytes())
 			}
 			return Est{Card: node.Sel * outer.Card, Width: outer.Width}
 		default:
@@ -512,7 +547,7 @@ func (d *Decomposition) EvalSegment(s *Segment, inputs []Est) (out Est, costByte
 			panic(fmt.Sprintf("segment: unknown node %T in EvalSegment", n))
 		}
 	}
-	out = eval(s.Root, 1)
+	out = eval(s.Root)
 	if !s.Final {
 		cost += out.Bytes()
 	}

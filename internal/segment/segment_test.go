@@ -1,4 +1,4 @@
-package segment
+package segment_test
 
 import (
 	"math"
@@ -8,6 +8,7 @@ import (
 	"progressdb/internal/catalog"
 	"progressdb/internal/optimizer"
 	"progressdb/internal/plan"
+	"progressdb/internal/segment"
 	"progressdb/internal/sqlparser"
 	"progressdb/internal/storage"
 	"progressdb/internal/tuple"
@@ -72,7 +73,7 @@ func planFor(t *testing.T, cat *catalog.Catalog, sql string, opt optimizer.Optio
 func TestSingleSegmentScan(t *testing.T) {
 	cat := buildCatalog(t)
 	p := planFor(t, cat, "select * from lineitem", optimizer.Options{})
-	d := Decompose(p, 2048)
+	d := segment.Decompose(p, 2048)
 	if len(d.Segments) != 1 {
 		t.Fatalf("Q1-style plan must be one segment:\n%s", d)
 	}
@@ -97,7 +98,7 @@ func TestQ2StyleThreeSegments(t *testing.T) {
 		select c.custkey, o.orderkey, l.partkey
 		from customer c, orders o, lineitem l
 		where c.custkey = o.custkey and o.orderkey = l.orderkey`, optimizer.Options{})
-	d := Decompose(p, 2048)
+	d := segment.Decompose(p, 2048)
 	if len(d.Segments) != 3 {
 		t.Fatalf("want 3 segments, got %d:\n%s", len(d.Segments), d)
 	}
@@ -130,7 +131,7 @@ func TestNLJoinDominantIsOuter(t *testing.T) {
 	p := planFor(t, cat,
 		"select * from customer c1, customer c2 where c1.custkey <> c2.custkey",
 		optimizer.Options{})
-	d := Decompose(p, 2048)
+	d := segment.Decompose(p, 2048)
 	if len(d.Segments) != 1 {
 		t.Fatalf("NL of two scans must be one segment:\n%s", d)
 	}
@@ -186,7 +187,7 @@ func TestMergeJoinTwoDominantInputs(t *testing.T) {
 	p := planFor(t, cat,
 		"select c.custkey from customer c, orders o where c.custkey = o.custkey",
 		optimizer.Options{ForceJoinAlgo: "merge"})
-	d := Decompose(p, 2048)
+	d := segment.Decompose(p, 2048)
 	// Segments: sort(customer), sort(orders), merge (final) = 3.
 	if len(d.Segments) != 3 {
 		t.Fatalf("want 3 segments:\n%s", d)
@@ -206,19 +207,19 @@ func TestEvalSegmentRespondsToRefinedInputs(t *testing.T) {
 		select c.custkey, o.orderkey, l.partkey
 		from customer c, orders o, lineitem l
 		where c.custkey = o.custkey and o.orderkey = l.orderkey`, optimizer.Options{})
-	d := Decompose(p, 2048)
+	d := segment.Decompose(p, 2048)
 	s1 := d.Segments[1]
-	base := make([]Est, len(s1.Inputs))
+	base := make([]segment.Est, len(s1.Inputs))
 	for i, in := range s1.Inputs {
 		base[i] = in.Init
 	}
 	out0, cost0 := d.EvalSegment(s1, base)
 	// Doubling the probe-side input cardinality roughly doubles the
 	// output cardinality and increases the cost.
-	refined := make([]Est, len(base))
+	refined := make([]segment.Est, len(base))
 	copy(refined, base)
 	di := s1.Dominant[0]
-	refined[di] = Est{Card: base[di].Card * 2, Width: base[di].Width}
+	refined[di] = segment.Est{Card: base[di].Card * 2, Width: base[di].Width}
 	out1, cost1 := d.EvalSegment(s1, refined)
 	if out1.Card < out0.Card*1.9 {
 		t.Fatalf("refined card %g, want ~2x %g", out1.Card, out0.Card)
@@ -234,7 +235,7 @@ func TestTotalInitCostIsSumOfSegments(t *testing.T) {
 		select c.custkey, o.orderkey, l.partkey
 		from customer c, orders o, lineitem l
 		where c.custkey = o.custkey and o.orderkey = l.orderkey`, optimizer.Options{})
-	d := Decompose(p, 2048)
+	d := segment.Decompose(p, 2048)
 	sum := 0.0
 	for _, s := range d.Segments {
 		sum += s.InitCost
@@ -253,7 +254,7 @@ func TestInfoTagsCoverScansAndBoundaries(t *testing.T) {
 		select c.custkey, o.orderkey, l.partkey
 		from customer c, orders o, lineitem l
 		where c.custkey = o.custkey and o.orderkey = l.orderkey`, optimizer.Options{})
-	d := Decompose(p, 2048)
+	d := segment.Decompose(p, 2048)
 	scans, joins := 0, 0
 	var walk func(plan.Node)
 	walk = func(n plan.Node) {
@@ -283,7 +284,7 @@ func TestInfoTagsCoverScansAndBoundaries(t *testing.T) {
 func TestDecompositionStringMentionsDominant(t *testing.T) {
 	cat := buildCatalog(t)
 	p := planFor(t, cat, "select * from lineitem", optimizer.Options{})
-	d := Decompose(p, 2048)
+	d := segment.Decompose(p, 2048)
 	if !strings.Contains(d.String(), "[dominant]") {
 		t.Fatalf("String output: %s", d)
 	}
@@ -294,8 +295,8 @@ func TestSpillCostAppearsWithTinyWorkMem(t *testing.T) {
 	p := planFor(t, cat,
 		"select c.custkey, o.orderkey from customer c, orders o where c.custkey = o.custkey",
 		optimizer.Options{})
-	big := Decompose(p, 4096)
-	small := Decompose(p, 0) // no memory: the build side always spills
+	big := segment.Decompose(p, 4096)
+	small := segment.Decompose(p, 0) // no memory: the build side always spills
 	if small.TotalInitCost() <= big.TotalInitCost() {
 		t.Fatalf("spill must raise cost: small-mem %g vs big-mem %g",
 			small.TotalInitCost(), big.TotalInitCost())

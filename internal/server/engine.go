@@ -6,7 +6,6 @@ package server
 
 import (
 	"context"
-	"math"
 
 	"progressdb"
 	"progressdb/client"
@@ -127,24 +126,7 @@ func shardBreakdown(shards []fleet.ShardReport) []client.ShardProgress {
 	}
 	out := make([]client.ShardProgress, 0, len(shards))
 	for _, sr := range shards {
-		out = append(out, client.ShardProgress{
-			Shard:          sr.Shard,
-			Percent:        finiteOrNeg1(sr.Report.Percent),
-			DoneU:          finiteOrNeg1(sr.Report.DoneU),
-			EstTotalU:      finiteOrNeg1(sr.Report.EstimatedCostU),
-			SpeedU:         finiteOrNeg1(sr.Report.SpeedU),
-			ElapsedSeconds: finiteOrNeg1(sr.Report.ElapsedSeconds),
-			Finished:       sr.Report.Finished,
-		})
+		out = append(out, client.ShardProgressFromReport(sr.Shard, sr.Report))
 	}
 	return out
-}
-
-// finiteOrNeg1 maps NaN and ±Inf to -1, matching the wire convention for
-// the event's top-level fields (JSON cannot carry non-finite numbers).
-func finiteOrNeg1(v float64) float64 {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return -1
-	}
-	return v
 }

@@ -224,16 +224,6 @@ func (bp *BufferPool) Disk() *Disk { return bp.disk }
 // Capacity returns the pool size in pages.
 func (bp *BufferPool) Capacity() int { return bp.capacity }
 
-// HitRate returns hits/(hits+misses), or 0 before any access.
-func (bp *BufferPool) HitRate() float64 {
-	hits, misses := bp.hits.Load(), bp.misses.Load()
-	total := hits + misses
-	if total == 0 {
-		return 0
-	}
-	return float64(hits) / float64(total)
-}
-
 // PinnedFrames returns the number of outstanding frame pins. Part of the
 // engine's leak-check API: zero whenever no scanner is mid-flight.
 func (bp *BufferPool) PinnedFrames() int64 { return bp.pinned.Load() }

@@ -272,16 +272,6 @@ func (d *Disk) Exists(id FileID) bool {
 	return ok
 }
 
-// ClassOf returns the file's class (ClassBase for unknown files).
-func (d *Disk) ClassOf(id FileID) FileClass {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if f, ok := d.files[id]; ok {
-		return f.class
-	}
-	return ClassBase
-}
-
 // OpenFiles returns the ids of all currently allocated files, sorted.
 // This is the leak-check API: after a query finishes — successfully or
 // not — OpenFiles(ClassTemp) must be empty.

@@ -113,9 +113,6 @@ func TestOpenFilesByClass(t *testing.T) {
 	if got := d.OpenFilesOfClass(ClassBase); len(got) != 1 || got[0] != base {
 		t.Fatalf("base files = %v, want [%v]", got, base)
 	}
-	if c := d.ClassOf(t1); c != ClassTemp {
-		t.Fatalf("ClassOf(temp) = %v", c)
-	}
 	if err := d.Remove(t1); err != nil {
 		t.Fatal(err)
 	}

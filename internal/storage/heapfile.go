@@ -70,25 +70,6 @@ func CreateTempHeapFileOn(pool *BufferPool, clk *vclock.Clock) *HeapFile {
 	return &HeapFile{pool: pool, id: pool.Disk().CreateTemp(), clock: clk, curPage: -1}
 }
 
-// OpenHeapFile reopens an existing file for scanning, bound to the
-// disk's base clock. Appending to a reopened file is not supported.
-func OpenHeapFile(pool *BufferPool, id FileID) (*HeapFile, error) {
-	n, err := pool.Disk().NumPages(id)
-	if err != nil {
-		return nil, err
-	}
-	hf := &HeapFile{pool: pool, id: id, clock: pool.Disk().Clock(), curPage: -1}
-	// Recount records for Len; cheap because it reads headers via the pool.
-	for p := 0; p < n; p++ {
-		page, err := pool.Get(PageID{File: id, Num: int32(p)})
-		if err != nil {
-			return nil, err
-		}
-		hf.nrecords += int64(binary.LittleEndian.Uint16(page[0:2]))
-	}
-	return hf, nil
-}
-
 // ID returns the underlying file id.
 func (hf *HeapFile) ID() FileID { return hf.id }
 
@@ -163,13 +144,8 @@ func (hf *HeapFile) Drop() error {
 	return hf.pool.RemoveFile(hf.id)
 }
 
-// Fetch returns the record stored at rid (a copy), charging the file's
-// bound clock.
-func (hf *HeapFile) Fetch(rid RID) ([]byte, error) {
-	return hf.FetchOn(hf.clock, rid)
-}
-
-// FetchOn is Fetch charging the given worker clock.
+// FetchOn returns the record stored at rid (a copy), charging the given
+// clock.
 func (hf *HeapFile) FetchOn(clk *vclock.Clock, rid RID) ([]byte, error) {
 	page, err := hf.pool.GetOn(clk, rid.Page)
 	if err != nil {
@@ -186,34 +162,6 @@ func (hf *HeapFile) FetchOn(clk *vclock.Clock, rid RID) ([]byte, error) {
 			rec := make([]byte, l)
 			copy(rec, page[off+recordOverhead:off+recordOverhead+l])
 			return rec, nil
-		}
-		off += recordOverhead + l
-	}
-}
-
-// UpdateAt overwrites the record at rid in place. The new record must
-// have exactly the original's length (fixed-width updates, e.g. numeric
-// fields, satisfy this; the transaction layer enforces it).
-func (hf *HeapFile) UpdateAt(rid RID, rec []byte) error {
-	page, err := hf.pool.GetOn(hf.clock, rid.Page)
-	if err != nil {
-		return err
-	}
-	count := binary.LittleEndian.Uint16(page[0:2])
-	if rid.Slot >= count {
-		return fmt.Errorf("storage: update of slot %d out of range (page has %d)", rid.Slot, count)
-	}
-	buf := make([]byte, PageSize)
-	copy(buf, page)
-	off := pageHeaderSize
-	for s := uint16(0); ; s++ {
-		l := int(binary.LittleEndian.Uint16(buf[off:]))
-		if s == rid.Slot {
-			if len(rec) != l {
-				return fmt.Errorf("storage: update changes record length (%d -> %d)", l, len(rec))
-			}
-			copy(buf[off+recordOverhead:], rec)
-			return hf.pool.PutOn(hf.clock, rid.Page, buf)
 		}
 		off += recordOverhead + l
 	}

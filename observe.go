@@ -49,9 +49,6 @@ func (db *DB) wireMetrics(pool *storage.BufferPool, disk *storage.Disk) {
 	db.queries = reg.Counter("engine_queries_total", "queries executed to completion")
 }
 
-// MetricsEnabled reports whether the engine-wide registry is active.
-func (db *DB) MetricsEnabled() bool { return db.reg != nil }
-
 // Metrics returns a point-in-time snapshot of every engine-wide
 // instrument, sorted by series ID. Nil when Config.Metrics is off.
 func (db *DB) Metrics() []obs.Sample {

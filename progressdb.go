@@ -114,7 +114,7 @@ type Config struct {
 // ExecDiscardContext, EstimateCostU, Explain, CheckLeaks, Now, and the
 // metrics accessors — are safe to call from multiple goroutines; each
 // query runs on its own worker clock and the storage layers are latched.
-// Setup and maintenance — CreateTable, Insert, FlushTable, Analyze,
+// Setup and maintenance — CreateTable, Insert, Analyze,
 // CreateIndex, LoadPaperWorkload*, SetInterference, ClearInterference,
 // SetFaultSpec, ColdRestart and ExecGroup — are single-threaded and
 // must not overlap each other or running queries, matching the paper's
@@ -272,16 +272,6 @@ func (db *DB) MustInsert(table string, values ...interface{}) {
 		//lint:ignore errwrap sanctioned: Must-style helper panics by documented contract
 		panic(err)
 	}
-}
-
-// FlushTable makes all inserted rows of a table readable. Called
-// automatically by Analyze.
-func (db *DB) FlushTable(table string) error {
-	t, err := db.cat.Table(table)
-	if err != nil {
-		return err
-	}
-	return t.Heap.Sync()
 }
 
 // CreateIndex builds a B+-tree index over an Int column.
