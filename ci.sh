@@ -58,24 +58,30 @@ go test -run FuzzIntMap -fuzz FuzzIntMap -fuzztime 5s ./internal/exec/
 echo "== progressd start/stop =="
 # The one check that goes through main() itself — flags into Config, the
 # workload load, the listener, the SIGTERM drain — which no test can
-# reach. What the daemon serves is internal/server's tests' business.
-pdlog="$bindir"/progressd.log
-"$bindir"/progressd -addr 127.0.0.1:0 -scale 0.002 >"$pdlog" 2>&1 &
-pd=$!
-tries=0
-until grep -q 'listening on' "$pdlog"; do
-	tries=$((tries + 1))
-	if [ "$tries" -gt 150 ] || ! kill -0 "$pd" 2>/dev/null; then
-		kill "$pd" 2>/dev/null || true
-		echo "progressd did not come up:" >&2
-		cat "$pdlog" >&2
-		exit 1
-	fi
-	sleep 0.1
-done
-kill -TERM "$pd"
-wait "$pd" || { echo "progressd exited $? on SIGTERM:" >&2; cat "$pdlog" >&2; exit 1; }
-grep 'drain done .*clean=true' "$pdlog" || { cat "$pdlog" >&2; exit 1; }
+# reach. It runs on one engine and again on a 2-shard fleet, so main()'s
+# fleet wiring is reached too. What the daemon serves is
+# internal/server's tests' business.
+pdcheck() {
+	pdlog="$bindir"/progressd.log
+	"$bindir"/progressd -addr 127.0.0.1:0 -scale 0.002 "$@" >"$pdlog" 2>&1 &
+	pd=$!
+	tries=0
+	until grep -q 'listening on' "$pdlog"; do
+		tries=$((tries + 1))
+		if [ "$tries" -gt 150 ] || ! kill -0 "$pd" 2>/dev/null; then
+			kill "$pd" 2>/dev/null || true
+			echo "progressd $* did not come up:" >&2
+			cat "$pdlog" >&2
+			exit 1
+		fi
+		sleep 0.1
+	done
+	kill -TERM "$pd"
+	wait "$pd" || { echo "progressd $* exited $? on SIGTERM:" >&2; cat "$pdlog" >&2; exit 1; }
+	grep 'drain done .*clean=true' "$pdlog" || { cat "$pdlog" >&2; exit 1; }
+}
+pdcheck
+pdcheck -shards 2
 
 echo "== pgsh scripted session =="
 # The other binary exercised through main(): one session piped into the

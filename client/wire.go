@@ -278,24 +278,6 @@ type HealthResponse struct {
 	InflightQueries int     `json:"inflight_queries"`
 	// MaxInflightU echoes the configured budget (0 = unlimited).
 	MaxInflightU float64 `json:"max_inflight_u,omitempty"`
-	// Shards is the per-shard health/breaker breakdown on fleet
-	// deployments; absent on single-engine servers.
-	Shards []ShardHealth `json:"shards,omitempty"`
-}
-
-// ShardHealth is one shard's resilience summary inside HealthResponse.
-type ShardHealth struct {
-	Shard int `json:"shard"`
-	// Breaker is the shard's circuit breaker state: "closed", "open",
-	// or "half_open".
-	Breaker string `json:"breaker"`
-	// ConsecutiveFailures is the current subquery failure streak.
-	ConsecutiveFailures int `json:"consecutive_failures,omitempty"`
-	// Retries / Trips / FastFails are lifetime counts: transient-fault
-	// subquery retries, breaker trips, and fan-outs rejected while open.
-	Retries   int64 `json:"retries,omitempty"`
-	Trips     int64 `json:"trips,omitempty"`
-	FastFails int64 `json:"fast_fails,omitempty"`
 }
 
 // DrainResponse is POST /admin/drain: the outcome of a graceful drain.

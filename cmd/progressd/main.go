@@ -86,15 +86,7 @@ func main() {
 	if *shards > 1 {
 		// Fleet mode: N hash-partitioned shard engines behind one
 		// coordinator; -fault arms every shard's injector identically.
-		fcfg := fleet.Config{Shards: *shards, Shard: shardCfg}
-		fcfg.Shard.FaultSpec = ""
-		if *fault != "" {
-			fcfg.ShardFaultSpecs = make([]string, *shards)
-			for i := range fcfg.ShardFaultSpecs {
-				fcfg.ShardFaultSpecs[i] = *fault
-			}
-		}
-		f, err := fleet.New(fcfg)
+		f, err := fleet.New(fleet.Config{Shards: *shards, Shard: shardCfg})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "progressd:", err)
 			os.Exit(1)

@@ -396,12 +396,12 @@ func TestFaultMatrixSmoke(t *testing.T) {
 	}
 }
 
-// TestTransientFaultsAbsorbed pins the storage layer's transient-fault
-// contract that the fleet coordinator's retry/breaker layer builds on: a
-// transient burst shorter than the bufferpool's per-access attempt
-// budget (4 tries) is absorbed entirely inside the engine — the query
-// succeeds with the correct result, the retry counters move, and the
-// caller never sees an error.
+// TestTransientFaultsAbsorbed pins the transient-fault contract of the
+// buffer pool, the engine's one retry layer (a fleet adds none): a
+// transient burst shorter than the per-access attempt budget (4 tries)
+// is absorbed entirely inside the engine — the query succeeds with the
+// correct result, the retry counters move, and the caller never sees an
+// error.
 func TestTransientFaultsAbsorbed(t *testing.T) {
 	db := chaosDB(t)
 	const q = "select * from r where v < 50"

@@ -36,9 +36,9 @@ var enginePackages = []string{
 	"progressdb/internal/core",
 	"progressdb/internal/optimizer",
 	"progressdb/internal/btree",
-	// The fleet coordinator charges retry backoff to shard vclocks so
-	// failover replays deterministically under seeded fault schedules; a
-	// wall-clock sleep in the retry loop would break that replay.
+	// The fleet coordinator merges shard reports whose elapsed and
+	// remaining figures are virtual seconds; a wall-clock read there
+	// would mix the two ledgers in the global progress stream.
 	"progressdb/internal/fleet",
 }
 
@@ -57,10 +57,4 @@ func isEnginePackage(path string) bool {
 // loops and operators carry the safe-point and close-path invariants.
 func isExecPackage(path string) bool {
 	return path == "progressdb/internal/exec"
-}
-
-// isFleetPackage reports whether path is the fleet coordinator, whose
-// retry loops carry the context-liveness invariant.
-func isFleetPackage(path string) bool {
-	return path == "progressdb/internal/fleet"
 }

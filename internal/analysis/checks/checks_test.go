@@ -69,38 +69,6 @@ func drain(sc scanner, c clock) {
 `)
 }
 
-// TestSafepointFleetFixture exercises the fleet rule: condition-less
-// retry loops re-executing a shard subquery must poll ctx between
-// attempts.
-func TestSafepointFleetFixture(t *testing.T) {
-	analysis.RunFixture(t, Safepoint,
-		"progressdb/internal/fleet",
-		"testdata/safepoint/retryloop.go")
-}
-
-// TestSafepointFleetRuleScoped: the same unpolled retry loop outside
-// internal/fleet is out of scope and reports nothing.
-func TestSafepointFleetRuleScoped(t *testing.T) {
-	analysis.RunSource(t, []*analysis.Analyzer{Safepoint},
-		"progressdb/internal/harness", "harness_fixture.go", `
-package fixture
-
-import "context"
-
-type db struct{}
-
-func (db) ExecContext(ctx context.Context, sql string) (int, error) { return 0, nil }
-
-func hammer(ctx context.Context, d db, sql string) {
-	for {
-		if _, err := d.ExecContext(ctx, sql); err == nil {
-			return
-		}
-	}
-}
-`)
-}
-
 func TestClosepathFixture(t *testing.T) {
 	analysis.RunFixture(t, Closepath,
 		"progressdb/internal/exec",

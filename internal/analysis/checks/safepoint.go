@@ -32,33 +32,18 @@ import (
 // Bounded loops (range loops, condition loops over in-memory state) are
 // exempt: their work per entry is limited by what an enclosing safe
 // loop handed them.
-//
-// The fleet coordinator carries a sibling invariant: every condition-less
-// retry loop that re-executes a shard subquery (an Exec*Context call) must
-// consult its context — ctx.Err() or ctx.Done() — between attempts.
-// Without the poll, a canceled fleet query keeps replaying a faulting
-// subquery until the retry budget runs out, and the cancellation latency
-// bound the executor fought for is lost one layer up.
 var Safepoint = &analysis.Analyzer{
 	Name: "safepoint",
 	Doc: "every unbounded tuple loop in internal/exec must reach a " +
 		"cancellation safe point (env.yield/checkCancel) directly or by " +
-		"pumping an exported Iterator.Next; every subquery retry loop in " +
-		"internal/fleet must poll ctx.Err/ctx.Done between attempts",
+		"pumping an exported Iterator.Next",
 	Run: runSafepoint,
 }
 
 func runSafepoint(pass *analysis.Pass) error {
-	switch {
-	case isExecPackage(pass.Path):
-		return runExecSafepoint(pass)
-	case isFleetPackage(pass.Path):
-		return runFleetSafepoint(pass)
+	if !isExecPackage(pass.Path) {
+		return nil
 	}
-	return nil
-}
-
-func runExecSafepoint(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			loop, ok := n.(*ast.ForStmt)
@@ -76,68 +61,6 @@ func runExecSafepoint(pass *analysis.Pass) error {
 		})
 	}
 	return nil
-}
-
-// runFleetSafepoint flags condition-less fleet retry loops that
-// re-execute a shard subquery without polling their context.
-func runFleetSafepoint(pass *analysis.Pass) error {
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			loop, ok := n.(*ast.ForStmt)
-			if !ok || loop.Cond != nil {
-				return true
-			}
-			retries, polls := scanRetryLoopBody(pass, loop.Body)
-			if retries && !polls {
-				pass.Reportf(loop.Pos(),
-					"fleet retry loop re-executes a subquery without a context "+
-						"liveness check: poll ctx.Err() or ctx.Done() between attempts "+
-						"so cancellation is not deferred past the retry budget, or "+
-						"suppress with //lint:ignore safepoint <reason>")
-			}
-			return true
-		})
-	}
-	return nil
-}
-
-// scanRetryLoopBody walks one loop body and reports whether it
-// re-executes a shard subquery and whether it polls a context.Context.
-func scanRetryLoopBody(pass *analysis.Pass, body *ast.BlockStmt) (retries, polls bool) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		switch sel.Sel.Name {
-		case "ExecContext", "ExecDiscardContext":
-			retries = true
-		case "Err", "Done":
-			if len(call.Args) == 0 && isContextValue(pass, sel.X) {
-				polls = true
-			}
-		}
-		return true
-	})
-	return retries, polls
-}
-
-// isContextValue reports whether expr is a context.Context.
-func isContextValue(pass *analysis.Pass, expr ast.Expr) bool {
-	tv, ok := pass.TypesInfo.Types[expr]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	named, ok := tv.Type.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "Context" && obj.Pkg() != nil && obj.Pkg().Path() == "context"
 }
 
 // scanLoopBody walks one loop body and reports whether it performs

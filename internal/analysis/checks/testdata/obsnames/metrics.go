@@ -19,11 +19,11 @@ func register(reg *obs.Registry, dynamic string) {
 	reg.LabeledGauge("fleet_shard_percent", "shard", "0", "per-shard progress")
 	reg.LabeledGauge("fleet_shard_percent", "shard", "1", "per-shard progress")
 	// Resilience metrics: shed reasons are a labeled counter family,
-	// breaker state a per-shard labeled gauge, retries a plain counter.
+	// per-shard work a labeled gauge, propagated cancels a plain counter.
 	reg.LabeledCounter("server_shed_total", "reason", "budget", "sheds by reason")
 	reg.LabeledCounter("server_shed_total", "reason", "draining", "sheds by reason")
-	reg.LabeledGauge("fleet_shard_breaker_state", "shard", "0", "0 closed, 1 open, 2 half-open")
-	reg.Counter("fleet_retries_total", "subquery retries across shards")
+	reg.LabeledGauge("fleet_shard_done_u", "shard", "0", "per-shard completed work")
+	reg.Counter("fleet_cancels_propagated_total", "shard failures that canceled siblings")
 
 	reg.Counter(dynamic, "computed name")                   // want `must be a literal string`
 	reg.Counter("storageIoRetries", "camel case")           // want `not snake_case`

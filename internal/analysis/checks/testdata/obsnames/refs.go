@@ -17,11 +17,11 @@ func dashboardLists(dynamic string) []string {
 		tsdb.Ref(`exec_rows_out_total{op="scan"}`),
 		// The heatmap's per-shard selector resolves the same way.
 		tsdb.Ref(`fleet_shard_percent{shard="0"}`),
-		// Resilience series: shed-reason and breaker-state selectors
+		// Resilience series: shed-reason and per-shard selectors
 		// resolve against their labeled family registrations.
 		tsdb.Ref(`server_shed_total{reason="budget"}`),
-		tsdb.Ref(`fleet_shard_breaker_state{shard="0"}`),
-		tsdb.Ref("fleet_retries_total"),
+		tsdb.Ref(`fleet_shard_done_u{shard="0"}`),
+		tsdb.Ref("fleet_cancels_propagated_total"),
 		// Histogram-derived series resolve via their base registration.
 		tsdb.Ref("progress_refresh_u_count"),
 		tsdb.Ref("progress_refresh_u_sum"),

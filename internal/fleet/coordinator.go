@@ -39,7 +39,6 @@ import (
 
 	"progressdb"
 	"progressdb/internal/sqlparser"
-	"progressdb/internal/storage"
 )
 
 // ErrUnsupported marks queries the coordinator cannot distribute
@@ -49,30 +48,13 @@ var ErrUnsupported = errors.New("not shard-distributable")
 
 // ShardError attributes a fleet query failure to the shard that caused
 // it. Unwrap exposes the shard's own error, so errors.Is sees through to
-// context.Canceled, deadline errors, injected faults, or ErrBreakerOpen.
+// context.Canceled, deadline errors, or injected faults.
 type ShardError struct {
 	Shard int
 	Err   error
-	// Attempts is how many times the subquery was executed on the shard
-	// (1 + retries); 0 when the breaker rejected the fan-out before any
-	// attempt.
-	Attempts int
-	// Breaker is the shard's circuit breaker state after this failure
-	// was recorded ("closed", "open", "half_open"); empty when the fleet
-	// runs without breakers.
-	Breaker string
 }
 
-func (e *ShardError) Error() string {
-	msg := fmt.Sprintf("fleet: shard %d: %v", e.Shard, e.Err)
-	if e.Attempts > 1 {
-		msg += fmt.Sprintf(" (after %d attempts)", e.Attempts)
-	}
-	if e.Breaker != "" && e.Breaker != "closed" {
-		msg += fmt.Sprintf(" [breaker %s]", e.Breaker)
-	}
-	return msg
-}
+func (e *ShardError) Error() string { return fmt.Sprintf("fleet: shard %d: %v", e.Shard, e.Err) }
 func (e *ShardError) Unwrap() error { return e.Err }
 
 // ShardResult summarizes one shard's contribution to a fleet query.
@@ -85,12 +67,8 @@ type ShardResult struct {
 	// VirtualSeconds is the subquery's execution time on the shard's own
 	// virtual clock.
 	VirtualSeconds float64
-	// DoneU is the shard's final completed work in U, including work
-	// done by failed attempts that were retried.
+	// DoneU is the shard's final completed work in U.
 	DoneU float64
-	// Retries is how many times the shard's subquery was re-run after a
-	// transient I/O fault.
-	Retries int
 }
 
 // Result is a completed fleet query.
@@ -107,13 +85,7 @@ type Result struct {
 	History []Report
 	// Shards holds each shard's contribution summary, in shard order.
 	Shards []ShardResult
-	// Retries is the total number of shard subquery retries the
-	// coordinator performed for this query.
-	Retries int
 }
-
-// RowCount returns the number of merged result rows.
-func (r *Result) RowCount() int { return len(r.Rows) }
 
 // Exec runs a query across the fleet, invoking onProgress (if non-nil)
 // at every aggregated refresh.
@@ -178,56 +150,36 @@ func (f *Fleet) exec(ctx context.Context, sql string, onProgress func(Report), k
 	n := len(f.shards)
 	results := make([]*progressdb.Result, n)
 	errs := make([]error, n)
-	retries := make([]int, n)
 	var propagate sync.Once
 	var wg sync.WaitGroup
 	for _, sh := range f.shards {
 		wg.Add(1)
 		go func(sh *shard) {
 			defer wg.Done()
-			fail := func(err error) {
-				errs[sh.id] = err
-				// Distributed cancellation: first failure cancels the
-				// siblings. The Once keeps the metric at one propagation
-				// per query even when several shards fail on their own.
-				propagate.Do(func() {
-					f.met.cancels.Inc()
-					cancel()
-				})
-			}
-			// Circuit-breaker gate, checked before the shard mutex: an
-			// open breaker rejects the fan-out without queueing behind
-			// whatever the sick shard is doing.
-			br := f.breakers[sh.id]
-			ok, probe, streak := br.allow()
-			if !ok {
-				f.met.fastFails.Inc()
-				fail(&ShardError{
-					Shard:   sh.id,
-					Err:     &BreakerOpenError{Shard: sh.id, ConsecutiveFailures: streak},
-					Breaker: breakerStateName(breakerOpen),
-				})
-				return
-			}
-			if probe {
-				f.met.probes.Inc()
-				f.met.breakerState[sh.id].Set(br.stateValue())
-			}
 			sh.mu.Lock()
 			defer sh.mu.Unlock()
 			f.met.subqueries.Inc()
 			f.met.shardQueries[sh.id].Inc()
 			f.met.shardBusy[sh.id].Set(1)
 			defer f.met.shardBusy[sh.id].Set(0)
-			res, attempts, err := f.runShardSubquery(ctx, sh, qp.shardSQL, keepRows, agg)
-			f.recordShardOutcome(sh.id, probe, err)
-			results[sh.id], retries[sh.id] = res, attempts-1
+			// The subquery runs once, like DB.ExecContext: transient I/O
+			// faults are retried inside the shard's buffer pool, the one
+			// retry layer, and whatever outlives it fails the query.
+			onShard := func(r progressdb.Report) { agg.shardUpdate(sh.id, r) }
+			var err error
+			if keepRows {
+				results[sh.id], err = sh.db.ExecContext(ctx, qp.shardSQL, onShard)
+			} else {
+				results[sh.id], err = sh.db.ExecDiscardContext(ctx, qp.shardSQL, onShard)
+			}
 			if err != nil {
-				fail(&ShardError{
-					Shard:    sh.id,
-					Err:      err,
-					Attempts: attempts,
-					Breaker:  breakerStateName(int32(br.stateValue())),
+				errs[sh.id] = &ShardError{Shard: sh.id, Err: err}
+				// Distributed cancellation: first failure cancels the
+				// siblings. The Once keeps the metric at one propagation
+				// per query even when several shards fail on their own.
+				propagate.Do(func() {
+					f.met.cancels.Inc()
+					cancel()
 				})
 			}
 		}(sh)
@@ -245,13 +197,11 @@ func (f *Fleet) exec(ctx context.Context, sql string, onProgress func(Report), k
 	var total int
 	for _, sh := range f.shards {
 		res := results[sh.id]
-		sr := ShardResult{Shard: sh.id, Rows: len(res.Rows), VirtualSeconds: res.VirtualSeconds, Retries: retries[sh.id]}
+		sr := ShardResult{Shard: sh.id, Rows: len(res.Rows), VirtualSeconds: res.VirtualSeconds}
 		if len(res.History) > 0 {
 			sr.DoneU = res.History[len(res.History)-1].DoneU
 		}
-		sr.DoneU += agg.doneBase(sh.id) // work done by retried attempts
 		out.Shards = append(out.Shards, sr)
-		out.Retries += retries[sh.id]
 		if res.VirtualSeconds > out.VirtualSeconds {
 			out.VirtualSeconds = res.VirtualSeconds
 		}
@@ -264,42 +214,6 @@ func (f *Fleet) exec(ctx context.Context, sql string, onProgress func(Report), k
 		return nil, err
 	}
 	return out, nil
-}
-
-// runShardSubquery executes one shard's subquery, retrying transient
-// I/O faults with bounded exponential backoff charged to the shard's
-// own virtual clock (deterministic under faultinject seeds). Permanent
-// faults, exhausted budgets, and canceled contexts return immediately.
-// attempts is how many times the subquery ran (>= 1).
-func (f *Fleet) runShardSubquery(ctx context.Context, sh *shard, sql string, keepRows bool, agg *aggregator) (res *progressdb.Result, attempts int, err error) {
-	backoff := f.retryBackoff
-	onShard := func(r progressdb.Report) { agg.shardUpdate(sh.id, r) }
-	for attempt := 1; ; attempt++ {
-		if keepRows {
-			res, err = sh.db.ExecContext(ctx, sql, onShard)
-		} else {
-			res, err = sh.db.ExecDiscardContext(ctx, sql, onShard)
-		}
-		if err == nil {
-			return res, attempt, nil
-		}
-		// Retry only transient I/O faults, within budget, while the
-		// query is still live: a canceled context means a sibling
-		// already failed or the user gave up, and retrying a permanent
-		// fault would just replay it.
-		if attempt > f.maxRetries || !storage.IsTransient(err) || ctx.Err() != nil {
-			return nil, attempt, err
-		}
-		f.met.retries.Inc()
-		f.met.shardRetries[sh.id].Inc()
-		f.breakers[sh.id].noteRetry()
-		// Fold the failed attempt's progress into the aggregator's base
-		// offsets (retried work was really done), then wait out the
-		// backoff on the shard's vclock before going again.
-		agg.shardRetry(sh.id, backoff)
-		sh.db.Idle(backoff)
-		backoff *= 2
-	}
 }
 
 // pickError chooses the query's primary error among the per-shard

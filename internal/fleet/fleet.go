@@ -40,42 +40,16 @@ type Config struct {
 	// Shards is the number of engine shards (>= 1).
 	Shards int
 	// Shard is the per-shard engine configuration. Every shard gets an
-	// identical copy (own buffer pool, own virtual clock).
+	// identical copy (own buffer pool, own virtual clock, and its own
+	// injector armed with Shard.FaultSpec; SetShardFaultSpec re-arms one).
 	Shard progressdb.Config
-	// ShardFaultSpecs optionally installs a per-shard fault schedule
-	// (see progressdb.Config.FaultSpec for the grammar). Entry i applies
-	// to shard i; missing entries leave the shard fault-free. A fleet's
-	// shards failing independently is exactly what the distributed
-	// cancellation path exists for, so chaos tests drive this.
-	ShardFaultSpecs []string
-	// MaxSubqueryRetries bounds how many times the coordinator re-runs a
-	// shard subquery that failed with a transient I/O fault (default 2;
-	// negative disables retries). Permanent faults never retry.
-	MaxSubqueryRetries int
-	// RetryBackoffSeconds is the virtual-seconds wait before the first
-	// retry, doubling per attempt and charged to the shard's own vclock
-	// via DB.Idle — so backoff is deterministic under faultinject seeds
-	// (default 0.05).
-	RetryBackoffSeconds float64
-	// BreakerThreshold trips a shard's circuit breaker open after this
-	// many consecutive subquery failures that survived the retry policy
-	// (default 3; negative disables the breaker).
-	BreakerThreshold int
-	// BreakerProbeAfter is how many fan-outs fail fast against an open
-	// breaker before the next one is admitted as a half-open probe
-	// (default 3).
-	BreakerProbeAfter int
 }
 
 // Fleet is a sharded serving layer over N engine shards.
 type Fleet struct {
-	shards   []*shard
-	breakers []*breaker
-	reg      *obs.Registry
-	met      metrics
-
-	maxRetries   int     // transient-fault retries per shard subquery
-	retryBackoff float64 // first retry's virtual-seconds backoff
+	shards []*shard
+	reg    *obs.Registry
+	met    metrics
 
 	mu     sync.Mutex // guards tables
 	tables map[string]*tableInfo
@@ -123,17 +97,10 @@ type metrics struct {
 	rowsMerged  *obs.Counter
 	shardsGauge *obs.Gauge
 
-	retries   *obs.Counter
-	trips     *obs.Counter
-	fastFails *obs.Counter
-	probes    *obs.Counter
-
 	shardBusy    []*obs.Gauge
 	shardPercent []*obs.Gauge
 	shardDone    []*obs.Gauge
 	shardQueries []*obs.Counter
-	shardRetries []*obs.Counter
-	breakerState []*obs.Gauge
 }
 
 // New creates a fleet of cfg.Shards engine shards.
@@ -141,48 +108,17 @@ func New(cfg Config) (*Fleet, error) {
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("fleet: shard count %d < 1", cfg.Shards)
 	}
-	if len(cfg.ShardFaultSpecs) > cfg.Shards {
-		return nil, fmt.Errorf("fleet: %d fault specs for %d shards", len(cfg.ShardFaultSpecs), cfg.Shards)
-	}
-	f := &Fleet{
-		reg:          obs.NewRegistry(),
-		tables:       make(map[string]*tableInfo),
-		maxRetries:   cfg.MaxSubqueryRetries,
-		retryBackoff: cfg.RetryBackoffSeconds,
-	}
-	if f.maxRetries == 0 {
-		f.maxRetries = 2
-	} else if f.maxRetries < 0 {
-		f.maxRetries = 0
-	}
-	if f.retryBackoff <= 0 {
-		f.retryBackoff = 0.05
-	}
-	threshold := cfg.BreakerThreshold
-	if threshold == 0 {
-		threshold = 3
-	} else if threshold < 0 {
-		threshold = 0 // disabled
-	}
-	probeAfter := cfg.BreakerProbeAfter
-	if probeAfter <= 0 {
-		probeAfter = 3
-	}
+	f := &Fleet{reg: obs.NewRegistry(), tables: make(map[string]*tableInfo)}
 	for i := 0; i < cfg.Shards; i++ {
 		sc := cfg.Shard
 		sc.FaultSpec = "" // installed via SetFaultSpec below so a bad spec errors instead of panicking
 		db := progressdb.Open(sc)
-		spec := cfg.Shard.FaultSpec
-		if i < len(cfg.ShardFaultSpecs) && cfg.ShardFaultSpecs[i] != "" {
-			spec = cfg.ShardFaultSpecs[i]
-		}
-		if spec != "" {
+		if spec := cfg.Shard.FaultSpec; spec != "" {
 			if err := db.SetFaultSpec(spec); err != nil {
 				return nil, fmt.Errorf("fleet: shard %d fault spec: %w", i, err)
 			}
 		}
 		f.shards = append(f.shards, &shard{id: i, db: db})
-		f.breakers = append(f.breakers, &breaker{threshold: threshold, probeAfter: probeAfter})
 	}
 	f.wireMetrics()
 	return f, nil
@@ -200,18 +136,12 @@ func (f *Fleet) wireMetrics() {
 	m.rowsMerged = r.Counter("fleet_rows_merged_total", "result rows merged by the coordinator across all shards")
 	m.shardsGauge = r.Gauge("fleet_shards", "configured shard count")
 	m.shardsGauge.Set(float64(len(f.shards)))
-	m.retries = r.Counter("fleet_retries_total", "shard subquery retries after transient I/O faults")
-	m.trips = r.Counter("fleet_breaker_trips_total", "circuit breakers tripped open (closed to open transitions)")
-	m.fastFails = r.Counter("fleet_breaker_fast_fails_total", "fan-outs rejected without touching the shard because its breaker was open")
-	m.probes = r.Counter("fleet_breaker_probes_total", "half-open probe subqueries admitted through an open breaker")
 	for i := range f.shards {
 		lv := strconv.Itoa(i)
 		m.shardBusy = append(m.shardBusy, r.LabeledGauge("fleet_shard_busy", "shard", lv, "1 while the shard executes a subquery"))
 		m.shardPercent = append(m.shardPercent, r.LabeledGauge("fleet_shard_percent", "shard", lv, "latest per-shard subquery progress percent"))
 		m.shardDone = append(m.shardDone, r.LabeledGauge("fleet_shard_done_u", "shard", lv, "latest per-shard completed work in U"))
 		m.shardQueries = append(m.shardQueries, r.LabeledCounter("fleet_shard_subqueries_total", "shard", lv, "subqueries executed by this shard"))
-		m.shardRetries = append(m.shardRetries, r.LabeledCounter("fleet_shard_retries_total", "shard", lv, "transient-fault subquery retries on this shard"))
-		m.breakerState = append(m.breakerState, r.LabeledGauge("fleet_shard_breaker_state", "shard", lv, "circuit breaker state: 0 closed, 1 open, 2 half-open"))
 	}
 }
 
@@ -222,10 +152,6 @@ func (f *Fleet) Shards() int { return len(f.shards) }
 // by series ID. Shard-internal engine instruments stay on their own
 // registries.
 func (f *Fleet) Metrics() []obs.Sample { return f.reg.Snapshot() }
-
-// MetricsText renders the coordinator instruments in the Prometheus text
-// format.
-func (f *Fleet) MetricsText() string { return f.reg.PrometheusText() }
 
 // ---- placement & routing ---------------------------------------------
 
@@ -266,11 +192,12 @@ func (f *Fleet) Insert(table string, values ...interface{}) error {
 	if ti.keyIdx >= len(values) {
 		return fmt.Errorf("fleet: insert into %q has %d values, partition key is column %d", table, len(values), ti.keyIdx)
 	}
-	p, err := partitionOfValue(values[ti.keyIdx], len(f.shards))
-	if err != nil {
-		return fmt.Errorf("fleet: insert into %q: %w", table, err)
+	key, ok := cellValue(values[ti.keyIdx])
+	if !ok {
+		v := values[ti.keyIdx]
+		return fmt.Errorf("fleet: insert into %q: partition key value %v has unsupported type %T", table, v, v)
 	}
-	sh := f.shards[p]
+	sh := f.shards[workload.PartitionOfValue(key, len(f.shards))]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	return sh.db.Insert(table, values...)
@@ -280,23 +207,6 @@ func (f *Fleet) table(name string) *tableInfo {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.tables[strings.ToLower(name)]
-}
-
-// partitionOfValue routes a Go value of any insertable type through the
-// workload hash.
-func partitionOfValue(v interface{}, parts int) (int, error) {
-	switch x := v.(type) {
-	case int64:
-		return workload.PartitionOf(x, parts), nil
-	case int:
-		return workload.PartitionOf(int64(x), parts), nil
-	case float64:
-		return workload.PartitionOfValue(tuple.NewFloat(x), parts), nil
-	case string:
-		return workload.PartitionOfValue(tuple.NewString(x), parts), nil
-	default:
-		return 0, fmt.Errorf("partition key value %v has unsupported type %T", v, v)
-	}
 }
 
 // ---- fleet-wide admin -------------------------------------------------

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"progressdb"
+	"progressdb/internal/tuple"
 )
 
 // shardCfg is the fast-refresh engine config the fleet tests run on.
@@ -405,6 +406,128 @@ func TestFleetFloatAggregateTolerance(t *testing.T) {
 		w, g := want.Rows[0][i].(float64), got.Rows[0][i].(float64)
 		if math.Abs(w-g) > 1e-6*math.Max(1, math.Abs(w)) {
 			t.Fatalf("col %d: %g vs %g", i, w, g)
+		}
+	}
+}
+
+// subqueriesExecuted reads the coordinator's executed-subquery counter.
+func subqueriesExecuted(t *testing.T, f *Fleet) float64 {
+	t.Helper()
+	for _, sm := range f.Metrics() {
+		if sm.Name == "fleet_subqueries_total" {
+			return sm.Value
+		}
+	}
+	t.Fatal("fleet_subqueries_total not registered")
+	return 0
+}
+
+// TestFleetEstimateCostU: the fleet estimate is the sum of per-shard
+// optimizer estimates, it prices without executing, and unsupported
+// queries are rejected the same way exec rejects them.
+func TestFleetEstimateCostU(t *testing.T) {
+	f := paperFleet(t, 3)
+	u, err := f.EstimateCostU(`select count(*) from lineitem`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if u <= 0 {
+		t.Fatalf("estimate = %g, want > 0", u)
+	}
+	var perShard float64
+	for i := 0; i < f.Shards(); i++ {
+		su, err := f.shards[i].db.EstimateCostU(`select count(*) from lineitem`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		perShard += su
+	}
+	if diff := u - perShard; diff > 1e-9 || diff < -1e-9 {
+		t.Fatalf("fleet estimate %g != sum of shard estimates %g", u, perShard)
+	}
+	if _, err := f.EstimateCostU(`select * from customer c, lineitem l where c.nationkey = l.orderkey`); !errors.Is(err, ErrUnsupported) {
+		t.Fatalf("estimate of non-co-partitioned join: %v, want ErrUnsupported", err)
+	}
+	if subqueriesExecuted(t, f) != 0 {
+		t.Fatal("EstimateCostU executed a subquery")
+	}
+}
+
+// floatRows is the adversarial float column: both zeros, two NaNs,
+// three plain numbers — values on which a merge that orders or keys
+// floats by its own rules parts ways with the engine.
+var floatRows = []float64{0, math.Copysign(0, -1), math.NaN(), 1, 2, math.NaN(), math.Copysign(0, -1), 3}
+
+// canonRows copies rows with every float cell in its Canonical form, so
+// cells the engine calls equal (−0 and +0, any two NaNs) print alike.
+func canonRows(rows [][]interface{}) [][]interface{} {
+	out := make([][]interface{}, len(rows))
+	for i, r := range rows {
+		out[i] = append([]interface{}(nil), r...)
+		for j, v := range r {
+			if x, ok := v.(float64); ok {
+				out[i][j] = tuple.NewFloat(x).Canonical().F()
+			}
+		}
+	}
+	return out
+}
+
+// TestFleetFloatMergeMatchesSingleEngine: the coordinator's merge
+// orders, folds and groups float values exactly as one engine does — a
+// NaN sorts below every number and equals every NaN, −0 equals +0 —
+// because both decide through tuple.Value.Compare and Canonical.
+func TestFleetFloatMergeMatchesSingleEngine(t *testing.T) {
+	f, err := New(Config{Shards: 2, Shard: shardCfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := progressdb.Open(shardCfg)
+	cols := []progressdb.Column{progressdb.Col("k", progressdb.Int), progressdb.Col("x", progressdb.Float)}
+	for _, err := range []error{f.CreateTable("t", "k", cols...), db.CreateTable("t", cols...)} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k, x := range floatRows {
+		for _, err := range []error{f.Insert("t", int64(k), x), db.Insert("t", int64(k), x)} {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, err := range []error{f.Analyze(), db.Analyze()} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for _, q := range []string{
+		`select x, count(*) from t group by x`,
+		`select min(x), max(x) from t`,
+		`select k, x from t order by x`,
+		`select k, x from t order by x desc`,
+	} {
+		want, err := db.Exec(q, nil)
+		if err != nil {
+			t.Fatalf("engine %q: %v", q, err)
+		}
+		got, err := f.Exec(q, nil)
+		if err != nil {
+			t.Fatalf("fleet %q: %v", q, err)
+		}
+		w, g := canonRows(want.Rows), canonRows(got.Rows)
+		assertSameRows(t, q, w, g, want.Columns, got.Columns)
+		if !strings.Contains(q, "order by") {
+			continue
+		}
+		// Rows whose x ties may come in either order; x itself must
+		// match position by position.
+		for i := range w {
+			if fmt.Sprint(w[i][1]) != fmt.Sprint(g[i][1]) {
+				t.Fatalf("%q: x at row %d is %v on the engine, %v on the fleet\nengine %v\nfleet  %v",
+					q, i, w[i][1], g[i][1], w, g)
+			}
 		}
 	}
 }

@@ -3,13 +3,12 @@
 package fleet
 
 import (
-	"fmt"
-	"math"
 	"sort"
 	"strings"
 
 	"progressdb"
 	"progressdb/internal/sqlparser"
+	"progressdb/internal/tuple"
 )
 
 // aggQueryPlan drives the re-aggregation path. The shard subquery's
@@ -212,37 +211,56 @@ func combine(kind string, acc, v interface{}) interface{} {
 	case "sum":
 		return acc.(float64) + v.(float64)
 	case "min":
-		if valueLess(v, acc) {
+		if compareCells(v, acc) < 0 {
 			return v
 		}
 		return acc
 	default: // max
-		if valueLess(acc, v) {
+		if compareCells(acc, v) < 0 {
 			return v
 		}
 		return acc
 	}
 }
 
-// groupKey encodes group-by values into a map key. Type tags keep
-// int64(1) and "1" distinct; float bits keep -0/NaN stable.
+// groupKey encodes group-by values into a map key: the record encoding
+// of their Canonical forms, so two rows share a group exactly when
+// Value.Compare calls their keys equal — as in the engine's hash tables.
 func groupKey(vals []interface{}) string {
-	var b strings.Builder
+	var key []byte
 	for _, v := range vals {
-		switch x := v.(type) {
-		case int64:
-			fmt.Fprintf(&b, "i%d", x)
-		case float64:
-			fmt.Fprintf(&b, "f%x", math.Float64bits(x))
-		case string:
-			b.WriteByte('s')
-			b.WriteString(x)
-		default:
-			fmt.Fprintf(&b, "?%v", x)
-		}
-		b.WriteByte(0)
+		tv, _ := cellValue(v)
+		key = tv.Canonical().Encode(key)
 	}
-	return b.String()
+	return string(key)
+}
+
+// cellValue converts a result cell or an inserted Go value back to the
+// engine's tuple.Value, reporting false for a type the engine does not
+// store. The merge orders and keys cells through it, so the value order
+// is tuple's alone.
+func cellValue(v interface{}) (tuple.Value, bool) {
+	switch x := v.(type) {
+	case int64:
+		return tuple.NewInt(x), true
+	case int:
+		return tuple.NewInt(int64(x)), true
+	case float64:
+		return tuple.NewFloat(x), true
+	case string:
+		return tuple.NewString(x), true
+	}
+	return tuple.Value{}, false
+}
+
+// compareCells orders two cells of one output column by Value.Compare.
+// The engine types every column, so the string-vs-number error cannot
+// arise.
+func compareCells(a, b interface{}) int {
+	av, _ := cellValue(a)
+	bv, _ := cellValue(b)
+	c, _ := av.Compare(bv)
+	return c
 }
 
 // mergeOrdered k-way-merges the per-shard sorted streams. Ties take the
@@ -327,39 +345,8 @@ func findColumnIndex(columns []string, col sqlparser.ColumnRef) int {
 // rowLess compares two rows on the order keys.
 func rowLess(a, b []interface{}, keys []int, orderBy []sqlparser.OrderItem) bool {
 	for i, k := range keys {
-		av, bv := a[k], b[k]
-		if valueLess(av, bv) {
-			return !orderBy[i].Desc
-		}
-		if valueLess(bv, av) {
-			return orderBy[i].Desc
-		}
-	}
-	return false
-}
-
-// valueLess orders result values: numerics numerically (int64 and
-// float64 compare through float64, matching the engine's mixed-type
-// comparison), strings byte-wise.
-func valueLess(a, b interface{}) bool {
-	switch x := a.(type) {
-	case int64:
-		switch y := b.(type) {
-		case int64:
-			return x < y
-		case float64:
-			return float64(x) < y
-		}
-	case float64:
-		switch y := b.(type) {
-		case int64:
-			return x < float64(y)
-		case float64:
-			return x < y
-		}
-	case string:
-		if y, ok := b.(string); ok {
-			return x < y
+		if c := compareCells(a[k], b[k]); c != 0 {
+			return (c < 0) != orderBy[i].Desc
 		}
 	}
 	return false

@@ -65,35 +65,20 @@ type aggregator struct {
 	maxPercent float64
 	history    []Report
 	finished   bool
-
-	// Retry base offsets, per shard: a retried subquery's indicator
-	// stream restarts at zero, but the failed attempt's work was really
-	// done — folding it into a base keeps the aggregated DoneU and
-	// elapsed time monotone across retries. baseEst carries the spent
-	// work into the total estimate (the retry's own estimate comes on
-	// top); baseElapsed additionally accumulates retry backoff waits.
-	baseDone, baseEst, baseElapsed []float64
-	baseSegments                   []int
 }
 
 func newAggregator(f *Fleet, onProgress func(Report)) *aggregator {
 	n := len(f.shards)
 	return &aggregator{
-		f:            f,
-		onProgress:   onProgress,
-		latest:       make([]progressdb.Report, n),
-		seen:         make([]bool, n),
-		baseDone:     make([]float64, n),
-		baseEst:      make([]float64, n),
-		baseElapsed:  make([]float64, n),
-		baseSegments: make([]int, n),
+		f:          f,
+		onProgress: onProgress,
+		latest:     make([]progressdb.Report, n),
+		seen:       make([]bool, n),
 	}
 }
 
 // shardUpdate ingests one shard refresh and publishes the new global
-// report. Refreshes are shifted by the shard's retry base offsets, so
-// the stored per-shard latest (and the breakdown on the wire) is always
-// in cumulative across-attempts terms.
+// report.
 func (a *aggregator) shardUpdate(id int, r progressdb.Report) {
 	rep, seq, ok := a.ingestUpdate(id, r)
 	if ok {
@@ -109,55 +94,12 @@ func (a *aggregator) ingestUpdate(id int, r progressdb.Report) (Report, uint64, 
 	if a.finished {
 		return Report{}, 0, false // terminal report already built; late stragglers are dropped
 	}
-	r.DoneU += a.baseDone[id]
-	r.EstimatedCostU += a.baseEst[id]
-	r.ElapsedSeconds += a.baseElapsed[id]
-	r.SegmentsDone += a.baseSegments[id]
 	a.latest[id] = r
 	a.seen[id] = true
 	a.f.met.shardPercent[id].Set(r.Percent)
 	a.f.met.shardDone[id].Set(r.DoneU)
 	rep, seq := a.buildLocked(false)
 	return rep, seq, true
-}
-
-// shardRetry folds a failed attempt's cumulative progress into the
-// shard's base offsets before the coordinator re-runs the subquery, and
-// charges the upcoming backoff wait to the shard's elapsed base. The
-// shard's latest is pinned at the fold point so the global stream stays
-// consistent until the retry's first refresh arrives.
-func (a *aggregator) shardRetry(id int, backoff float64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.finished {
-		return
-	}
-	a.baseElapsed[id] += backoff
-	if !a.seen[id] {
-		return // failed before its first refresh; only the backoff counts
-	}
-	r := a.latest[id] // already cumulative
-	a.baseDone[id] = r.DoneU
-	a.baseEst[id] = r.DoneU
-	a.baseElapsed[id] = r.ElapsedSeconds + backoff
-	a.baseSegments[id] = r.SegmentsDone
-	a.latest[id] = progressdb.Report{
-		ElapsedSeconds: a.baseElapsed[id],
-		EstimatedCostU: r.EstimatedCostU,
-		DoneU:          r.DoneU,
-		Percent:        r.Percent,
-		SegmentsDone:   r.SegmentsDone,
-		StepPercent:    r.StepPercent,
-		CurrentSegment: -1,
-	}
-}
-
-// doneBase exposes a shard's retry work offset for the coordinator's
-// final per-shard summary.
-func (a *aggregator) doneBase(id int) float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.baseDone[id]
 }
 
 // finish publishes the exactly-once terminal report. Only the success

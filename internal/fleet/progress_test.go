@@ -26,7 +26,7 @@ func testAggregator(t *testing.T, onProgress func(Report)) *aggregator {
 
 // TestAggregatorParkedObserverDoesNotStallState parks the observer
 // inside a delivery and proves the merge state stays live underneath:
-// retry folds, base reads, and further ingest must all proceed.
+// further ingest from every shard must proceed.
 func TestAggregatorParkedObserverDoesNotStallState(t *testing.T) {
 	release := make(chan struct{})
 	entered := make(chan struct{}, 1)
@@ -42,10 +42,10 @@ func TestAggregatorParkedObserverDoesNotStallState(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		a.shardRetry(1, 0.5)
-		_ = a.doneBase(1)
-		if _, _, ok := a.ingestUpdate(1, progressdb.Report{DoneU: 2, EstimatedCostU: 10}); !ok {
-			t.Error("ingest refused while the observer was parked")
+		for _, id := range []int{1, 0} {
+			if _, _, ok := a.ingestUpdate(id, progressdb.Report{DoneU: 2, EstimatedCostU: 10}); !ok {
+				t.Error("ingest refused while the observer was parked")
+			}
 		}
 	}()
 	select {

@@ -38,9 +38,6 @@ type Engine interface {
 	// estimate in U, without executing it — a pure catalog/plan read,
 	// safe to call concurrently with a running query.
 	EstimateCostU(sql string) (float64, error)
-	// Health reports per-shard circuit-breaker health in wire form; nil
-	// for engines without shard-level failure domains (single DB).
-	Health() []client.ShardHealth
 }
 
 // dbEngine adapts a single progressdb.DB.
@@ -61,7 +58,6 @@ func (e dbEngine) Metrics() []obs.Sample { return e.db.Metrics() }
 func (e dbEngine) Shards() int           { return 1 }
 
 func (e dbEngine) EstimateCostU(sql string) (float64, error) { return e.db.EstimateCostU(sql) }
-func (e dbEngine) Health() []client.ShardHealth              { return nil }
 
 // fleetEngine adapts an internal/fleet deployment. The fleet's own
 // coordinator handles fan-out, merge, and progress aggregation; the
@@ -102,22 +98,6 @@ func (e fleetEngine) Metrics() []obs.Sample { return e.f.Metrics() }
 func (e fleetEngine) Shards() int           { return e.f.Shards() }
 
 func (e fleetEngine) EstimateCostU(sql string) (float64, error) { return e.f.EstimateCostU(sql) }
-
-func (e fleetEngine) Health() []client.ShardHealth {
-	hs := e.f.Health()
-	out := make([]client.ShardHealth, 0, len(hs))
-	for _, h := range hs {
-		out = append(out, client.ShardHealth{
-			Shard:               h.Shard,
-			Breaker:             h.Breaker,
-			ConsecutiveFailures: h.ConsecutiveFailures,
-			Retries:             h.Retries,
-			Trips:               h.Trips,
-			FastFails:           h.FastFails,
-		})
-	}
-	return out
-}
 
 // shardBreakdown converts a fleet report's per-shard slice to wire form.
 func shardBreakdown(shards []fleet.ShardReport) []client.ShardProgress {

@@ -44,7 +44,6 @@ func (e stubEngine) ExecQuery(ctx context.Context, sql string, keepRows bool, on
 func (stubEngine) Metrics() []obs.Sample                     { return nil }
 func (stubEngine) Shards() int                               { return 1 }
 func (stubEngine) EstimateCostU(sql string) (float64, error) { return 1, nil }
-func (stubEngine) Health() []client.ShardHealth              { return nil }
 
 // stubServer starts a server over a stubEngine with no sampler.
 func stubServer(t *testing.T, cfg Config) (*Server, stubEngine) {

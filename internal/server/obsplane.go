@@ -53,9 +53,6 @@ var fleetSeries = []string{
 	tsdb.Ref("fleet_progress_events_total"),
 	tsdb.Ref("fleet_queries_failed_total"),
 	tsdb.Ref("fleet_cancels_propagated_total"),
-	tsdb.Ref("fleet_retries_total"),
-	tsdb.Ref("fleet_breaker_trips_total"),
-	tsdb.Ref("fleet_breaker_fast_fails_total"),
 }
 
 // fleetShardPercentSeries is the series-ID stem of the per-shard

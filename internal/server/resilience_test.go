@@ -256,26 +256,6 @@ func TestUnplannableQueryAdmitted(t *testing.T) {
 	}
 }
 
-// TestFleetHealthSurface: a fleet-backed server reports per-shard breaker
-// health through /healthz.
-func TestFleetHealthSurface(t *testing.T) {
-	f := syntheticFleet(t)
-	s := NewFleet(f, Config{Workers: 1, QueueDepth: 4, SampleInterval: -1})
-	t.Cleanup(s.Close)
-	hs := s.eng.Health()
-	if len(hs) != 4 {
-		t.Fatalf("fleet health reports %d shards, want 4", len(hs))
-	}
-	for i, h := range hs {
-		if h.Shard != i || h.Breaker != "closed" {
-			t.Fatalf("shard %d health %+v, want closed breaker", i, h)
-		}
-	}
-	if dbHealth := (dbEngine{db: syntheticDB(t)}).Health(); dbHealth != nil {
-		t.Fatalf("single-DB engine health = %v, want nil", dbHealth)
-	}
-}
-
 // admissionReport builds a progress report carrying the given figures.
 func admissionReport(done, est, elapsed, remaining float64) progressdb.Report {
 	return progressdb.Report{DoneU: done, EstimatedCostU: est, ElapsedSeconds: elapsed, RemainingSeconds: remaining}

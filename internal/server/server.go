@@ -13,7 +13,7 @@
 //	GET    /queries/{id}/result   completed result rows
 //	DELETE /queries/{id}          cancel (queued: immediate; running: at next executor safe point)
 //	GET    /metrics               Prometheus text exposition (engine + server instruments)
-//	GET    /healthz               liveness, queue summary, remaining-work budget, per-shard breaker health
+//	GET    /healthz               liveness, queue summary, remaining-work budget
 //	POST   /admin/drain           graceful drain: stop admission, wait for in-flight work, then cancel stragglers
 //
 // Concurrency model: the engine executes queries concurrently — each
@@ -634,6 +634,5 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		InflightU:       l.inflightU,
 		InflightQueries: l.queued + l.running,
 		MaxInflightU:    s.cfg.MaxInflightU,
-		Shards:          s.eng.Health(),
 	})
 }

@@ -357,16 +357,6 @@ func (db *DB) EstimateCostU(sql string) (float64, error) {
 	return d.TotalInitCost() / storage.PageSize, nil
 }
 
-// Idle advances the virtual clock by d virtual seconds without charging
-// any work — deterministic waiting. Retry backoff (the bufferpool's I/O
-// retries, the fleet coordinator's subquery retries) is charged through
-// this so backoff time exists on the clock and fault schedules replay
-// identically across runs.
-func (db *DB) Idle(d float64) {
-	db.clock.Idle(d)
-	db.clock.Sync()
-}
-
 // Explain compiles sql and returns the physical plan and its segment
 // decomposition (segments, inputs, dominant inputs, initial costs).
 func (db *DB) Explain(sql string) (string, error) {
