@@ -40,13 +40,16 @@ chaos:
 	PROGRESSDB_CHAOS_SCHEDULES=500 go test -race -v -run TestChaosRandomFaultSchedules .
 
 # Non-test Go lines per top-level directory (bench/, its own module, and
-# testdata fixtures left out) — the table a deleting PR quotes before
-# and after.
+# testdata fixtures left out), then the same count over _test.go files —
+# the table a deleting PR quotes before and after, so code moved into a
+# test file shows up instead of vanishing.
+LOCFILES = . -name '*.go' ! -path './bench/*' ! -path './.bench_build/*' ! -path '*/testdata/*'
 loc:
-	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' ! -path '*/testdata/*' -exec wc -l {} + \
+	@find $(LOCFILES) ! -name '*_test.go' -exec wc -l {} + \
 		| awk '$$2 != "total" { n = split($$2, p, "/"); d = (n > 2) ? p[2] : "."; s[d] += $$1; t += $$1 } \
 			END { for (d in s) printf "%-10s %6d\n", d, s[d]; printf "%-10s %6d\n", "total", t }' \
 		| sort
+	@find $(LOCFILES) -name '*_test.go' -exec cat {} + | wc -l | awk '{ printf "%-10s %6d\n", "tests", $$1 }'
 
 # Run the daemon with the embedded dashboard on the default port.
 dash:

@@ -117,7 +117,7 @@ func formatVerbs(format string) []rune {
 }
 
 // checkPanic flags panic calls outside package main. Tests are never
-// analyzed, and main packages (examples, cmd smoke paths) may fail
+// analyzed, and main packages (the cmd binaries) may fail
 // fast; library panics must be suppressed with a reason naming them a
 // sanctioned containment site.
 func checkPanic(pass *analysis.Pass, call *ast.CallExpr) {

@@ -135,12 +135,10 @@ func (db *DB) run(ctx context.Context, clk *vclock.Clock, yield func(), p plan.N
 	}()
 	d := segment.Decompose(p, db.cfg.WorkMemPages)
 	ind := core.New(clk, d, core.Options{
-		UpdatePeriod:    db.cfg.ProgressUpdateSeconds,
-		SpeedWindow:     db.cfg.SpeedWindowSeconds,
-		DecayAlpha:      db.cfg.SpeedDecayAlpha,
-		PerSegmentSpeed: db.cfg.PerSegmentSpeed,
-		Refine:          db.refine,
-		Events:          db.events,
+		UpdatePeriod: db.cfg.ProgressUpdateSeconds,
+		SpeedWindow:  db.cfg.SpeedWindowSeconds,
+		Refine:       db.refine,
+		Events:       db.events,
 	})
 	if onProgress != nil {
 		ind.Subscribe(func(s core.Snapshot) { onProgress(toReport(s)) })

@@ -77,14 +77,6 @@ type Config struct {
 	ProgressUpdateSeconds float64
 	// SpeedWindowSeconds is the speed-monitoring window T (default 10).
 	SpeedWindowSeconds float64
-	// SpeedDecayAlpha, if in (0,1], enables the decaying-average speed
-	// smoother (the paper's Section 4.6 suggested extension).
-	SpeedDecayAlpha float64
-	// PerSegmentSpeed enables the paper's other Section 4.6 suggestion:
-	// convert remaining U to time with per-segment predicted rates (from
-	// each segment's disk-vs-memory byte mix) scaled by the observed
-	// load, instead of one global speed.
-	PerSegmentSpeed bool
 	// Metrics enables the engine-wide metrics registry (DB.Metrics,
 	// DB.MetricsText, DB.MetricsJSON): buffer-pool, disk, executor, and
 	// indicator-refinement instruments. Off by default; the disabled path
