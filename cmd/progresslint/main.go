@@ -5,12 +5,11 @@
 //
 // Usage:
 //
-//	progresslint [-json] [-list] [packages...]
+//	progresslint [-list] [packages...]
 //
 // With no package patterns it checks ./... from the current module.
 // Violations are printed one per line as file:line:col: [analyzer]
-// message; -json emits them as a stable JSON array instead (schema:
-// internal/analysis.JSONDiagnostic, documented in the README).
+// message.
 //
 // Suppress a finding with //lint:ignore <analyzer> <reason> on the
 // offending line or the line above; the suppression inventory is
@@ -30,11 +29,10 @@ import (
 )
 
 func main() {
-	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array (stable schema)")
 	list := flag.Bool("list", false, "list analyzers and exit")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: progresslint [-json] [-list] [packages...]\n\n"+
+			"usage: progresslint [-list] [packages...]\n\n"+
 				"Checks the module's engine invariants (DESIGN.md §7).\n\n")
 		flag.PrintDefaults()
 	}
@@ -61,18 +59,8 @@ func main() {
 		fatal(err)
 	}
 
-	if *jsonOut {
-		data, err := analysis.DiagnosticsJSON(diags)
-		if err != nil {
-			fatal(err)
-		}
-		if _, err := os.Stdout.Write(data); err != nil {
-			fatal(err)
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Println(d)
-		}
+	for _, d := range diags {
+		fmt.Println(d)
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(os.Stderr, "progresslint: %d finding(s) in %d package(s)\n",

@@ -71,14 +71,10 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 	// State is shared by all passes of one Run, letting analyzers
-	// accumulate module-wide facts (e.g. obsnames' duplicate-name map).
-	// Packages are visited in sorted import-path order, so cross-package
-	// state is deterministic.
+	// accumulate module-wide facts (e.g. obsnames' duplicate-name map,
+	// lockdisc's per-function call edges). Packages are visited in sorted
+	// import-path order, so cross-package state is deterministic.
 	State *State
-	// Facts is the run's interprocedural fact store — the module-wide
-	// call graph built over every package before any analyzer runs (see
-	// facts.go). It is available to Run and End passes alike.
-	Facts *Facts
 
 	diags *[]Diagnostic
 }
@@ -129,10 +125,6 @@ func Run(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) ([]Diagnos
 		known[a.Name] = true
 	}
 
-	// The interprocedural pre-pass: every Run pass already sees the
-	// whole module's call graph, not just the packages visited so far.
-	facts := BuildFacts(fset, sorted)
-
 	state := NewState()
 	var raw []Diagnostic
 	var sups []*suppression
@@ -147,7 +139,6 @@ func Run(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) ([]Diagnos
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.Info,
 				State:     state,
-				Facts:     facts,
 				diags:     &raw,
 			}
 			if err := a.Run(pass); err != nil {
@@ -159,7 +150,7 @@ func Run(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) ([]Diagnos
 		if a.End == nil {
 			continue
 		}
-		pass := &Pass{Analyzer: a, Fset: fset, State: state, Facts: facts, diags: &raw}
+		pass := &Pass{Analyzer: a, Fset: fset, State: state, diags: &raw}
 		if err := a.End(pass); err != nil {
 			return nil, fmt.Errorf("analysis: %s end: %w", a.Name, err)
 		}

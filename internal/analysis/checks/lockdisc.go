@@ -4,60 +4,48 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 
 	"progressdb/internal/analysis"
 )
 
-// Lockdisc checks mutex discipline, module-wide. Three rules:
+// Lockdisc checks that nothing blocks while a mutex is held. While a
+// sync.Mutex/RWMutex is locked, the critical section must not block:
+// channel sends/receives outside a select with a default case, selects
+// without a default, sync.Cond.Wait, sync.WaitGroup.Wait, time.Sleep, or
+// os.File I/O — directly, or through any module function the section
+// calls, however deep. Calls through function values are flagged too:
+// the analyzer cannot see behind them, and the one real bug this rule
+// caught (the fleet aggregator invoking its paced progress callback
+// under the state mutex) hid exactly there. A lock that intentionally
+// serializes a long region (the fleet's per-shard coarse lock) opts out
+// with //lint:lockcoarse <reason> on the field declaration.
 //
-//  1. Release on every path. A sync.Mutex/RWMutex Lock (or RLock) must
-//     be released on all paths out of its critical section — either by
-//     an immediate `defer mu.Unlock()` or by explicit unwinding like
-//     the closepath analyzer accepts: a statement between Lock and the
-//     fall-through Unlock that returns must itself unlock first.
-//
-//  2. No blocking under a lock. While a mutex is held, the critical
-//     section must not block: channel sends/receives outside a select
-//     with a default case, selects without a default, sync.Cond.Wait,
-//     sync.WaitGroup.Wait, time.Sleep, or os.File I/O — directly, or
-//     transitively through any function the module-wide call graph
-//     says the section reaches. Calls through bare function values are
-//     flagged too: the analyzer cannot see behind them, and the one
-//     real bug this rule caught (the fleet aggregator invoking its
-//     paced progress callback under the state mutex) hid exactly there.
-//     A lock that intentionally serializes a long region (the fleet's
-//     per-shard coarse lock) opts out with //lint:lockcoarse <reason>
-//     on the field declaration.
-//
-//  3. Ordered acquisition. Nested acquisitions — direct or through the
-//     call graph — form an acquisition graph. //lint:lockorder A < B
-//     declares that A may be held while taking B; taking A while
-//     holding B is reported, as is any cycle in the observed graph
-//     (two locks taken in both orders deadlock under concurrency even
-//     if today's single-threaded engine never trips it).
+// Run records three facts per function — its static callees, its first
+// blocking operation and its first call through a function value — plus
+// what every critical section does. A function literal's body counts as
+// part of the function that defines it, unless the literal is
+// go-launched. End resolves each call made under a lock breadth-first
+// over the facts of the whole run, so a section may call into a package
+// visited after it.
 //
 // The analysis is syntactic and deliberately conservative in known
 // ways: lock identity is the receiver's final field ("pkg.Type.field"),
-// so two instances of one type share an identity; go-launched literals
-// do not inherit held locks; deferred calls other than Unlock are not
-// treated as part of the critical section.
+// so two instances of one type share an identity; a critical section
+// ends at the first statement that unlocks on any branch; interface
+// method calls are not followed; deferred and go-launched calls are not
+// part of the critical section.
 var Lockdisc = &analysis.Analyzer{
 	Name: "lockdisc",
-	Doc: "every Lock has an Unlock on all paths; no blocking call " +
-		"(directly or via the call graph) while a lock is held; lock " +
-		"acquisition respects //lint:lockorder declarations and is " +
-		"cycle-free",
+	Doc: "no blocking operation while a lock is held: directly, through " +
+		"a module function the critical section calls, or through a " +
+		"function value",
 	Run: runLockdisc,
 	End: endLockdisc,
 }
 
 const (
 	lockdiscStateKey = "lockdisc.state"
-	// lockorderDirective declares a pairwise acquisition order:
-	// //lint:lockorder before < after (keys matched by suffix).
-	lockorderDirective = "lint:lockorder"
 	// lockcoarseDirective on a mutex field declaration exempts that
 	// lock from the no-blocking rule: //lint:lockcoarse <reason>.
 	lockcoarseDirective = "lint:lockcoarse"
@@ -65,57 +53,41 @@ const (
 
 // lockdiscState accumulates module-wide facts across Run passes.
 type lockdiscState struct {
-	// heldCalls: static calls made while a lock is held.
-	heldCalls []heldCall
-	// dynCalls: function-value calls made while a lock is held.
-	dynCalls []heldSite
-	// directBlocks: blocking operations lexically inside a held region.
-	directBlocks []heldSite
-	// funcBlocks: first directly blocking operation per function.
-	funcBlocks map[string]blockOp
-	// funcDyn: first call through a function value per function — an
-	// opaque site that may block, resolved transitively like funcBlocks.
-	funcDyn map[string]blockOp
-	// funcAcquires: locks each function acquires anywhere in its body.
-	funcAcquires map[string][]acquireSite
-	// edges: direct nested acquisitions (lock held while taking another).
-	edges []lockEdge
-	// orders: declared //lint:lockorder pairs.
-	orders []orderDecl
+	// funcs: per-function facts, keyed by (*types.Func).FullName, which
+	// is the same string whether the function was type-checked from
+	// source or imported through export data.
+	funcs map[string]*funcFacts
+	// held: what the critical sections do, tagged with the held lock.
+	held []heldOp
 	// coarse: lock keys carrying //lint:lockcoarse.
 	coarse map[string]bool
 }
 
-type heldCall struct {
-	lock   string
-	callee string
-	pos    token.Pos
+type funcFacts struct {
+	callees []string
+	// block and dyn describe the first blocking operation and the first
+	// call through a function value ("" when there is none).
+	block, dyn string
 }
 
-type heldSite struct {
-	lock string
+// opKind classifies one synchronous operation of a stretch of code.
+type opKind int
+
+const (
+	opBlock opKind = iota // a blocking operation; desc describes it
+	opDyn                 // a call through a function value; desc names it
+	opCall                // a static call; desc is the callee key
+)
+
+type lockOp struct {
+	kind opKind
 	desc string
 	pos  token.Pos
 }
 
-type blockOp struct {
-	desc string
-	pos  token.Pos
-}
-
-type acquireSite struct {
+type heldOp struct {
 	lock string
-	pos  token.Pos
-}
-
-type lockEdge struct {
-	from, to string
-	pos      token.Pos
-}
-
-type orderDecl struct {
-	before, after string
-	pos           token.Pos
+	lockOp
 }
 
 func lockdiscStateOf(pass *analysis.Pass) *lockdiscState {
@@ -123,10 +95,8 @@ func lockdiscStateOf(pass *analysis.Pass) *lockdiscState {
 		return st
 	}
 	st := &lockdiscState{
-		funcBlocks:   make(map[string]blockOp),
-		funcDyn:      make(map[string]blockOp),
-		funcAcquires: make(map[string][]acquireSite),
-		coarse:       make(map[string]bool),
+		funcs:  make(map[string]*funcFacts),
+		coarse: make(map[string]bool),
 	}
 	pass.State.Set(lockdiscStateKey, st)
 	return st
@@ -134,41 +104,53 @@ func lockdiscStateOf(pass *analysis.Pass) *lockdiscState {
 
 func runLockdisc(pass *analysis.Pass) error {
 	st := lockdiscStateOf(pass)
-	collectLockDirectives(pass, st)
+	collectLockCoarse(pass, st)
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			scanLockFunc(pass, st, fd.Pos(), fd.Body)
+			if fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
+				st.funcs[fn.FullName()] = factsOf(syncOps(pass, fd.Body, false))
+			}
+			forEachStmtList(fd.Body, func(list []ast.Stmt) {
+				for i, s := range list {
+					lc, ok := lockStmt(pass, s)
+					if !ok {
+						continue
+					}
+					for _, held := range criticalSection(pass, lc, list[i+1:]) {
+						for _, op := range syncOps(pass, held, true) {
+							st.held = append(st.held, heldOp{lock: lc.key, lockOp: op})
+						}
+					}
+				}
+			})
 		}
 	}
 	return nil
 }
 
-// collectLockDirectives parses //lint:lockorder comments anywhere and
-// //lint:lockcoarse comments on mutex field declarations.
-func collectLockDirectives(pass *analysis.Pass, st *lockdiscState) {
-	for _, f := range pass.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-				if !strings.HasPrefix(text, lockorderDirective) {
-					continue
-				}
-				rest := strings.TrimSpace(strings.TrimPrefix(text, lockorderDirective))
-				before, after, ok := strings.Cut(rest, "<")
-				before, after = strings.TrimSpace(before), strings.TrimSpace(after)
-				if !ok || before == "" || after == "" {
-					pass.Reportf(c.Pos(), "malformed lock-order directive: want //lint:lockorder <lockA> < <lockB>")
-					continue
-				}
-				st.orders = append(st.orders, orderDecl{before: before, after: after, pos: c.Pos()})
-			}
+// factsOf condenses a function body's operations into its facts.
+func factsOf(ops []lockOp) *funcFacts {
+	f := &funcFacts{}
+	for _, op := range ops {
+		switch {
+		case op.kind == opCall:
+			f.callees = append(f.callees, op.desc)
+		case op.kind == opBlock && f.block == "":
+			f.block = op.desc
+		case op.kind == opDyn && f.dyn == "":
+			f.dyn = op.desc
 		}
 	}
-	// lockcoarse rides on struct fields of mutex type.
+	return f
+}
+
+// collectLockCoarse records //lint:lockcoarse comments on mutex field
+// declarations, reporting the directive where it has no effect.
+func collectLockCoarse(pass *analysis.Pass, st *lockdiscState) {
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			ts, ok := n.(*ast.TypeSpec)
@@ -231,7 +213,7 @@ func isMutexType(t types.Type) bool {
 	return named.Obj().Name() == "Mutex" || named.Obj().Name() == "RWMutex"
 }
 
-// lockCall classifies a statement as a mutex Lock/Unlock call.
+// lockCall classifies a mutex Lock/Unlock call.
 type lockCall struct {
 	key    string // lock identity
 	method string // Lock, RLock, Unlock, RUnlock
@@ -245,15 +227,12 @@ func classifyLockCall(pass *analysis.Pass, call *ast.CallExpr) (lockCall, bool) 
 	}
 	method := sel.Sel.Name
 	switch method {
-	case "Lock", "Unlock", "RLock", "RUnlock", "TryLock", "TryRLock":
+	case "Lock", "Unlock", "RLock", "RUnlock":
 	default:
 		return lockCall{}, false
 	}
 	s, ok := pass.TypesInfo.Selections[sel]
-	if !ok {
-		return lockCall{}, false
-	}
-	if !isMutexType(s.Recv()) {
+	if !ok || !isMutexType(s.Recv()) {
 		return lockCall{}, false
 	}
 	key := lockKeyOf(pass, sel.X)
@@ -299,260 +278,162 @@ func lockKeyOf(pass *analysis.Pass, recv ast.Expr) string {
 	return ""
 }
 
-func unlockFor(method string) string {
-	if method == "RLock" || method == "TryRLock" {
-		return "RUnlock"
-	}
-	return "Unlock"
-}
-
-// scanLockFunc analyzes one function body (literals are scanned when
-// encountered, with their own keys) for lock regions, per-function
-// blocking facts, and acquisitions.
-func scanLockFunc(pass *analysis.Pass, st *lockdiscState, fnPos token.Pos, body *ast.BlockStmt) {
-	key := pass.Facts.FuncKeyAt(fnPos)
-	if key == "" {
-		return
-	}
-
-	// Per-function facts for the End phase: the first blocking op, and
-	// every lock acquired.
-	if op, ok := firstBlockingOp(pass, body); ok {
-		if _, seen := st.funcBlocks[key]; !seen {
-			st.funcBlocks[key] = op
-		}
-	}
-	inspectSkippingFuncLits(body, func(n ast.Node) {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return
-		}
-		if lc, ok := classifyLockCall(pass, call); ok && (lc.method == "Lock" || lc.method == "RLock") {
-			st.funcAcquires[key] = append(st.funcAcquires[key], acquireSite{lock: lc.key, pos: call.Pos()})
-		}
-		if pass.Facts.CalleeKey(pass.TypesInfo, call) == "" && isDynamicCall(pass, call) {
-			if _, seen := st.funcDyn[key]; !seen {
-				st.funcDyn[key] = blockOp{desc: callSource(call), pos: call.Pos()}
-			}
-		}
-	})
-
-	// Nested literals get their own scan (immediately invoked ones were
-	// handled above; the rest here).
-	ast.Inspect(body, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.FuncLit); ok {
-			scanLockFunc(pass, st, lit.Pos(), lit.Body)
-			return false
-		}
-		return true
-	})
-
-	// Lock regions: statement lists in this function, literals excluded.
-	forEachStmtList(body, func(list []ast.Stmt, isFuncBody bool) {
-		for i, s := range list {
-			es, ok := s.(*ast.ExprStmt)
-			if !ok {
-				continue
-			}
-			call, ok := es.X.(*ast.CallExpr)
-			if !ok {
-				continue
-			}
-			lc, ok := classifyLockCall(pass, call)
-			if !ok || (lc.method != "Lock" && lc.method != "RLock") {
-				continue
-			}
-			analyzeLockRegion(pass, st, key, lc, call.Pos(), list, i, isFuncBody)
-		}
-	})
-}
-
-// forEachStmtList visits every statement list of the body — the body
-// itself, nested blocks, case and comm clause bodies — skipping
-// function literals (scanned separately under their own keys).
-func forEachStmtList(body *ast.BlockStmt, visit func(list []ast.Stmt, isFuncBody bool)) {
-	visit(body.List, true)
-	var walk func(n ast.Node)
-	walk = func(n ast.Node) {
-		ast.Inspect(n, func(m ast.Node) bool {
-			switch m := m.(type) {
-			case *ast.FuncLit:
-				return false
-			case *ast.BlockStmt:
-				if m != body {
-					visit(m.List, false)
-				}
-			case *ast.CaseClause:
-				visit(m.Body, false)
-			case *ast.CommClause:
-				visit(m.Body, false)
-			}
-			return true
-		})
-	}
-	walk(body)
-}
-
-// inspectSkippingFuncLits is ast.Inspect with function-literal subtrees
-// pruned.
-func inspectSkippingFuncLits(n ast.Node, visit func(ast.Node)) {
-	ast.Inspect(n, func(m ast.Node) bool {
-		if _, ok := m.(*ast.FuncLit); ok {
-			return false
-		}
-		if m != nil {
-			visit(m)
-		}
-		return true
-	})
-}
-
-// analyzeLockRegion checks release-on-all-paths for the Lock at
-// list[lockIdx] and records the held region's calls, dynamic calls,
-// direct blocking ops, and nested acquisitions.
-func analyzeLockRegion(pass *analysis.Pass, st *lockdiscState, fnKey string, lc lockCall, lockPos token.Pos, list []ast.Stmt, lockIdx int, isFuncBody bool) {
-	unlock := unlockFor(lc.method)
-	var held []ast.Stmt
-	satisfied := false
-scan:
-	for j := lockIdx + 1; j < len(list); j++ {
-		s := list[j]
-		switch {
-		case isDeferStmt(pass, s, lc.key, unlock):
-			// defer unlock: the rest of this list runs under the lock.
-			held = append(held, list[j+1:]...)
-			satisfied = true
-			break scan
-		case isBareUnlock(pass, s, lc.key, unlock):
-			satisfied = true
-			break scan
-		case containsUnlock(pass, s, lc.key, unlock):
-			// A branch unlocks inside (e.g. unlock-then-return error
-			// unwinding); accept the statement and stop — the remaining
-			// paths are beyond this syntactic check.
-			held = append(held, s)
-			satisfied = true
-			break scan
-		default:
-			if ret := findReturn(s); ret != nil {
-				pass.Reportf(ret.Pos(),
-					"return inside %s critical section without %s: unlock on this path or use defer %s",
-					lc.key, unlock, unlock)
-				satisfied = true
-				break scan
-			}
-			held = append(held, s)
-		}
-	}
-	if !satisfied && isFuncBody {
-		pass.Reportf(lockPos,
-			"%s is locked but never released on the fall-through path: add defer %s",
-			lc.key, unlock)
-	}
-	collectHeldRegion(pass, st, fnKey, lc.key, held)
-}
-
-// isDeferStmt reports whether s is `defer <lock>.<method>()`.
-func isDeferStmt(pass *analysis.Pass, s ast.Stmt, key, method string) bool {
-	d, ok := s.(*ast.DeferStmt)
-	if !ok {
-		return false
-	}
-	lc, ok := classifyLockCall(pass, d.Call)
-	return ok && lc.key == key && lc.method == method
-}
-
-// isBareUnlock reports whether s is the expression statement
-// `<lock>.<method>()`.
-func isBareUnlock(pass *analysis.Pass, s ast.Stmt, key, method string) bool {
+// lockStmt reports whether s is the statement `<lock>.Lock()` or
+// `<lock>.RLock()`.
+func lockStmt(pass *analysis.Pass, s ast.Stmt) (lockCall, bool) {
 	es, ok := s.(*ast.ExprStmt)
 	if !ok {
-		return false
+		return lockCall{}, false
 	}
 	call, ok := es.X.(*ast.CallExpr)
 	if !ok {
-		return false
+		return lockCall{}, false
 	}
+	lc, ok := classifyLockCall(pass, call)
+	return lc, ok && (lc.method == "Lock" || lc.method == "RLock")
+}
+
+// forEachStmtList visits every statement list of the body — the body
+// itself, nested blocks (function literals' included), case and comm
+// clause bodies.
+func forEachStmtList(body *ast.BlockStmt, visit func(list []ast.Stmt)) {
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.BlockStmt:
+			visit(n.List)
+		case *ast.CaseClause:
+			visit(n.Body)
+		case *ast.CommClause:
+			visit(n.Body)
+		}
+		return true
+	})
+}
+
+// criticalSection returns the statements that follow a Lock and run
+// while it is held: all of rest after a deferred unlock, otherwise up to
+// and including the first statement that unlocks — the Unlock itself,
+// or a branch that unlocks to unwind an error.
+func criticalSection(pass *analysis.Pass, lc lockCall, rest []ast.Stmt) []ast.Stmt {
+	unlock := "Unlock"
+	if lc.method == "RLock" {
+		unlock = "RUnlock"
+	}
+	for j, s := range rest {
+		if d, ok := s.(*ast.DeferStmt); ok && isUnlockCall(pass, d.Call, lc.key, unlock) {
+			return rest
+		}
+		unlocks := false
+		ast.Inspect(s, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok && isUnlockCall(pass, call, lc.key, unlock) {
+				unlocks = true
+			}
+			_, lit := n.(*ast.FuncLit)
+			return !lit
+		})
+		if unlocks {
+			return rest[:j+1]
+		}
+	}
+	return rest
+}
+
+func isUnlockCall(pass *analysis.Pass, call *ast.CallExpr, key, method string) bool {
 	lc, ok := classifyLockCall(pass, call)
 	return ok && lc.key == key && lc.method == method
 }
 
-// containsUnlock reports whether the statement's subtree (literals
-// excluded) releases the lock, by call or defer.
-func containsUnlock(pass *analysis.Pass, s ast.Stmt, key, method string) bool {
-	found := false
-	inspectSkippingFuncLits(s, func(n ast.Node) {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return
-		}
-		if lc, ok := classifyLockCall(pass, call); ok && lc.key == key && lc.method == method {
-			found = true
-		}
-	})
-	return found
-}
-
-// findReturn returns the first return statement in the subtree
-// (literals excluded), or nil.
-func findReturn(s ast.Stmt) *ast.ReturnStmt {
-	var ret *ast.ReturnStmt
-	inspectSkippingFuncLits(s, func(n ast.Node) {
-		if r, ok := n.(*ast.ReturnStmt); ok && ret == nil {
-			ret = r
-		}
-	})
-	return ret
-}
-
-// collectHeldRegion records what happens while lock is held: static
-// calls (resolved through Facts), dynamic calls, direct blocking
-// operations, and nested acquisitions. Deferred calls, go statements,
-// and function-literal bodies are excluded — they run outside the
-// critical section (or on their own goroutine).
-func collectHeldRegion(pass *analysis.Pass, st *lockdiscState, fnKey, lock string, held []ast.Stmt) {
-	for _, s := range held {
-		var walk func(n ast.Node) bool
-		walk = func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncLit, *ast.DeferStmt, *ast.GoStmt:
-				return false
-			case *ast.SendStmt:
-				if !insideSelectComm(s, n.Pos()) {
-					st.directBlocks = append(st.directBlocks, heldSite{lock: lock, desc: "channel send", pos: n.Pos()})
-				}
-			case *ast.UnaryExpr:
-				if n.Op == token.ARROW && !insideSelectComm(s, n.Pos()) {
-					st.directBlocks = append(st.directBlocks, heldSite{lock: lock, desc: "channel receive", pos: n.Pos()})
-				}
-			case *ast.SelectStmt:
-				if !hasDefaultClause(n) {
-					st.directBlocks = append(st.directBlocks, heldSite{lock: lock, desc: "select without default", pos: n.Pos()})
-				}
-			case *ast.CallExpr:
-				if lc, ok := classifyLockCall(pass, n); ok {
-					if lc.method == "Lock" || lc.method == "RLock" {
-						st.edges = append(st.edges, lockEdge{from: lock, to: lc.key, pos: n.Pos()})
-					}
-					return true
-				}
-				key := pass.Facts.CalleeKey(pass.TypesInfo, n)
-				if key == "" {
-					if isDynamicCall(pass, n) {
-						st.dynCalls = append(st.dynCalls, heldSite{lock: lock, desc: callSource(n), pos: n.Pos()})
-					}
-					return true
-				}
-				if desc, ok := blockingCallee(key); ok {
-					st.directBlocks = append(st.directBlocks, heldSite{lock: lock, desc: desc, pos: n.Pos()})
-					return true
-				}
-				st.heldCalls = append(st.heldCalls, heldCall{lock: lock, callee: key, pos: n.Pos()})
-			}
-			return true
-		}
-		ast.Inspect(s, walk)
+// syncOps lists, in source order, the operations root performs on the
+// calling goroutine: blocking operations, calls through function values
+// and static calls. go statements are skipped — the launched call runs
+// on its own goroutine. In a critical section, deferred calls and the
+// bodies of literals not invoked on the spot are skipped too: they run
+// after the section, if at all.
+func syncOps(pass *analysis.Pass, root ast.Node, critical bool) []lockOp {
+	var ops []lockOp
+	add := func(kind opKind, desc string, pos token.Pos) {
+		ops = append(ops, lockOp{kind: kind, desc: desc, pos: pos})
 	}
+	// A send or receive that is a select's communication is not reported
+	// on its own: with a default case it is a non-blocking attempt, and
+	// without one the select itself is the single blocking site.
+	var comms []ast.Stmt
+	inComm := func(n ast.Node) bool {
+		for _, c := range comms {
+			if c.Pos() <= n.Pos() && n.End() <= c.End() {
+				return true
+			}
+		}
+		return false
+	}
+	invoked := make(map[*ast.FuncLit]bool)
+	ast.Inspect(root, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.GoStmt:
+			return false
+		case *ast.DeferStmt:
+			return !critical
+		case *ast.FuncLit:
+			return !critical || invoked[n]
+		case *ast.SelectStmt:
+			if !hasDefaultClause(n) {
+				add(opBlock, "select without default", n.Pos())
+			}
+			for _, c := range n.Body.List {
+				if cc, ok := c.(*ast.CommClause); ok && cc.Comm != nil {
+					comms = append(comms, cc.Comm)
+				}
+			}
+		case *ast.SendStmt:
+			if !inComm(n) {
+				add(opBlock, "channel send", n.Pos())
+			}
+		case *ast.UnaryExpr:
+			if n.Op == token.ARROW && !inComm(n) {
+				add(opBlock, "channel receive", n.Pos())
+			}
+		case *ast.CallExpr:
+			if lit, ok := ast.Unparen(n.Fun).(*ast.FuncLit); ok {
+				invoked[lit] = true
+			} else if key := calleeKey(pass, n); key != "" {
+				if desc, ok := blockingCallee(key); ok {
+					add(opBlock, desc, n.Pos())
+				} else {
+					add(opCall, key, n.Pos())
+				}
+			} else if isDynamicCall(pass, n) {
+				add(opDyn, callSource(n), n.Pos())
+			}
+		}
+		return true
+	})
+	return ops
+}
+
+// calleeKey resolves a call expression to its static callee's FullName,
+// or "" for calls through function values, conversions and builtins.
+// An interface method call resolves to the interface method, which has
+// no body and so no facts.
+func calleeKey(pass *analysis.Pass, call *ast.CallExpr) string {
+	var id *ast.Ident
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		id = fun
+	case *ast.SelectorExpr:
+		if sel, ok := pass.TypesInfo.Selections[fun]; ok {
+			if fn, ok := sel.Obj().(*types.Func); ok {
+				return fn.FullName()
+			}
+			return ""
+		}
+		id = fun.Sel
+	default:
+		return ""
+	}
+	if fn, ok := pass.TypesInfo.Uses[id].(*types.Func); ok {
+		return fn.FullName()
+	}
+	return ""
 }
 
 // isDynamicCall reports whether call goes through a function value
@@ -622,43 +503,6 @@ func blockingCallee(key string) (string, bool) {
 	return "", false
 }
 
-// firstBlockingOp finds the first directly blocking operation in a
-// function body (literals excluded), for the call-graph fact map.
-func firstBlockingOp(pass *analysis.Pass, body *ast.BlockStmt) (blockOp, bool) {
-	var op blockOp
-	found := false
-	record := func(desc string, pos token.Pos) {
-		if !found {
-			op, found = blockOp{desc: desc, pos: pos}, true
-		}
-	}
-	inspectSkippingFuncLits(body, func(n ast.Node) {
-		switch n := n.(type) {
-		case *ast.SendStmt:
-			if !insideSelectComm(body, n.Pos()) {
-				record("channel send", n.Pos())
-			}
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW && !insideSelectComm(body, n.Pos()) {
-				record("channel receive", n.Pos())
-			}
-		case *ast.SelectStmt:
-			if !hasDefaultClause(n) {
-				record("select without default", n.Pos())
-			}
-		case *ast.CallExpr:
-			if _, ok := classifyLockCall(pass, n); ok {
-				return
-			}
-			key := pass.Facts.CalleeKey(pass.TypesInfo, n)
-			if desc, ok := blockingCallee(key); ok {
-				record(desc, n.Pos())
-			}
-		}
-	})
-	return op, found
-}
-
 func hasDefaultClause(sel *ast.SelectStmt) bool {
 	for _, c := range sel.Body.List {
 		if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
@@ -668,232 +512,68 @@ func hasDefaultClause(sel *ast.SelectStmt) bool {
 	return false
 }
 
-// insideSelectComm reports whether pos lies in a communication clause
-// of any select under root. Such sends/receives are not reported
-// individually: with a default case they are non-blocking attempts, and
-// without one the select itself is the single blocking site.
-func insideSelectComm(root ast.Node, pos token.Pos) bool {
-	inComm := false
-	ast.Inspect(root, func(n ast.Node) bool {
-		sel, ok := n.(*ast.SelectStmt)
-		if !ok {
-			return true
-		}
-		for _, c := range sel.Body.List {
-			cc, ok := c.(*ast.CommClause)
-			if !ok || cc.Comm == nil {
-				continue
-			}
-			if cc.Comm.Pos() <= pos && pos <= cc.Comm.End() {
-				inComm = true
-			}
-		}
-		return true
-	})
-	return inComm
-}
-
 // ---- End: interprocedural resolution ----
 
 func endLockdisc(pass *analysis.Pass) error {
 	st := lockdiscStateOf(pass)
-
-	// Direct blocking operations and dynamic calls under a lock.
-	for _, site := range st.directBlocks {
-		if st.coarse[site.lock] {
+	for _, h := range st.held {
+		if st.coarse[h.lock] {
 			continue
 		}
-		pass.Reportf(site.pos,
-			"blocking %s while %s is held: move it out of the critical section "+
-				"or declare the lock //lint:lockcoarse <reason>",
-			site.desc, site.lock)
-	}
-	for _, site := range st.dynCalls {
-		if st.coarse[site.lock] {
-			continue
-		}
-		pass.Reportf(site.pos,
-			"call through function value %s while %s is held may block: "+
-				"invoke callbacks outside the critical section or declare the "+
-				"lock //lint:lockcoarse <reason>",
-			site.desc, site.lock)
-	}
-
-	// Transitive blocking through the call graph, and interprocedural
-	// acquisitions.
-	edges := append([]lockEdge(nil), st.edges...)
-	for _, hc := range st.heldCalls {
-		reach := pass.Facts.Reachable(hc.callee)
-		if !st.coarse[hc.lock] {
-			if path, ok := pass.Facts.FindPath(hc.callee, func(k string) bool {
-				_, blocks := st.funcBlocks[k]
-				return blocks
-			}); ok {
-				end := hc.callee
-				if len(path) > 0 {
-					end = path[len(path)-1].Callee
-				}
-				op := st.funcBlocks[end]
-				pass.Reportf(hc.pos,
+		switch h.kind {
+		case opBlock:
+			pass.Reportf(h.pos,
+				"blocking %s while %s is held: move it out of the critical section "+
+					"or declare the lock //lint:lockcoarse <reason>",
+				h.desc, h.lock)
+		case opDyn:
+			pass.Reportf(h.pos,
+				"call through function value %s while %s is held may block: "+
+					"invoke callbacks outside the critical section or declare the "+
+					"lock //lint:lockcoarse <reason>",
+				h.desc, h.lock)
+		case opCall:
+			if end, op := st.firstReached(h.desc, func(f *funcFacts) string { return f.block }); end != "" {
+				pass.Reportf(h.pos,
 					"%s is held across a call to %s, which transitively blocks (%s in %s): "+
 						"shrink the critical section or declare the lock //lint:lockcoarse <reason>",
-					hc.lock, shortKey(hc.callee), op.desc, shortKey(end))
-			} else if path, ok := pass.Facts.FindPath(hc.callee, func(k string) bool {
-				_, dyn := st.funcDyn[k]
-				return dyn
-			}); ok {
-				end := hc.callee
-				if len(path) > 0 {
-					end = path[len(path)-1].Callee
-				}
-				op := st.funcDyn[end]
-				pass.Reportf(hc.pos,
+					h.lock, shortKey(h.desc), op, shortKey(end))
+			} else if end, op := st.firstReached(h.desc, func(f *funcFacts) string { return f.dyn }); end != "" {
+				pass.Reportf(h.pos,
 					"%s is held across a call to %s, which calls through the function "+
 						"value %s (in %s) and may block: invoke callbacks outside the "+
 						"critical section or declare the lock //lint:lockcoarse <reason>",
-					hc.lock, shortKey(hc.callee), op.desc, shortKey(end))
-			}
-		}
-		for k := range reach {
-			for _, acq := range st.funcAcquires[k] {
-				if strings.HasPrefix(acq.lock, "local:") {
-					continue
-				}
-				edges = append(edges, lockEdge{from: hc.lock, to: acq.lock, pos: hc.pos})
+					h.lock, shortKey(h.desc), op, shortKey(end))
 			}
 		}
 	}
-
-	reportLockOrder(pass, st, edges)
 	return nil
+}
+
+// firstReached searches breadth-first from the function key through the
+// callee facts for the first function whose fact, as picked, is set,
+// and returns that function's key and the fact ("" if none is reached).
+func (st *lockdiscState) firstReached(key string, pick func(*funcFacts) string) (string, string) {
+	seen := map[string]bool{key: true}
+	for queue := []string{key}; len(queue) > 0; queue = queue[1:] {
+		f := st.funcs[queue[0]]
+		if f == nil {
+			continue
+		}
+		if op := pick(f); op != "" {
+			return queue[0], op
+		}
+		for _, c := range f.callees {
+			if !seen[c] {
+				seen[c] = true
+				queue = append(queue, c)
+			}
+		}
+	}
+	return "", ""
 }
 
 // shortKey trims the module path prefix for readable diagnostics.
 func shortKey(key string) string {
 	return strings.ReplaceAll(key, "progressdb/internal/", "")
-}
-
-// matchLockPattern reports whether a declared-order pattern names the
-// lock key (exact, or as a '.'-separated suffix).
-func matchLockPattern(key, pattern string) bool {
-	return key == pattern || strings.HasSuffix(key, "."+pattern) || strings.HasSuffix(key, "/"+pattern)
-}
-
-// reportLockOrder applies declared //lint:lockorder pairs to the
-// observed acquisition graph and then looks for cycles among the
-// remaining edges.
-func reportLockOrder(pass *analysis.Pass, st *lockdiscState, edges []lockEdge) {
-	// Dedupe to one representative (earliest-seen) edge per from→to
-	// pair; self-edges are immediate deadlocks.
-	sort.SliceStable(edges, func(i, j int) bool { return edges[i].pos < edges[j].pos })
-	uniq := make(map[string]lockEdge)
-	var order []string
-	for _, e := range edges {
-		if strings.HasPrefix(e.from, "local:") || strings.HasPrefix(e.to, "local:") {
-			continue
-		}
-		id := e.from + "→" + e.to
-		if _, ok := uniq[id]; !ok {
-			uniq[id] = e
-			order = append(order, id)
-		}
-	}
-
-	declaredPair := make(map[string]bool) // pairs covered by a declaration
-	for _, id := range order {
-		e := uniq[id]
-		if e.from == e.to {
-			pass.Reportf(e.pos, "lock %s acquired while already held (self-deadlock)", e.from)
-			delete(uniq, id)
-			continue
-		}
-		for _, d := range st.orders {
-			fm, tm := matchLockPattern(e.from, d.after), matchLockPattern(e.to, d.before)
-			if fm && tm {
-				pass.Reportf(e.pos,
-					"acquiring %s while holding %s violates the declared order //lint:lockorder %s < %s",
-					e.to, e.from, d.before, d.after)
-				delete(uniq, id)
-			}
-			if (matchLockPattern(e.from, d.before) && matchLockPattern(e.to, d.after)) || (fm && tm) {
-				declaredPair[pairID(e.from, e.to)] = true
-			}
-		}
-	}
-
-	// Cycle detection over the surviving edges. Pairs a declaration
-	// already covers are skipped: the violation report above is the
-	// actionable finding.
-	adj := make(map[string][]lockEdge)
-	var nodes []string
-	seenNode := make(map[string]bool)
-	for _, id := range order {
-		e, ok := uniq[id]
-		if !ok {
-			continue
-		}
-		adj[e.from] = append(adj[e.from], e)
-		for _, n := range []string{e.from, e.to} {
-			if !seenNode[n] {
-				seenNode[n] = true
-				nodes = append(nodes, n)
-			}
-		}
-	}
-	sort.Strings(nodes)
-	const (
-		white = 0
-		grey  = 1
-		black = 2
-	)
-	color := make(map[string]int)
-	var stack []lockEdge
-	reported := make(map[string]bool)
-	var dfs func(n string)
-	dfs = func(n string) {
-		color[n] = grey
-		for _, e := range adj[n] {
-			if color[e.to] == grey {
-				// Found a cycle: the chain from e.to around to e.
-				cycle := []lockEdge{e}
-				for i := len(stack) - 1; i >= 0; i-- {
-					cycle = append(cycle, stack[i])
-					if stack[i].from == e.to {
-						break
-					}
-				}
-				id := pairID(e.from, e.to)
-				if !declaredPair[id] && !reported[id] {
-					reported[id] = true
-					var names []string
-					for i := len(cycle) - 1; i >= 0; i-- {
-						names = append(names, cycle[i].from)
-					}
-					names = append(names, e.to)
-					pass.Reportf(e.pos,
-						"lock-order cycle (deadlock risk): %s — declare a hierarchy with //lint:lockorder and acquire in one order",
-						strings.Join(names, " → "))
-				}
-				continue
-			}
-			if color[e.to] == white {
-				stack = append(stack, e)
-				dfs(e.to)
-				stack = stack[:len(stack)-1]
-			}
-		}
-		color[n] = black
-	}
-	for _, n := range nodes {
-		if color[n] == white {
-			dfs(n)
-		}
-	}
-}
-
-func pairID(a, b string) string {
-	if a > b {
-		a, b = b, a
-	}
-	return a + "|" + b
 }

@@ -1,6 +1,6 @@
-// The lockdisc release-on-all-paths and no-blocking-under-lock rules.
-// Lock identity in the diagnostics is the receiver's final field
-// ("<pkg>.counter.mu" here).
+// The lockdisc rule: nothing blocks while a lock is held. Lock identity
+// in the diagnostics is the receiver's final field ("<pkg>.counter.mu"
+// here).
 package fixture
 
 import (
@@ -37,20 +37,12 @@ func (c *counter) okExplicit(fail bool) error {
 	return nil
 }
 
-// missingOnError leaks the lock on the error path.
-func (c *counter) missingOnError(fail bool) error {
+// sleepAfterUnlock: the critical section ends at the Unlock.
+func (c *counter) sleepAfterUnlock() {
 	c.mu.Lock()
-	if fail {
-		return errFixture // want `return inside .*counter\.mu critical section without Unlock`
-	}
-	c.mu.Unlock()
-	return nil
-}
-
-// fallThrough never releases at all.
-func (c *counter) fallThrough() {
-	c.mu.Lock() // want `counter\.mu is locked but never released on the fall-through path`
 	c.n++
+	c.mu.Unlock()
+	time.Sleep(time.Millisecond)
 }
 
 // sleepUnderLock blocks directly in the critical section.
@@ -83,6 +75,28 @@ func (c *counter) transitiveBlockDeep(f *os.File) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	save(f) // want `counter\.mu is held across a call to .*save, which transitively blocks`
+}
+
+// invokedLitUnderLock: a literal invoked on the spot runs inside the
+// critical section, so what its body reaches counts.
+func (c *counter) invokedLitUnderLock(f *os.File) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	func() {
+		save(f) // want `counter\.mu is held across a call to .*save, which transitively blocks`
+	}()
+}
+
+// persistVia's literal is part of persistVia: calling persistVia blocks.
+func persistVia(f *os.File) {
+	do := func() { persist(f) }
+	do()
+}
+
+func (c *counter) litBlockUnderLock(f *os.File) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	persistVia(f) // want `counter\.mu is held across a call to .*persistVia, which transitively blocks \(os\.File I/O \(Sync\) in .*persist\)`
 }
 
 // chanUnderLock / recvUnderLock / selectUnderLock: channel rendezvous

@@ -66,12 +66,8 @@ type tableInfo struct {
 // A shard's engine invokes its progress callback mid-execution — i.e.
 // with shard.mu held — and the callback feeds the aggregator, so the
 // shard lock always sits above the aggregator's state and delivery
-// locks. The callback edge is a function value the analyzer cannot see
-// through, so the hierarchy is declared rather than inferred:
-//
-//lint:lockorder shard.mu < aggregator.mu
-//lint:lockorder shard.mu < aggregator.pubMu
-
+// locks: shard.mu is taken before aggregator.mu and before
+// aggregator.pubMu, never while either is held.
 type shard struct {
 	id int
 	// mu serializes work onto the shard's embedded engine: one subquery

@@ -22,10 +22,8 @@ import (
 // — so a subscriber that replays history at subscribe time and then
 // drains its buffer sees every event exactly once, in order, with
 // exactly one terminal event. The push into a subscriber's buffer nests
-// its lock inside the job's; progresslint enforces that the order never
-// inverts:
-//
-//lint:lockorder job.mu < subscriber.mu
+// its lock inside the job's, so the order is job.mu before
+// subscriber.mu: nothing takes job.mu while holding a subscriber's lock.
 type job struct {
 	n        int // submission sequence number; id is "q<n>"
 	id       string

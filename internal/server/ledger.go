@@ -42,9 +42,8 @@ import (
 // and each carries its own profile, so the retired ring is also the
 // store behind /api/history: a job and its profile go together.
 //
-// mu is the package's outermost lock and nothing blocks under it:
-//
-//lint:lockorder registry.mu < job.mu
+// mu is the package's outermost lock and nothing blocks under it: the
+// order is registry.mu before job.mu, never the reverse.
 type registry struct {
 	queueDepth   int
 	maxInflightU float64 // 0 = unlimited

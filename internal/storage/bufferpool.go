@@ -24,9 +24,8 @@ const (
 )
 
 // The buffer pool's latch hierarchy: a shard latch may be held across
-// the physical disk access it covers (the disk is the lower layer).
-//
-//lint:lockorder poolShard.mu < Disk.mu
+// the physical disk access it covers (the disk is the lower layer), so
+// poolShard.mu is always taken before Disk.mu, never after.
 
 // poolShard is one partition of the page table: a latch, a slot array
 // of frames, and a page table from page to slot, bounded by the shard's
