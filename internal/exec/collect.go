@@ -13,6 +13,11 @@ import (
 // query the engine runs. The zero value is the disabled state: all
 // counters are nil and every increment is a nil-safe no-op, so the hot
 // path pays only a nil check when observability is off.
+//
+// Nothing shared is written per tuple: an operator counts its rows
+// locally and adds the total to RowsOut once, when it closes.
+// Every worker's operators would otherwise contend for the same cache
+// lines on every row.
 type Metrics struct {
 	reg *obs.Registry
 	// SpillPartitions counts partition batch files created by hash joins
@@ -162,11 +167,16 @@ func (c *Collector) All() []*NodeStats {
 // and bytes out, open/close virtual times, and the engine-wide
 // per-operator rows counter. Build inserts it only when collection or
 // metrics are enabled, so the disabled path keeps direct iterator calls.
+//
+// Rows are counted in n and added to the shared counter at Close, which
+// exec.Run's unwind reaches on success, error and cancel alike; a scrape
+// during a query sees an operator's rows once it has closed.
 type statsIter struct {
 	inner Iterator
 	env   *Env
 	st    *NodeStats   // nil when per-query collection is off
 	rows  *obs.Counter // nil when engine metrics are off
+	n     int64        // rows emitted since the last Close, not yet in rows
 	sizer rowSizer     // inner, when it knows its row's size better than the row does
 	last  int          // bytes of the row last emitted (collection on only)
 }
@@ -193,7 +203,7 @@ func (s *statsIter) Open() error {
 func (s *statsIter) Next() (tuple.Tuple, bool, error) {
 	t, ok, err := s.inner.Next()
 	if ok {
-		s.rows.Inc()
+		s.n++
 		if s.st != nil {
 			if s.sizer != nil {
 				s.last = s.sizer.lastRowBytes()
@@ -208,6 +218,8 @@ func (s *statsIter) Next() (tuple.Tuple, bool, error) {
 }
 
 func (s *statsIter) Close() error {
+	s.rows.Add(s.n)
+	s.n = 0
 	if s.st != nil {
 		s.st.EndT = s.env.Clock.Now()
 	}

@@ -26,7 +26,8 @@ type partitionIter struct {
 
 // run partitions the whole input into nbatch files. Partition nodes are
 // driven directly by the owning graceJoin (not through Build), so actuals
-// collection is inlined here.
+// collection is inlined here; like statsIter, it adds its row count to
+// the shared counter once, when the drain ends or fails.
 func (p *partitionIter) run(nbatch int) error {
 	st := p.env.Collect.Stats(p.node)
 	if st != nil {
@@ -34,6 +35,8 @@ func (p *partitionIter) run(nbatch int) error {
 		st.Loops++
 	}
 	rows := p.env.Met.RowsOut(opName(p.node))
+	var n int64
+	defer func() { rows.Add(n) }()
 	if err := p.child.Open(); err != nil {
 		return err
 	}
@@ -56,7 +59,7 @@ func (p *partitionIter) run(nbatch int) error {
 		enc = t.Encode(enc[:0])
 		p.env.Clock.ChargeCPU(cpuHashOp)
 		rep.OutputTuple(p.tag.ProducerSeg, len(enc))
-		rows.Inc()
+		n++
 		if st != nil {
 			st.Rows++
 			st.Bytes += float64(len(enc))

@@ -13,6 +13,7 @@ import (
 
 	"progressdb"
 	"progressdb/client"
+	"progressdb/internal/obs"
 )
 
 // syntheticDB builds a small I/O-bound engine whose scans span many
@@ -417,6 +418,72 @@ func TestWorkersRunConcurrently(t *testing.T) {
 	s.Close()
 	if err := db.CheckLeaks(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRowsOutExactUnderConcurrency runs 2·N copies of a join on two
+// workers at once. Each operator adds its rows to exec_rows_out_total
+// when it closes, so the per-operator deltas on /metrics must be exactly
+// 2·N times one solo run's: a flush lost or doubled under contention
+// shows here, and ci.sh runs this package 20× beside -race.
+func TestRowsOutExactUnderConcurrency(t *testing.T) {
+	db := progressdb.Open(progressdb.Config{Metrics: true})
+	if err := db.LoadPaperWorkload(0.002, false); err != nil {
+		t.Fatal(err)
+	}
+	const n = 8
+	_, cl := testServer(t, db, Config{Workers: 2, QueueDepth: 2 * n})
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	q2, err := progressdb.PaperQuery(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rowsOut := func() map[string]float64 {
+		text, err := cl.MetricsText(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		samples, err := obs.ParsePrometheusText(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := map[string]float64{}
+		for _, s := range samples {
+			if s.Name == "exec_rows_out_total" {
+				m[s.LabelVal] = s.Value
+			}
+		}
+		return m
+	}
+	run := func(copies int) map[string]float64 {
+		before := rowsOut()
+		ids := make([]string, copies)
+		for i := range ids {
+			sub, err := cl.Submit(ctx, client.SubmitRequest{SQL: q2, Name: fmt.Sprintf("q2-%d", i)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids[i] = sub.ID
+		}
+		for _, id := range ids {
+			waitState(t, cl, id, client.StateDone)
+		}
+		delta := rowsOut()
+		for op := range delta {
+			delta[op] -= before[op]
+		}
+		return delta
+	}
+	solo := run(1)
+	if solo["hashjoin"] == 0 || solo["seqscan"] == 0 {
+		t.Fatalf("solo Q2 rows out %v: want hashjoin and seqscan rows", solo)
+	}
+	all := run(2 * n)
+	for op, v := range all {
+		if want := 2 * n * solo[op]; v != want {
+			t.Errorf("%s: %d concurrent copies added %v rows out, want %d × %v = %v", op, 2*n, v, 2*n, solo[op], want)
+		}
 	}
 }
 
