@@ -22,8 +22,9 @@ fmt:
 lint:
 	go run ./cmd/progresslint ./...
 
-# Open-ended fuzzing of the two engine-boundary parsers, the record decoder
-# and the executor's int hash table. Override the budget per target:
+# Open-ended fuzzing of the two engine-boundary parsers, the record decoder,
+# the executor's int hash table and the equivalence harness's query seeds.
+# Override the budget per target:
 # make fuzz FUZZTIME=5m
 FUZZTIME ?= 60s
 fuzz:
@@ -32,6 +33,7 @@ fuzz:
 	go test -run FuzzDecodeInto -fuzz FuzzDecodeInto -fuzztime $(FUZZTIME) ./internal/tuple/
 	go test -run FuzzDecodeSequence -fuzz FuzzDecodeSequence -fuzztime $(FUZZTIME) ./internal/tuple/
 	go test -run FuzzIntMap -fuzz FuzzIntMap -fuzztime $(FUZZTIME) ./internal/exec/
+	go test -run FuzzEquivalence -fuzz FuzzEquivalence -fuzztime $(FUZZTIME) .
 
 # Randomized fault-schedule property suite at full depth (DESIGN.md §6):
 # hundreds of deterministic random fault schedules under -race, each

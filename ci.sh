@@ -55,6 +55,7 @@ go test -run FuzzParseStatement -fuzz FuzzParseStatement -fuzztime 10s ./interna
 go test -run FuzzDecodeInto -fuzz FuzzDecodeInto -fuzztime 5s ./internal/tuple/
 go test -run FuzzDecodeSequence -fuzz FuzzDecodeSequence -fuzztime 5s ./internal/tuple/
 go test -run FuzzIntMap -fuzz FuzzIntMap -fuzztime 5s ./internal/exec/
+go test -run FuzzEquivalence -fuzz FuzzEquivalence -fuzztime 20s .
 
 echo "== progressd start/stop =="
 # The one check that goes through main() itself — flags into Config, the

@@ -64,16 +64,8 @@ func TestConcurrentQueryStorm(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < queriesPerWorker; j++ {
 				qi := (g + j) % len(concQueries)
-				lastDone := -1.0
-				res, err := db.Exec(concQueries[qi], func(r Report) {
-					if r.DoneU < lastDone-1e-9 {
-						errc <- fmt.Errorf("worker %d query %d: DoneU regressed %g -> %g", g, qi, lastDone, r.DoneU)
-					}
-					lastDone = r.DoneU
-					if r.Percent < 0 || r.Percent > 100+1e-9 {
-						errc <- fmt.Errorf("worker %d query %d: Percent %g outside [0,100]", g, qi, r.Percent)
-					}
-				})
+				var reps []Report
+				res, err := db.Exec(concQueries[qi], func(r Report) { reps = append(reps, r) })
 				if err != nil {
 					errc <- fmt.Errorf("worker %d query %d: %v", g, qi, err)
 					continue
@@ -81,8 +73,8 @@ func TestConcurrentQueryStorm(t *testing.T) {
 				if got := fingerprint(res); got != want[qi] {
 					errc <- fmt.Errorf("worker %d query %d: WRONG RESULT %x, want %x", g, qi, got, want[qi])
 				}
-				if len(res.History) == 0 || !res.History[len(res.History)-1].Finished {
-					errc <- fmt.Errorf("worker %d query %d: history missing finished report", g, qi)
+				if cerr := checkReports(reps, true, res.Segments); cerr != nil {
+					errc <- fmt.Errorf("worker %d query %d: %v", g, qi, cerr)
 				}
 			}
 		}(g)
@@ -121,20 +113,14 @@ func TestConcurrentProgressMonotoneUnderContention(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			lastDone, lastElapsed, lastSegs := -1.0, -1.0, -1
-			_, err := db.Exec("select v, count(*), sum(k) from r group by v order by v", func(r Report) {
-				switch {
-				case r.DoneU < lastDone-1e-9:
-					errc <- fmt.Errorf("worker %d: DoneU %g after %g", w, r.DoneU, lastDone)
-				case r.ElapsedSeconds < lastElapsed-1e-9:
-					errc <- fmt.Errorf("worker %d: Elapsed %g after %g", w, r.ElapsedSeconds, lastElapsed)
-				case r.SegmentsDone < lastSegs:
-					errc <- fmt.Errorf("worker %d: SegmentsDone %d after %d", w, r.SegmentsDone, lastSegs)
-				}
-				lastDone, lastElapsed, lastSegs = r.DoneU, r.ElapsedSeconds, r.SegmentsDone
-			})
+			var reps []Report
+			res, err := db.Exec("select v, count(*), sum(k) from r group by v order by v", func(r Report) { reps = append(reps, r) })
 			if err != nil {
 				errc <- fmt.Errorf("worker %d: %v", w, err)
+				return
+			}
+			if cerr := checkReports(reps, true, res.Segments); cerr != nil {
+				errc <- fmt.Errorf("worker %d: %v", w, cerr)
 			}
 		}(w)
 	}

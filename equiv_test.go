@@ -1,0 +1,500 @@
+package progressdb_test
+
+import (
+	"cmp"
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"strconv"
+	"strings"
+	"sync"
+	"testing"
+
+	"progressdb"
+	"progressdb/internal/btree"
+	"progressdb/internal/fleet"
+	"progressdb/internal/optimizer"
+	"progressdb/internal/sqlparser"
+	"progressdb/internal/tuple"
+)
+
+// The equivalence harness: a seeded query runs through every distinct plan
+// the optimizer can be made to produce — work_mem 2 and 2048 ×
+// ForceJoinAlgo × DisableIndexScan, deduplicated by plan text — and
+// through a 4-shard fleet. Every run must return the reference rows (the
+// cost-based plan at work_mem 2048), keep the indicator's contract and
+// leave no leaks; SPJ and semi-join queries must also split exactly,
+// Q = (Q AND p) ⊎ (Q AND ¬p). FuzzEquivalence runs any seed.
+
+// The tier-1 seeds are 1..equivSeeds and equivRareSeeds: 260 and 373 draw
+// the rarest pairs, 260 and 2615 an index bound past an int64 end.
+// equivRequired is every operator × segment kind pair, and run-time event,
+// that 20× as many seeds drew. adv has advPerKey rows to each ix key.
+const (
+	equivSeeds = 200
+	advRows    = 2000
+	advPerKey  = 50
+)
+
+var (
+	equivRareSeeds = []int64{260, 373, 2615}
+	equivRequired  = strings.Fields(`
+	AntiHashSemiJoin×aggregate AntiHashSemiJoin×final AntiHashSemiJoin×sort Filter×aggregate Filter×build
+	Filter×final Filter×materialize Filter×partition Filter×sort GraceHashJoin×aggregate GraceHashJoin×build
+	GraceHashJoin×final GraceHashJoin×partition GraceHashJoin×sort HashAggregate×aggregate HashJoin×aggregate
+	HashJoin×build HashJoin×final HashJoin×partition HashJoin×runtime-spill HashJoin×sort HashPartition×partition
+	HashSemiJoin×aggregate HashSemiJoin×final HashSemiJoin×sort IndexScan×aggregate IndexScan×build IndexScan×final
+	IndexScan×materialize IndexScan×sort Limit×final Materialize×materialize MergeJoin×aggregate MergeJoin×final
+	MergeJoin×sort NestedLoopJoin×aggregate NestedLoopJoin×build NestedLoopJoin×final NestedLoopJoin×sort
+	Project×aggregate Project×build Project×final Project×materialize Project×partition Project×sort
+	SeqScan×aggregate SeqScan×build SeqScan×final SeqScan×materialize SeqScan×partition SeqScan×sort
+	Sort×merge-pass Sort×sort`)
+)
+
+// The adversarial table adv(k, f, s, ix, pad): Int edges around 2^53 and
+// at both ends of int64, NaNs and signed zeros, equal strings (one with a
+// quote), and an indexed ix, whose wide rows make an equality lookup an
+// IndexScan while its runs of equal keys cross btree leaves. The fleet
+// partitions it on k.
+var (
+	edgeInts   = []int64{1<<53 - 1, 1 << 53, 1<<53 + 1, math.MinInt64, math.MaxInt64}
+	edgeFloats = []float64{math.NaN(), 0, math.Copysign(0, -1), 1<<53 - 1, 1<<53 + 1}
+	advPad     = strings.Repeat("x", 1800)
+	advCols    = []progressdb.Column{progressdb.Col("k", progressdb.Int), progressdb.Col("f", progressdb.Float),
+		progressdb.Col("s", progressdb.Text), progressdb.Col("ix", progressdb.Int), progressdb.Col("pad", progressdb.Text)}
+)
+
+// advRow is row i of adv. Each block of 400 rows holds every Int edge
+// twice at its start and every Float edge twice at its middle, so the
+// edges spread over ix keys, k values and fleet shards.
+func advRow(i int) []interface{} {
+	k, f, s := int64(i), float64(i%1000)/2-50, fmt.Sprintf("s%04d", i/2)
+	if j := i % 400; j < 2*len(edgeInts) {
+		k = edgeInts[j/2]
+	} else if j -= 200; j >= 0 && j < 2*len(edgeFloats) {
+		f = edgeFloats[j/2]
+	}
+	if i < 4 {
+		s = []string{"", "it's"}[i/2]
+	}
+	return []interface{}{k, f, s, int64(i / advPerKey), advPad}
+}
+
+// The generator's vocabulary: the table behind each alias; the columns
+// drawn from each table (never the padding); those with repeated values,
+// which GROUP BY draws; the numbers sum and avg draw (not k, whose edges
+// would cancel); and the equi-joins.
+var (
+	genAlias = map[string]string{"c": "customer", "o": "orders", "l": "lineitem", "a": "adv", "b": "adv", "d": "adv"}
+	genCols  = map[string][]string{
+		"customer": {"custkey", "name", "nationkey", "acctbal", "mktsegment"},
+		"orders":   {"orderkey", "custkey", "orderstatus", "totalprice", "shippriority"},
+		"lineitem": {"orderkey", "partkey", "quantity", "extendedprice", "discount", "returnflag"},
+		"adv":      {"k", "f", "s", "ix"},
+	}
+	genGroups = map[string][]string{"customer": {"nationkey", "mktsegment"}, "orders": {"orderstatus", "shippriority"},
+		"lineitem": {"quantity", "discount", "returnflag"}, "adv": {"f", "s", "ix"}}
+	genSums = map[string][]string{"customer": {"nationkey", "acctbal"}, "orders": {"totalprice", "shippriority"},
+		"lineitem": {"quantity", "extendedprice", "discount"}, "adv": {"f", "ix"}}
+	genEdges = strings.Fields(`c.custkey=o.custkey o.orderkey=l.orderkey c.custkey=a.k l.orderkey=a.ix
+		a.k=b.k a.f=b.f a.s=b.s b.k=d.k b.f=d.f b.s=d.s`)
+	genOps = []string{"=", "=", "=", "<>", "<", "<=", ">", ">="} // = is the one an IndexScan lookup uses
+	negOp  = map[string]string{"=": "<>", "<>": "=", "<": ">=", ">=": "<", ">": "<=", "<=": ">"}
+)
+
+// equivFixture holds the two engines by work_mem (2 and 2048), the fleet,
+// and the drawn columns' values by table; loadFixture builds it once.
+type equivFixture struct {
+	dbs   map[int]*progressdb.DB
+	fleet *fleet.Fleet
+	vals  map[string][][]interface{} // table → rows of genCols[table]
+}
+
+var loadFixture = sync.OnceValues(func() (*equivFixture, error) {
+	fx := &equivFixture{dbs: map[int]*progressdb.DB{}, vals: map[string][][]interface{}{}}
+	return fx, fx.build()
+})
+
+func (fx *equivFixture) build() (err error) {
+	cfg := progressdb.Config{Trace: true, ProgressUpdateSeconds: 0.02}
+	for _, wm := range []int{2, 2048} {
+		cfg.WorkMemPages = wm
+		db := progressdb.Open(cfg)
+		fx.dbs[wm] = db
+		err = errors.Join(err, db.LoadPaperWorkload(0.002, false), db.CreateTable("adv", advCols...))
+		for r := range advRows {
+			err = errors.Join(err, db.Insert("adv", advRow(r)...))
+		}
+		err = errors.Join(err, db.CreateIndex("lineitem", "orderkey"), db.CreateIndex("adv", "ix"), db.Analyze())
+	}
+	cfg.WorkMemPages = 0
+	if fx.fleet, err = fleet.New(fleet.Config{Shards: 4, Shard: cfg}); err != nil {
+		return err
+	}
+	err = errors.Join(fx.fleet.LoadPaperWorkload(0.002, false), fx.fleet.CreateTable("adv", "k", advCols...))
+	for r := range advRows {
+		err = errors.Join(err, fx.fleet.Insert("adv", advRow(r)...))
+	}
+	err = errors.Join(err, fx.fleet.Analyze())
+	for table, cols := range genCols {
+		res, e := fx.dbs[2048].Exec("select "+strings.Join(cols, ", ")+" from "+table, nil)
+		if err = errors.Join(err, e); err != nil {
+			return err
+		}
+		fx.vals[table] = res.Rows
+	}
+	return nil
+}
+
+// constant draws a literal for column ci of table: a value the column
+// holds, or an edge of its type; for adv.ix, a key whose run of equal keys
+// straddles two btree leaves (a bulk load fills leaves 9/10 full).
+func (fx *equivFixture) constant(r *rand.Rand, table string, ci int) sqlparser.Expr {
+	switch v := fx.vals[table][r.Intn(len(fx.vals[table]))][ci].(type) {
+	case int64:
+		if r.Intn(5) == 0 {
+			v = edgeInts[r.Intn(len(edgeInts))]
+		} else if genCols[table][ci] == "ix" {
+			leaf := btree.MaxLeafEntries * 9 / 10
+			v = int64(leaf * (1 + r.Intn((advRows-1)/leaf)) / advPerKey)
+		}
+		return sqlparser.IntLit{V: v}
+	case float64:
+		if r.Intn(5) == 0 {
+			v = edgeFloats[r.Intn(len(edgeFloats))]
+		}
+		if math.IsNaN(v) { // SQL has no NaN literal
+			v = math.Copysign(0, -1)
+		}
+		return sqlparser.FloatLit{V: v}
+	default:
+		return sqlparser.StrLit{V: v.(string)}
+	}
+}
+
+// filter draws `alias.col op const` or `absolute(alias.col) op const`.
+func (fx *equivFixture) filter(r *rand.Rand, alias, table string) sqlparser.Comparison {
+	ci := r.Intn(len(genCols[table]))
+	k := fx.constant(r, table, ci)
+	var l sqlparser.Expr = sqlparser.ColumnRef{Qualifier: alias, Column: genCols[table][ci]}
+	if _, str := k.(sqlparser.StrLit); !str && r.Intn(4) == 0 {
+		l = sqlparser.FuncCall{Name: "absolute", Args: []sqlparser.Expr{l}}
+	}
+	return sqlparser.Comparison{Op: genOps[r.Intn(len(genOps))], L: l, R: k}
+}
+
+func and(a, b sqlparser.Expr) sqlparser.Expr {
+	if a == nil {
+		return b
+	}
+	return sqlparser.AndExpr{L: a, R: b}
+}
+
+// joins lists the genEdges from an alias in from, as (near, far) column
+// pairs: to any alias (all), or only to one not yet in from (!all).
+func joins(from []string, all bool) (out [][2]sqlparser.ColumnRef) {
+	for _, e := range genEdges {
+		l, r, _ := strings.Cut(e, "=")
+		for _, xy := range [][2]string{{l, r}, {r, l}} {
+			x, xc, _ := strings.Cut(xy[0], ".")
+			y, yc, _ := strings.Cut(xy[1], ".")
+			if slices.Contains(from, x) && (all || !slices.Contains(from, y)) {
+				out = append(out, [2]sqlparser.ColumnRef{{Qualifier: x, Column: xc}, {Qualifier: y, Column: yc}})
+			}
+		}
+	}
+	return out
+}
+
+// genQuery draws one query: 1–3 tables joined along genEdges, 0–2
+// filters, sometimes a [NOT] EXISTS semi-join, then a GROUP BY, a SELECT *
+// or a projection, and ORDER BY with an optional LIMIT.
+func (fx *equivFixture) genQuery(r *rand.Rand) *sqlparser.SelectStmt {
+	st := &sqlparser.SelectStmt{}
+	from := []string{[]string{"c", "o", "l", "a", "a", "a"}[r.Intn(6)]}
+	for n := r.Intn(3); n > 0; n-- {
+		js := joins(from, false)
+		j := js[r.Intn(len(js))]
+		from = append(from, j[1].Qualifier)
+		st.Where = and(st.Where, sqlparser.Comparison{Op: "=", L: j[0], R: j[1]})
+	}
+	for _, x := range from {
+		st.From = append(st.From, sqlparser.TableRef{Table: genAlias[x], Alias: x})
+	}
+	for n := r.Intn(3); n > 0; n-- {
+		x := from[r.Intn(len(from))]
+		st.Where = and(st.Where, fx.filter(r, x, genAlias[x]))
+	}
+	if r.Intn(4) == 0 { // the subquery reads a join's far table as x
+		js := joins(from, true)
+		j := js[r.Intn(len(js))]
+		table := genAlias[j[1].Qualifier]
+		j[1].Qualifier = "x"
+		sub := &sqlparser.SelectStmt{Star: true, From: []sqlparser.TableRef{{Table: table, Alias: "x"}}, Where: sqlparser.Comparison{Op: "=", L: j[1], R: j[0]}}
+		if r.Intn(2) == 0 {
+			sub.Where = and(sub.Where, fx.filter(r, "x", sub.From[0].Table))
+		}
+		st.Where = and(st.Where, sqlparser.ExistsExpr{Not: r.Intn(2) == 0, Sub: sub})
+	}
+	pick := func(cols map[string][]string) sqlparser.ColumnRef {
+		x := from[r.Intn(len(from))]
+		c := cols[genAlias[x]]
+		return sqlparser.ColumnRef{Qualifier: x, Column: c[r.Intn(len(c))]}
+	}
+	var keys []sqlparser.ColumnRef // what ORDER BY may name
+	switch mode := r.Intn(8); {
+	case mode < 4:
+		for n := []int{0, 1, 1, 2}[r.Intn(4)]; n > 0; n-- {
+			if c := pick(genGroups); len(st.GroupBy) == 0 || st.GroupBy[0] != c {
+				st.GroupBy = append(st.GroupBy, c)
+				st.Items = append(st.Items, sqlparser.SelectItem{Col: c})
+			}
+		}
+		keys = st.GroupBy
+		for n := 1 + r.Intn(3); n > 0; n-- {
+			it := sqlparser.SelectItem{Agg: []string{"count", "min", "max", "sum", "avg"}[r.Intn(5)], Col: pick(genCols)}
+			if it.Agg == "sum" || it.Agg == "avg" {
+				it.Col = pick(genSums)
+			} else if it.Agg == "count" && r.Intn(2) == 0 {
+				it = sqlparser.SelectItem{Agg: "count", AggStar: true}
+			}
+			st.Items = append(st.Items, it)
+		}
+	case mode < 5 && !slices.Contains(from, "a"): // no padding in the output
+		st.Star = true
+		keys = []sqlparser.ColumnRef{pick(genCols), pick(genCols), pick(genCols)}
+	default:
+		for n := 1 + r.Intn(4); n > 0; n-- {
+			keys = append(keys, pick(genCols))
+			st.Items = append(st.Items, sqlparser.SelectItem{Col: keys[len(keys)-1]})
+		}
+	}
+	if len(keys) > 0 && r.Intn(5) < 2 {
+		for n := 1 + r.Intn(2); n > 0; n-- {
+			st.OrderBy = append(st.OrderBy, sqlparser.OrderItem{Col: keys[r.Intn(len(keys))], Desc: r.Intn(2) == 0})
+		}
+		if r.Intn(2) == 0 {
+			n := int64(1 + r.Intn(40))
+			st.Limit = &n
+		}
+	}
+	return st
+}
+
+// appendCell renders one result cell onto b; floats that Compare calls
+// equal (−0 and +0, any two NaNs) render alike through Canonical.
+func appendCell(b []byte, v interface{}) []byte {
+	switch x := v.(type) {
+	case float64:
+		return strconv.AppendFloat(append(b, 'f'), tuple.NewFloat(x).Canonical().F(), 'g', -1, 64)
+	case int64:
+		return strconv.AppendInt(append(b, 'i'), x, 10)
+	}
+	return append(append(b, 's'), v.(string)...)
+}
+
+func cell(v interface{}) string { return string(appendCell(nil, v)) }
+
+// sameRows reports how got differs from want. Column names must match;
+// sum and avg cells must agree within 1e-9 relative (summation order
+// differs between join algorithms and between shards), every other cell
+// exactly. ORDER BY keys must match position by position, and without a
+// LIMIT the rows as multisets.
+func sameRows(st *sqlparser.SelectStmt, cols []string, want [][]interface{}, gotCols []string, got [][]interface{}) error {
+	if !slices.Equal(cols, gotCols) || len(want) != len(got) {
+		return fmt.Errorf("columns %v and %d rows, want %v and %d", gotCols, len(got), cols, len(want))
+	}
+	for _, o := range st.OrderBy { // a one-table SELECT * names its columns bare
+		k := slices.IndexFunc(cols, func(c string) bool { return c == o.Col.String() || c == o.Col.Column })
+		for i := range want {
+			if cell(want[i][k]) != cell(got[i][k]) {
+				return fmt.Errorf("row %d: ORDER BY %s is %v, want %v", i, o.Col, got[i][k], want[i][k])
+			}
+		}
+	}
+	if st.Limit != nil {
+		return nil
+	}
+	approx := make([]bool, len(cols))
+	for i, it := range st.Items {
+		approx[i] = it.Agg == "sum" || it.Agg == "avg"
+	}
+	key := func(row []interface{}) string {
+		var k []byte
+		for j, v := range row {
+			if !approx[j] {
+				k = append(appendCell(k, v), 0)
+			}
+		}
+		return string(k)
+	}
+	left := map[string][][]interface{}{} // want's rows by their exact cells
+	for _, row := range want {
+		left[key(row)] = append(left[key(row)], row)
+	}
+	for _, row := range got {
+		k := key(row)
+		ws := left[k]
+		if len(ws) == 0 {
+			return fmt.Errorf("row %v is not among the reference rows", row)
+		}
+		left[k] = ws[1:]
+		for j, a := range approx {
+			if x, y := ws[0][j], row[j]; a && cell(x) != cell(y) &&
+				!(math.Abs(x.(float64)-y.(float64)) <= 1e-9*math.Max(1, math.Abs(x.(float64)))) {
+				return fmt.Errorf("row %v: %s is %v, want %v", ws[0], st.Items[j], y, x)
+			}
+		}
+	}
+	return nil
+}
+
+// equivStats is what a set of seeds drew.
+type equivStats struct {
+	pairs                   map[string]int
+	fleet, unsupported, nls int
+}
+
+// segmentKinds names a segment by its trace span's root ("S3 HashPartition
+// (k)"); the last is the final one, one ending in none of these a build.
+var segmentKinds = map[string]string{"HashPartition": "partition", "Sort": "sort", "Materialize": "materialize", "HashAggregate": "aggregate"}
+
+// draw records a run's operator × segment-kind pairs, and from the trace
+// notes a hash join spilled at run time and an external sort's merge pass.
+func (s *equivStats) draw(res *progressdb.Result) {
+	segs := res.Trace.Root.Children[:len(res.Segments)]
+	for i, seg := range segs {
+		kind := cmp.Or(segmentKinds[strings.Fields(seg.Name)[1]], "build")
+		if i == len(segs)-1 {
+			kind = "final"
+		}
+		for _, op := range seg.Children {
+			s.pairs[strings.Fields(op.Name)[0]+"×"+kind]++
+			for _, note := range op.Notes {
+				if strings.HasPrefix(note, "build exceeded work_mem") {
+					s.pairs["HashJoin×runtime-spill"]++
+				} else if strings.HasPrefix(note, "intermediate merge") {
+					s.pairs["Sort×merge-pass"]++
+				}
+			}
+		}
+	}
+}
+
+// equivSeed runs seed's query through the matrix, the fleet and the partitioning relation.
+func equivSeed(t *testing.T, seed int64, s *equivStats) {
+	fx, err := loadFixture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(seed))
+	st := fx.genQuery(r)
+	sql := st.String()
+	if again, err := sqlparser.Parse(sql); err != nil || again.String() != sql {
+		t.Fatalf("seed %d: %s does not parse back to itself: %v", seed, sql, err)
+	}
+	product := 1.0
+	for _, tr := range st.From {
+		product *= float64(len(fx.vals[tr.Table]))
+	}
+	seen := map[string]bool{}
+	// run executes sql at work_mem wm under opt — unless that engine ran the
+	// plan already or it forces NL over > 10^6 base-row pairs — and checks all but rows.
+	run := func(wm int, sql string, opt optimizer.Options) (*progressdb.Result, string) {
+		res, text, err := fx.dbs[wm].ExecPlan(sql, opt, func(text string) bool {
+			again := seen[fmt.Sprint(wm, text)]
+			seen[fmt.Sprint(wm, text)] = true
+			if !again && opt.ForceJoinAlgo == "nl" && product > 1e6 {
+				s.nls++
+				return false
+			}
+			return !again
+		})
+		if err == nil && res != nil {
+			s.draw(res)
+			err = progressdb.CheckReports(res.History, true, res.Segments)
+		}
+		if err = errors.Join(err, fx.dbs[wm].CheckLeaks()); err != nil {
+			t.Errorf("seed %d: %s\nwork_mem %d %+v: %v\n%s", seed, sql, wm, opt, err, text)
+			return nil, text
+		}
+		return res, text
+	}
+	ref, refPlan := run(2048, sql, optimizer.Options{})
+	if ref == nil {
+		return
+	}
+	check := func(what, text string, cols []string, rows [][]interface{}) {
+		if err := sameRows(st, ref.Columns, ref.Rows, cols, rows); err != nil {
+			t.Errorf("seed %d: %s\n%s: %v\nreference plan:\n%s%s plan:\n%s", seed, sql, what, err, refPlan, what, text)
+		}
+	}
+	for i := range 16 { // work_mem × ForceJoinAlgo × DisableIndexScan
+		opt := optimizer.Options{ForceJoinAlgo: []string{"", "hash", "nl", "merge"}[i/2%4], DisableIndexScan: i%2 == 1}
+		wm := []int{2, 2048}[i/8]
+		if res, text := run(wm, sql, opt); res != nil {
+			check(fmt.Sprintf("work_mem %d %+v", wm, opt), text, res.Columns, res.Rows)
+		}
+	}
+	switch fres, err := fx.fleet.Exec(sql, nil); {
+	case errors.Is(err, fleet.ErrUnsupported):
+		s.unsupported++
+	case err != nil:
+		t.Errorf("seed %d: %s\nfleet: %v", seed, sql, err)
+	default:
+		s.fleet++
+		check("fleet", "(4 shards)\n", fres.Columns, fres.Rows)
+		reps := make([]progressdb.Report, len(fres.History))
+		for i, h := range fres.History {
+			reps[i] = h.Report
+		}
+		if err := errors.Join(progressdb.CheckReports(reps, true, nil), fx.fleet.CheckLeaks()); err != nil {
+			t.Errorf("seed %d: %s\nfleet: %v", seed, sql, err)
+		}
+	}
+	if st.Limit != nil || slices.ContainsFunc(st.Items, func(it sqlparser.SelectItem) bool { return it.Agg != "" }) {
+		return // the partitioning relation is for SPJ and semi-join queries
+	}
+	x := st.From[r.Intn(len(st.From))]
+	p := fx.filter(r, x.Alias, x.Table)
+	var union [][]interface{}
+	for _, op := range []string{p.Op, negOp[p.Op]} {
+		part, pp := *st, p
+		pp.Op = op
+		part.Where = and(st.Where, pp)
+		res, _ := run(2048, part.String(), optimizer.Options{})
+		if res == nil {
+			return
+		}
+		union = append(union, res.Rows...)
+	}
+	if err := sameRows(&sqlparser.SelectStmt{}, ref.Columns, ref.Rows, ref.Columns, union); err != nil {
+		t.Errorf("seed %d: %s\n(Q AND %s) ⊎ (Q AND %s %s %s): %v", seed, sql, p, p.L, negOp[p.Op], p.R, err)
+	}
+}
+
+func TestEquivalence(t *testing.T) {
+	s := &equivStats{pairs: map[string]int{}}
+	for seed := range int64(equivSeeds) {
+		equivSeed(t, seed+1, s)
+	}
+	for _, seed := range equivRareSeeds {
+		equivSeed(t, seed, s)
+	}
+	t.Logf("%d seeds; fleet ran %d, rejected %d; %d forced NL plans skipped; operator × segment kind: %v",
+		equivSeeds+len(equivRareSeeds), s.fleet, s.unsupported, s.nls, s.pairs)
+	for _, p := range equivRequired {
+		if s.pairs[p] == 0 {
+			t.Errorf("the tier-1 seeds never drew %s", p)
+		}
+	}
+	if s.fleet < 15 {
+		t.Errorf("only %d queries ran on the fleet, want at least 15", s.fleet)
+	}
+}
+
+func FuzzEquivalence(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed int64) { equivSeed(t, seed, &equivStats{pairs: map[string]int{}}) })
+}

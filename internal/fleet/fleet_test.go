@@ -4,12 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"strings"
 	"testing"
 
 	"progressdb"
-	"progressdb/internal/tuple"
 )
 
 // shardCfg is the fast-refresh engine config the fleet tests run on.
@@ -79,68 +77,11 @@ func assertSameRows(t *testing.T, label string, want, got [][]interface{}, wantC
 	}
 }
 
-// The acceptance criterion: a 4-shard query returns rows identical (as a
-// multiset) to the same query on a 1-shard engine — across scans,
-// filters, co-partitioned joins, and re-aggregated aggregates.
-func TestFleetMatchesSingleEngine(t *testing.T) {
-	f := paperFleet(t, 4)
-	ref := referenceDB(t)
-
-	queries := []string{
-		`select * from lineitem`,
-		`select * from customer where nationkey < 10`,
-		`select c.custkey, c.acctbal, o.orderkey, o.totalprice from customer c, orders o where c.custkey = o.custkey`,
-		`select c.custkey, c.acctbal, o.orderkey from customer c, orders o where c.custkey = o.custkey and c.nationkey < 5`,
-		`select nationkey, count(*), min(acctbal), max(acctbal) from customer group by nationkey`,
-		`select count(*), sum(quantity), avg(quantity) from lineitem`,
-		`select count(*) from orders`,
-		`select mktsegment from customer group by mktsegment`,
-	}
-	for _, q := range queries {
-		want, err := ref.Exec(q, nil)
-		if err != nil {
-			t.Fatalf("reference %q: %v", q, err)
-		}
-		got, err := f.Exec(q, nil)
-		if err != nil {
-			t.Fatalf("fleet %q: %v", q, err)
-		}
-		assertSameRows(t, q, want.Rows, got.Rows, want.Columns, got.Columns)
-	}
-}
-
-// ORDER BY + LIMIT: pushed down per shard, re-merged globally — the
-// result must be exactly the single-engine ordered prefix.
-func TestFleetOrderedLimit(t *testing.T) {
-	f := paperFleet(t, 4)
-	ref := referenceDB(t)
-
-	for _, q := range []string{
-		`select custkey, name from customer order by custkey limit 25`,
-		`select custkey, acctbal from customer order by custkey desc limit 10`,
-		`select nationkey, count(*) from customer group by nationkey order by nationkey`,
-	} {
-		want, err := ref.Exec(q, nil)
-		if err != nil {
-			t.Fatalf("reference %q: %v", q, err)
-		}
-		got, err := f.Exec(q, nil)
-		if err != nil {
-			t.Fatalf("fleet %q: %v", q, err)
-		}
-		if len(want.Rows) != len(got.Rows) {
-			t.Fatalf("%q: %d vs %d rows", q, len(want.Rows), len(got.Rows))
-		}
-		for i := range want.Rows {
-			if rowKey(want.Rows[i]) != rowKey(got.Rows[i]) {
-				t.Fatalf("%q row %d: %v vs %v", q, i, want.Rows[i], got.Rows[i])
-			}
-		}
-	}
-}
-
-// Global progress must be monotone in DoneU and Percent, carry a
-// per-shard breakdown, and end in exactly one terminal report.
+// The fleet's own part of its progress stream (the root equivalence
+// harness checks the indicator's contract on every fleet run): Percent is
+// clamped monotone and ends at 100 with work accounted, every report
+// carries a per-shard breakdown, and Result.History holds every report the
+// callback saw.
 func TestFleetProgressMonotone(t *testing.T) {
 	f := paperFleet(t, 4)
 
@@ -152,22 +93,12 @@ func TestFleetProgressMonotone(t *testing.T) {
 	if len(reports) < 2 {
 		t.Fatalf("only %d progress reports", len(reports))
 	}
-	terminals := 0
-	lastDone, lastPct := -1.0, -1.0
+	lastPct := -1.0
 	for i, r := range reports {
-		if r.DoneU < lastDone {
-			t.Fatalf("report %d: DoneU %g < %g — not monotone", i, r.DoneU, lastDone)
-		}
 		if r.Percent < lastPct {
 			t.Fatalf("report %d: Percent %g < %g — not monotone", i, r.Percent, lastPct)
 		}
-		lastDone, lastPct = r.DoneU, r.Percent
-		if r.Finished {
-			terminals++
-			if i != len(reports)-1 {
-				t.Fatalf("terminal report at %d of %d", i, len(reports))
-			}
-		}
+		lastPct = r.Percent
 		if len(r.Shards) == 0 || len(r.Shards) > 4 {
 			t.Fatalf("report %d has %d shard entries", i, len(r.Shards))
 		}
@@ -177,15 +108,8 @@ func TestFleetProgressMonotone(t *testing.T) {
 			}
 		}
 	}
-	if terminals != 1 {
-		t.Fatalf("%d terminal reports, want exactly 1", terminals)
-	}
-	final := reports[len(reports)-1]
-	if final.Percent != 100 || !final.Finished {
-		t.Fatalf("final report: %.1f%% finished=%v", final.Percent, final.Finished)
-	}
-	if final.DoneU <= 0 {
-		t.Fatal("final DoneU is zero — no work accounted")
+	if final := reports[len(reports)-1]; final.Percent != 100 || final.DoneU <= 0 {
+		t.Fatalf("final report: %.1f%%, DoneU %g", final.Percent, final.DoneU)
 	}
 	if len(res.History) != len(reports) {
 		t.Fatalf("Result.History has %d entries, callback saw %d", len(res.History), len(reports))
@@ -387,29 +311,6 @@ func TestFleetSingleShard(t *testing.T) {
 	}
 }
 
-// Aggregate math spot check with floats: merged avg must equal the
-// reference within float tolerance even when per-shard sums round
-// differently.
-func TestFleetFloatAggregateTolerance(t *testing.T) {
-	f := paperFleet(t, 4)
-	ref := referenceDB(t)
-	q := `select avg(acctbal), sum(acctbal) from customer`
-	want, err := ref.Exec(q, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := f.Exec(q, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		w, g := want.Rows[0][i].(float64), got.Rows[0][i].(float64)
-		if math.Abs(w-g) > 1e-6*math.Max(1, math.Abs(w)) {
-			t.Fatalf("col %d: %g vs %g", i, w, g)
-		}
-	}
-}
-
 // subqueriesExecuted reads the coordinator's executed-subquery counter.
 func subqueriesExecuted(t *testing.T, f *Fleet) float64 {
 	t.Helper()
@@ -450,85 +351,6 @@ func TestFleetEstimateCostU(t *testing.T) {
 	}
 	if subqueriesExecuted(t, f) != 0 {
 		t.Fatal("EstimateCostU executed a subquery")
-	}
-}
-
-// floatRows is the adversarial float column: both zeros, two NaNs,
-// three plain numbers — values on which a merge that orders or keys
-// floats by its own rules parts ways with the engine.
-var floatRows = []float64{0, math.Copysign(0, -1), math.NaN(), 1, 2, math.NaN(), math.Copysign(0, -1), 3}
-
-// canonRows copies rows with every float cell in its Canonical form, so
-// cells the engine calls equal (−0 and +0, any two NaNs) print alike.
-func canonRows(rows [][]interface{}) [][]interface{} {
-	out := make([][]interface{}, len(rows))
-	for i, r := range rows {
-		out[i] = append([]interface{}(nil), r...)
-		for j, v := range r {
-			if x, ok := v.(float64); ok {
-				out[i][j] = tuple.NewFloat(x).Canonical().F()
-			}
-		}
-	}
-	return out
-}
-
-// TestFleetFloatMergeMatchesSingleEngine: the coordinator's merge
-// orders, folds and groups float values exactly as one engine does — a
-// NaN sorts below every number and equals every NaN, −0 equals +0 —
-// because both decide through tuple.Value.Compare and Canonical.
-func TestFleetFloatMergeMatchesSingleEngine(t *testing.T) {
-	f, err := New(Config{Shards: 2, Shard: shardCfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	db := progressdb.Open(shardCfg)
-	cols := []progressdb.Column{progressdb.Col("k", progressdb.Int), progressdb.Col("x", progressdb.Float)}
-	for _, err := range []error{f.CreateTable("t", "k", cols...), db.CreateTable("t", cols...)} {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	for k, x := range floatRows {
-		for _, err := range []error{f.Insert("t", int64(k), x), db.Insert("t", int64(k), x)} {
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	for _, err := range []error{f.Analyze(), db.Analyze()} {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	for _, q := range []string{
-		`select x, count(*) from t group by x`,
-		`select min(x), max(x) from t`,
-		`select k, x from t order by x`,
-		`select k, x from t order by x desc`,
-	} {
-		want, err := db.Exec(q, nil)
-		if err != nil {
-			t.Fatalf("engine %q: %v", q, err)
-		}
-		got, err := f.Exec(q, nil)
-		if err != nil {
-			t.Fatalf("fleet %q: %v", q, err)
-		}
-		w, g := canonRows(want.Rows), canonRows(got.Rows)
-		assertSameRows(t, q, w, g, want.Columns, got.Columns)
-		if !strings.Contains(q, "order by") {
-			continue
-		}
-		// Rows whose x ties may come in either order; x itself must
-		// match position by position.
-		for i := range w {
-			if fmt.Sprint(w[i][1]) != fmt.Sprint(g[i][1]) {
-				t.Fatalf("%q: x at row %d is %v on the engine, %v on the fleet\nengine %v\nfleet  %v",
-					q, i, w[i][1], g[i][1], w, g)
-			}
-		}
 	}
 }
 

@@ -374,16 +374,17 @@ func (p *planner) accessPath(ts *tableSource, need map[int]bool) (*dpEntry, erro
 
 	// Index-scan alternative: a range or equality predicate on an
 	// indexed column, costed with the random-I/O penalty.
+	var ranged *conjunct // the predicate the index range enforces
 	if !p.opt.DisableIndexScan {
-		if alt := p.indexPath(ts, preds, cols, rows, width); alt != nil && alt.cost < entry.cost {
-			entry = alt
-			// The predicate used for the index range is still applied as
-			// a filter below (it is included in preds); re-filtering is
-			// harmless and keeps selectivity accounting uniform.
+		if alt, c := p.indexPath(ts, preds, cols, rows, width); alt != nil && alt.cost < entry.cost {
+			entry, ranged = alt, c
 		}
 	}
 
-	// Apply filters.
+	// Apply filters. The Filter still evaluates the index range's
+	// predicate, but the IndexScan's estimate already holds its
+	// selectivity, so the Filter's Sel leaves it out: counted twice, it
+	// would shrink every estimate above the scan, and EvalSegment's too.
 	if len(preds) > 0 {
 		terms := make([]expr.Expr, 0, len(preds))
 		sel := 1.0
@@ -393,7 +394,9 @@ func (p *planner) accessPath(ts *tableSource, need map[int]bool) (*dpEntry, erro
 				return nil, err
 			}
 			terms = append(terms, t)
-			sel *= p.singleTableSel(ts, c)
+			if c != ranged {
+				sel *= p.singleTableSel(ts, c)
+			}
 		}
 		f := &plan.Filter{
 			Child: entry.node,
@@ -410,10 +413,10 @@ func (p *planner) accessPath(ts *tableSource, need map[int]bool) (*dpEntry, erro
 	return p.project(entry, need), nil
 }
 
-// indexPath returns an index-scan entry if one of the predicates is a
-// col-op-const range on an indexed column and the estimated cost beats a
-// sequential scan.
-func (p *planner) indexPath(ts *tableSource, preds []*conjunct, cols []int, rows, width float64) *dpEntry {
+// indexPath returns an index-scan entry, and the predicate its range
+// enforces, if one of the predicates is a col-op-const range on an
+// indexed column.
+func (p *planner) indexPath(ts *tableSource, preds []*conjunct, cols []int, rows, width float64) (*dpEntry, *conjunct) {
 	for _, c := range preds {
 		cmp, ok := c.e.(*expr.Cmp)
 		if !ok || expr.ContainsFunc(c.e) {
@@ -437,11 +440,17 @@ func (p *planner) indexPath(ts *tableSource, preds []*conjunct, cols []int, rows
 		case expr.EQ:
 			lo, hi = &v, &v
 		case expr.LT:
+			if v == math.MinInt64 {
+				continue // unsatisfiable: v-1 would wrap to a full scan
+			}
 			x := v - 1
 			hi = &x
 		case expr.LE:
 			hi = &v
 		case expr.GT:
+			if v == math.MaxInt64 {
+				continue
+			}
 			x := v + 1
 			lo = &x
 		case expr.GE:
@@ -469,9 +478,9 @@ func (p *planner) indexPath(ts *tableSource, preds []*conjunct, cols []int, rows
 		// indicator counts the matching bytes): a random page fetch per
 		// matching tuple, so an index wins where it saves time, not bytes.
 		cost := rows * sel * storage.PageSize * p.opt.RandFactor
-		return &dpEntry{node: scan, cols: cols, cost: cost}
+		return &dpEntry{node: scan, cols: cols, cost: cost}, c
 	}
-	return nil
+	return nil, nil
 }
 
 func offsetMap(ts *tableSource) map[int]int {

@@ -268,35 +268,53 @@ func TestIndexScanChosenForSelectivePredicate(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := mustPlan(t, cat, "select * from orders where orderkey = 17", Options{})
-	found := false
-	var walk func(plan.Node)
-	walk = func(n plan.Node) {
-		if _, ok := n.(*plan.IndexScan); ok {
-			found = true
-		}
-		for _, c := range n.Children() {
-			walk(c)
-		}
+	f, ok := p.(*plan.Filter)
+	if !ok {
+		t.Fatalf("want Filter at root:\n%s", plan.Format(p))
 	}
-	walk(p)
-	if !found {
+	if _, ok := f.Child.(*plan.IndexScan); !ok {
 		t.Fatalf("equality on indexed key should use index scan:\n%s", plan.Format(p))
 	}
-	// And with index scans disabled it must fall back.
-	p2 := mustPlan(t, cat, "select * from orders where orderkey = 17", Options{DisableIndexScan: true})
-	walk2Found := false
-	walk = func(n plan.Node) {
-		if _, ok := n.(*plan.IndexScan); ok {
-			walk2Found = true
-		}
-		for _, c := range n.Children() {
-			walk(c)
-		}
+	// The range already holds orderkey = 17's selectivity: the Filter
+	// above re-checks the predicate but must not count it again.
+	if f.Sel != 1 || f.Est().Card != 1 || f.Child.Est().Card != 1 {
+		t.Fatalf("want sel 1 and one row at the scan and the filter:\n%s", plan.Format(p))
 	}
-	walk(p2)
-	if walk2Found {
+	// And with index scans disabled it must fall back.
+	if subtreeUsesIndex(mustPlan(t, cat, "select * from orders where orderkey = 17", Options{DisableIndexScan: true})) {
 		t.Fatal("DisableIndexScan ignored")
 	}
+}
+
+// A bound no key can meet takes no index path: orderkey < MinInt64 once
+// planned IndexScan (orderkey <= MaxInt64), every entry by random I/O
+// under an estimate of 0 rows.
+func TestIndexBoundsDoNotWrap(t *testing.T) {
+	cat := testCatalog(t)
+	orders, _ := cat.Table("orders")
+	if _, err := cat.CreateIndex(orders, "orderkey"); err != nil {
+		t.Fatal(err)
+	}
+	for _, sql := range []string{
+		"select * from orders where orderkey < -9223372036854775808",
+		"select * from orders where orderkey > 9223372036854775807",
+	} {
+		if p := mustPlan(t, cat, sql, Options{}); subtreeUsesIndex(p) {
+			t.Errorf("%s: unsatisfiable bound planned an index scan:\n%s", sql, plan.Format(p))
+		}
+	}
+}
+
+func subtreeUsesIndex(n plan.Node) bool {
+	if _, ok := n.(*plan.IndexScan); ok {
+		return true
+	}
+	for _, c := range n.Children() {
+		if subtreeUsesIndex(c) {
+			return true
+		}
+	}
+	return false
 }
 
 func TestFunctionPredicateDefaultSelectivity(t *testing.T) {
