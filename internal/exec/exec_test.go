@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"testing"
 
 	"progressdb/internal/catalog"
@@ -174,20 +173,25 @@ func TestThreeWayJoinCardinality(t *testing.T) {
 	}
 }
 
-// The executor reports its spill traffic (that a spill keeps the rows is
-// checked by the root package's equivalence harness): a hash join that
-// outgrows work_mem at run time reports Extra bytes; a plan made for a
-// tiny work_mem is a Grace join, and each of its partition segments'
-// output bytes equal its consumer's input bytes.
-func TestSpillReportsItsBytes(t *testing.T) {
+func TestHashJoinSpillAgreesWithInMemory(t *testing.T) {
 	cat, clock := testDB(t)
+	// The top join's build side (customer⋈orders intermediate, ~18 KB)
+	// exceeds one page of work_mem and must spill.
 	sql := `select c.custkey, o.orderkey, l.partkey
 		from customer c, orders o, lineitem l
 		where c.custkey = o.custkey and o.orderkey = l.orderkey`
-	// Planned for the default work_mem, run with one page: the top join's
-	// build side (customer⋈orders, ~18 KB) spills.
+	inMem := runSQL(t, cat, clock, sql, optimizer.Options{}, 512, nil)
 	rec := newRecorder()
-	runSQL(t, cat, clock, sql, optimizer.Options{}, 1, rec)
+	spilled := runSQL(t, cat, clock, sql, optimizer.Options{}, 1, rec)
+	if len(spilled) != len(inMem) {
+		t.Fatalf("spill changed row count: %d vs %d", len(spilled), len(inMem))
+	}
+	for i := range inMem {
+		if spilled[i] != inMem[i] {
+			t.Fatalf("row %d differs under spill", i)
+		}
+	}
+	// Spill traffic must be recorded as multi-stage Extra bytes.
 	total := 0.0
 	for _, b := range rec.extraBytes {
 		total += b
@@ -195,21 +199,57 @@ func TestSpillReportsItsBytes(t *testing.T) {
 	if total <= 0 {
 		t.Fatal("spilled hash join reported no Extra bytes")
 	}
+}
+
+// When the planner knows memory is tight it emits a Grace hash join:
+// both sides partitioned to disk as separate segments. Results must be
+// identical and the partition segments must report output bytes.
+func TestGraceHashJoinAgreesAndReports(t *testing.T) {
+	cat, clock := testDB(t)
+	sql := `select c.custkey, o.orderkey, l.partkey
+		from customer c, orders o, lineitem l
+		where c.custkey = o.custkey and o.orderkey = l.orderkey`
+	inMem := runSQL(t, cat, clock, sql, optimizer.Options{}, 512, nil)
 
 	stmt, _ := sqlparser.Parse(sql)
 	p, err := optimizer.Plan(cat, stmt, optimizer.Options{WorkMemPages: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(plan.Format(p), "GraceHashJoin") {
+	hasGrace := false
+	var walk func(plan.Node)
+	walk = func(n plan.Node) {
+		if j, ok := n.(*plan.HashJoin); ok && j.Grace {
+			hasGrace = true
+		}
+		for _, c := range n.Children() {
+			walk(c)
+		}
+	}
+	walk(p)
+	if !hasGrace {
 		t.Fatalf("tiny work_mem must produce a Grace join:\n%s", plan.Format(p))
 	}
-	rec = newRecorder()
+	rec := newRecorder()
 	d := segment.Decompose(p, 1)
 	env := &Env{Pool: cat.Pool(), Clock: clock, WorkMemPages: 1, Reporter: rec, Decomp: d}
-	if _, err := Run(env, p, nil); err != nil {
+	var rows []string
+	if _, err := Run(env, p, func(tp tuple.Tuple) error {
+		rows = append(rows, tp.String())
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
+	sort.Strings(rows)
+	if len(rows) != len(inMem) {
+		t.Fatalf("grace join rows = %d, want %d", len(rows), len(inMem))
+	}
+	for i := range rows {
+		if rows[i] != inMem[i] {
+			t.Fatalf("row %d differs under grace join", i)
+		}
+	}
+	// Every partition segment reported output and was consumed equally.
 	for _, s := range d.Segments {
 		for i, in := range s.Inputs {
 			if in.Base {
