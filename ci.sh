@@ -109,8 +109,9 @@ echo "== go test -race, with the serving packages 20x beside it =="
 # not own, so an ordering that is only usually right shows here first.
 # They run twenty times while the race suite competes for the cores —
 # the load under which a terminal event published before its accounting
-# was seen to lose 1 run in 8.
-go test -count=20 ./internal/server ./internal/fleet ./client &
+# was seen to lose 1 run in 8. internal/obs rides along for the
+# registry's sorted insert, which every /metrics page and profile reads.
+go test -count=20 ./internal/server ./internal/fleet ./client ./internal/obs &
 stress=$!
 go test -race ./... || { kill $stress 2>/dev/null; exit 1; }
 wait $stress

@@ -247,9 +247,9 @@ func Build(n plan.Node, env *Env) (Iterator, error) {
 }
 
 // build is Build with column pruning: need, when non-nil, marks the
-// columns of n's output that the plan above n reads. Only a Project sets
-// it, only Filters pass it down and only base scans use it — every other
-// operator needs its children's rows whole.
+// columns of n's output that the plan above n reads. Only a Project or a
+// sinkless Run sets it, only Filters pass it down and only base scans use
+// it — every other operator needs its children's rows whole.
 func build(n plan.Node, env *Env, need []bool) (Iterator, error) {
 	it, err := buildNode(n, env, need)
 	if err != nil {
@@ -472,11 +472,28 @@ func innerBoundary(n plan.Node) plan.Node {
 	}
 }
 
+// noColumns is the need of a root whose rows nobody reads. It is only
+// ever read: a Filter copies its need before adding the predicate's
+// columns.
+var noColumns [64]bool
+
 // Run executes a plan to completion, invoking fn (if non-nil) per result
 // tuple, and returns the result cardinality. It fires the final segment's
 // completion event.
+//
+// With no fn the root's rows are only counted, so the root reads none of
+// its columns: a root scan, or a Filter chain over one, decodes only what
+// the predicates use.
 func Run(env *Env, root plan.Node, fn func(tuple.Tuple) error) (int64, error) {
-	it, err := Build(root, env)
+	var need []bool
+	if fn == nil {
+		if n := root.Schema().Arity(); n <= len(noColumns) {
+			need = noColumns[:n]
+		} else {
+			need = make([]bool, n)
+		}
+	}
+	it, err := build(root, env, need)
 	if err != nil {
 		return 0, err
 	}

@@ -77,6 +77,9 @@ type Result struct {
 	Columns []string
 	// Rows is the merged result (nil for the discard path).
 	Rows [][]interface{}
+	// RowsDiscarded is the merged result's row count on the discard
+	// path; 0 when Rows holds the rows.
+	RowsDiscarded int
 	// VirtualSeconds is the max across shards — the fleet's barrier-
 	// merged virtual clock: parallel shards finish when the slowest does.
 	VirtualSeconds float64
@@ -147,6 +150,9 @@ func (f *Fleet) exec(ctx context.Context, sql string, onProgress func(Report), k
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
+	// A discarded aggregate still fetches the shards' partial rows: its
+	// row count is the number of groups they merge into.
+	shardRows := keepRows || qp.agg != nil
 	n := len(f.shards)
 	results := make([]*progressdb.Result, n)
 	errs := make([]error, n)
@@ -167,7 +173,7 @@ func (f *Fleet) exec(ctx context.Context, sql string, onProgress func(Report), k
 			// retry layer, and whatever outlives it fails the query.
 			onShard := func(r progressdb.Report) { agg.shardUpdate(sh.id, r) }
 			var err error
-			if keepRows {
+			if shardRows {
 				results[sh.id], err = sh.db.ExecContext(ctx, qp.shardSQL, onShard)
 			} else {
 				results[sh.id], err = sh.db.ExecDiscardContext(ctx, qp.shardSQL, onShard)
@@ -197,7 +203,7 @@ func (f *Fleet) exec(ctx context.Context, sql string, onProgress func(Report), k
 	var total int
 	for _, sh := range f.shards {
 		res := results[sh.id]
-		sr := ShardResult{Shard: sh.id, Rows: len(res.Rows), VirtualSeconds: res.VirtualSeconds}
+		sr := ShardResult{Shard: sh.id, Rows: res.RowCount(), VirtualSeconds: res.VirtualSeconds}
 		if len(res.History) > 0 {
 			sr.DoneU = res.History[len(res.History)-1].DoneU
 		}

@@ -354,22 +354,35 @@ func TestFleetEstimateCostU(t *testing.T) {
 	}
 }
 
-// ExecDiscard must merge no rows but still report shard contributions
-// and a terminal progress event.
+// ExecDiscard must merge no rows but still count them, report shard
+// contributions and a terminal progress event.
 func TestFleetExecDiscard(t *testing.T) {
 	f := paperFleet(t, 2)
-	var last Report
-	res, err := f.ExecDiscard(`select * from orders`, func(r Report) { last = r })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rows != nil {
-		t.Fatalf("discard kept %d rows", len(res.Rows))
-	}
-	if !last.Finished || last.Percent != 100 {
-		t.Fatalf("discard final report: %+v", last.Report)
-	}
-	if len(res.Columns) == 0 {
-		t.Fatal("discard lost column names")
+	for _, sql := range []string{
+		`select * from orders`,
+		`select * from orders order by totalprice limit 7`,
+		`select nationkey, count(*) from customer group by nationkey`,
+	} {
+		var last Report
+		res, err := f.ExecDiscard(sql, func(r Report) { last = r })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Rows != nil {
+			t.Fatalf("%s: discard kept %d rows", sql, len(res.Rows))
+		}
+		if !last.Finished || last.Percent != 100 {
+			t.Fatalf("%s: discard final report: %+v", sql, last.Report)
+		}
+		if len(res.Columns) == 0 {
+			t.Fatalf("%s: discard lost column names", sql)
+		}
+		kept, err := f.Exec(sql, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.RowsDiscarded != len(kept.Rows) || len(kept.Rows) == 0 {
+			t.Fatalf("%s: discard counted %d rows, Exec returned %d", sql, res.RowsDiscarded, len(kept.Rows))
+		}
 	}
 }

@@ -114,15 +114,23 @@ func qualifiedOutName(stmt *sqlparser.SelectStmt, col sqlparser.ColumnRef) (stri
 	return strings.ToLower(q) + "." + strings.ToLower(col.Column), nil
 }
 
-// mergeResults fills out.Columns and (when keepRows) out.Rows from the
-// per-shard results according to the plan.
+// mergeResults fills out.Columns and out.Rows (when keepRows) or
+// out.RowsDiscarded from the per-shard results according to the plan.
 func mergeResults(out *Result, results []*progressdb.Result, qp *queryPlan, keepRows bool) error {
 	if qp.agg != nil {
 		out.Columns = qp.agg.columns
 	} else if len(results) > 0 {
 		out.Columns = results[0].Columns
 	}
-	if !keepRows {
+	if !keepRows && qp.agg == nil {
+		// Without re-aggregation the merge only interleaves the shards'
+		// rows, so the count is theirs summed, cut at the LIMIT.
+		for _, res := range results {
+			out.RowsDiscarded += res.RowCount()
+		}
+		if qp.limit != nil && int64(out.RowsDiscarded) > *qp.limit {
+			out.RowsDiscarded = int(*qp.limit)
+		}
 		return nil
 	}
 
@@ -149,7 +157,11 @@ func mergeResults(out *Result, results []*progressdb.Result, qp *queryPlan, keep
 	if qp.limit != nil && int64(len(rows)) > *qp.limit {
 		rows = rows[:*qp.limit]
 	}
-	out.Rows = rows
+	if keepRows {
+		out.Rows = rows
+	} else {
+		out.RowsDiscarded = len(rows)
+	}
 	return nil
 }
 

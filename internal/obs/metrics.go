@@ -21,7 +21,8 @@ package obs
 import (
 	"encoding/json"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -139,6 +140,7 @@ const (
 
 // instrument is one registered metric series.
 type instrument struct {
+	id       string // seriesID(name, labelKey, labelVal)
 	name     string
 	labelKey string
 	labelVal string
@@ -149,8 +151,6 @@ type instrument struct {
 	g *Gauge
 	h *Histogram
 }
-
-func (in *instrument) id() string { return seriesID(in.name, in.labelKey, in.labelVal) }
 
 func seriesID(name, lk, lv string) string {
 	if lk == "" {
@@ -163,8 +163,10 @@ func seriesID(name, lk, lv string) string {
 // with NewRegistry. A nil *Registry is the disabled state: all lookups
 // return nil instruments, whose methods no-op.
 type Registry struct {
-	mu    sync.Mutex
-	byID  map[string]*instrument
+	mu   sync.Mutex
+	byID map[string]*instrument
+	// insts is every instrument in series-ID order: registration inserts
+	// in place, so a snapshot, taken far more often, never sorts.
 	insts []*instrument
 }
 
@@ -185,7 +187,7 @@ func (r *Registry) lookup(name, lk, lv, help string, kind Kind) *instrument {
 		}
 		return in
 	}
-	in := &instrument{name: name, labelKey: lk, labelVal: lv, help: help, kind: kind}
+	in := &instrument{id: id, name: name, labelKey: lk, labelVal: lv, help: help, kind: kind}
 	switch kind {
 	case KindCounter:
 		in.c = &Counter{}
@@ -193,7 +195,8 @@ func (r *Registry) lookup(name, lk, lv, help string, kind Kind) *instrument {
 		in.g = &Gauge{}
 	}
 	r.byID[id] = in
-	r.insts = append(r.insts, in)
+	i, _ := slices.BinarySearchFunc(r.insts, id, func(in *instrument, id string) int { return strings.Compare(in.id, id) })
+	r.insts = slices.Insert(r.insts, i, in)
 	return in
 }
 
@@ -365,7 +368,6 @@ func (r *Registry) Snapshot() []Sample {
 		}
 		out = append(out, s)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID() < out[j].ID() })
 	return out
 }
 

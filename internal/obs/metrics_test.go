@@ -3,6 +3,8 @@ package obs
 import (
 	"encoding/json"
 	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -48,6 +50,50 @@ func TestLabeledCounters(t *testing.T) {
 	}
 	if snap[1].ID() != `rows_total{op="scan"}` || snap[1].Value != 10 {
 		t.Fatalf("sample 1 = %s %g", snap[1].ID(), snap[1].Value)
+	}
+}
+
+// TestSnapshotSortedWhateverTheRegistrationOrder: the registry keeps its
+// series in ID order as they register, so a snapshot, which does not
+// sort, comes out sorted for any order of registration — names that
+// prefix one another and labelled series included.
+func TestSnapshotSortedWhateverTheRegistrationOrder(t *testing.T) {
+	type series struct{ name, op string }
+	var all []series
+	for _, name := range []string{"a", "a_total", "ab", "rows", "rows_total", "rows_totalx", "z"} {
+		all = append(all, series{name: name})
+	}
+	for _, op := range []string{"join", "scan", "sort"} {
+		all = append(all, series{"rows", op}, series{"rows_total", op})
+	}
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 50; round++ {
+		r := NewRegistry()
+		rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
+		var want []string
+		for i, s := range all {
+			switch {
+			case s.op != "":
+				r.LabeledCounter(s.name, "op", s.op, "")
+				want = append(want, seriesID(s.name, "op", s.op))
+				continue
+			case i%3 == 0:
+				r.Gauge(s.name, "")
+			case i%3 == 1:
+				r.Histogram(s.name, "", []float64{1})
+			default:
+				r.Counter(s.name, "")
+			}
+			want = append(want, s.name)
+		}
+		slices.Sort(want)
+		var got []string
+		for _, sm := range r.Snapshot() {
+			got = append(got, sm.ID())
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("round %d: snapshot order\n%v\nwant\n%v", round, got, want)
+		}
 	}
 }
 

@@ -85,6 +85,7 @@ func (e fleetEngine) ExecQuery(ctx context.Context, sql string, keepRows bool, o
 	out := &progressdb.Result{
 		Columns:        res.Columns,
 		Rows:           res.Rows,
+		RowsDiscarded:  res.RowsDiscarded,
 		VirtualSeconds: res.VirtualSeconds,
 		History:        make([]progressdb.Report, 0, len(res.History)),
 	}

@@ -2,6 +2,8 @@ package server
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -59,6 +61,93 @@ func (cw *chokingWriter) Write(p []byte) (int, error) {
 func (cw *chokingWriter) Flush() {
 	if fl, ok := cw.ResponseWriter.(http.Flusher); ok {
 		fl.Flush()
+	}
+}
+
+// flushWriter is a ResponseWriter that counts flushes. With flushed set,
+// each Flush hands the test the body so far and waits on resume, so what
+// the test publishes meanwhile reaches the handler in one wake.
+type flushWriter struct {
+	header  http.Header
+	body    strings.Builder
+	flushes int
+	flushed chan string
+	resume  chan struct{}
+}
+
+func (w *flushWriter) Header() http.Header         { return w.header }
+func (w *flushWriter) WriteHeader(int)             {}
+func (w *flushWriter) Write(p []byte) (int, error) { return w.body.Write(p) }
+
+func (w *flushWriter) Flush() {
+	w.flushes++
+	if w.flushed != nil {
+		w.flushed <- w.body.String()
+		<-w.resume
+	}
+}
+
+// TestProgressFlushesOncePerBatch: the SSE handler flushes once for the
+// header and the whole replay, then once per wake however many events
+// the wake delivers — with the same bytes a flush per event would send.
+func TestProgressFlushesOncePerBatch(t *testing.T) {
+	s, _ := stubServer(t, Config{Workers: 1, KeepAlive: -1})
+	submitStub(t, s, "hold") // holds the one worker, so the next jobs stay queued
+	settle(t, s, 0, 1)
+	events := func(body string) int { return strings.Count(body, "\n\n") }
+	publish := func(j *job, n int) {
+		for i := 0; i < n; i++ {
+			j.publish(client.ProgressEvent{DoneU: float64(i)})
+		}
+	}
+
+	// Subscribing after the terminal event: one flush for everything.
+	j := submitStub(t, s, "hold")
+	publish(j, 3)
+	s.reg.cancel(j, "canceled by test")
+	w := &flushWriter{header: http.Header{}}
+	s.Handler().ServeHTTP(w, httptest.NewRequest("GET", "/queries/"+j.id+"/progress", nil))
+	want := ""
+	for _, ev := range j.history {
+		name := "progress"
+		if ev.Terminal() {
+			name = string(ev.State)
+		}
+		data, err := json.Marshal(ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += fmt.Sprintf("id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, name, data)
+	}
+	if w.flushes != 1 || w.body.String() != want {
+		t.Fatalf("replay of 4 events: %d flushes, body\n%s\nwant 1 flush, body\n%s", w.flushes, w.body.String(), want)
+	}
+
+	// Live: the header alone, then one flush per wake.
+	j = submitStub(t, s, "hold")
+	w = &flushWriter{header: http.Header{}, flushed: make(chan string), resume: make(chan struct{})}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.Handler().ServeHTTP(w, httptest.NewRequest("GET", "/queries/"+j.id+"/progress", nil))
+	}()
+	for i, step := range []func(){
+		func() { publish(j, 3) },
+		func() { publish(j, 2); s.reg.cancel(j, "canceled by test") },
+		nil,
+	} {
+		body := <-w.flushed
+		if got := events(body); got != []int{0, 3, 6}[i] {
+			t.Fatalf("flush %d: %d events written so far, want %d:\n%s", i+1, got, []int{0, 3, 6}[i], body)
+		}
+		if step != nil {
+			step() // the handler is inside Flush: everything lands in one wake
+		}
+		w.resume <- struct{}{}
+	}
+	<-done
+	if w.flushes != 3 {
+		t.Fatalf("%d flushes, want 3: the header, then one per wake", w.flushes)
 	}
 }
 

@@ -375,9 +375,7 @@ func (s *Server) runJob(j *job) {
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	json.NewEncoder(w).Encode(v)
 }
 
 func writeErr(w http.ResponseWriter, status int, format string, args ...interface{}) {
@@ -545,13 +543,13 @@ func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 	h.Set("Connection", "keep-alive")
 	h.Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
-	fl.Flush()
 
 	replay, sub, sid := j.subscribe()
 	defer j.unsubscribe(sid)
 	s.met.sseSubs.Add(1)
 	defer s.met.sseSubs.Add(-1)
 
+	// write writes one event; false ends the stream.
 	write := func(ev client.ProgressEvent) bool {
 		if ev.Seq <= lastSeen {
 			// Already delivered on a previous connection. A terminal event
@@ -569,14 +567,24 @@ func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 		if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, name, data); err != nil {
 			return false
 		}
-		fl.Flush()
 		return !ev.Terminal()
 	}
-
-	for _, ev := range replay {
-		if !write(ev) {
-			return
+	// send writes a batch — the replay, or what one wake drained — and
+	// flushes once after it: a flush is a syscall, an event is not. The
+	// replay's flush also sends the header, even when the replay is empty.
+	send := func(evs []client.ProgressEvent) bool {
+		more := true
+		for _, ev := range evs {
+			if more = write(ev); !more {
+				break
+			}
 		}
+		fl.Flush()
+		return more
+	}
+
+	if !send(replay) {
+		return
 	}
 	for {
 		var evs []client.ProgressEvent
@@ -602,10 +610,8 @@ func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 			fl.Flush()
 			continue
 		}
-		for _, ev := range evs {
-			if !write(ev) {
-				return
-			}
+		if !send(evs) {
+			return
 		}
 	}
 }

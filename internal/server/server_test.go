@@ -563,6 +563,32 @@ func TestResultAndList(t *testing.T) {
 	}
 }
 
+// TestDiscardedResultCountsRows: a progress-only query, submitted without
+// keep_rows, still reports how many rows it produced, on /queries/{id}
+// and in its history profile.
+func TestDiscardedResultCountsRows(t *testing.T) {
+	db := progressdb.Open(progressdb.Config{Metrics: true})
+	if err := db.LoadPaperWorkload(0.002, false); err != nil {
+		t.Fatal(err)
+	}
+	_, cl := testServer(t, db, Config{SampleInterval: -1})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	sub, err := cl.Submit(ctx, client.SubmitRequest{SQL: "select * from customer_subset1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := waitState(t, cl, sub.ID, client.StateDone)
+	prof, err := cl.HistoryProfile(ctx, sub.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.RowCount != 3000 || prof.Query.RowCount != 3000 {
+		t.Fatalf("row_count %d on /queries/%s and %d in its profile, want 3000", info.RowCount, sub.ID, prof.Query.RowCount)
+	}
+}
+
 // TestSubmitValidation covers the failure surface: bad bodies, unknown
 // IDs, failing SQL, and result access before completion.
 func TestSubmitValidation(t *testing.T) {

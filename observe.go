@@ -175,8 +175,12 @@ func (db *DB) run(ctx context.Context, clk *vclock.Clock, yield func(), p plan.N
 			return nil
 		}
 	}
-	if _, err := exec.Run(env, p, sink); err != nil {
+	n, err := exec.Run(env, p, sink)
+	if err != nil {
 		return nil, err
+	}
+	if !keepRows {
+		res.RowsDiscarded = int(n)
 	}
 	db.queries.Inc()
 	res.VirtualSeconds = clk.Now() - start

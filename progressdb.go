@@ -451,6 +451,10 @@ type Result struct {
 	Columns []string
 	// Rows holds the result values (int64, float64, or string).
 	Rows [][]interface{}
+	// RowsDiscarded counts the result rows a run that did not keep them
+	// (ExecDiscard, a GroupQuery without KeepRows) produced; 0 when Rows
+	// holds them.
+	RowsDiscarded int
 	// VirtualSeconds is the query's execution time on the virtual clock.
 	VirtualSeconds float64
 	// History is every progress report taken during execution.
@@ -464,8 +468,8 @@ type Result struct {
 	Trace *obs.Trace
 }
 
-// RowCount returns the number of result rows.
-func (r *Result) RowCount() int { return len(r.Rows) }
+// RowCount returns the number of result rows, kept or discarded.
+func (r *Result) RowCount() int { return len(r.Rows) + r.RowsDiscarded }
 
 // Exec runs a query, invoking onProgress (if non-nil) at every indicator
 // refresh, and returns the full result.
@@ -484,8 +488,8 @@ func (db *DB) ExecContext(ctx context.Context, sql string, onProgress func(Repor
 }
 
 // ExecDiscard runs a query without materializing result rows (useful for
-// large results and benchmarks); Result.Rows is nil but RowsDiscarded is
-// reported via VirtualSeconds/History as usual.
+// large results and benchmarks): Result.Rows is nil, RowsDiscarded holds
+// the count, and the rest of the Result is what Exec would return.
 func (db *DB) ExecDiscard(sql string, onProgress func(Report)) (*Result, error) {
 	return db.exec(context.Background(), sql, onProgress, false)
 }
