@@ -30,9 +30,11 @@ import (
 // Q = (Q AND p) ⊎ (Q AND ¬p). FuzzEquivalence runs any seed.
 
 // The tier-1 seeds are 1..equivSeeds and equivRareSeeds: 260 and 373 draw
-// the rarest pairs, 260 and 2615 an index bound past an int64 end.
-// equivRequired is every operator × segment kind pair, and run-time event,
-// that 20× as many seeds drew. adv has advPerKey rows to each ix key.
+// the rarest pairs, 260 and 2615 an index bound past an int64 end, 232 a
+// hash aggregate whose Int keys end in the mixed layout. equivRequired is
+// every operator × segment kind pair, run-time event and operator × Int
+// key layout that 20× as many seeds drew. adv has advPerKey rows to each
+// ix key.
 const (
 	equivSeeds = 200
 	advRows    = 2000
@@ -40,7 +42,7 @@ const (
 )
 
 var (
-	equivRareSeeds = []int64{260, 373, 2615}
+	equivRareSeeds = []int64{232, 260, 373, 2615}
 	equivRequired  = strings.Fields(`
 	AntiHashSemiJoin×aggregate AntiHashSemiJoin×final AntiHashSemiJoin×sort Filter×aggregate Filter×build
 	Filter×final Filter×materialize Filter×partition Filter×sort GraceHashJoin×aggregate GraceHashJoin×build
@@ -51,7 +53,9 @@ var (
 	MergeJoin×sort NestedLoopJoin×aggregate NestedLoopJoin×build NestedLoopJoin×final NestedLoopJoin×sort
 	Project×aggregate Project×build Project×final Project×materialize Project×partition Project×sort
 	SeqScan×aggregate SeqScan×build SeqScan×final SeqScan×materialize SeqScan×partition SeqScan×sort
-	Sort×merge-pass Sort×sort`)
+	Sort×merge-pass Sort×sort
+	AntiHashSemiJoin×direct AntiHashSemiJoin×mixed GraceHashJoin×direct GraceHashJoin×mixed HashAggregate×direct
+	HashAggregate×mixed HashJoin×direct HashJoin×mixed HashSemiJoin×direct HashSemiJoin×mixed`)
 )
 
 // The adversarial table adv(k, f, s, ix, pad): Int edges around 2^53 and
@@ -393,7 +397,9 @@ type equivStats struct {
 var segmentKinds = map[string]string{"HashPartition": "partition", "Sort": "sort", "Materialize": "materialize", "HashAggregate": "aggregate"}
 
 // draw records a run's operator × segment-kind pairs, and from the trace
-// notes a hash join spilled at run time and an external sort's merge pass.
+// notes a hash join spilled at run time, an external sort's merge pass
+// and the layouts an operator's Int key tables ended in (HashJoin×direct,
+// GraceHashJoin×mixed, ...).
 func (s *equivStats) draw(res *progressdb.Result) {
 	segs := res.Trace.Root.Children[:len(res.Segments)]
 	for i, seg := range segs {
@@ -402,16 +408,42 @@ func (s *equivStats) draw(res *progressdb.Result) {
 			kind = "final"
 		}
 		for _, op := range seg.Children {
-			s.pairs[strings.Fields(op.Name)[0]+"×"+kind]++
+			name := strings.Fields(op.Name)[0]
+			s.pairs[name+"×"+kind]++
 			for _, note := range op.Notes {
-				if strings.HasPrefix(note, "build exceeded work_mem") {
+				switch {
+				case strings.HasPrefix(note, "build exceeded work_mem"):
 					s.pairs["HashJoin×runtime-spill"]++
-				} else if strings.HasPrefix(note, "intermediate merge") {
+				case strings.HasPrefix(note, "intermediate merge"):
 					s.pairs["Sort×merge-pass"]++
+				case strings.HasPrefix(note, "int keys: "):
+					for _, layout := range intKeyLayouts(note) {
+						s.pairs[name+"×"+layout]++
+					}
 				}
 			}
 		}
 	}
+}
+
+// intKeyLayouts reads the layouts an Int key table note names: "int keys:
+// direct window", "int keys: mixed hash", or a Grace join's "int keys:
+// direct window in d of n partitions".
+func intKeyLayouts(note string) (layouts []string) {
+	var direct, tables int
+	if _, err := fmt.Sscanf(note, "int keys: direct window in %d of %d partitions", &direct, &tables); err != nil {
+		direct, tables = 0, 1
+		if strings.HasSuffix(note, "direct window") {
+			direct = 1
+		}
+	}
+	if direct > 0 {
+		layouts = append(layouts, "direct")
+	}
+	if direct < tables {
+		layouts = append(layouts, "mixed")
+	}
+	return layouts
 }
 
 // equivSeed runs seed's query through the matrix, the fleet and the partitioning relation.

@@ -248,8 +248,10 @@ func ExampleDB_ExplainAnalyze() {
 	// Limit 3  (est rows=3 width=27) (actual rows=3 loops=1 U=0.0 time=144.0..162.9s err=x1.0) [S3]
 	//   Sort (c.nationkey)  (est rows=25 width=27) (actual rows=3 loops=1 U=0.0 time=144.0..162.9s err=x8.3) [S2]
 	//     HashAggregate (c.nationkey, count(*), sum(o.totalprice))  (est rows=25 width=27) (actual rows=25 loops=1 U=0.1 time=144.0..162.9s err=x1.0) [S1]
+	//       note: int keys: direct window
 	//       Project (c.nationkey, o.totalprice)  (est rows=3000 width=18) (actual rows=3000 loops=1 U=6.6 time=144.0..162.9s err=x1.0) [S1]
 	//         HashJoin (build.c.custkey = probe.o.custkey)  (est rows=3000 width=36) (actual rows=3000 loops=1 U=13.2 time=144.0..162.9s err=x1.0) [S1]
+	//           note: int keys: direct window
 	//           Project (c.custkey, c.nationkey)  (est rows=300 width=18) (actual rows=300 loops=1 U=0.7 time=144.0..149.2s err=x1.0) [S0]
 	//             SeqScan customer c  (est rows=300 width=147) (actual rows=300 loops=1 U=5.4 time=144.0..149.2s err=x1.0) [S0]
 	//           Project (o.custkey, o.totalprice)  (est rows=3000 width=18) (actual rows=3000 loops=1 U=6.6 time=149.2..162.9s err=x1.0) [S1]

@@ -131,6 +131,7 @@ func (h *hashAgg) Open() error {
 		return err
 	}
 	h.childClosed = true
+	index.ints.noteLayout(h.env.Collect, h.node)
 
 	rep := h.env.rep()
 	out := make(tuple.Tuple, 0, len(h.node.GroupCols)+naggs)

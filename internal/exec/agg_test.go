@@ -233,15 +233,24 @@ func TestAggregateOverEmptyTable(t *testing.T) {
 // 1.0 are two groups.
 func TestHashAggIntKeyMatchesGeneric(t *testing.T) {
 	I, F, S := tuple.NewInt, tuple.NewFloat, tuple.NewString
-	for name, keys := range map[string]struct {
+	type pool struct {
 		typ  tuple.Type
 		pool []tuple.Value
-	}{
+	}
+	pools := map[string]pool{
 		"int":    {tuple.Int, []tuple.Value{I(0), I(1), I(-1), I(1<<53 - 1), I(1 << 53), I(1<<53 + 1), I(math.MinInt64), I(math.MaxInt64)}},
 		"float":  {tuple.Float, []tuple.Value{F(0), F(1), F(1 << 53), F(-2.5), F(math.Inf(1))}},
 		"string": {tuple.String, []tuple.Value{S(""), S("1"), S("a"), S("ab")}},
 		"mixed":  {tuple.Int, []tuple.Value{I(1), F(1), I(1 << 53), F(1 << 53), I(0), F(0), I(1<<53 + 1)}},
-	} {
+	}
+	for name, keys := range intKeyShapes(100) {
+		p := pool{typ: tuple.Int}
+		for _, k := range keys {
+			p.pool = append(p.pool, I(k))
+		}
+		pools[name] = p
+	}
+	for name, keys := range pools {
 		rng := rand.New(rand.NewSource(23))
 		clock := vclock.New(vclock.Costs{SeqPage: 1e-5, RandPage: 8e-5, CPUTuple: 1e-8}, nil)
 		cat := catalog.New(storage.NewBufferPool(storage.NewDisk(clock), 256))
@@ -253,8 +262,13 @@ func TestHashAggIntKeyMatchesGeneric(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 500; i++ {
+			// Keys are first seen in pool order, then drawn at random.
 			// Appended past catalog.Insert, which would refuse the mixed column.
-			row := tuple.Tuple{keys.pool[rng.Intn(len(keys.pool))], I(1), I(rng.Int63n(1000) - 500)}
+			k := keys.pool[i%len(keys.pool)]
+			if i >= len(keys.pool) {
+				k = keys.pool[rng.Intn(len(keys.pool))]
+			}
+			row := tuple.Tuple{k, I(1), I(rng.Int63n(1000) - 500)}
 			if _, err := tb.Heap.Append(row.Encode(nil)); err != nil {
 				t.Fatal(err)
 			}

@@ -1,9 +1,12 @@
 package exec
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"progressdb/internal/catalog"
@@ -265,24 +268,25 @@ func TestGraceHashJoinAgreesAndReports(t *testing.T) {
 	}
 }
 
-// floatKeyDB holds t(id, x) and u(id, y), both the five rows
-// x ∈ {NaN, 5, −0, 0, 7}: the values whose equality a float == gets
-// wrong one way (NaN ≠ NaN) and bit patterns the other (−0 ≠ +0).
-func floatKeyDB(t *testing.T) (*catalog.Catalog, *vclock.Clock) {
+// keyDB holds t(id, x) and u(id, y), both keys of typ: t's rows take the
+// keys xs and u's the keys ys, in order, with ids 1, 2, … in each.
+func keyDB(t *testing.T, typ tuple.Type, xs, ys []tuple.Value) (*catalog.Catalog, *vclock.Clock) {
 	t.Helper()
 	clock := vclock.New(vclock.Costs{SeqPage: 1e-4, RandPage: 8e-4, CPUTuple: 1e-7}, nil)
 	cat := catalog.New(storage.NewBufferPool(storage.NewDisk(clock), 64))
-	xs := []float64{math.NaN(), 5, math.Copysign(0, -1), 0, 7}
-	for _, tb := range [][2]string{{"t", "x"}, {"u", "y"}} {
-		tab, err := cat.CreateTable(tb[0], tuple.NewSchema(
+	for _, tb := range []struct {
+		name, col string
+		keys      []tuple.Value
+	}{{"t", "x", xs}, {"u", "y", ys}} {
+		tab, err := cat.CreateTable(tb.name, tuple.NewSchema(
 			tuple.Column{Name: "id", Type: tuple.Int},
-			tuple.Column{Name: tb[1], Type: tuple.Float},
+			tuple.Column{Name: tb.col, Type: typ},
 		))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, x := range xs {
-			if err := cat.Insert(tab, tuple.Tuple{tuple.NewInt(int64(i + 1)), tuple.NewFloat(x)}); err != nil {
+		for i, x := range tb.keys {
+			if err := cat.Insert(tab, tuple.Tuple{tuple.NewInt(int64(i + 1)), x}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -296,11 +300,41 @@ func floatKeyDB(t *testing.T) (*catalog.Catalog, *vclock.Clock) {
 	return cat, clock
 }
 
+// joinPairs runs sql, a join selecting (t.id, u.id), under algo and
+// returns the pairs in the order the plan emits them, and the plan.
+func joinPairs(t *testing.T, cat *catalog.Catalog, clock *vclock.Clock, sql, algo string) ([][2]int64, string) {
+	t.Helper()
+	stmt, err := sqlparser.Parse(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := optimizer.Plan(cat, stmt, optimizer.Options{ForceJoinAlgo: algo})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pairs [][2]int64
+	for _, row := range execChecked(t, cat, clock, p, 512, nil) {
+		var pair [2]int64
+		if _, err := fmt.Sscanf(row, "(%d, %d)", &pair[0], &pair[1]); err != nil {
+			t.Fatalf("%s: row %s: %v", algo, row, err)
+		}
+		pairs = append(pairs, pair)
+	}
+	return pairs, plan.Format(p)
+}
+
 // Floats compare by cmp.Compare — NaN equals NaN and sorts first, −0
 // equals +0 — and every operator keys on that one equality: a filter, a
 // sort, the three join algorithms and a group by.
 func TestFloatKeysNaNAndSignedZero(t *testing.T) {
-	cat, clock := floatKeyDB(t)
+	// t(id, x) and u(id, y) both hold x ∈ {NaN, 5, −0, 0, 7}: the values
+	// whose equality a float == gets wrong one way (NaN ≠ NaN) and bit
+	// patterns the other (−0 ≠ +0).
+	var xs []tuple.Value
+	for _, x := range []float64{math.NaN(), 5, math.Copysign(0, -1), 0, 7} {
+		xs = append(xs, tuple.NewFloat(x))
+	}
+	cat, clock := keyDB(t, tuple.Float, xs, xs)
 	if rows := runSQL(t, cat, clock, "select id from t where x = 5", optimizer.Options{}, 512, nil); len(rows) != 1 || rows[0] != "(2)" {
 		t.Fatalf("x = 5 returned %v, want [(2)]", rows)
 	}
@@ -333,6 +367,37 @@ func TestFloatKeysNaNAndSignedZero(t *testing.T) {
 			t.Errorf("%s join = %s, want %s", name, got, want)
 		}
 	}
+	// The Int key sets a hash table's layout moves between, each key once
+	// in t and once or twice in u: hash and merge joins find the NL join's
+	// pairs, and the in-memory hash join emits them probe row by probe row,
+	// each probe's build rows in the order they were inserted.
+	for name, keys := range intKeyShapes(100) {
+		var xs []tuple.Value
+		for _, k := range keys {
+			xs = append(xs, tuple.NewInt(k))
+		}
+		cat, clock := keyDB(t, tuple.Int, xs, append(xs, xs[:50]...))
+		sql := "select t.id, u.id from t, u where t.x = u.y"
+		nl, _ := joinPairs(t, cat, clock, sql, "nl")
+		hash, hashPlan := joinPairs(t, cat, clock, sql, "hash")
+		merge, _ := joinPairs(t, cat, clock, sql, "merge")
+		probe := 0 // the pair's side the hash join probes with
+		if strings.Contains(hashPlan, "probe.y") || strings.Contains(hashPlan, "probe.u.y") {
+			probe = 1
+		}
+		byProbe := func(a, b [2]int64) int {
+			return cmp.Or(cmp.Compare(a[probe], b[probe]), cmp.Compare(a[1-probe], b[1-probe]))
+		}
+		want := slices.Clone(nl)
+		slices.SortFunc(want, byProbe)
+		if len(nl) != 150 || !slices.Equal(hash, want) {
+			t.Errorf("%s keys: hash join = %v\nwant the NL join's %d pairs in probe order %v\n%s", name, hash, len(nl), want, hashPlan)
+		}
+		if slices.SortFunc(merge, byProbe); !slices.Equal(merge, want) {
+			t.Errorf("%s keys: merge join = %v, want %v", name, merge, want)
+		}
+	}
+
 	// A spilled or Grace join sends equal keys to one batch.
 	if hashValue(tuple.NewFloat(math.Copysign(0, -1))) != hashValue(tuple.NewFloat(0)) ||
 		hashValue(tuple.NewFloat(-math.NaN())) != hashValue(tuple.NewFloat(math.NaN())) {

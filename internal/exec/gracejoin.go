@@ -122,6 +122,9 @@ type graceJoin struct {
 
 	nbatch int
 	batch  int
+	// Build partitions with Int keys, and of those the ones whose table
+	// ended in the direct window; counted only while collecting.
+	intBatches, directBatches int
 
 	table      rowTable
 	probeScan  *storage.Scanner
@@ -157,7 +160,7 @@ func (g *graceJoin) Open() error {
 	if err := g.probePart.run(g.nbatch); err != nil {
 		return err
 	}
-	g.batch = -1
+	g.batch, g.intBatches, g.directBatches = -1, 0, 0
 	g.match = -1
 	return nil
 }
@@ -210,6 +213,9 @@ func (g *graceJoin) Next() (tuple.Tuple, bool, error) {
 		if g.batch >= g.nbatch {
 			rep.InputDone(g.buildPart.tag.Seg, g.buildPart.tag.Input)
 			rep.InputDone(g.probePart.tag.Seg, g.probePart.tag.Input)
+			if g.intBatches > 0 {
+				g.env.Collect.Notef(g.node, "int keys: direct window in %d of %d partitions", g.directBatches, g.intBatches)
+			}
 			return nil, false, nil
 		}
 		if err := g.loadBuildBatch(g.batch); err != nil {
@@ -242,6 +248,12 @@ func (g *graceJoin) loadBuildBatch(b int) error {
 		g.env.Clock.ChargeCPU(cpuHashOp)
 		rep.InputTuple(g.buildPart.tag.Seg, g.buildPart.tag.Input, len(rec))
 		g.table.insert(t[g.node.BuildKey], t)
+	}
+	if g.env.Collect != nil && g.table.ints.n > 0 {
+		g.intBatches++
+		if g.table.ints.direct {
+			g.directBatches++
+		}
 	}
 	return sc.Err()
 }

@@ -106,6 +106,7 @@ func (h *hashJoin) Open() error {
 		return err
 	}
 	h.buildClosed = true
+	h.table.ints.noteLayout(h.env.Collect, h.node)
 	for _, f := range h.buildFiles {
 		if f != nil {
 			if err := f.Sync(); err != nil {

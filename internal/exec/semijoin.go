@@ -69,6 +69,7 @@ func (j *semiJoin) Open() error {
 		return err
 	}
 	j.innerClosed = true
+	j.table.ints.noteLayout(j.env.Collect, j.node)
 	rep.SegmentDone(j.tag.ProducerSeg)
 	rep.InputBulk(j.tag.Seg, j.tag.Input, tuples, bytes)
 	rep.InputDone(j.tag.Seg, j.tag.Input)
