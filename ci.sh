@@ -25,6 +25,8 @@ go vet ./...
 
 echo "== go build =="
 go build ./...
+# ChargeCPU's batch is only cheap while it inlines into every operator.
+go build -gcflags=-m ./internal/vclock 2>&1 | grep -q 'can inline (\*Clock).ChargeCPU' || { echo "(*Clock).ChargeCPU no longer inlines" >&2; exit 1; }
 
 echo "== bench module =="
 # bench/ is a module of its own, so nothing above descends into it, yet it

@@ -115,7 +115,7 @@ func ExampleDB_SetInterference() {
 		fmt.Printf("Q%d, %s load from %.0f s:\n", query, kind, onset)
 		predicted, fired := 0.0, false
 		res, err := db.ExecDiscard(sql, func(r progressdb.Report) {
-			if r.ElapsedSeconds < onset {
+			if r.ElapsedSeconds <= onset { // the report at the onset predates the load
 				predicted = r.ElapsedSeconds + r.RemainingSeconds
 			}
 			if r.ElapsedSeconds > onset-10 && r.ElapsedSeconds <= onset+20 {

@@ -22,9 +22,9 @@ import (
 // CPU work constants, in clock units (one unit ≈ one simple per-tuple
 // operation).
 const (
-	cpuTuple    = 1.0 // streaming a tuple through an operator
-	cpuHashOp   = 2.0 // hash insert or probe
-	cpuPairBase = 8.0 // nested-loops pair evaluation overhead
+	cpuTuple    int64 = 1 // streaming a tuple through an operator
+	cpuHashOp   int64 = 2 // hash insert or probe
+	cpuPairBase int64 = 8 // nested-loops pair evaluation overhead
 )
 
 // Env is the execution context shared by all operators of one query.
@@ -542,7 +542,7 @@ func Run(env *Env, root plan.Node, fn func(tuple.Tuple) error) (int64, error) {
 // per expression node, two for a function call. It is a property of the
 // simulated machine, not of how this process evaluates e — a predicate
 // compiled by expr.CompilePred is charged exactly what the tree walk was.
-func exprCost(e expr.Expr) float64 {
+func exprCost(e expr.Expr) int64 {
 	if e == nil {
 		return 0
 	}
@@ -552,13 +552,13 @@ func exprCost(e expr.Expr) float64 {
 	case *expr.Cmp:
 		return 1 + exprCost(n.L) + exprCost(n.R)
 	case *expr.And:
-		c := 1.0
+		c := int64(1)
 		for _, t := range n.Terms {
 			c += exprCost(t)
 		}
 		return c
 	case *expr.Func:
-		c := 2.0
+		c := int64(2)
 		for _, a := range n.Args {
 			c += exprCost(a)
 		}

@@ -10,7 +10,7 @@ type filterIter struct {
 	env      *Env
 	child    Iterator
 	pred     func(tuple.Tuple) (bool, error) // node.Pred, compiled
-	predCost float64
+	predCost int64
 	// src is the child as a rowSizer. It is asked only by this filter's
 	// statsIter, and whenever there is one the child is a statsIter too.
 	src rowSizer

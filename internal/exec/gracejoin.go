@@ -118,7 +118,7 @@ type graceJoin struct {
 	buildPart *partitionIter
 	probePart *partitionIter
 	pred      func(tuple.Tuple) (bool, error) // node.ExtraPred compiled, nil if none
-	predCost  float64
+	predCost  int64
 
 	nbatch int
 	batch  int

@@ -30,7 +30,7 @@ type hashJoin struct {
 	build    Iterator
 	probe    Iterator
 	pred     func(tuple.Tuple) (bool, error) // node.ExtraPred compiled, nil if none
-	predCost float64
+	predCost int64
 
 	table      rowTable
 	tableBytes float64

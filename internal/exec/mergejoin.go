@@ -16,7 +16,7 @@ type mergeJoin struct {
 	left     Iterator
 	right    Iterator
 	pred     func(tuple.Tuple) (bool, error) // node.ExtraPred compiled, nil if none
-	predCost float64
+	predCost int64
 
 	lTuple tuple.Tuple
 	rTuple tuple.Tuple // lookahead past the current group

@@ -19,7 +19,7 @@ type nlJoin struct {
 	inner    Iterator
 	innerTag segment.NodeInfo
 	pred     func(tuple.Tuple) (bool, error) // node.Pred compiled, nil if none
-	predCost float64
+	predCost int64
 
 	slab       rowSlab
 	cache      []tuple.Tuple // inner rows, copied into slab

@@ -19,7 +19,7 @@ type semiJoin struct {
 	outer    Iterator
 	inner    Iterator
 	pred     func(tuple.Tuple) (bool, error) // node.ExtraPred compiled, nil if none
-	predCost float64
+	predCost int64
 
 	table rowTable      // keyed path
 	slab  rowSlab       // keyless (pure NL) path: cache's rows

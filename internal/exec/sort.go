@@ -8,6 +8,7 @@ import (
 	"progressdb/internal/segment"
 	"progressdb/internal/storage"
 	"progressdb/internal/tuple"
+	"progressdb/internal/vclock"
 )
 
 // sortIter is an external merge sort. Run formation (and any intermediate
@@ -125,7 +126,7 @@ func (s *sortIter) Open() error {
 // sortTuples sorts in place by the sort keys, charging ~n·log2(n) CPU.
 func (s *sortIter) sortTuples(ts []tuple.Tuple) error {
 	if len(ts) > 1 {
-		s.env.Clock.ChargeCPU(float64(len(ts)) * math.Log2(float64(len(ts))))
+		s.env.Clock.Charge(vclock.CPU, float64(len(ts))*math.Log2(float64(len(ts))))
 	}
 	var sortErr error
 	slices.SortStableFunc(ts, func(a, b tuple.Tuple) int {
@@ -239,7 +240,7 @@ func (s *sortIter) Next() (tuple.Tuple, bool, error) {
 		s.finishInput()
 		return nil, false, nil
 	}
-	s.env.Clock.ChargeCPU(cpuTuple + math.Log2(float64(len(s.runs))+1))
+	s.env.Clock.Charge(vclock.CPU, float64(cpuTuple)+math.Log2(float64(len(s.runs))+1))
 	rep.InputTuple(s.tag.Seg, s.tag.Input, t.EncodedSize())
 	return t, true, nil
 }

@@ -120,8 +120,60 @@ func TestStraddleSplitEquivalence(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		many.ChargeSeqIO(1)
 	}
-	if math.Abs(one.Now()-many.Now()) > 1e-6 {
-		t.Fatalf("one big charge = %g, 3000 small charges = %g", one.Now(), many.Now())
+	if one.Now() != many.Now() || one.UnitsOf(SeqIO) != many.UnitsOf(SeqIO) {
+		t.Fatalf("one big charge = %v s (%v pages), 3000 small charges = %v s (%v pages)",
+			one.Now(), one.UnitsOf(SeqIO), many.Now(), many.UnitsOf(SeqIO))
+	}
+}
+
+// Seconds beyond the clock's range saturate at its last tick: a ticker
+// whose period is out of range never fires, idling or charging past the
+// range stops there, and an interval ending past it lasts to the end.
+// Nothing wraps negative, loops or runs time backwards.
+func TestTicksSaturate(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		profile *LoadProfile
+	}{
+		{"unloaded", nil},
+		{"interval ending past int64", mustProfile(t, Interval{Start: 1, End: 1e30, IOFactor: 2, CPUFactor: 3})},
+	} {
+		c := New(DefaultCosts(), tc.profile)
+		fired := 0
+		for _, period := range []float64{1e9, math.Inf(1)} {
+			c.AddTicker(period, func(float64) { fired++ })
+		}
+		prev := c.Now()
+		step := func(what string) {
+			if now := c.Now(); now < prev || fired != 0 {
+				t.Fatalf("%s: after %s now %v (was %v), %d ticks fired", tc.name, what, now, prev, fired)
+			}
+			prev = c.Now()
+		}
+		c.ChargeCPU(1e6)
+		step("a CPU batch")
+		c.ChargeSeqIO(100)
+		step("a page charge across the interval's start")
+		c.Idle(1e300)
+		step("Idle(1e300)")
+		if got, want := c.Now(), seconds(never); got != want {
+			t.Fatalf("%s: Idle(1e300) reached %v, want the last tick %v", tc.name, got, want)
+		}
+		c.ChargeCPU(5)
+		c.Charge(CPU, 1e300)
+		c.ChargeRandIO(1)
+		c.Idle(1)
+		step("charges at the end of time")
+	}
+	for _, period := range []float64{0, -1, math.NaN(), 1e-13} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("AddTicker(%v) did not panic", period)
+				}
+			}()
+			New(DefaultCosts(), nil).AddTicker(period, func(float64) {})
+		}()
 	}
 }
 

@@ -6,32 +6,26 @@
 // points (segment boundaries, report snapshots, query end) via
 // Clock.Sync. The Group merges by taking the maximum published time, so
 // the group's Now is monotone no matter how workers interleave, and it
-// accumulates per-kind work units with lock-free adds. A worker clock
-// created with Group.Worker starts at the group's current merged time,
-// which makes a strictly sequential run reproduce the exact absolute
-// timeline of the old single-clock engine.
+// accumulates per-kind work with atomic adds. A worker clock created
+// with Group.Worker starts at the group's current merged time, which
+// makes a strictly sequential run reproduce the exact absolute timeline
+// of the old single-clock engine.
 package vclock
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 )
 
 // Group is the shared, concurrency-safe time authority behind a set of
 // per-worker Clocks. Its merged time only moves forward (max-merge), and
-// unit totals only grow, so readers see monotone values without locks.
+// work totals only grow, so readers see monotone values without locks.
 type Group struct {
 	costs Costs
+	base  [3]int64
 
-	// nowBits holds math.Float64bits of the max-merged virtual time.
-	// Monotone non-negative float64s compare correctly as uint64 bit
-	// patterns, so merge can CAS on the raw bits.
-	nowBits atomic.Uint64
-
-	// unitBits accumulates total charged units per WorkKind as float64
-	// bit patterns, updated by CAS-add.
-	unitBits [3]atomic.Uint64
+	now  atomic.Int64    // max-merged virtual time, in ticks
+	work [3]atomic.Int64 // total work per WorkKind, in base ticks
 
 	mu      sync.Mutex // guards profile
 	profile *LoadProfile
@@ -40,7 +34,7 @@ type Group struct {
 // NewGroup returns a group at virtual time zero with the given base
 // costs and no load profile.
 func NewGroup(costs Costs) *Group {
-	return &Group{costs: costs}
+	return &Group{costs: costs, base: costs.baseTicks()}
 }
 
 // Costs returns the group's base cost table.
@@ -48,14 +42,12 @@ func (g *Group) Costs() Costs { return g.costs }
 
 // Now returns the max-merged virtual time across all workers, as of
 // their last Sync. It is monotone non-decreasing.
-func (g *Group) Now() float64 {
-	return math.Float64frombits(g.nowBits.Load())
-}
+func (g *Group) Now() float64 { return seconds(g.now.Load()) }
 
 // UnitsOf returns the total units of the given work kind published by
 // all workers so far.
 func (g *Group) UnitsOf(kind WorkKind) float64 {
-	return math.Float64frombits(g.unitBits[kind].Load())
+	return units(g.work[kind].Load(), g.base[kind])
 }
 
 // SetProfile replaces the load profile that new worker clocks start
@@ -81,34 +73,17 @@ func (g *Group) Profile() *LoadProfile {
 // group on Sync.
 func (g *Group) Worker() *Clock {
 	c := New(g.costs, g.Profile())
-	c.now = g.Now()
+	c.now = g.now.Load()
 	c.group = g
+	c.setRoom()
 	return c
 }
 
 // merge advances the group time to t if t is ahead (CAS max-merge).
-func (g *Group) merge(t float64) {
+func (g *Group) merge(t int64) {
 	for {
-		old := g.nowBits.Load()
-		if math.Float64frombits(old) >= t {
-			return
-		}
-		if g.nowBits.CompareAndSwap(old, math.Float64bits(t)) {
-			return
-		}
-	}
-}
-
-// addUnits adds d units of kind to the group totals (CAS add).
-func (g *Group) addUnits(kind WorkKind, d float64) {
-	if d <= 0 {
-		return
-	}
-	a := &g.unitBits[kind]
-	for {
-		old := a.Load()
-		next := math.Float64bits(math.Float64frombits(old) + d)
-		if a.CompareAndSwap(old, next) {
+		old := g.now.Load()
+		if old >= t || g.now.CompareAndSwap(old, t) {
 			return
 		}
 	}

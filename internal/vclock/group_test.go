@@ -99,6 +99,65 @@ func TestGroupConcurrentMergeMonotone(t *testing.T) {
 	}
 }
 
+// The engine's base clock is synced from several goroutines at once
+// (DB.Now, query starts) while readers poll the group: Sync settles the
+// pending CPU batch under its lock, exactly once, and the group ends on
+// the exact totals.
+func TestGroupConcurrentBaseSync(t *testing.T) {
+	g := NewGroup(DefaultCosts())
+	base := g.Worker()
+	single := New(DefaultCosts(), nil)
+
+	stop := make(chan struct{})
+	var readWG sync.WaitGroup
+	readWG.Add(1)
+	go func() {
+		defer readWG.Done()
+		prev := 0.0
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			now := g.Now()
+			if now < prev {
+				t.Errorf("group time went backwards: %g -> %g", prev, now)
+				return
+			}
+			prev = now
+		}
+	}()
+	for round := 0; round < 200; round++ {
+		base.ChargeCPU(7) // pending until someone settles
+		base.ChargeSeqIO(1)
+		base.ChargeCPU(3)
+		single.ChargeCPU(7)
+		single.ChargeSeqIO(1)
+		single.ChargeCPU(3)
+		var wg sync.WaitGroup
+		for i := 0; i < 2; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				base.Sync()
+			}()
+		}
+		wg.Wait()
+		if got, want := g.Now(), single.Now(); got != want {
+			t.Fatalf("round %d: group now %v, want %v", round, got, want)
+		}
+	}
+	close(stop)
+	readWG.Wait()
+	if got, want := g.UnitsOf(CPU), float64(200*10); got != want {
+		t.Fatalf("cpu units %v, want %v", got, want)
+	}
+	if got, want := g.UnitsOf(SeqIO), float64(200); got != want {
+		t.Fatalf("seq-io units %v, want %v", got, want)
+	}
+}
+
 // Sync is idempotent for units: repeated syncs with no new charges add
 // nothing.
 func TestGroupSyncDelta(t *testing.T) {

@@ -1,15 +1,14 @@
 package vclock
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
 
 // twinSide is one of two clocks driven through the same operations. The
-// slow side has Charge's fast path defeated — its horizon is zeroed before
-// every charge, so each one goes through advance and moveTo, the code the
-// fast path claims to equal.
+// slow side has ChargeCPU's fast path defeated — its room is zeroed
+// before every charge, so each one settles and goes through advance and
+// moveTo, the code the batch claims to equal.
 type twinSide struct {
 	c       *Clock
 	slow    bool
@@ -30,11 +29,17 @@ func (s *twinSide) addTicker(period float64) {
 	s.nextID++
 	tk := s.c.AddTicker(period, func(now float64) {
 		s.fires = append(s.fires, float64(id), now)
+		if s.cb == nil {
+			return
+		}
 		switch s.cb.Intn(8) {
-		case 0: // a tick that registers a ticker
-			s.addTicker(period * (0.5 + s.cb.Float64()))
+		case 0: // a tick that registers a ticker, never shorter than 50 ms
+			s.addTicker(max(0.05, period*(0.5+s.cb.Float64())))
 		case 1: // a tick that unregisters one, possibly itself
 			s.removeTicker(s.cb.Intn(twinMaxTickers))
+		case 2: // a tick that registers a ticker, then batches work itself
+			s.addTicker(max(0.05, period*(0.5+s.cb.Float64())))
+			s.c.ChargeCPU(int64(1 + s.cb.Intn(50)))
 		}
 	})
 	s.tickers = append(s.tickers, tk)
@@ -48,28 +53,24 @@ func (s *twinSide) removeTicker(i int) {
 	s.tickers = append(s.tickers[:i], s.tickers[i+1:]...)
 }
 
-// charge charges the side's clock and, on the fast side, notes whether
-// the fast path served it: the slow path ends in setHorizon, which
-// rewrites every cached factor, so a sentinel parked in a factor this
-// charge does not read survives only the fast path.
-func (s *twinSide) charge(kind WorkKind, n float64) {
+// charge charges n whole units through the kind's own method and, on the
+// fast side, notes whether the batch took it: the slow path settles, so
+// only the fast path leaves pend grown by n.
+func (s *twinSide) charge(kind WorkKind, n int64) {
 	if s.slow {
-		s.c.horizon = 0
-		s.c.Charge(kind, n)
-		return
+		s.c.room = 0
 	}
-	other := CPU
-	if kind == CPU {
-		other = SeqIO
+	before := s.c.pend
+	switch kind {
+	case SeqIO:
+		s.c.ChargeSeqIO(int(n))
+	case RandIO:
+		s.c.ChargeRandIO(int(n))
+	default:
+		s.c.ChargeCPU(n)
 	}
-	saved := s.c.factor[other]
-	s.c.factor[other] = -1
-	s.c.Charge(kind, n)
-	if s.c.factor[other] == -1 {
-		s.c.factor[other] = saved
-		if n > 0 {
-			s.fast++
-		}
+	if n > 0 && s.c.pend == before+n {
+		s.fast++
 	}
 }
 
@@ -97,9 +98,9 @@ func randProfile(t *testing.T, rng *rand.Rand, now float64) *LoadProfile {
 
 // The same random sequence of charges, idles, ticker registrations and
 // removals (from outside and from inside tick callbacks) and profile
-// changes gives bit-identical times, unit totals and tick sequences with
-// and without Charge's fast path — including charges aimed within a few
-// ulps of a profile boundary or of a tick.
+// changes gives equal times, unit totals and tick sequences with and
+// without ChargeCPU's batch — including charges aimed within a few units
+// of a profile boundary or of a tick.
 func TestChargeFastPathIsBitIdentical(t *testing.T) {
 	costs := DefaultCosts()
 	for seed := int64(1); seed <= 4; seed++ {
@@ -107,7 +108,7 @@ func TestChargeFastPathIsBitIdentical(t *testing.T) {
 		// Both sides start as workers of a group that is already under
 		// way and loaded, the way a query's clock starts.
 		g := NewGroup(costs)
-		g.merge(12.5)
+		g.merge(round(12.5 * ticksPerSecond))
 		g.SetProfile(randProfile(t, rng, g.Now()))
 		sides := [2]*twinSide{
 			{c: g.Worker(), cb: rand.New(rand.NewSource(seed))},
@@ -122,42 +123,44 @@ func TestChargeFastPathIsBitIdentical(t *testing.T) {
 
 		charges, checked := 0, 0
 		for step := 0; step < 30000; step++ {
-			kind := WorkKind(rng.Intn(3))
+			// Mostly CPU, as in the executor: a page carries many tuples.
+			kind := CPU
+			if rng.Intn(5) == 0 {
+				kind = WorkKind(rng.Intn(2))
+			}
 			switch r := rng.Intn(100); {
 			case r < 70: // the executor's per-tuple charges
-				n := float64(1 + rng.Intn(20))
+				n := int64(1 + rng.Intn(20))
 				if kind != CPU {
-					n = float64(1 + rng.Intn(3))
+					n = int64(1 + rng.Intn(3))
 				}
 				charges++
 				each(func(s *twinSide) { s.charge(kind, n) })
-			case r < 80: // a charge ending within a few ulps of a boundary or a tick
+			case r < 80: // a charge ending within a few units of a boundary or a tick
 				ref := sides[0].c
-				f, target := ref.profile.factorAt(ref.now, kind)
-				if rng.Intn(2) == 0 || math.IsInf(target, 1) {
+				now := ref.now + ref.pend*ref.cpu
+				f, target := ref.profile.factorAt(now, kind)
+				if rng.Intn(2) == 0 || target == never {
 					for _, tk := range ref.tickers {
-						target = math.Min(target, tk.next)
+						target = min(target, tk.next)
 					}
 				}
-				n := (target - ref.now) / (ref.unitCost(kind) * f)
-				if math.IsInf(n, 0) || n <= 0 {
+				l := loaded(ref.base[kind], f)
+				if target == never || l == 0 {
 					continue
 				}
-				for k := rng.Intn(7) - 3; k != 0; {
-					if k > 0 {
-						n, k = math.Nextafter(n, math.Inf(1)), k-1
-					} else {
-						n, k = math.Nextafter(n, 0), k+1
-					}
+				n := (target-now)/l + int64(rng.Intn(7)-3)
+				if n <= 0 {
+					continue
 				}
 				charges++
 				each(func(s *twinSide) { s.charge(kind, n) })
-			case r < 84: // a charge spanning ticks and intervals
-				n := rng.Float64() * 2 / sides[0].c.unitCost(kind)
+			case r < 84: // a fractional charge spanning ticks and intervals
+				x := rng.Float64() * 2 / seconds(sides[0].c.base[kind])
 				charges++
-				each(func(s *twinSide) { s.charge(kind, n) })
+				each(func(s *twinSide) { s.c.Charge(kind, x) })
 			case r < 86: // charges that charge nothing
-				n := -float64(rng.Intn(2))
+				n := -int64(rng.Intn(2))
 				each(func(s *twinSide) { s.charge(kind, n) })
 			case r < 91:
 				d := rng.Float64() * 0.3
@@ -169,16 +172,16 @@ func TestChargeFastPathIsBitIdentical(t *testing.T) {
 				i := rng.Intn(twinMaxTickers)
 				each(func(s *twinSide) { s.removeTicker(i) })
 			default:
-				p := randProfile(t, rng, sides[0].c.now)
+				p := randProfile(t, rng, sides[0].c.Now())
 				each(func(s *twinSide) { s.c.SetProfile(p) })
 			}
 
 			a, b := sides[0], sides[1]
-			if math.Float64bits(a.c.Now()) != math.Float64bits(b.c.Now()) {
+			if a.c.Now() != b.c.Now() {
 				t.Fatalf("seed %d step %d: now %v with the fast path, %v without", seed, step, a.c.Now(), b.c.Now())
 			}
 			for k := SeqIO; k <= CPU; k++ {
-				if math.Float64bits(a.c.UnitsOf(k)) != math.Float64bits(b.c.UnitsOf(k)) {
+				if a.c.UnitsOf(k) != b.c.UnitsOf(k) {
 					t.Fatalf("seed %d step %d: %s units %v with the fast path, %v without", seed, step, k, a.c.UnitsOf(k), b.c.UnitsOf(k))
 				}
 			}
@@ -186,7 +189,7 @@ func TestChargeFastPathIsBitIdentical(t *testing.T) {
 				t.Fatalf("seed %d step %d: %d ticks with the fast path, %d without", seed, step, len(a.fires)/2, len(b.fires)/2)
 			}
 			for ; checked < len(a.fires); checked++ {
-				if i := checked; math.Float64bits(a.fires[i]) != math.Float64bits(b.fires[i]) {
+				if i := checked; a.fires[i] != b.fires[i] {
 					t.Fatalf("seed %d step %d: tick %d is (id %v) %v with the fast path, %v without", seed, step, i/2, a.fires[i&^1], a.fires[i], b.fires[i])
 				}
 			}
@@ -199,45 +202,74 @@ func TestChargeFastPathIsBitIdentical(t *testing.T) {
 	}
 }
 
-// Early on the timeline, where now and an interval's length are of one
-// magnitude, a charge can end short of the interval's edge although
-// advance's own fit test, (until-now)/factor >= base, rounds the other
-// way and splits it there. The fast path must split it too.
+// room is the fewest CPU units whose cost reaches the horizon. A batch
+// one unit short of it stays pending and fires nothing; the unit that
+// reaches the horizon — landing exactly on a tick or a profile boundary,
+// or crossing it — takes the slow path, which fires the tick at its
+// nominal time or moves to the next span's rate.
 func TestChargeFastPathAtAnIntervalEdge(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	costs := DefaultCosts()
-	short, turnedAway := 0, 0
-	for trial := 0; trial < 200000; trial++ {
-		end := 0.1 + rng.Float64()
-		f := 0.3 + 7*rng.Float64()
-		p := mustProfile(t, Interval{Start: 0, End: end, IOFactor: f, CPUFactor: f},
-			Interval{Start: end, End: end + 1, IOFactor: 3, CPUFactor: 3})
-		kind := WorkKind(rng.Intn(3))
+	exact := 0
+	for trial := 0; trial < 2000; trial++ {
+		// Factors 0.5, 2.5 and 4 make the span a whole number of loaded
+		// units at some starts, so some charges land exactly on the edge.
+		f := []float64{0.5, 1, 2.5, 4, 0.3 + 7*rng.Float64()}[rng.Intn(5)]
+		end := 0.1 + float64(rng.Intn(10))/10
+		p := mustProfile(t, Interval{Start: 0, End: end, CPUFactor: f},
+			Interval{Start: end, End: end + 1, CPUFactor: 3})
 		sides := [2]*twinSide{{c: New(costs, p)}, {c: New(costs, p), slow: true}}
-		start := rng.Float64() * end / 2
-		n := (end - start) / (sides[0].c.unitCost(kind) * f)
-		for k := rng.Intn(3); k > 0; k-- {
-			n = math.Nextafter(n, 0)
-		}
+		start := float64(rng.Intn(1000)) * 1e-4
+		tick, period := rng.Intn(2) == 0, 0.01*float64(1+rng.Intn(5))
 		for _, s := range sides {
 			s.c.Idle(start)
-			s.charge(kind, 0.5) // learns the horizon
-			endsShort := s.c.now+(n-0.5)*s.c.unitCost(kind)*f < end
-			s.charge(kind, n-0.5)
-			if !s.slow && endsShort {
-				short++
-				if s.fast == 0 {
-					turnedAway++
-				}
+			if tick {
+				s.addTicker(period)
 			}
 		}
-		a, b := sides[0].c, sides[1].c
-		if math.Float64bits(a.Now()) != math.Float64bits(b.Now()) {
-			t.Fatalf("trial %d: factor %v, interval ends %v: now %v with the fast path, %v without", trial, f, end, a.Now(), b.Now())
+		c := sides[0].c
+		room := c.room
+		if c.pend != 0 || room < 2 {
+			t.Fatalf("trial %d: pend %d, room %d after Idle", trial, c.pend, room)
+		}
+		_, boundary := c.profile.factorAt(c.now, CPU)
+		horizon := boundary
+		for _, tk := range c.tickers {
+			horizon = min(horizon, tk.next)
+		}
+		if (horizon-c.now)%c.cpu == 0 {
+			exact++
+		}
+		for _, s := range sides {
+			s.charge(CPU, room-1)
+		}
+		if c.pend != room-1 || len(sides[0].fires) != 0 {
+			t.Fatalf("trial %d: a batch one unit short of room %d left pend %d and fired %d ticks", trial, room, c.pend, len(sides[0].fires)/2)
+		}
+		for _, s := range sides {
+			s.charge(CPU, 1)
+		}
+		if c.pend != 0 {
+			t.Fatalf("trial %d: the unit reaching the horizon stayed pending", trial)
+		}
+		if horizon < boundary && len(sides[0].fires) == 0 {
+			t.Fatalf("trial %d: the unit reaching the tick did not fire it", trial)
+		}
+		a, b := sides[0], sides[1]
+		if a.c.Now() != b.c.Now() || len(a.fires) != len(b.fires) {
+			t.Fatalf("trial %d: now %v and %d ticks with the fast path, %v and %d without", trial, a.c.Now(), len(a.fires)/2, b.c.Now(), len(b.fires)/2)
+		}
+		for i := range a.fires {
+			if a.fires[i] != b.fires[i] {
+				t.Fatalf("trial %d: tick %d at %v with the fast path, %v without", trial, i/2, a.fires[i], b.fires[i])
+			}
+		}
+		if c.now < horizon {
+			t.Fatalf("trial %d: now %d short of the horizon %d", trial, c.now, horizon)
 		}
 	}
-	t.Logf("%d charges ended short of the edge, %d of them split all the same", short, turnedAway)
-	if turnedAway == 0 || turnedAway == short {
-		t.Fatal("the trials no longer land on both sides of the fit test")
+	t.Logf("%d of 2000 horizons a whole number of units away", exact)
+	if exact == 0 {
+		t.Fatal("no trial landed a charge exactly on the edge")
 	}
 }
