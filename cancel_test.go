@@ -126,7 +126,9 @@ func spillDB(t *testing.T) *DB {
 
 // testCancelMidSpill cancels sql mid-execution (while its spilling
 // operators hold temp files on disk), then asserts the unwind released
-// every temp file and buffer page and left the engine reusable.
+// every temp file and buffer page and left the engine reusable. It is
+// the end-to-end counterpart of exec's TestUnwindSweep: the cancel comes
+// through DB.ExecDiscardContext and its progress callback.
 func testCancelMidSpill(t *testing.T, sql string) {
 	t.Helper()
 	db := spillDB(t)
@@ -163,6 +165,11 @@ func TestCancelMidExternalSort(t *testing.T) {
 
 func TestCancelMidSpilledHashJoin(t *testing.T) {
 	testCancelMidSpill(t, "select * from big b1, big2 b2 where b1.k = b2.k and b2.k < 4000")
+}
+
+func TestCancelMidSortedJoin(t *testing.T) {
+	// Sort feeding a join: cancel while multiple operators hold spills.
+	testCancelMidSpill(t, "select * from big b1, big2 b2 where b1.k = b2.k order by b1.pad desc, b2.k")
 }
 
 // TestCancelMidSpilledHashJoinNoMatch cancels a hybrid hash join while it
@@ -222,11 +229,6 @@ func TestCancelMidSpilledHashJoinNoMatch(t *testing.T) {
 	if err := db.CheckLeaks(); err != nil {
 		t.Fatalf("after cancel: %v", err)
 	}
-}
-
-func TestCancelMidSortedJoin(t *testing.T) {
-	// Sort feeding a join: cancel while multiple operators hold spills.
-	testCancelMidSpill(t, "select * from big b1, big2 b2 where b1.k = b2.k order by b1.pad desc, b2.k")
 }
 
 func TestExecGroupMemberCancel(t *testing.T) {

@@ -42,9 +42,9 @@ ls "$bindir"
 
 echo "== progresslint =="
 # The repo's own analyzers (DESIGN.md §7): wall-clock bans in engine
-# packages, executor cancellation safe points, Open/Close unwind
-# pairing, metric naming, error wrapping, no blocking under a lock
-# (directly, through module calls or through function values). Exit 1 =
+# packages, executor cancellation safe points, metric naming, error
+# wrapping, no blocking under a lock (directly, through module calls or
+# through function values). Exit 1 =
 # findings, 2 = the module failed to load. `go test ./...` runs the same
 # suite as TestModuleLintClean; this is the binary's end-to-end check.
 "$bindir"/progresslint ./...
@@ -57,6 +57,7 @@ go test -run FuzzParseStatement -fuzz FuzzParseStatement -fuzztime 10s ./interna
 go test -run FuzzDecodeInto -fuzz FuzzDecodeInto -fuzztime 5s ./internal/tuple/
 go test -run FuzzDecodeSequence -fuzz FuzzDecodeSequence -fuzztime 5s ./internal/tuple/
 go test -run FuzzIntMap -fuzz FuzzIntMap -fuzztime 5s ./internal/exec/
+go test -run FuzzUnwind -fuzz FuzzUnwind -fuzztime 10s ./internal/exec/
 go test -run FuzzEquivalence -fuzz FuzzEquivalence -fuzztime 20s .
 
 echo "== progressd start/stop =="
@@ -99,12 +100,6 @@ for want in 'SQL name *Query 2' '(100% done)' 'SeqScan lineitem .*actual rows=12
 	grep -q -- "$want" "$pgout" || { echo "pgsh output lacks /$want/:" >&2; cat "$pgout" >&2; exit 1; }
 done
 echo "ok"
-
-echo "== fault-matrix smoke =="
-# 3 seeds x {read-fault, write-fault, latency} over a spilling join:
-# error-or-correct results, no temp/page leaks, engine reusable.
-# (`make chaos` runs the full randomized schedule suite.)
-go test -run 'TestFaultMatrixSmoke|TestInjectedPanicContained' .
 
 echo "== go test -race, with the serving packages 20x beside it =="
 # The serving layers' tests are the ones that talk to goroutines they do

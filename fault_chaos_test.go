@@ -340,10 +340,10 @@ func TestChaosConcurrentWorkers(t *testing.T) {
 		faulted, schedules, workers)
 }
 
-// TestFaultMatrixSmoke is the CI fast path: 3 seeds × {read-fault,
-// write-fault, latency}, each over the spilled join, asserting the same
-// error-or-correct / no-leak / reusable invariants (ci.sh runs exactly
-// this test; the Makefile chaos target runs the full random suite).
+// TestFaultMatrixSmoke is the chaos suite's fast path: 3 seeds ×
+// {read-fault, write-fault, latency}, each over the spilled join,
+// asserting the same error-or-correct / no-leak / reusable invariants
+// (the Makefile chaos target runs the full random suite).
 func TestFaultMatrixSmoke(t *testing.T) {
 	db := chaosDB(t)
 	const joinQ = "select r.k, r.v, s.v from r, s where r.k = s.k"

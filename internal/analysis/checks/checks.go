@@ -1,6 +1,6 @@
 // Package checks holds the progresslint analyzers: the engine's
-// conventions — deterministic time, cancellable loops, leak-free error
-// unwinding, a disciplined metrics namespace, reliable error wrapping —
+// conventions — deterministic time, cancellable loops, a disciplined
+// metrics namespace, reliable error wrapping, no blocking under a lock —
 // expressed as machine-checked invariants over the module's syntax and
 // types. DESIGN.md §7 documents each invariant and why the paper's
 // guarantees depend on it; cmd/progresslint runs the suite in CI.
@@ -17,7 +17,6 @@ func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		VclockTime,
 		Safepoint,
-		Closepath,
 		Obsnames,
 		Errwrap,
 		Lockdisc,
@@ -54,7 +53,7 @@ func isEnginePackage(path string) bool {
 }
 
 // isExecPackage reports whether path is the executor package, whose
-// loops and operators carry the safe-point and close-path invariants.
+// loops carry the safe-point invariant.
 func isExecPackage(path string) bool {
 	return path == "progressdb/internal/exec"
 }

@@ -69,12 +69,6 @@ func drain(sc scanner, c clock) {
 `)
 }
 
-func TestClosepathFixture(t *testing.T) {
-	analysis.RunFixture(t, Closepath,
-		"progressdb/internal/exec",
-		"testdata/closepath/operators.go")
-}
-
 func TestObsnamesFixture(t *testing.T) {
 	analysis.RunFixture(t, Obsnames,
 		"progressdb/internal/server",

@@ -24,7 +24,7 @@ func (c *counter) ok() {
 	c.n++
 }
 
-// okExplicit: closepath-style explicit unwinding — the error branch
+// okExplicit: explicit unwinding without a defer — the error branch
 // unlocks before returning, the fall-through path unlocks at the end.
 func (c *counter) okExplicit(fail bool) error {
 	c.mu.Lock()

@@ -18,12 +18,10 @@ type hashAgg struct {
 	child Iterator
 	tag   segment.NodeInfo
 
-	slab        rowSlab
-	groups      []tuple.Tuple // result rows, in slab
-	idx         int
-	done        bool
-	childOpen   bool
-	childClosed bool
+	slab   rowSlab
+	groups []tuple.Tuple // result rows, in slab
+	idx    int
+	done   bool
 }
 
 // aggState accumulates one aggregate of one group.
@@ -71,7 +69,6 @@ func (h *hashAgg) Open() error {
 	if err := h.child.Open(); err != nil {
 		return err
 	}
-	h.childOpen = true
 	naggs := len(h.node.Aggs)
 	// Groups are numbered in first-seen order, which is the output order;
 	// group g's key is keys[g] and its accumulators are
@@ -130,7 +127,6 @@ func (h *hashAgg) Open() error {
 	if err := h.child.Close(); err != nil {
 		return err
 	}
-	h.childClosed = true
 	index.ints.noteLayout(h.env.Collect, h.node)
 
 	rep := h.env.rep()
@@ -176,13 +172,7 @@ func (h *hashAgg) Next() (tuple.Tuple, bool, error) {
 
 func (h *hashAgg) Close() error {
 	h.groups, h.slab = nil, rowSlab{}
-	if h.childOpen && !h.childClosed {
-		// Open failed mid-drain: unwind the child so any temp files it
-		// holds (spilled sorts, joins) are released.
-		h.childClosed = true
-		return h.child.Close()
-	}
-	return nil
+	return h.child.Close()
 }
 
 // limitIter passes through at most N rows.

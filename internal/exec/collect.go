@@ -179,6 +179,7 @@ type statsIter struct {
 	n     int64        // rows emitted since the last Close, not yet in rows
 	sizer rowSizer     // inner, when it knows its row's size better than the row does
 	last  int          // bytes of the row last emitted (collection on only)
+	open  bool         // opened and not yet closed: only that Close sets EndT
 }
 
 // rowSizer is implemented by operators whose output tuple may be a
@@ -197,6 +198,7 @@ func (s *statsIter) Open() error {
 		}
 		s.st.Loops++
 	}
+	s.open = true
 	return s.inner.Open()
 }
 
@@ -220,8 +222,9 @@ func (s *statsIter) Next() (tuple.Tuple, bool, error) {
 func (s *statsIter) Close() error {
 	s.rows.Add(s.n)
 	s.n = 0
-	if s.st != nil {
+	if s.st != nil && s.open {
 		s.st.EndT = s.env.Clock.Now()
 	}
+	s.open = false
 	return s.inner.Close()
 }

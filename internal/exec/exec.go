@@ -60,8 +60,7 @@ type Env struct {
 	nyield uint
 
 	// temps tracks every temp file created by this query's operators so
-	// ReclaimTemps can guarantee cleanup even when an error or panic
-	// bypasses the iterator Close chain.
+	// ReclaimTemps can drop them after a panic, which skips every Close.
 	temps []storage.FileID
 
 	// wrap, when non-nil, wraps every operator Build constructs; the
@@ -71,7 +70,7 @@ type Env struct {
 
 	// scans tracks the pinning base-table scanners opened by this
 	// query's scan operators so ReleaseScans can drop their buffer-pool
-	// pins even when an error or panic bypasses the Close chain.
+	// pins after a panic, which skips every Close.
 	scans []*storage.Scanner
 }
 
@@ -94,10 +93,11 @@ func (e *Env) newBaseScanner(hf *storage.HeapFile) *storage.Scanner {
 }
 
 // ReleaseScans closes every tracked base-table scanner, releasing any
-// buffer-pool pins still held. On clean execution the operators' Close
-// chain has already done this (Close is idempotent); after an error or
-// recovered panic this is the guarantee that the query pins nothing.
-// Safe to call multiple times.
+// buffer-pool pins still held. After any run that returned — success,
+// error or cancel — the Close chain has already released them and this
+// is a no-op (TestUnwindSweep checks that at every fault and cancel
+// point); after a recovered panic it is what leaves the query pinning
+// nothing. Safe to call multiple times.
 func (e *Env) ReleaseScans() {
 	for _, sc := range e.scans {
 		sc.Close()
@@ -106,11 +106,11 @@ func (e *Env) ReleaseScans() {
 }
 
 // ReclaimTemps force-drops any tracked temp files still allocated,
-// returning how many were reclaimed. On clean execution (success,
-// error, or cancel through the normal unwind) every operator has
-// already dropped its files and this is a no-op; after a recovered
-// panic it is the guarantee that the query leaked nothing. Safe to call
-// multiple times.
+// returning how many were reclaimed. After any run that returned —
+// success, error or cancel — the Close chain has already dropped them
+// and this is a no-op (TestUnwindSweep checks that at every fault and
+// cancel point); after a recovered panic it is what leaves the query
+// holding no temp file. Safe to call multiple times.
 func (e *Env) ReclaimTemps() int {
 	disk := e.Pool.Disk()
 	n := 0
@@ -231,6 +231,12 @@ func (nopReporter) SegmentDone(int)                      {}
 // Iterator is the executor's pull interface. The tuple Next returns
 // belongs to the iterator and is valid only until its next Next or Close
 // (see rows.go); a caller that keeps it copies it.
+//
+// The unwind rule: Close is idempotent, and it closes every child and
+// drops every temp file the operator holds, whether or not Open (its own
+// or a child's) succeeded. A caller therefore closes an iterator after
+// any error, and an operator may close a drained child early and again
+// in its own Close.
 type Iterator interface {
 	Open() error
 	Next() (tuple.Tuple, bool, error)
@@ -498,9 +504,6 @@ func Run(env *Env, root plan.Node, fn func(tuple.Tuple) error) (int64, error) {
 		return 0, err
 	}
 	if err := it.Open(); err != nil {
-		// A failed Open can leave partially opened children holding temp
-		// files (e.g. a sort that spilled runs before its parent join
-		// errored); Close is the operators' cleanup path and must run.
 		it.Close()
 		return 0, err
 	}

@@ -15,13 +15,11 @@ import (
 // run drains the child at once, ending the producer segment. The files
 // are then consumed batch-by-batch by the owning graceJoin.
 type partitionIter struct {
-	node        *plan.Partition
-	env         *Env
-	tag         segment.NodeInfo
-	child       Iterator
-	files       []*storage.HeapFile
-	childOpen   bool
-	childClosed bool
+	node  *plan.Partition
+	env   *Env
+	tag   segment.NodeInfo
+	child Iterator
+	files []*storage.HeapFile
 }
 
 // run partitions the whole input into nbatch files. Partition nodes are
@@ -40,7 +38,6 @@ func (p *partitionIter) run(nbatch int) error {
 	if err := p.child.Open(); err != nil {
 		return err
 	}
-	p.childOpen = true
 	p.files = make([]*storage.HeapFile, nbatch)
 	for i := range p.files {
 		p.files[i] = p.env.newTempFile()
@@ -72,7 +69,6 @@ func (p *partitionIter) run(nbatch int) error {
 	if err := p.child.Close(); err != nil {
 		return err
 	}
-	p.childClosed = true
 	for _, f := range p.files {
 		if err := f.Sync(); err != nil {
 			return err
@@ -86,16 +82,10 @@ func (p *partitionIter) run(nbatch int) error {
 	return nil
 }
 
+// drop is the partition's Close: it closes the child and drops the batch
+// files.
 func (p *partitionIter) drop() error {
-	var firstErr error
-	if p.childOpen && !p.childClosed {
-		// run failed mid-drain: unwind the child so its own temp files
-		// (spilled sorts, nested joins) are released.
-		p.childClosed = true
-		if err := p.child.Close(); err != nil {
-			firstErr = err
-		}
-	}
+	firstErr := p.child.Close()
 	for _, f := range p.files {
 		if f == nil {
 			continue

@@ -35,11 +35,10 @@ type hashJoin struct {
 	table      rowTable
 	tableBytes float64
 
-	spilled     bool
-	nbatch      int
-	buildFiles  []*storage.HeapFile
-	probeFiles  []*storage.HeapFile
-	buildClosed bool
+	spilled    bool
+	nbatch     int
+	buildFiles []*storage.HeapFile
+	probeFiles []*storage.HeapFile
 
 	// emission state
 	match    int32 // next build row matching curProbe, -1 when drained
@@ -105,7 +104,6 @@ func (h *hashJoin) Open() error {
 	if err := h.build.Close(); err != nil {
 		return err
 	}
-	h.buildClosed = true
 	h.table.ints.noteLayout(h.env.Collect, h.node)
 	for _, f := range h.buildFiles {
 		if f != nil {
@@ -321,15 +319,7 @@ func (h *hashJoin) loadBatch(b int) error {
 }
 
 func (h *hashJoin) Close() error {
-	var firstErr error
-	if !h.buildClosed {
-		// Open failed mid-build: the build child (which may itself hold
-		// spilled temp files, e.g. a sort) still needs its unwind.
-		h.buildClosed = true
-		if err := h.build.Close(); err != nil {
-			firstErr = err
-		}
-	}
+	firstErr := h.build.Close()
 	if err := h.probe.Close(); err != nil && firstErr == nil {
 		firstErr = err
 	}

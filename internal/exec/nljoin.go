@@ -128,19 +128,16 @@ type materialize struct {
 	child Iterator
 	tag   segment.NodeInfo
 
-	slab        rowSlab
-	buf         []tuple.Tuple // child rows, copied into slab
-	idx         int
-	inputDone   bool
-	childOpen   bool
-	childClosed bool
+	slab      rowSlab
+	buf       []tuple.Tuple // child rows, copied into slab
+	idx       int
+	inputDone bool
 }
 
 func (m *materialize) Open() error {
 	if err := m.child.Open(); err != nil {
 		return err
 	}
-	m.childOpen = true
 	rep := m.env.rep()
 	for {
 		t, ok, err := m.child.Next()
@@ -157,7 +154,6 @@ func (m *materialize) Open() error {
 	if err := m.child.Close(); err != nil {
 		return err
 	}
-	m.childClosed = true
 	rep.SegmentDone(m.tag.ProducerSeg)
 	m.idx = 0
 	return nil
@@ -180,11 +176,5 @@ func (m *materialize) Next() (tuple.Tuple, bool, error) {
 
 func (m *materialize) Close() error {
 	m.buf, m.slab = nil, rowSlab{}
-	if m.childOpen && !m.childClosed {
-		// Open failed mid-drain: unwind the child so any temp files it
-		// holds are released.
-		m.childClosed = true
-		return m.child.Close()
-	}
-	return nil
+	return m.child.Close()
 }

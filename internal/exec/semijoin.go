@@ -25,17 +25,12 @@ type semiJoin struct {
 	slab  rowSlab       // keyless (pure NL) path: cache's rows
 	cache []tuple.Tuple // keyless path
 	pair  tuple.Tuple   // reused outer×inner row for ExtraPred
-
-	innerOpen   bool
-	innerClosed bool
-	outerOpen   bool
 }
 
 func (j *semiJoin) Open() error {
 	if err := j.inner.Open(); err != nil {
 		return err
 	}
-	j.innerOpen = true
 	rep := j.env.rep()
 	keyed := j.node.OuterKey >= 0
 	var tuples int64
@@ -68,16 +63,11 @@ func (j *semiJoin) Open() error {
 	if err := j.inner.Close(); err != nil {
 		return err
 	}
-	j.innerClosed = true
 	j.table.ints.noteLayout(j.env.Collect, j.node)
 	rep.SegmentDone(j.tag.ProducerSeg)
 	rep.InputBulk(j.tag.Seg, j.tag.Input, tuples, bytes)
 	rep.InputDone(j.tag.Seg, j.tag.Input)
-	if err := j.outer.Open(); err != nil {
-		return err
-	}
-	j.outerOpen = true
-	return nil
+	return j.outer.Open()
 }
 
 func (j *semiJoin) Next() (tuple.Tuple, bool, error) {
@@ -133,19 +123,10 @@ func (j *semiJoin) passes(outer, inner tuple.Tuple) (bool, error) {
 
 func (j *semiJoin) Close() error {
 	j.table, j.slab, j.cache = rowTable{}, rowSlab{}, nil
-	var firstErr error
-	if j.innerOpen && !j.innerClosed {
-		// Open failed mid-drain: unwind the inner so any temp files it
-		// holds are released.
-		j.innerClosed = true
-		if err := j.inner.Close(); err != nil {
-			firstErr = err
-		}
+	err1 := j.inner.Close()
+	err2 := j.outer.Close()
+	if err1 != nil {
+		return err1
 	}
-	if j.outerOpen {
-		if err := j.outer.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
+	return err2
 }

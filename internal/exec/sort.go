@@ -27,12 +27,10 @@ type sortIter struct {
 	runs []*storage.HeapFile
 	enc  []byte // reused run-write buffer (HeapFile.Append copies)
 
-	memIdx      int
-	merge       *runMerger
-	arity       int
-	inputDone   bool
-	childOpen   bool
-	childClosed bool
+	memIdx    int
+	merge     *runMerger
+	arity     int
+	inputDone bool
 }
 
 // finishInput marks the sorted stream fully consumed by the parent
@@ -49,7 +47,6 @@ func (s *sortIter) Open() error {
 	if err := s.child.Open(); err != nil {
 		return err
 	}
-	s.childOpen = true
 	rep := s.env.rep()
 	memLimit := s.env.workMemBytes()
 
@@ -63,6 +60,7 @@ func (s *sortIter) Open() error {
 			return err
 		}
 		f := s.env.newTempFile()
+		s.runs = append(s.runs, f) // Close drops it even if a write fails
 		for _, t := range buf {
 			s.enc = t.Encode(s.enc[:0])
 			if _, err := f.Append(s.enc); err != nil {
@@ -72,7 +70,6 @@ func (s *sortIter) Open() error {
 		if err := f.Sync(); err != nil {
 			return err
 		}
-		s.runs = append(s.runs, f)
 		s.env.Met.SortRuns.Inc()
 		buf, bufBytes = buf[:0], 0
 		s.slab.reset()
@@ -101,7 +98,6 @@ func (s *sortIter) Open() error {
 	if err := s.child.Close(); err != nil {
 		return err
 	}
-	s.childClosed = true
 
 	if len(s.runs) == 0 {
 		// Everything fit: keep the single run in memory.
@@ -246,14 +242,7 @@ func (s *sortIter) Next() (tuple.Tuple, bool, error) {
 }
 
 func (s *sortIter) Close() error {
-	var firstErr error
-	if s.childOpen && !s.childClosed {
-		// Open failed mid-drain: unwind the child too.
-		s.childClosed = true
-		if err := s.child.Close(); err != nil {
-			firstErr = err
-		}
-	}
+	firstErr := s.child.Close()
 	disk := s.env.Pool.Disk()
 	for _, f := range s.runs {
 		if !disk.Exists(f.ID()) {
