@@ -101,6 +101,12 @@ for want in 'SQL name *Query 2' '(100% done)' 'SeqScan lineitem .*actual rows=12
 done
 echo "ok"
 
+echo "== go test -cpu 1 (executor and root) =="
+# Tier-1 must pass on any core count. The executor and the root package
+# (equivalence, concurrent determinism, the examples) are where a test
+# could lean on GOMAXPROCS > 1 without the other lanes noticing.
+go test -count=1 -cpu 1 ./internal/exec .
+
 echo "== go test -race, with the serving packages 20x beside it =="
 # The serving layers' tests are the ones that talk to goroutines they do
 # not own, so an ordering that is only usually right shows here first.

@@ -252,12 +252,13 @@ func Build(n plan.Node, env *Env) (Iterator, error) {
 	return build(n, env, nil)
 }
 
-// build is Build with column pruning: need, when non-nil, marks the
-// columns of n's output that the plan above n reads. Only a Project or a
-// sinkless Run sets it, only Filters pass it down and only base scans use
-// it — every other operator needs its children's rows whole.
-func build(n plan.Node, env *Env, need []bool) (Iterator, error) {
-	it, err := buildNode(n, env, need)
+// build is Build for a parent that reads n's row in layout lay (rows.go);
+// a node that does not write layouts is given nil, the whole row.
+func build(n plan.Node, env *Env, lay []int) (Iterator, error) {
+	if !writesLayout(n) {
+		lay = nil
+	}
+	it, err := buildNode(n, env, lay)
 	if err != nil {
 		return nil, err
 	}
@@ -279,47 +280,41 @@ func build(n plan.Node, env *Env, need []bool) (Iterator, error) {
 
 // buildNode constructs the bare iterator for one plan node, recursing
 // through Build so children pick up stats wrapping.
-func buildNode(n plan.Node, env *Env, need []bool) (Iterator, error) {
+func buildNode(n plan.Node, env *Env, lay []int) (Iterator, error) {
 	switch node := n.(type) {
 	case *plan.SeqScan:
 		info, err := env.info(node)
 		if err != nil {
 			return nil, err
 		}
-		return &seqScan{node: node, env: env, tag: info, scanSlot: scanSlot{need: need}}, nil
+		return &seqScan{node: node, env: env, tag: info, scanSlot: newScanSlot(lay)}, nil
 	case *plan.IndexScan:
 		info, err := env.info(node)
 		if err != nil {
 			return nil, err
 		}
-		return &indexScan{node: node, env: env, tag: info, scanSlot: scanSlot{need: need}}, nil
+		return &indexScan{node: node, env: env, tag: info, scanSlot: newScanSlot(lay)}, nil
 	case *plan.Filter:
-		if need != nil {
-			need = append([]bool(nil), need...)
-			for _, c := range expr.ColumnsUsed(node.Pred) {
-				need[c] = true
-			}
-		}
-		child, err := build(node.Child, env, need)
+		lay, pred, err := addPred(lay, node.Pred)
 		if err != nil {
 			return nil, err
 		}
-		f := &filterIter{env: env, child: child, pred: expr.CompilePred(node.Pred), predCost: exprCost(node.Pred)}
+		child, err := build(node.Child, env, lay)
+		if err != nil {
+			return nil, err
+		}
+		f := &filterIter{env: env, child: child, pred: expr.CompilePred(pred), predCost: exprCost(node.Pred)}
 		f.src, _ = child.(rowSizer)
 		return f, nil
 	case *plan.Project:
-		need := make([]bool, node.Child.Schema().Arity())
-		for _, c := range node.Cols {
-			need[c] = true
-		}
-		child, err := build(node.Child, env, need)
+		return buildProject(node, env, lay)
+	case *plan.HashJoin:
+		out, err := newJoinOut(lay, node.Build.Schema().Arity(), node.Probe.Schema().Arity(), node.ExtraPred)
 		if err != nil {
 			return nil, err
 		}
-		return &projectIter{node: node, env: env, child: child}, nil
-	case *plan.HashJoin:
 		if node.Grace {
-			return buildGraceJoin(node, env)
+			return buildGraceJoin(node, env, out)
 		}
 		build, err := Build(node.Build, env)
 		if err != nil {
@@ -333,14 +328,14 @@ func buildNode(n plan.Node, env *Env, need []bool) (Iterator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &hashJoin{
-			node: node, env: env, tag: info,
-			build: build, probe: probe,
-			pred: expr.CompilePred(node.ExtraPred), predCost: exprCost(node.ExtraPred),
-		}, nil
+		return &hashJoin{node: node, env: env, tag: info, build: build, probe: probe, joinOut: out}, nil
 	case *plan.Partition:
 		return nil, fmt.Errorf("exec: Partition outside a Grace hash join")
 	case *plan.NLJoin:
+		out, err := newJoinOut(lay, node.Outer.Schema().Arity(), node.Inner.Schema().Arity(), node.Pred)
+		if err != nil {
+			return nil, err
+		}
 		outer, err := Build(node.Outer, env)
 		if err != nil {
 			return nil, err
@@ -358,9 +353,13 @@ func buildNode(n plan.Node, env *Env, need []bool) (Iterator, error) {
 		return &nlJoin{
 			node: node, env: env,
 			outer: outer, inner: inner, innerTag: innerTag,
-			pred: expr.CompilePred(node.Pred), predCost: exprCost(node.Pred),
+			joinOut: out,
 		}, nil
 	case *plan.MergeJoin:
+		out, err := newJoinOut(lay, node.Left.Schema().Arity(), node.Right.Schema().Arity(), node.ExtraPred)
+		if err != nil {
+			return nil, err
+		}
 		left, err := Build(node.Left, env)
 		if err != nil {
 			return nil, err
@@ -369,10 +368,7 @@ func buildNode(n plan.Node, env *Env, need []bool) (Iterator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &mergeJoin{
-			node: node, env: env, left: left, right: right,
-			pred: expr.CompilePred(node.ExtraPred), predCost: exprCost(node.ExtraPred),
-		}, nil
+		return &mergeJoin{node: node, env: env, left: left, right: right, joinOut: out}, nil
 	case *plan.Sort:
 		child, err := Build(node.Child, env)
 		if err != nil {
@@ -410,6 +406,11 @@ func buildNode(n plan.Node, env *Env, need []bool) (Iterator, error) {
 		}
 		return &limitIter{node: node, env: env, child: child}, nil
 	case *plan.SemiJoin:
+		nOuter, nInner := node.Outer.Schema().Arity(), node.Inner.Schema().Arity()
+		pair, err := newJoinOut(unplaced(nOuter+nInner), nOuter, nInner, node.ExtraPred)
+		if err != nil {
+			return nil, err
+		}
 		outer, err := Build(node.Outer, env)
 		if err != nil {
 			return nil, err
@@ -422,11 +423,7 @@ func buildNode(n plan.Node, env *Env, need []bool) (Iterator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &semiJoin{
-			node: node, env: env, tag: info,
-			outer: outer, inner: inner,
-			pred: expr.CompilePred(node.ExtraPred), predCost: exprCost(node.ExtraPred),
-		}, nil
+		return &semiJoin{node: node, env: env, tag: info, outer: outer, inner: inner, pair: pair}, nil
 	default:
 		return nil, fmt.Errorf("exec: unknown plan node %T", n)
 	}
@@ -434,7 +431,7 @@ func buildNode(n plan.Node, env *Env, need []bool) (Iterator, error) {
 
 // buildGraceJoin wires the partitioned form: each Partition child becomes
 // a partitionIter run at Open, then the join streams batch pairs.
-func buildGraceJoin(node *plan.HashJoin, env *Env) (Iterator, error) {
+func buildGraceJoin(node *plan.HashJoin, env *Env, out joinOut) (Iterator, error) {
 	mk := func(pn plan.Node) (*partitionIter, error) {
 		part, ok := pn.(*plan.Partition)
 		if !ok {
@@ -458,11 +455,7 @@ func buildGraceJoin(node *plan.HashJoin, env *Env) (Iterator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &graceJoin{
-		node: node, env: env,
-		buildPart: buildPart, probePart: probePart,
-		pred: expr.CompilePred(node.ExtraPred), predCost: exprCost(node.ExtraPred),
-	}, nil
+	return &graceJoin{node: node, env: env, buildPart: buildPart, probePart: probePart, joinOut: out}, nil
 }
 
 // innerBoundary finds the node carrying the segment-input tag for an NL
@@ -478,28 +471,23 @@ func innerBoundary(n plan.Node) plan.Node {
 	}
 }
 
-// noColumns is the need of a root whose rows nobody reads. It is only
-// ever read: a Filter copies its need before adding the predicate's
-// columns.
-var noColumns [64]bool
-
 // Run executes a plan to completion, invoking fn (if non-nil) per result
 // tuple, and returns the result cardinality. It fires the final segment's
 // completion event.
 //
-// With no fn the root's rows are only counted, so the root reads none of
-// its columns: a root scan, or a Filter chain over one, decodes only what
-// the predicates use.
+// With no fn the root's rows are only counted, so the root's layout places
+// none of its columns: a root scan, Filter chain or join writes only what
+// its predicates read.
 func Run(env *Env, root plan.Node, fn func(tuple.Tuple) error) (int64, error) {
-	var need []bool
+	var lay []int
 	if fn == nil {
 		if n := root.Schema().Arity(); n <= len(noColumns) {
-			need = noColumns[:n]
+			lay = noColumns[:n]
 		} else {
-			need = make([]bool, n)
+			lay = unplaced(n)
 		}
 	}
-	it, err := build(root, env, need)
+	it, err := build(root, env, lay)
 	if err != nil {
 		return 0, err
 	}

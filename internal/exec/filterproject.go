@@ -40,12 +40,66 @@ func (f *filterIter) Next() (tuple.Tuple, bool, error) {
 
 func (f *filterIter) Close() error { return f.child.Close() }
 
-// projectIter keeps a subset of columns.
+// projectIter hands up its columns. Its child writes them as the first
+// k slots of its own row (rows.go), so the Project passes that row on
+// without copying it — unless the child keeps whole rows (writesLayout)
+// or a column repeats, which one layout slot cannot serve twice. Then
+// src says which child column each output slot copies.
 type projectIter struct {
 	node  *plan.Project
 	env   *Env
 	child Iterator
-	out   tuple.Tuple // reused output row
+	k     int
+	src   []int       // nil: the child's row holds the columns in place
+	out   tuple.Tuple // the copy, when src is set
+}
+
+// buildProject builds a Project whose row has output column j at slot
+// lay[j], and the columns lay leaves out after those (lay nil: all of
+// them, in order). Its child is asked for that same row.
+func buildProject(node *plan.Project, env *Env, lay []int) (Iterator, error) {
+	k := len(node.Cols)
+	order := make([]int, width(lay), k) // order[s] is the output column at slot s
+	for j, s := range lay {
+		if s >= 0 {
+			order[s] = j
+		}
+	}
+	for j := 0; j < k; j++ {
+		if lay == nil || lay[j] < 0 {
+			order = append(order, j)
+		}
+	}
+	p := &projectIter{node: node, env: env, k: k, src: make([]int, k)}
+	childLay := unplaced(node.Child.Schema().Arity())
+	n, repeats := 0, false
+	for s, j := range order {
+		c := node.Cols[j]
+		if childLay[c] < 0 {
+			childLay[c] = n
+			n++
+		} else {
+			repeats = true
+		}
+		p.src[s] = childLay[c]
+	}
+	whole := !writesLayout(node.Child)
+	if whole {
+		for s, j := range order {
+			p.src[s] = node.Cols[j]
+		}
+	}
+	if whole || repeats {
+		p.out = make(tuple.Tuple, k)
+	} else {
+		p.src = nil
+	}
+	child, err := build(node.Child, env, childLay)
+	if err != nil {
+		return nil, err
+	}
+	p.child = child
+	return p, nil
 }
 
 func (p *projectIter) Open() error { return p.child.Open() }
@@ -55,11 +109,13 @@ func (p *projectIter) Next() (tuple.Tuple, bool, error) {
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	p.out = p.out[:0]
-	for _, c := range p.node.Cols {
-		p.out = append(p.out, t[c])
-	}
 	p.env.Clock.ChargeCPU(cpuTuple)
+	if p.src == nil {
+		return t[:p.k:p.k], true, nil
+	}
+	for s, c := range p.src {
+		p.out[s] = t[c]
+	}
 	return p.out, true, nil
 }
 

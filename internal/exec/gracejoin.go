@@ -107,8 +107,7 @@ type graceJoin struct {
 	env       *Env
 	buildPart *partitionIter
 	probePart *partitionIter
-	pred      func(tuple.Tuple) (bool, error) // node.ExtraPred compiled, nil if none
-	predCost  int64
+	joinOut   // output row: build ++ probe, in the parent's layout
 
 	nbatch int
 	batch  int
@@ -121,7 +120,6 @@ type graceJoin struct {
 	match      int32       // next build row matching curProbe, -1 when drained
 	curProbe   tuple.Tuple // reused slot for probe rows read back
 	buildRow   tuple.Tuple // reused slot for build rows read back
-	out        tuple.Tuple // reused output row
 	buildArity int
 	probeArity int
 }
@@ -159,13 +157,12 @@ func (g *graceJoin) Next() (tuple.Tuple, bool, error) {
 	rep := g.env.rep()
 	for {
 		for g.match >= 0 {
-			b := g.table.rows[g.match]
+			g.setLeft(g.table.rows[g.match])
+			g.setRight(g.curProbe)
 			g.match = g.table.next[g.match]
-			g.out = joinRow(g.out, b, g.curProbe)
-			out := g.out
 			g.env.Clock.ChargeCPU(cpuTuple + g.predCost)
 			if g.pred != nil {
-				pass, err := g.pred(out)
+				pass, err := g.pred(g.row)
 				if err != nil {
 					return nil, false, err
 				}
@@ -173,7 +170,7 @@ func (g *graceJoin) Next() (tuple.Tuple, bool, error) {
 					continue
 				}
 			}
-			return out, true, nil
+			return g.row, true, nil
 		}
 
 		if g.probeScan != nil {

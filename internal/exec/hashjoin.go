@@ -24,13 +24,12 @@ import (
 // files (multi-stage Extra bytes) and re-read per batch (Extra again) —
 // matching the cost model's 2 × spillFraction × probeBytes term.
 type hashJoin struct {
-	node     *plan.HashJoin
-	env      *Env
-	tag      segment.NodeInfo // Seg = consumer, Input = hash-table slot, ProducerSeg = build segment
-	build    Iterator
-	probe    Iterator
-	pred     func(tuple.Tuple) (bool, error) // node.ExtraPred compiled, nil if none
-	predCost int64
+	node    *plan.HashJoin
+	env     *Env
+	tag     segment.NodeInfo // Seg = consumer, Input = hash-table slot, ProducerSeg = build segment
+	build   Iterator
+	probe   Iterator
+	joinOut // output row: build ++ probe, in the parent's layout
 
 	table      rowTable
 	tableBytes float64
@@ -43,7 +42,6 @@ type hashJoin struct {
 	// emission state
 	match    int32 // next build row matching curProbe, -1 when drained
 	curProbe tuple.Tuple
-	out      tuple.Tuple // reused output row
 	spillRow tuple.Tuple // reused slot for rows re-read from spill files
 	enc      []byte      // reused spill-write buffer
 
@@ -191,13 +189,12 @@ func (h *hashJoin) Next() (tuple.Tuple, bool, error) {
 	for {
 		// Drain pending matches first.
 		for h.match >= 0 {
-			b := h.table.rows[h.match]
+			h.setLeft(h.table.rows[h.match])
+			h.setRight(h.curProbe)
 			h.match = h.table.next[h.match]
-			h.out = joinRow(h.out, b, h.curProbe)
-			out := h.out
 			h.env.Clock.ChargeCPU(cpuTuple + h.predCost)
 			if h.pred != nil {
-				pass, err := h.pred(out)
+				pass, err := h.pred(h.row)
 				if err != nil {
 					return nil, false, err
 				}
@@ -205,7 +202,7 @@ func (h *hashJoin) Next() (tuple.Tuple, bool, error) {
 					continue
 				}
 			}
-			return out, true, nil
+			return h.row, true, nil
 		}
 
 		if !h.probeExhausted {

@@ -11,12 +11,11 @@ import (
 // segment: execution ends as soon as either side is exhausted, which is
 // exactly why the paper uses p = max(qA, qB) for this operator.
 type mergeJoin struct {
-	node     *plan.MergeJoin
-	env      *Env
-	left     Iterator
-	right    Iterator
-	pred     func(tuple.Tuple) (bool, error) // node.ExtraPred compiled, nil if none
-	predCost int64
+	node    *plan.MergeJoin
+	env     *Env
+	left    Iterator
+	right   Iterator
+	joinOut // output row: left ++ right, in the parent's layout
 
 	lTuple tuple.Tuple
 	rTuple tuple.Tuple // lookahead past the current group
@@ -25,7 +24,6 @@ type mergeJoin struct {
 
 	slab     rowSlab
 	group    []tuple.Tuple // right rows of the current key, copied into slab
-	out      tuple.Tuple   // reused output row
 	haveKey  bool
 	groupKey tuple.Value
 	gIdx     int
@@ -52,13 +50,12 @@ func (m *mergeJoin) Next() (tuple.Tuple, bool, error) {
 	for {
 		// Emit pending (left × group) pairs.
 		for m.haveKey && m.lOk && m.gIdx < len(m.group) {
-			r := m.group[m.gIdx]
+			m.setLeft(m.lTuple)
+			m.setRight(m.group[m.gIdx])
 			m.gIdx++
-			m.out = joinRow(m.out, m.lTuple, r)
-			out := m.out
 			m.env.Clock.ChargeCPU(cpuTuple + m.predCost)
 			if m.pred != nil {
-				pass, err := m.pred(out)
+				pass, err := m.pred(m.row)
 				if err != nil {
 					return nil, false, err
 				}
@@ -66,7 +63,7 @@ func (m *mergeJoin) Next() (tuple.Tuple, bool, error) {
 					continue
 				}
 			}
-			return out, true, nil
+			return m.row, true, nil
 		}
 
 		if m.haveKey && m.lOk {

@@ -18,8 +18,11 @@ type nlJoin struct {
 	outer    Iterator
 	inner    Iterator
 	innerTag segment.NodeInfo
-	pred     func(tuple.Tuple) (bool, error) // node.Pred compiled, nil if none
-	predCost int64
+	// joinOut is the output row outer ++ inner in the parent's layout.
+	// Its outer part is written once per outer row and only the inner
+	// part per pair, which holds because no consumer writes to a row it
+	// was handed (rows.go).
+	joinOut
 
 	slab       rowSlab
 	cache      []tuple.Tuple // inner rows, copied into slab
@@ -27,12 +30,6 @@ type nlJoin struct {
 	firstPass  bool
 	curOuter   tuple.Tuple
 	innerIdx   int
-	// out is the reused output row outer‖inner. Its outer half is written
-	// once per outer row and only the inner half per pair, which holds
-	// because no consumer writes to a row it was handed (rows.go). The
-	// other joins keep joinRow: an equijoin probe here matches one build
-	// row, so the half that changes is the whole row.
-	out tuple.Tuple
 }
 
 func (j *nlJoin) Open() error {
@@ -59,7 +56,7 @@ func (j *nlJoin) Next() (tuple.Tuple, bool, error) {
 			}
 			j.curOuter = t
 			j.innerIdx = 0
-			j.out = append(j.out[:0], t...)
+			j.setLeft(t)
 			if !j.firstPass {
 				// One full logical pass over the cached inner.
 				j.env.rep().InputRepeat(j.innerTag.Seg, j.innerTag.Input,
@@ -91,14 +88,13 @@ func (j *nlJoin) Next() (tuple.Tuple, bool, error) {
 			j.innerIdx++
 		}
 
-		j.out = append(j.out[:len(j.curOuter)], innerTuple...)
-		out := j.out
+		j.setRight(innerTuple)
 		j.env.Clock.ChargeCPU(cpuPairBase + j.predCost)
 		if err := j.env.yield(); err != nil {
 			return nil, false, err
 		}
 		if j.pred != nil {
-			pass, err := j.pred(out)
+			pass, err := j.pred(j.row)
 			if err != nil {
 				return nil, false, err
 			}
@@ -106,7 +102,7 @@ func (j *nlJoin) Next() (tuple.Tuple, bool, error) {
 				continue
 			}
 		}
-		return out, true, nil
+		return j.row, true, nil
 	}
 }
 

@@ -1,9 +1,12 @@
 package exec
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"progressdb/internal/catalog"
+	"progressdb/internal/expr"
 	"progressdb/internal/optimizer"
 	"progressdb/internal/plan"
 	"progressdb/internal/segment"
@@ -102,28 +105,40 @@ func execChecked(t *testing.T, cat *catalog.Catalog, clock *vclock.Clock, p plan
 	return rows
 }
 
-// The plans no runSQL caller reaches: a planned Grace join, a sort whose
-// runs need intermediate merge passes, a top-N, a keyless semi join and a
-// pruned index scan.
+// forcedPlans are the plans no runSQL caller reaches: a planned Grace
+// join, a sort whose runs need intermediate merge passes, a top-N, a
+// keyless semi join, a pruned index scan and a grouped aggregate; then
+// the layouts a Project passes down through a merge and a nested-loops
+// join that must add their predicate's columns, through a Grace join
+// under stacked Projects, and past a repeated column.
+var forcedPlans = []struct {
+	sql     string
+	opt     optimizer.Options
+	workMem int
+}{
+	{`select c.custkey, o.orderkey, l.partkey from customer c, orders o, lineitem l
+	  where c.custkey = o.custkey and o.orderkey = l.orderkey`, optimizer.Options{WorkMemPages: 1}, 1},
+	{"select orderkey, partkey from lineitem order by partkey", optimizer.Options{WorkMemPages: 1}, 1},
+	{"select orderkey, totalprice from orders order by totalprice desc limit 3", optimizer.Options{}, 512},
+	{"select c.custkey from customer c where exists (select * from orders o where o.orderkey < c.custkey and o.totalprice > 100)", optimizer.Options{}, 512},
+	{"select totalprice from orders where orderkey <= 5 and absolute(custkey) > 0", optimizer.Options{RandFactor: 0.01}, 512},
+	{"select nationkey, count(*), min(name), max(custkey) from customer group by nationkey", optimizer.Options{}, 512},
+	{"select c.name, o.orderkey from customer c, orders o where c.custkey = o.custkey and o.totalprice > c.nationkey",
+		optimizer.Options{ForceJoinAlgo: "merge"}, 512},
+	{"select c.name, o.orderkey from customer c, orders o where c.custkey = o.custkey and o.totalprice > c.nationkey",
+		optimizer.Options{ForceJoinAlgo: "nl"}, 512},
+	{`select l.partkey, c.custkey, o.orderkey from customer c, orders o, lineitem l
+	  where c.custkey = o.custkey and o.orderkey = l.orderkey`, optimizer.Options{ForceJoinAlgo: "hash", WorkMemPages: 1}, 1},
+	{"select custkey, custkey from customer where nationkey < 10", optimizer.Options{}, 512},
+}
+
 func TestOwnershipContractOnForcedPlans(t *testing.T) {
 	cat, clock := testDB(t)
 	orders, _ := cat.Table("orders")
 	if _, err := cat.CreateIndex(orders, "orderkey"); err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		sql     string
-		opt     optimizer.Options
-		workMem int
-	}{
-		{`select c.custkey, o.orderkey, l.partkey from customer c, orders o, lineitem l
-		  where c.custkey = o.custkey and o.orderkey = l.orderkey`, optimizer.Options{WorkMemPages: 1}, 1},
-		{"select orderkey, partkey from lineitem order by partkey", optimizer.Options{WorkMemPages: 1}, 1},
-		{"select orderkey, totalprice from orders order by totalprice desc limit 3", optimizer.Options{}, 512},
-		{"select c.custkey from customer c where exists (select * from orders o where o.orderkey < c.custkey and o.totalprice > 100)", optimizer.Options{}, 512},
-		{"select totalprice from orders where orderkey <= 5 and absolute(custkey) > 0", optimizer.Options{RandFactor: 0.01}, 512},
-		{"select nationkey, count(*), min(name), max(custkey) from customer group by nationkey", optimizer.Options{}, 512},
-	} {
+	for _, tc := range forcedPlans {
 		stmt, err := sqlparser.Parse(tc.sql)
 		if err != nil {
 			t.Fatal(err)
@@ -135,6 +150,89 @@ func TestOwnershipContractOnForcedPlans(t *testing.T) {
 		if rows := execChecked(t, cat, clock, p, tc.workMem, nil); len(rows) == 0 {
 			t.Fatalf("%q returned no rows", tc.sql)
 		}
+	}
+}
+
+// A Project hands up its child's row without copying it, except over an
+// operator that keeps whole rows — HashAgg, Sort, Limit, Materialize or
+// SemiJoin, seen through any Filters — or when it repeats a column. That
+// holds for every Project of the benchmark's nine statements, spilling
+// and not, and of the forced plans, with a sink above the root and
+// without one.
+func TestProjectsDoNotCopy(t *testing.T) {
+	type built struct {
+		name    string
+		cat     *catalog.Catalog
+		clock   *vclock.Clock
+		p       plan.Node
+		workMem int
+	}
+	var plans []built
+	plan1 := func(cat *catalog.Catalog, sql string, opt optimizer.Options) plan.Node {
+		stmt, err := sqlparser.Parse(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := optimizer.Plan(cat, stmt, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	sweep := newUnwindSweep(t)
+	for _, st := range unwindStatements[:9] {
+		for _, wm := range unwindWorkMem {
+			p := plan1(sweep.cat, st.sql, optimizer.Options{WorkMemPages: wm})
+			plans = append(plans, built{st.name, sweep.cat, sweep.clock, p, wm})
+		}
+	}
+	cat, clock := testDB(t)
+	for _, tc := range forcedPlans {
+		plans = append(plans, built{tc.sql, cat, clock, plan1(cat, tc.sql, tc.opt), tc.workMem})
+	}
+
+	inPlace, copying := 0, 0
+	for _, b := range plans {
+		for _, lay := range [][]int{nil, noColumns[:b.p.Schema().Arity()]} {
+			var projects []*projectIter
+			env := &Env{Pool: b.cat.Pool(), Clock: b.clock, WorkMemPages: b.workMem,
+				Decomp: segment.Decompose(b.p, b.workMem)}
+			env.wrap = func(it Iterator) Iterator {
+				if p, ok := it.(*projectIter); ok {
+					projects = append(projects, p)
+				}
+				return it
+			}
+			if _, err := build(b.p, env, lay); err != nil {
+				t.Fatalf("%s: %v", b.name, err)
+			}
+			for _, p := range projects {
+				under := p.node.Child
+				for f, ok := under.(*plan.Filter); ok; f, ok = under.(*plan.Filter) {
+					under = f.Child
+				}
+				var whole bool
+				switch under.(type) {
+				case *plan.HashAgg, *plan.Sort, *plan.Limit, *plan.Materialize, *plan.SemiJoin:
+					whole = true
+				}
+				cols := slices.Clone(p.node.Cols)
+				slices.Sort(cols)
+				repeats := len(slices.Compact(cols)) != len(p.node.Cols)
+				if copies := p.src != nil; copies != (whole || repeats) {
+					t.Fatalf("%s (sink=%v): %s over %s copies=%v, want %v\n%s",
+						b.name, lay == nil, p.node.Label(), under.Label(), copies, whole || repeats, plan.Format(b.p))
+				}
+				if p.src == nil {
+					inPlace++
+				} else {
+					copying++
+				}
+			}
+		}
+	}
+	if inPlace == 0 || copying == 0 {
+		t.Fatalf("saw %d in-place and %d copying Projects: the check covers nothing", inPlace, copying)
 	}
 }
 
@@ -163,61 +261,178 @@ func TestPoisonIterCatchesAKeptRow(t *testing.T) {
 	}
 }
 
-// EXPLAIN ANALYZE's Rows/Bytes do not change with pruning: a pruned scan
-// and the filter above it report the encoded size of the records read,
-// not of the slot with its pruned columns zeroed.
-func TestNodeStatsBytesOfPrunedScan(t *testing.T) {
-	cat, clock := testDB(t)
-	stmt, _ := sqlparser.Parse("select custkey from customer where nationkey < 10")
-	p, err := optimizer.Plan(cat, stmt, optimizer.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	proj := p.(*plan.Project)
-	filter := proj.Child.(*plan.Filter)
-	scan := filter.Child.(*plan.SeqScan)
+// nodeCount is one node's expected EXPLAIN ANALYZE actuals.
+type nodeCount struct {
+	rows  int64
+	bytes float64
+}
 
-	var scanBytes, filterBytes float64
-	var scanRows, filterRows int64
-	sc := scan.Table.Heap.NewScanner()
-	for {
-		rec, _, ok := sc.Next()
-		if !ok {
-			break
+// wholeRows evaluates n the way the plan defines it — whole decoded rows,
+// joins as concatenations, no layouts and no slots — and records every
+// node's row count and encoded bytes in want.
+func wholeRows(t *testing.T, n plan.Node, want map[plan.Node]nodeCount) []tuple.Tuple {
+	t.Helper()
+	var rows []tuple.Tuple
+	pass := func(pred expr.Expr, row tuple.Tuple) bool {
+		if pred == nil {
+			return true
 		}
-		row, err := tuple.Decode(rec, 3)
+		ok, err := expr.EvalBool(pred, row)
 		if err != nil {
 			t.Fatal(err)
 		}
-		scanRows++
-		scanBytes += float64(len(rec))
-		if row[1].I < 10 {
-			filterRows++
-			filterBytes += float64(len(rec))
+		return ok
+	}
+	// join pairs every l with every r whose keys are equal (lk < 0: every
+	// r) and keeps the concatenations pred passes.
+	join := func(l, r []tuple.Tuple, lk, rk int, pred expr.Expr) {
+		byKey := map[tuple.Value][]tuple.Tuple{}
+		for _, b := range r {
+			var k tuple.Value
+			if rk >= 0 {
+				k = b[rk].Canonical()
+			}
+			byKey[k] = append(byKey[k], b)
+		}
+		for _, a := range l {
+			var k tuple.Value
+			if lk >= 0 {
+				k = a[lk].Canonical()
+			}
+			for _, b := range byKey[k] {
+				if row := a.Concat(b); pass(pred, row) {
+					rows = append(rows, row)
+				}
+			}
 		}
 	}
-
-	for _, poisoned := range []bool{false, true} {
-		env := &Env{Pool: cat.Pool(), Clock: clock, WorkMemPages: 512,
-			Decomp: segment.Decompose(p, 512), Collect: NewCollector(clock)}
-		if poisoned {
-			env.wrap = func(it Iterator) Iterator { return &poisonIter{inner: it} }
+	switch n := n.(type) {
+	case *plan.SeqScan:
+		sc := n.Table.Heap.NewScanner()
+		for {
+			rec, _, ok := sc.Next()
+			if !ok {
+				break
+			}
+			row, err := tuple.Decode(rec, n.Table.Schema.Arity())
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows = append(rows, row)
 		}
-		if _, err := Run(env, p, nil); err != nil {
+	case *plan.Filter:
+		for _, r := range wholeRows(t, n.Child, want) {
+			if pass(n.Pred, r) {
+				rows = append(rows, r)
+			}
+		}
+	case *plan.Project:
+		for _, r := range wholeRows(t, n.Child, want) {
+			out := make(tuple.Tuple, len(n.Cols))
+			for j, c := range n.Cols {
+				out[j] = r[c]
+			}
+			rows = append(rows, out)
+		}
+	case *plan.Sort, *plan.Materialize, *plan.Partition:
+		rows = wholeRows(t, n.Children()[0], want)
+	case *plan.HashJoin:
+		join(wholeRows(t, n.Build, want), wholeRows(t, n.Probe, want), n.BuildKey, n.ProbeKey, n.ExtraPred)
+	case *plan.MergeJoin:
+		join(wholeRows(t, n.Left, want), wholeRows(t, n.Right, want), n.LeftKey, n.RightKey, n.ExtraPred)
+	case *plan.NLJoin:
+		join(wholeRows(t, n.Outer, want), wholeRows(t, n.Inner, want), -1, -1, n.Pred)
+	default:
+		t.Fatalf("wholeRows: no reference for %s", n.Label())
+	}
+	c := nodeCount{rows: int64(len(rows))}
+	for _, r := range rows {
+		c.bytes += float64(r.EncodedSize())
+	}
+	want[n] = c
+	return rows
+}
+
+// EXPLAIN ANALYZE's Rows/Bytes do not depend on layouts: a pruned scan,
+// a Filter whose column is not projected, every join kind writing only
+// what its Project reads (with and without a join predicate to add) and
+// stacked Projects report, at every node, what whole rows would. Each
+// plan runs with a sink and without (the root placing no columns), and
+// with and without poisoned rows.
+func TestNodeStatsBytesOfPrunedScan(t *testing.T) {
+	cat, clock := testDB(t)
+	const (
+		co      = "select c.name, o.orderkey from customer c, orders o where c.custkey = o.custkey"
+		coExtra = co + " and o.totalprice > c.nationkey"
+		ol      = "select o.totalprice, l.quantity from orders o, lineitem l where o.orderkey = l.orderkey"
+		olExtra = ol + " and o.totalprice > l.partkey"
+		col     = `select l.partkey, c.custkey, o.orderkey from customer c, orders o, lineitem l
+		           where c.custkey = o.custkey and o.orderkey = l.orderkey`
+	)
+	for _, tc := range []struct {
+		sql     string
+		algo    string
+		workMem int
+		join    string // the label's first word of the join under the top Project, "" for none
+		extra   bool   // that join has a predicate beyond its equijoin key
+	}{
+		{"select custkey from customer where nationkey < 10", "", 512, "", false},
+		{co, "hash", 512, "HashJoin", false},
+		{coExtra, "hash", 512, "HashJoin", true},
+		{ol, "hash", 1, "GraceHashJoin", false},
+		{olExtra, "hash", 1, "GraceHashJoin", true},
+		{co, "merge", 512, "MergeJoin", false},
+		{coExtra, "merge", 512, "MergeJoin", true},
+		{co, "nl", 512, "NestedLoopJoin", false},
+		{coExtra, "nl", 512, "NestedLoopJoin", true},
+		{col, "hash", 512, "HashJoin", false},
+		{col, "hash", 1, "GraceHashJoin", false},
+	} {
+		stmt, err := sqlparser.Parse(tc.sql)
+		if err != nil {
 			t.Fatal(err)
 		}
-		for _, want := range []struct {
-			n     plan.Node
-			rows  int64
-			bytes float64
-		}{
-			{scan, scanRows, scanBytes},
-			{filter, filterRows, filterBytes},
-			{proj, filterRows, 9 * float64(filterRows)},
-		} {
-			st := env.Collect.Get(want.n)
-			if st == nil || st.Rows != want.rows || st.Bytes != want.bytes {
-				t.Fatalf("poisoned=%v %s: stats %+v, want rows=%d bytes=%g", poisoned, want.n.Label(), st, want.rows, want.bytes)
+		p, err := optimizer.Plan(cat, stmt, optimizer.Options{ForceJoinAlgo: tc.algo, WorkMemPages: tc.workMem})
+		if err != nil {
+			t.Fatal(err)
+		}
+		j := p.(*plan.Project).Child
+		for q, ok := j.(*plan.Project); ok; q, ok = j.(*plan.Project) {
+			j = q.Child
+		}
+		var extra bool
+		switch j := j.(type) {
+		case *plan.HashJoin:
+			extra = j.ExtraPred != nil
+		case *plan.MergeJoin:
+			extra = j.ExtraPred != nil
+		case *plan.NLJoin:
+			extra = len(expr.Conjuncts(j.Pred)) > 1
+		}
+		if tc.join != "" && (strings.Fields(j.Label())[0] != tc.join || extra != tc.extra) {
+			t.Fatalf("%q: top join is %s (extra predicate %v), want %s (%v)\n%s",
+				tc.sql, j.Label(), extra, tc.join, tc.extra, plan.Format(p))
+		}
+
+		want := map[plan.Node]nodeCount{}
+		wholeRows(t, p, want)
+		for _, poisoned := range []bool{false, true} {
+			for _, sink := range []func(tuple.Tuple) error{nil, func(tuple.Tuple) error { return nil }} {
+				env := &Env{Pool: cat.Pool(), Clock: clock, WorkMemPages: tc.workMem,
+					Decomp: segment.Decompose(p, tc.workMem), Collect: NewCollector(clock)}
+				if poisoned {
+					env.wrap = func(it Iterator) Iterator { return &poisonIter{inner: it} }
+				}
+				if _, err := Run(env, p, sink); err != nil {
+					t.Fatal(err)
+				}
+				for n, w := range want {
+					st := env.Collect.Get(n)
+					if st == nil || st.Rows != w.rows || st.Bytes != w.bytes {
+						t.Fatalf("%q poisoned=%v sink=%v %s: stats %+v, want rows=%d bytes=%g\n%s",
+							tc.sql, poisoned, sink != nil, n.Label(), st, w.rows, w.bytes, plan.Format(p))
+					}
+				}
 			}
 		}
 	}

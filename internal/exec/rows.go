@@ -1,16 +1,24 @@
 package exec
 
-import "progressdb/internal/tuple"
+import (
+	"slices"
 
-// Row ownership: the tuple an Iterator's Next returns belongs to the
-// operator that produced it and is valid only until that operator's next
-// Next or Close. Scans decode into one reused slot, project and the joins
-// write into one output slot, pass-through operators hand on their
-// child's. An operator that keeps a row past that point copies it into
-// its rowSlab (or rowTable), which lives until the operator's Close. A
-// consumer never writes to a row it was handed: between two Nexts the
-// slot is still the producer's, and nlJoin counts on the outer half of
-// its slot staying as it wrote it.
+	"progressdb/internal/expr"
+	"progressdb/internal/plan"
+	"progressdb/internal/tuple"
+)
+
+// Row ownership: the tuple an Iterator's Next returns is valid only until
+// that Iterator's next Next or Close, and belongs to the operator that
+// wrote it. Scans decode into one reused slot and joins gather into one
+// output row, each in the layout its parent asked for (below). Filter,
+// Limit and a Project hand on their child's row; a Project copies into a
+// row of its own only over an operator that keeps whole rows, or for a
+// repeated column. An operator that keeps a row past that point copies it
+// into its rowSlab (or rowTable), which lives until the operator's Close.
+// A consumer never writes to a row it was handed: between two Nexts the
+// row is still its writer's, and nlJoin counts on the outer part of its
+// row staying as it wrote it.
 
 // Slab chunks start small, so a ten-row index lookup does not pay for a
 // big one, and double up to slabMaxChunk values.
@@ -59,11 +67,138 @@ func (s *rowSlab) reset() {
 	}
 }
 
-// joinRow writes the concatenation a‖b — a join's output row — into dst's
-// backing array and returns it.
-func joinRow(dst, a, b tuple.Tuple) tuple.Tuple {
-	return append(append(dst[:0], a...), b...)
+// A layout is where an operator writes the row it hands to its parent:
+// lay[i] is the slot of the operator's column i, or -1 when nothing above
+// reads that column, and the slots it names are 0..n-1 for some n. A nil
+// layout is the whole row in schema order. A Project passes its columns
+// down as the first slots, in its own order; a Filter or join predicate
+// adds the columns it reads after them (addPred). Scans decode into the
+// layout and joins gather into it (joinOut); the operators that keep
+// whole rows take no layout (writesLayout).
+
+// noColumns backs the layout of a root whose rows nobody reads. It is
+// only ever read: addPred copies a layout before adding to it.
+var noColumns = unplaced(64)
+
+// unplaced returns a layout of n columns that places none of them.
+func unplaced(n int) []int {
+	lay := make([]int, n)
+	for i := range lay {
+		lay[i] = -1
+	}
+	return lay
 }
+
+// width is the length of the row lay describes.
+func width(lay []int) int {
+	n := 0
+	for _, s := range lay {
+		n = max(n, s+1)
+	}
+	return n
+}
+
+// writesLayout reports whether n's operator writes its row in the layout
+// its parent passes. The others — HashAgg, Sort, Limit, Materialize and
+// SemiJoin — hand up whole rows, so they are built with a nil layout.
+func writesLayout(n plan.Node) bool {
+	switch n := n.(type) {
+	case *plan.SeqScan, *plan.IndexScan, *plan.Project, *plan.HashJoin, *plan.NLJoin, *plan.MergeJoin:
+		return true
+	case *plan.Filter:
+		return writesLayout(n.Child)
+	}
+	return false
+}
+
+// addPred returns lay with every column pred reads and lay leaves out
+// given the next free slot, and pred remapped onto that layout. A nil
+// lay — the whole row — and a nil pred come back unchanged.
+func addPred(lay []int, pred expr.Expr) ([]int, expr.Expr, error) {
+	if lay == nil || pred == nil {
+		return lay, pred, nil
+	}
+	lay = slices.Clone(lay)
+	next := width(lay)
+	slot := make(map[int]int)
+	for _, c := range expr.ColumnsUsed(pred) {
+		if lay[c] < 0 {
+			lay[c] = next
+			next++
+		}
+		slot[c] = lay[c]
+	}
+	pred, err := expr.Remap(pred, slot)
+	return lay, pred, err
+}
+
+// colMove copies column from of a join input to slot to of the output.
+type colMove struct{ from, to int }
+
+// joinOut is a join's output row, written in its parent's layout: each
+// input's columns go straight from that input's row to their slots, and
+// a column nothing reads is not written. It remembers the two input rows
+// it last wrote from, so the size it reports is theirs (rowSizer) however
+// little of them the layout keeps.
+type joinOut struct {
+	lmoves, rmoves []colMove
+	row            tuple.Tuple
+	l, r           tuple.Tuple
+	// pred is the join predicate compiled over the layout, nil if none;
+	// predCost is its cost-model price, priced on the original.
+	pred     func(tuple.Tuple) (bool, error)
+	predCost int64
+}
+
+// newJoinOut lays out the row of a join whose inputs have nl and nr
+// columns, for a parent asking for lay and a predicate over the
+// concatenated (left ++ right) row.
+func newJoinOut(lay []int, nl, nr int, pred expr.Expr) (joinOut, error) {
+	lay, laid, err := addPred(lay, pred)
+	if err != nil {
+		return joinOut{}, err
+	}
+	o := joinOut{pred: expr.CompilePred(laid), predCost: exprCost(pred)}
+	w := nl + nr
+	if lay != nil {
+		w = width(lay)
+	}
+	for c := 0; c < nl+nr; c++ {
+		to := c
+		if lay != nil {
+			to = lay[c]
+		}
+		switch {
+		case to < 0:
+		case c < nl:
+			o.lmoves = append(o.lmoves, colMove{c, to})
+		default:
+			o.rmoves = append(o.rmoves, colMove{c - nl, to})
+		}
+	}
+	o.row = make(tuple.Tuple, w)
+	return o, nil
+}
+
+// setLeft writes the left input's part of the row from t.
+func (o *joinOut) setLeft(t tuple.Tuple) {
+	o.l = t
+	for _, m := range o.lmoves {
+		o.row[m.to] = t[m.from]
+	}
+}
+
+// setRight writes the right input's part of the row from t.
+func (o *joinOut) setRight(t tuple.Tuple) {
+	o.r = t
+	for _, m := range o.rmoves {
+		o.row[m.to] = t[m.from]
+	}
+}
+
+// lastRowBytes is the encoded size of the whole pair the row was last
+// written from: the join's output row as its schema defines it.
+func (o *joinOut) lastRowBytes() int { return o.l.EncodedSize() + o.r.EncodedSize() }
 
 // rowTable is the executor's one hash table of retained rows, shared by
 // the hash, Grace and semi joins. Rows with equal keys are chained

@@ -20,18 +20,26 @@ type seqScan struct {
 	done bool
 }
 
-// scanSlot is the reused row a base-table scan decodes into. need is the
-// set of columns the plan reads above the scan (nil = all); the others
-// stay zero Values. recLen is the encoded size of the record last
-// decoded — the size of the row the slot stands for, pruned or not.
+// scanSlot is the reused row a base-table scan decodes into, in the
+// layout lay its parent reads (nil: the whole row). recLen is the encoded
+// size of the record last decoded — the size of the row the slot stands
+// for, however few of its columns the layout keeps.
 type scanSlot struct {
-	need   []bool
+	lay    []int
 	slot   tuple.Tuple
 	recLen int
 }
 
+func newScanSlot(lay []int) scanSlot {
+	s := scanSlot{lay: lay}
+	if lay != nil {
+		s.slot = make(tuple.Tuple, width(lay))
+	}
+	return s
+}
+
 func (s *scanSlot) decode(rec []byte, arity int) (tuple.Tuple, error) {
-	row, err := tuple.DecodeInto(s.slot, rec, arity, s.need)
+	row, err := tuple.DecodeInto(s.slot, rec, arity, s.lay)
 	if err != nil {
 		return nil, err
 	}

@@ -13,18 +13,19 @@ import (
 // drain terminates the subquery's segment; the outer is this segment's
 // dominant input.
 type semiJoin struct {
-	node     *plan.SemiJoin
-	env      *Env
-	tag      segment.NodeInfo
-	outer    Iterator
-	inner    Iterator
-	pred     func(tuple.Tuple) (bool, error) // node.ExtraPred compiled, nil if none
-	predCost int64
+	node  *plan.SemiJoin
+	env   *Env
+	tag   segment.NodeInfo
+	outer Iterator
+	inner Iterator
 
 	table rowTable      // keyed path
 	slab  rowSlab       // keyless (pure NL) path: cache's rows
 	cache []tuple.Tuple // keyless path
-	pair  tuple.Tuple   // reused outer×inner row for ExtraPred
+	// pair is the outer×inner row ExtraPred reads, holding only the
+	// columns it reads. A field, not embedded: the semi join's own row is
+	// the outer's, and its size is that row's.
+	pair joinOut
 }
 
 func (j *semiJoin) Open() error {
@@ -116,9 +117,10 @@ func (j *semiJoin) matches(outer tuple.Tuple) (bool, error) {
 
 // passes evaluates ExtraPred over outer×inner.
 func (j *semiJoin) passes(outer, inner tuple.Tuple) (bool, error) {
-	j.env.Clock.ChargeCPU(j.predCost)
-	j.pair = joinRow(j.pair, outer, inner)
-	return j.pred(j.pair)
+	j.env.Clock.ChargeCPU(j.pair.predCost)
+	j.pair.setLeft(outer)
+	j.pair.setRight(inner)
+	return j.pair.pred(j.pair.row)
 }
 
 func (j *semiJoin) Close() error {

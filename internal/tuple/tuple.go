@@ -237,49 +237,54 @@ func Decode(rec []byte, arity int) (Tuple, error) {
 	return DecodeInto(nil, rec, arity, nil)
 }
 
-// DecodeInto parses a tuple with the given arity from rec into dst's
-// backing array (allocating only when dst is too small) and returns it.
-// need selects the columns to materialise: need[i] false leaves column i
-// as the zero Value, so a pruned string column costs no allocation. A nil
-// need means every column. Skipped fields are still validated — every
-// tag and length is checked exactly as for a materialised one.
+// DecodeInto parses a record of arity fields into dst and returns the
+// row. A nil pos means the whole row: dst's backing array is reused
+// (allocated only when too small) and field i lands in column i. Otherwise
+// pos is a layout with one entry per field: field i is written to
+// dst[pos[i]], or nowhere when pos[i] is -1, and dst — which must be long
+// enough for every slot pos names — is returned as it is. A slot pos does
+// not name is never written, so a pruned string costs nothing and a
+// column nobody reads costs no store. Skipped fields are still validated:
+// every tag and length is checked exactly as for a written one.
 //
-// A String column whose bytes equal the String dst already holds for it
+// A String field whose bytes equal the String its slot already holds
 // keeps that value instead of making the same string again: a column
 // that repeats down a table (lineitem's linestatus pad) then costs one
 // allocation per run of equal values, not one per row. Strings are
 // immutable and equal ones indistinguishable, so no caller can tell.
-func DecodeInto(dst Tuple, rec []byte, arity int, need []bool) (Tuple, error) {
-	if dst == nil || cap(dst) < arity {
-		dst = make(Tuple, arity)
+func DecodeInto(dst Tuple, rec []byte, arity int, pos []int) (Tuple, error) {
+	if pos == nil {
+		if dst == nil || cap(dst) < arity {
+			dst = make(Tuple, arity)
+		}
+		dst = dst[:arity]
 	}
-	dst = dst[:arity]
 	off := 0
-	for i := range dst {
+	for i := 0; i < arity; i++ {
 		if off >= len(rec) {
 			return nil, fmt.Errorf("tuple: truncated record at field %d", i)
 		}
 		kind := Type(rec[off])
 		off++
-		keep := need == nil || need[i]
-		if !keep {
-			dst[i] = Value{}
+		at := i
+		if pos != nil {
+			at = pos[i]
 		}
 		switch kind {
 		case Int:
 			if off+8 > len(rec) {
 				return nil, fmt.Errorf("tuple: truncated int at field %d", i)
 			}
-			if keep {
-				dst[i] = NewInt(int64(binary.LittleEndian.Uint64(rec[off:])))
+			if at >= 0 {
+				dst[at] = NewInt(int64(binary.LittleEndian.Uint64(rec[off:])))
 			}
 			off += 8
 		case Float:
 			if off+8 > len(rec) {
 				return nil, fmt.Errorf("tuple: truncated float at field %d", i)
 			}
-			if keep {
-				dst[i] = Value{Kind: Float, I: int64(binary.LittleEndian.Uint64(rec[off:]))}
+			if at >= 0 {
+				dst[at] = Value{Kind: Float, I: int64(binary.LittleEndian.Uint64(rec[off:]))}
 			}
 			off += 8
 		case String:
@@ -292,8 +297,10 @@ func DecodeInto(dst Tuple, rec []byte, arity int, need []bool) (Tuple, error) {
 				return nil, fmt.Errorf("tuple: truncated string at field %d", i)
 			}
 			// The comparison converts without allocating.
-			if p := &dst[i]; keep && (p.Kind != String || p.S != string(rec[off:off+l])) {
-				*p = NewString(string(rec[off : off+l]))
+			if at >= 0 {
+				if p := &dst[at]; p.Kind != String || p.S != string(rec[off:off+l]) {
+					*p = NewString(string(rec[off : off+l]))
+				}
 			}
 			off += l
 		default:

@@ -227,39 +227,110 @@ func randTuple(rng *rand.Rand) Tuple {
 	return t
 }
 
-// checkDecodeInto holds DecodeInto to Decode on one record: same error
-// text whatever is pruned or reused; on success the needed columns equal
-// Decode's and the pruned ones are zero Values. It returns the slot for
-// the next decode of a sequence: the decoded tuple, or dst with whatever a
-// failed decode left in it.
-func checkDecodeInto(t *testing.T, rec []byte, arity int, need []bool, dst Tuple) Tuple {
+// checkDecodeInto holds DecodeInto to Decode on one record, decoded
+// into dst under layout pos (nil: the whole row):
+//   - the error text is Decode's, whatever the layout or dst held;
+//   - on success every field pos keeps equals Decode's at its slot;
+//   - a slot pos does not name is untouched, on success and on error;
+//   - a kept String equal to what its slot held keeps that string's
+//     bytes rather than allocating them again.
+//
+// It returns the slot for the next decode of a sequence: the decoded
+// tuple, or dst with whatever a failed decode left in it.
+func checkDecodeInto(t *testing.T, rec []byte, arity int, pos []int, dst Tuple) Tuple {
 	t.Helper()
 	want, wantErr := Decode(rec, arity)
-	got, err := DecodeInto(dst, rec, arity, need)
+	var before Tuple // what the slots DecodeInto writes held
+	switch {
+	case pos != nil:
+		before = dst.Clone()
+	case cap(dst) >= arity:
+		before = dst[:arity].Clone()
+	}
+	got, err := DecodeInto(dst, rec, arity, pos)
 	if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
-		t.Fatalf("DecodeInto(need=%v) err = %v, Decode err = %v", need, err, wantErr)
+		t.Fatalf("DecodeInto(pos=%v) err = %v, Decode err = %v", pos, err, wantErr)
+	}
+	slot := func(i int) int { return i }
+	if pos != nil {
+		slot = func(i int) int { return pos[i] }
+		named := make([]bool, len(dst))
+		for _, s := range pos {
+			if s >= 0 {
+				named[s] = true
+			}
+		}
+		for s := range dst {
+			if !named[s] && dst[s] != before[s] {
+				t.Fatalf("DecodeInto(pos=%v) wrote slot %d outside the layout: %#v, was %#v", pos, s, dst[s], before[s])
+			}
+		}
 	}
 	if err != nil {
 		return dst
 	}
-	if len(got) != arity {
+	if pos == nil && len(got) != arity {
 		t.Fatalf("DecodeInto arity = %d, want %d", len(got), arity)
 	}
-	for i := range got {
-		w := want[i]
-		if need != nil && !need[i] {
-			w = Value{}
+	if pos != nil && len(got) != len(dst) {
+		t.Fatalf("DecodeInto(pos=%v) returned %d slots, dst has %d", pos, len(got), len(dst))
+	}
+	for i, w := range want {
+		s := slot(i)
+		if s < 0 {
+			continue
 		}
-		if got[i] != w {
-			t.Fatalf("DecodeInto(need=%v) col %d = %#v, want %#v", need, i, got[i], w)
+		if got[s] != w {
+			t.Fatalf("DecodeInto(pos=%v) field %d at slot %d = %#v, want %#v", pos, i, s, got[s], w)
+		}
+		if b := before; b != nil && w.Kind == String && w.S != "" && b[s].Kind == String && b[s].S == w.S &&
+			unsafe.StringData(got[s].S) != unsafe.StringData(b[s].S) {
+			t.Fatalf("DecodeInto(pos=%v) field %d: equal string %q at slot %d allocated again", pos, i, w.S, s)
 		}
 	}
 	return got
 }
 
+// randLayout draws a layout of arity fields: a random subset of them at a
+// random permutation of the slots 0..n-1.
+func randLayout(rng *rand.Rand, arity int) []int {
+	return layoutOf(arity, uint16(rng.Intn(1<<16)), rng.Int63())
+}
+
+// layoutOf keeps the fields mask selects and gives them the slots of a
+// permutation drawn from shuffle.
+func layoutOf(arity int, mask uint16, shuffle int64) []int {
+	pos := make([]int, arity)
+	n := 0
+	for i := range pos {
+		pos[i] = -1
+		if mask&(1<<i) != 0 {
+			pos[i] = n
+			n++
+		}
+	}
+	perm := rand.New(rand.NewSource(shuffle)).Perm(n)
+	for i, s := range pos {
+		if s >= 0 {
+			pos[i] = perm[s]
+		}
+	}
+	return pos
+}
+
+// layoutSlot returns a slot for decodes of arity fields under any
+// layout: arity slots plus two more, all holding a value no decode
+// writes, so a stray store shows.
+func layoutSlot(arity int) Tuple {
+	slot := make(Tuple, arity+2)
+	for i := range slot {
+		slot[i] = NewString("untouched")
+	}
+	return slot
+}
+
 func TestDecodeIntoMatchesDecode(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	slot := make(Tuple, 12) // reused across iterations, stale contents and all
 	for trial := 0; trial < 300; trial++ {
 		in := randTuple(rng)
 		rec := in.Encode(nil)
@@ -270,16 +341,15 @@ func TestDecodeIntoMatchesDecode(t *testing.T) {
 		if want, _ := Decode(rec, len(in)); !reflect.DeepEqual(fresh, want) {
 			t.Fatalf("DecodeInto(nil, …, nil) = %v, Decode = %v", fresh, want)
 		}
-		need := make([]bool, len(in))
-		for i := range need {
-			need[i] = rng.Intn(2) == 0
-		}
-		checkDecodeInto(t, rec, len(in), need, slot)
+		pos := randLayout(rng, len(in))
+		slot := layoutSlot(len(in))
+		checkDecodeInto(t, rec, len(in), pos, slot)
 		// Skipped fields are validated all the same: truncate and corrupt
-		// with every column pruned.
-		none := make([]bool, len(in))
+		// with no field kept.
+		none := layoutOf(len(in), 0, 0)
 		for cut := 0; cut < len(rec); cut++ {
 			checkDecodeInto(t, rec[:cut], len(in), none, slot)
+			checkDecodeInto(t, rec[:cut], len(in), pos, slot)
 		}
 		if len(rec) > 0 {
 			bad := append([]byte{}, rec...)
@@ -289,57 +359,49 @@ func TestDecodeIntoMatchesDecode(t *testing.T) {
 	}
 }
 
-// A large-enough dst is reused, and pruned strings cost nothing.
+// A layout's slot is reused as it is, and pruned strings cost nothing.
 func TestDecodeIntoReusesSlot(t *testing.T) {
 	rec := Tuple{NewInt(1), NewString("pruned away"), NewFloat(2)}.Encode(nil)
-	slot := make(Tuple, 3)
-	need := []bool{true, false, true}
+	slot := make(Tuple, 2)
+	pos := []int{1, -1, 0}
 	if n := testing.AllocsPerRun(100, func() {
-		if _, err := DecodeInto(slot, rec, 3, need); err != nil {
+		if _, err := DecodeInto(slot, rec, 3, pos); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
 		t.Fatalf("DecodeInto into a reused slot allocated %v times per call", n)
 	}
-	if slot[0].I != 1 || slot[1] != (Value{}) || slot[2].F() != 2 {
+	if slot[1].I != 1 || slot[0].F() != 2 {
 		t.Fatalf("slot = %v", slot)
 	}
 }
 
-// FuzzDecodeInto feeds arbitrary records: pruning and slot reuse must
-// never change which records are rejected, or why.
+// FuzzDecodeInto feeds arbitrary records: the layout and what its slot
+// held must never change which records are rejected, or why.
 func FuzzDecodeInto(f *testing.F) {
-	f.Add(Tuple{NewInt(-1), NewString("abc"), NewFloat(2.5)}.Encode(nil), 3, uint16(0b010))
-	f.Add(Tuple{NewString(""), NewString("only")}.Encode(nil)[:7], 2, uint16(0))
-	f.Add([]byte{99, 0, 0}, 1, uint16(1))
-	f.Fuzz(func(t *testing.T, rec []byte, arity int, mask uint16) {
+	f.Add(Tuple{NewInt(-1), NewString("abc"), NewFloat(2.5)}.Encode(nil), 3, uint16(0b110), int64(1))
+	f.Add(Tuple{NewString(""), NewString("only")}.Encode(nil)[:7], 2, uint16(0), int64(0))
+	f.Add([]byte{99, 0, 0}, 1, uint16(1), int64(2))
+	f.Fuzz(func(t *testing.T, rec []byte, arity int, mask uint16, shuffle int64) {
 		if arity < 0 || arity > 16 {
 			return
 		}
-		checkDecodeInto(t, rec, arity, maskNeed(arity, mask), make(Tuple, 2))
+		pos := layoutOf(arity, mask, shuffle)
+		checkDecodeInto(t, rec, arity, pos, layoutSlot(arity))
 	})
-}
-
-// maskNeed expands a bit mask into a need set.
-func maskNeed(arity int, mask uint16) []bool {
-	need := make([]bool, arity)
-	for i := range need {
-		need[i] = mask&(1<<i) != 0
-	}
-	return need
 }
 
 // DecodeInto keeps the String a slot already holds when the record's
 // bytes equal it, so what a decode returns depends on what the slot held
-// before — which one decode into a zeroed slot never shows. Every decode
-// of a sequence into one slot must still equal Decode of the same record,
-// in value and in error text.
+// before — which one decode into a fresh slot never shows. Every decode
+// of a sequence into one slot, each under its own layout, must still
+// equal Decode of the same record, in value and in error text.
 func TestDecodeIntoSequence(t *testing.T) {
 	S, I, F := NewString, NewInt, NewFloat
 	enc := func(vs ...Value) []byte { return Tuple(vs).Encode(nil) }
 	type step struct {
-		rec  []byte
-		need []bool // nil: every column
+		rec []byte
+		pos []int // nil: the whole row
 	}
 	for _, tc := range []struct {
 		name  string
@@ -350,27 +412,35 @@ func TestDecodeIntoSequence(t *testing.T) {
 		{"same length, different bytes", 1, []step{{enc(S("abc")), nil}, {enc(S("abd")), nil}, {enc(S("abc")), nil}}},
 		{"prefix and extension", 1, []step{{enc(S("abc")), nil}, {enc(S("ab")), nil}, {enc(S("abcd")), nil}}},
 		{"empty strings", 2, []step{{enc(S(""), S("x")), nil}, {enc(S(""), S("")), nil}, {enc(S("y"), S("")), nil}}},
-		{"pruned, then needed", 2, []step{{enc(S("keep"), I(1)), nil}, {enc(S("keep"), I(2)), []bool{false, true}},
-			{enc(S("keep"), I(3)), nil}, {enc(S("other"), I(4)), []bool{false, false}}, {enc(S("keep"), I(5)), nil}}},
+		{"pruned, then needed", 2, []step{{enc(S("keep"), I(1)), nil}, {enc(S("keep"), I(2)), []int{-1, 1}},
+			{enc(S("keep"), I(3)), nil}, {enc(S("other"), I(4)), []int{-1, -1}}, {enc(S("keep"), I(5)), nil}}},
+		{"permuted, then moved back", 2, []step{{enc(S("a"), S("b")), nil}, {enc(S("a"), S("b")), []int{1, 0}},
+			{enc(S("b"), S("a")), []int{1, 0}}, {enc(S("b"), S("a")), nil}, {enc(I(1), S("b")), []int{-1, 0}}}},
 		{"slot held an Int, then a Float", 1, []step{{enc(I(7)), nil}, {enc(S("")), nil}, {enc(F(0)), nil}, {enc(S("")), nil}, {enc(S("s")), nil}}},
 		{"truncated after a good one", 2, []step{{enc(I(1), S("same")), nil}, {enc(I(2), S("same"))[:13], nil},
-			{enc(I(3), S("same")), nil}, {enc(S("same"), S("same"))[:9], nil}, {enc(S("same"), S("same")), nil}}},
-		{"bad tag after a good one", 2, []step{{enc(S("a"), S("b")), nil}, {append(enc(S("a")), 9, 0), nil}, {enc(S("a"), S("c")), nil}}},
+			{enc(I(3), S("same")), []int{1, 0}}, {enc(S("same"), S("same"))[:9], []int{0, 1}}, {enc(S("same"), S("same")), nil}}},
+		{"bad tag after a good one", 2, []step{{enc(S("a"), S("b")), nil}, {append(enc(S("a")), 9, 0), []int{-1, 0}}, {enc(S("a"), S("c")), nil}}},
 	} {
-		slot := make(Tuple, 0)
+		slot := make(Tuple, 0, tc.arity)
 		for _, st := range tc.steps {
-			slot = checkDecodeInto(t, st.rec, tc.arity, st.need, slot)
+			if st.pos != nil {
+				slot = slot[:tc.arity]
+			}
+			slot = checkDecodeInto(t, st.rec, tc.arity, st.pos, slot)
 		}
 	}
 
 	// Seeded sequences over a small pool of values, so equal neighbours,
-	// kind changes and equal-length strings all come up, with a random need
-	// set per decode and one record in eight cut short.
+	// kind changes and equal-length strings all come up, with a random
+	// layout — or none — per decode and one record in eight cut short.
 	pool := []Value{S(""), S("F"), S("O"), S("same pad"), S("same pax"), I(0), I(70), F(0), F(2.5)}
 	rng := rand.New(rand.NewSource(23))
 	for seq := 0; seq < 2000; seq++ {
 		arity := 1 + rng.Intn(4)
-		var slot Tuple
+		slot := make(Tuple, arity+2)
+		for i := range slot {
+			slot[i] = pool[rng.Intn(len(pool))]
+		}
 		for n := 2 + rng.Intn(6); n > 0; n-- {
 			row := make(Tuple, arity)
 			for i := range row {
@@ -380,11 +450,12 @@ func TestDecodeIntoSequence(t *testing.T) {
 			if rng.Intn(8) == 0 {
 				rec = rec[:rng.Intn(len(rec))]
 			}
-			var need []bool
+			var pos []int
 			if rng.Intn(3) > 0 {
-				need = maskNeed(arity, uint16(rng.Intn(16)))
+				pos = randLayout(rng, arity)
+				slot = slot[:arity+2]
 			}
-			slot = checkDecodeInto(t, rec, arity, need, slot)
+			slot = checkDecodeInto(t, rec, arity, pos, slot)
 		}
 	}
 
@@ -394,41 +465,46 @@ func TestDecodeIntoSequence(t *testing.T) {
 	constant := Tuple{NewInt(1), NewString("the same pad on every row")}.Encode(nil)
 	a := Tuple{NewInt(1), NewString("one value")}.Encode(nil)
 	b := Tuple{NewInt(1), NewString("the other")}.Encode(nil)
-	run := func(n int, recs ...[]byte) float64 {
+	run := func(n int, pos []int, recs ...[]byte) float64 {
 		return testing.AllocsPerRun(10, func() {
 			slot := make(Tuple, 2)
 			for i := 0; i < n; i++ {
 				var err error
-				if slot, err = DecodeInto(slot, recs[i%len(recs)], 2, nil); err != nil {
+				if slot, err = DecodeInto(slot, recs[i%len(recs)], 2, pos); err != nil {
 					t.Fatal(err)
 				}
 			}
 		})
 	}
-	if n100, n1000 := run(100, constant), run(1000, constant); n100 != n1000 || n1000 > 2 {
-		t.Fatalf("a run of equal strings allocated %v times over 100 rows, %v over 1000", n100, n1000)
-	}
-	if n := run(1000, a, b); n < 1000 {
-		t.Fatalf("alternating strings allocated %v times over 1000 rows: the slot kept a stale value?", n)
+	for _, pos := range [][]int{nil, {1, 0}, {-1, 0}} {
+		if n100, n1000 := run(100, pos, constant), run(1000, pos, constant); n100 != n1000 || n1000 > 2 {
+			t.Fatalf("pos=%v: a run of equal strings allocated %v times over 100 rows, %v over 1000", pos, n100, n1000)
+		}
+		if n := run(1000, pos, a, b); n < 1000 {
+			t.Fatalf("pos=%v: alternating strings allocated %v times over 1000 rows: the slot kept a stale value?", pos, n)
+		}
 	}
 }
 
 // FuzzDecodeSequence decodes two arbitrary records into one slot, each
-// under its own need set: what the first left behind — a string to reuse,
+// under its own layout: what the first left behind — a string to reuse,
 // another kind, a half-written slot — must never change what the second
 // returns or why it is rejected.
 func FuzzDecodeSequence(f *testing.F) {
 	same := Tuple{NewInt(1), NewString("pad")}.Encode(nil)
-	f.Add(same, same, 2, uint16(3), uint16(3))
-	f.Add(same, Tuple{NewInt(1), NewString("pax")}.Encode(nil), 2, uint16(3), uint16(2))
-	f.Add(same, same[:11], 2, uint16(1), uint16(3))
-	f.Add(Tuple{NewString(""), NewFloat(1)}.Encode(nil), Tuple{NewString(""), NewString("")}.Encode(nil), 2, uint16(0), uint16(3))
-	f.Fuzz(func(t *testing.T, rec1, rec2 []byte, arity int, mask1, mask2 uint16) {
+	f.Add(same, same, 2, uint16(3), uint16(3), int64(0))
+	f.Add(same, Tuple{NewInt(1), NewString("pax")}.Encode(nil), 2, uint16(3), uint16(2), int64(1))
+	f.Add(same, same[:11], 2, uint16(1), uint16(3), int64(2))
+	f.Add(Tuple{NewString(""), NewFloat(1)}.Encode(nil), Tuple{NewString(""), NewString("")}.Encode(nil), 2, uint16(0), uint16(3), int64(3))
+	f.Fuzz(func(t *testing.T, rec1, rec2 []byte, arity int, mask1, mask2 uint16, shuffle int64) {
 		if arity < 0 || arity > 16 {
 			return
 		}
-		slot := checkDecodeInto(t, rec1, arity, maskNeed(arity, mask1), nil)
-		slot = checkDecodeInto(t, rec2, arity, maskNeed(arity, mask2), slot)
-		checkDecodeInto(t, rec1, arity, nil, slot)
+		pos1, pos2 := layoutOf(arity, mask1, shuffle), layoutOf(arity, mask2, shuffle+1)
+		slot := layoutSlot(arity)
+		slot = checkDecodeInto(t, rec1, arity, pos1, slot)
+		slot = checkDecodeInto(t, rec2, arity, pos2, slot)
+		slot = checkDecodeInto(t, rec1, arity, nil, slot)
+		checkDecodeInto(t, rec2, arity, pos1, slot[:cap(slot)])
 	})
 }
