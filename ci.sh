@@ -1,7 +1,8 @@
 #!/bin/sh
 # ci.sh — the repo's check suite: formatting, vet, build (library +
 # every cmd binary, the bench module), the linter, a progressd
-# start/stop, a scripted pgsh session, race tests.
+# start/stop, a scripted pgsh session, the ledger through experiments,
+# race tests.
 # Run directly or via `make check`.
 set -eu
 
@@ -99,6 +100,17 @@ printf '%s\n' '\io 5 60 4' '\paper 2' 'explain analyze select * from lineitem' '
 for want in 'SQL name *Query 2' '(100% done)' 'SeqScan lineitem .*actual rows=12000' '^seg  *est U' '^engine_queries_total 2$'; do
 	grep -q -- "$want" "$pgout" || { echo "pgsh output lacks /$want/:" >&2; cat "$pgout" >&2; exit 1; }
 done
+echo "ok"
+
+echo "== experiments -only ledger =="
+# The third binary exercised through main(): flags into the session, the
+# -only lookup, the file write. The ledger it writes must equal the
+# committed one, and an unknown id must exit 2.
+"$bindir"/experiments -quiet -only ledger -outdir "$bindir" >/dev/null
+cmp "$bindir"/ledger.txt results/ledger.txt || { echo "experiments -only ledger differs from results/ledger.txt" >&2; exit 1; }
+rc=0
+"$bindir"/experiments -only nope -outdir "$bindir" 2>/dev/null || rc=$?
+[ "$rc" -eq 2 ] || { echo "experiments -only nope exited $rc, want 2" >&2; exit 1; }
 echo "ok"
 
 echo "== go test -cpu 1 (executor and root) =="

@@ -1,15 +1,17 @@
 // Command experiments regenerates every table and figure of the paper's
 // evaluation section: Table 1, Figures 4–7 (Q1), 9–16 (Q2 unloaded and
 // under I/O interference), 17 (Q3), 18 (Q4), 19–20 (Q5), plus the plan
-// golden (Q1–Q5's plans and segments under each join hint). Series are
+// golden (Q1–Q5's plans and segments under each join hint) and the
+// ledger (bench/'s twelve statements on its two engine configurations:
+// totals, storage counters, every segment and every refresh). Series are
 // written as CSV files and rendered as ASCII plots on stdout. Every
 // number is virtual, so a rerun at the committed scale and seed
 // rewrites results/ byte for byte (internal/harness's golden test
-// checks exactly that).
+// checks exactly that). An unknown -only id exits 2.
 //
 // Usage:
 //
-//	experiments [-scale 0.02] [-outdir results] [-only fig09] [-quiet]
+//	experiments [-scale 0.02] [-outdir results] [-only fig09|table1|plans|ledger] [-quiet]
 package main
 
 import (
@@ -30,7 +32,7 @@ func main() {
 	scale := flag.Float64("scale", 0.02, "workload scale (1.0 = the paper's Table 1)")
 	seed := flag.Int64("seed", 1, "data generator seed")
 	outdir := flag.String("outdir", "results", "directory for CSV output (empty = no CSV)")
-	only := flag.String("only", "", "run a single experiment id (table1, plans, or e.g. fig09)")
+	only := flag.String("only", "", "run a single experiment id (table1, plans, ledger, or e.g. fig09)")
 	quiet := flag.Bool("quiet", false, "skip ASCII plots")
 	flag.Parse()
 

@@ -13,6 +13,7 @@ import (
 	"progressdb/internal/sqlparser"
 	"progressdb/internal/tuple"
 	"progressdb/internal/vclock"
+	"progressdb/internal/workload"
 )
 
 // poisonIter enforces the row-ownership contract from the consumer's
@@ -180,7 +181,7 @@ func TestProjectsDoNotCopy(t *testing.T) {
 		return p
 	}
 	sweep := newUnwindSweep(t)
-	for _, st := range unwindStatements[:9] {
+	for _, st := range unwindStatements[:workload.Mix9] {
 		for _, wm := range unwindWorkMem {
 			p := plan1(sweep.cat, st.sql, optimizer.Options{WorkMemPages: wm})
 			plans = append(plans, built{st.name, sweep.cat, sweep.clock, p, wm})

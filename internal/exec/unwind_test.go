@@ -29,31 +29,20 @@ import (
 // run; those two are the backstop for a panic only, which skips every
 // Close.
 
-func paperQuery(n int) string {
-	sql, err := workload.QuerySQL(n)
-	if err != nil {
-		panic(err)
-	}
-	return sql
-}
+type unwindStatement struct{ name, sql, algo string }
 
-// unwindStatements are the benchmark's nine statements (the paper's
-// Q1–Q5, a sort, a small and a large aggregate, a semi-join), plus Q2
-// under merge joins, whose inputs are spilling sorts, and Q3 under
-// nested loops, whose inner is materialized.
-var unwindStatements = []struct{ name, sql, algo string }{
-	{"q1", paperQuery(1), ""},
-	{"q2", paperQuery(2), ""},
-	{"q3", paperQuery(3), ""},
-	{"q4", paperQuery(4), ""},
-	{"q5", paperQuery(5), ""},
-	{"sort", "select * from orders order by totalprice", ""},
-	{"agg_small", "select nationkey, count(*), sum(acctbal) from customer group by nationkey order by nationkey", ""},
-	{"agg_large", "select orderkey, count(*), sum(extendedprice) from lineitem group by orderkey", ""},
-	{"semi", "select * from customer c where exists (select * from orders o where o.custkey = c.custkey and o.totalprice > 1000)", ""},
-	{"q2 merge", paperQuery(2), "merge"},
-	{"q3 nl", paperQuery(3), "nl"},
-}
+// unwindStatements are the benchmark's nine analytic statements (the
+// paper's Q1–Q5, a sort, a small and a large aggregate, a semi-join),
+// plus Q2 under merge joins, whose inputs are spilling sorts, and Q3
+// under nested loops, whose inner is materialized.
+var unwindStatements = func() []unwindStatement {
+	var out []unwindStatement
+	for _, st := range workload.BenchStatements[:workload.Mix9] {
+		out = append(out, unwindStatement{st.Name, st.SQL, ""})
+	}
+	q2, q3 := out[1].sql, out[2].sql
+	return append(out, unwindStatement{"q2 merge", q2, "merge"}, unwindStatement{"q3 nl", q3, "nl"})
+}()
 
 // unwindWorkMem spills every blocking operator that can spill (2 pages)
 // and none of them (2048).

@@ -253,17 +253,18 @@ func ExperimentByID(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// Table1ID and PlansID name the two artefacts of results/ that are not
-// figures.
+// Table1ID, PlansID and LedgerID name the three artefacts of results/
+// that are not figures.
 const (
 	Table1ID = "table1"
 	PlansID  = "plans"
+	LedgerID = "ledger"
 )
 
 // IDs lists every artefact of results/ in the order cmd/experiments
-// writes them: Table 1, the plan golden, then the figures.
+// writes them: Table 1, the plan golden, the ledger, then the figures.
 func IDs() []string {
-	ids := []string{Table1ID, PlansID}
+	ids := []string{Table1ID, PlansID, LedgerID}
 	for _, e := range Experiments {
 		ids = append(ids, e.ID)
 	}
@@ -291,6 +292,9 @@ func (s *Session) Render(id string) (*Artifact, error) {
 	case PlansID:
 		text, err := s.Runner.Plans()
 		return &Artifact{File: "plans.txt", Text: text, Exp: Experiment{ID: id, Title: "Plans and segments of Q1–Q5 by forced join algorithm and work_mem"}}, err
+	case LedgerID:
+		text, err := s.Runner.Ledger()
+		return &Artifact{File: "ledger.txt", Text: text, Exp: Experiment{ID: id, Title: "The virtual ledger of bench/'s statements on its two engine configurations"}}, err
 	}
 	e, ok := ExperimentByID(id)
 	if !ok {

@@ -1,8 +1,12 @@
 // Package harness reproduces the paper's evaluation (Section 5): it runs
 // Q1–Q5 under unloaded, I/O-interference, and CPU-interference scenarios
 // and extracts the series behind every figure (4–7, 9–20), plus Table 1.
-// Everything it reports is on the virtual ledger, so every number is
-// the same on every run and results/ pins it byte for byte.
+// It also renders the plan golden and the ledger: the benchmark's twelve
+// statements (workload.BenchStatements) on bench/'s two engine
+// configurations, each block its statement's totals, storage counters,
+// segments and refreshes. Everything it reports is on the virtual
+// ledger, so every number is the same on every run and results/ pins it
+// byte for byte.
 //
 // All times are virtual seconds. The clock's base costs are divided by
 // the data scale so that the time axes remain comparable to the paper's
@@ -252,13 +256,7 @@ func (r Runner) runSQL(sql string, q int, correlated bool, forceAlgo string, int
 		res.InterfEnd = e - start
 	}
 
-	ind := core.New(eng.clock, d, core.Options{
-		UpdatePeriod:    r.UpdatePeriod,
-		SpeedWindow:     r.SpeedWindow,
-		DecayAlpha:      r.DecayAlpha,
-		PerSegmentSpeed: r.PerSegmentSpeed,
-		Estimator:       r.Estimator,
-	})
+	ind := core.New(eng.clock, d, r.indicatorOptions())
 	res.InitialEstU = ind.InitialTotalU()
 	ind.Start()
 
@@ -280,6 +278,17 @@ func (r Runner) runSQL(sql string, q int, correlated bool, forceAlgo string, int
 		res.ExactCostU = res.Snapshots[n-1].DoneU
 	}
 	return res, nil
+}
+
+// indicatorOptions are the indicator settings r's knobs select.
+func (r Runner) indicatorOptions() core.Options {
+	return core.Options{
+		UpdatePeriod:    r.UpdatePeriod,
+		SpeedWindow:     r.SpeedWindow,
+		DecayAlpha:      r.DecayAlpha,
+		PerSegmentSpeed: r.PerSegmentSpeed,
+		Estimator:       r.Estimator,
+	}
 }
 
 func scenarioName(interf *Interference) string {

@@ -16,24 +16,12 @@ import (
 // sort, two aggregates, the semi-join, three lookups), a correlation
 // with no equality (the only way to a pure nested-loops semi-join and
 // its rescan term), a filter-sort-limit join and a three-table aggregate.
-func closureStatements(t *testing.T) []string {
-	t.Helper()
+func closureStatements() []string {
 	var out []string
-	for q := 1; q <= 5; q++ {
-		sql, err := workload.QuerySQL(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, sql)
+	for _, st := range workload.BenchStatements {
+		out = append(out, st.SQL)
 	}
 	return append(out,
-		"select * from orders order by totalprice",
-		"select nationkey, count(*), sum(acctbal) from customer group by nationkey order by nationkey",
-		"select orderkey, count(*), sum(extendedprice) from lineitem group by orderkey",
-		"select * from customer c where exists (select * from orders o where o.custkey = c.custkey and o.totalprice > 1000)",
-		"select * from customer where custkey = 17",
-		"select * from orders where custkey = 17",
-		"select * from customer_subset1",
 		"select * from customer c where not exists (select * from orders o where o.totalprice < c.acctbal)",
 		"select c.custkey, o.orderkey from customer c, orders o where c.custkey=o.custkey and c.nationkey<3 order by o.orderkey limit 10",
 		`select c.nationkey, count(*), sum(l.extendedprice) from customer c, orders o, lineitem l
@@ -65,12 +53,12 @@ func TestCostClosure(t *testing.T) {
 	if _, err := workload.Load(cat, workload.Config{Scale: 0.02, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"customer", "orders"} {
-		tbl, err := cat.Table(name)
+	for _, ix := range workload.BenchIndexes {
+		tbl, err := cat.Table(ix[0])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := cat.CreateIndex(tbl, "custkey"); err != nil {
+		if _, err := cat.CreateIndex(tbl, ix[1]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -79,7 +67,7 @@ func TestCostClosure(t *testing.T) {
 	}
 
 	plannings, entries, joins, indexed := 0, 0, 0, 0
-	for _, sql := range closureStatements(t) {
+	for _, sql := range closureStatements() {
 		stmt, err := sqlparser.Parse(sql)
 		if err != nil {
 			t.Fatalf("%s: %v", sql, err)

@@ -238,29 +238,62 @@ func lineitemRow(i int, rng *rand.Rand) tuple.Tuple {
 	}
 }
 
+// paperQueries are the paper's Q1–Q5, verbatim from Section 5.1.
+var paperQueries = [...]string{
+	`select * from lineitem`,
+	`select c.custkey, c.acctbal, o.orderkey, o.totalprice, l.discount, l.extendedprice
+			from customer c, orders o, lineitem l
+			where c.custkey=o.custkey and o.orderkey=l.orderkey and absolute(l.partkey)>0`,
+	`select c.custkey, c.acctbal, o1.orderkey, o1.totalprice, o2.totalprice
+			from customer c, orders o1, orders o2
+			where c.custkey=o1.custkey and o1.orderkey=o2.orderkey and c.nationkey<10`,
+	`select c.custkey, c.acctbal, o.orderkey, o.totalprice, o.shippriority, l.discount, l.extendedprice
+			from customer c, orders o, lineitem l
+			where c.custkey=o.custkey and o.orderkey=l.orderkey and absolute(o.totalprice)>0 and absolute(l.partkey)>0`,
+	`select * from customer_subset1 c1, customer_subset2 c2 where c1.custkey<>c2.custkey`,
+}
+
 // QuerySQL returns the paper's query text, verbatim from Section 5.1.
 func QuerySQL(n int) (string, error) {
-	switch n {
-	case 1:
-		return `select * from lineitem`, nil
-	case 2:
-		return `select c.custkey, c.acctbal, o.orderkey, o.totalprice, l.discount, l.extendedprice
-			from customer c, orders o, lineitem l
-			where c.custkey=o.custkey and o.orderkey=l.orderkey and absolute(l.partkey)>0`, nil
-	case 3:
-		return `select c.custkey, c.acctbal, o1.orderkey, o1.totalprice, o2.totalprice
-			from customer c, orders o1, orders o2
-			where c.custkey=o1.custkey and o1.orderkey=o2.orderkey and c.nationkey<10`, nil
-	case 4:
-		return `select c.custkey, c.acctbal, o.orderkey, o.totalprice, o.shippriority, l.discount, l.extendedprice
-			from customer c, orders o, lineitem l
-			where c.custkey=o.custkey and o.orderkey=l.orderkey and absolute(o.totalprice)>0 and absolute(l.partkey)>0`, nil
-	case 5:
-		return `select * from customer_subset1 c1, customer_subset2 c2 where c1.custkey<>c2.custkey`, nil
-	default:
+	if n < 1 || n > len(paperQueries) {
 		return "", fmt.Errorf("workload: no query Q%d (paper defines Q1–Q5)", n)
 	}
+	return paperQueries[n-1], nil
 }
+
+// Statement is one statement of the benchmark's op list, under the class
+// name bench/ gives it.
+type Statement struct {
+	Name, SQL string
+}
+
+// BenchStatements are the twelve statements bench/ runs, in its order:
+// the nine-class analytic mix (the paper's Q1–Q5, a sort, a small and a
+// large aggregate, a semi-join), then serve_short's two indexed lookups —
+// here at custkey 17, where bench/ draws a key per op — and its
+// progress-only scan. Tests that run the benchmark's statements read
+// them here; results/ledger.txt pins every one of them.
+var BenchStatements = []Statement{
+	{"q1", paperQueries[0]},
+	{"q2", paperQueries[1]},
+	{"q3", paperQueries[2]},
+	{"q4", paperQueries[3]},
+	{"q5", paperQueries[4]},
+	{"sort", "select * from orders order by totalprice"},
+	{"agg_small", "select nationkey, count(*), sum(acctbal) from customer group by nationkey order by nationkey"},
+	{"agg_large", "select orderkey, count(*), sum(extendedprice) from lineitem group by orderkey"},
+	{"semi", "select * from customer c where exists (select * from orders o where o.custkey = c.custkey and o.totalprice > 1000)"},
+	{"point", "select * from customer where custkey = 17"},
+	{"orders", "select * from orders where custkey = 17"},
+	{"subset", "select * from customer_subset1"},
+}
+
+// Mix9 is how many of BenchStatements are the analytic mix.
+const Mix9 = 9
+
+// BenchIndexes are the two indexes bench/ builds, as (table, column):
+// the lookups' access paths.
+var BenchIndexes = [][2]string{{"customer", "custkey"}, {"orders", "custkey"}}
 
 // Table1 renders the loaded data set in the format of the paper's
 // Table 1, with both the configured-scale and scale-1.0 numbers.

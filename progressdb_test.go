@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"progressdb/internal/storage"
+	"progressdb/internal/workload"
 )
 
 func TestFacadeQuickstart(t *testing.T) {
@@ -94,7 +95,7 @@ func TestQueriesLeaveBasePagesUntouched(t *testing.T) {
 	if err := db.LoadPaperWorkload(0.002, false); err != nil {
 		t.Fatal(err)
 	}
-	for _, ix := range [][2]string{{"customer", "custkey"}, {"orders", "custkey"}} {
+	for _, ix := range workload.BenchIndexes {
 		if err := db.CreateIndex(ix[0], ix[1]); err != nil {
 			t.Fatal(err)
 		}
@@ -132,23 +133,9 @@ func TestQueriesLeaveBasePagesUntouched(t *testing.T) {
 		t.Fatalf("only %d base pages: the workload did not load", len(before))
 	}
 
-	var sqls []string
-	for n := 1; n <= 5; n++ {
-		q, err := PaperQuery(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sqls = append(sqls, q)
-	}
-	sqls = append(sqls,
-		"select * from orders order by totalprice",
-		"select nationkey, count(*), sum(acctbal) from customer group by nationkey order by nationkey",
-		"select orderkey, count(*), sum(extendedprice) from lineitem group by orderkey",
-		"select * from customer c where exists (select * from orders o where o.custkey = c.custkey and o.totalprice > 1000)",
-	)
-	for _, sql := range sqls {
-		if _, err := db.ExecDiscard(sql, nil); err != nil {
-			t.Fatalf("%s: %v", sql, err)
+	for _, st := range workload.BenchStatements[:workload.Mix9] {
+		if _, err := db.ExecDiscard(st.SQL, nil); err != nil {
+			t.Fatalf("%s: %v", st.Name, err)
 		}
 	}
 	// The index lookup an IndexScan makes (at this scale the optimizer

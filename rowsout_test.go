@@ -3,10 +3,10 @@ package progressdb
 import (
 	"context"
 	"errors"
-	"fmt"
 	"testing"
 
 	"progressdb/internal/obs"
+	"progressdb/internal/workload"
 )
 
 // rowsOut reads every exec_rows_out_total series, keyed by its op label.
@@ -87,20 +87,7 @@ func TestRowsOutNotWrittenWhileOperatorOpen(t *testing.T) {
 // the operator spans report. A query canceled mid-flight still adds the
 // rows its operators emitted, and the next query is exact again.
 func TestRowsOutExact(t *testing.T) {
-	var stmts []string
-	for n := 1; n <= 5; n++ {
-		q, err := PaperQuery(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stmts = append(stmts, q)
-	}
-	stmts = append(stmts,
-		`select * from orders order by totalprice`,
-		`select nationkey, count(*), sum(acctbal) from customer group by nationkey order by nationkey`,
-		`select orderkey, count(*), sum(extendedprice) from lineitem group by orderkey`,
-		`select * from customer c where exists (select * from orders o where o.custkey = c.custkey and o.totalprice > 1000)`,
-	)
+	stmts := workload.BenchStatements[:workload.Mix9]
 	partitioned := false
 	for _, wm := range []int{16, 2048} {
 		// Scale 0.005 is the smallest at which 16 work_mem pages give the
@@ -126,8 +113,8 @@ func TestRowsOutExact(t *testing.T) {
 			return sum
 		}
 		var full int64 // Q1's rows out; Q1 is the scan canceled below
-		for i, sql := range stmts {
-			if sum := exact(fmt.Sprintf("statement %d", i+1), sql); i == 0 {
+		for i, st := range stmts {
+			if sum := exact(st.Name, st.SQL); i == 0 {
 				full = sum
 			}
 		}
@@ -135,7 +122,7 @@ func TestRowsOutExact(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		reports := 0
 		before := rowsOut(db)
-		_, err := db.ExecDiscardContext(ctx, stmts[0], func(r Report) {
+		_, err := db.ExecDiscardContext(ctx, stmts[0].SQL, func(r Report) {
 			if reports++; reports == 2 {
 				cancel()
 			}
@@ -147,7 +134,7 @@ func TestRowsOutExact(t *testing.T) {
 		if _, sum := rowsOutDelta(before, rowsOut(db)); sum <= 0 || sum > full {
 			t.Errorf("work_mem %d: canceled scan added %d rows out, want in (0, %d]", wm, sum, full)
 		}
-		exact("after cancel", stmts[0])
+		exact("after cancel", stmts[0].SQL)
 	}
 	if !partitioned {
 		t.Error("no run used a Grace partition: the partition path went unchecked")
