@@ -23,7 +23,7 @@ lint:
 	go run ./cmd/progresslint ./...
 
 # Open-ended fuzzing of the two engine-boundary parsers, the record decoder,
-# the executor's int hash table and unwind points, and the equivalence
+# the executor's int hash table, sort order and unwind points, and the equivalence
 # harness's query seeds.
 # Override the budget per target:
 # make fuzz FUZZTIME=5m
@@ -34,6 +34,7 @@ fuzz:
 	go test -run FuzzDecodeInto -fuzz FuzzDecodeInto -fuzztime $(FUZZTIME) ./internal/tuple/
 	go test -run FuzzDecodeSequence -fuzz FuzzDecodeSequence -fuzztime $(FUZZTIME) ./internal/tuple/
 	go test -run FuzzIntMap -fuzz FuzzIntMap -fuzztime $(FUZZTIME) ./internal/exec/
+	go test -run FuzzSortOrder -fuzz FuzzSortOrder -fuzztime $(FUZZTIME) ./internal/exec/
 	go test -run FuzzUnwind -fuzz FuzzUnwind -fuzztime $(FUZZTIME) ./internal/exec/
 	go test -run FuzzEquivalence -fuzz FuzzEquivalence -fuzztime $(FUZZTIME) .
 

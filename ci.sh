@@ -58,6 +58,7 @@ go test -run FuzzParseStatement -fuzz FuzzParseStatement -fuzztime 10s ./interna
 go test -run FuzzDecodeInto -fuzz FuzzDecodeInto -fuzztime 5s ./internal/tuple/
 go test -run FuzzDecodeSequence -fuzz FuzzDecodeSequence -fuzztime 5s ./internal/tuple/
 go test -run FuzzIntMap -fuzz FuzzIntMap -fuzztime 5s ./internal/exec/
+go test -run FuzzSortOrder -fuzz FuzzSortOrder -fuzztime 5s ./internal/exec/
 go test -run FuzzUnwind -fuzz FuzzUnwind -fuzztime 10s ./internal/exec/
 go test -run FuzzEquivalence -fuzz FuzzEquivalence -fuzztime 20s .
 

@@ -12,6 +12,11 @@ import (
 // operator it terminates its segment: the drain happens at Open, each
 // result group is a segment-output tuple, and the consumer's reads are
 // segment-input tuples.
+//
+// A group's row is its state: its key columns, then one slot per
+// aggregate, accumulated in place (a sum or avg in its Float, a min or
+// max as the value) and finalised once the input is drained, when it
+// becomes the output row.
 type hashAgg struct {
 	node  *plan.HashAgg
 	env   *Env
@@ -19,17 +24,10 @@ type hashAgg struct {
 	tag   segment.NodeInfo
 
 	slab   rowSlab
-	groups []tuple.Tuple // result rows, in slab
+	groups []tuple.Tuple // one row per group, in slab, in first-seen order
+	counts []int64       // input rows per group; every aggregate counts them
 	idx    int
 	done   bool
-}
-
-// aggState accumulates one aggregate of one group.
-type aggState struct {
-	count  int64   // rows seen (for count/avg)
-	sum    float64 // running sum
-	minmax tuple.Value
-	seen   bool
 }
 
 // groupIndex numbers group keys in first-seen order. A single Int group
@@ -40,7 +38,7 @@ type aggState struct {
 // Values of different kinds are unequal.
 type groupIndex struct {
 	ints intMap[int]
-	enc  map[string]int
+	enc  map[string]int // made on the first key that is not an Int
 	buf  []byte
 }
 
@@ -58,6 +56,9 @@ func (x *groupIndex) lookup(key tuple.Tuple, n int) (int, bool) {
 	for _, v := range key {
 		x.buf = v.Canonical().Encode(x.buf)
 	}
+	if x.enc == nil {
+		x.enc = make(map[string]int)
+	}
 	g, ok := x.enc[string(x.buf)] // lookup does not copy buf
 	if !ok {
 		g, x.enc[string(x.buf)] = n, n
@@ -69,14 +70,16 @@ func (h *hashAgg) Open() error {
 	if err := h.child.Open(); err != nil {
 		return err
 	}
-	naggs := len(h.node.Aggs)
-	// Groups are numbered in first-seen order, which is the output order;
-	// group g's key is keys[g] and its accumulators are
-	// states[g*naggs : (g+1)*naggs].
-	index := groupIndex{enc: make(map[string]int)}
-	var keys []tuple.Tuple
-	var states []aggState
-	keyVals := make(tuple.Tuple, len(h.node.GroupCols))
+	nkeys := len(h.node.GroupCols)
+	// row is the next new group's row: the key is written per input row,
+	// the slots hold their starting values.
+	row := make(tuple.Tuple, nkeys+len(h.node.Aggs))
+	for i, sp := range h.node.Aggs {
+		if sp.Kind == plan.AggSum || sp.Kind == plan.AggAvg {
+			row[nkeys+i] = tuple.NewFloat(0)
+		}
+	}
+	var index groupIndex
 	for {
 		t, ok, err := h.child.Next()
 		if err != nil {
@@ -87,37 +90,37 @@ func (h *hashAgg) Open() error {
 		}
 		h.env.Clock.ChargeCPU(cpuHashOp)
 		for i, c := range h.node.GroupCols {
-			keyVals[i] = t[c]
+			row[i] = t[c]
 		}
-		g, seen := index.lookup(keyVals, len(keys))
+		g, seen := index.lookup(row[:nkeys], len(h.groups))
 		if !seen {
-			keys = append(keys, h.slab.keep(keyVals))
-			states = append(states, make([]aggState, naggs)...)
+			h.groups = append(h.groups, h.slab.keep(row))
+			h.counts = append(h.counts, 0)
 		}
+		h.counts[g]++
+		first := h.counts[g] == 1
+		slots := h.groups[g][nkeys:]
 		for i, sp := range h.node.Aggs {
 			var v tuple.Value
 			if sp.Col >= 0 {
 				v = t[sp.Col]
 			}
-			acc := &states[g*naggs+i]
-			acc.count++
 			switch sp.Kind {
 			case plan.AggCount:
-				// count already incremented
+				// counted in counts
 			case plan.AggSum, plan.AggAvg:
-				acc.sum += v.AsFloat()
+				slots[i] = tuple.NewFloat(slots[i].F() + v.AsFloat())
 			case plan.AggMin, plan.AggMax:
-				if !acc.seen {
-					acc.minmax = v
-					acc.seen = true
+				if first {
+					slots[i] = v
 					continue
 				}
-				c, err := v.Compare(acc.minmax)
+				c, err := v.Compare(slots[i])
 				if err != nil {
 					return err
 				}
 				if (sp.Kind == plan.AggMin && c < 0) || (sp.Kind == plan.AggMax && c > 0) {
-					acc.minmax = v
+					slots[i] = v
 				}
 			default:
 				return fmt.Errorf("exec: unknown aggregate %q", sp.Kind)
@@ -130,25 +133,18 @@ func (h *hashAgg) Open() error {
 	index.ints.noteLayout(h.env.Collect, h.node)
 
 	rep := h.env.rep()
-	out := make(tuple.Tuple, 0, len(h.node.GroupCols)+naggs)
-	for g, key := range keys {
-		out = append(out[:0], key...)
+	for g, out := range h.groups {
+		slots := out[nkeys:]
 		for i, sp := range h.node.Aggs {
-			acc := &states[g*naggs+i]
 			switch sp.Kind {
 			case plan.AggCount:
-				out = append(out, tuple.NewInt(acc.count))
-			case plan.AggSum:
-				out = append(out, tuple.NewFloat(acc.sum))
+				slots[i] = tuple.NewInt(h.counts[g])
 			case plan.AggAvg:
-				out = append(out, tuple.NewFloat(acc.sum/float64(acc.count)))
-			case plan.AggMin, plan.AggMax:
-				out = append(out, acc.minmax)
+				slots[i] = tuple.NewFloat(slots[i].F() / float64(h.counts[g]))
 			}
 		}
 		h.env.Clock.ChargeCPU(cpuTuple)
 		rep.OutputTuple(h.tag.ProducerSeg, out.EncodedSize())
-		h.groups = append(h.groups, h.slab.keep(out))
 	}
 	rep.SegmentDone(h.tag.ProducerSeg)
 	h.idx = 0
@@ -171,7 +167,7 @@ func (h *hashAgg) Next() (tuple.Tuple, bool, error) {
 }
 
 func (h *hashAgg) Close() error {
-	h.groups, h.slab = nil, rowSlab{}
+	h.groups, h.counts, h.slab = nil, nil, rowSlab{}
 	return h.child.Close()
 }
 

@@ -2,6 +2,8 @@ package exec
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"testing"
 
 	"progressdb/internal/catalog"
@@ -17,8 +19,9 @@ import (
 // (with two string columns, c the same on every row and pad unique) on a
 // pool that holds both,
 // plans sql with the given join algorithm and returns the allocations of
-// one whole Run — Build, Open, every Next, Close — and of its Build alone.
-func allocsPerQuery(t *testing.T, n int, sql, algo string) (allocs, build float64, rows int64) {
+// one whole Run — Build, Open, every Next, Close — and of its Build alone,
+// and the bytes one Run allocates.
+func allocsPerQuery(t *testing.T, n int, sql, algo string) (allocs, build, bytes float64, rows int64) {
 	t.Helper()
 	clock := vclock.New(vclock.Costs{SeqPage: 1e-5, RandPage: 8e-5, CPUTuple: 1e-8}, nil)
 	cat := catalog.New(storage.NewBufferPool(storage.NewDisk(clock), 1024))
@@ -70,7 +73,14 @@ func allocsPerQuery(t *testing.T, n int, sql, algo string) (allocs, build float6
 			t.Fatal(err)
 		}
 	})
-	return allocs, build, rows
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	env := &Env{Pool: cat.Pool(), Clock: clock, WorkMemPages: 512, Decomp: d}
+	if _, err := Run(env, p, nil); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	return allocs, build, float64(after.TotalAlloc - before.TotalAlloc), rows
 }
 
 // The machine-independent form of "the per-row path does not allocate":
@@ -101,8 +111,8 @@ func TestAllocationsDoNotGrowWithProbeRows(t *testing.T) {
 		{"group by an Int key", "select b.k, count(*), sum(b.v) from big b group by b.k", "", 1, 0},
 		{"nested loops, wide outer", "select b.k, b.v, b.c, b.k, b.v, b.c, s.v from big b, small s where b.v <> s.v", "nl", 4, 0},
 	} {
-		a1, b1, r1 := allocsPerQuery(t, 500, tc.sql, tc.algo)
-		a4, b4, r4 := allocsPerQuery(t, 2000, tc.sql, tc.algo)
+		a1, b1, _, r1 := allocsPerQuery(t, 500, tc.sql, tc.algo)
+		a4, b4, _, r4 := allocsPerQuery(t, 2000, tc.sql, tc.algo)
 		t.Logf("%s: %d rows -> %.0f allocs (%.0f in Build), %d rows -> %.0f allocs (%.0f in Build)", tc.name, r1, a1, b1, r4, a4, b4)
 		if b1 != b4 {
 			t.Fatalf("%s: Build allocated %.0f times over 500 rows, %.0f over 2000", tc.name, b1, b4)
@@ -112,6 +122,35 @@ func TestAllocationsDoNotGrowWithProbeRows(t *testing.T) {
 		}
 		if a4 > a1+float64(tc.perRow*(r4-r1))+4 {
 			t.Fatalf("%s: allocations grew with the probe side: %.0f at 500 rows, %.0f at 2000", tc.name, a1, a4)
+		}
+	}
+}
+
+// A hash aggregate keeps one row per group and one count: with a group
+// per input row, going from 4k to 32k rows adds allocations only for the
+// rows' slab chunks and for the slices and index doubling (O(log n)),
+// and each group costs its row in the slab plus amortised slice and
+// index growth: about 300 bytes for a key and two aggregates, bounded at
+// 400, where a separate key copy, accumulator array and output copy per
+// group cost 850–1050.
+func TestHashAggMemoryPerGroup(t *testing.T) {
+	const sql = "select b.v, count(*), sum(b.k) from big b group by b.v"
+	a1, _, bytes1, r1 := allocsPerQuery(t, 4096, sql, "")
+	a8, _, bytes8, r8 := allocsPerQuery(t, 32768, sql, "")
+	if r1 != 4096 || r8 != 32768 {
+		t.Fatalf("groups %d and %d, want one per row", r1, r8)
+	}
+	// Each row is three values; past the doubling chunks, one chunk per
+	// slabMaxChunk values.
+	chunks := float64(3*(r8-r1)) / slabMaxChunk
+	logs := 8 * math.Log2(float64(r8)/float64(r1))
+	t.Logf("allocations %.0f -> %.0f (bound +%.0f), bytes per group %.0f and %.0f", a1, a8, chunks+logs, bytes1/float64(r1), bytes8/float64(r8))
+	if a8 > a1+chunks+logs {
+		t.Fatalf("allocations grew %.0f -> %.0f over %d -> %d groups, want at most +%.0f", a1, a8, r1, r8, chunks+logs)
+	}
+	for _, c := range []struct{ bytes, groups float64 }{{bytes1, float64(r1)}, {bytes8, float64(r8)}} {
+		if per := c.bytes / c.groups; per > 400 {
+			t.Fatalf("%.0f bytes per group over %.0f groups, want at most 400", per, c.groups)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"cmp"
 	"math"
 	"slices"
 
@@ -16,6 +17,9 @@ import (
 // which it terminates — the paper's Figure 3, where S3/S4 sort their
 // outputs "into multiple sorted runs" consumed by S5. The final merge
 // streams tuples to the consumer, reported as consumer-segment input.
+// A run sorts one sortKey per row, ordered by its encoded first key, then
+// the other keys, then the input position: a total order, and the
+// permutation a stable sort by the keys gives.
 type sortIter struct {
 	node  *plan.Sort
 	env   *Env
@@ -23,14 +27,28 @@ type sortIter struct {
 	tag   segment.NodeInfo
 
 	slab rowSlab       // the run being formed: child rows are copied here
-	mem  []tuple.Tuple // single in-memory run when nothing spilled
+	rows []tuple.Tuple // the run's rows, in input order
+	keys []sortKey     // one per row of rows; in sorted order once sorted
 	runs []*storage.HeapFile
 	enc  []byte // reused run-write buffer (HeapFile.Append copies)
+
+	// kind is the first row's first-key Kind; typed reports that every
+	// first key so far has it and it is numeric, so firstKey encodes it.
+	kind  tuple.Type
+	typed bool
 
 	memIdx    int
 	merge     *runMerger
 	arity     int
 	inputDone bool
+}
+
+// sortKey stands for rows[idx] in a run being sorted; size is the row's
+// encoded size.
+type sortKey struct {
+	k    uint64
+	idx  int32
+	size int32
 }
 
 // finishInput marks the sorted stream fully consumed by the parent
@@ -49,20 +67,20 @@ func (s *sortIter) Open() error {
 	}
 	rep := s.env.rep()
 	memLimit := s.env.workMemBytes()
+	firstCol := s.node.Keys[0].Col
 
-	var buf []tuple.Tuple
 	bufBytes := 0.0
 	flush := func() error {
-		if len(buf) == 0 {
+		if len(s.rows) == 0 {
 			return nil
 		}
-		if err := s.sortTuples(buf); err != nil {
+		if err := s.sortRun(); err != nil {
 			return err
 		}
 		f := s.env.newTempFile()
 		s.runs = append(s.runs, f) // Close drops it even if a write fails
-		for _, t := range buf {
-			s.enc = t.Encode(s.enc[:0])
+		for _, k := range s.keys {
+			s.enc = s.rows[k.idx].Encode(s.enc[:0])
 			if _, err := f.Append(s.enc); err != nil {
 				return err
 			}
@@ -71,7 +89,7 @@ func (s *sortIter) Open() error {
 			return err
 		}
 		s.env.Met.SortRuns.Inc()
-		buf, bufBytes = buf[:0], 0
+		s.rows, s.keys, bufBytes = s.rows[:0], s.keys[:0], 0
 		s.slab.reset()
 		return nil
 	}
@@ -87,7 +105,13 @@ func (s *sortIter) Open() error {
 		sz := t.EncodedSize()
 		s.env.Clock.ChargeCPU(cpuTuple)
 		rep.OutputTuple(s.tag.ProducerSeg, sz)
-		buf = append(buf, s.slab.keep(t))
+		if kind := t[firstCol].Kind; len(s.keys) == 0 && len(s.runs) == 0 {
+			s.kind, s.typed = kind, kind != tuple.String
+		} else if kind != s.kind {
+			s.typed = false
+		}
+		s.keys = append(s.keys, sortKey{idx: int32(len(s.rows)), size: int32(sz)})
+		s.rows = append(s.rows, s.slab.keep(t))
 		bufBytes += float64(sz)
 		if memLimit > 0 && bufBytes >= memLimit {
 			if err := flush(); err != nil {
@@ -101,10 +125,9 @@ func (s *sortIter) Open() error {
 
 	if len(s.runs) == 0 {
 		// Everything fit: keep the single run in memory.
-		if err := s.sortTuples(buf); err != nil {
+		if err := s.sortRun(); err != nil {
 			return err
 		}
-		s.mem = buf
 	} else {
 		if err := flush(); err != nil {
 			return err
@@ -119,24 +142,67 @@ func (s *sortIter) Open() error {
 	return nil
 }
 
-// sortTuples sorts in place by the sort keys, charging ~n·log2(n) CPU.
-func (s *sortIter) sortTuples(ts []tuple.Tuple) error {
-	if len(ts) > 1 {
-		s.env.Clock.Charge(vclock.CPU, float64(len(ts))*math.Log2(float64(len(ts))))
+// sortRun sorts the run's keys, charging ~n·log2(n) CPU.
+func (s *sortIter) sortRun() error {
+	if n := len(s.keys); n > 1 {
+		s.env.Clock.Charge(vclock.CPU, float64(n)*math.Log2(float64(n)))
+	}
+	for i := range s.keys {
+		s.keys[i].k = s.firstKey(s.rows[s.keys[i].idx])
 	}
 	var sortErr error
-	slices.SortStableFunc(ts, func(a, b tuple.Tuple) int {
-		c, err := s.compare(a, b)
+	slices.SortFunc(s.keys, func(a, b sortKey) int {
+		if a.k != b.k {
+			return cmp.Compare(a.k, b.k)
+		}
+		c, err := s.compare(s.rows[a.idx], s.rows[b.idx])
 		if err != nil && sortErr == nil {
 			sortErr = err
 		}
-		return c
+		if c != 0 {
+			return c
+		}
+		return cmp.Compare(a.idx, b.idx)
 	})
 	return sortErr
 }
 
+// firstKey encodes t's first sort key as an integer whose order is
+// Compare's (reversed for DESC): an Int with its sign bit flipped, a
+// Float by its IEEE bits made sign-magnitude, with −0 as +0 and every
+// NaN 0, below every number. When the first key is not one numeric kind
+// throughout, it is 0 for every row and compare starts at the first key.
+func (s *sortIter) firstKey(t tuple.Tuple) uint64 {
+	if !s.typed {
+		return 0
+	}
+	key := s.node.Keys[0]
+	v := t[key.Col]
+	k := uint64(v.I) ^ 1<<63
+	if s.kind == tuple.Float {
+		switch f := v.F(); {
+		case f != f:
+			k = 0
+		case f == 0:
+			k = 1 << 63
+		case v.I < 0: // a negative number: its magnitude reversed
+			k = ^uint64(v.I)
+		}
+	}
+	if key.Desc {
+		k = ^k
+	}
+	return k
+}
+
+// compare orders two rows whose first keys firstKey encoded the same:
+// by the keys it did not encode.
 func (s *sortIter) compare(a, b tuple.Tuple) (int, error) {
-	for _, k := range s.node.Keys {
+	keys := s.node.Keys
+	if s.typed {
+		keys = keys[1:] // equal encodings are equal first keys
+	}
+	for _, k := range keys {
 		c, err := a[k.Col].Compare(b[k.Col])
 		if err != nil {
 			return 0, err
@@ -171,7 +237,7 @@ func (s *sortIter) intermediateMerges() error {
 		out := s.env.newTempFile()
 		mergeErr := func() error {
 			for {
-				t, ok, err := m.next()
+				t, sz, ok, err := m.next()
 				if err != nil {
 					return err
 				}
@@ -185,7 +251,6 @@ func (s *sortIter) intermediateMerges() error {
 				if err := s.env.yield(); err != nil {
 					return err
 				}
-				sz := t.EncodedSize()
 				s.env.Clock.ChargeCPU(cpuTuple * 2)
 				rep.Extra(s.tag.ProducerSeg, 2*float64(sz))
 				s.enc = t.Encode(s.enc[:0])
@@ -210,16 +275,16 @@ func (s *sortIter) intermediateMerges() error {
 
 func (s *sortIter) Next() (tuple.Tuple, bool, error) {
 	rep := s.env.rep()
-	if s.mem != nil {
-		if s.memIdx >= len(s.mem) {
+	if len(s.runs) == 0 {
+		if s.memIdx >= len(s.keys) {
 			s.finishInput()
 			return nil, false, nil
 		}
-		t := s.mem[s.memIdx]
+		k := s.keys[s.memIdx]
 		s.memIdx++
 		s.env.Clock.ChargeCPU(cpuTuple)
-		rep.InputTuple(s.tag.Seg, s.tag.Input, t.EncodedSize())
-		return t, true, nil
+		rep.InputTuple(s.tag.Seg, s.tag.Input, int(k.size))
+		return s.rows[k.idx], true, nil
 	}
 	if s.merge == nil {
 		m, err := newRunMerger(s, s.runs)
@@ -228,7 +293,7 @@ func (s *sortIter) Next() (tuple.Tuple, bool, error) {
 		}
 		s.merge = m
 	}
-	t, ok, err := s.merge.next()
+	t, sz, ok, err := s.merge.next()
 	if err != nil {
 		return nil, false, err
 	}
@@ -237,7 +302,7 @@ func (s *sortIter) Next() (tuple.Tuple, bool, error) {
 		return nil, false, nil
 	}
 	s.env.Clock.Charge(vclock.CPU, float64(cpuTuple)+math.Log2(float64(len(s.runs))+1))
-	rep.InputTuple(s.tag.Seg, s.tag.Input, t.EncodedSize())
+	rep.InputTuple(s.tag.Seg, s.tag.Input, sz)
 	return t, true, nil
 }
 
@@ -253,20 +318,22 @@ func (s *sortIter) Close() error {
 		}
 	}
 	s.runs = nil
-	s.mem, s.slab = nil, rowSlab{}
+	s.rows, s.keys, s.slab = nil, nil, rowSlab{}
 	return firstErr
 }
 
 // runMerger streams the k-way merge of sorted runs. k is bounded by the
-// merge fan-in, so a linear minimum scan per tuple is fine. Each run
-// decodes into its own reused head slot; next copies the winner into out
-// before refilling that slot, so the tuple it returns is valid until the
-// following next.
+// merge fan-in, so a linear minimum scan per tuple is fine; of equal
+// heads the earlier run's wins, as runs hold the input in order. Each run
+// decodes into its own reused head slot, beside its firstKey and encoded
+// size; next copies the winner into out before refilling that slot, so
+// the tuple it returns is valid until the following next.
 type runMerger struct {
 	s     *sortIter
 	scans []*storage.Scanner
 	slots []tuple.Tuple
-	live  []bool // slots[i] holds run i's current head
+	heads []sortKey // heads[i].k and .size are slots[i]'s
+	live  []bool    // slots[i] holds run i's current head
 	out   tuple.Tuple
 }
 
@@ -276,6 +343,7 @@ func newRunMerger(s *sortIter, runs []*storage.HeapFile) (*runMerger, error) {
 		m.scans = append(m.scans, f.NewScanner())
 	}
 	m.slots = make([]tuple.Tuple, len(runs))
+	m.heads = make([]sortKey, len(runs))
 	m.live = make([]bool, len(runs))
 	for i := range m.scans {
 		if err := m.advance(i); err != nil {
@@ -296,10 +364,12 @@ func (m *runMerger) advance(i int) error {
 		return err
 	}
 	m.slots[i], m.live[i] = t, true
+	m.heads[i] = sortKey{k: m.s.firstKey(t), size: int32(len(rec))}
 	return nil
 }
 
-func (m *runMerger) next() (tuple.Tuple, bool, error) {
+// next returns the least head and its encoded size.
+func (m *runMerger) next() (tuple.Tuple, int, bool, error) {
 	best := -1
 	for i, h := range m.slots {
 		if !m.live[i] {
@@ -309,20 +379,24 @@ func (m *runMerger) next() (tuple.Tuple, bool, error) {
 			best = i
 			continue
 		}
-		c, err := m.s.compare(h, m.slots[best])
-		if err != nil {
-			return nil, false, err
+		c := cmp.Compare(m.heads[i].k, m.heads[best].k)
+		if c == 0 {
+			var err error
+			if c, err = m.s.compare(h, m.slots[best]); err != nil {
+				return nil, 0, false, err
+			}
 		}
 		if c < 0 {
 			best = i
 		}
 	}
 	if best < 0 {
-		return nil, false, nil
+		return nil, 0, false, nil
 	}
 	m.out = append(m.out[:0], m.slots[best]...)
+	sz := int(m.heads[best].size)
 	if err := m.advance(best); err != nil {
-		return nil, false, err
+		return nil, 0, false, err
 	}
-	return m.out, true, nil
+	return m.out, sz, true, nil
 }
