@@ -23,8 +23,8 @@ lint:
 	go run ./cmd/progresslint ./...
 
 # Open-ended fuzzing of the two engine-boundary parsers, the record decoder,
-# the executor's int hash table, sort order and unwind points, and the equivalence
-# harness's query seeds.
+# the executor's int hash table, sort order, scan page index and unwind points,
+# and the equivalence harness's query seeds.
 # Override the budget per target:
 # make fuzz FUZZTIME=5m
 FUZZTIME ?= 60s
@@ -35,6 +35,7 @@ fuzz:
 	go test -run FuzzDecodeSequence -fuzz FuzzDecodeSequence -fuzztime $(FUZZTIME) ./internal/tuple/
 	go test -run FuzzIntMap -fuzz FuzzIntMap -fuzztime $(FUZZTIME) ./internal/exec/
 	go test -run FuzzSortOrder -fuzz FuzzSortOrder -fuzztime $(FUZZTIME) ./internal/exec/
+	go test -run FuzzScanIndex -fuzz FuzzScanIndex -fuzztime $(FUZZTIME) ./internal/exec/
 	go test -run FuzzUnwind -fuzz FuzzUnwind -fuzztime $(FUZZTIME) ./internal/exec/
 	go test -run FuzzEquivalence -fuzz FuzzEquivalence -fuzztime $(FUZZTIME) .
 

@@ -28,6 +28,8 @@ echo "== go build =="
 go build ./...
 # ChargeCPU's batch is only cheap while it inlines into every operator.
 go build -gcflags=-m ./internal/vclock 2>&1 | grep -q 'can inline (\*Clock).ChargeCPU' || { echo "(*Clock).ChargeCPU no longer inlines" >&2; exit 1; }
+# Likewise the record check DecodeInto and FieldOffsets share, per field.
+go build -gcflags=-m ./internal/tuple 2>&1 | grep -q 'can inline fieldEnd' || { echo "tuple.fieldEnd no longer inlines" >&2; exit 1; }
 
 echo "== bench module =="
 # bench/ is a module of its own, so nothing above descends into it, yet it
@@ -59,6 +61,7 @@ go test -run FuzzDecodeInto -fuzz FuzzDecodeInto -fuzztime 5s ./internal/tuple/
 go test -run FuzzDecodeSequence -fuzz FuzzDecodeSequence -fuzztime 5s ./internal/tuple/
 go test -run FuzzIntMap -fuzz FuzzIntMap -fuzztime 5s ./internal/exec/
 go test -run FuzzSortOrder -fuzz FuzzSortOrder -fuzztime 5s ./internal/exec/
+go test -run FuzzScanIndex -fuzz FuzzScanIndex -fuzztime 5s ./internal/exec/
 go test -run FuzzUnwind -fuzz FuzzUnwind -fuzztime 10s ./internal/exec/
 go test -run FuzzEquivalence -fuzz FuzzEquivalence -fuzztime 20s .
 

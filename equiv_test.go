@@ -28,7 +28,9 @@ import (
 // through a 4-shard fleet. Every run must return the reference rows (the
 // cost-based plan at work_mem 2048), keep the indicator's contract and
 // leave no leaks; SPJ and semi-join queries must also split exactly,
-// Q = (Q AND p) ⊎ (Q AND ¬p). FuzzEquivalence runs any seed.
+// Q = (Q AND p) ⊎ (Q AND ¬p), and Q AND p, whose p the optimizer pushes
+// into a scan, must equal its unoptimised twin, p in a Filter over the
+// whole query. FuzzEquivalence runs any seed.
 
 // The tier-1 seeds are 1..equivSeeds and equivRareSeeds: 260 and 373 draw
 // the rarest pairs, 260 and 2615 an index bound past an int64 end, 232 a
@@ -389,8 +391,8 @@ func sameButRows(keep, disc *progressdb.Result) error {
 
 // equivStats is what a set of seeds drew.
 type equivStats struct {
-	pairs                   map[string]int
-	fleet, unsupported, nls int
+	pairs                          map[string]int
+	fleet, unsupported, nls, twins int
 }
 
 // segmentKinds names a segment by its trace span's root ("S3 HashPartition
@@ -532,6 +534,7 @@ func equivSeed(t *testing.T, seed int64, s *equivStats) {
 	x := st.From[r.Intn(len(st.From))]
 	p := fx.filter(r, x.Alias, x.Table)
 	var union [][]interface{}
+	var pushed *progressdb.Result // Q AND p
 	for _, op := range []string{p.Op, negOp[p.Op]} {
 		part, pp := *st, p
 		pp.Op = op
@@ -540,10 +543,23 @@ func equivSeed(t *testing.T, seed int64, s *equivStats) {
 		if res == nil {
 			return
 		}
+		pushed = cmp.Or(pushed, res)
 		union = append(union, res.Rows...)
 	}
 	if err := sameRows(&sqlparser.SelectStmt{}, ref.Columns, ref.Rows, ref.Columns, union); err != nil {
 		t.Errorf("seed %d: %s\n(Q AND %s) ⊎ (Q AND %s %s %s): %v", seed, sql, p, p.L, negOp[p.Op], p.R, err)
+	}
+	// The unoptimised twin: p pushed into x's scan ≡ p in a Filter over
+	// the whole query.
+	unordered := *st
+	unordered.OrderBy = nil
+	twin, err := fx.dbs[2048].ExecTopFilter(&unordered, p)
+	if err == nil {
+		s.twins++
+		err = sameRows(&sqlparser.SelectStmt{}, pushed.Columns, pushed.Rows, twin.Columns, twin.Rows)
+	}
+	if err = errors.Join(err, fx.dbs[2048].CheckLeaks()); err != nil {
+		t.Errorf("seed %d: %s\nQ AND %s, with %s in a top Filter: %v", seed, sql, p, p, err)
 	}
 }
 
@@ -555,8 +571,8 @@ func TestEquivalence(t *testing.T) {
 	for _, seed := range equivRareSeeds {
 		equivSeed(t, seed, s)
 	}
-	t.Logf("%d seeds; fleet ran %d, rejected %d; %d forced NL plans skipped; operator × segment kind: %v",
-		equivSeeds+len(equivRareSeeds), s.fleet, s.unsupported, s.nls, s.pairs)
+	t.Logf("%d seeds; fleet ran %d, rejected %d; %d forced NL plans skipped; %d top-Filter twins; operator × segment kind: %v",
+		equivSeeds+len(equivRareSeeds), s.fleet, s.unsupported, s.nls, s.twins, s.pairs)
 	for _, p := range equivRequired {
 		if s.pairs[p] == 0 {
 			t.Errorf("the tier-1 seeds never drew %s", p)
@@ -564,6 +580,9 @@ func TestEquivalence(t *testing.T) {
 	}
 	if s.fleet < 15 {
 		t.Errorf("only %d queries ran on the fleet, want at least 15", s.fleet)
+	}
+	if s.twins < 50 {
+		t.Errorf("only %d queries ran their top-Filter twin, want at least 50", s.twins)
 	}
 }
 

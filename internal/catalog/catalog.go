@@ -31,6 +31,57 @@ type Table struct {
 	Heap    *storage.HeapFile
 	Stats   *stats.TableStats
 	Indexes []*Index
+
+	pagesMu sync.Mutex   // guards pages
+	pages   []*PageIndex // by page number, once a scan has read the page
+}
+
+// PageIndex is the parse of one page image of a table's heap: where each
+// record lies and where each of its fields starts, validated once by
+// tuple.FieldOffsets. An image is never written in place, so an index is
+// valid for exactly the image it was built from (DESIGN.md §5).
+type PageIndex struct {
+	img   []byte   // the image indexed; held, so its address names it
+	spans []uint16 // record k lies in img at [spans[2k], spans[2k+1])
+	offs  []uint16 // field i of record k starts at offs[k*arity+i] in the record
+	arity int
+	Err   error // DecodeInto's error for record Len(); nil if all passed
+}
+
+func newPageIndex(img []byte, arity int) *PageIndex {
+	recs := storage.PageRecords(img)
+	n := recs.Len()
+	ix := &PageIndex{img: img, spans: make([]uint16, 0, 2*n), offs: make([]uint16, 0, n*arity), arity: arity}
+	for range n {
+		start, end := recs.Next()
+		if ix.offs, ix.Err = tuple.FieldOffsets(ix.offs, img[start:end], arity); ix.Err != nil {
+			break
+		}
+		ix.spans = append(ix.spans, uint16(start), uint16(end))
+	}
+	return ix
+}
+
+// Len returns the number of records that passed validation.
+func (ix *PageIndex) Len() int { return len(ix.spans) / 2 }
+
+// Record returns record k, k < Len, and the offset of each of its fields.
+func (ix *PageIndex) Record(k int) (rec []byte, offs []uint16) {
+	return ix.img[ix.spans[2*k]:ix.spans[2*k+1]], ix.offs[k*ix.arity : (k+1)*ix.arity]
+}
+
+// PageIndex returns the index of img, page num of t's heap, building it
+// if no scan has read this image before.
+func (t *Table) PageIndex(img []byte, num int32) *PageIndex {
+	t.pagesMu.Lock()
+	defer t.pagesMu.Unlock()
+	for int(num) >= len(t.pages) {
+		t.pages = append(t.pages, nil)
+	}
+	if ix := t.pages[num]; ix == nil || &ix.img[0] != &img[0] {
+		t.pages[num] = newPageIndex(img, t.Schema.Arity())
+	}
+	return t.pages[num]
 }
 
 // IndexOn returns the index on the named column, or nil.

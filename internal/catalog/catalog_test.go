@@ -117,3 +117,40 @@ func TestIndexOnNonIntRejected(t *testing.T) {
 		t.Fatal("index on TEXT column must fail")
 	}
 }
+
+// A page index costs 2 bytes per field and 4 per record, plus the
+// PageIndex itself, and a page read again keeps the index it has.
+func TestPageIndexCost(t *testing.T) {
+	c := testCatalog()
+	tb, _ := c.CreateTable("t", custSchema())
+	for i := 0; i < 1000; i++ {
+		if err := c.Insert(tb, tuple.Tuple{tuple.NewInt(int64(i)), tuple.NewString(""), tuple.NewFloat(1.5)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tb.Heap.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	perRecord := 2*tb.Schema.Arity() + 4
+	pages, records := 0, 0
+	for sc := tb.Heap.NewScanner(); ; {
+		img, num, ok := sc.NextPage()
+		if !ok {
+			break
+		}
+		ix, recs := tb.PageIndex(img, num), storage.PageRecords(img)
+		if ix.Err != nil || ix.Len() != recs.Len() {
+			t.Fatalf("page %d: %d of %d records indexed, error %v", num, ix.Len(), recs.Len(), ix.Err)
+		}
+		if again := tb.PageIndex(img, num); again != ix {
+			t.Fatalf("page %d was indexed twice", num)
+		}
+		if bytes := 2 * (cap(ix.spans) + cap(ix.offs)); bytes > ix.Len()*perRecord {
+			t.Fatalf("page %d: %d index bytes for %d records of %d fields, want at most %d a record", num, bytes, ix.Len(), tb.Schema.Arity(), perRecord)
+		}
+		pages, records = pages+1, records+ix.Len()
+	}
+	if pages < 2 || records != 1000 {
+		t.Fatalf("indexed %d records on %d pages, want 1000 on at least 2", records, pages)
+	}
+}

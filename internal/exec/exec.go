@@ -287,13 +287,13 @@ func buildNode(n plan.Node, env *Env, lay []int) (Iterator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &seqScan{node: node, env: env, tag: info, scanSlot: newScanSlot(lay)}, nil
+		return &seqScan{node: node, env: env, tag: info, scanSlot: newScanSlot(lay, node.Table.Schema.Arity())}, nil
 	case *plan.IndexScan:
 		info, err := env.info(node)
 		if err != nil {
 			return nil, err
 		}
-		return &indexScan{node: node, env: env, tag: info, scanSlot: newScanSlot(lay)}, nil
+		return &indexScan{node: node, env: env, tag: info, scanSlot: newScanSlot(lay, node.Table.Schema.Arity())}, nil
 	case *plan.Filter:
 		lay, pred, err := addPred(lay, node.Pred)
 		if err != nil {

@@ -2,38 +2,48 @@ package exec
 
 import (
 	"progressdb/internal/btree"
+	"progressdb/internal/catalog"
 	"progressdb/internal/plan"
 	"progressdb/internal/segment"
 	"progressdb/internal/storage"
 	"progressdb/internal/tuple"
 )
 
-// seqScan reads a base relation front to back. Each tuple read is a
-// segment-input event; physical page I/O is charged by the heap scanner
-// through the buffer pool.
+// seqScan reads a base relation front to back, page by page, through
+// each page's catalog.PageIndex, so a row costs only the stores of the
+// fields its layout places. Each tuple read is a segment-input event;
+// physical page I/O is charged by the heap scanner through the pool.
 type seqScan struct {
 	node *plan.SeqScan
 	env  *Env
 	tag  segment.NodeInfo
 	scanSlot
 	sc   *storage.Scanner
+	page *catalog.PageIndex // the current page's index
+	k    int                // the next record of page
 	done bool
 }
 
 // scanSlot is the reused row a base-table scan decodes into, in the
-// layout lay its parent reads (nil: the whole row). recLen is the encoded
-// size of the record last decoded — the size of the row the slot stands
-// for, however few of its columns the layout keeps.
+// layout lay its parent reads (nil: the whole row). placing is lay up to
+// its last placed field. recLen is the encoded size of the record last
+// decoded — the size of the row the slot stands for, however few of its
+// columns the layout keeps.
 type scanSlot struct {
-	lay    []int
-	slot   tuple.Tuple
-	recLen int
+	lay, placing []int
+	slot         tuple.Tuple
+	recLen       int
 }
 
-func newScanSlot(lay []int) scanSlot {
-	s := scanSlot{lay: lay}
-	if lay != nil {
-		s.slot = make(tuple.Tuple, width(lay))
+func newScanSlot(lay []int, arity int) scanSlot {
+	if lay == nil {
+		return scanSlot{slot: make(tuple.Tuple, arity)}
+	}
+	s := scanSlot{lay: lay, placing: lay[:0], slot: make(tuple.Tuple, width(lay))}
+	for i, at := range lay {
+		if at >= 0 {
+			s.placing = lay[:i+1]
+		}
 	}
 	return s
 }
@@ -47,30 +57,53 @@ func (s *scanSlot) decode(rec []byte, arity int) (tuple.Tuple, error) {
 	return row, nil
 }
 
+// place decodes a validated record, whose fields start at offs, as
+// decode would: only the fields the layout places.
+func (s *scanSlot) place(rec []byte, offs []uint16) tuple.Tuple {
+	if s.lay == nil {
+		for i, off := range offs {
+			tuple.DecodeField(&s.slot[i], rec, int(off))
+		}
+	} else {
+		for i, at := range s.placing {
+			if at >= 0 {
+				tuple.DecodeField(&s.slot[at], rec, int(offs[i]))
+			}
+		}
+	}
+	s.recLen = len(rec)
+	return s.slot
+}
+
 func (s *scanSlot) lastRowBytes() int { return s.recLen }
 
 func (s *seqScan) Open() error {
 	s.sc = s.env.newBaseScanner(s.node.Table.Heap)
-	s.done = false
+	s.page, s.k, s.done = nil, 0, false
 	return nil
 }
 
 func (s *seqScan) Next() (tuple.Tuple, bool, error) {
-	rec, _, ok := s.sc.Next()
-	if !ok {
-		if err := s.sc.Err(); err != nil {
-			return nil, false, err
+	for s.page == nil || s.k == s.page.Len() {
+		if s.page != nil && s.page.Err != nil {
+			return nil, false, s.page.Err
 		}
-		if !s.done {
-			s.done = true
-			s.env.rep().InputDone(s.tag.Seg, s.tag.Input)
+		img, num, ok := s.sc.NextPage()
+		if !ok {
+			if err := s.sc.Err(); err != nil {
+				return nil, false, err
+			}
+			if !s.done {
+				s.done = true
+				s.env.rep().InputDone(s.tag.Seg, s.tag.Input)
+			}
+			return nil, false, nil
 		}
-		return nil, false, nil
+		s.page, s.k = s.node.Table.PageIndex(img, num), 0
 	}
-	row, err := s.decode(rec, s.node.Table.Schema.Arity())
-	if err != nil {
-		return nil, false, err
-	}
+	rec, offs := s.page.Record(s.k)
+	s.k++
+	row := s.place(rec, offs)
 	s.env.Clock.ChargeCPU(cpuTuple)
 	s.env.rep().InputTuple(s.tag.Seg, s.tag.Input, len(rec))
 	if err := s.env.yield(); err != nil {

@@ -7,7 +7,7 @@ import (
 	"progressdb/internal/vclock"
 )
 
-// Heap-file page layout:
+// Heap-file page layout (Records reads it):
 //
 //	[0:2]  uint16 tuple count
 //	[2:4]  uint16 end of used space
@@ -151,26 +151,47 @@ func (hf *HeapFile) FetchOn(clk *vclock.Clock, rid RID) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	count := binary.LittleEndian.Uint16(page[0:2])
-	if rid.Slot >= count {
-		return nil, fmt.Errorf("storage: slot %d out of range (page has %d)", rid.Slot, count)
+	recs := PageRecords(page)
+	if n := recs.Len(); int(rid.Slot) >= n {
+		return nil, fmt.Errorf("storage: slot %d out of range (page has %d)", rid.Slot, n)
 	}
-	off := pageHeaderSize
-	for s := uint16(0); ; s++ {
-		l := int(binary.LittleEndian.Uint16(page[off:]))
-		if s == rid.Slot {
-			rec := make([]byte, l)
-			copy(rec, page[off+recordOverhead:off+recordOverhead+l])
-			return rec, nil
-		}
-		off += recordOverhead + l
+	for range rid.Slot {
+		recs.Next()
 	}
+	start, end := recs.Next()
+	return append([]byte(nil), page[start:end]...), nil
 }
 
-// Scanner iterates over all records of a heap file in storage order.
-// Pinning scanners (NewScannerOn) hold a pin on their current page so it
-// cannot be evicted mid-page; Close releases the pin and is safe to call
-// more than once.
+// Records frames the records of a heap-page image in slot order: the one
+// reading of the page layout, for scanners, fetches and page indexes.
+type Records struct {
+	img  []byte
+	left int // records not yet framed
+	off  int // where the next record's length prefix is
+}
+
+// PageRecords returns the records of a heap-page image.
+func PageRecords(img []byte) Records {
+	return Records{img: img, left: int(binary.LittleEndian.Uint16(img[0:2])), off: pageHeaderSize}
+}
+
+// Len returns the number of records not yet framed.
+func (r *Records) Len() int { return r.left }
+
+// Next frames the next record: it lies in the image at [start, end).
+// Call it only while Len is positive.
+func (r *Records) Next() (start, end int) {
+	start = r.off + recordOverhead
+	end = start + int(binary.LittleEndian.Uint16(r.img[r.off:]))
+	r.off = end
+	r.left--
+	return start, end
+}
+
+// Scanner iterates over all records of a heap file in storage order, by
+// record (Next) or by page (NextPage). Pinning scanners (NewScannerOn)
+// hold a pin on their current page so it cannot be evicted mid-page;
+// Close releases the pin and is safe to call more than once.
 type Scanner struct {
 	hf      *HeapFile
 	clk     *vclock.Clock
@@ -179,9 +200,8 @@ type Scanner struct {
 	npages  int
 	pageNum int32
 	page    []byte
-	count   uint16
+	recs    Records
 	slot    uint16
-	off     int
 	err     error
 }
 
@@ -206,39 +226,56 @@ func (hf *HeapFile) NewScannerOn(clk *vclock.Clock) *Scanner {
 // Next returns the next record and its RID, or ok=false at end of file or
 // on error (check Err).
 func (s *Scanner) Next() (rec []byte, rid RID, ok bool) {
-	if s.err != nil {
-		return nil, RID{}, false
-	}
-	for s.page == nil || s.slot >= s.count {
-		s.releasePin()
-		s.pageNum++
-		if int(s.pageNum) >= s.npages {
+	for s.recs.Len() == 0 {
+		if !s.step() {
 			return nil, RID{}, false
 		}
-		pid := PageID{File: s.hf.id, Num: s.pageNum}
-		var page []byte
-		var err error
-		if s.pin {
-			page, err = s.hf.pool.getPinned(s.clk, pid)
-			s.hasPin = err == nil
-		} else {
-			page, err = s.hf.pool.GetOn(s.clk, pid)
-		}
-		if err != nil {
-			s.err = err
-			return nil, RID{}, false
-		}
-		s.page = page
-		s.count = binary.LittleEndian.Uint16(page[0:2])
-		s.slot = 0
-		s.off = pageHeaderSize
 	}
-	l := int(binary.LittleEndian.Uint16(s.page[s.off:]))
-	rec = s.page[s.off+recordOverhead : s.off+recordOverhead+l]
+	start, end := s.recs.Next()
 	rid = RID{Page: PageID{File: s.hf.id, Num: s.pageNum}, Slot: s.slot}
-	s.off += recordOverhead + l
 	s.slot++
-	return rec, rid, true
+	return s.page[start:end], rid, true
+}
+
+// NextPage moves to the next page that holds a record and returns its
+// image (the pool's, never written in place) and number, or ok=false at
+// end of file or on error (check Err). It stays pinned until the next
+// NextPage or Close.
+func (s *Scanner) NextPage() (img []byte, num int32, ok bool) {
+	for s.step() {
+		if s.recs.Len() > 0 {
+			return s.page, s.pageNum, true
+		}
+	}
+	return nil, 0, false
+}
+
+// step reads the scanner's next page, moving its pin there, and reports
+// whether there was one.
+func (s *Scanner) step() bool {
+	if s.err != nil {
+		return false
+	}
+	s.releasePin()
+	s.pageNum++
+	if int(s.pageNum) >= s.npages {
+		return false
+	}
+	pid := PageID{File: s.hf.id, Num: s.pageNum}
+	var page []byte
+	var err error
+	if s.pin {
+		page, err = s.hf.pool.getPinned(s.clk, pid)
+		s.hasPin = err == nil
+	} else {
+		page, err = s.hf.pool.GetOn(s.clk, pid)
+	}
+	if err != nil {
+		s.err = err
+		return false
+	}
+	s.page, s.recs, s.slot = page, PageRecords(page), 0
+	return true
 }
 
 // releasePin drops the pin on the current page, if any.
@@ -254,9 +291,7 @@ func (s *Scanner) releasePin() {
 // scanners, a no-op otherwise.
 func (s *Scanner) Close() {
 	s.releasePin()
-	s.page = nil
-	s.count = 0
-	s.slot = 0
+	s.page, s.recs, s.slot = nil, Records{}, 0
 	s.pageNum = int32(s.npages)
 }
 

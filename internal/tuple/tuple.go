@@ -247,11 +247,8 @@ func Decode(rec []byte, arity int) (Tuple, error) {
 // column nobody reads costs no store. Skipped fields are still validated:
 // every tag and length is checked exactly as for a written one.
 //
-// A String field whose bytes equal the String its slot already holds
-// keeps that value instead of making the same string again: a column
-// that repeats down a table (lineitem's linestatus pad) then costs one
-// allocation per run of equal values, not one per row. Strings are
-// immutable and equal ones indistinguishable, so no caller can tell.
+// Each written field is stored by DecodeField, so an equal String is kept
+// (see there).
 func DecodeInto(dst Tuple, rec []byte, arity int, pos []int) (Tuple, error) {
 	if pos == nil {
 		if dst == nil || cap(dst) < arity {
@@ -261,53 +258,95 @@ func DecodeInto(dst Tuple, rec []byte, arity int, pos []int) (Tuple, error) {
 	}
 	off := 0
 	for i := 0; i < arity; i++ {
-		if off >= len(rec) {
-			return nil, fmt.Errorf("tuple: truncated record at field %d", i)
+		end := fieldEnd(rec, off)
+		if end < 0 {
+			return nil, fieldError(end, rec, off, i)
 		}
-		kind := Type(rec[off])
-		off++
 		at := i
 		if pos != nil {
 			at = pos[i]
 		}
-		switch kind {
-		case Int:
-			if off+8 > len(rec) {
-				return nil, fmt.Errorf("tuple: truncated int at field %d", i)
-			}
-			if at >= 0 {
-				dst[at] = NewInt(int64(binary.LittleEndian.Uint64(rec[off:])))
-			}
-			off += 8
-		case Float:
-			if off+8 > len(rec) {
-				return nil, fmt.Errorf("tuple: truncated float at field %d", i)
-			}
-			if at >= 0 {
-				dst[at] = Value{Kind: Float, I: int64(binary.LittleEndian.Uint64(rec[off:]))}
-			}
-			off += 8
-		case String:
-			if off+4 > len(rec) {
-				return nil, fmt.Errorf("tuple: truncated string length at field %d", i)
-			}
-			l := int(binary.LittleEndian.Uint32(rec[off:]))
-			off += 4
-			if off+l > len(rec) {
-				return nil, fmt.Errorf("tuple: truncated string at field %d", i)
-			}
-			// The comparison converts without allocating.
-			if at >= 0 {
-				if p := &dst[at]; p.Kind != String || p.S != string(rec[off:off+l]) {
-					*p = NewString(string(rec[off : off+l]))
-				}
-			}
-			off += l
-		default:
-			return nil, fmt.Errorf("tuple: bad type tag %d at field %d", kind, i)
+		if at >= 0 {
+			DecodeField(&dst[at], rec, off)
 		}
+		off = end
 	}
 	return dst, nil
+}
+
+// FieldOffsets appends the offset of each of rec's arity fields to offs,
+// validating rec as DecodeInto does; on an error it returns offs as
+// passed. A record fits in a page, so an offset fits in 16 bits.
+func FieldOffsets(offs []uint16, rec []byte, arity int) ([]uint16, error) {
+	n := len(offs)
+	off := 0
+	for i := 0; i < arity; i++ {
+		end := fieldEnd(rec, off)
+		if end < 0 {
+			return offs[:n], fieldError(end, rec, off, i)
+		}
+		offs = append(offs, uint16(off))
+		off = end
+	}
+	return offs, nil
+}
+
+// fieldEnd returns the end of the field at rec[off], or a bad* code: the
+// one check of tags and lengths, for DecodeInto and FieldOffsets, which
+// DecodeField trusts. It returns an int, not an error, so that it inlines.
+func fieldEnd(rec []byte, off int) int {
+	if uint(off) >= uint(len(rec)) {
+		return badRecord
+	}
+	switch Type(rec[off]) {
+	case Int, Float:
+		if off+9 <= len(rec) {
+			return off + 9
+		}
+		return badInt - int(rec[off]) // badInt or badFloat
+	case String:
+		if off+5 > len(rec) {
+			return badStringLen
+		}
+		if end := off + 5 + int(binary.LittleEndian.Uint32(rec[off+1:off+5])); end <= len(rec) {
+			return end
+		}
+		return badString
+	}
+	return badTag
+}
+
+// fieldEnd's codes, each -1 - its index in malformed.
+const badRecord, badInt, badFloat, badStringLen, badString, badTag = -1, -2, -3, -4, -5, -6
+
+var malformed = [...]string{"truncated record", "truncated int", "truncated float", "truncated string length", "truncated string"}
+
+// fieldError is the error for field i at rec[off], which failed fieldEnd.
+func fieldError(code int, rec []byte, off, i int) error {
+	if code == badTag {
+		return fmt.Errorf("tuple: bad type tag %d at field %d", rec[off], i)
+	}
+	return fmt.Errorf("tuple: %s at field %d", malformed[-1-code], i)
+}
+
+// DecodeField stores in *p the field that starts at rec[off], which
+// FieldOffsets (or DecodeInto) has validated. A String whose bytes equal
+// the String *p already holds keeps that value instead of making the same
+// string again: a column that repeats down a table (lineitem's linestatus
+// pad) then costs one allocation per run of equal values, not one per
+// row. Strings are immutable and equal ones indistinguishable, so no
+// caller can tell.
+func DecodeField(p *Value, rec []byte, off int) {
+	kind := Type(rec[off])
+	if kind != String { // an Int's or a Float's word is its payload
+		*p = Value{Kind: kind, I: int64(binary.LittleEndian.Uint64(rec[off+1 : off+9]))}
+		return
+	}
+	s := rec[off+5 : off+5+int(binary.LittleEndian.Uint32(rec[off+1:off+5]))]
+	// The comparison converts without allocating.
+	if p.Kind != String || p.S != string(s) {
+		*p = NewString(string(s))
+	}
 }
 
 // String renders the tuple as "(v1, v2, ...)".
