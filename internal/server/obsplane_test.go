@@ -383,3 +383,36 @@ func TestDashboardAndDebugSurface(t *testing.T) {
 		}
 	}
 }
+
+// TestProfileQErrors pins the history profile's q-errors: max(est/actual,
+// actual/est), and -1 wherever either side is missing or zero — the final
+// segment's unobserved rows, a segment with no rows on either side, an
+// unknown remaining time.
+func TestProfileQErrors(t *testing.T) {
+	j := &job{state: client.StateDone, res: &progressdb.Result{
+		VirtualSeconds: 10,
+		Segments: []progressdb.SegmentStats{
+			{EstRows: 100, ActualRows: 100},
+			{EstRows: 25, ActualRows: 100},
+			{EstRows: 100, ActualRows: 25},
+			{EstRows: 0, ActualRows: 0},
+			{EstRows: 50, ActualRows: -1},
+		},
+	}, history: []client.ProgressEvent{
+		{ElapsedSeconds: 0, RemainingSeconds: -1},
+		{ElapsedSeconds: 2, RemainingSeconds: 2},
+		{ElapsedSeconds: 5, RemainingSeconds: 5},
+		{ElapsedSeconds: 10, State: client.StateDone},
+	}}
+	p := j.profileLocked()
+	var segs []float64
+	for _, s := range p.Segments {
+		segs = append(segs, s.QError)
+	}
+	if want := []float64{1, 4, 4, -1, -1}; !reflect.DeepEqual(segs, want) {
+		t.Errorf("segment q-errors %v, want %v", segs, want)
+	}
+	if want := []float64{-1, 4, 1}; !reflect.DeepEqual(p.RemainingQError, want) {
+		t.Errorf("remaining-time q-errors %v, want %v", p.RemainingQError, want)
+	}
+}

@@ -3,10 +3,18 @@ package progressdb
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 
+	"progressdb/internal/catalog"
+	"progressdb/internal/exec"
 	"progressdb/internal/obs"
+	"progressdb/internal/plan"
+	"progressdb/internal/segment"
+	"progressdb/internal/workload"
 )
 
 // loadObsWorkload builds a small paper workload for observability tests.
@@ -217,5 +225,84 @@ func TestExplainStatementDispatch(t *testing.T) {
 	}
 	if !strings.Contains(text, "actual rows=") || !strings.Contains(text, "est U") {
 		t.Fatalf("annotated plan and segment table:\n%s", text)
+	}
+}
+
+// rewriteGolden regenerates testdata/explain_analyze.txt:
+// go test -run TestExplainAnalyzeGolden . -args -rewrite
+var rewriteGolden = flag.Bool("rewrite", false, "rewrite testdata/explain_analyze.txt")
+
+// TestExplainAnalyzeGolden pins, byte for byte, what a finished query
+// prints about its plan: the EXPLAIN ANALYZE text, the trace JSON and the
+// segment ledger JSON of the benchmark's statements that
+// TestDiscardMatchesKeepOnBenchmarkStatements runs, on its two engines.
+func TestExplainAnalyzeGolden(t *testing.T) {
+	const file = "testdata/explain_analyze.txt"
+	var b strings.Builder
+	for _, wm := range []int{16, 2048} {
+		db := loadObsWorkload(t, Config{WorkMemPages: wm, Trace: true, ProgressUpdateSeconds: 0.02})
+		for _, st := range workload.BenchStatements {
+			if st.Name == "q5" || st.Name == "point" || st.Name == "orders" {
+				continue
+			}
+			res, text, err := db.ExplainAnalyze(st.SQL)
+			if err != nil {
+				t.Fatalf("work_mem %d: %s: %v", wm, st.Name, err)
+			}
+			trace, err := json.Marshal(res.Trace)
+			if err != nil {
+				t.Fatal(err)
+			}
+			segs, err := json.Marshal(res.Segments)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&b, "== %s at work_mem %d\n%strace: %s\nsegments: %s\n", st.Name, wm, text, trace, segs)
+		}
+	}
+	got := b.String()
+	if *rewriteGolden {
+		if err := os.WriteFile(file, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatalf("%v; rewrite with: go test -run TestExplainAnalyzeGolden . -args -rewrite", err)
+	}
+	if got == string(want) {
+		return
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	n := 0
+	for n < len(gl) && n < len(wl) && gl[n] == wl[n] {
+		n++
+	}
+	line := func(ls []string) string {
+		if n < len(ls) {
+			return ls[n]
+		}
+		return "<end of file>"
+	}
+	t.Fatalf("%s differs at line %d:\n  generated: %s\n  committed: %s\nif the change is intended, rewrite with: go test -run TestExplainAnalyzeGolden . -args -rewrite",
+		file, n+1, line(gl), line(wl))
+}
+
+// TestExplainErrSpelling pins how EXPLAIN ANALYZE spells an operator's
+// q-error where it is undefined: x1.0 when neither side has rows, xinf
+// when only one side has.
+func TestExplainErrSpelling(t *testing.T) {
+	for _, c := range []struct {
+		est  float64
+		rows int64
+		want string
+	}{{0, 0, "err=x1.0"}, {0, 5, "err=xinf"}, {5, 0, "err=xinf"}, {5, 20, "err=x4.0"}} {
+		scan := &plan.SeqScan{Table: &catalog.Table{Name: "t"}, OutEst: plan.Est{Card: c.est}}
+		coll := exec.NewCollector(nil)
+		coll.Stats(scan).Rows = c.rows
+		if got := formatAnalyzedPlan(scan, &segment.Decomposition{}, coll); !strings.Contains(got, " "+c.want+")") {
+			t.Errorf("est %v, actual %d: %q, want %s", c.est, c.rows, got, c.want)
+		}
 	}
 }
