@@ -17,6 +17,7 @@ import (
 	"progressdb/internal/btree"
 	"progressdb/internal/fleet"
 	"progressdb/internal/optimizer"
+	"progressdb/internal/segment"
 	"progressdb/internal/sqlparser"
 	"progressdb/internal/tuple"
 	"progressdb/internal/workload"
@@ -395,34 +396,29 @@ type equivStats struct {
 	fleet, unsupported, nls, twins int
 }
 
-// segmentKinds names a segment by its trace span's root ("S3 HashPartition
-// (k)"); the last is the final one, one ending in none of these a build.
-var segmentKinds = map[string]string{"HashPartition": "partition", "Sort": "sort", "Materialize": "materialize", "HashAggregate": "aggregate"}
+// kindNames names the segment kinds in operator × segment-kind pairs.
+var kindNames = [...]string{
+	segment.KindFinal: "final", segment.KindHashBuild: "build", segment.KindPartition: "partition",
+	segment.KindSort: "sort", segment.KindMaterialize: "materialize", segment.KindAggregate: "aggregate",
+}
 
-// draw records a run's operator × segment-kind pairs, and from the trace
-// notes a hash join spilled at run time, an external sort's merge pass
-// and the layouts an operator's Int key tables ended in (HashJoin×direct,
-// GraceHashJoin×mixed, ...).
+// draw records a run's operator × segment-kind pairs from its plan report,
+// and from the operators' notes a hash join spilled at run time, an
+// external sort's merge pass and the layouts an operator's Int key tables
+// ended in (HashJoin×direct, GraceHashJoin×mixed, ...).
 func (s *equivStats) draw(res *progressdb.Result) {
-	segs := res.Trace.Root.Children[:len(res.Segments)]
-	for i, seg := range segs {
-		kind := cmp.Or(segmentKinds[strings.Fields(seg.Name)[1]], "build")
-		if i == len(segs)-1 {
-			kind = "final"
-		}
-		for _, op := range seg.Children {
-			name := strings.Fields(op.Name)[0]
-			s.pairs[name+"×"+kind]++
-			for _, note := range op.Notes {
-				switch {
-				case strings.HasPrefix(note, "build exceeded work_mem"):
-					s.pairs["HashJoin×runtime-spill"]++
-				case strings.HasPrefix(note, "intermediate merge"):
-					s.pairs["Sort×merge-pass"]++
-				case strings.HasPrefix(note, "int keys: "):
-					for _, layout := range intKeyLayouts(note) {
-						s.pairs[name+"×"+layout]++
-					}
+	for _, op := range progressdb.ReportOps(res) {
+		name := strings.Fields(op.Label)[0]
+		s.pairs[name+"×"+kindNames[op.Kind]]++
+		for _, note := range op.Notes {
+			switch {
+			case strings.HasPrefix(note, "build exceeded work_mem"):
+				s.pairs["HashJoin×runtime-spill"]++
+			case strings.HasPrefix(note, "intermediate merge"):
+				s.pairs["Sort×merge-pass"]++
+			case strings.HasPrefix(note, "int keys: "):
+				for _, layout := range intKeyLayouts(note) {
+					s.pairs[name+"×"+layout]++
 				}
 			}
 		}

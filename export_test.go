@@ -7,12 +7,33 @@ import (
 	"progressdb/internal/expr"
 	"progressdb/internal/optimizer"
 	"progressdb/internal/plan"
+	"progressdb/internal/segment"
 	"progressdb/internal/sqlparser"
 	"progressdb/internal/tuple"
 )
 
 // CheckReports is checkReports for the external test package.
 var CheckReports = checkReports
+
+// ReportOp is one operator of a Result's plan report that runs in a
+// segment, with that segment's kind.
+type ReportOp struct {
+	Label string
+	Kind  segment.Kind
+	Notes []string
+}
+
+// ReportOps lists the operators of res's plan report that run in a
+// segment, in pre-order; none unless the query ran with a collector.
+func ReportOps(res *Result) []ReportOp {
+	var out []ReportOp
+	for _, op := range res.report.ops {
+		if op.seg >= 0 {
+			out = append(out, ReportOp{op.label, res.report.segs[op.seg].Kind, op.notes})
+		}
+	}
+	return out
+}
 
 // ExecPlan plans sql under opt on the DB's catalog, at the DB's own
 // work_mem, and returns the plan.Format text. If run accepts that text,
@@ -32,11 +53,11 @@ func (db *DB) ExecPlan(sql string, opt optimizer.Options, run func(planText stri
 	if !run(text) {
 		return nil, text, nil
 	}
-	out, err := db.run(context.Background(), db.workerClock(), nil, p, sql, nil, true, db.traceEnabled())
+	res, err := db.run(context.Background(), db.workerClock(), nil, p, sql, nil, true, db.traceEnabled())
 	if err != nil {
 		return nil, text, err
 	}
-	return out.res, text, nil
+	return res, text, nil
 }
 
 // ExecTopFilter runs the unoptimised twin of st AND pred, where the
@@ -102,9 +123,5 @@ func (db *DB) ExecTopFilter(st *sqlparser.SelectStmt, pred sqlparser.Comparison)
 		}
 		top = p
 	}
-	out, err := db.run(context.Background(), db.workerClock(), nil, top, "twin", nil, true, db.traceEnabled())
-	if err != nil {
-		return nil, err
-	}
-	return out.res, nil
+	return db.run(context.Background(), db.workerClock(), nil, top, "twin", nil, true, db.traceEnabled())
 }

@@ -213,9 +213,5 @@ func (db *DB) execOne(q GroupQuery, yield func()) (res *Result, err error) {
 	if err != nil {
 		return nil, err
 	}
-	out, err := db.run(q.Ctx, db.clock, yield, p, q.Name, q.OnProgress, q.KeepRows, db.traceEnabled())
-	if err != nil {
-		return nil, err
-	}
-	return out.res, nil
+	return db.run(q.Ctx, db.clock, yield, p, q.Name, q.OnProgress, q.KeepRows, db.traceEnabled())
 }

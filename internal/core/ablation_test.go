@@ -174,7 +174,7 @@ func TestSegmentReports(t *testing.T) {
 		if !r.Done {
 			t.Fatalf("segment %d not done: %+v", r.ID, r)
 		}
-		if r.Seconds < 0 {
+		if r.EndT < r.StartT {
 			t.Fatalf("segment %d negative time", r.ID)
 		}
 		if r.ActualCostU <= 0 {
@@ -189,10 +189,15 @@ func TestSegmentReports(t *testing.T) {
 	if !misestimated {
 		t.Fatal("expected at least one badly underestimated segment")
 	}
-	table := FormatSegmentReports(reports)
-	for _, want := range []string{"seg", "est U", "actual U", "seconds"} {
-		if !strings.Contains(table, want) {
-			t.Fatalf("table missing %q:\n%s", want, table)
+}
+
+func TestQError(t *testing.T) {
+	for _, c := range []struct{ est, actual, want float64 }{
+		{100, 100, 1}, {25, 100, 4}, {100, 25, 4}, {0.5, 2, 4},
+		{0, 0, -1}, {0, 5, -1}, {5, 0, -1}, {50, -1, -1}, {-1, 8, -1},
+	} {
+		if got := QError(c.est, c.actual); got != c.want {
+			t.Errorf("QError(%v, %v) = %v, want %v", c.est, c.actual, got, c.want)
 		}
 	}
 }

@@ -1,9 +1,9 @@
 package core
 
 import (
-	"fmt"
-	"strings"
+	"math"
 
+	"progressdb/internal/segment"
 	"progressdb/internal/storage"
 )
 
@@ -17,6 +17,8 @@ const pageBytes = float64(storage.PageSize)
 type SegmentReport struct {
 	// ID is the segment's execution-order index.
 	ID int
+	// Kind classifies the segment's blocking root.
+	Kind segment.Kind
 	// Root labels the segment's top operator.
 	Root string
 	// EstCostU and ActualCostU compare the optimizer's initial segment
@@ -24,8 +26,6 @@ type SegmentReport struct {
 	EstCostU, ActualCostU float64
 	// EstOutRows and ActualOutRows compare output cardinalities.
 	EstOutRows, ActualOutRows float64
-	// Seconds is the segment's active time on the virtual clock.
-	Seconds float64
 	// StartT and EndT bound the segment's active period in virtual time
 	// (both zero if the segment never started; EndT is the current time
 	// for a segment still running).
@@ -42,6 +42,7 @@ func (ind *Indicator) SegmentReports() []SegmentReport {
 	for i, ss := range ind.segs {
 		r := SegmentReport{
 			ID:          i,
+			Kind:        ss.seg.Kind,
 			Root:        ss.seg.Root.Label(),
 			EstCostU:    ss.seg.InitCost / pageBytes,
 			ActualCostU: ss.doneBytes / pageBytes,
@@ -50,12 +51,10 @@ func (ind *Indicator) SegmentReports() []SegmentReport {
 		}
 		if ss.done {
 			r.ActualOutRows = float64(ss.outTuples)
-			r.Seconds = ss.endT - ss.startT
 			r.StartT, r.EndT = ss.startT, ss.endT
 		} else if ss.started {
 			r.ActualOutRows = float64(ss.outTuples)
-			r.Seconds = ind.clock.Now() - ss.startT
-			r.StartT, r.EndT = ss.startT, ss.startT+r.Seconds
+			r.StartT, r.EndT = ss.startT, ss.startT+(ind.clock.Now()-ss.startT)
 		}
 		if ss.seg.Final {
 			// The final segment's output is the result set: not counted
@@ -68,19 +67,12 @@ func (ind *Indicator) SegmentReports() []SegmentReport {
 	return out
 }
 
-// FormatSegmentReports renders the reports as an EXPLAIN ANALYZE-style
-// table.
-func FormatSegmentReports(reports []SegmentReport) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-3s %-11s %-11s %-12s %-12s %-9s %s\n",
-		"seg", "est U", "actual U", "est rows", "actual rows", "seconds", "root")
-	for _, r := range reports {
-		actRows := fmt.Sprintf("%.0f", r.ActualOutRows)
-		if r.ActualOutRows < 0 {
-			actRows = "(result)"
-		}
-		fmt.Fprintf(&b, "%-3d %-11.0f %-11.0f %-12.0f %-12s %-9.1f %s\n",
-			r.ID, r.EstCostU, r.ActualCostU, r.EstOutRows, actRows, r.Seconds, r.Root)
+// QError is an estimate's error factor max(est/actual, actual/est): 1 for
+// an exact estimate. It is -1, which no factor is, unless both sides are
+// positive; each printer spells that case its own way.
+func QError(est, actual float64) float64 {
+	if est <= 0 || actual <= 0 {
+		return -1
 	}
-	return b.String()
+	return math.Max(est/actual, actual/est)
 }

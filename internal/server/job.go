@@ -10,6 +10,7 @@ import (
 
 	"progressdb"
 	"progressdb/client"
+	"progressdb/internal/core"
 )
 
 // job is one submitted query's lifecycle record: its state machine
@@ -290,7 +291,7 @@ func (j *job) profileLocked() *client.QueryProfile {
 			ActualCostU:  seg.ActualCostU,
 			EstRows:      seg.EstRows,
 			ActualRows:   seg.ActualRows,
-			QError:       qError(seg.EstRows, seg.ActualRows),
+			QError:       core.QError(seg.EstRows, seg.ActualRows),
 			StartSeconds: seg.StartSeconds,
 			EndSeconds:   seg.EndSeconds,
 			Done:         seg.Done,
@@ -304,7 +305,7 @@ func (j *job) profileLocked() *client.QueryProfile {
 			break
 		}
 		actual := res.VirtualSeconds - ev.ElapsedSeconds
-		p.RemainingQError = append(p.RemainingQError, qError(ev.RemainingSeconds, actual))
+		p.RemainingQError = append(p.RemainingQError, core.QError(ev.RemainingSeconds, actual))
 	}
 	if res.Trace != nil {
 		if data, err := json.Marshal(res.Trace); err == nil {
@@ -312,20 +313,6 @@ func (j *job) profileLocked() *client.QueryProfile {
 		}
 	}
 	return p
-}
-
-// qError is the estimator-quality metric max(est/actual, actual/est),
-// or -1 where undefined (either side missing, zero, or negative —
-// e.g. an unknown remaining time encoded as -1, or the final segment's
-// unobserved output rows).
-func qError(est, actual float64) float64 {
-	if est <= 0 || actual <= 0 {
-		return -1
-	}
-	if est > actual {
-		return est / actual
-	}
-	return actual / est
 }
 
 // state returns the current lifecycle state.

@@ -3,7 +3,6 @@ package progressdb
 import (
 	"context"
 	"fmt"
-	"math"
 	"runtime/debug"
 	"strings"
 
@@ -88,15 +87,6 @@ func (db *DB) syncGauges() {
 
 func (db *DB) traceEnabled() bool { return db.cfg.Trace || db.cfg.TraceSink != nil }
 
-// runOut bundles one execution's artifacts for the callers that need
-// more than the Result.
-type runOut struct {
-	res  *Result
-	dec  *segment.Decomposition
-	ind  *core.Indicator
-	coll *exec.Collector
-}
-
 // workerClock draws a fresh per-query clock from the engine's clock
 // group: charges advance it independently of concurrent queries, and it
 // max-merges into the group at segment boundaries, report snapshots, and
@@ -110,7 +100,7 @@ func (db *DB) workerClock() *vclock.Clock {
 // run executes an already-planned query on clk with full observability
 // wiring: the indicator gets the refinement instruments and event sink,
 // the executor gets engine metrics and (optionally) a per-operator
-// collector, and the trace is assembled afterwards. clk is a
+// collector, and the plan report is assembled afterwards. clk is a
 // workerClock for a query that runs on its own, or the engine's base
 // clock for an ExecGroup member, whose yield hook (nil otherwise) hands
 // the machine to the next member. ctx cancels execution at the
@@ -121,11 +111,11 @@ func (db *DB) workerClock() *vclock.Clock {
 // converted into a typed *exec.InternalError that fails only this
 // query, and on any failure the query's tracked temp files are
 // reclaimed so the engine stays leak-free and reusable.
-func (db *DB) run(ctx context.Context, clk *vclock.Clock, yield func(), p plan.Node, name string, onProgress func(Report), keepRows, collect bool) (out *runOut, err error) {
+func (db *DB) run(ctx context.Context, clk *vclock.Clock, yield func(), p plan.Node, name string, onProgress func(Report), keepRows, collect bool) (res *Result, err error) {
 	var env *exec.Env
 	defer func() {
 		if r := recover(); r != nil {
-			out, err = nil, exec.NewInternalError(r, debug.Stack())
+			res, err = nil, exec.NewInternalError(r, debug.Stack())
 		}
 		if err != nil && env != nil {
 			env.ReleaseScans()
@@ -150,7 +140,7 @@ func (db *DB) run(ctx context.Context, clk *vclock.Clock, yield func(), p plan.N
 	if collect {
 		coll = exec.NewCollector(clk)
 	}
-	res := &Result{}
+	res = &Result{}
 	for _, c := range p.Schema().Cols {
 		res.Columns = append(res.Columns, c.Name)
 	}
@@ -187,23 +177,12 @@ func (db *DB) run(ctx context.Context, clk *vclock.Clock, yield func(), p plan.N
 	for _, s := range ind.Snapshots() {
 		res.History = append(res.History, toReport(s))
 	}
-	for _, r := range ind.SegmentReports() {
-		res.Segments = append(res.Segments, SegmentStats{
-			Index:        r.ID,
-			Root:         r.Root,
-			EstCostU:     r.EstCostU,
-			ActualCostU:  r.ActualCostU,
-			EstRows:      r.EstOutRows,
-			ActualRows:   r.ActualOutRows,
-			StartSeconds: r.StartT,
-			EndSeconds:   r.EndT,
-			Done:         r.Done,
-		})
-	}
+	res.report = newPlanReport(p, d, ind, coll)
+	res.Segments = res.report.segments()
 	if coll != nil {
-		res.Trace = buildTrace(name, p, d, ind.SegmentReports(), coll, start, clk.Now())
+		res.Trace = res.report.trace(name, start, clk.Now())
 	}
-	return &runOut{res: res, dec: d, ind: ind, coll: coll}, nil
+	return res, nil
 }
 
 // tupleToRow converts an engine tuple to the public row representation.
@@ -222,52 +201,6 @@ func tupleToRow(t tuple.Tuple) []interface{} {
 	return row
 }
 
-// buildTrace assembles the query → segment → operator span tree from the
-// indicator's segment reports and the executor's per-operator actuals.
-func buildTrace(name string, root plan.Node, d *segment.Decomposition,
-	reports []core.SegmentReport, coll *exec.Collector, start, end float64) *obs.Trace {
-	q := &obs.Span{Name: name, Kind: "query", Start: start, End: end}
-	segSpans := make([]*obs.Span, len(reports))
-	for i, r := range reports {
-		s := &obs.Span{
-			Name:  fmt.Sprintf("S%d %s", r.ID, r.Root),
-			Kind:  "segment",
-			Start: r.StartT,
-			End:   r.EndT,
-		}
-		s.SetAttr("est_cost_u", r.EstCostU)
-		s.SetAttr("actual_cost_u", r.ActualCostU)
-		s.SetAttr("rows_est", r.EstOutRows)
-		if r.ActualOutRows >= 0 {
-			s.SetAttr("rows_actual", r.ActualOutRows)
-		}
-		segSpans[i] = s
-		q.AddChild(s)
-	}
-	var walk func(n plan.Node)
-	walk = func(n plan.Node) {
-		sp := &obs.Span{Name: n.Label(), Kind: "operator"}
-		sp.SetAttr("rows_est", n.Est().Card)
-		if st := coll.Get(n); st != nil {
-			sp.Start, sp.End = st.StartT, st.EndT
-			sp.SetAttr("rows_actual", float64(st.Rows))
-			sp.SetAttr("u", st.Bytes/storage.PageSize)
-			sp.SetAttr("loops", float64(st.Loops))
-			sp.Notes = append(sp.Notes, st.Notes...)
-		}
-		if seg, ok := d.NodeSeg[n]; ok && seg >= 0 && seg < len(segSpans) {
-			segSpans[seg].AddChild(sp)
-		} else {
-			q.AddChild(sp)
-		}
-		for _, c := range n.Children() {
-			walk(c)
-		}
-	}
-	walk(root)
-	return &obs.Trace{Root: q}
-}
-
 // ExplainAnalyze parses sql (a SELECT, optionally prefixed with EXPLAIN
 // ANALYZE), executes it to completion, and returns the result together
 // with the annotated plan tree: per operator the optimizer's estimate,
@@ -283,61 +216,153 @@ func (db *DB) ExplainAnalyze(sql string) (*Result, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	out, err := db.run(context.Background(), db.workerClock(), nil, p, st.Select.String(), nil, true, true)
+	res, err := db.run(context.Background(), db.workerClock(), nil, p, st.Select.String(), nil, true, true)
 	if err != nil {
 		return nil, "", err
 	}
-	text := formatAnalyzedPlan(p, out.dec, out.coll) + "\n" +
-		core.FormatSegmentReports(out.ind.SegmentReports())
-	return out.res, text, nil
+	return res, res.report.explain(), nil
 }
 
-// formatAnalyzedPlan renders the plan tree annotated with actuals, in the
-// style of PostgreSQL's EXPLAIN ANALYZE.
-func formatAnalyzedPlan(root plan.Node, d *segment.Decomposition, coll *exec.Collector) string {
-	var b strings.Builder
+// planReport is what a finished query knows about its plan: per segment,
+// the indicator's estimate against what the segment did and, when a
+// collector ran, per operator in pre-order, the optimizer's estimate
+// against the collector's actuals. It holds no plan node, so a Result
+// keeps it. Result.Segments, Result.Trace and EXPLAIN ANALYZE's text are
+// printed from it.
+type planReport struct {
+	segs []core.SegmentReport
+	ops  []opReport
+}
+
+// opReport is one operator of a planReport.
+type opReport struct {
+	label          string
+	depth          int
+	seg            int // the segment the operator runs in; -1 for none
+	estRows, width float64
+	ran            bool // the collector has actuals for the operator
+	rows, loops    int64
+	u, start, end  float64
+	notes          []string
+}
+
+// newPlanReport reads one finished query's plan report off its plan, its
+// decomposition, its indicator and its collector (nil when none ran).
+func newPlanReport(p plan.Node, d *segment.Decomposition, ind *core.Indicator, coll *exec.Collector) planReport {
+	r := planReport{segs: ind.SegmentReports()}
+	if coll == nil {
+		return r
+	}
 	var walk func(n plan.Node, depth int)
 	walk = func(n plan.Node, depth int) {
-		pad := strings.Repeat("  ", depth)
 		e := n.Est()
-		fmt.Fprintf(&b, "%s%s  (est rows=%.0f width=%.0f)", pad, n.Label(), e.Card, e.Width)
-		st := coll.Get(n)
-		if st != nil {
-			fmt.Fprintf(&b, " (actual rows=%d loops=%d U=%.1f time=%.1f..%.1fs",
-				st.Rows, st.Loops, st.Bytes/storage.PageSize, st.StartT, st.EndT)
-			if f := errFactor(e.Card, float64(st.Rows)); math.IsInf(f, 1) {
-				b.WriteString(" err=xinf")
-			} else {
-				fmt.Fprintf(&b, " err=x%.1f", f)
-			}
-			b.WriteString(")")
-		}
+		op := opReport{label: n.Label(), depth: depth, seg: -1, estRows: e.Card, width: e.Width}
 		if seg, ok := d.NodeSeg[n]; ok {
-			fmt.Fprintf(&b, " [S%d]", seg)
+			op.seg = seg
 		}
-		b.WriteByte('\n')
-		if st != nil {
-			for _, note := range st.Notes {
-				fmt.Fprintf(&b, "%s  note: %s\n", pad, note)
-			}
+		if st := coll.Get(n); st != nil {
+			op.ran, op.rows, op.loops, op.u = true, st.Rows, st.Loops, st.Bytes/storage.PageSize
+			op.start, op.end, op.notes = st.StartT, st.EndT, st.Notes
 		}
+		r.ops = append(r.ops, op)
 		for _, c := range n.Children() {
 			walk(c, depth+1)
 		}
 	}
-	walk(root, 0)
-	return b.String()
+	walk(p, 0)
+	return r
 }
 
-// errFactor is the estimate error factor max(est/actual, actual/est)
-// (the q-error): 1 for a perfect estimate, +Inf when exactly one side is
-// zero.
-func errFactor(est, actual float64) float64 {
-	if est <= 0 && actual <= 0 {
-		return 1
+// segments prints the report's segments as Result.Segments.
+func (r *planReport) segments() []SegmentStats {
+	out := make([]SegmentStats, len(r.segs))
+	for i, s := range r.segs {
+		out[i] = SegmentStats{
+			Index:        s.ID,
+			Root:         s.Root,
+			EstCostU:     s.EstCostU,
+			ActualCostU:  s.ActualCostU,
+			EstRows:      s.EstOutRows,
+			ActualRows:   s.ActualOutRows,
+			StartSeconds: s.StartT,
+			EndSeconds:   s.EndT,
+			Done:         s.Done,
+		}
 	}
-	if est <= 0 || actual <= 0 {
-		return math.Inf(1)
+	return out
+}
+
+// trace prints the report as the query → segment → operator span tree of
+// the query name that ran from start to end.
+func (r *planReport) trace(name string, start, end float64) *obs.Trace {
+	q := &obs.Span{Name: name, Kind: "query", Start: start, End: end}
+	segs := make([]*obs.Span, len(r.segs))
+	for i, s := range r.segs {
+		sp := &obs.Span{Name: fmt.Sprintf("S%d %s", s.ID, s.Root), Kind: "segment", Start: s.StartT, End: s.EndT}
+		sp.SetAttr("est_cost_u", s.EstCostU)
+		sp.SetAttr("actual_cost_u", s.ActualCostU)
+		sp.SetAttr("rows_est", s.EstOutRows)
+		if s.ActualOutRows >= 0 {
+			sp.SetAttr("rows_actual", s.ActualOutRows)
+		}
+		segs[i] = q.AddChild(sp)
 	}
-	return math.Max(est/actual, actual/est)
+	for _, op := range r.ops {
+		sp := &obs.Span{Name: op.label, Kind: "operator"}
+		sp.SetAttr("rows_est", op.estRows)
+		if op.ran {
+			sp.Start, sp.End = op.start, op.end
+			sp.SetAttr("rows_actual", float64(op.rows))
+			sp.SetAttr("u", op.u)
+			sp.SetAttr("loops", float64(op.loops))
+			sp.Notes = append(sp.Notes, op.notes...)
+		}
+		if op.seg >= 0 && op.seg < len(segs) {
+			segs[op.seg].AddChild(sp)
+		} else {
+			q.AddChild(sp)
+		}
+	}
+	return &obs.Trace{Root: q}
+}
+
+// explain prints the report as EXPLAIN ANALYZE, in the style of
+// PostgreSQL's: the operator tree with each operator's actuals, then the
+// per-segment estimated-versus-actual table.
+func (r *planReport) explain() string {
+	var b strings.Builder
+	for _, op := range r.ops {
+		pad := strings.Repeat("  ", op.depth)
+		fmt.Fprintf(&b, "%s%s  (est rows=%.0f width=%.0f)", pad, op.label, op.estRows, op.width)
+		if op.ran {
+			fmt.Fprintf(&b, " (actual rows=%d loops=%d U=%.1f time=%.1f..%.1fs",
+				op.rows, op.loops, op.u, op.start, op.end)
+			switch q := core.QError(op.estRows, float64(op.rows)); {
+			case q > 0:
+				fmt.Fprintf(&b, " err=x%.1f)", q)
+			case op.estRows <= 0 && op.rows <= 0:
+				b.WriteString(" err=x1.0)")
+			default:
+				b.WriteString(" err=xinf)")
+			}
+		}
+		if op.seg >= 0 {
+			fmt.Fprintf(&b, " [S%d]", op.seg)
+		}
+		b.WriteByte('\n')
+		for _, note := range op.notes {
+			fmt.Fprintf(&b, "%s  note: %s\n", pad, note)
+		}
+	}
+	fmt.Fprintf(&b, "\n%-3s %-11s %-11s %-12s %-12s %-9s %s\n",
+		"seg", "est U", "actual U", "est rows", "actual rows", "seconds", "root")
+	for _, s := range r.segs {
+		actRows := fmt.Sprintf("%.0f", s.ActualOutRows)
+		if s.ActualOutRows < 0 {
+			actRows = "(result)"
+		}
+		fmt.Fprintf(&b, "%-3d %-11.0f %-11.0f %-12.0f %-12s %-9.1f %s\n",
+			s.ID, s.EstCostU, s.ActualCostU, s.EstOutRows, actRows, s.EndT-s.StartT, s.Root)
+	}
+	return b.String()
 }

@@ -9,11 +9,7 @@ import (
 	"strings"
 	"testing"
 
-	"progressdb/internal/catalog"
-	"progressdb/internal/exec"
 	"progressdb/internal/obs"
-	"progressdb/internal/plan"
-	"progressdb/internal/segment"
 	"progressdb/internal/workload"
 )
 
@@ -298,10 +294,8 @@ func TestExplainErrSpelling(t *testing.T) {
 		rows int64
 		want string
 	}{{0, 0, "err=x1.0"}, {0, 5, "err=xinf"}, {5, 0, "err=xinf"}, {5, 20, "err=x4.0"}} {
-		scan := &plan.SeqScan{Table: &catalog.Table{Name: "t"}, OutEst: plan.Est{Card: c.est}}
-		coll := exec.NewCollector(nil)
-		coll.Stats(scan).Rows = c.rows
-		if got := formatAnalyzedPlan(scan, &segment.Decomposition{}, coll); !strings.Contains(got, " "+c.want+")") {
+		r := planReport{ops: []opReport{{label: "SeqScan t", seg: -1, estRows: c.est, ran: true, rows: c.rows}}}
+		if got := r.explain(); !strings.Contains(got, " "+c.want+")") {
 			t.Errorf("est %v, actual %d: %q, want %s", c.est, c.rows, got, c.want)
 		}
 	}

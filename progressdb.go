@@ -466,6 +466,8 @@ type Result struct {
 	// filled when Config.Trace is set, Config.TraceSink is non-nil, or
 	// the query ran under ExplainAnalyze; nil otherwise.
 	Trace *obs.Trace
+
+	report planReport
 }
 
 // RowCount returns the number of result rows, kept or discarded.
@@ -504,11 +506,7 @@ func (db *DB) exec(ctx context.Context, sql string, onProgress func(Report), kee
 	if err != nil {
 		return nil, err
 	}
-	out, err := db.run(ctx, db.workerClock(), nil, p, sql, onProgress, keepRows, db.traceEnabled())
-	if err != nil {
-		return nil, err
-	}
-	return out.res, nil
+	return db.run(ctx, db.workerClock(), nil, p, sql, onProgress, keepRows, db.traceEnabled())
 }
 
 // FormatReport renders a report as the paper's Figure 2 progress box.
