@@ -36,14 +36,6 @@ func (s *Span) Duration() float64 {
 	return s.End - s.Start
 }
 
-// SetAttr records one numeric attribute, allocating the map lazily.
-func (s *Span) SetAttr(key string, v float64) {
-	if s.Attrs == nil {
-		s.Attrs = make(map[string]float64)
-	}
-	s.Attrs[key] = v
-}
-
 // AddChild appends a sub-span and returns it.
 func (s *Span) AddChild(c *Span) *Span {
 	s.Children = append(s.Children, c)

@@ -10,9 +10,8 @@ import (
 func TestSpanTree(t *testing.T) {
 	root := &Span{Name: "select 1", Kind: "query", Start: 0, End: 100}
 	seg := root.AddChild(&Span{Name: "S0", Kind: "segment", Start: 0, End: 60})
-	op := seg.AddChild(&Span{Name: "SeqScan t", Kind: "operator", Start: 0, End: 60})
-	op.SetAttr("rows_actual", 42)
-	op.SetAttr("rows_est", 40)
+	seg.AddChild(&Span{Name: "SeqScan t", Kind: "operator", Start: 0, End: 60,
+		Attrs: map[string]float64{"rows_actual": 42, "rows_est": 40}})
 	tr := &Trace{Root: root}
 
 	if tr.SpanCount() != 3 {

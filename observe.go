@@ -298,24 +298,18 @@ func (r *planReport) trace(name string, start, end float64) *obs.Trace {
 	q := &obs.Span{Name: name, Kind: "query", Start: start, End: end}
 	segs := make([]*obs.Span, len(r.segs))
 	for i, s := range r.segs {
-		sp := &obs.Span{Name: fmt.Sprintf("S%d %s", s.ID, s.Root), Kind: "segment", Start: s.StartT, End: s.EndT}
-		sp.SetAttr("est_cost_u", s.EstCostU)
-		sp.SetAttr("actual_cost_u", s.ActualCostU)
-		sp.SetAttr("rows_est", s.EstOutRows)
+		sp := &obs.Span{Name: fmt.Sprintf("S%d %s", s.ID, s.Root), Kind: "segment", Start: s.StartT, End: s.EndT,
+			Attrs: map[string]float64{"est_cost_u": s.EstCostU, "actual_cost_u": s.ActualCostU, "rows_est": s.EstOutRows}}
 		if s.ActualOutRows >= 0 {
-			sp.SetAttr("rows_actual", s.ActualOutRows)
+			sp.Attrs["rows_actual"] = s.ActualOutRows
 		}
 		segs[i] = q.AddChild(sp)
 	}
 	for _, op := range r.ops {
-		sp := &obs.Span{Name: op.label, Kind: "operator"}
-		sp.SetAttr("rows_est", op.estRows)
+		sp := &obs.Span{Name: op.label, Kind: "operator", Attrs: map[string]float64{"rows_est": op.estRows}}
 		if op.ran {
-			sp.Start, sp.End = op.start, op.end
-			sp.SetAttr("rows_actual", float64(op.rows))
-			sp.SetAttr("u", op.u)
-			sp.SetAttr("loops", float64(op.loops))
-			sp.Notes = append(sp.Notes, op.notes...)
+			sp.Start, sp.End, sp.Notes = op.start, op.end, op.notes
+			sp.Attrs["rows_actual"], sp.Attrs["u"], sp.Attrs["loops"] = float64(op.rows), op.u, float64(op.loops)
 		}
 		if op.seg >= 0 && op.seg < len(segs) {
 			segs[op.seg].AddChild(sp)
