@@ -33,15 +33,20 @@ type unwindStatement struct{ name, sql, algo string }
 
 // unwindStatements are the benchmark's nine analytic statements (the
 // paper's Q1–Q5, a sort, a small and a large aggregate, a semi-join),
-// plus Q2 under merge joins, whose inputs are spilling sorts, and Q3
-// under nested loops, whose inner is materialized.
+// plus Q2 under merge joins, whose inputs are spilling sorts, Q3 under
+// nested loops, whose inner is materialized, and a hybrid hash join
+// whose build is three times its estimate (absolute(k) > 0 is taken for
+// 1/3) and whose probe keys all but miss it: at 2 pages the join spills
+// at run time and re-reads spilled probe batches that return no row.
 var unwindStatements = func() []unwindStatement {
 	var out []unwindStatement
 	for _, st := range workload.BenchStatements[:workload.Mix9] {
 		out = append(out, unwindStatement{st.Name, st.SQL, ""})
 	}
 	q2, q3 := out[1].sql, out[2].sql
-	return append(out, unwindStatement{"q2 merge", q2, "merge"}, unwindStatement{"q3 nl", q3, "nl"})
+	return append(out, unwindStatement{"q2 merge", q2, "merge"}, unwindStatement{"q3 nl", q3, "nl"},
+		unwindStatement{"no-match spill", `select o.orderdate, l.linestatus from orders o, lineitem l
+			where o.orderkey = l.partkey and absolute(o.orderkey) > 0`, ""})
 }()
 
 // unwindWorkMem spills every blocking operator that can spill (2 pages)
@@ -56,7 +61,8 @@ var unwindCover = []string{
 }
 
 // unwindKind is one way to stop a run at its k-th point: a spec key of
-// the fault injector on one file class, or a cancel.
+// the fault injector on one file class, or a cancel at a safe point (all
+// files) or at a temp-file read.
 type unwindKind struct {
 	key    string // "nthread", "nthwrite", "panicnth" or "cancel"
 	target faultinject.Target
@@ -70,6 +76,7 @@ var unwindKinds = []unwindKind{
 	{"nthwrite", faultinject.TargetBase},
 	{"panicnth", faultinject.TargetBase},
 	{"cancel", faultinject.TargetAll},
+	{"cancel", faultinject.TargetTemp},
 }
 
 // count is how many points of this kind a clean run of ref passes.
@@ -85,6 +92,10 @@ func (k unwindKind) count(ref *unwindRef) int64 {
 		return io.Writes
 	case "panicnth":
 		return io.Reads + io.Writes
+	case "cancel":
+		if k.target == faultinject.TargetTemp {
+			return io.Reads
+		}
 	}
 	return ref.want.yields
 }
@@ -94,7 +105,7 @@ func (k unwindKind) count(ref *unwindRef) int64 {
 func (k unwindKind) ordinals(ref *unwindRef) []int64 {
 	n := k.count(ref)
 	var ks []int64
-	if k.key != "cancel" && k.target == faultinject.TargetTemp {
+	if k.target == faultinject.TargetTemp {
 		for i := int64(1); i <= n; i++ {
 			ks = append(ks, i)
 		}
@@ -108,8 +119,8 @@ func (k unwindKind) ordinals(ref *unwindRef) []int64 {
 	return ks
 }
 
-// arm is the schedule that stops a run at point n, and the safe point
-// it cancels at (0: none).
+// arm is the schedule that stops a run at point n, and the safe point or
+// temp-file read it cancels at (0: none).
 func (k unwindKind) arm(n int64) (faultinject.Config, int64) {
 	cfg := faultinject.Config{Target: k.target}
 	switch k.key {
@@ -120,7 +131,7 @@ func (k unwindKind) arm(n int64) (faultinject.Config, int64) {
 	case "panicnth":
 		cfg.PanicNth = n
 	default:
-		return faultinject.Config{}, n
+		return cfg, n
 	}
 	return cfg, 0
 }
@@ -224,21 +235,30 @@ func coverOps(n plan.Node, coll *Collector, seen map[string]bool) {
 }
 
 // run executes ref's plan once on a cleared pool under cfg, canceling at
-// safe point cancelAt (0: never). It recovers a panic and runs no
-// backstop; env is returned for that.
+// safe point cancelAt, or at temp-file read cancelAt when cfg targets temp
+// files (0: never). It recovers a panic and runs no backstop; env is
+// returned for that.
 func (s *unwindSweep) run(ref *unwindRef, cfg faultinject.Config, cancelAt int64, coll *Collector) (r unwindRun, env *Env) {
 	s.pool.Clear()
-	in := faultinject.New(cfg)
-	s.pool.Disk().SetFaultInjector(in)
 	ctx, cancel := context.WithCancel(context.Background())
 	env = &Env{Pool: s.pool, Clock: s.clock, WorkMemPages: ref.wm,
 		Decomp: segment.Decompose(ref.plan, ref.wm), Ctx: ctx, Collect: coll}
+	stop := func() {
+		cancel()
+		env.nyield = cancelEvery - 1 // the next safe point's poll sees it
+	}
+	onRead := cfg.Target == faultinject.TargetTemp
 	env.Yield = func() {
-		if r.yields++; r.yields == cancelAt {
-			cancel()
-			env.nyield = cancelEvery - 1 // this safe point's poll sees it
+		if r.yields++; r.yields == cancelAt && !onRead {
+			stop()
 		}
 	}
+	in := faultinject.New(cfg)
+	var inj storage.FaultInjector = in
+	if cancelAt > 0 && onRead {
+		inj = cancelAtRead{in, cancelAt, stop}
+	}
+	s.pool.Disk().SetFaultInjector(inj)
 	defer func() {
 		r.panic = recover()
 		r.io = in.Stats()
@@ -257,13 +277,16 @@ func (s *unwindSweep) run(ref *unwindRef, cfg faultinject.Config, cancelAt int64
 }
 
 // point runs ref stopped at point n of kind k and checks the unwind: a
-// typed error or the reference rows, and nothing left behind — before
-// the backstop, or after it for a panic.
+// typed error or the reference rows (a CanceledError after a cancel), and
+// nothing left behind — before the backstop, or after it for a panic.
 func (s *unwindSweep) point(ref *unwindRef, k unwindKind, n int64) error {
 	cfg, cancelAt := k.arm(n)
 	at := cfg.String()
 	if cancelAt > 0 {
 		at = fmt.Sprintf("cancel at safe point %d", cancelAt)
+		if cfg.Target == faultinject.TargetTemp {
+			at = fmt.Sprintf("cancel at temp-file read %d", cancelAt)
+		}
 	}
 	r, env := s.run(ref, cfg, cancelAt, nil)
 	leak := unwindLeaks(s.pool)
@@ -288,8 +311,27 @@ func (s *unwindSweep) point(ref *unwindRef, k unwindKind, n int64) error {
 		return fmt.Errorf("%s: returned %d rows (sum %x), want %d (sum %x)", at, r.rows, r.sum, ref.want.rows, ref.want.sum)
 	case r.err != nil && !errors.As(r.err, &fault) && !errors.As(r.err, &canceled):
 		return fmt.Errorf("%s: untyped error %v", at, r.err)
+	case cancelAt > 0 && !errors.As(r.err, &canceled):
+		return fmt.Errorf("%s: the cancel was never heard (the run returned %v)", at, r.err)
 	}
 	return nil
+}
+
+// cancelAtRead is an injector that also cancels the run at its n-th
+// temp-file read: the cancel lands wherever the executor is reading, and
+// a safe point must hear it before the run ends.
+type cancelAtRead struct {
+	*faultinject.Injector
+	n    int64
+	stop func()
+}
+
+func (c cancelAtRead) BeforePageIO(op storage.FaultOp, class storage.FileClass) (float64, error) {
+	lat, err := c.Injector.BeforePageIO(op, class)
+	if op == storage.OpRead && class == storage.ClassTemp && c.Stats().Reads == c.n {
+		c.stop()
+	}
+	return lat, err
 }
 
 // clean runs ref without faults: the reference rows, nothing left.
