@@ -54,7 +54,7 @@ func (ind *Indicator) SegmentReports() []SegmentReport {
 			r.StartT, r.EndT = ss.startT, ss.endT
 		} else if ss.started {
 			r.ActualOutRows = float64(ss.outTuples)
-			r.StartT, r.EndT = ss.startT, ss.startT+(ind.clock.Now()-ss.startT)
+			r.StartT, r.EndT = ss.startT, ind.clock.Now()
 		}
 		if ss.seg.Final {
 			// The final segment's output is the result set: not counted

@@ -467,6 +467,7 @@ type Result struct {
 	// the query ran under ExplainAnalyze; nil otherwise.
 	Trace *obs.Trace
 
+	// report is what Segments, Trace and ExplainAnalyze's text print.
 	report planReport
 }
 
