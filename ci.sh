@@ -30,6 +30,8 @@ go build ./...
 go build -gcflags=-m ./internal/vclock 2>&1 | grep -q 'can inline (\*Clock).ChargeCPU' || { echo "(*Clock).ChargeCPU no longer inlines" >&2; exit 1; }
 # Likewise the record check DecodeInto and FieldOffsets share, per field.
 go build -gcflags=-m ./internal/tuple 2>&1 | grep -q 'can inline fieldEnd' || { echo "tuple.fieldEnd no longer inlines" >&2; exit 1; }
+# And the cancel countdown every safe point passes, per row.
+go build -gcflags=-m ./internal/exec 2>&1 | grep -q 'can inline (\*Env).checkCancel' || { echo "(*Env).checkCancel no longer inlines" >&2; exit 1; }
 
 echo "== bench module =="
 # bench/ is a module of its own, so nothing above descends into it, yet it

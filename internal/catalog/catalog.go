@@ -5,6 +5,7 @@ package catalog
 
 import (
 	"fmt"
+	"hash/maphash"
 	"sort"
 	"strings"
 	"sync"
@@ -32,43 +33,106 @@ type Table struct {
 	Stats   *stats.TableStats
 	Indexes []*Index
 
-	pagesMu sync.Mutex   // guards pages
-	pages   []*PageIndex // by page number, once a scan has read the page
+	pagesMu sync.Mutex        // guards the fields below
+	pages   []*PageIndex      // by page number, once a scan has read the page
+	chunks  []string          // the bytes of each string a page index holds, once; append only
+	strs    map[uint64]strRef // each of those strings by its hash (the last, if two share one)
+	seed    maphash.Seed      // the hash's
+	pageIDs map[string]uint16 // the id of each string on the page being indexed
 }
+
+// strRef is a string of a table's chunks.
+type strRef struct {
+	chunk      uint32
+	start, end uint16
+}
+
+func (r strRef) in(chunks []string) string { return chunks[r.chunk][r.start:r.end] }
 
 // PageIndex is the parse of one page image of a table's heap: where each
-// record lies and where each of its fields starts, validated once by
-// tuple.FieldOffsets. An image is never written in place, so an index is
-// valid for exactly the image it was built from (DESIGN.md §5).
+// record lies, where each of its fields starts, validated once by
+// tuple.FieldOffsets, and each String field's value. An image is never
+// written in place, so an index is valid for exactly the image it was
+// built from, and it is never written after it is built (DESIGN.md §5).
 type PageIndex struct {
-	img   []byte   // the image indexed; held, so its address names it
-	spans []uint16 // record k lies in img at [spans[2k], spans[2k+1])
-	offs  []uint16 // field i of record k starts at offs[k*arity+i] in the record
-	arity int
-	Err   error // DecodeInto's error for record Len(); nil if all passed
+	img    []byte   // the image indexed; held, so its address names it
+	spans  []uint16 // record k lies in img at [spans[2k], spans[2k+1])
+	fields []uint16 // field i of record k: fields[k*arity+i], see Record
+	chunks []string // the table's chunks as the index was built; later ones go past its end
+	strs   []strRef // the page's distinct strings, by id
+	arity  int
+	Err    error // DecodeInto's error for record Len(); nil if all passed
 }
 
-func newPageIndex(img []byte, arity int) *PageIndex {
+// StringField marks a Record field that is a String's id for Str, not an
+// offset: an offset is below storage.PageSize, so the bit is free.
+const StringField = 1 << 15
+
+// indexPage builds the index of img, with t.pagesMu held. The bytes of
+// the page's strings that are new to the table become one chunk, and
+// neither the page's table of strings nor t.strs holds a pointer, so the
+// garbage collector follows a pointer per chunk and per page, not one
+// per string.
+func (t *Table) indexPage(img []byte) *PageIndex {
+	arity := t.Schema.Arity()
 	recs := storage.PageRecords(img)
 	n := recs.Len()
-	ix := &PageIndex{img: img, spans: make([]uint16, 0, 2*n), offs: make([]uint16, 0, n*arity), arity: arity}
+	ix := &PageIndex{img: img, spans: make([]uint16, 0, 2*n), fields: make([]uint16, 0, n*arity), arity: arity}
+	if t.pageIDs == nil {
+		t.seed, t.strs, t.pageIDs = maphash.MakeSeed(), make(map[uint64]strRef), make(map[string]uint16)
+	}
+	clear(t.pageIDs)
+	var fresh []byte // the bytes of the page's strings new to the table
+	news, chunk := 0, uint32(len(t.chunks))
+	var v tuple.Value
 	for range n {
 		start, end := recs.Next()
-		if ix.offs, ix.Err = tuple.FieldOffsets(ix.offs, img[start:end], arity); ix.Err != nil {
+		rec, at := img[start:end], len(ix.fields)
+		if ix.fields, ix.Err = tuple.FieldOffsets(ix.fields, rec, arity); ix.Err != nil {
 			break
+		}
+		for i, off := range ix.fields[at:] {
+			if tuple.DecodeField(&v, rec, int(off)); v.Kind != tuple.String {
+				continue
+			}
+			id, ok := t.pageIDs[v.S]
+			if !ok {
+				id = uint16(len(ix.strs))
+				t.pageIDs[v.S] = id
+				r, ok := t.strs[maphash.String(t.seed, v.S)]
+				if !ok || r.in(t.chunks) != v.S {
+					r = strRef{chunk, uint16(len(fresh)), uint16(len(fresh) + len(v.S))}
+					fresh, news = append(fresh, v.S...), news+1
+				}
+				ix.strs = append(ix.strs, r)
+			}
+			ix.fields[at+i] = StringField | id
 		}
 		ix.spans = append(ix.spans, uint16(start), uint16(end))
 	}
+	if news > 0 {
+		t.chunks = append(t.chunks, string(fresh))
+		for _, r := range ix.strs {
+			if r.chunk == chunk {
+				t.strs[maphash.String(t.seed, r.in(t.chunks))] = r
+			}
+		}
+	}
+	ix.chunks = t.chunks
 	return ix
 }
 
 // Len returns the number of records that passed validation.
 func (ix *PageIndex) Len() int { return len(ix.spans) / 2 }
 
-// Record returns record k, k < Len, and the offset of each of its fields.
-func (ix *PageIndex) Record(k int) (rec []byte, offs []uint16) {
-	return ix.img[ix.spans[2*k]:ix.spans[2*k+1]], ix.offs[k*ix.arity : (k+1)*ix.arity]
+// Record returns record k, k < Len, and one entry per field: a String's
+// is StringField|id, any other field's is its offset in the record.
+func (ix *PageIndex) Record(k int) (rec []byte, fields []uint16) {
+	return ix.img[ix.spans[2*k]:ix.spans[2*k+1]], ix.fields[k*ix.arity : (k+1)*ix.arity]
 }
+
+// Str returns the value of a String field Record returned.
+func (ix *PageIndex) Str(field uint16) string { return ix.strs[field&^StringField].in(ix.chunks) }
 
 // PageIndex returns the index of img, page num of t's heap, building it
 // if no scan has read this image before.
@@ -79,7 +143,7 @@ func (t *Table) PageIndex(img []byte, num int32) *PageIndex {
 		t.pages = append(t.pages, nil)
 	}
 	if ix := t.pages[num]; ix == nil || &ix.img[0] != &img[0] {
-		t.pages[num] = newPageIndex(img, t.Schema.Arity())
+		t.pages[num] = t.indexPage(img)
 	}
 	return t.pages[num]
 }

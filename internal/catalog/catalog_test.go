@@ -1,7 +1,9 @@
 package catalog
 
 import (
+	"fmt"
 	"testing"
+	"unsafe"
 
 	"progressdb/internal/storage"
 	"progressdb/internal/tuple"
@@ -119,12 +121,19 @@ func TestIndexOnNonIntRejected(t *testing.T) {
 }
 
 // A page index costs 2 bytes per field and 4 per record, plus the
-// PageIndex itself, and a page read again keeps the index it has.
+// PageIndex itself; its table of the page's strings costs at most 16
+// bytes a distinct string (a String field's entry is its 2 bytes), each
+// string's bytes made once for the table; and a page read again keeps
+// the index it has.
 func TestPageIndexCost(t *testing.T) {
 	c := testCatalog()
 	tb, _ := c.CreateTable("t", custSchema())
 	for i := 0; i < 1000; i++ {
-		if err := c.Insert(tb, tuple.Tuple{tuple.NewInt(int64(i)), tuple.NewString(""), tuple.NewFloat(1.5)}); err != nil {
+		name := fmt.Sprintf("repeats-%d", i%7)
+		if i%2 == 0 {
+			name = fmt.Sprintf("unique-%d", i)
+		}
+		if err := c.Insert(tb, tuple.Tuple{tuple.NewInt(int64(i)), tuple.NewString(name), tuple.NewFloat(1.5)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -132,6 +141,7 @@ func TestPageIndexCost(t *testing.T) {
 		t.Fatal(err)
 	}
 	perRecord := 2*tb.Schema.Arity() + 4
+	made := map[string]*byte{} // each string's bytes, as the first page held them
 	pages, records := 0, 0
 	for sc := tb.Heap.NewScanner(); ; {
 		img, num, ok := sc.NextPage()
@@ -145,8 +155,26 @@ func TestPageIndexCost(t *testing.T) {
 		if again := tb.PageIndex(img, num); again != ix {
 			t.Fatalf("page %d was indexed twice", num)
 		}
-		if bytes := 2 * (cap(ix.spans) + cap(ix.offs)); bytes > ix.Len()*perRecord {
+		if bytes := 2 * (cap(ix.spans) + cap(ix.fields)); bytes > ix.Len()*perRecord {
 			t.Fatalf("page %d: %d index bytes for %d records of %d fields, want at most %d a record", num, bytes, ix.Len(), tb.Schema.Arity(), perRecord)
+		}
+		distinct := map[string]bool{}
+		for k := range ix.Len() {
+			start, end := recs.Next()
+			row, err := tuple.Decode(img[start:end], tb.Schema.Arity())
+			if err != nil {
+				t.Fatal(err)
+			}
+			distinct[row[1].S] = true
+			_, fields := ix.Record(k)
+			s := ix.Str(fields[1])
+			if p, ok := made[s]; ok && p != unsafe.StringData(s) {
+				t.Fatalf("page %d holds another copy of %q", num, s)
+			}
+			made[s] = unsafe.StringData(s)
+		}
+		if bytes := cap(ix.strs) * int(unsafe.Sizeof(strRef{})); bytes > 16*len(distinct) {
+			t.Fatalf("page %d: %d string bytes for %d distinct strings, want at most 16 each", num, bytes, len(distinct))
 		}
 		pages, records = pages+1, records+ix.Len()
 	}

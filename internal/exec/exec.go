@@ -182,15 +182,18 @@ func (e *Env) yield() error {
 	return e.checkCancel()
 }
 
-// checkCancel polls Env.Ctx every cancelEvery calls.
+// checkCancel polls Env.Ctx every cancelEvery calls. It counts inline
+// and polls out of line, so that it inlines into every row loop.
 func (e *Env) checkCancel() error {
-	if e.Ctx == nil {
-		return nil
-	}
 	e.nyield++
-	if e.nyield%cancelEvery != 0 {
+	if e.nyield%cancelEvery != 0 || e.Ctx == nil {
 		return nil
 	}
+	return e.poll()
+}
+
+// poll returns a *CanceledError once Env.Ctx is canceled.
+func (e *Env) poll() error {
 	select {
 	case <-e.Ctx.Done():
 		return &CanceledError{Cause: context.Cause(e.Ctx)}

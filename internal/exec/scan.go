@@ -11,8 +11,9 @@ import (
 
 // seqScan reads a base relation front to back, page by page, through
 // each page's catalog.PageIndex, so a row costs only the stores of the
-// fields its layout places. Each tuple read is a segment-input event;
-// physical page I/O is charged by the heap scanner through the pool.
+// fields its layout places, and a String field allocates nothing. Each
+// tuple read is a segment-input event; physical page I/O is charged by
+// the heap scanner through the pool.
 type seqScan struct {
 	node *plan.SeqScan
 	env  *Env
@@ -57,17 +58,27 @@ func (s *scanSlot) decode(rec []byte, arity int) (tuple.Tuple, error) {
 	return row, nil
 }
 
-// place decodes a validated record, whose fields start at offs, as
-// decode would: only the fields the layout places.
-func (s *scanSlot) place(rec []byte, offs []uint16) tuple.Tuple {
+// place stores record rec of page, whose fields page.Record returned,
+// as decode would: only the fields the layout places, a String as the
+// page's copy of it, any other field decoded from rec.
+func (s *scanSlot) place(page *catalog.PageIndex, rec []byte, fields []uint16) tuple.Tuple {
 	if s.lay == nil {
-		for i, off := range offs {
-			tuple.DecodeField(&s.slot[i], rec, int(off))
+		for i, f := range fields {
+			if f < catalog.StringField {
+				tuple.DecodeField(&s.slot[i], rec, int(f))
+			} else {
+				s.slot[i] = tuple.NewString(page.Str(f))
+			}
 		}
 	} else {
 		for i, at := range s.placing {
-			if at >= 0 {
-				tuple.DecodeField(&s.slot[at], rec, int(offs[i]))
+			if at < 0 {
+				continue
+			}
+			if f := fields[i]; f < catalog.StringField {
+				tuple.DecodeField(&s.slot[at], rec, int(f))
+			} else {
+				s.slot[at] = tuple.NewString(page.Str(f))
 			}
 		}
 	}
@@ -101,9 +112,9 @@ func (s *seqScan) Next() (tuple.Tuple, bool, error) {
 		}
 		s.page, s.k = s.node.Table.PageIndex(img, num), 0
 	}
-	rec, offs := s.page.Record(s.k)
+	rec, fields := s.page.Record(s.k)
 	s.k++
-	row := s.place(rec, offs)
+	row := s.place(s.page, rec, fields)
 	s.env.Clock.ChargeCPU(cpuTuple)
 	s.env.rep().InputTuple(s.tag.Seg, s.tag.Input, len(rec))
 	if err := s.env.yield(); err != nil {

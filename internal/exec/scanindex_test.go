@@ -94,12 +94,13 @@ func scanDecoded(t testing.TB, tb *catalog.Table, lay []int) scanned {
 }
 
 // indexTable loads a table drawn from seed onto a fresh engine: one to
-// eight columns of random kinds and up to 1 200 rows (up to a few pages),
-// strings often empty or repeated, and — in one Int or Float column, if
-// there is one — values of the other kind appended past catalog.Insert's
-// type check. If bad is below the row count, record bad is broken: cut
-// short at a random byte if how is even, else given a bad tag at a random
-// field.
+// eight columns of random kinds and up to 1 200 rows (up to a few pages).
+// A String column draws from five strings, often empty, that repeat
+// across pages, or is unique on every row, or mixes the two. In one Int
+// or Float column, if there is one, values of the other kind are appended
+// past catalog.Insert's type check. If bad is below the row count, record
+// bad is broken: cut short at a random byte if how is even, else given a
+// bad tag at a random field.
 func indexTable(t testing.TB, seed int64, bad int, how uint8) (*catalog.Catalog, *catalog.Table) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -107,8 +108,9 @@ func indexTable(t testing.TB, seed int64, bad int, how uint8) (*catalog.Catalog,
 	cat := catalog.New(storage.NewBufferPool(storage.NewDisk(clock), 256))
 	kinds := make([]tuple.Type, 1+rng.Intn(8))
 	cols := make([]tuple.Column, len(kinds))
+	strMode := make([]int, len(kinds)) // 0 repeated, 1 unique, 2 mixed
 	for i := range kinds {
-		kinds[i] = tuple.Type(rng.Intn(3))
+		kinds[i], strMode[i] = tuple.Type(rng.Intn(3)), rng.Intn(3)
 		cols[i] = tuple.Column{Name: fmt.Sprintf("c%d", i), Type: kinds[i]}
 	}
 	tb, err := cat.CreateTable("t", tuple.NewSchema(cols...))
@@ -116,23 +118,26 @@ func indexTable(t testing.TB, seed int64, bad int, how uint8) (*catalog.Catalog,
 		t.Fatal(err)
 	}
 	strs := []string{"", "", "a", "same", strings.Repeat("x", 60)}
-	val := func(k tuple.Type) tuple.Value {
+	val := func(k tuple.Type, mode, r int) tuple.Value {
 		switch k {
 		case tuple.Int:
 			return tuple.NewInt(rng.Int63n(1000) - 500)
 		case tuple.Float:
 			return tuple.NewFloat(rng.NormFloat64())
 		}
-		if rng.Intn(2) == 0 {
+		if mode == 2 {
+			mode = rng.Intn(2)
+		}
+		if mode == 0 {
 			return tuple.NewString(strs[rng.Intn(len(strs))])
 		}
-		return tuple.NewString(fmt.Sprintf("s%d", rng.Int63()))
+		return tuple.NewString(fmt.Sprintf("row %d, %x", r, rng.Int63()))
 	}
 	mix := rng.Intn(len(kinds))
 	for r := range rng.Intn(1200) {
 		row := make(tuple.Tuple, len(kinds))
 		for i, k := range kinds {
-			row[i] = val(k)
+			row[i] = val(k, strMode[i], r)
 		}
 		switch {
 		case r == bad:
@@ -144,7 +149,7 @@ func indexTable(t testing.TB, seed int64, bad int, how uint8) (*catalog.Catalog,
 			}
 			_, err = tb.Heap.Append(rec)
 		case kinds[mix] != tuple.String && rng.Intn(4) == 0:
-			row[mix] = val(tuple.Int + tuple.Float - kinds[mix])
+			row[mix] = val(tuple.Int+tuple.Float-kinds[mix], 0, r)
 			_, err = tb.Heap.Append(row.Encode(nil))
 		default:
 			err = cat.Insert(tb, row)
@@ -299,7 +304,7 @@ func TestScanIndexReindexesReplacedImage(t *testing.T) {
 // Four scans racing to make the first scan of a table, and so to build
 // its page indexes, return the same rows.
 func TestScanIndexConcurrentFirstScan(t *testing.T) {
-	cat, tb := indexTable(t, 7, -1, 0)
+	cat, tb := indexTable(t, 18, -1, 0)
 	want := scanDecoded(t, tb, nil)
 	if len(want.rows) < 300 {
 		t.Fatalf("the table has %d rows, want a few pages", len(want.rows))
