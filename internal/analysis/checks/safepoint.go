@@ -24,10 +24,11 @@ import (
 //   - a transitively safe pump: a call to an *exported* method Next
 //     with the Iterator shape `func() (T, bool, error)`. Exported
 //     Iterator.Next is safe because the pull chain bottoms out at a
-//     scan, and scans yield per tuple; unexported helpers and raw
-//     storage scanners carry no such guarantee, so a loop that also
-//     pumps one of those (on another branch, after the Iterator is
-//     drained) needs the direct safe point.
+//     scan, and scans yield per tuple; unexported helpers (the run
+//     merger, the spill reader's next) and raw storage scanners carry
+//     no such guarantee, so a loop that also pumps one of those (on
+//     another branch, after the Iterator is drained) needs the direct
+//     safe point.
 //
 // Bounded loops (range loops, condition loops over in-memory state) are
 // exempt: their work per entry is limited by what an enclosing safe

@@ -24,6 +24,13 @@ type merger struct{}
 
 func (merger) next() (row, bool, error) { return nil, false, nil }
 
+// spillReader mimics the executor's reader of spilled rows: it reads a
+// temp file a page at a time and decodes into its own row, and its pump
+// next() (bool, error) has no Iterator shape, so it is a raw pump.
+type spillReader struct{ row row }
+
+func (*spillReader) next() (bool, error) { return false, nil }
+
 type env struct{}
 
 func (env) yield() error       { return nil }
@@ -75,6 +82,28 @@ func mergeWithoutYield(m merger) error {
 		}
 		if !ok {
 			return nil
+		}
+	}
+}
+
+func loadBatchWithoutYield(r *spillReader, c clock) error {
+	for { // want `unbounded tuple loop without a cancellation safe point`
+		ok, err := r.next()
+		if err != nil || !ok {
+			return err
+		}
+		c.ChargeCPU(1)
+	}
+}
+
+func loadBatchWithYield(r *spillReader, e env) error {
+	for { // spill reader pump with a direct safe point: fine
+		ok, err := r.next()
+		if err != nil || !ok {
+			return err
+		}
+		if err := e.yield(); err != nil {
+			return err
 		}
 	}
 }

@@ -213,6 +213,11 @@ type Indicator struct {
 	snapshots   []Snapshot
 	subscribers []func(Snapshot)
 
+	// estimate's scratch, rewritten by every refresh: an Indicator is
+	// driven by one goroutine, and no Snapshot keeps these.
+	outEsts, inputs  []segment.Est
+	segCost, ioShare []float64
+
 	updateTicker *vclock.Ticker
 	sampleTicker *vclock.Ticker
 }
@@ -238,6 +243,10 @@ func New(clock *vclock.Clock, decomp *segment.Decomposition, opts Options) *Indi
 		})
 	}
 	ind.initTotalBytes = decomp.TotalInitCost()
+	ind.outEsts, ind.segCost = make([]segment.Est, len(ind.segs)), make([]float64, len(ind.segs))
+	if ind.opts.PerSegmentSpeed {
+		ind.ioShare = make([]float64, len(ind.segs))
+	}
 	return ind
 }
 
@@ -359,13 +368,15 @@ func (ind *Indicator) SegmentDone(seg int) {
 		ss.inputs[i].exact = true
 	}
 	ind.opts.Refine.SegmentsCompleted.Inc()
-	ind.opts.Events.Emit("segment_done", ss.endT, map[string]any{
-		"segment":  seg,
-		"out_rows": ss.outTuples,
-		"out_b":    ss.outBytes,
-		"done_u":   ss.doneBytes / storage.PageSize,
-		"start_t":  ss.startT,
-	})
+	if ind.opts.Events != nil { // with no sink, building the map is wasted allocation
+		ind.opts.Events.Emit("segment_done", ss.endT, map[string]any{
+			"segment":  seg,
+			"out_rows": ss.outTuples,
+			"out_b":    ss.outBytes,
+			"done_u":   ss.doneBytes / storage.PageSize,
+			"start_t":  ss.startT,
+		})
+	}
 	if seg == len(ind.segs)-1 && !ind.finished {
 		ind.finished = true
 		ind.takeSnapshot()
@@ -462,19 +473,14 @@ type estimation struct {
 }
 
 func (ind *Indicator) estimate() estimation {
-	outEsts := make([]segment.Est, len(ind.segs))
-	est := estimation{
-		current: -1,
-		segCost: make([]float64, len(ind.segs)),
-	}
-	if ind.opts.PerSegmentSpeed {
-		est.ioShare = make([]float64, len(ind.segs))
-	}
+	outEsts := ind.outEsts
+	est := estimation{current: -1, segCost: ind.segCost, ioShare: ind.ioShare}
 	for i, ss := range ind.segs {
-		inputs := make([]segment.Est, len(ss.inputs))
-		for j := range inputs {
-			inputs[j] = ind.inputEst(ss, j, outEsts)
+		inputs := ind.inputs[:0]
+		for j := range ss.inputs {
+			inputs = append(inputs, ind.inputEst(ss, j, outEsts))
 		}
+		ind.inputs = inputs
 		if est.ioShare != nil {
 			est.ioShare[i] = ind.decomp.IOShare(ss.seg, inputs)
 		}
@@ -659,19 +665,21 @@ func (ind *Indicator) observe(snap Snapshot) {
 	m.EstTotalU.Set(snap.EstTotalU)
 	m.RemainingSeconds.Set(snap.RemainingSeconds)
 	m.RefreshU.Observe(snap.EstTotalU)
-	ind.opts.Events.Emit("progress", snap.Time, map[string]any{
-		"percent":       snap.Percent,
-		"done_u":        snap.DoneU,
-		"est_total_u":   snap.EstTotalU,
-		"speed_u":       snap.SpeedU,
-		"remaining_s":   snap.RemainingSeconds,
-		"segment":       snap.CurrentSegment,
-		"segments_done": snap.SegmentsDone,
-		"p":             snap.CurrentP,
-		"e1":            snap.CurrentE1,
-		"e":             snap.CurrentE,
-		"finished":      snap.Finished,
-	})
+	if ind.opts.Events != nil { // as in SegmentDone
+		ind.opts.Events.Emit("progress", snap.Time, map[string]any{
+			"percent":       snap.Percent,
+			"done_u":        snap.DoneU,
+			"est_total_u":   snap.EstTotalU,
+			"speed_u":       snap.SpeedU,
+			"remaining_s":   snap.RemainingSeconds,
+			"segment":       snap.CurrentSegment,
+			"segments_done": snap.SegmentsDone,
+			"p":             snap.CurrentP,
+			"e1":            snap.CurrentE1,
+			"e":             snap.CurrentE,
+			"finished":      snap.Finished,
+		})
+	}
 }
 
 // Current returns an on-demand snapshot without recording it.

@@ -330,6 +330,24 @@ func TestCurrentSnapshotOnDemand(t *testing.T) {
 	}
 }
 
+// A refresh reuses estimate's slices, and builds no event fields without
+// an event sink: once a query is over, an on-demand snapshot allocates
+// nothing.
+func TestCurrentDoesNotAllocate(t *testing.T) {
+	te := buildEnv(t, nil)
+	sql := `
+		select c.custkey, o.orderkey, l.partkey
+		from customer c, orders o, lineitem l
+		where c.custkey = o.custkey and o.orderkey = l.orderkey`
+	ind, _ := runWithIndicatorMem(t, te, sql, fastOpts, optimizer.Options{}, 4)
+	if n := len(ind.segs); n != 4 {
+		t.Fatalf("%d segments, want 4", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { ind.Current() }); n != 0 {
+		t.Fatalf("Current allocated %v times per call, want 0", n)
+	}
+}
+
 func TestSubscribersReceiveSnapshots(t *testing.T) {
 	te := buildEnv(t, nil)
 	stmt, _ := sqlparser.Parse("select * from lineitem")

@@ -17,11 +17,11 @@ import (
 
 // allocsPerQuery loads a fixed 40-row table small and an n-row table big
 // (with two string columns, c the same on every row and pad unique) on a
-// pool that holds both,
-// plans sql with the given join algorithm and returns the allocations of
-// one whole Run — Build, Open, every Next, Close — and of its Build alone,
-// and the bytes one Run allocates.
-func allocsPerQuery(t *testing.T, n int, sql, algo string) (allocs, build, bytes float64, rows int64) {
+// pool that holds both, plans sql with the given join algorithm at
+// workMem pages and returns the allocations of one whole Run — Build,
+// Open, every Next, Close — and of its Build alone, and the bytes one Run
+// allocates.
+func allocsPerQuery(t *testing.T, n int, sql, algo string, workMem int) (allocs, build, bytes float64, rows int64) {
 	t.Helper()
 	clock := vclock.New(vclock.Costs{SeqPage: 1e-5, RandPage: 8e-5, CPUTuple: 1e-8}, nil)
 	cat := catalog.New(storage.NewBufferPool(storage.NewDisk(clock), 1024))
@@ -56,26 +56,26 @@ func allocsPerQuery(t *testing.T, n int, sql, algo string) (allocs, build, bytes
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := optimizer.Plan(cat, stmt, optimizer.Options{ForceJoinAlgo: algo})
+	p, err := optimizer.Plan(cat, stmt, optimizer.Options{ForceJoinAlgo: algo, WorkMemPages: workMem})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := segment.Decompose(p, 512)
+	d := segment.Decompose(p, workMem)
 	allocs = testing.AllocsPerRun(3, func() {
-		env := &Env{Pool: cat.Pool(), Clock: clock, WorkMemPages: 512, Decomp: d}
+		env := &Env{Pool: cat.Pool(), Clock: clock, WorkMemPages: workMem, Decomp: d}
 		if rows, err = Run(env, p, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
 	build = testing.AllocsPerRun(3, func() {
-		env := &Env{Pool: cat.Pool(), Clock: clock, WorkMemPages: 512, Decomp: d}
+		env := &Env{Pool: cat.Pool(), Clock: clock, WorkMemPages: workMem, Decomp: d}
 		if _, err := Build(p, env); err != nil {
 			t.Fatal(err)
 		}
 	})
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	env := &Env{Pool: cat.Pool(), Clock: clock, WorkMemPages: 512, Decomp: d}
+	env := &Env{Pool: cat.Pool(), Clock: clock, WorkMemPages: workMem, Decomp: d}
 	if _, err := Run(env, p, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -113,8 +113,8 @@ func TestAllocationsDoNotGrowWithProbeRows(t *testing.T) {
 		{"group by an Int key", "select b.k, count(*), sum(b.v) from big b group by b.k", "", 1, 0},
 		{"nested loops, wide outer", "select b.k, b.v, b.c, b.k, b.v, b.c, s.v from big b, small s where b.v <> s.v", "nl", 4, 0},
 	} {
-		a1, b1, _, r1 := allocsPerQuery(t, 500, tc.sql, tc.algo)
-		a4, b4, _, r4 := allocsPerQuery(t, 2000, tc.sql, tc.algo)
+		a1, b1, _, r1 := allocsPerQuery(t, 500, tc.sql, tc.algo, 512)
+		a4, b4, _, r4 := allocsPerQuery(t, 2000, tc.sql, tc.algo, 512)
 		t.Logf("%s: %d rows -> %.0f allocs (%.0f in Build), %d rows -> %.0f allocs (%.0f in Build)", tc.name, r1, a1, b1, r4, a4, b4)
 		if b1 != b4 {
 			t.Fatalf("%s: Build allocated %.0f times over 500 rows, %.0f over 2000", tc.name, b1, b4)
@@ -137,8 +137,8 @@ func TestAllocationsDoNotGrowWithProbeRows(t *testing.T) {
 // group cost 850–1050.
 func TestHashAggMemoryPerGroup(t *testing.T) {
 	const sql = "select b.v, count(*), sum(b.k) from big b group by b.v"
-	a1, _, bytes1, r1 := allocsPerQuery(t, 4096, sql, "")
-	a8, _, bytes8, r8 := allocsPerQuery(t, 32768, sql, "")
+	a1, _, bytes1, r1 := allocsPerQuery(t, 4096, sql, "", 512)
+	a8, _, bytes8, r8 := allocsPerQuery(t, 32768, sql, "", 512)
 	if r1 != 4096 || r8 != 32768 {
 		t.Fatalf("groups %d and %d, want one per row", r1, r8)
 	}
@@ -153,6 +153,33 @@ func TestHashAggMemoryPerGroup(t *testing.T) {
 	for _, c := range []struct{ bytes, groups float64 }{{bytes1, float64(r1)}, {bytes8, float64(r8)}} {
 		if per := c.bytes / c.groups; per > 400 {
 			t.Fatalf("%.0f bytes per group over %.0f groups, want at most 400", per, c.groups)
+		}
+	}
+}
+
+// Spilled rows are read back a page at a time, a String as a substring of
+// its page's one string, and an intermediate merge copies records as it
+// read them: a spill's allocations grow with its pages and files, not
+// its rows. The sort passes intermediate merges and carries the unique
+// pad; the Grace join's build side keeps it. Going from 500 to 2000 rows
+// may add one allocation per 16 added rows, where a page holds about 150
+// of them, and a string per row would add one per row.
+func TestSpillAllocationsDoNotGrowWithRows(t *testing.T) {
+	for _, tc := range []struct {
+		name, sql, algo string
+		workMem         int
+	}{
+		{"external sort", "select * from big b order by b.v", "", 3},
+		{"grace join", "select b.pad, c.pad, c.v from big b, big c where b.v = c.v", "hash", 1},
+	} {
+		a1, _, _, r1 := allocsPerQuery(t, 500, tc.sql, tc.algo, tc.workMem)
+		a4, _, _, r4 := allocsPerQuery(t, 2000, tc.sql, tc.algo, tc.workMem)
+		t.Logf("%s: %d rows -> %.0f allocs, %d rows -> %.0f allocs", tc.name, r1, a1, r4, a4)
+		if r1 != 500 || r4 != 2000 {
+			t.Fatalf("%s: result rows %d and %d, want 500 and 2000", tc.name, r1, r4)
+		}
+		if a4 > a1+float64(r4-r1)/16 {
+			t.Fatalf("%s: allocations grew with the rows: %.0f at 500 rows, %.0f at 2000", tc.name, a1, a4)
 		}
 	}
 }

@@ -115,11 +115,12 @@ type graceJoin struct {
 	// ended in the direct window; counted only while collecting.
 	intBatches, directBatches int
 
-	table      rowTable
-	probeScan  *storage.Scanner
-	match      int32       // next build row matching curProbe, -1 when drained
-	curProbe   tuple.Tuple // reused slot for probe rows read back
-	buildRow   tuple.Tuple // reused slot for build rows read back
+	table rowTable
+	// spill reads the current build batch into table, then streams the
+	// probe batch: probe rows are read while its sc is not nil.
+	spill      spillReader
+	match      int32 // next build row matching curProbe, -1 when drained
+	curProbe   tuple.Tuple
 	buildArity int
 	probeArity int
 }
@@ -173,26 +174,21 @@ func (g *graceJoin) Next() (tuple.Tuple, bool, error) {
 			return g.row, true, nil
 		}
 
-		if g.probeScan != nil {
-			rec, _, ok := g.probeScan.Next()
+		if g.spill.sc != nil {
+			ok, err := g.spill.next()
+			if err != nil {
+				return nil, false, err
+			}
 			if ok {
-				t, err := tuple.DecodeInto(g.curProbe, rec, g.probeArity, nil)
-				if err != nil {
-					return nil, false, err
-				}
-				g.curProbe = t
+				g.curProbe = g.spill.row
 				g.env.Clock.ChargeCPU(cpuHashOp)
 				if err := g.env.yield(); err != nil {
 					return nil, false, err
 				}
-				rep.InputTuple(g.probePart.tag.Seg, g.probePart.tag.Input, len(rec))
-				g.match = g.table.first(t[g.node.ProbeKey])
+				rep.InputTuple(g.probePart.tag.Seg, g.probePart.tag.Input, len(g.spill.rec))
+				g.match = g.table.first(g.curProbe[g.node.ProbeKey])
 				continue
 			}
-			if err := g.probeScan.Err(); err != nil {
-				return nil, false, err
-			}
-			g.probeScan = nil
 		}
 
 		// Advance to the next batch.
@@ -208,33 +204,32 @@ func (g *graceJoin) Next() (tuple.Tuple, bool, error) {
 		if err := g.loadBuildBatch(g.batch); err != nil {
 			return nil, false, err
 		}
-		g.probeScan = g.probePart.files[g.batch].NewScanner()
+		g.spill.open(g.probePart.files[g.batch], g.probeArity, nil)
 	}
 }
 
 func (g *graceJoin) loadBuildBatch(b int) error {
 	g.table.reset()
 	rep := g.env.rep()
-	sc := g.buildPart.files[b].NewScanner()
+	r := &g.spill
+	r.open(g.buildPart.files[b], g.buildArity, nil)
 	for {
-		rec, _, ok := sc.Next()
+		ok, err := r.next()
+		if err != nil {
+			return err
+		}
 		if !ok {
 			break
 		}
 		// Safe point: rebuilding a spilled batch table is unbounded work
-		// driven by a raw scanner, so it must poll for cancellation
+		// driven by a raw reader, so it must poll for cancellation
 		// itself (found by progresslint's safepoint analyzer).
 		if err := g.env.yield(); err != nil {
 			return err
 		}
-		t, err := tuple.DecodeInto(g.buildRow, rec, g.buildArity, nil)
-		if err != nil {
-			return err
-		}
-		g.buildRow = t
 		g.env.Clock.ChargeCPU(cpuHashOp)
-		rep.InputTuple(g.buildPart.tag.Seg, g.buildPart.tag.Input, len(rec))
-		g.table.insert(t[g.node.BuildKey], t)
+		rep.InputTuple(g.buildPart.tag.Seg, g.buildPart.tag.Input, len(r.rec))
+		g.table.insert(r.row[g.node.BuildKey], r.row)
 	}
 	if g.env.Collect != nil && g.table.ints.n > 0 {
 		g.intBatches++
@@ -242,7 +237,7 @@ func (g *graceJoin) loadBuildBatch(b int) error {
 			g.directBatches++
 		}
 	}
-	return sc.Err()
+	return nil
 }
 
 func (g *graceJoin) Close() error {

@@ -42,13 +42,13 @@ type hashJoin struct {
 	// emission state
 	match    int32 // next build row matching curProbe, -1 when drained
 	curProbe tuple.Tuple
-	spillRow tuple.Tuple // reused slot for rows re-read from spill files
-	enc      []byte      // reused spill-write buffer
+	enc      []byte // reused spill-write buffer
 
-	// batch-processing state
+	// batch-processing state: spill reads build batch batchIdx into the
+	// table, then streams its probe batch while its sc is not nil.
 	probeExhausted bool
 	batchIdx       int
-	batchScan      *storage.Scanner
+	spill          spillReader
 
 	buildArity, probeArity int
 }
@@ -242,7 +242,7 @@ func (h *hashJoin) Next() (tuple.Tuple, bool, error) {
 		if !h.spilled {
 			return nil, false, nil
 		}
-		if h.batchScan == nil {
+		if h.spill.sc == nil {
 			h.batchIdx++
 			if h.batchIdx >= h.nbatch {
 				return nil, false, nil
@@ -250,32 +250,26 @@ func (h *hashJoin) Next() (tuple.Tuple, bool, error) {
 			if err := h.loadBatch(h.batchIdx); err != nil {
 				return nil, false, err
 			}
-			h.batchScan = h.probeFiles[h.batchIdx].NewScanner()
+			h.spill.open(h.probeFiles[h.batchIdx], h.probeArity, nil)
 		}
-		rec, _, ok := h.batchScan.Next()
+		ok, err := h.spill.next()
+		if err != nil {
+			return nil, false, err
+		}
 		if !ok {
-			if err := h.batchScan.Err(); err != nil {
-				return nil, false, err
-			}
-			h.batchScan = nil
 			continue
 		}
-		// Safe point: a spilled probe batch streams from a raw scanner,
+		// Safe point: a spilled probe batch streams from a raw reader,
 		// and one whose rows find no match never returns to a caller that
 		// polls.
 		if err := h.env.yield(); err != nil {
 			return nil, false, err
 		}
-		t, err := tuple.DecodeInto(h.spillRow, rec, h.probeArity, nil)
-		if err != nil {
-			return nil, false, err
-		}
-		h.spillRow = t
 		// Multi-stage re-read of a spilled probe tuple.
-		rep.Extra(h.tag.Seg, float64(len(rec)))
+		rep.Extra(h.tag.Seg, float64(len(h.spill.rec)))
 		h.env.Clock.ChargeCPU(cpuHashOp)
-		h.curProbe = t
-		h.match = h.table.first(t[h.node.ProbeKey])
+		h.curProbe = h.spill.row
+		h.match = h.table.first(h.curProbe[h.node.ProbeKey])
 	}
 }
 
@@ -284,30 +278,26 @@ func (h *hashJoin) Next() (tuple.Tuple, bool, error) {
 func (h *hashJoin) loadBatch(b int) error {
 	h.table.reset()
 	h.tableBytes = 0
-	sc := h.buildFiles[b].NewScanner()
+	r := &h.spill
+	r.open(h.buildFiles[b], h.buildArity, nil)
 	rep := h.env.rep()
 	for {
-		rec, _, ok := sc.Next()
+		ok, err := r.next()
+		if err != nil {
+			return err
+		}
 		if !ok {
 			break
 		}
 		// Safe point: reloading a spilled build batch streams from a raw
-		// scanner, outside any child Iterator's yield chain (found by
+		// reader, outside any child Iterator's yield chain (found by
 		// progresslint's safepoint analyzer).
 		if err := h.env.yield(); err != nil {
 			return err
 		}
-		t, err := tuple.DecodeInto(h.spillRow, rec, h.buildArity, nil)
-		if err != nil {
-			return err
-		}
-		h.spillRow = t
 		h.env.Clock.ChargeCPU(cpuHashOp)
-		rep.InputTuple(h.tag.Seg, h.tag.Input, len(rec))
-		h.addToTable(t, len(rec))
-	}
-	if err := sc.Err(); err != nil {
-		return err
+		rep.InputTuple(h.tag.Seg, h.tag.Input, len(r.rec))
+		h.addToTable(r.row, len(r.rec))
 	}
 	if b == h.nbatch-1 {
 		rep.InputDone(h.tag.Seg, h.tag.Input)

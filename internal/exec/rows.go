@@ -5,6 +5,7 @@ import (
 
 	"progressdb/internal/expr"
 	"progressdb/internal/plan"
+	"progressdb/internal/storage"
 	"progressdb/internal/tuple"
 )
 
@@ -271,4 +272,50 @@ func (rt *rowTable) first(key tuple.Value) int32 {
 		return -1
 	}
 	return ch.head
+}
+
+// spillReader reads the rows of a temp file back, a page at a time. row
+// is the record last read, decoded in the layout lay (nil: the whole row)
+// through tuple.Page, so its Strings share the page's one string and a
+// spilled row allocates nothing; rec is that record's encoding. row is
+// valid until the next call to next. sc is nil once the file is drained.
+type spillReader struct {
+	sc    *storage.Scanner
+	img   []byte
+	page  tuple.Page
+	recs  storage.Records
+	arity int
+	lay   []int
+	row   tuple.Tuple
+	rec   []byte
+}
+
+// open starts reading f's records of arity fields.
+func (r *spillReader) open(f *storage.HeapFile, arity int, lay []int) {
+	r.sc, r.recs, r.arity, r.lay = f.NewScanner(), storage.Records{}, arity, lay
+	if lay != nil {
+		r.row = make(tuple.Tuple, width(lay))
+	}
+}
+
+// next reads the next record into row and rec. It reports false at the
+// end of the file or on an error.
+func (r *spillReader) next() (bool, error) {
+	if r.recs.Len() == 0 {
+		img, _, ok := r.sc.NextPage()
+		if !ok {
+			err := r.sc.Err()
+			r.sc = nil
+			return false, err
+		}
+		r.img, r.recs = img, storage.PageRecords(img)
+		r.page.Reset(img)
+	}
+	start, end := r.recs.Next()
+	row, err := r.page.DecodeInto(r.row, start, end, r.arity, r.lay)
+	if err != nil {
+		return false, err
+	}
+	r.row, r.rec = row, r.img[start:end]
+	return true, nil
 }

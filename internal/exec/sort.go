@@ -218,11 +218,18 @@ func (s *sortIter) compare(a, b tuple.Tuple) (int, error) {
 }
 
 // intermediateMerges reduces the run count below the merge fan-in,
-// charging each moved byte twice (read + write) as multi-stage Extra.
+// charging each moved byte twice (read + write) as multi-stage Extra. A
+// pass decodes only the sort keys, each at its own column, and appends
+// the winner's record as it was read: the runs it writes hold the bytes
+// an Encode of the decoded row would.
 func (s *sortIter) intermediateMerges() error {
 	fanin := s.env.WorkMemPages - 1
 	if fanin < 2 {
 		fanin = 2
+	}
+	keys := unplaced(s.arity)
+	for _, k := range s.node.Keys {
+		keys[k.Col] = k.Col
 	}
 	rep := s.env.rep()
 	for len(s.runs) > fanin {
@@ -230,14 +237,14 @@ func (s *sortIter) intermediateMerges() error {
 		rest := s.runs[fanin:]
 		s.env.Met.MergePasses.Inc()
 		s.env.Collect.Notef(s.node, "intermediate merge: %d runs -> 1", len(group))
-		m, err := newRunMerger(s, group)
+		m, err := newRunMerger(s, group, keys)
 		if err != nil {
 			return err
 		}
 		out := s.env.newTempFile()
 		mergeErr := func() error {
 			for {
-				t, sz, ok, err := m.next()
+				_, rec, ok, err := m.next()
 				if err != nil {
 					return err
 				}
@@ -252,9 +259,8 @@ func (s *sortIter) intermediateMerges() error {
 					return err
 				}
 				s.env.Clock.ChargeCPU(cpuTuple * 2)
-				rep.Extra(s.tag.ProducerSeg, 2*float64(sz))
-				s.enc = t.Encode(s.enc[:0])
-				if _, err := out.Append(s.enc); err != nil {
+				rep.Extra(s.tag.ProducerSeg, 2*float64(len(rec)))
+				if _, err := out.Append(rec); err != nil {
 					return err
 				}
 			}
@@ -287,13 +293,13 @@ func (s *sortIter) Next() (tuple.Tuple, bool, error) {
 		return s.rows[k.idx], true, nil
 	}
 	if s.merge == nil {
-		m, err := newRunMerger(s, s.runs)
+		m, err := newRunMerger(s, s.runs, nil)
 		if err != nil {
 			return nil, false, err
 		}
 		s.merge = m
 	}
-	t, sz, ok, err := s.merge.next()
+	t, rec, ok, err := s.merge.next()
 	if err != nil {
 		return nil, false, err
 	}
@@ -302,7 +308,7 @@ func (s *sortIter) Next() (tuple.Tuple, bool, error) {
 		return nil, false, nil
 	}
 	s.env.Clock.Charge(vclock.CPU, float64(cpuTuple)+math.Log2(float64(len(s.runs))+1))
-	rep.InputTuple(s.tag.Seg, s.tag.Input, sz)
+	rep.InputTuple(s.tag.Seg, s.tag.Input, len(rec))
 	return t, true, nil
 }
 
@@ -325,27 +331,23 @@ func (s *sortIter) Close() error {
 // runMerger streams the k-way merge of sorted runs. k is bounded by the
 // merge fan-in, so a linear minimum scan per tuple is fine; of equal
 // heads the earlier run's wins, as runs hold the input in order. Each run
-// decodes into its own reused head slot, beside its firstKey and encoded
-// size; next copies the winner into out before refilling that slot, so
-// the tuple it returns is valid until the following next.
+// reads its head into its own spillReader, beside the head's firstKey;
+// next copies the winner into out before moving its run on, so the tuple
+// it returns is valid until the following next. The record it returns
+// lies in a page image, which the pool never writes in place.
 type runMerger struct {
 	s     *sortIter
-	scans []*storage.Scanner
-	slots []tuple.Tuple
-	heads []sortKey // heads[i].k and .size are slots[i]'s
-	live  []bool    // slots[i] holds run i's current head
+	runs  []spillReader // a drained run's sc is nil
+	heads []uint64      // heads[i] is runs[i].row's firstKey
 	out   tuple.Tuple
 }
 
-func newRunMerger(s *sortIter, runs []*storage.HeapFile) (*runMerger, error) {
-	m := &runMerger{s: s}
-	for _, f := range runs {
-		m.scans = append(m.scans, f.NewScanner())
-	}
-	m.slots = make([]tuple.Tuple, len(runs))
-	m.heads = make([]sortKey, len(runs))
-	m.live = make([]bool, len(runs))
-	for i := range m.scans {
+// newRunMerger merges runs, decoding their rows in the layout lay (nil:
+// the whole row).
+func newRunMerger(s *sortIter, runs []*storage.HeapFile, lay []int) (*runMerger, error) {
+	m := &runMerger{s: s, runs: make([]spillReader, len(runs)), heads: make([]uint64, len(runs))}
+	for i, f := range runs {
+		m.runs[i].open(f, s.arity, lay)
 		if err := m.advance(i); err != nil {
 			return nil, err
 		}
@@ -354,36 +356,30 @@ func newRunMerger(s *sortIter, runs []*storage.HeapFile) (*runMerger, error) {
 }
 
 func (m *runMerger) advance(i int) error {
-	rec, _, ok := m.scans[i].Next()
-	if !ok {
-		m.live[i] = false
-		return m.scans[i].Err()
+	r := &m.runs[i]
+	ok, err := r.next()
+	if ok {
+		m.heads[i] = m.s.firstKey(r.row)
 	}
-	t, err := tuple.DecodeInto(m.slots[i], rec, m.s.arity, nil)
-	if err != nil {
-		return err
-	}
-	m.slots[i], m.live[i] = t, true
-	m.heads[i] = sortKey{k: m.s.firstKey(t), size: int32(len(rec))}
-	return nil
+	return err
 }
 
-// next returns the least head and its encoded size.
-func (m *runMerger) next() (tuple.Tuple, int, bool, error) {
+// next returns the least head and its record.
+func (m *runMerger) next() (tuple.Tuple, []byte, bool, error) {
 	best := -1
-	for i, h := range m.slots {
-		if !m.live[i] {
+	for i := range m.runs {
+		if m.runs[i].sc == nil {
 			continue
 		}
 		if best < 0 {
 			best = i
 			continue
 		}
-		c := cmp.Compare(m.heads[i].k, m.heads[best].k)
+		c := cmp.Compare(m.heads[i], m.heads[best])
 		if c == 0 {
 			var err error
-			if c, err = m.s.compare(h, m.slots[best]); err != nil {
-				return nil, 0, false, err
+			if c, err = m.s.compare(m.runs[i].row, m.runs[best].row); err != nil {
+				return nil, nil, false, err
 			}
 		}
 		if c < 0 {
@@ -391,12 +387,12 @@ func (m *runMerger) next() (tuple.Tuple, int, bool, error) {
 		}
 	}
 	if best < 0 {
-		return nil, 0, false, nil
+		return nil, nil, false, nil
 	}
-	m.out = append(m.out[:0], m.slots[best]...)
-	sz := int(m.heads[best].size)
+	m.out = append(m.out[:0], m.runs[best].row...)
+	rec := m.runs[best].rec
 	if err := m.advance(best); err != nil {
-		return nil, 0, false, err
+		return nil, nil, false, err
 	}
-	return m.out, sz, true, nil
+	return m.out, rec, true, nil
 }

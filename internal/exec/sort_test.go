@@ -141,8 +141,8 @@ var sortCols = []tuple.Column{
 }
 
 // checkSortOrder runs "order by" over rows of sortCols at 512 work_mem
-// pages (in memory) and at 2 (spilled) and requires refSort's id
-// sequence, or its error.
+// pages (in memory) and at 2 (spilled) and requires refSort's rows, in
+// its order, or its error.
 func checkSortOrder(t *testing.T, name string, rows []tuple.Tuple, order string) {
 	t.Helper()
 	cat, clock := rawTable(t, sortCols, rows)
@@ -168,7 +168,7 @@ func checkSortOrder(t *testing.T, name string, rows []tuple.Tuple, order string)
 			t.Fatalf("%s, order by %s, work_mem %d: %d rows, want %d", name, order, workMem, len(got), len(want))
 		}
 		for i := range want {
-			if got[i][4] != want[i][4] {
+			if !slices.Equal(got[i], want[i]) { // the whole row: spilled values read back too
 				t.Fatalf("%s, order by %s, work_mem %d: row %d is %v, want %v", name, order, workMem, i, got[i], want[i])
 			}
 		}

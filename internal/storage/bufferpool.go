@@ -388,8 +388,12 @@ func (bp *BufferPool) PutOn(clk *vclock.Clock, pid PageID, data []byte) error {
 	if len(data) != PageSize {
 		return fmt.Errorf("storage: Put of %d bytes, want %d", len(data), PageSize)
 	}
-	buf := make([]byte, PageSize)
-	copy(buf, data)
+	return bp.putOwned(clk, pid, append(make([]byte, 0, PageSize), data...))
+}
+
+// putOwned is PutOn for a page image the pool may keep as it is: the
+// caller hands buf over and never writes it again.
+func (bp *BufferPool) putOwned(clk *vclock.Clock, pid PageID, buf []byte) error {
 	sh := bp.shard(pid)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()

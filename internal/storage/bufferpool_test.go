@@ -89,3 +89,34 @@ func TestBufferPoolPutCopiesCallerBuffer(t *testing.T) {
 		t.Fatalf("disk page starts %v, want the last Put", got[:4])
 	}
 }
+
+// A HeapFile hands the page it filled to the pool, which keeps it without
+// a copy: appending n pages' worth of records allocates n page buffers,
+// plus a few objects per file, where a copying Put allocated 2n.
+func TestHeapFileAppendAllocatesOneBufferPerPage(t *testing.T) {
+	const pages = 64
+	pool, _ := testPool(2 * pages)
+	rec := make([]byte, 1000)
+	perPage := (PageSize - pageHeaderSize) / (len(rec) + recordOverhead)
+	allocs := testing.AllocsPerRun(5, func() {
+		hf := CreateTempHeapFile(pool)
+		for i := 0; i < pages*perPage; i++ {
+			if _, err := hf.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := hf.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if n := hf.NumPages(); n != pages {
+			t.Fatalf("%d pages, want %d", n, pages)
+		}
+		if err := hf.Drop(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%d pages: %.0f allocations", pages, allocs)
+	if allocs > pages+8 {
+		t.Fatalf("appending %d pages allocated %.0f times, want at most %d", pages, allocs, pages+8)
+	}
+}

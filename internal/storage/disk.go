@@ -244,7 +244,7 @@ func (d *Disk) CreateClass(class FileClass) FileID {
 	d.mu.Lock()
 	id := d.next
 	d.next++
-	d.files[id] = &file{class: class, lastRead: -2, lastWrit: -2}
+	d.files[id] = &file{pages: make([][]byte, 0, 8), class: class, lastRead: -2, lastWrit: -2}
 	d.mu.Unlock()
 	return id
 }

@@ -127,7 +127,8 @@ func (hf *HeapFile) flushCur() error {
 	}
 	binary.LittleEndian.PutUint16(hf.cur[0:2], hf.curCount)
 	binary.LittleEndian.PutUint16(hf.cur[2:4], hf.curUsed)
-	err := hf.pool.PutOn(hf.clock, PageID{File: hf.id, Num: hf.curPage}, hf.cur)
+	// The page is handed over, not copied: the next Append starts another.
+	err := hf.pool.putOwned(hf.clock, PageID{File: hf.id, Num: hf.curPage}, hf.cur)
 	hf.cur = nil
 	return err
 }

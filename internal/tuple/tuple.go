@@ -250,6 +250,31 @@ func Decode(rec []byte, arity int) (Tuple, error) {
 // Each written field is stored by DecodeField, so an equal String is kept
 // (see there).
 func DecodeInto(dst Tuple, rec []byte, arity int, pos []int) (Tuple, error) {
+	return decode(dst, rec, arity, pos, nil, 0)
+}
+
+// A Page decodes the records of one page image so that a spilled row
+// allocates nothing: a String field becomes a substring of one string
+// made from the whole image, the first time a field's value differs from
+// the String its slot holds. The string stays alive while any value cut
+// from it does.
+type Page struct {
+	img []byte
+	s   string // img as a string, "" until a String needs it
+}
+
+// Reset points p at a new page image.
+func (p *Page) Reset(img []byte) { p.img, p.s = img, "" }
+
+// DecodeInto is DecodeInto for the record at p's image[start:end]: the
+// same row, the same errors, a String taken from the page's string.
+func (p *Page) DecodeInto(dst Tuple, start, end, arity int, pos []int) (Tuple, error) {
+	return decode(dst, p.img[start:end], arity, pos, p, start)
+}
+
+// decode is DecodeInto, with a String field of rec, which lies at
+// pg.img[base:], cut from pg's string when pg is not nil.
+func decode(dst Tuple, rec []byte, arity int, pos []int, pg *Page, base int) (Tuple, error) {
 	if pos == nil {
 		if dst == nil || cap(dst) < arity {
 			dst = make(Tuple, arity)
@@ -266,8 +291,16 @@ func DecodeInto(dst Tuple, rec []byte, arity int, pos []int) (Tuple, error) {
 		if pos != nil {
 			at = pos[i]
 		}
-		if at >= 0 {
+		switch {
+		case at < 0:
+		case pg == nil || Type(rec[off]) != String:
 			DecodeField(&dst[at], rec, off)
+		case dst[at].Kind != String || dst[at].S != string(rec[off+5:end]):
+			// As DecodeField keeps an equal String, but cut from pg's.
+			if pg.s == "" {
+				pg.s = string(pg.img)
+			}
+			dst[at] = NewString(pg.s[base+off+5 : base+end])
 		}
 		off = end
 	}

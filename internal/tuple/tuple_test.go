@@ -441,6 +441,8 @@ func TestDecodeIntoSequence(t *testing.T) {
 		for i := range slot {
 			slot[i] = pool[rng.Intn(len(pool))]
 		}
+		var recs [][]byte
+		var lays [][]int
 		for n := 2 + rng.Intn(6); n > 0; n-- {
 			row := make(Tuple, arity)
 			for i := range row {
@@ -456,7 +458,9 @@ func TestDecodeIntoSequence(t *testing.T) {
 				slot = slot[:arity+2]
 			}
 			slot = checkDecodeInto(t, rec, arity, pos, slot)
+			recs, lays = append(recs, rec), append(lays, pos)
 		}
+		checkPageSequence(t, arity, recs, lays)
 	}
 
 	// A run of equal strings costs what its first row costs: the
@@ -486,10 +490,72 @@ func TestDecodeIntoSequence(t *testing.T) {
 	}
 }
 
+// checkPageSequence decodes each record of a sequence from a page image
+// of its own through one Page, into one slot, the record at an offset
+// and among filler bytes that differ from page to page. Each decode must
+// equal DecodeInto of the record alone into a copy of the same slot: the
+// same row, the same error text, the same slot left behind.
+func checkPageSequence(t *testing.T, arity int, recs [][]byte, lays [][]int) {
+	t.Helper()
+	var pg Page
+	slot := layoutSlot(arity)
+	for i, rec := range recs {
+		at := 3 + 7*i
+		img := []byte(strings.Repeat(string(rune('a'+i)), at+len(rec)+5))
+		copy(img[at:], rec)
+		pg.Reset(img)
+		want := slot.Clone()
+		wantRow, wantErr := DecodeInto(want, rec, arity, lays[i])
+		got, err := pg.DecodeInto(slot, at, at+len(rec), arity, lays[i])
+		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+			t.Fatalf("page decode %d (pos=%v) err = %v, DecodeInto err = %v", i, lays[i], err, wantErr)
+		}
+		if !reflect.DeepEqual(got, wantRow) || !reflect.DeepEqual(slot, want) {
+			t.Fatalf("page decode %d (pos=%v) = %v leaving %v, DecodeInto = %v leaving %v", i, lays[i], got, slot, wantRow, want)
+		}
+	}
+}
+
+// A Page makes its string only when a String differs from its slot's,
+// and then once: a page of unique strings costs one allocation, and a
+// page whose strings repeat the slot's, or that holds none, costs none.
+func TestPageDecodeAllocatesOncePerPage(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		row  func(i int) Tuple
+		want float64
+	}{
+		{"unique strings", func(i int) Tuple { return Tuple{NewInt(int64(i)), NewString(strings.Repeat("p", i))} }, 1},
+		{"constant string", func(i int) Tuple { return Tuple{NewInt(int64(i)), NewString("constant")} }, 0},
+		{"no strings", func(i int) Tuple { return Tuple{NewInt(int64(i)), NewFloat(float64(i))} }, 0},
+	} {
+		var img []byte
+		var spans [][2]int
+		for i := 0; i < 100; i++ {
+			start := len(img)
+			img = tc.row(i).Encode(img)
+			spans = append(spans, [2]int{start, len(img)})
+		}
+		slot := Tuple{NewInt(0), NewString("constant")}
+		if n := testing.AllocsPerRun(10, func() {
+			var pg Page
+			pg.Reset(img)
+			for _, sp := range spans {
+				if _, err := pg.DecodeInto(slot, sp[0], sp[1], 2, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}); n != tc.want {
+			t.Fatalf("%s: a page of 100 rows allocated %v times, want %v", tc.name, n, tc.want)
+		}
+	}
+}
+
 // FuzzDecodeSequence decodes two arbitrary records into one slot, each
 // under its own layout: what the first left behind — a string to reuse,
 // another kind, a half-written slot — must never change what the second
-// returns or why it is rejected.
+// returns or why it is rejected. Decoded from page images through a Page
+// (checkPageSequence), the same sequence must give the same rows.
 func FuzzDecodeSequence(f *testing.F) {
 	same := Tuple{NewInt(1), NewString("pad")}.Encode(nil)
 	f.Add(same, same, 2, uint16(3), uint16(3), int64(0))
@@ -506,5 +572,6 @@ func FuzzDecodeSequence(f *testing.F) {
 		slot = checkDecodeInto(t, rec2, arity, pos2, slot)
 		slot = checkDecodeInto(t, rec1, arity, nil, slot)
 		checkDecodeInto(t, rec2, arity, pos1, slot[:cap(slot)])
+		checkPageSequence(t, arity, [][]byte{rec1, rec2, rec1, rec2}, [][]int{pos1, pos2, nil, pos1})
 	})
 }
