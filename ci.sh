@@ -47,8 +47,8 @@ ls "$bindir"
 
 echo "== progresslint =="
 # The repo's own analyzers (DESIGN.md §7): wall-clock bans in engine
-# packages, executor cancellation safe points, metric naming, error
-# wrapping, no blocking under a lock (directly, through module calls or
+# packages, executor cancellation safe points, error wrapping, no
+# blocking under a lock (directly, through module calls or
 # through function values). Exit 1 =
 # findings, 2 = the module failed to load. `go test ./...` runs the same
 # suite as TestModuleLintClean; this is the binary's end-to-end check.

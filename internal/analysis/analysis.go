@@ -49,8 +49,8 @@ type Analyzer struct {
 	// End, when non-nil, is invoked once after every package's Run,
 	// with a package-less Pass (Files/Path/Pkg/TypesInfo are zero; Fset
 	// and State are the run's). It is where module-wide facts
-	// accumulated in State are resolved — e.g. obsnames checking that
-	// every referenced series name was registered *somewhere*, which no
+	// accumulated in State are resolved — e.g. lockdisc following a
+	// call made under a lock into a package visited later, which no
 	// single package's Run can decide. Report positions recorded during
 	// Run; the shared Fset resolves them.
 	End func(pass *Pass) error
@@ -71,8 +71,8 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 	// State is shared by all passes of one Run, letting analyzers
-	// accumulate module-wide facts (e.g. obsnames' duplicate-name map,
-	// lockdisc's per-function call edges). Packages are visited in sorted
+	// accumulate module-wide facts (e.g. lockdisc's per-function call
+	// edges). Packages are visited in sorted
 	// import-path order, so cross-package state is deterministic.
 	State *State
 

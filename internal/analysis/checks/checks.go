@@ -1,6 +1,6 @@
 // Package checks holds the progresslint analyzers: the engine's
-// conventions — deterministic time, cancellable loops, a disciplined
-// metrics namespace, reliable error wrapping, no blocking under a lock —
+// conventions — deterministic time, cancellable loops, reliable error
+// wrapping, no blocking under a lock —
 // expressed as machine-checked invariants over the module's syntax and
 // types. DESIGN.md §7 documents each invariant and why the paper's
 // guarantees depend on it; cmd/progresslint runs the suite in CI.
@@ -17,7 +17,6 @@ func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		VclockTime,
 		Safepoint,
-		Obsnames,
 		Errwrap,
 		Lockdisc,
 	}

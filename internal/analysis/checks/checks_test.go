@@ -69,111 +69,6 @@ func drain(sc scanner, c clock) {
 `)
 }
 
-func TestObsnamesFixture(t *testing.T) {
-	analysis.RunFixture(t, Obsnames,
-		"progressdb/internal/server",
-		"testdata/obsnames/metrics.go",
-		"testdata/obsnames/refs.go")
-}
-
-// TestObsnamesCrossPackageRef proves Ref resolution spans packages in
-// either direction: a reference in a sorted-earlier package resolves
-// against a registration in a sorted-later one (the End hook runs after
-// every package), and an unresolvable reference is reported.
-func TestObsnamesCrossPackageRef(t *testing.T) {
-	m, err := analysis.FixtureModule()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkg1, err := m.CheckSource("progressdb/internal/aaa", "aaa_ref_fixture.go", `
-package aaa
-
-import "progressdb/internal/obs/tsdb"
-
-var dash = []string{
-	tsdb.Ref("exec_fixture_fwd_total"), // registered later in visit order
-	tsdb.Ref("exec_fixture_missing_total"),
-}
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkg2, err := m.CheckSource("progressdb/internal/bbb", "bbb_ref_fixture.go", `
-package bbb
-
-import "progressdb/internal/obs"
-
-func wire(reg *obs.Registry) {
-	reg.Counter("exec_fixture_fwd_total", "registered after the reference")
-}
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags, err := analysis.Run(m.Fset, []*analysis.Package{pkg1, pkg2}, []*analysis.Analyzer{Obsnames})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diags) != 1 {
-		t.Fatalf("got %d diagnostics, want 1: %v", len(diags), diags)
-	}
-	d := diags[0]
-	if !strings.Contains(d.Message, `"exec_fixture_missing_total"`) {
-		t.Errorf("diagnostic %q should name the unresolved reference", d.Message)
-	}
-	if d.Pos.Filename != "aaa_ref_fixture.go" {
-		t.Errorf("reported at %s, want the Ref site aaa_ref_fixture.go", d.Pos.Filename)
-	}
-}
-
-// TestObsnamesCrossPackageDuplicate proves duplicate detection spans
-// packages: the same unlabeled name registered in two packages of one
-// run is flagged at the second site.
-func TestObsnamesCrossPackageDuplicate(t *testing.T) {
-	m, err := analysis.FixtureModule()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkg1, err := m.CheckSource("progressdb/internal/aaa", "aaa_fixture.go", `
-package aaa
-
-import "progressdb/internal/obs"
-
-func wire(reg *obs.Registry) {
-	reg.Counter("exec_fixture_dup_total", "first site")
-}
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkg2, err := m.CheckSource("progressdb/internal/bbb", "bbb_fixture.go", `
-package bbb
-
-import "progressdb/internal/obs"
-
-func wire(reg *obs.Registry) {
-	reg.Counter("exec_fixture_dup_total", "second site") // duplicate
-}
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags, err := analysis.Run(m.Fset, []*analysis.Package{pkg1, pkg2}, []*analysis.Analyzer{Obsnames})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diags) != 1 {
-		t.Fatalf("got %d diagnostics, want 1: %v", len(diags), diags)
-	}
-	d := diags[0]
-	if d.Pos.Filename != "bbb_fixture.go" {
-		t.Errorf("duplicate reported at %s, want the second (sorted-later) site bbb_fixture.go", d.Pos.Filename)
-	}
-	if want := "already registered at aaa_fixture.go"; !strings.Contains(d.Message, want) {
-		t.Errorf("message %q does not mention %q", d.Message, want)
-	}
-}
-
 func TestErrwrapFixture(t *testing.T) {
 	analysis.RunFixture(t, Errwrap,
 		"progressdb/internal/faultinject",

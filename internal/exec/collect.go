@@ -155,14 +155,6 @@ func (c *Collector) Notef(n plan.Node, format string, args ...any) {
 	st.Notes = append(st.Notes, fmt.Sprintf(format, args...))
 }
 
-// All returns the collected records in first-touch order.
-func (c *Collector) All() []*NodeStats {
-	if c == nil {
-		return nil
-	}
-	return c.order
-}
-
 // statsIter wraps an operator's iterator with actuals collection: rows
 // and bytes out, open/close virtual times, and the engine-wide
 // per-operator rows counter. Build inserts it only when collection or

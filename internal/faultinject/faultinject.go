@@ -304,9 +304,6 @@ func New(cfg Config) *Injector {
 	return &Injector{cfg: cfg, rng: rand.New(rand.NewSource(seed))}
 }
 
-// Config returns the injector's schedule.
-func (in *Injector) Config() Config { return in.cfg }
-
 // SetMetrics installs engine-wide instruments.
 func (in *Injector) SetMetrics(m Metrics) {
 	in.mu.Lock()

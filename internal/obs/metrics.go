@@ -21,7 +21,10 @@ package obs
 import (
 	"encoding/json"
 	"math"
+	"regexp"
+	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -146,6 +149,9 @@ type instrument struct {
 	labelVal string
 	help     string
 	kind     Kind
+	// site is the return PC of the call that registered an unlabeled
+	// series (0 for a labeled one): the call site that owns the name.
+	site uintptr
 
 	c *Counter
 	g *Gauge
@@ -175,7 +181,39 @@ func NewRegistry() *Registry {
 	return &Registry{byID: make(map[string]*instrument)}
 }
 
+// subsystems are the approved metric name prefixes (the segment before
+// the first underscore). Adding a subsystem is a deliberate, reviewed
+// act: extend this list and DESIGN.md §7 together.
+var subsystems = map[string]bool{
+	"engine":      true, // whole-DB counters (queries, leaks)
+	"bufferpool":  true,
+	"storage":     true,
+	"disk":        true,
+	"vclock":      true,
+	"exec":        true,
+	"segment":     true,
+	"server":      true,
+	"fleet":       true, // sharded-serving coordinator (merge, fan-out, per-shard gauges)
+	"faultinject": true,
+	"indicator":   true, // progress-indicator gauges
+	"progress":    true, // progress-estimate distributions
+}
+
+var snakeCaseRE = regexp.MustCompile(`^[a-z][a-z0-9]*(_[a-z0-9]+)+$`)
+
+// lookup returns the instrument of one series, creating it on first
+// use. Every rule a name must obey is a wiring bug when broken, so each
+// panics, like a kind collision: a new name must be snake_case with a
+// known subsystem prefix, and an unlabeled name belongs to the one
+// source line that registers it — a second line picking the same name
+// would alias two meanings under one series. Labeled families are
+// registered per label value from wherever the value is known, so they
+// are exempt.
 func (r *Registry) lookup(name, lk, lv, help string, kind Kind) *instrument {
+	var site [1]uintptr
+	if lk == "" {
+		runtime.Callers(3, site[:]) // the caller of Counter, Gauge or Histogram
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	id := seriesID(name, lk, lv)
@@ -185,9 +223,20 @@ func (r *Registry) lookup(name, lk, lv, help string, kind Kind) *instrument {
 			panic("obs: instrument " + id + " re-registered as " + string(kind) +
 				", previously registered as " + string(in.kind))
 		}
+		if in.site != site[0] {
+			if prev, cur := sourceLine(in.site), sourceLine(site[0]); prev != cur {
+				//lint:ignore errwrap sanctioned: two call sites sharing one unlabeled name is a wiring bug, caught on the second registration
+				panic("obs: metric " + id + " registered at " + cur + ", already registered at " + prev)
+			}
+		}
 		return in
 	}
-	in := &instrument{id: id, name: name, labelKey: lk, labelVal: lv, help: help, kind: kind}
+	if sub, _, _ := strings.Cut(name, "_"); !snakeCaseRE.MatchString(name) || !subsystems[sub] {
+		//lint:ignore errwrap sanctioned: a malformed metric name is a wiring bug, caught on first registration
+		panic("obs: metric name " + name + " is not snake_case with a known subsystem prefix " +
+			"(lowercase words joined by underscores, the first listed in obs.subsystems)")
+	}
+	in := &instrument{id: id, name: name, labelKey: lk, labelVal: lv, help: help, kind: kind, site: site[0]}
 	switch kind {
 	case KindCounter:
 		in.c = &Counter{}
@@ -198,6 +247,14 @@ func (r *Registry) lookup(name, lk, lv, help string, kind Kind) *instrument {
 	i, _ := slices.BinarySearchFunc(r.insts, id, func(in *instrument, id string) int { return strings.Compare(in.id, id) })
 	r.insts = slices.Insert(r.insts, i, in)
 	return in
+}
+
+// sourceLine renders a return PC as file:line. Two PCs on one line are
+// one call site: a function inlined into two callers has a copy of each
+// call in it.
+func sourceLine(pc uintptr) string {
+	f, _ := runtime.CallersFrames([]uintptr{pc}).Next()
+	return f.File + ":" + strconv.Itoa(f.Line)
 }
 
 // Counter returns the counter with the given name, creating it on first

@@ -12,19 +12,23 @@ import (
 
 func TestCounterGaugeBasics(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("widgets_total", "number of widgets")
+	// The same name from the same call site returns the same instrument.
+	var cs [2]*Counter
+	for i := range cs {
+		cs[i] = r.Counter("exec_widgets_total", "number of widgets")
+	}
+	if cs[0] != cs[1] {
+		t.Fatalf("re-registration returned a different counter")
+	}
+	c := cs[0]
 	c.Inc()
 	c.Add(4)
 	c.Add(-3) // ignored: counters are monotonic
 	if got := c.Value(); got != 5 {
 		t.Fatalf("counter = %d, want 5", got)
 	}
-	// Same name returns the same instrument.
-	if c2 := r.Counter("widgets_total", ""); c2 != c {
-		t.Fatalf("re-registration returned a different counter")
-	}
 
-	g := r.Gauge("depth", "current depth")
+	g := r.Gauge("server_depth", "current depth")
 	g.Set(2.5)
 	g.Add(-1)
 	if got := g.Value(); got != 1.5 {
@@ -34,8 +38,8 @@ func TestCounterGaugeBasics(t *testing.T) {
 
 func TestLabeledCounters(t *testing.T) {
 	r := NewRegistry()
-	a := r.LabeledCounter("rows_total", "op", "scan", "rows by operator")
-	b := r.LabeledCounter("rows_total", "op", "join", "rows by operator")
+	a := r.LabeledCounter("exec_rows_total", "op", "scan", "rows by operator")
+	b := r.LabeledCounter("exec_rows_total", "op", "join", "rows by operator")
 	if a == b {
 		t.Fatalf("distinct labels share an instrument")
 	}
@@ -45,10 +49,10 @@ func TestLabeledCounters(t *testing.T) {
 	if len(snap) != 2 {
 		t.Fatalf("snapshot has %d samples, want 2", len(snap))
 	}
-	if snap[0].ID() != `rows_total{op="join"}` || snap[0].Value != 20 {
+	if snap[0].ID() != `exec_rows_total{op="join"}` || snap[0].Value != 20 {
 		t.Fatalf("sample 0 = %s %g", snap[0].ID(), snap[0].Value)
 	}
-	if snap[1].ID() != `rows_total{op="scan"}` || snap[1].Value != 10 {
+	if snap[1].ID() != `exec_rows_total{op="scan"}` || snap[1].Value != 10 {
 		t.Fatalf("sample 1 = %s %g", snap[1].ID(), snap[1].Value)
 	}
 }
@@ -60,11 +64,11 @@ func TestLabeledCounters(t *testing.T) {
 func TestSnapshotSortedWhateverTheRegistrationOrder(t *testing.T) {
 	type series struct{ name, op string }
 	var all []series
-	for _, name := range []string{"a", "a_total", "ab", "rows", "rows_total", "rows_totalx", "z"} {
+	for _, name := range []string{"exec_a", "exec_a_total", "exec_ab", "exec_rows", "exec_rows_total", "exec_rows_totalx", "server_z"} {
 		all = append(all, series{name: name})
 	}
 	for _, op := range []string{"join", "scan", "sort"} {
-		all = append(all, series{"rows", op}, series{"rows_total", op})
+		all = append(all, series{"exec_rows", op}, series{"exec_rows_total", op})
 	}
 	rng := rand.New(rand.NewSource(1))
 	for round := 0; round < 50; round++ {
@@ -99,7 +103,7 @@ func TestSnapshotSortedWhateverTheRegistrationOrder(t *testing.T) {
 
 func TestHistogram(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("latency_seconds", "latency", []float64{0.1, 1, 10})
+	h := r.Histogram("server_latency_seconds", "latency", []float64{0.1, 1, 10})
 	for _, v := range []float64{0.05, 0.5, 0.5, 5, 50} {
 		h.Observe(v)
 	}
@@ -129,19 +133,19 @@ func TestHistogram(t *testing.T) {
 // instrument and registry method must no-op on nil receivers.
 func TestNilSafety(t *testing.T) {
 	var r *Registry
-	c := r.Counter("x", "")
+	c := r.Counter("exec_x_total", "")
 	c.Inc()
 	c.Add(3)
 	if c.Value() != 0 {
 		t.Fatal("nil counter has a value")
 	}
-	g := r.Gauge("y", "")
+	g := r.Gauge("exec_y", "")
 	g.Set(1)
 	g.Add(1)
 	if g.Value() != 0 {
 		t.Fatal("nil gauge has a value")
 	}
-	h := r.Histogram("z", "", []float64{1})
+	h := r.Histogram("exec_z", "", []float64{1})
 	h.Observe(5)
 	if h.Count() != 0 || h.Sum() != 0 {
 		t.Fatal("nil histogram observed something")
@@ -206,9 +210,9 @@ func TestPrometheusRoundTrip(t *testing.T) {
 
 func TestPrometheusTextShape(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("q_total", "queries run").Inc()
+	r.Counter("engine_q_total", "queries run").Inc()
 	text := r.PrometheusText()
-	for _, want := range []string{"# HELP q_total queries run", "# TYPE q_total counter", "q_total 1"} {
+	for _, want := range []string{"# HELP engine_q_total queries run", "# TYPE engine_q_total counter", "engine_q_total 1"} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("text missing %q:\n%s", want, text)
 		}
@@ -217,7 +221,7 @@ func TestPrometheusTextShape(t *testing.T) {
 
 func TestJSONSnapshot(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("a_total", "").Add(3)
+	r.Counter("engine_a_total", "").Add(3)
 	data, err := r.JSON()
 	if err != nil {
 		t.Fatal(err)
@@ -226,14 +230,14 @@ func TestJSONSnapshot(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}
-	if len(back) != 1 || back[0].Name != "a_total" || back[0].Value != 3 {
+	if len(back) != 1 || back[0].Name != "engine_a_total" || back[0].Value != 3 {
 		t.Fatalf("round-trip = %+v", back)
 	}
 }
 
 func TestConcurrentCounters(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("n", "")
+	c := r.Counter("engine_n_total", "")
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -247,5 +251,70 @@ func TestConcurrentCounters(t *testing.T) {
 	wg.Wait()
 	if c.Value() != 8000 {
 		t.Fatalf("counter = %d, want 8000", c.Value())
+	}
+}
+
+// TestRegistryNameRules: the registry enforces the namespace at
+// registration. A malformed name, an unknown subsystem and a second
+// call site for an unlabeled name panic; one call site registering
+// again, and a labeled family registered from several sites, do not.
+func TestRegistryNameRules(t *testing.T) {
+	cases := []struct {
+		name      string
+		wantPanic string
+		register  func(r *Registry)
+	}{
+		{"camelCase", "not snake_case", func(r *Registry) {
+			r.Counter("exec_rowsOut_total", "")
+		}},
+		{"unknown prefix", "known subsystem prefix", func(r *Registry) {
+			r.Counter("queries_total", "")
+		}},
+		{"second call site", "already registered at", func(r *Registry) {
+			r.Counter("exec_dup_total", "first site")
+			r.Counter("exec_dup_total", "second site")
+		}},
+		{"second call site, histogram", "already registered at", func(r *Registry) {
+			r.Histogram("exec_dup_seconds", "", []float64{1})
+			r.Histogram("exec_dup_seconds", "", []float64{1})
+		}},
+		{"same call site twice", "", func(r *Registry) {
+			for _, reg := range []*Registry{r, r, NewRegistry()} {
+				reg.Counter("exec_once_total", "").Inc()
+			}
+		}},
+		{"labeled family from two sites", "", func(r *Registry) {
+			r.LabeledCounter("exec_rows_out_total", "op", "scan", "")
+			r.LabeledCounter("exec_rows_out_total", "op", "join", "")
+			r.LabeledCounter("exec_rows_out_total", "op", "scan", "")
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var got string
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						got = p.(string)
+					}
+				}()
+				tc.register(NewRegistry())
+			}()
+			switch {
+			case tc.wantPanic == "" && got != "":
+				t.Fatalf("panicked: %s", got)
+			case tc.wantPanic != "" && !strings.Contains(got, tc.wantPanic):
+				t.Fatalf("panic %q, want one containing %q", got, tc.wantPanic)
+			}
+		})
+	}
+}
+
+// TestLookupOfExistingSeriesAllocatesNothing: the call-site check runs
+// on every unlabeled lookup, so it must stay off the allocator.
+func TestLookupOfExistingSeriesAllocatesNothing(t *testing.T) {
+	r := NewRegistry()
+	if n := testing.AllocsPerRun(100, func() { r.Gauge("vclock_seconds", "").Set(1) }); n != 0 {
+		t.Fatalf("lookup of an existing gauge allocates %v times", n)
 	}
 }

@@ -28,15 +28,6 @@ import (
 	"progressdb/internal/obs"
 )
 
-// Ref marks a string literal as a reference to a registered metric
-// series name (e.g. the dashboard's sparkline list). It is the identity
-// function at runtime; its value is that the obsnames analyzer resolves
-// every Ref call site against the module's actual registrations, so a
-// dashboard or sampler list cannot silently name a series that nothing
-// registers. Histogram-derived series may be referenced with a _count
-// or _sum suffix on the registered histogram name.
-func Ref(name string) string { return name }
-
 // Point is one timestamped sample value.
 type Point struct {
 	// T is the sample time in seconds (wall clock in the daemon,
@@ -99,9 +90,6 @@ func New(capacity int) *Store {
 	}
 	return &Store{capacity: capacity, series: make(map[string]*series)}
 }
-
-// Capacity returns the per-series ring capacity.
-func (st *Store) Capacity() int { return st.capacity }
 
 // Record appends one point per sample at time now. Counters and gauges
 // record their value under the sample's series ID (name plus label);

@@ -155,9 +155,3 @@ func TestConcurrentRecordQuery(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
-
-func TestRefIsIdentity(t *testing.T) {
-	if Ref("server_queue_depth") != "server_queue_depth" {
-		t.Fatal("Ref must be the identity function")
-	}
-}

@@ -15,10 +15,6 @@ import (
 	"progressdb/client"
 )
 
-// drainPollInterval is how often Drain re-checks the ledger for live
-// jobs while waiting out the deadline.
-const drainPollInterval = 5 * time.Millisecond
-
 // drainForceWait bounds the post-cancel wait for force-canceled queries
 // to unwind; the executor reaches a safe point within a few page
 // accesses, so this is generous.
@@ -34,17 +30,14 @@ func (s *Server) Drain(timeout time.Duration) client.DrainResponse {
 	if timeout <= 0 {
 		timeout = s.cfg.DrainTimeout
 	}
-	if s.reg.drain() {
+	first, idle := s.reg.drain()
+	if first {
 		s.met.drains.Inc()
 		s.met.drainingG.Set(1)
 	}
 	start := time.Now()
-	deadline := start.Add(timeout)
-	for time.Now().Before(deadline) {
-		if len(s.reg.live()) == 0 {
-			return client.DrainResponse{Drained: true, WaitedMS: time.Since(start).Milliseconds()}
-		}
-		time.Sleep(drainPollInterval)
+	if waitClosed(idle, timeout) {
+		return client.DrainResponse{Drained: true, WaitedMS: time.Since(start).Milliseconds()}
 	}
 
 	// Deadline expired: cancel whatever is left. Queued jobs end at once;
@@ -54,14 +47,23 @@ func (s *Server) Drain(timeout time.Duration) client.DrainResponse {
 		s.met.drainForced.Inc()
 		s.reg.cancel(j, "canceled by drain")
 	}
-	forceDeadline := time.Now().Add(drainForceWait)
-	for time.Now().Before(forceDeadline) && len(s.reg.live()) > 0 {
-		time.Sleep(drainPollInterval)
-	}
+	unwound := waitClosed(idle, drainForceWait)
 	return client.DrainResponse{
-		Drained:       len(s.reg.live()) == 0 && len(forced) == 0,
+		Drained:       unwound && len(forced) == 0,
 		ForcedCancels: len(forced),
 		WaitedMS:      time.Since(start).Milliseconds(),
+	}
+}
+
+// waitClosed reports whether ch closed within d.
+func waitClosed(ch <-chan struct{}, d time.Duration) bool {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-ch:
+		return true
+	case <-t.C:
+		return false
 	}
 }
 

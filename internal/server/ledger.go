@@ -62,6 +62,9 @@ type registry struct {
 	running  []*job
 	retired  []*job // the newest retain terminal jobs, oldest first
 	draining bool
+	// idle is made by the first drain and closed once no job is live:
+	// admission has stopped, so the live set only shrinks from then on.
+	idle chan struct{}
 	// uPerWallSec is the EWMA drain rate observed from progress reports
 	// and completions; 0 until the first observation.
 	uPerWallSec float64
@@ -216,6 +219,15 @@ func (r *registry) finishLocked(j *job, state client.State, err error, res *prog
 	r.met.retained.Set(float64(len(r.retired)))
 	j.fanOutLocked(ev)
 	j.mu.Unlock()
+	r.closeIfIdleLocked()
+}
+
+// closeIfIdleLocked signals Drain once the last live job has ended,
+// after its terminal event is out.
+func (r *registry) closeIfIdleLocked() {
+	if r.draining && len(r.queued)+len(r.running) == 0 {
+		close(r.idle)
+	}
 }
 
 // observeRate feeds the drain-rate EWMA with doneU units of work seen
@@ -238,14 +250,16 @@ func (r *registry) observeRateLocked(doneU, wallSeconds float64) {
 	r.uPerWallSec = admissionRateAlpha*rate + (1-admissionRateAlpha)*r.uPerWallSec
 }
 
-// drain stops admission for good and reports whether this call was the
-// one that did.
-func (r *registry) drain() bool {
+// drain stops admission for good. It reports whether this call was the
+// one that did, and returns a channel closed once no job is live.
+func (r *registry) drain() (first bool, idle <-chan struct{}) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	first := !r.draining
-	r.draining = true
-	return first
+	if !r.draining {
+		first, r.draining, r.idle = true, true, make(chan struct{})
+		r.closeIfIdleLocked()
+	}
+	return first, r.idle
 }
 
 // load is the ledger's occupancy at one instant.

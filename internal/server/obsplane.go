@@ -16,74 +16,72 @@ import (
 
 	"progressdb/client"
 	"progressdb/internal/obs"
-	"progressdb/internal/obs/tsdb"
 	"progressdb/internal/server/history"
 )
 
 // dashboardSeries are the series IDs the embedded dashboard's sparkline
-// panel plots by default. Every entry goes through tsdb.Ref so the
-// obsnames analyzer cross-checks it against the module's actual metric
-// registrations — a typo here fails lint, not silently renders an empty
-// chart.
+// panel plots by default. TestObsListsResolve checks every entry against
+// the series a live server exposes — a typo here fails a test, not
+// silently renders an empty chart.
 var dashboardSeries = []string{
-	tsdb.Ref("server_queue_depth"),
-	tsdb.Ref("server_queries_running"),
-	tsdb.Ref("server_sse_subscribers"),
-	tsdb.Ref("server_queries_admitted_total"),
-	tsdb.Ref("server_queries_rejected_total"),
-	tsdb.Ref("server_inflight_u"),
-	tsdb.Ref("server_inflight_queries"),
-	tsdb.Ref("server_u_per_wall_second"),
-	tsdb.Ref("server_progress_events_total"),
-	tsdb.Ref("server_query_wall_seconds_count"),
-	tsdb.Ref("engine_queries_total"),
-	tsdb.Ref("bufferpool_hits_total"),
-	tsdb.Ref("bufferpool_misses_total"),
-	tsdb.Ref("disk_seq_reads_total"),
-	tsdb.Ref("vclock_seconds"),
+	"server_queue_depth",
+	"server_queries_running",
+	"server_sse_subscribers",
+	"server_queries_admitted_total",
+	"server_queries_rejected_total",
+	"server_inflight_u",
+	"server_inflight_queries",
+	"server_u_per_wall_second",
+	"server_progress_events_total",
+	"server_query_wall_seconds_count",
+	"engine_queries_total",
+	"bufferpool_hits_total",
+	"bufferpool_misses_total",
+	"disk_seq_reads_total",
+	"vclock_seconds",
 }
 
 // fleetSeries extend the sparkline list when the server fronts a fleet:
 // the coordinator's own instruments (the engine series above live on
 // per-shard registries and are not sampled fleet-wide).
 var fleetSeries = []string{
-	tsdb.Ref("fleet_queries_total"),
-	tsdb.Ref("fleet_subqueries_total"),
-	tsdb.Ref("fleet_rows_merged_total"),
-	tsdb.Ref("fleet_progress_events_total"),
-	tsdb.Ref("fleet_queries_failed_total"),
-	tsdb.Ref("fleet_cancels_propagated_total"),
+	"fleet_queries_total",
+	"fleet_subqueries_total",
+	"fleet_rows_merged_total",
+	"fleet_progress_events_total",
+	"fleet_queries_failed_total",
+	"fleet_cancels_propagated_total",
 }
 
 // fleetShardPercentSeries is the series-ID stem of the per-shard
 // progress gauges the dashboard's heatmap reads; the full IDs are
 // fleet_shard_percent{shard="0"} … {shard="N-1"}.
-var fleetShardPercentSeries = tsdb.Ref("fleet_shard_percent")
+const fleetShardPercentSeries = "fleet_shard_percent"
 
 // profileCounters are the engine counter families whose per-query deltas
 // are attached to history profiles: exactly one query's doing with
-// Workers == 1, neighbors' work included otherwise. Ref-checked like
-// the dashboard list.
+// Workers == 1, neighbors' work included otherwise. Checked like the
+// dashboard list.
 var profileCounters = map[string]bool{
-	tsdb.Ref("bufferpool_hits_total"):              true,
-	tsdb.Ref("bufferpool_misses_total"):            true,
-	tsdb.Ref("bufferpool_evictions_total"):         true,
-	tsdb.Ref("bufferpool_dirty_writebacks_total"):  true,
-	tsdb.Ref("disk_seq_reads_total"):               true,
-	tsdb.Ref("disk_rand_reads_total"):              true,
-	tsdb.Ref("disk_seq_writes_total"):              true,
-	tsdb.Ref("disk_rand_writes_total"):             true,
-	tsdb.Ref("storage_io_retries_total"):           true,
-	tsdb.Ref("storage_io_retry_giveups_total"):     true,
-	tsdb.Ref("faultinject_read_faults_total"):      true,
-	tsdb.Ref("faultinject_write_faults_total"):     true,
-	tsdb.Ref("faultinject_transient_faults_total"): true,
-	tsdb.Ref("faultinject_latency_events_total"):   true,
-	tsdb.Ref("faultinject_panics_total"):           true,
-	tsdb.Ref("indicator_refreshes_total"):          true,
-	tsdb.Ref("indicator_segments_completed_total"): true,
-	tsdb.Ref("indicator_dominant_switches_total"):  true,
-	tsdb.Ref("exec_rows_out_total"):                true,
+	"bufferpool_hits_total":              true,
+	"bufferpool_misses_total":            true,
+	"bufferpool_evictions_total":         true,
+	"bufferpool_dirty_writebacks_total":  true,
+	"disk_seq_reads_total":               true,
+	"disk_rand_reads_total":              true,
+	"disk_seq_writes_total":              true,
+	"disk_rand_writes_total":             true,
+	"storage_io_retries_total":           true,
+	"storage_io_retry_giveups_total":     true,
+	"faultinject_read_faults_total":      true,
+	"faultinject_write_faults_total":     true,
+	"faultinject_transient_faults_total": true,
+	"faultinject_latency_events_total":   true,
+	"faultinject_panics_total":           true,
+	"indicator_refreshes_total":          true,
+	"indicator_segments_completed_total": true,
+	"indicator_dominant_switches_total":  true,
+	"exec_rows_out_total":                true,
 }
 
 // ---- sampler ---------------------------------------------------------

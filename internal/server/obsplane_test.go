@@ -15,6 +15,7 @@ import (
 
 	"progressdb"
 	"progressdb/client"
+	"progressdb/internal/fleet"
 	"progressdb/internal/obs/tsdb"
 )
 
@@ -414,5 +415,97 @@ func TestProfileQErrors(t *testing.T) {
 	}
 	if want := []float64{-1, 4, 1}; !reflect.DeepEqual(p.RemainingQError, want) {
 		t.Errorf("remaining-time q-errors %v, want %v", p.RemainingQError, want)
+	}
+}
+
+// TestObsListsResolve: every series the dashboard plots, the heatmap
+// reads or a profile attributes exists once a server has run a query and
+// sampled, on one engine and on a 2-shard fleet with metrics on — a
+// misspelled entry would be a forever-empty panel. A histogram resolves
+// through its _count/_sum series, as the store records it. The merged
+// /metrics page must list every series once.
+func TestObsListsResolve(t *testing.T) {
+	f, err := fleet.New(fleet.Config{Shards: 2, Shard: progressdb.Config{Metrics: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.CreateTable("t", "k", progressdb.Col("k", progressdb.Int)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		if err := f.Insert("t", int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// An injector that never fires registers the faultinject_* counters
+	// the profile attributes.
+	db := smallDB(t)
+	if err := db.SetFaultSpec("seed=1"); err != nil {
+		t.Fatal(err)
+	}
+	var profiled []string
+	for name := range profileCounters {
+		profiled = append(profiled, name)
+	}
+	for _, tc := range []struct {
+		name  string
+		s     *Server
+		extra []string
+	}{
+		{"engine", New(db, Config{SampleInterval: -1, KeepAlive: -1}), profiled},
+		{"fleet", NewFleet(f, Config{SampleInterval: -1, KeepAlive: -1}),
+			[]string{fleetShardPercentSeries + `{shard="0"}`, fleetShardPercentSeries + `{shard="1"}`}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ts := httptest.NewServer(tc.s.Handler())
+			t.Cleanup(func() {
+				tc.s.Close()
+				ts.Close()
+			})
+			cl := client.New(ts.URL)
+			ctx := context.Background()
+			sub, err := cl.Submit(ctx, client.SubmitRequest{SQL: "select count(*) from t"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitState(t, cl, sub.ID, client.StateDone)
+			tc.s.sampleOnce(1)
+
+			var dash client.DashboardConfig
+			if err := getJSON(t, ts.URL+"/api/dashboard/config", &dash); err != nil {
+				t.Fatal(err)
+			}
+			have := map[string]bool{}
+			for _, id := range tc.s.ts.Names() {
+				have[id] = true
+				if i := strings.IndexByte(id, '{'); i >= 0 {
+					have[id[:i]] = true // a profile names a labeled family
+				}
+			}
+			for _, id := range append(dash.SparklineSeries, tc.extra...) {
+				if !have[id] {
+					t.Errorf("series %s is listed but nothing registers it", id)
+				}
+			}
+
+			text, err := cl.MetricsText(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seen := map[string]bool{}
+			for _, line := range strings.Split(strings.TrimSpace(text), "\n") {
+				if strings.HasPrefix(line, "#") {
+					continue
+				}
+				series := line[:strings.LastIndexByte(line, ' ')]
+				if seen[series] {
+					t.Errorf("/metrics lists %s twice", series)
+				}
+				seen[series] = true
+			}
+			if len(seen) == 0 {
+				t.Fatal("empty /metrics page")
+			}
+		})
 	}
 }

@@ -240,6 +240,50 @@ func TestDrainClean(t *testing.T) {
 	}
 }
 
+// TestDrainWaitsForRunningQuery: a drain whose deadline outlasts the
+// running query waits for it to finish on its own, then resolves clean —
+// the query ends done, not canceled, with one terminal SSE event.
+func TestDrainWaitsForRunningQuery(t *testing.T) {
+	db := syntheticDB(t)
+	s, cl := testServer(t, db, Config{Workers: 1, QueueDepth: 4})
+	ctx := context.Background()
+
+	sub, err := cl.Submit(ctx, client.SubmitRequest{SQL: scanSQL, PaceMS: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, cl, sub.ID, client.StateRunning)
+	terminals := make(chan client.State, 4)
+	streamed := make(chan error, 1)
+	go func() {
+		streamed <- cl.Stream(ctx, sub.ID, func(ev client.ProgressEvent) error {
+			if ev.Terminal() {
+				terminals <- ev.State
+			}
+			return nil
+		})
+	}()
+
+	dr := s.Drain(time.Minute)
+	if !dr.Drained || dr.ForcedCancels != 0 {
+		t.Fatalf("drain = %+v, want clean with no forced cancels", dr)
+	}
+	if info, err := cl.Get(ctx, sub.ID); err != nil || info.State != client.StateDone {
+		t.Fatalf("query after drain: %+v, %v; want done", info, err)
+	}
+	if err := <-streamed; err != nil {
+		t.Fatal(err)
+	}
+	close(terminals)
+	var got []client.State
+	for st := range terminals {
+		got = append(got, st)
+	}
+	if len(got) != 1 || got[0] != client.StateDone {
+		t.Fatalf("terminal events %v, want exactly one done", got)
+	}
+}
+
 // TestUnplannableQueryAdmitted: a query the optimizer cannot price is
 // admitted at unknown cost and fails in execution with its real error —
 // admission control must not turn planner errors into 429s.

@@ -88,14 +88,13 @@ func TestBufferPoolEvictionAccounting(t *testing.T) {
 	check("after flush", PoolStats{Hits: 4, Misses: 3, Evictions: 5, Writebacks: 2})
 
 	// The obs instruments must agree exactly with the pool's accounting.
-	for name, want := range map[string]int64{
-		"bufferpool_hits_total":             4,
-		"bufferpool_misses_total":           3,
-		"bufferpool_evictions_total":        5,
-		"bufferpool_dirty_writebacks_total": 2,
-	} {
-		if got := reg.Counter(name, "").Value(); got != want {
-			t.Fatalf("metric %s = %d, want %d", name, got, want)
+	for _, m := range []struct {
+		name string
+		c    *obs.Counter
+		want int64
+	}{{"hits", pm.Hits, 4}, {"misses", pm.Misses, 3}, {"evictions", pm.Evictions, 5}, {"dirty writebacks", pm.DirtyWritebacks, 2}} {
+		if got := m.c.Value(); got != m.want {
+			t.Fatalf("metric %s = %d, want %d", m.name, got, m.want)
 		}
 	}
 	// Physical reads happen only on misses.

@@ -37,9 +37,6 @@ func NewGroup(costs Costs) *Group {
 	return &Group{costs: costs, base: costs.baseTicks()}
 }
 
-// Costs returns the group's base cost table.
-func (g *Group) Costs() Costs { return g.costs }
-
 // Now returns the max-merged virtual time across all workers, as of
 // their last Sync. It is monotone non-decreasing.
 func (g *Group) Now() float64 { return seconds(g.now.Load()) }
