@@ -1,8 +1,8 @@
 // Benchmarks for what the paper describes but did not measure: the
-// sort-merge-join rule, the ablations of the design choices DESIGN.md
-// calls out, and genuine two-query contention. Each runs the full
-// scenario (generate data, plan, execute with the progress indicator)
-// once per iteration and reports the run's virtual figures:
+// sort-merge-join rule, the choice of the speed window T, and genuine
+// two-query contention. Each runs the full scenario (generate data,
+// plan, execute with the progress indicator) once per iteration and
+// reports the run's virtual figures:
 //
 //	est0_U    the optimizer's initial cost estimate (U)
 //	exact_U   the true query cost (U)
@@ -19,7 +19,6 @@ import (
 	"math"
 	"testing"
 
-	"progressdb/internal/core"
 	"progressdb/internal/harness"
 )
 
@@ -60,7 +59,7 @@ func BenchmarkExtraSMJProgress(b *testing.B) {
 	reportRun(b, res)
 }
 
-// --- Ablation benches for the design choices DESIGN.md calls out ---
+// --- Ablation of the speed window T (DESIGN.md §4, A-T) ---
 
 // reportAblation adds cost- and remaining-time error metrics.
 func reportAblation(b *testing.B, res *harness.RunResult) {
@@ -94,19 +93,6 @@ func benchAblation(b *testing.B, r harness.Runner) {
 	reportAblation(b, res)
 }
 
-// Section 4.5 blend vs never-refining vs raw extrapolation.
-func BenchmarkAblationEstimatorBlend(b *testing.B) {
-	benchAblation(b, harness.Runner{Estimator: core.EstimatorBlend})
-}
-
-func BenchmarkAblationEstimatorStatic(b *testing.B) {
-	benchAblation(b, harness.Runner{Estimator: core.EstimatorStatic})
-}
-
-func BenchmarkAblationEstimatorLinear(b *testing.B) {
-	benchAblation(b, harness.Runner{Estimator: core.EstimatorLinear})
-}
-
 // Section 4.6 speed-window size T (paper: 10 s; too small is jumpy, too
 // large lags load changes).
 func BenchmarkAblationSpeedWindowT2(b *testing.B) {
@@ -119,15 +105,6 @@ func BenchmarkAblationSpeedWindowT10(b *testing.B) {
 
 func BenchmarkAblationSpeedWindowT50(b *testing.B) {
 	benchAblation(b, harness.Runner{SpeedWindow: 50})
-}
-
-// The paper's two suggested Section 4.6 refinements.
-func BenchmarkAblationDecayingAverage(b *testing.B) {
-	benchAblation(b, harness.Runner{DecayAlpha: 0.3})
-}
-
-func BenchmarkAblationPerSegmentSpeed(b *testing.B) {
-	benchAblation(b, harness.Runner{PerSegmentSpeed: true})
 }
 
 // BenchmarkExtraConcurrentContention runs two paper queries concurrently

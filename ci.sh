@@ -2,7 +2,7 @@
 # ci.sh — the repo's check suite: formatting, vet, build (library +
 # every cmd binary, the bench module), the linter, a progressd
 # start/stop, a scripted pgsh session, the ledger through experiments,
-# race tests.
+# one pass of the root benchmarks, race tests.
 # Run directly or via `make check`.
 set -eu
 
@@ -118,6 +118,12 @@ rc=0
 "$bindir"/experiments -only nope -outdir "$bindir" 2>/dev/null || rc=$?
 [ "$rc" -eq 2 ] || { echo "experiments -only nope exited $rc, want 2" >&2; exit 1; }
 echo "ok"
+
+echo "== root benchmarks, once each =="
+# The virtual figures DESIGN.md and EXPERIMENTS.md cite from the root
+# bench_test.go (E-SMJ, the window-T ablation, E-CONC); one iteration
+# each proves they still run.
+go test -run '^$' -bench . -benchtime 1x .
 
 echo "== go test -cpu 1 (executor and root) =="
 # Tier-1 must pass on any core count. The executor and the root package

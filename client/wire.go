@@ -413,4 +413,7 @@ type DashboardConfig struct {
 	// Shards is the serving engine's shard count; values > 1 switch the
 	// dashboard into fleet mode (per-shard heatmap panel).
 	Shards int `json:"shards,omitempty"`
+	// ShardSeries are the heatmap's per-shard progress series IDs, one
+	// per shard in shard order; empty on a single engine.
+	ShardSeries []string `json:"shard_series,omitempty"`
 }

@@ -42,7 +42,7 @@ func TestEstimatorModeAblation(t *testing.T) {
 	run := func(mode EstimatorMode) *Indicator {
 		te := buildEnv(t, nil)
 		opts := fastOpts
-		opts.Estimator = mode
+		opts.estimator = mode
 		ind, _ := runWithIndicatorMem(t, te, sql, opts, optimizer.Options{}, 2)
 		return ind
 	}
@@ -119,7 +119,7 @@ func TestBlendBeatsLinearOnClusteredData(t *testing.T) {
 	run := func(mode EstimatorMode) float64 {
 		te := build()
 		opts := fastOpts
-		opts.Estimator = mode
+		opts.estimator = mode
 		ind, _ := runWithIndicatorMem(t, te, sql, opts, optimizer.Options{}, 1024)
 		return costMAE(ind)
 	}
@@ -142,7 +142,7 @@ func TestStaticModeIsStaircase(t *testing.T) {
 		where c.custkey = o.custkey and o.orderkey = l.orderkey and absolute(l.partkey) > 0`
 	te := buildEnv(t, nil)
 	opts := fastOpts
-	opts.Estimator = EstimatorStatic
+	opts.estimator = EstimatorStatic
 	ind, _ := runWithIndicatorMem(t, te, sql, opts, optimizer.Options{}, 2)
 	snaps := ind.Snapshots()
 	// Count distinct estimate values: a staircase has very few.

@@ -18,9 +18,8 @@
 //     the refined estimates.
 //
 // Execution speed is monitored over the trailing T-second window
-// (Section 4.6, T = 10 s by default), with an optional decaying-average
-// smoother (the paper's suggested extension). Remaining time is the
-// estimated remaining U divided by the observed speed.
+// (Section 4.6, T = 10 s by default). Remaining time is the estimated
+// remaining U divided by the observed speed.
 package core
 
 import (
@@ -38,37 +37,23 @@ type Options struct {
 	// (default 10, the paper's refresh rate).
 	UpdatePeriod float64
 	// SpeedWindow is T, the trailing window for speed monitoring in
-	// virtual seconds (default 10, the paper's choice).
+	// virtual seconds (default 10, the paper's choice). The work counter
+	// is sampled every T/10 seconds.
 	SpeedWindow float64
-	// SamplePeriod is how often the work counter is sampled for the
-	// speed window (default 1 s).
-	SamplePeriod float64
-	// DecayAlpha, if in (0, 1], replaces the plain window speed with an
-	// exponentially decayed average of window speeds — the smoothing the
-	// paper suggests as future work in Section 4.6. 0 disables it.
-	DecayAlpha float64
-	// PerSegmentSpeed enables the Section 4.6 future-work refinement:
-	// instead of dividing all remaining U by the single observed speed,
-	// future segments are timed with a predicted per-segment rate (from
-	// their disk-vs-memory byte mix) scaled by the currently observed
-	// load. This fixes the paper's two-segment example, where an
-	// I/O-bound running segment makes the naive conversion overestimate
-	// a fast memory-bound successor.
-	PerSegmentSpeed bool
-	// Estimator selects the current-segment output estimator; the
-	// default is the paper's blend. The alternatives exist for ablation
-	// (see bench_test.go).
-	Estimator EstimatorMode
 	// Refine holds the engine-wide refinement instruments; the zero value
 	// is disabled (every update is a nil-safe no-op).
 	Refine RefinementMetrics
 	// Events, when non-nil, receives a structured JSONL event for every
 	// progress refresh and segment completion.
 	Events *obs.EventWriter
+
+	// estimator selects the current segment's output estimator. Only
+	// this package's tests set it: the static and linear estimators are
+	// the references the paper's blend is measured against.
+	estimator EstimatorMode
 }
 
-// EstimatorMode is an ablation knob for the Section 4.5 refinement
-// formula.
+// EstimatorMode names a Section 4.5 output estimator.
 type EstimatorMode int
 
 const (
@@ -85,19 +70,12 @@ const (
 	EstimatorLinear
 )
 
-// memSpeedup is the assumed ratio of memory-resident to sequential-disk
-// byte processing rates for PerSegmentSpeed.
-const memSpeedup = 8
-
 func (o Options) withDefaults() Options {
 	if o.UpdatePeriod <= 0 {
 		o.UpdatePeriod = 10
 	}
 	if o.SpeedWindow <= 0 {
 		o.SpeedWindow = 10
-	}
-	if o.SamplePeriod <= 0 {
-		o.SamplePeriod = 1
 	}
 	return o
 }
@@ -205,8 +183,6 @@ type Indicator struct {
 	totalDone float64 // bytes of U work done, all segments
 
 	samples []sample // trailing work samples for speed
-	ewma    float64
-	ewmaOK  bool
 
 	initTotalBytes float64
 
@@ -215,8 +191,7 @@ type Indicator struct {
 
 	// estimate's scratch, rewritten by every refresh: an Indicator is
 	// driven by one goroutine, and no Snapshot keeps these.
-	outEsts, inputs  []segment.Est
-	segCost, ioShare []float64
+	outEsts, inputs []segment.Est
 
 	updateTicker *vclock.Ticker
 	sampleTicker *vclock.Ticker
@@ -243,19 +218,17 @@ func New(clock *vclock.Clock, decomp *segment.Decomposition, opts Options) *Indi
 		})
 	}
 	ind.initTotalBytes = decomp.TotalInitCost()
-	ind.outEsts, ind.segCost = make([]segment.Est, len(ind.segs)), make([]float64, len(ind.segs))
-	if ind.opts.PerSegmentSpeed {
-		ind.ioShare = make([]float64, len(ind.segs))
-	}
+	ind.outEsts = make([]segment.Est, len(ind.segs))
 	return ind
 }
 
 // Start begins monitoring: records the start time and registers the
-// snapshot and speed-sampling tickers.
+// snapshot ticker and the speed-sampling ticker, which samples ten
+// times per window T.
 func (ind *Indicator) Start() {
 	ind.startTime = ind.clock.Now()
 	ind.samples = append(ind.samples[:0], sample{t: ind.startTime, cum: 0})
-	ind.sampleTicker = ind.clock.AddTicker(ind.opts.SamplePeriod, ind.onSample)
+	ind.sampleTicker = ind.clock.AddTicker(ind.opts.SpeedWindow/10, ind.onSample)
 	ind.updateTicker = ind.clock.AddTicker(ind.opts.UpdatePeriod, ind.onUpdate)
 }
 
@@ -451,42 +424,35 @@ func (ind *Indicator) dominantFraction(ss *segState, outEsts []segment.Est) floa
 	return p
 }
 
-// estimate recomputes, in execution order, every segment's output
-// estimate and cost, and returns the total estimated query cost in bytes.
-// This is the paper's refinement procedure: exact costs for finished
-// segments, the blended E = p·E2 + (1−p)·E1 for the current segment, and
-// re-invocation of the cost module for future segments with propagated
-// estimates.
 // estimation is the result of one refinement pass.
 type estimation struct {
 	totalBytes float64
 	current    int
-	// segCost is the estimated total cost (bytes) per segment.
-	segCost []float64
-	// ioShare is each segment's estimated fraction of disk-resident
-	// bytes (filled only when PerSegmentSpeed is enabled).
-	ioShare []float64
 	// p, e1 and e are the current segment's blend internals: the
 	// dominant-input fraction, the optimizer estimate fixed at segment
 	// start, and the blended output-cardinality estimate.
 	p, e1, e float64
 }
 
+// estimate recomputes, in execution order, every segment's output
+// estimate and cost, and returns the total estimated query cost in bytes.
+// This is the paper's refinement procedure: exact costs for finished
+// segments, the blended E = p·E2 + (1−p)·E1 for the current segment, and
+// re-invocation of the cost module for future segments with propagated
+// estimates.
 func (ind *Indicator) estimate() estimation {
 	outEsts := ind.outEsts
-	est := estimation{current: -1, segCost: ind.segCost, ioShare: ind.ioShare}
+	est := estimation{current: -1}
 	for i, ss := range ind.segs {
 		inputs := ind.inputs[:0]
 		for j := range ss.inputs {
 			inputs = append(inputs, ind.inputEst(ss, j, outEsts))
 		}
 		ind.inputs = inputs
-		if est.ioShare != nil {
-			est.ioShare[i] = ind.decomp.IOShare(ss.seg, inputs)
-		}
+		var cost float64
 		switch {
 		case ss.done:
-			est.segCost[i] = ss.doneBytes
+			cost = ss.doneBytes
 			outEsts[i] = segment.Est{
 				Card:  float64(ss.outTuples),
 				Width: avg(ss.outBytes, ss.outTuples, ss.seg.InitOut.Width),
@@ -506,7 +472,7 @@ func (ind *Indicator) estimate() estimation {
 			e := ss.e1
 			if p > 0 {
 				e2 := float64(ss.outTuples) / p
-				switch ind.opts.Estimator {
+				switch ind.opts.estimator {
 				case EstimatorStatic:
 					// keep E1
 				case EstimatorLinear:
@@ -520,7 +486,7 @@ func (ind *Indicator) estimate() estimation {
 				est.p, est.e1, est.e = p, ss.e1, e
 			}
 			outEsts[i] = segment.Est{Card: e, Width: width}
-			cost := evalCost
+			cost = evalCost
 			if !ss.seg.Final {
 				// Replace the module's output term with the blended one.
 				cost = evalCost - evalOut.Bytes() + e*width
@@ -528,74 +494,17 @@ func (ind *Indicator) estimate() estimation {
 			if cost < ss.doneBytes {
 				cost = ss.doneBytes
 			}
-			est.segCost[i] = cost
 		default:
-			evalOut, evalCost := ind.decomp.EvalSegment(ss.seg, inputs)
-			outEsts[i] = evalOut
-			est.segCost[i] = evalCost
+			outEsts[i], cost = ind.decomp.EvalSegment(ss.seg, inputs)
 		}
-		est.totalBytes += est.segCost[i]
+		est.totalBytes += cost
 	}
 	return est
-}
-
-// remainingSeconds converts remaining U to time. The default is the
-// paper's conversion: all remaining bytes at the single observed speed.
-// With PerSegmentSpeed, future segments use a predicted rate from their
-// disk/memory byte mix scaled by the currently observed load (Section
-// 4.6's suggested refinement).
-func (ind *Indicator) remainingSeconds(est estimation, speed float64) float64 {
-	if speed <= 0 {
-		return math.Inf(1)
-	}
-	if !ind.opts.PerSegmentSpeed || est.ioShare == nil {
-		return (est.totalBytes - ind.totalDone) / speed
-	}
-	ioTPB := ind.clock.Costs().SeqPage / storage.PageSize // seconds per byte from disk
-	memTPB := ioTPB / memSpeedup
-	pred := func(i int) float64 {
-		s := est.ioShare[i]
-		return s*ioTPB + (1-s)*memTPB
-	}
-	// The load factor compares the observed time-per-byte of the current
-	// segment against its unloaded prediction, capturing both system
-	// load and model miscalibration.
-	load := 1.0
-	if est.current >= 0 {
-		if p := pred(est.current); p > 0 {
-			load = (1 / speed) / p
-		}
-	}
-	rem := 0.0
-	for i, ss := range ind.segs {
-		if ss.done {
-			continue
-		}
-		segRem := math.Max(0, est.segCost[i]-ss.doneBytes)
-		if i == est.current {
-			rem += segRem / speed
-		} else {
-			rem += segRem * pred(i) * load
-		}
-	}
-	return rem
 }
 
 // --- speed monitoring (Section 4.6) ---
 
 func (ind *Indicator) onSample(now float64) {
-	if len(ind.samples) > 0 && ind.opts.DecayAlpha > 0 {
-		last := ind.samples[len(ind.samples)-1]
-		if dt := now - last.t; dt > 0 {
-			inst := (ind.totalDone - last.cum) / dt
-			if ind.ewmaOK {
-				ind.ewma = ind.opts.DecayAlpha*inst + (1-ind.opts.DecayAlpha)*ind.ewma
-			} else {
-				ind.ewma = inst
-				ind.ewmaOK = true
-			}
-		}
-	}
 	ind.samples = append(ind.samples, sample{t: now, cum: ind.totalDone})
 	// Prune samples older than the window (keep one beyond the edge for
 	// interpolation).
@@ -612,12 +521,8 @@ func (ind *Indicator) onSample(now float64) {
 
 // speed returns the monitored execution speed in bytes per virtual
 // second: work done in the trailing SpeedWindow seconds (or the overall
-// average before a full window has elapsed), or the decayed average when
-// enabled.
+// average before a full window has elapsed).
 func (ind *Indicator) speed(now float64) float64 {
-	if ind.opts.DecayAlpha > 0 && ind.ewmaOK {
-		return ind.ewma
-	}
 	elapsed := now - ind.startTime
 	if elapsed <= 0 {
 		return 0
@@ -716,12 +621,15 @@ func (ind *Indicator) buildSnapshot() Snapshot {
 	if est.totalBytes > 0 {
 		snap.Percent = 100 * ind.totalDone / est.totalBytes
 	}
-	if ind.finished {
+	switch {
+	case ind.finished:
 		snap.Percent = 100
-		snap.RemainingSeconds = 0
 		snap.CurrentSegment = -1
-	} else {
-		snap.RemainingSeconds = ind.remainingSeconds(est, speed)
+	case speed > 0:
+		// The paper's conversion: all remaining U at the observed speed.
+		snap.RemainingSeconds = (est.totalBytes - ind.totalDone) / speed
+	default:
+		snap.RemainingSeconds = math.Inf(1)
 	}
 	if n := len(ind.segs); n > 0 {
 		snap.StepPercent = 100 * float64(done) / float64(n)

@@ -112,7 +112,7 @@ func runWithIndicatorMem(t *testing.T, te *testEnv, sql string, opts Options,
 	return ind, te.clock.Now() - start
 }
 
-var fastOpts = Options{UpdatePeriod: 0.5, SpeedWindow: 1, SamplePeriod: 0.1}
+var fastOpts = Options{UpdatePeriod: 0.5, SpeedWindow: 1}
 
 func TestQ1AccurateEstimatesStayFlat(t *testing.T) {
 	te := buildEnv(t, nil)
@@ -273,22 +273,6 @@ func mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-func TestDecayingAverageSmoothing(t *testing.T) {
-	te := buildEnv(t, nil)
-	opts := fastOpts
-	opts.DecayAlpha = 0.3
-	ind, _ := runWithIndicator(t, te, "select * from lineitem", opts, optimizer.Options{})
-	snaps := ind.Snapshots()
-	if len(snaps) < 3 {
-		t.Fatalf("only %d snapshots", len(snaps))
-	}
-	for _, s := range snaps[1:] {
-		if s.SpeedU <= 0 && !s.Finished {
-			t.Fatalf("decayed speed should be positive: %+v", s)
-		}
-	}
 }
 
 func TestStepBaselineCoarseness(t *testing.T) {

@@ -49,12 +49,6 @@ type Runner struct {
 	BufferPoolPages int
 	// SpeedWindow overrides the indicator's speed-monitoring window T.
 	SpeedWindow float64
-	// DecayAlpha enables the decaying-average speed smoother.
-	DecayAlpha float64
-	// PerSegmentSpeed enables the Section 4.6 per-segment conversion.
-	PerSegmentSpeed bool
-	// Estimator selects the current-segment output estimator (ablation).
-	Estimator core.EstimatorMode
 }
 
 func (r Runner) withDefaults() Runner {
@@ -282,13 +276,7 @@ func (r Runner) runSQL(sql string, q int, correlated bool, forceAlgo string, int
 
 // indicatorOptions are the indicator settings r's knobs select.
 func (r Runner) indicatorOptions() core.Options {
-	return core.Options{
-		UpdatePeriod:    r.UpdatePeriod,
-		SpeedWindow:     r.SpeedWindow,
-		DecayAlpha:      r.DecayAlpha,
-		PerSegmentSpeed: r.PerSegmentSpeed,
-		Estimator:       r.Estimator,
-	}
+	return core.Options{UpdatePeriod: r.UpdatePeriod, SpeedWindow: r.SpeedWindow}
 }
 
 func scenarioName(interf *Interference) string {

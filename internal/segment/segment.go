@@ -67,11 +67,8 @@ type Input struct {
 	Init Est
 }
 
-// Kind classifies a segment by its blocking root, which determines
-// whether its output is materialized to disk (partitions, sorted runs)
-// or handled in memory (hash tables, materialize buffers) — the
-// distinction behind per-segment speed prediction (Section 4.6's
-// suggested refinement).
+// Kind classifies a segment by the operator that ends it: a blocking
+// operator, or the query root for the final segment.
 type Kind int
 
 const (
@@ -552,42 +549,6 @@ func (d *Decomposition) EvalSegment(s *Segment, inputs []Est) (out Est, costByte
 		cost += out.Bytes()
 	}
 	return out, cost
-}
-
-// IOShare estimates the fraction of a segment's boundary bytes that are
-// physical disk traffic, given current input estimates. Base inputs and
-// partition/sort boundaries move through disk; hash tables and
-// materialize buffers are memory-resident. This feeds the per-segment
-// speed prediction suggested as future work in the paper's Section 4.6
-// ("this conversion should take into account both the expected
-// processing speed for the segments and the current system load").
-func (d *Decomposition) IOShare(s *Segment, inputs []Est) float64 {
-	io, total := 0.0, 0.0
-	for i, in := range s.Inputs {
-		b := inputs[i].Bytes()
-		total += b
-		if in.Base {
-			io += b
-			continue
-		}
-		switch in.Child.Kind {
-		case KindPartition, KindSort:
-			io += b
-		}
-	}
-	if !s.Final {
-		out, _ := d.EvalSegment(s, inputs)
-		b := out.Bytes()
-		total += b
-		switch s.Kind {
-		case KindPartition, KindSort:
-			io += b
-		}
-	}
-	if total <= 0 {
-		return 1
-	}
-	return io / total
 }
 
 // TotalInitCost sums the initial segment costs — the optimizer's estimate

@@ -54,8 +54,8 @@ var fleetSeries = []string{
 }
 
 // fleetShardPercentSeries is the series-ID stem of the per-shard
-// progress gauges the dashboard's heatmap reads; the full IDs are
-// fleet_shard_percent{shard="0"} … {shard="N-1"}.
+// progress gauges the dashboard's heatmap reads; the dashboard config
+// serves the full IDs, fleet_shard_percent{shard="0"} … {shard="N-1"}.
 const fleetShardPercentSeries = "fleet_shard_percent"
 
 // profileCounters are the engine counter families whose per-query deltas
@@ -268,6 +268,9 @@ func (s *Server) handleDashboardConfig(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		cfg.SparklineSeries = append(series, fleetSeries...)
+		for i := 0; i < cfg.Shards; i++ {
+			cfg.ShardSeries = append(cfg.ShardSeries, fmt.Sprintf(`%s{shard="%d"}`, fleetShardPercentSeries, i))
+		}
 	}
 	if s.cfg.SampleInterval > 0 {
 		cfg.SampleIntervalMS = int(s.cfg.SampleInterval / time.Millisecond)

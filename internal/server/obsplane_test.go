@@ -418,12 +418,12 @@ func TestProfileQErrors(t *testing.T) {
 	}
 }
 
-// TestObsListsResolve: every series the dashboard plots, the heatmap
-// reads or a profile attributes exists once a server has run a query and
-// sampled, on one engine and on a 2-shard fleet with metrics on — a
-// misspelled entry would be a forever-empty panel. A histogram resolves
-// through its _count/_sum series, as the store records it. The merged
-// /metrics page must list every series once.
+// TestObsListsResolve: every series the dashboard config serves for its
+// sparklines and heatmap, or a profile attributes, exists once a server
+// has run a query and sampled, on one engine and on a 2-shard fleet with
+// metrics on — a misspelled entry would be a forever-empty panel. A
+// histogram resolves through its _count/_sum series, as the store
+// records it. The merged /metrics page must list every series once.
 func TestObsListsResolve(t *testing.T) {
 	f, err := fleet.New(fleet.Config{Shards: 2, Shard: progressdb.Config{Metrics: true}})
 	if err != nil {
@@ -448,13 +448,13 @@ func TestObsListsResolve(t *testing.T) {
 		profiled = append(profiled, name)
 	}
 	for _, tc := range []struct {
-		name  string
-		s     *Server
-		extra []string
+		name   string
+		s      *Server
+		shards int // heatmap series the config must serve
+		extra  []string
 	}{
-		{"engine", New(db, Config{SampleInterval: -1, KeepAlive: -1}), profiled},
-		{"fleet", NewFleet(f, Config{SampleInterval: -1, KeepAlive: -1}),
-			[]string{fleetShardPercentSeries + `{shard="0"}`, fleetShardPercentSeries + `{shard="1"}`}},
+		{"engine", New(db, Config{SampleInterval: -1, KeepAlive: -1}), 0, profiled},
+		{"fleet", NewFleet(f, Config{SampleInterval: -1, KeepAlive: -1}), 2, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ts := httptest.NewServer(tc.s.Handler())
@@ -482,7 +482,11 @@ func TestObsListsResolve(t *testing.T) {
 					have[id[:i]] = true // a profile names a labeled family
 				}
 			}
-			for _, id := range append(dash.SparklineSeries, tc.extra...) {
+			if len(dash.ShardSeries) != tc.shards {
+				t.Errorf("config serves %d shard series %v, want %d", len(dash.ShardSeries), dash.ShardSeries, tc.shards)
+			}
+			listed := append(append(dash.SparklineSeries, dash.ShardSeries...), tc.extra...)
+			for _, id := range listed {
 				if !have[id] {
 					t.Errorf("series %s is listed but nothing registers it", id)
 				}
