@@ -125,11 +125,12 @@ echo "== root benchmarks, once each =="
 # each proves they still run.
 go test -run '^$' -bench . -benchtime 1x .
 
-echo "== go test -cpu 1 (executor and root) =="
+echo "== go test -cpu 1 (executor, root and serving) =="
 # Tier-1 must pass on any core count. The executor and the root package
 # (equivalence, concurrent determinism, the examples) are where a test
-# could lean on GOMAXPROCS > 1 without the other lanes noticing.
-go test -count=1 -cpu 1 ./internal/exec .
+# could lean on GOMAXPROCS > 1 without the other lanes noticing; the
+# serving packages' tests talk to goroutines they do not own.
+go test -count=1 -cpu 1 ./internal/exec . ./internal/server ./internal/fleet ./client
 
 echo "== go test -race, with the serving packages 20x beside it =="
 # The serving layers' tests are the ones that talk to goroutines they do

@@ -10,7 +10,6 @@
 package client
 
 import (
-	"encoding/json"
 	"math"
 
 	"progressdb"
@@ -370,9 +369,6 @@ type QueryProfile struct {
 	// execution (I/O retries, injected faults); absent when the engine
 	// registry is disabled or the counters never moved.
 	Counters map[string]float64 `json:"counters,omitempty"`
-	// Trace is the query → segment → operator span tree when the engine
-	// ran with tracing enabled.
-	Trace json.RawMessage `json:"trace,omitempty"`
 }
 
 // HistorySummary is one element of GET /api/history's ranked listing.

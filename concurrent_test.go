@@ -196,7 +196,7 @@ func deterministicRun(t *testing.T, workers, rounds int) [][]Result {
 		ProgressUpdateSeconds: 0.1,
 		SeqPageCost:           0.02, // stretch virtual time → several refreshes per query
 		RandPageCost:          0.16,
-		CPUTupleCost:          5e-5, // keep warm-cache rounds long enough to refresh too
+		cpuTupleCost:          5e-5, // keep warm-cache rounds long enough to refresh too
 	})
 	pad := strings.Repeat("z", 60)
 	for w := 0; w < workers; w++ {

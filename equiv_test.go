@@ -131,7 +131,7 @@ var loadFixture = sync.OnceValues(func() (*equivFixture, error) {
 })
 
 func (fx *equivFixture) build() (err error) {
-	cfg := progressdb.Config{Trace: true, ProgressUpdateSeconds: 0.02}
+	cfg := progressdb.Collecting(progressdb.Config{ProgressUpdateSeconds: 0.02})
 	open := func(wm int) *progressdb.DB {
 		cfg.WorkMemPages = wm
 		db := progressdb.Open(cfg)
@@ -367,8 +367,8 @@ func sameRows(st *sqlparser.SelectStmt, cols []string, want [][]interface{}, got
 
 // sameButRows reports how a discarding run of a query differs from its
 // keep-rows run in anything but keeping the rows: the count, the virtual
-// time, every report, the segment ledger and the trace (every span's
-// times, rows_actual and bytes) must be equal.
+// time, every report, the segment ledger and the plan report's operators
+// (every operator's rows, loops, U, times and notes) must be equal.
 func sameButRows(keep, disc *progressdb.Result) error {
 	if disc.Rows != nil || disc.RowCount() != keep.RowCount() {
 		return fmt.Errorf("kept %d rows and counted %d, want none kept and %d counted", len(disc.Rows), disc.RowCount(), keep.RowCount())
@@ -381,7 +381,7 @@ func sameButRows(keep, disc *progressdb.Result) error {
 		{"virtual seconds", disc.VirtualSeconds, keep.VirtualSeconds},
 		{"history", disc.History, keep.History},
 		{"segments", disc.Segments, keep.Segments},
-		{"trace", disc.Trace, keep.Trace},
+		{"operators", progressdb.ReportOps(disc), progressdb.ReportOps(keep)},
 	} {
 		if !reflect.DeepEqual(c.got, c.want) {
 			return fmt.Errorf("not keeping the rows changed the %s:\n%v\nwant\n%v", c.what, c.got, c.want)
@@ -598,7 +598,7 @@ func TestDiscardMatchesKeepOnBenchmarkStatements(t *testing.T) {
 	}
 	for _, wm := range []int{16, 2048} {
 		open := func() *progressdb.DB {
-			db := progressdb.Open(progressdb.Config{WorkMemPages: wm, Trace: true, ProgressUpdateSeconds: 0.02})
+			db := progressdb.Open(progressdb.Collecting(progressdb.Config{WorkMemPages: wm, ProgressUpdateSeconds: 0.02}))
 			if err := db.LoadPaperWorkload(0.002, false); err != nil {
 				t.Fatal(err)
 			}

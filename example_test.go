@@ -1,7 +1,6 @@
 package progressdb_test
 
 import (
-	"bytes"
 	"fmt"
 	"log"
 	"sort"
@@ -222,10 +221,9 @@ func ExampleDB_ExecGroup() {
 // BY and LIMIT add blocking segments (HashAggregate, Sort, Limit) that
 // the indicator covers like any join. The annotated plan and the
 // per-segment table show where the estimates and the time went; the
-// metrics registry and the JSONL event log record the same run.
+// metrics registry and the Result's refresh history record the same run.
 func ExampleDB_ExplainAnalyze() {
-	var events bytes.Buffer
-	db := paperDB(0.002, progressdb.Config{Metrics: true, TraceSink: &events})
+	db := paperDB(0.002, progressdb.Config{Metrics: true})
 	res, tree, err := db.ExplainAnalyze(`select c.nationkey, count(*), sum(o.totalprice)
 		from customer c, orders o where c.custkey = o.custkey
 		group by c.nationkey order by c.nationkey limit 3`)
@@ -241,9 +239,7 @@ func ExampleDB_ExplainAnalyze() {
 			fmt.Println(line)
 		}
 	}
-	fmt.Printf("event log: %d progress, %d segment_done; %d trace spans\n",
-		strings.Count(events.String(), `"type":"progress"`),
-		strings.Count(events.String(), `"type":"segment_done"`), res.Trace.SpanCount())
+	fmt.Printf("%d progress reports, %d segments\n", len(res.History), len(res.Segments))
 	// Output:
 	// Limit 3  (est rows=3 width=27) (actual rows=3 loops=1 U=0.0 time=144.0..162.9s err=x1.0) [S3]
 	//   Sort (c.nationkey)  (est rows=25 width=27) (actual rows=3 loops=1 U=0.0 time=144.0..162.9s err=x8.3) [S2]
@@ -267,5 +263,5 @@ func ExampleDB_ExplainAnalyze() {
 	// nation 2: 120 orders, 29618605.09
 	// bufferpool_misses_total 33
 	// engine_queries_total 1
-	// event log: 2 progress, 4 segment_done; 14 trace spans
+	// 2 progress reports, 4 segments
 }

@@ -15,12 +15,21 @@ import (
 // CheckReports is checkReports for the external test package.
 var CheckReports = checkReports
 
+// Collecting returns cfg with the per-operator collector on for every
+// query, so that ReportOps has operators to list.
+func Collecting(cfg Config) Config {
+	cfg.collect = true
+	return cfg
+}
+
 // ReportOp is one operator of a Result's plan report that runs in a
-// segment, with that segment's kind.
+// segment: that segment's kind and the collector's actuals.
 type ReportOp struct {
-	Label string
-	Kind  segment.Kind
-	Notes []string
+	Label         string
+	Kind          segment.Kind
+	Rows, Loops   int64
+	U, Start, End float64
+	Notes         []string
 }
 
 // ReportOps lists the operators of res's plan report that run in a
@@ -29,7 +38,7 @@ func ReportOps(res *Result) []ReportOp {
 	var out []ReportOp
 	for _, op := range res.report.ops {
 		if op.seg >= 0 {
-			out = append(out, ReportOp{op.label, res.report.segs[op.seg].Kind, op.notes})
+			out = append(out, ReportOp{op.label, res.report.segs[op.seg].Kind, op.rows, op.loops, op.u, op.start, op.end, op.notes})
 		}
 	}
 	return out
@@ -53,7 +62,7 @@ func (db *DB) ExecPlan(sql string, opt optimizer.Options, run func(planText stri
 	if !run(text) {
 		return nil, text, nil
 	}
-	res, err := db.run(context.Background(), db.workerClock(), nil, p, sql, nil, true, db.traceEnabled())
+	res, err := db.run(context.Background(), db.workerClock(), nil, p, nil, true, db.cfg.collect)
 	if err != nil {
 		return nil, text, err
 	}
@@ -123,5 +132,5 @@ func (db *DB) ExecTopFilter(st *sqlparser.SelectStmt, pred sqlparser.Comparison)
 		}
 		top = p
 	}
-	return db.run(context.Background(), db.workerClock(), nil, top, "twin", nil, true, db.traceEnabled())
+	return db.run(context.Background(), db.workerClock(), nil, top, nil, true, db.cfg.collect)
 }

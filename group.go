@@ -11,7 +11,7 @@ import (
 
 // GroupQuery is one member of a concurrently executing query group.
 type GroupQuery struct {
-	// Name labels the query in progress reports.
+	// Name labels the query in the group's errors.
 	Name string
 	// SQL is the query text.
 	SQL string
@@ -213,5 +213,5 @@ func (db *DB) execOne(q GroupQuery, yield func()) (res *Result, err error) {
 	if err != nil {
 		return nil, err
 	}
-	return db.run(q.Ctx, db.clock, yield, p, q.Name, q.OnProgress, q.KeepRows, db.traceEnabled())
+	return db.run(q.Ctx, db.clock, yield, p, q.OnProgress, q.KeepRows, db.cfg.collect)
 }

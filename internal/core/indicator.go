@@ -25,7 +25,6 @@ package core
 import (
 	"math"
 
-	"progressdb/internal/obs"
 	"progressdb/internal/segment"
 	"progressdb/internal/storage"
 	"progressdb/internal/vclock"
@@ -43,9 +42,6 @@ type Options struct {
 	// Refine holds the engine-wide refinement instruments; the zero value
 	// is disabled (every update is a nil-safe no-op).
 	Refine RefinementMetrics
-	// Events, when non-nil, receives a structured JSONL event for every
-	// progress refresh and segment completion.
-	Events *obs.EventWriter
 
 	// estimator selects the current segment's output estimator. Only
 	// this package's tests set it: the static and linear estimators are
@@ -341,15 +337,6 @@ func (ind *Indicator) SegmentDone(seg int) {
 		ss.inputs[i].exact = true
 	}
 	ind.opts.Refine.SegmentsCompleted.Inc()
-	if ind.opts.Events != nil { // with no sink, building the map is wasted allocation
-		ind.opts.Events.Emit("segment_done", ss.endT, map[string]any{
-			"segment":  seg,
-			"out_rows": ss.outTuples,
-			"out_b":    ss.outBytes,
-			"done_u":   ss.doneBytes / storage.PageSize,
-			"start_t":  ss.startT,
-		})
-	}
 	if seg == len(ind.segs)-1 && !ind.finished {
 		ind.finished = true
 		ind.takeSnapshot()
@@ -559,8 +546,8 @@ func (ind *Indicator) takeSnapshot() {
 	}
 }
 
-// observe publishes one snapshot to the refinement instruments and the
-// structured event log; all sinks are nil-safe no-ops when disabled.
+// observe publishes one snapshot to the refinement instruments, which
+// are nil-safe no-ops when disabled.
 func (ind *Indicator) observe(snap Snapshot) {
 	m := ind.opts.Refine
 	m.Refreshes.Inc()
@@ -570,21 +557,6 @@ func (ind *Indicator) observe(snap Snapshot) {
 	m.EstTotalU.Set(snap.EstTotalU)
 	m.RemainingSeconds.Set(snap.RemainingSeconds)
 	m.RefreshU.Observe(snap.EstTotalU)
-	if ind.opts.Events != nil { // as in SegmentDone
-		ind.opts.Events.Emit("progress", snap.Time, map[string]any{
-			"percent":       snap.Percent,
-			"done_u":        snap.DoneU,
-			"est_total_u":   snap.EstTotalU,
-			"speed_u":       snap.SpeedU,
-			"remaining_s":   snap.RemainingSeconds,
-			"segment":       snap.CurrentSegment,
-			"segments_done": snap.SegmentsDone,
-			"p":             snap.CurrentP,
-			"e1":            snap.CurrentE1,
-			"e":             snap.CurrentE,
-			"finished":      snap.Finished,
-		})
-	}
 }
 
 // Current returns an on-demand snapshot without recording it.

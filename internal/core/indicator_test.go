@@ -314,9 +314,8 @@ func TestCurrentSnapshotOnDemand(t *testing.T) {
 	}
 }
 
-// A refresh reuses estimate's slices, and builds no event fields without
-// an event sink: once a query is over, an on-demand snapshot allocates
-// nothing.
+// A refresh reuses estimate's slices: once a query is over, an on-demand
+// snapshot allocates nothing.
 func TestCurrentDoesNotAllocate(t *testing.T) {
 	te := buildEnv(t, nil)
 	sql := `

@@ -91,7 +91,7 @@ func opName(n plan.Node) string {
 }
 
 // NodeStats are the actuals recorded for one plan operator during one
-// query execution, feeding EXPLAIN ANALYZE and the per-query trace.
+// query execution, feeding EXPLAIN ANALYZE's plan report.
 type NodeStats struct {
 	// Node is the plan operator these stats describe.
 	Node plan.Node

@@ -1,6 +1,5 @@
 // Package obs is the engine's observability substrate: a lightweight
-// metrics registry (counters, gauges, histograms) and a per-query tracer
-// (span trees plus a JSONL structured event log).
+// metrics registry (counters, gauges, histograms).
 //
 // Design constraints, in the spirit of the paper's "< 1% penalty on the
 // running time of queries" budget (Section 5.4):

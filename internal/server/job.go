@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
 	"sync"
@@ -252,9 +251,9 @@ func (j *job) setCounters(c map[string]float64) {
 // profileLocked freezes the terminal job into its history record: the final
 // lifecycle snapshot, the complete progress-event ledger, and — for
 // queries that ran to completion — the per-segment estimated-vs-actual
-// figures, the remaining-time q-error trajectory, and the trace span
-// tree. The event ledger is the job's own slice, not a copy: the
-// terminal event is in it and publish appends nothing after that one.
+// figures and the remaining-time q-error trajectory. The event ledger is
+// the job's own slice, not a copy: the terminal event is in it and
+// publish appends nothing after that one.
 func (j *job) profileLocked() *client.QueryProfile {
 	p := &client.QueryProfile{
 		Query: client.QueryInfo{
@@ -306,11 +305,6 @@ func (j *job) profileLocked() *client.QueryProfile {
 		}
 		actual := res.VirtualSeconds - ev.ElapsedSeconds
 		p.RemainingQError = append(p.RemainingQError, core.QError(ev.RemainingSeconds, actual))
-	}
-	if res.Trace != nil {
-		if data, err := json.Marshal(res.Trace); err == nil {
-			p.Trace = data
-		}
 	}
 	return p
 }

@@ -18,7 +18,7 @@ import (
 )
 
 // This file is the engine's observability surface: the metrics registry
-// wiring across storage/exec/indicator, per-query trace assembly, and
+// wiring across storage/exec/indicator, the per-query plan report, and
 // EXPLAIN ANALYZE. Everything here is disabled by default and nil-safe
 // when off — the paper budgets statistics collection at under 1% of
 // query execution time, and the zero-value instruments keep the disabled
@@ -85,8 +85,6 @@ func (db *DB) syncGauges() {
 		Set(float64(len(db.cat.Pool().Disk().OpenFilesOfClass(storage.ClassTemp))))
 }
 
-func (db *DB) traceEnabled() bool { return db.cfg.Trace || db.cfg.TraceSink != nil }
-
 // workerClock draws a fresh per-query clock from the engine's clock
 // group: charges advance it independently of concurrent queries, and it
 // max-merges into the group at segment boundaries, report snapshots, and
@@ -98,8 +96,8 @@ func (db *DB) workerClock() *vclock.Clock {
 }
 
 // run executes an already-planned query on clk with full observability
-// wiring: the indicator gets the refinement instruments and event sink,
-// the executor gets engine metrics and (optionally) a per-operator
+// wiring: the indicator gets the refinement instruments, the executor
+// gets engine metrics and, when collect is set, a per-operator
 // collector, and the plan report is assembled afterwards. clk is a
 // workerClock for a query that runs on its own, or the engine's base
 // clock for an ExecGroup member, whose yield hook (nil otherwise) hands
@@ -111,7 +109,7 @@ func (db *DB) workerClock() *vclock.Clock {
 // converted into a typed *exec.InternalError that fails only this
 // query, and on any failure the query's tracked temp files are
 // reclaimed so the engine stays leak-free and reusable.
-func (db *DB) run(ctx context.Context, clk *vclock.Clock, yield func(), p plan.Node, name string, onProgress func(Report), keepRows, collect bool) (res *Result, err error) {
+func (db *DB) run(ctx context.Context, clk *vclock.Clock, yield func(), p plan.Node, onProgress func(Report), keepRows, collect bool) (res *Result, err error) {
 	var env *exec.Env
 	defer func() {
 		if r := recover(); r != nil {
@@ -128,7 +126,6 @@ func (db *DB) run(ctx context.Context, clk *vclock.Clock, yield func(), p plan.N
 		UpdatePeriod: db.cfg.ProgressUpdateSeconds,
 		SpeedWindow:  db.cfg.SpeedWindowSeconds,
 		Refine:       db.refine,
-		Events:       db.events,
 	})
 	if onProgress != nil {
 		ind.Subscribe(func(s core.Snapshot) { onProgress(toReport(s)) })
@@ -179,9 +176,6 @@ func (db *DB) run(ctx context.Context, clk *vclock.Clock, yield func(), p plan.N
 	}
 	res.report = newPlanReport(p, d, ind, coll)
 	res.Segments = res.report.segments()
-	if coll != nil {
-		res.Trace = res.report.trace(name, start, clk.Now())
-	}
 	return res, nil
 }
 
@@ -206,7 +200,7 @@ func tupleToRow(t tuple.Tuple) []interface{} {
 // with the annotated plan tree: per operator the optimizer's estimate,
 // the actual row count, the estimate error factor, U consumed (pages of
 // boundary bytes), virtual timing, and spill annotations — followed by
-// the per-segment estimated-vs-actual table. Result.Trace is filled.
+// the per-segment estimated-vs-actual table.
 func (db *DB) ExplainAnalyze(sql string) (*Result, string, error) {
 	st, err := sqlparser.ParseStatement(sql)
 	if err != nil {
@@ -216,7 +210,7 @@ func (db *DB) ExplainAnalyze(sql string) (*Result, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	res, err := db.run(context.Background(), db.workerClock(), nil, p, st.Select.String(), nil, true, true)
+	res, err := db.run(context.Background(), db.workerClock(), nil, p, nil, true, true)
 	if err != nil {
 		return nil, "", err
 	}
@@ -227,8 +221,8 @@ func (db *DB) ExplainAnalyze(sql string) (*Result, string, error) {
 // the indicator's estimate against what the segment did and, when a
 // collector ran, per operator in pre-order, the optimizer's estimate
 // against the collector's actuals. It holds no plan node, so a Result
-// keeps it. Result.Segments, Result.Trace and EXPLAIN ANALYZE's text are
-// printed from it.
+// keeps it. Result.Segments and EXPLAIN ANALYZE's text are printed from
+// it.
 type planReport struct {
 	segs []core.SegmentReport
 	ops  []opReport
@@ -290,34 +284,6 @@ func (r *planReport) segments() []SegmentStats {
 		}
 	}
 	return out
-}
-
-// trace prints the report as the query → segment → operator span tree of
-// the query name that ran from start to end.
-func (r *planReport) trace(name string, start, end float64) *obs.Trace {
-	q := &obs.Span{Name: name, Kind: "query", Start: start, End: end}
-	segs := make([]*obs.Span, len(r.segs))
-	for i, s := range r.segs {
-		sp := &obs.Span{Name: fmt.Sprintf("S%d %s", s.ID, s.Root), Kind: "segment", Start: s.StartT, End: s.EndT,
-			Attrs: map[string]float64{"est_cost_u": s.EstCostU, "actual_cost_u": s.ActualCostU, "rows_est": s.EstOutRows}}
-		if s.ActualOutRows >= 0 {
-			sp.Attrs["rows_actual"] = s.ActualOutRows
-		}
-		segs[i] = q.AddChild(sp)
-	}
-	for _, op := range r.ops {
-		sp := &obs.Span{Name: op.label, Kind: "operator", Attrs: map[string]float64{"rows_est": op.estRows}}
-		if op.ran {
-			sp.Start, sp.End, sp.Notes = op.start, op.end, op.notes
-			sp.Attrs["rows_actual"], sp.Attrs["u"], sp.Attrs["loops"] = float64(op.rows), op.u, float64(op.loops)
-		}
-		if op.seg >= 0 && op.seg < len(segs) {
-			segs[op.seg].AddChild(sp)
-		} else {
-			q.AddChild(sp)
-		}
-	}
-	return &obs.Trace{Root: q}
 }
 
 // explain prints the report as EXPLAIN ANALYZE, in the style of

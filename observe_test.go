@@ -1,11 +1,11 @@
 package progressdb
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -123,8 +123,8 @@ func TestExplainAnalyzeTwoJoin(t *testing.T) {
 	if res.RowCount() == 0 {
 		t.Fatal("EXPLAIN ANALYZE returned no rows")
 	}
-	if res.Trace == nil || res.Trace.SpanCount() < 4 {
-		t.Fatalf("trace missing or too small: %+v", res.Trace)
+	if n := len(res.report.ops); n < 4 {
+		t.Fatalf("plan report has %d operators, want >= 4", n)
 	}
 	// Per-operator actuals, estimate error factor, and U on every
 	// instrumented node; per-segment table at the bottom.
@@ -141,73 +141,6 @@ func TestExplainAnalyzeTwoJoin(t *testing.T) {
 	// The bare SELECT (no EXPLAIN prefix) works too.
 	if _, _, err := db.ExplainAnalyze(twoJoinSQL); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestTraceAndEventLog(t *testing.T) {
-	var buf bytes.Buffer
-	db := loadObsWorkload(t, Config{
-		WorkMemPages:          16,
-		ProgressUpdateSeconds: 5,
-		Trace:                 true,
-		TraceSink:             &buf,
-	})
-	res, err := db.ExecDiscard(twoJoinSQL, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Trace == nil {
-		t.Fatal("Config.Trace did not populate Result.Trace")
-	}
-	root := res.Trace.Root
-	if root.Kind != "query" || len(root.Children) == 0 {
-		t.Fatalf("bad trace root: %+v", root)
-	}
-	var segs, ops int
-	var walk func(s *obs.Span)
-	walk = func(s *obs.Span) {
-		switch s.Kind {
-		case "segment":
-			segs++
-		case "operator":
-			ops++
-		}
-		for _, c := range s.Children {
-			walk(c)
-		}
-	}
-	walk(root)
-	if segs == 0 || ops == 0 {
-		t.Fatalf("trace has %d segment and %d operator spans", segs, ops)
-	}
-	// The trace itself serializes to JSON.
-	if _, err := res.Trace.JSON(); err != nil {
-		t.Fatal(err)
-	}
-
-	// The sink received a JSONL event log: one JSON object per line, with
-	// progress refreshes and segment completions.
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) < 2 {
-		t.Fatalf("event log has %d lines:\n%s", len(lines), buf.String())
-	}
-	kinds := map[string]int{}
-	for _, line := range lines {
-		var ev map[string]any
-		if err := json.Unmarshal([]byte(line), &ev); err != nil {
-			t.Fatalf("event line is not JSON: %v\n%s", err, line)
-		}
-		typ, _ := ev["type"].(string)
-		kinds[typ]++
-		if _, ok := ev["t"]; !ok {
-			t.Fatalf("event missing timestamp: %s", line)
-		}
-	}
-	if kinds["progress"] == 0 {
-		t.Fatalf("no progress events in log: %v", kinds)
-	}
-	if kinds["segment_done"] == 0 {
-		t.Fatalf("no segment_done events in log: %v", kinds)
 	}
 }
 
@@ -229,14 +162,15 @@ func TestExplainStatementDispatch(t *testing.T) {
 var rewriteGolden = flag.Bool("rewrite", false, "rewrite testdata/explain_analyze.txt")
 
 // TestExplainAnalyzeGolden pins, byte for byte, what a finished query
-// prints about its plan: the EXPLAIN ANALYZE text, the trace JSON and the
-// segment ledger JSON of the benchmark's statements that
+// prints about its plan: the EXPLAIN ANALYZE text, every operator's
+// estimate and actuals in shortest round-trip form, and the segment
+// ledger JSON of the benchmark's statements that
 // TestDiscardMatchesKeepOnBenchmarkStatements runs, on its two engines.
 func TestExplainAnalyzeGolden(t *testing.T) {
 	const file = "testdata/explain_analyze.txt"
 	var b strings.Builder
 	for _, wm := range []int{16, 2048} {
-		db := loadObsWorkload(t, Config{WorkMemPages: wm, Trace: true, ProgressUpdateSeconds: 0.02})
+		db := loadObsWorkload(t, Config{WorkMemPages: wm, ProgressUpdateSeconds: 0.02})
 		for _, st := range workload.BenchStatements {
 			if st.Name == "q5" || st.Name == "point" || st.Name == "orders" {
 				continue
@@ -245,15 +179,17 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("work_mem %d: %s: %v", wm, st.Name, err)
 			}
-			trace, err := json.Marshal(res.Trace)
-			if err != nil {
-				t.Fatal(err)
+			num := func(v float64) string { return strconv.FormatFloat(v, 'f', -1, 64) }
+			ops := make([]string, len(res.report.ops))
+			for i, op := range res.report.ops {
+				ops[i] = fmt.Sprintf("est=%s rows=%d loops=%d U=%s t=%s..%s",
+					num(op.estRows), op.rows, op.loops, num(op.u), num(op.start), num(op.end))
 			}
 			segs, err := json.Marshal(res.Segments)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fmt.Fprintf(&b, "== %s at work_mem %d\n%strace: %s\nsegments: %s\n", st.Name, wm, text, trace, segs)
+			fmt.Fprintf(&b, "== %s at work_mem %d\n%sops: %s\nsegments: %s\n", st.Name, wm, text, strings.Join(ops, "; "), segs)
 		}
 	}
 	got := b.String()

@@ -25,7 +25,6 @@ package progressdb
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"progressdb/internal/catalog"
 	"progressdb/internal/core"
@@ -68,10 +67,10 @@ type Config struct {
 	// WorkMemPages is the per-operator memory budget (default 2048).
 	// Small values force Grace hash joins and external sorts.
 	WorkMemPages int
-	// SeqPageCost, RandPageCost, CPUTupleCost override the virtual
-	// clock's base costs in seconds per unit (defaults are calibrated to
-	// a 2004-era disk; see internal/vclock).
-	SeqPageCost, RandPageCost, CPUTupleCost float64
+	// SeqPageCost and RandPageCost override the virtual clock's base
+	// costs in seconds per page (defaults are calibrated to a 2004-era
+	// disk; see internal/vclock).
+	SeqPageCost, RandPageCost float64
 	// ProgressUpdateSeconds is the indicator refresh period in virtual
 	// seconds (default 10, the paper's rate).
 	ProgressUpdateSeconds float64
@@ -83,20 +82,20 @@ type Config struct {
 	// costs only nil checks in operator hot loops (the paper's <1%
 	// statistics-collection overhead budget).
 	Metrics bool
-	// Trace enables per-query tracing: every Exec fills Result.Trace with
-	// a query → segment → operator span tree carrying virtual times, U
-	// consumed, and estimated-vs-actual cardinalities. Off by default.
-	// EXPLAIN ANALYZE collects a trace regardless of this flag.
-	Trace bool
-	// TraceSink, when non-nil, receives a JSONL structured event log: one
-	// line per progress refresh and per segment completion.
-	TraceSink io.Writer
 	// FaultSpec, when non-empty, installs a storage fault injector at
 	// Open for chaos testing — deterministic seedable I/O errors, added
 	// latency, and scheduled panics, per file class. See SetFaultSpec
 	// for the grammar and semantics. Open panics if the spec does not
 	// parse; SetFaultSpec is the error-returning form.
 	FaultSpec string
+
+	// cpuTupleCost overrides the virtual clock's per-tuple CPU cost in
+	// seconds. Only this package's tests set it.
+	cpuTupleCost float64
+	// collect runs every query with the per-operator collector that
+	// EXPLAIN ANALYZE always runs, so each Result's plan report carries
+	// operator actuals. Only tests set it (see export_test.go).
+	collect bool
 }
 
 // DB is one engine instance: simulated storage, a catalog, and a virtual
@@ -122,7 +121,6 @@ type DB struct {
 	reg     *obs.Registry
 	execMet exec.Metrics
 	refine  core.RefinementMetrics
-	events  *obs.EventWriter
 	queries *obs.Counter
 }
 
@@ -144,15 +142,14 @@ func Open(cfg Config) *DB {
 	if cfg.RandPageCost > 0 {
 		costs.RandPage = cfg.RandPageCost
 	}
-	if cfg.CPUTupleCost > 0 {
-		costs.CPUTuple = cfg.CPUTupleCost
+	if cfg.cpuTupleCost > 0 {
+		costs.CPUTuple = cfg.cpuTupleCost
 	}
 	group := vclock.NewGroup(costs)
 	clock := group.Worker()
 	disk := storage.NewDisk(clock)
 	pool := storage.NewBufferPool(disk, cfg.BufferPoolPages)
 	db := &DB{cfg: cfg, group: group, clock: clock, cat: catalog.New(pool)}
-	db.events = obs.NewEventWriter(cfg.TraceSink)
 	if cfg.Metrics {
 		db.wireMetrics(pool, disk)
 	}
@@ -460,14 +457,11 @@ type Result struct {
 	// History is every progress report taken during execution.
 	History []Report
 	// Segments is the per-segment estimated-vs-actual ledger, always
-	// filled on successful execution.
+	// filled on successful execution. It is printed from the query's plan
+	// report, as is ExplainAnalyze's text.
 	Segments []SegmentStats
-	// Trace is the per-query span tree (query → segment → operator),
-	// filled when Config.Trace is set, Config.TraceSink is non-nil, or
-	// the query ran under ExplainAnalyze; nil otherwise.
-	Trace *obs.Trace
 
-	// report is what Segments, Trace and ExplainAnalyze's text print.
+	// report is what Segments and ExplainAnalyze's text print.
 	report planReport
 }
 
@@ -507,7 +501,7 @@ func (db *DB) exec(ctx context.Context, sql string, onProgress func(Report), kee
 	if err != nil {
 		return nil, err
 	}
-	return db.run(ctx, db.workerClock(), nil, p, sql, onProgress, keepRows, db.traceEnabled())
+	return db.run(ctx, db.workerClock(), nil, p, onProgress, keepRows, db.cfg.collect)
 }
 
 // FormatReport renders a report as the paper's Figure 2 progress box.

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"testing"
 
-	"progressdb/internal/obs"
 	"progressdb/internal/workload"
 )
 
@@ -33,22 +32,6 @@ func rowsOutDelta(before, after map[string]int64) (map[string]int64, int64) {
 		}
 	}
 	return d, sum
-}
-
-// traceRows sums rows_actual over the operator spans of a trace.
-func traceRows(tr *obs.Trace) int64 {
-	var sum int64
-	var walk func(*obs.Span)
-	walk = func(s *obs.Span) {
-		if s.Kind == "operator" {
-			sum += int64(s.Attrs["rows_actual"])
-		}
-		for _, c := range s.Children {
-			walk(c)
-		}
-	}
-	walk(tr.Root)
-	return sum
 }
 
 // TestRowsOutNotWrittenWhileOperatorOpen pins that the executor writes
@@ -81,18 +64,18 @@ func TestRowsOutNotWrittenWhileOperatorOpen(t *testing.T) {
 	}
 }
 
-// TestRowsOutExact holds the counters to the trace: for every paper
-// query and the mix's sort, aggregates and semi-join, at a work_mem that
-// spills and one that does not, the counters grow by exactly the rows
-// the operator spans report. A query canceled mid-flight still adds the
-// rows its operators emitted, and the next query is exact again.
+// TestRowsOutExact holds the counters to the plan report: for every
+// paper query and the mix's sort, aggregates and semi-join, at a work_mem
+// that spills and one that does not, the counters grow by exactly the
+// rows the report's operators emitted. A query canceled mid-flight still
+// adds the rows its operators emitted, and the next query is exact again.
 func TestRowsOutExact(t *testing.T) {
 	stmts := workload.BenchStatements[:workload.Mix9]
 	partitioned := false
 	for _, wm := range []int{16, 2048} {
 		// Scale 0.005 is the smallest at which 16 work_mem pages give the
 		// paper's joins a Grace plan.
-		db := Open(Config{WorkMemPages: wm, Metrics: true, Trace: true, ProgressUpdateSeconds: 0.01})
+		db := Open(Config{WorkMemPages: wm, Metrics: true, ProgressUpdateSeconds: 0.01, collect: true})
 		if err := db.LoadPaperWorkload(0.005, false); err != nil {
 			t.Fatal(err)
 		}
@@ -104,8 +87,12 @@ func TestRowsOutExact(t *testing.T) {
 				t.Fatalf("work_mem %d, %s: %v", wm, name, err)
 			}
 			d, sum := rowsOutDelta(before, rowsOut(db))
-			if want := traceRows(res.Trace); sum != want {
-				t.Errorf("work_mem %d, %s: counters grew by %d %v, operator spans report %d rows", wm, name, sum, d, want)
+			var want int64
+			for _, op := range res.report.ops {
+				want += op.rows
+			}
+			if sum != want {
+				t.Errorf("work_mem %d, %s: counters grew by %d %v, the plan report's operators emitted %d rows", wm, name, sum, d, want)
 			}
 			if d["partition"] > 0 {
 				partitioned = true
