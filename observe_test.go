@@ -159,7 +159,7 @@ func TestExplainStatementDispatch(t *testing.T) {
 
 // rewriteGolden regenerates testdata/explain_analyze.txt:
 // go test -run TestExplainAnalyzeGolden . -args -rewrite
-var rewriteGolden = flag.Bool("rewrite", false, "rewrite testdata/explain_analyze.txt")
+var rewriteGolden = flag.Bool("rewrite", false, "rewrite the golden file of each test run (testdata/explain_analyze.txt, BENCH_counts.json)")
 
 // TestExplainAnalyzeGolden pins, byte for byte, what a finished query
 // prints about its plan: the EXPLAIN ANALYZE text, every operator's
