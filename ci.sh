@@ -2,7 +2,7 @@
 # ci.sh — the repo's check suite: formatting, vet, build (library +
 # every cmd binary, the bench module), the linter, a progressd
 # start/stop, a scripted pgsh session, the ledger through experiments,
-# one pass of the root benchmarks, race tests.
+# one pass of the root benchmarks, the optimizer benchmark, race tests.
 # Run directly or via `make check`.
 set -eu
 
@@ -124,6 +124,12 @@ echo "== root benchmarks, once each =="
 # bench_test.go (E-SMJ, the window-T ablation, E-CONC); one iteration
 # each proves they still run.
 go test -run '^$' -bench . -benchtime 1x .
+
+echo "== optimizer benchmark =="
+# The planner's layer number: BenchmarkPlan plans the cost-closure
+# statements at bench/'s two work_mem settings and reports ns and
+# allocations per op, the figures a planner change quotes before and after.
+go test -run '^$' -bench Plan -benchtime 100x ./internal/optimizer
 
 echo "== go test -cpu 1 (executor, root and serving) =="
 # Tier-1 must pass on any core count. The executor and the root package

@@ -58,14 +58,47 @@ func Plan(cat *catalog.Catalog, stmt *sqlparser.SelectStmt, opt Options) (plan.N
 	return o.run()
 }
 
-// dpEntry is one memoized subplan: the plan node, the global column index
-// behind each schema position, and the choice cost: the subplan's U in
-// bytes, summed from the internal/segment calls the indicator re-costs its
-// segments with — except under an index scan (see indexPath).
+// dpEntry is one memoized subplan: the query tables it covers, the
+// global column index behind each output position, its output estimate,
+// and the choice cost: the subplan's U in bytes, summed from the
+// internal/segment calls the indicator re-costs its segments with —
+// except under an index scan (see indexPath). Access paths and semi-joins
+// carry their plan node from the start. A join candidate is priced from
+// its sides' estimates alone and carries only its recipe, step; build
+// turns the chosen tree's recipes into nodes.
 type dpEntry struct {
-	node plan.Node
-	cols []int
-	cost float64
+	node   plan.Node
+	tables uint32
+	cols   []int
+	est    plan.Est
+	cost   float64
+	step   joinStep
+}
+
+// joinStep is a join candidate's recipe: the algorithm, its two sides in
+// the order the plan node takes them (build and probe, left and right,
+// outer and inner), and for hash and merge joins the equality predicate
+// and its global column on each side.
+type joinStep struct {
+	algo     joinAlgo
+	a, b     *dpEntry
+	eq       *conjunct
+	eqA, eqB int
+	sel      float64 // the applied conjuncts' selectivity product
+}
+
+type joinAlgo uint8
+
+const (
+	noJoin joinAlgo = iota
+	hashAlgo
+	mergeAlgo
+	nlAlgo
+)
+
+// built returns the entry of an already-built node.
+func built(node plan.Node, cols []int, cost float64) dpEntry {
+	return dpEntry{node: node, cols: cols, est: node.Est(), cost: cost}
 }
 
 func (e *dpEntry) posOf(global int) int {
@@ -89,15 +122,29 @@ func (e *dpEntry) remap(x expr.Expr) (expr.Expr, error) {
 type planner struct {
 	bq  *boundQuery
 	opt Options
+	// conjCols holds each conjunct's columns, in bq.conjuncts order.
+	conjCols [][]int
+	// cands is joinCandidates' result buffer, reused for every pair.
+	cands []dpEntry
 	// priced, nil outside TestCostClosure, sees every entry priced: each
-	// access path, join candidate and semi-join.
+	// access path, join candidate and semi-join, built.
 	priced func(*dpEntry)
 }
 
-func (p *planner) note(e *dpEntry) {
-	if p.priced != nil {
-		p.priced(e)
+// note hands a priced entry to p.priced, building it first, so that the
+// closure test holds every candidate's price to its tree's segment cost.
+func (p *planner) note(e *dpEntry) error {
+	if p.priced == nil {
+		return nil
 	}
+	if e.node == nil {
+		p.settle(e)
+		if err := p.build(e); err != nil {
+			return err
+		}
+	}
+	p.priced(e)
+	return nil
 }
 
 func (p *planner) run() (plan.Node, error) {
@@ -112,7 +159,6 @@ func (p *planner) run() (plan.Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		p.note(best)
 	}
 	var node plan.Node
 	if p.bq.hasAgg {
@@ -126,38 +172,27 @@ func (p *planner) run() (plan.Node, error) {
 	return p.orderLimit(node)
 }
 
-// joinDP enumerates left-deep join orders over the query's tables and
-// returns the cheapest full plan entry.
-func (p *planner) joinDP() (*dpEntry, error) {
+// joinDP enumerates left-deep join orders over the query's tables,
+// pricing each candidate from its sides' estimates, and returns the
+// cheapest full plan entry, built.
+func (p *planner) joinDP() (dpEntry, error) {
 	n := len(p.bq.tables)
 	full := uint32(1<<uint(n)) - 1
+	p.conjCols = make([][]int, len(p.bq.conjuncts))
 
-	// Columns needed above the base level: the select list, every column
-	// referenced by a multi-table conjunct, and any outer columns that
-	// correlated subqueries compare against.
-	need := map[int]bool{}
-	for _, g := range p.bq.selectCols {
-		need[g] = true
-	}
-	for _, c := range p.bq.conjuncts {
-		if bits(c.tables) >= 2 {
-			for _, g := range expr.ColumnsUsed(c.e) {
-				need[g] = true
-			}
-		}
-	}
-	for _, g := range p.bq.subqueryOuterCols() {
-		need[g] = true
-	}
-
-	dp := make(map[uint32]*dpEntry)
+	dp := make([]dpEntry, full+1) // by covered-table mask; tables 0 is unset
+	var buf [64]bool
 	for i, ts := range p.bq.tables {
-		e, err := p.accessPath(ts, need)
+		m := uint32(1) << uint(i)
+		e, err := p.accessPath(ts, p.upstreamNeed(buf[:], m))
 		if err != nil {
-			return nil, err
+			return dpEntry{}, err
 		}
-		p.note(e)
-		dp[1<<uint(i)] = e
+		e.tables = m
+		dp[m] = e
+		if err := p.note(&dp[m]); err != nil {
+			return dpEntry{}, err
+		}
 	}
 
 	// Left-deep enumeration: extend each subset with one base table.
@@ -166,8 +201,8 @@ func (p *planner) joinDP() (*dpEntry, error) {
 	// makes whole experiments reproducible only if plans are).
 	for size := 1; size < n; size++ {
 		for s := uint32(1); s <= full; s++ {
-			left, ok := dp[s]
-			if !ok || bits(s) != size {
+			left := &dp[s]
+			if left.tables == 0 || bits(s) != size {
 				continue
 			}
 			for r := 0; r < n; r++ {
@@ -175,27 +210,35 @@ func (p *planner) joinDP() (*dpEntry, error) {
 				if s&rm != 0 {
 					continue
 				}
-				right := dp[rm]
-				cand, err := p.joinCandidates(s, left, rm, right)
-				if err != nil {
-					return nil, err
-				}
-				key := s | rm
-				for _, c := range cand {
-					p.note(c)
-					if best, ok := dp[key]; !ok || c.cost < best.cost {
-						dp[key] = c
+				best := &dp[s|rm]
+				for i := range p.joinCandidates(left, &dp[rm]) {
+					c := &p.cands[i]
+					if err := p.note(c); err != nil {
+						return dpEntry{}, err
+					}
+					if best.tables == 0 || c.cost < best.cost {
+						*best = *c
 					}
 				}
 			}
 		}
+		// This level's winners are final: give them their columns and
+		// widths before the next level prices joins over them.
+		for key := range dp {
+			if bits(uint32(key)) == size+1 && dp[key].tables != 0 {
+				p.settle(&dp[key])
+			}
+		}
 	}
 
-	best, ok := dp[full]
-	if !ok {
-		return nil, fmt.Errorf("optimizer: no plan found (unsupported join structure)")
+	best := &dp[full]
+	if best.tables == 0 {
+		return dpEntry{}, fmt.Errorf("optimizer: no plan found (unsupported join structure)")
 	}
-	return best, nil
+	if err := p.build(best); err != nil {
+		return dpEntry{}, err
+	}
+	return *best, nil
 }
 
 // outputPos returns the position of a global column in the final output,
@@ -237,7 +280,7 @@ func (p *planner) orderLimit(node plan.Node) (plan.Node, error) {
 
 // buildAggregate wraps the join result in a HashAgg and reorders its
 // output to the select list.
-func (p *planner) buildAggregate(e *dpEntry) (plan.Node, error) {
+func (p *planner) buildAggregate(e dpEntry) (plan.Node, error) {
 	bq := p.bq
 	// Project the join output to [group columns..., aggregate args...]
 	// (bq.selectCols is already deduplicated in that order).
@@ -343,7 +386,7 @@ func (p *planner) buildAggregate(e *dpEntry) (plan.Node, error) {
 
 // accessPath builds the best base access for one table, applying its
 // single-table predicates and projecting to needed columns.
-func (p *planner) accessPath(ts *tableSource, need map[int]bool) (*dpEntry, error) {
+func (p *planner) accessPath(ts *tableSource, need []bool) (dpEntry, error) {
 	rows := float64(ts.tbl.Heap.Len())
 	width := 64.0
 	if ts.tbl.Stats != nil {
@@ -370,13 +413,13 @@ func (p *planner) accessPath(ts *tableSource, need map[int]bool) (*dpEntry, erro
 		OutEst: plan.Est{Card: rows, Width: width},
 	}
 	// A base input is read once: its bytes, as EvalSegment charges them.
-	entry := &dpEntry{node: scan, cols: cols, cost: scan.OutEst.Bytes()}
+	entry := built(scan, cols, scan.OutEst.Bytes())
 
 	// Index-scan alternative: a range or equality predicate on an
 	// indexed column, costed with the random-I/O penalty.
 	var ranged *conjunct // the predicate the index range enforces
 	if !p.opt.DisableIndexScan {
-		if alt, c := p.indexPath(ts, preds, cols, rows, width); alt != nil && alt.cost < entry.cost {
+		if alt, c := p.indexPath(ts, preds, cols, rows, width); c != nil && alt.cost < entry.cost {
 			entry, ranged = alt, c
 		}
 	}
@@ -391,7 +434,7 @@ func (p *planner) accessPath(ts *tableSource, need map[int]bool) (*dpEntry, erro
 		for _, c := range preds {
 			t, err := entry.remap(c.e)
 			if err != nil {
-				return nil, err
+				return dpEntry{}, err
 			}
 			terms = append(terms, t)
 			if c != ranged {
@@ -407,7 +450,7 @@ func (p *planner) accessPath(ts *tableSource, need map[int]bool) (*dpEntry, erro
 				Width: entry.node.Est().Width,
 			},
 		}
-		entry = &dpEntry{node: f, cols: entry.cols, cost: entry.cost}
+		entry = built(f, entry.cols, entry.cost)
 	}
 
 	return p.project(entry, need), nil
@@ -416,7 +459,7 @@ func (p *planner) accessPath(ts *tableSource, need map[int]bool) (*dpEntry, erro
 // indexPath returns an index-scan entry, and the predicate its range
 // enforces, if one of the predicates is a col-op-const range on an
 // indexed column.
-func (p *planner) indexPath(ts *tableSource, preds []*conjunct, cols []int, rows, width float64) (*dpEntry, *conjunct) {
+func (p *planner) indexPath(ts *tableSource, preds []*conjunct, cols []int, rows, width float64) (dpEntry, *conjunct) {
 	for _, c := range preds {
 		cmp, ok := c.e.(*expr.Cmp)
 		if !ok || expr.ContainsFunc(c.e) {
@@ -478,9 +521,9 @@ func (p *planner) indexPath(ts *tableSource, preds []*conjunct, cols []int, rows
 		// indicator counts the matching bytes): a random page fetch per
 		// matching tuple, so an index wins where it saves time, not bytes.
 		cost := rows * sel * storage.PageSize * p.opt.RandFactor
-		return &dpEntry{node: scan, cols: cols, cost: cost}, c
+		return built(scan, cols, cost), c
 	}
-	return nil, nil
+	return dpEntry{}, nil
 }
 
 func offsetMap(ts *tableSource) map[int]int {
@@ -549,7 +592,7 @@ func (p *planner) joinSel(c *conjunct) float64 {
 // project narrows an entry to needed columns (keeping entry order). Never
 // drops everything: if no column is needed (SELECT count-free cross
 // products do not occur in this dialect) the entry is returned unchanged.
-func (p *planner) project(e *dpEntry, need map[int]bool) *dpEntry {
+func (p *planner) project(e dpEntry, need []bool) dpEntry {
 	var keep []int
 	for pos, g := range e.cols {
 		if need[g] {
@@ -564,7 +607,7 @@ func (p *planner) project(e *dpEntry, need map[int]bool) *dpEntry {
 	width := 0.0
 	for i, pos := range keep {
 		newCols[i] = e.cols[pos]
-		sch.Cols[i] = tuple.Column{Name: p.bq.global.Cols[e.cols[pos]].Name, Type: p.bq.global.Cols[e.cols[pos]].Type}
+		sch.Cols[i] = p.bq.global.Cols[e.cols[pos]]
 		width += p.bq.colWidth(e.cols[pos])
 	}
 	proj := &plan.Project{
@@ -573,128 +616,95 @@ func (p *planner) project(e *dpEntry, need map[int]bool) *dpEntry {
 		Sch:    sch,
 		OutEst: plan.Est{Card: e.node.Est().Card, Width: width},
 	}
-	return &dpEntry{node: proj, cols: newCols, cost: e.cost}
+	return built(proj, newCols, e.cost)
 }
 
-// joinCandidates builds all legal joins of left (covering subset s) with
-// the single table entry right (mask rm).
-func (p *planner) joinCandidates(s uint32, left *dpEntry, rm uint32, right *dpEntry) ([]*dpEntry, error) {
-	// Conjuncts newly applicable at this join.
-	var applied []*conjunct
-	for _, c := range p.bq.conjuncts {
-		if bits(c.tables) < 2 && c.tables != 0 {
-			continue // single-table, applied at base
-		}
-		if c.tables&^(s|rm) != 0 {
-			continue // references tables outside this subset
-		}
-		if c.tables&s == 0 || c.tables&rm == 0 {
-			continue // does not connect left and right
-		}
-		applied = append(applied, c)
-	}
+// connects reports whether conjunct c is applied at the join of the
+// disjoint table sets s and r: it references both and nothing else.
+func connects(c *conjunct, s, r uint32) bool {
+	return c.tables&^(s|r) == 0 && c.tables&s != 0 && c.tables&r != 0
+}
 
+// joinCandidates prices every legal join of left with the single-table
+// entry right, from their estimates alone, in the order joinDP compares
+// them: hash, merge, nl(left, right), nl(right, left). The result is
+// p.cands, valid until the next call.
+func (p *planner) joinCandidates(left, right *dpEntry) []dpEntry {
+	// The conjuncts newly applicable at this join: their selectivity
+	// product, and the first equijoin usable by hash/merge join.
 	selProduct := 1.0
-	for _, c := range applied {
-		selProduct *= p.joinSel(c)
-	}
-
-	// Locate an equijoin predicate usable by hash/merge join.
 	var eqConj *conjunct
 	eqL, eqR := -1, -1 // global column indexes, eqL on left side
-	for _, c := range applied {
-		l, r, ok := expr.EquiJoinCols(c.e)
-		if !ok {
+	for _, c := range p.bq.conjuncts {
+		if !connects(c, left.tables, right.tables) {
 			continue
 		}
-		switch {
-		case left.posOf(l) >= 0 && right.posOf(r) >= 0:
-			eqConj, eqL, eqR = c, l, r
-		case left.posOf(r) >= 0 && right.posOf(l) >= 0:
-			eqConj, eqL, eqR = c, r, l
-		}
+		selProduct *= p.joinSel(c)
 		if eqConj != nil {
-			break
+			continue
+		}
+		if l, r, ok := expr.EquiJoinCols(c.e); ok {
+			switch {
+			case left.posOf(l) >= 0 && right.posOf(r) >= 0:
+				eqConj, eqL, eqR = c, l, r
+			case left.posOf(r) >= 0 && right.posOf(l) >= 0:
+				eqConj, eqL, eqR = c, r, l
+			}
 		}
 	}
 
-	outCard := selProduct * left.node.Est().Card * right.node.Est().Card
+	outCard := selProduct * left.est.Card * right.est.Card
 	algo := p.opt.ForceJoinAlgo
-
-	var out []*dpEntry
-	add := func(e *dpEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if e != nil {
-			out = append(out, p.project(e, p.upstreamNeed(s|rm)))
-		}
-		return nil
-	}
-
+	out := p.cands[:0]
 	if eqConj != nil && (algo == "" || algo == "hash") {
 		// Left-deep convention (and the shape of the paper's Figure 8):
 		// the accumulated side is hashed (build), the new base relation
 		// streams as the probe. Orders that want the new relation hashed
 		// are reachable by enumerating it earlier in the join order.
-		if err := add(p.hashJoin(left, right, eqConj, eqL, eqR, applied, outCard)); err != nil {
-			return nil, err
-		}
+		out = append(out, p.hashJoin(left, right, eqConj, eqL, eqR, outCard))
 	}
 	if eqConj != nil && (algo == "" || algo == "merge") {
-		if err := add(p.mergeJoin(left, right, eqConj, eqL, eqR, applied, outCard)); err != nil {
-			return nil, err
-		}
+		out = append(out, p.mergeJoin(left, right, eqConj, eqL, eqR, outCard))
 	}
 	if algo == "" || algo == "nl" || len(out) == 0 {
-		if err := add(p.nlJoin(left, right, applied, selProduct, outCard)); err != nil {
-			return nil, err
-		}
-		if err := add(p.nlJoin(right, left, applied, selProduct, outCard)); err != nil {
-			return nil, err
-		}
+		out = append(out, p.nlJoin(left, right, selProduct, outCard), p.nlJoin(right, left, selProduct, outCard))
 	}
-	return out, nil
+	p.cands = out
+	return out
 }
 
-// upstreamNeed is the set of columns needed above a subset: select-list
-// columns plus columns of conjuncts not yet fully applied.
-func (p *planner) upstreamNeed(covered uint32) map[int]bool {
-	need := map[int]bool{}
+// upstreamNeed is the set of columns needed above a subset, by global
+// index: select-list columns, columns of conjuncts not yet fully applied,
+// and the outer columns that correlated subqueries compare against. It
+// fills buf when buf is long enough, so that a caller's array keeps it
+// off the heap.
+func (p *planner) upstreamNeed(buf []bool, covered uint32) []bool {
+	var need []bool
+	if n := p.bq.global.Arity(); n <= len(buf) {
+		need = buf[:n]
+		clear(need)
+	} else {
+		need = make([]bool, n)
+	}
 	for _, g := range p.bq.selectCols {
 		need[g] = true
 	}
-	for _, c := range p.bq.conjuncts {
+	for i, c := range p.bq.conjuncts {
 		if c.tables&^covered != 0 { // not yet applied
-			for _, g := range expr.ColumnsUsed(c.e) {
+			if p.conjCols[i] == nil {
+				p.conjCols[i] = expr.ColumnsUsed(c.e)
+			}
+			for _, g := range p.conjCols[i] {
 				need[g] = true
 			}
 		}
 	}
-	for _, g := range p.bq.subqueryOuterCols() {
-		need[g] = true
+	for _, s := range p.bq.subqueries {
+		for _, c := range s.corr {
+			need[c.outerCol] = true
+		}
 	}
 	return need
-}
-
-// concatEntry builds the joined entry metadata: schema = a ++ b.
-func concatEntry(bq *boundQuery, a, b *dpEntry) (cols []int, sch *tuple.Schema) {
-	cols = append(append([]int{}, a.cols...), b.cols...)
-	sch = a.node.Schema().Concat(b.node.Schema())
-	// Rename to global names for readability.
-	out := &tuple.Schema{Cols: make([]tuple.Column, len(cols))}
-	for i, g := range cols {
-		out.Cols[i] = tuple.Column{Name: bq.global.Cols[g].Name, Type: sch.Cols[i].Type}
-	}
-	return cols, out
-}
-
-func remapOverConcat(cols []int, x expr.Expr) (expr.Expr, error) {
-	m := make(map[int]int, len(cols))
-	for i, g := range cols {
-		m[g] = i
-	}
-	return expr.Remap(x, m)
 }
 
 func (p *planner) widthOf(cols []int) float64 {
@@ -705,125 +715,162 @@ func (p *planner) widthOf(cols []int) float64 {
 	return w
 }
 
-func (p *planner) hashJoin(build, probe *dpEntry, eq *conjunct, eqBuildCol, eqProbeCol int, applied []*conjunct, outCard float64) (*dpEntry, error) {
-	cols, sch := concatEntry(p.bq, build, probe)
-	var extras []expr.Expr
-	for _, c := range applied {
-		if c == eq {
-			continue
-		}
-		e, err := remapOverConcat(cols, c.e)
-		if err != nil {
-			return nil, err
-		}
-		extras = append(extras, e)
-	}
-	sel := outCard / math.Max(1, build.node.Est().Card*probe.node.Est().Card)
-	buildBytes := build.node.Est().Bytes()
-	probeBytes := probe.node.Est().Bytes()
-	grace := buildBytes > p.opt.workMemBytes()
-
-	buildNode, probeNode := build.node, probe.node
-	buildKey, probeKey := build.posOf(eqBuildCol), probe.posOf(eqProbeCol)
-	if grace {
-		// Both sides are hash-partitioned to disk first (the paper's
-		// Figure 3/8 shape on a machine whose work_mem cannot hold the
-		// build side).
-		buildNode = &plan.Partition{Child: build.node, Key: buildKey, OutEst: build.node.Est()}
-		probeNode = &plan.Partition{Child: probe.node, Key: probeKey, OutEst: probe.node.Est()}
-	}
-	j := &plan.HashJoin{
-		Build:     buildNode,
-		Probe:     probeNode,
-		Grace:     grace,
-		BuildKey:  buildKey,
-		ProbeKey:  probeKey,
-		ExtraPred: expr.Conjoin(extras),
-		Sel:       sel,
-		Sch:       sch,
-		OutEst:    plan.Est{Card: outCard, Width: p.widthOf(cols)},
-	}
-	// The hash table is a boundary; under Grace both partition sets are.
-	local := segment.BoundaryBytes(buildBytes)
-	if grace {
-		local += segment.BoundaryBytes(probeBytes)
-	}
-	return &dpEntry{node: j, cols: cols, cost: build.cost + probe.cost + local}, nil
+// join is a candidate entry over sides a and b with output cardinality
+// card; settle gives it columns and a width.
+func join(st joinStep, card, cost float64) dpEntry {
+	return dpEntry{tables: st.a.tables | st.b.tables, est: plan.Est{Card: card}, cost: cost, step: st}
 }
 
-func (p *planner) mergeJoin(left, right *dpEntry, eq *conjunct, eqLeftCol, eqRightCol int, applied []*conjunct, outCard float64) (*dpEntry, error) {
-	lSort := &plan.Sort{
-		Child:  left.node,
-		Keys:   []plan.SortKey{{Col: left.posOf(eqLeftCol)}},
-		OutEst: left.node.Est(),
+func (p *planner) hashJoin(build, probe *dpEntry, eq *conjunct, eqBuildCol, eqProbeCol int, outCard float64) dpEntry {
+	buildBytes := build.est.Bytes()
+	// The hash table is a boundary; under Grace both partition sets are.
+	local := segment.BoundaryBytes(buildBytes)
+	if buildBytes > p.opt.workMemBytes() {
+		local += segment.BoundaryBytes(probe.est.Bytes())
 	}
-	rSort := &plan.Sort{
-		Child:  right.node,
-		Keys:   []plan.SortKey{{Col: right.posOf(eqRightCol)}},
-		OutEst: right.node.Est(),
-	}
-	lEntry := &dpEntry{node: lSort, cols: left.cols}
-	rEntry := &dpEntry{node: rSort, cols: right.cols}
-	cols, sch := concatEntry(p.bq, lEntry, rEntry)
-	var extras []expr.Expr
-	for _, c := range applied {
-		if c == eq {
-			continue
-		}
-		e, err := remapOverConcat(cols, c.e)
-		if err != nil {
-			return nil, err
-		}
-		extras = append(extras, e)
-	}
-	sel := outCard / math.Max(1, left.node.Est().Card*right.node.Est().Card)
-	j := &plan.MergeJoin{
-		Left:      lSort,
-		Right:     rSort,
-		LeftKey:   left.posOf(eqLeftCol),
-		RightKey:  right.posOf(eqRightCol),
-		ExtraPred: expr.Conjoin(extras),
-		Sel:       sel,
-		Sch:       sch,
-		OutEst:    plan.Est{Card: outCard, Width: p.widthOf(cols)},
-	}
+	return join(joinStep{algo: hashAlgo, a: build, b: probe, eq: eq, eqA: eqBuildCol, eqB: eqProbeCol},
+		outCard, build.cost+probe.cost+local)
+}
+
+func (p *planner) mergeJoin(left, right *dpEntry, eq *conjunct, eqLeftCol, eqRightCol int, outCard float64) dpEntry {
 	// Each side's sorted runs are a boundary, plus any intermediate merges.
 	mem := p.opt.workMemBytes()
-	lBytes, rBytes := left.node.Est().Bytes(), right.node.Est().Bytes()
+	lBytes, rBytes := left.est.Bytes(), right.est.Bytes()
 	cost := left.cost + right.cost +
 		(segment.BoundaryBytes(lBytes) + segment.SortMergeBytes(lBytes, mem)) +
 		(segment.BoundaryBytes(rBytes) + segment.SortMergeBytes(rBytes, mem))
-	return &dpEntry{node: j, cols: cols, cost: cost}, nil
+	return join(joinStep{algo: mergeAlgo, a: left, b: right, eq: eq, eqA: eqLeftCol, eqB: eqRightCol}, outCard, cost)
 }
 
-func (p *planner) nlJoin(outer, inner *dpEntry, applied []*conjunct, selProduct, outCard float64) (*dpEntry, error) {
-	innerEntry := inner
+func (p *planner) nlJoin(outer, inner *dpEntry, selProduct, outCard float64) dpEntry {
 	innerCost := inner.cost
 	// A non-scan inner must be materialized to be rescanned.
 	if !isScan(inner.node) {
-		m := &plan.Materialize{Child: inner.node, OutEst: inner.node.Est()}
-		innerEntry = &dpEntry{node: m, cols: inner.cols}
-		innerCost += segment.BoundaryBytes(inner.node.Est().Bytes())
+		innerCost += segment.BoundaryBytes(inner.est.Bytes())
 	}
-	cols, sch := concatEntry(p.bq, outer, innerEntry)
-	var terms []expr.Expr
-	for _, c := range applied {
-		e, err := remapOverConcat(cols, c.e)
-		if err != nil {
-			return nil, err
+	cost := outer.cost + innerCost + segment.RescanBytes(outer.est.Card, inner.est.Bytes())
+	return join(joinStep{algo: nlAlgo, a: outer, b: inner, sel: selProduct}, outCard, cost)
+}
+
+// settle gives a join entry the columns that its Project keeps, in join
+// order (all of them when upstream needs none), and their width.
+func (p *planner) settle(e *dpEntry) {
+	a, b := e.step.a.cols, e.step.b.cols
+	var buf [64]bool
+	need := p.upstreamNeed(buf[:], e.tables)
+	kept := 0
+	for _, cols := range [2][]int{a, b} {
+		for _, g := range cols {
+			if need[g] {
+				kept++
+			}
 		}
-		terms = append(terms, e)
 	}
-	j := &plan.NLJoin{
-		Outer:  outer.node,
-		Inner:  innerEntry.node,
-		Pred:   expr.Conjoin(terms),
-		Sel:    selProduct,
-		Sch:    sch,
-		OutEst: plan.Est{Card: outCard, Width: p.widthOf(cols)},
+	all := kept == 0
+	if all {
+		kept = len(a) + len(b)
 	}
-	cost := outer.cost + innerCost + segment.RescanBytes(outer.node.Est().Card, innerEntry.node.Est().Bytes())
-	return &dpEntry{node: j, cols: cols, cost: cost}, nil
+	e.cols = make([]int, 0, kept)
+	e.est.Width = 0
+	for _, cols := range [2][]int{a, b} {
+		for _, g := range cols {
+			if all || need[g] {
+				e.cols = append(e.cols, g)
+				e.est.Width += p.bq.colWidth(g)
+			}
+		}
+	}
+}
+
+// build turns a join entry's recipe into plan nodes, its sides' first:
+// the join over the two sides (through a Partition pair, a Sort pair or
+// a Materialize as the algorithm needs), with the applied conjuncts
+// remapped to the join's schema, and the Project to the columns upstream
+// needs. Entries that have a node are left alone.
+func (p *planner) build(e *dpEntry) error {
+	if e.node != nil {
+		return nil
+	}
+	st := e.step
+	if err := p.build(st.a); err != nil {
+		return err
+	}
+	if err := p.build(st.b); err != nil {
+		return err
+	}
+	a, b := st.a, st.b
+	cols := append(append(make([]int, 0, len(a.cols)+len(b.cols)), a.cols...), b.cols...)
+	sch := &tuple.Schema{Cols: make([]tuple.Column, len(cols))}
+	for i, g := range cols {
+		sch.Cols[i] = p.bq.global.Cols[g]
+	}
+	j := dpEntry{cols: cols, cost: e.cost}
+	var terms []expr.Expr // every applied conjunct but the hash or merge key
+	for _, c := range p.bq.conjuncts {
+		if c == st.eq || !connects(c, a.tables, b.tables) {
+			continue
+		}
+		t, err := j.remap(c.e)
+		if err != nil {
+			return err
+		}
+		terms = append(terms, t)
+	}
+	outEst := plan.Est{Card: e.est.Card, Width: p.widthOf(cols)}
+	aEst, bEst := a.node.Est(), b.node.Est()
+	switch st.algo {
+	case hashAlgo:
+		buildNode, probeNode := a.node, b.node
+		buildKey, probeKey := a.posOf(st.eqA), b.posOf(st.eqB)
+		grace := aEst.Bytes() > p.opt.workMemBytes()
+		if grace {
+			// Both sides are hash-partitioned to disk first (the paper's
+			// Figure 3/8 shape on a machine whose work_mem cannot hold the
+			// build side).
+			buildNode = &plan.Partition{Child: a.node, Key: buildKey, OutEst: aEst}
+			probeNode = &plan.Partition{Child: b.node, Key: probeKey, OutEst: bEst}
+		}
+		j.node = &plan.HashJoin{
+			Build:     buildNode,
+			Probe:     probeNode,
+			Grace:     grace,
+			BuildKey:  buildKey,
+			ProbeKey:  probeKey,
+			ExtraPred: expr.Conjoin(terms),
+			Sel:       e.est.Card / math.Max(1, aEst.Card*bEst.Card),
+			Sch:       sch,
+			OutEst:    outEst,
+		}
+	case mergeAlgo:
+		j.node = &plan.MergeJoin{
+			Left:      &plan.Sort{Child: a.node, Keys: []plan.SortKey{{Col: a.posOf(st.eqA)}}, OutEst: aEst},
+			Right:     &plan.Sort{Child: b.node, Keys: []plan.SortKey{{Col: b.posOf(st.eqB)}}, OutEst: bEst},
+			LeftKey:   a.posOf(st.eqA),
+			RightKey:  b.posOf(st.eqB),
+			ExtraPred: expr.Conjoin(terms),
+			Sel:       e.est.Card / math.Max(1, aEst.Card*bEst.Card),
+			Sch:       sch,
+			OutEst:    outEst,
+		}
+	case nlAlgo:
+		inner := b.node
+		if !isScan(inner) {
+			inner = &plan.Materialize{Child: inner, OutEst: bEst}
+		}
+		j.node = &plan.NLJoin{
+			Outer:  a.node,
+			Inner:  inner,
+			Pred:   expr.Conjoin(terms),
+			Sel:    st.sel,
+			Sch:    sch,
+			OutEst: outEst,
+		}
+	default:
+		return fmt.Errorf("optimizer: entry over tables %b has neither a plan nor a join recipe", e.tables)
+	}
+	var buf [64]bool
+	e.node = p.project(j, p.upstreamNeed(buf[:], e.tables)).node
+	return nil
 }
 
 func isScan(n plan.Node) bool {
@@ -836,7 +883,7 @@ func isScan(n plan.Node) bool {
 }
 
 // finalize applies the final projection to the select list.
-func (p *planner) finalize(e *dpEntry) (plan.Node, error) {
+func (p *planner) finalize(e dpEntry) (plan.Node, error) {
 	out, err := p.projectTo(e, p.bq.selectCols)
 	if err != nil {
 		return nil, err
@@ -846,7 +893,7 @@ func (p *planner) finalize(e *dpEntry) (plan.Node, error) {
 
 // projectTo narrows an entry to exactly the given global columns, in
 // order (identity projections are elided).
-func (p *planner) projectTo(e *dpEntry, globals []int) (*dpEntry, error) {
+func (p *planner) projectTo(e dpEntry, globals []int) (dpEntry, error) {
 	identity := len(globals) == len(e.cols)
 	if identity {
 		for i, g := range globals {
@@ -865,7 +912,7 @@ func (p *planner) projectTo(e *dpEntry, globals []int) (*dpEntry, error) {
 	for i, g := range globals {
 		pos := e.posOf(g)
 		if pos < 0 {
-			return nil, fmt.Errorf("optimizer: column %s lost during planning", p.bq.global.Cols[g].Name)
+			return dpEntry{}, fmt.Errorf("optimizer: column %s lost during planning", p.bq.global.Cols[g].Name)
 		}
 		keep[i] = pos
 		sch.Cols[i] = p.bq.global.Cols[g]
@@ -877,5 +924,5 @@ func (p *planner) projectTo(e *dpEntry, globals []int) (*dpEntry, error) {
 		Sch:    sch,
 		OutEst: plan.Est{Card: e.node.Est().Card, Width: width},
 	}
-	return &dpEntry{node: node, cols: append([]int(nil), globals...), cost: e.cost}, nil
+	return built(node, append([]int(nil), globals...), e.cost), nil
 }

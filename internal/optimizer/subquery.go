@@ -39,18 +39,6 @@ type subquerySpec struct {
 	neededSubCols []int
 }
 
-// subqueryOuterCols returns every outer column referenced by any
-// subquery's correlation predicates.
-func (bq *boundQuery) subqueryOuterCols() []int {
-	var out []int
-	for _, s := range bq.subqueries {
-		for _, c := range s.corr {
-			out = append(out, c.outerCol)
-		}
-	}
-	return out
-}
-
 // bindSubquery binds one EXISTS/IN subquery against the outer query.
 // inCol is the outer IN column (-1 for EXISTS).
 func bindSubquery(cat *catalog.Catalog, outer *boundQuery, stmt *sqlparser.SelectStmt, anti bool, inCol int) (*subquerySpec, error) {
@@ -218,15 +206,15 @@ func flipCmp(op expr.CmpOp) expr.CmpOp {
 
 // applySemiJoin plans one subquery and attaches it as a semi-join over
 // the outer entry.
-func (p *planner) applySemiJoin(outer *dpEntry, spec *subquerySpec) (*dpEntry, error) {
+func (p *planner) applySemiJoin(outer dpEntry, spec *subquerySpec) (dpEntry, error) {
 	pi := &planner{bq: spec.sub, opt: p.opt, priced: p.priced}
 	innerBest, err := pi.joinDP()
 	if err != nil {
-		return nil, fmt.Errorf("optimizer: planning subquery: %w", err)
+		return dpEntry{}, fmt.Errorf("optimizer: planning subquery: %w", err)
 	}
 	inner, err := pi.projectTo(innerBest, spec.neededSubCols)
 	if err != nil {
-		return nil, err
+		return dpEntry{}, err
 	}
 
 	// Pick the first equality correlation as the hash key.
@@ -238,7 +226,7 @@ func (p *planner) applySemiJoin(outer *dpEntry, spec *subquerySpec) (*dpEntry, e
 		opos := outer.posOf(c.outerCol)
 		ipos := inner.posOf(c.subCol)
 		if opos < 0 || ipos < 0 {
-			return nil, fmt.Errorf("optimizer: correlation column lost during planning")
+			return dpEntry{}, fmt.Errorf("optimizer: correlation column lost during planning")
 		}
 		if c.op == expr.EQ && !usedHash {
 			usedHash = true
@@ -252,7 +240,7 @@ func (p *planner) applySemiJoin(outer *dpEntry, spec *subquerySpec) (*dpEntry, e
 		})
 	}
 
-	sel := p.semiSelectivity(spec, outerKey, innerKey, outer, inner)
+	sel := p.semiSelectivity(spec, outerKey, inner)
 	if spec.anti {
 		sel = 1 - sel
 	}
@@ -276,13 +264,17 @@ func (p *planner) applySemiJoin(outer *dpEntry, spec *subquerySpec) (*dpEntry, e
 	if outerKey < 0 {
 		cost += segment.RescanBytes(outer.node.Est().Card, innerBytes)
 	}
-	return &dpEntry{node: j, cols: outer.cols, cost: cost}, nil
+	semi := built(j, outer.cols, cost)
+	if err := p.note(&semi); err != nil {
+		return dpEntry{}, err
+	}
+	return semi, nil
 }
 
 // semiSelectivity estimates the fraction of outer tuples with at least
 // one match: the containment assumption gives ndv(inner)/ndv(outer) for
 // an equality correlation, capped at 1.
-func (p *planner) semiSelectivity(spec *subquerySpec, outerKey, innerKey int, outer, inner *dpEntry) float64 {
+func (p *planner) semiSelectivity(spec *subquerySpec, outerKey int, inner dpEntry) float64 {
 	if outerKey < 0 {
 		return 0.5
 	}
