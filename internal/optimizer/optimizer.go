@@ -211,8 +211,9 @@ func (p *planner) joinDP() (dpEntry, error) {
 					continue
 				}
 				best := &dp[s|rm]
-				for i := range p.joinCandidates(left, &dp[rm]) {
-					c := &p.cands[i]
+				cands := p.joinCandidates(left, &dp[rm])
+				for i := range cands {
+					c := &cands[i]
 					if err := p.note(c); err != nil {
 						return dpEntry{}, err
 					}
@@ -593,7 +594,7 @@ func (p *planner) joinSel(c *conjunct) float64 {
 // drops everything: if no column is needed (SELECT count-free cross
 // products do not occur in this dialect) the entry is returned unchanged.
 func (p *planner) project(e dpEntry, need []bool) dpEntry {
-	var keep []int
+	keep := make([]int, 0, len(e.cols))
 	for pos, g := range e.cols {
 		if need[g] {
 			keep = append(keep, pos)
@@ -656,6 +657,9 @@ func (p *planner) joinCandidates(left, right *dpEntry) []dpEntry {
 	outCard := selProduct * left.est.Card * right.est.Card
 	algo := p.opt.ForceJoinAlgo
 	out := p.cands[:0]
+	if out == nil {
+		out = make([]dpEntry, 0, 4) // hash, merge and the two nested-loops orders
+	}
 	if eqConj != nil && (algo == "" || algo == "hash") {
 		// Left-deep convention (and the shape of the paper's Figure 8):
 		// the accumulated side is hashed (build), the new base relation
