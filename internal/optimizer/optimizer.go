@@ -762,28 +762,18 @@ func (p *planner) settle(e *dpEntry) {
 	a, b := e.step.a.cols, e.step.b.cols
 	var buf [64]bool
 	need := p.upstreamNeed(buf[:], e.tables)
-	kept := 0
+	e.cols = make([]int, 0, len(a)+len(b))
 	for _, cols := range [2][]int{a, b} {
 		for _, g := range cols {
 			if need[g] {
-				kept++
-			}
-		}
-	}
-	all := kept == 0
-	if all {
-		kept = len(a) + len(b)
-	}
-	e.cols = make([]int, 0, kept)
-	e.est.Width = 0
-	for _, cols := range [2][]int{a, b} {
-		for _, g := range cols {
-			if all || need[g] {
 				e.cols = append(e.cols, g)
-				e.est.Width += p.bq.colWidth(g)
 			}
 		}
 	}
+	if len(e.cols) == 0 {
+		e.cols = append(append(e.cols, a...), b...)
+	}
+	e.est.Width = p.widthOf(e.cols)
 }
 
 // build turns a join entry's recipe into plan nodes, its sides' first:
