@@ -20,13 +20,16 @@ import (
 // Rewrite it with: go test -run TestCountsGolden . -args -rewrite
 const countsFile = "BENCH_counts.json"
 
-// countsRuns is how many warm runs each allocation figure averages.
+// countsRuns is how many runs each allocation figure averages, after
+// testing.AllocsPerRun's own warm-up run. One keeps the test inside its
+// budget: q5 takes about a quarter of a second a run.
 const countsRuns = 1
 
 // The allocation gates' tolerances, per field, in either direction: a
 // rise beyond one fails, and so does a fall, which must be committed so
 // that the file's diff shows it. Twenty repeats of the test alone on a
-// 2-core VM (go1.24.0) set them, at twice the widest spread seen:
+// 2-core VM (go1.24.0) set them, at twice the widest spread seen; runs
+// inside the whole package and at -cpu 1 stayed within them:
 //   - exec_allocs spread by 4 on q5 and by at most 2 elsewhere, so 8;
 //     one more allocation per scanned row adds thousands;
 //   - exec_bytes spread by at most 312 bytes, so 1 KiB;
