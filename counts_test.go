@@ -15,8 +15,9 @@ import (
 )
 
 // countsFile is the wall ledger's counts that repeat: per benchmark
-// statement, what one warm ExecDiscard allocates, what planning it alone
-// allocates, and how often the executor calls the indicator, by kind.
+// statement, what one warm ExecDiscard allocates with metrics off and on,
+// what planning it alone allocates, how often the executor calls the
+// indicator, by kind, and the rows it adds to exec_rows_out_total, by op.
 // Rewrite it with: go test -run TestCountsGolden . -args -rewrite
 const countsFile = "BENCH_counts.json"
 
@@ -34,11 +35,13 @@ const countsRuns = 1
 //     one more allocation per scanned row adds thousands;
 //   - exec_bytes spread by at most 312 bytes, so 1 KiB;
 //   - estimate_allocs never moved, so 0: one more allocation per join
-//     candidate adds 32 on Q2.
+//     candidate adds 32 on Q2;
+//   - exec_allocs_metrics spread by 4 on q5, as exec_allocs does, so 8.
 const (
-	execAllocsTol     = 8
-	execBytesTol      = 1 << 10
-	estimateAllocsTol = 0
+	execAllocsTol        = 8
+	execBytesTol         = 1 << 10
+	estimateAllocsTol    = 0
+	execAllocsMetricsTol = 8
 )
 
 // stmtCounts is one statement's line in countsFile.
@@ -51,35 +54,38 @@ type stmtCounts struct {
 	ExecAllocs     int64 `json:"exec_allocs"`
 	ExecBytes      int64 `json:"exec_bytes"`
 	EstimateAllocs int64 `json:"estimate_allocs"`
+	// ExecAllocsMetrics is ExecAllocs on an engine with Config.Metrics
+	// on, progressd's setting.
+	ExecAllocsMetrics int64 `json:"exec_allocs_metrics"`
 	// ReporterCalls counts the executor's calls on the indicator, by
 	// segment.WorkReporter method.
 	ReporterCalls map[string]int64 `json:"reporter_calls"`
+	// RowsOut is what one run adds to exec_rows_out_total, by op.
+	RowsOut map[string]int64 `json:"rows_out"`
 }
 
 // TestCountsGolden pins the counts that a perf change claims:
 // workload.BenchStatements × work_mem {16, 2048} at scale 0.002, on a
 // pool that holds the data, with bench/'s indexes and refresh period.
-// Reporter calls are exact; allocations may move only within the
-// tolerances above, and are not checked under -race, where sync.Pool
+// Reporter calls and rows out are exact; allocations may move only within
+// the tolerances above, and are not checked under -race, where sync.Pool
 // drops entries at random.
 func TestCountsGolden(t *testing.T) {
 	var got []stmtCounts
 	for _, wm := range []int{16, 2048} {
-		db := loadObsWorkload(t, Config{WorkMemPages: wm, ProgressUpdateSeconds: 1})
-		for _, ix := range workload.BenchIndexes {
-			if err := db.CreateIndex(ix[0], ix[1]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := db.Analyze(); err != nil {
-			t.Fatal(err)
-		}
+		db := countsEngine(t, Config{WorkMemPages: wm, ProgressUpdateSeconds: 1})
+		mdb := countsEngine(t, Config{WorkMemPages: wm, ProgressUpdateSeconds: 1, Metrics: true})
 		for _, st := range workload.BenchStatements {
 			c := stmtCounts{Name: st.Name, WorkMem: wm}
 			var err error
 			if c.ReporterCalls, err = reporterCalls(db, st.SQL); err != nil {
 				t.Fatalf("work_mem %d: %s: %v", wm, st.Name, err)
 			}
+			before := rowsOut(mdb)
+			if _, err := mdb.ExecDiscard(st.SQL, nil); err != nil {
+				t.Fatalf("work_mem %d: %s: %v", wm, st.Name, err)
+			}
+			c.RowsOut, _ = rowsOutDelta(before, rowsOut(mdb))
 			if !raceEnabled {
 				c.ExecAllocs, c.ExecBytes = allocsAndBytes(func() {
 					if _, err := db.ExecDiscard(st.SQL, nil); err != nil {
@@ -88,6 +94,11 @@ func TestCountsGolden(t *testing.T) {
 				})
 				c.EstimateAllocs, _ = allocsAndBytes(func() {
 					if _, err := db.EstimateCostU(st.SQL); err != nil {
+						t.Fatal(err)
+					}
+				})
+				c.ExecAllocsMetrics, _ = allocsAndBytes(func() {
+					if _, err := mdb.ExecDiscard(st.SQL, nil); err != nil {
 						t.Fatal(err)
 					}
 				})
@@ -134,6 +145,11 @@ func TestCountsGolden(t *testing.T) {
 				t.Error(at("reporter_calls."+k, g.ReporterCalls[k], w.ReporterCalls[k]))
 			}
 		}
+		for op := range joinKeys(g.RowsOut, w.RowsOut) {
+			if g.RowsOut[op] != w.RowsOut[op] {
+				t.Error(at("rows_out."+op, g.RowsOut[op], w.RowsOut[op]))
+			}
+		}
 		if raceEnabled {
 			continue
 		}
@@ -145,6 +161,7 @@ func TestCountsGolden(t *testing.T) {
 			{"exec_allocs", g.ExecAllocs, w.ExecAllocs, execAllocsTol},
 			{"exec_bytes", g.ExecBytes, w.ExecBytes, execBytesTol},
 			{"estimate_allocs", g.EstimateAllocs, w.EstimateAllocs, estimateAllocsTol},
+			{"exec_allocs_metrics", g.ExecAllocsMetrics, w.ExecAllocsMetrics, execAllocsMetricsTol},
 		} {
 			switch {
 			case f.got > f.was+f.tol:
@@ -154,6 +171,34 @@ func TestCountsGolden(t *testing.T) {
 			}
 		}
 	}
+}
+
+// countsEngine loads TestCountsGolden's engine: the paper workload at
+// scale 0.002, with bench/'s indexes, analyzed.
+func countsEngine(t *testing.T, cfg Config) *DB {
+	t.Helper()
+	db := loadObsWorkload(t, cfg)
+	for _, ix := range workload.BenchIndexes {
+		if err := db.CreateIndex(ix[0], ix[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Analyze(); err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// joinKeys is the set of keys of a and b.
+func joinKeys(a, b map[string]int64) map[string]bool {
+	keys := map[string]bool{}
+	for k := range a {
+		keys[k] = true
+	}
+	for k := range b {
+		keys[k] = true
+	}
+	return keys
 }
 
 // allocsAndBytes returns what one warm call of f allocates: the objects
