@@ -39,21 +39,22 @@ type SegmentReport struct {
 // Call after execution completes.
 func (ind *Indicator) SegmentReports() []SegmentReport {
 	out := make([]SegmentReport, len(ind.segs))
-	for i, ss := range ind.segs {
+	for i := range ind.segs {
+		ss := &ind.segs[i]
 		r := SegmentReport{
 			ID:          i,
 			Kind:        ss.seg.Kind,
 			Root:        ss.seg.Root.Label(),
 			EstCostU:    ss.seg.InitCost / pageBytes,
-			ActualCostU: ss.doneBytes / pageBytes,
+			ActualCostU: ss.doneBytes() / pageBytes,
 			EstOutRows:  ss.seg.InitOut.Card,
 			Done:        ss.done,
 		}
 		if ss.done {
-			r.ActualOutRows = float64(ss.outTuples)
+			r.ActualOutRows = float64(ss.seg.Count.OutTuples)
 			r.StartT, r.EndT = ss.startT, ss.endT
 		} else if ss.started {
-			r.ActualOutRows = float64(ss.outTuples)
+			r.ActualOutRows = float64(ss.seg.Count.OutTuples)
 			r.StartT, r.EndT = ss.startT, ind.clock.Now()
 		}
 		if ss.seg.Final {

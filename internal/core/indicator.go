@@ -1,8 +1,9 @@
 // Package core implements the paper's contribution: a continuously
 // refined progress indicator for SPJ queries.
 //
-// The Indicator is a segment.WorkReporter wired into the executor. As
-// boundary bytes flow it maintains, per segment:
+// The Indicator is a segment.WorkReporter wired into the executor. It
+// reads the boundary bytes the executor counts in the plan's counter block
+// (segment.Counts) at each refresh and keeps, per segment:
 //
 //   - refined input estimates (Section 4.3): a base input keeps the
 //     optimizer's cardinality Ne until the running count exceeds it, then
@@ -126,29 +127,12 @@ type Snapshot struct {
 	Finished bool
 }
 
-// inputState tracks one segment input at runtime.
-type inputState struct {
-	firstTuples int64
-	firstBytes  float64
-	totalBytes  float64
-	exact       bool
-}
-
-// segState tracks one segment at runtime.
+// segState tracks one segment at runtime. Its counts are the segment's
+// and its inputs' in the plan's counter block.
 type segState struct {
 	seg *segment.Segment
-
-	started bool
-	done    bool
-
-	inputs []inputState
-
-	outTuples int64
-	outBytes  float64
-
-	// doneBytes is all U work attributed to this segment so far (inputs
-	// over all passes + outputs + multi-stage extra).
-	doneBytes float64
+	// exact marks the inputs whose first pass is complete.
+	exact []bool
 
 	// startT and endT bound the segment's active period (virtual time);
 	// segments execute one at a time, so observed per-segment speeds are
@@ -156,13 +140,24 @@ type segState struct {
 	startT, endT float64
 
 	// e1 is the output-cardinality estimate fixed at segment start.
-	e1      float64
-	e1Valid bool
+	e1 float64
 
 	// lastDom is the dominant-input slot that most recently supplied p
 	// (-1 before any dominant progress); a change is a dominant-input
 	// switch, observable only for two-dominant (sort-merge) segments.
 	lastDom int
+
+	started, done, e1Valid bool
+}
+
+// doneBytes is all U work attributed to the segment so far: its inputs
+// over all passes, its outputs and its multi-stage extra.
+func (ss *segState) doneBytes() float64 {
+	b := ss.seg.Count.OutBytes + ss.seg.Count.ExtraBytes
+	for _, in := range ss.seg.Inputs {
+		b += in.Count.Bytes + in.Count.RepeatBytes
+	}
+	return float64(b)
 }
 
 // Indicator is the progress indicator. It implements
@@ -172,11 +167,9 @@ type Indicator struct {
 	decomp *segment.Decomposition
 	opts   Options
 
-	segs      []*segState
+	segs      []segState
 	startTime float64
 	finished  bool
-
-	totalDone float64 // bytes of U work done, all segments
 
 	samples []sample // trailing work samples for speed
 
@@ -205,13 +198,17 @@ func New(clock *vclock.Clock, decomp *segment.Decomposition, opts Options) *Indi
 		clock:  clock,
 		decomp: decomp,
 		opts:   opts.withDefaults(),
+		segs:   make([]segState, len(decomp.Segments)),
 	}
+	n := 0
 	for _, s := range decomp.Segments {
-		ind.segs = append(ind.segs, &segState{
-			seg:     s,
-			inputs:  make([]inputState, len(s.Inputs)),
-			lastDom: -1,
-		})
+		n += len(s.Inputs)
+	}
+	exact := make([]bool, n)
+	for i, s := range decomp.Segments {
+		k := len(s.Inputs)
+		ind.segs[i] = segState{seg: s, exact: exact[:k:k], lastDom: -1}
+		exact = exact[k:]
 	}
 	ind.initTotalBytes = decomp.TotalInitCost()
 	ind.outEsts = make([]segment.Est, len(ind.segs))
@@ -250,6 +247,10 @@ func (ind *Indicator) Subscribe(fn func(Snapshot)) {
 	ind.subscribers = append(ind.subscribers, fn)
 }
 
+// Decomposition returns the plan the indicator tracks, whose counter
+// block it reads.
+func (ind *Indicator) Decomposition() *segment.Decomposition { return ind.decomp }
+
 // InitialTotalU returns the optimizer's initial query cost estimate in U.
 func (ind *Indicator) InitialTotalU() float64 {
 	return ind.initTotalBytes / storage.PageSize
@@ -257,7 +258,14 @@ func (ind *Indicator) InitialTotalU() float64 {
 
 // --- WorkReporter implementation ---
 
-func (ind *Indicator) addWork(b float64) { ind.totalDone += b }
+// totalDone is the bytes of U work done so far, all segments.
+func (ind *Indicator) totalDone() float64 {
+	t := 0.0
+	for i := range ind.segs {
+		t += ind.segs[i].doneBytes()
+	}
+	return t
+}
 
 func (ind *Indicator) markStarted(ss *segState) {
 	if !ss.started {
@@ -266,61 +274,53 @@ func (ind *Indicator) markStarted(ss *segState) {
 	}
 }
 
-// InputTuple implements segment.WorkReporter.
+// InputTuple implements segment.WorkReporter: it starts the segment and
+// adds the tuple to the counter block.
 func (ind *Indicator) InputTuple(seg, input int, bytes int) {
-	ss := ind.segs[seg]
+	ss := &ind.segs[seg]
 	ind.markStarted(ss)
-	in := &ss.inputs[input]
-	in.firstTuples++
-	in.firstBytes += float64(bytes)
-	in.totalBytes += float64(bytes)
-	ss.doneBytes += float64(bytes)
-	ind.addWork(float64(bytes))
+	in := &ss.seg.Inputs[input].Count
+	in.Tuples++
+	in.Bytes += int64(bytes)
 }
 
 // InputBulk implements segment.WorkReporter.
 func (ind *Indicator) InputBulk(seg, input int, tuples int64, bytes float64) {
-	ss := ind.segs[seg]
+	ss := &ind.segs[seg]
 	ind.markStarted(ss)
-	in := &ss.inputs[input]
-	in.firstTuples += tuples
-	in.firstBytes += bytes
-	in.totalBytes += bytes
-	ss.doneBytes += bytes
-	ind.addWork(bytes)
+	in := &ss.seg.Inputs[input].Count
+	in.Tuples += tuples
+	in.Bytes += int64(bytes)
 }
 
 // InputRepeat implements segment.WorkReporter.
 func (ind *Indicator) InputRepeat(seg, input int, tuples int64, bytes float64) {
-	ss := ind.segs[seg]
+	ss := &ind.segs[seg]
 	ind.markStarted(ss)
-	in := &ss.inputs[input]
-	in.totalBytes += bytes
-	ss.doneBytes += bytes
-	ind.addWork(bytes)
+	ss.seg.Inputs[input].Count.RepeatBytes += int64(bytes)
 }
 
 // InputDone implements segment.WorkReporter.
 func (ind *Indicator) InputDone(seg, input int) {
-	ind.segs[seg].inputs[input].exact = true
+	ind.segs[seg].exact[input] = true
 }
 
-// OutputTuple implements segment.WorkReporter.
+// OutputTuple implements segment.WorkReporter: it starts the segment and
+// adds the tuple to the counter block.
 func (ind *Indicator) OutputTuple(seg int, bytes int) {
-	ss := ind.segs[seg]
+	ss := &ind.segs[seg]
 	ind.markStarted(ss)
-	ss.outTuples++
-	ss.outBytes += float64(bytes)
-	ss.doneBytes += float64(bytes)
-	ind.addWork(float64(bytes))
+	ss.seg.Count.OutTuples++
+	ss.seg.Count.OutBytes += int64(bytes)
 }
 
-// Extra implements segment.WorkReporter.
+// Extra implements segment.WorkReporter: it starts the segment and adds
+// the bytes to the counter block.
 func (ind *Indicator) Extra(seg int, bytes float64) {
-	ss := ind.segs[seg]
+	ss := &ind.segs[seg]
 	ind.markStarted(ss)
-	ss.doneBytes += bytes
-	ind.addWork(bytes)
+	ss.seg.Count.ExtraBytes += int64(bytes)
+	ss.seg.Count.Extras++
 }
 
 // SegmentDone implements segment.WorkReporter. Segment boundaries are
@@ -330,11 +330,11 @@ func (ind *Indicator) Extra(seg int, bytes float64) {
 // granularity.
 func (ind *Indicator) SegmentDone(seg int) {
 	ind.clock.Sync()
-	ss := ind.segs[seg]
+	ss := &ind.segs[seg]
 	ss.done = true
 	ss.endT = ind.clock.Now()
-	for i := range ss.inputs {
-		ss.inputs[i].exact = true
+	for i := range ss.exact {
+		ss.exact[i] = true
 	}
 	ind.opts.Refine.SegmentsCompleted.Inc()
 	if seg == len(ind.segs)-1 && !ind.finished {
@@ -349,33 +349,33 @@ func (ind *Indicator) SegmentDone(seg int) {
 // inputEst returns the current refined estimate for one input of segment
 // ss, given the already-propagated output estimates of lower segments.
 func (ind *Indicator) inputEst(ss *segState, idx int, outEsts []segment.Est) segment.Est {
-	in := &ss.inputs[idx]
 	si := ss.seg.Inputs[idx]
+	in := &si.Count
 	if !si.Base {
-		child := ind.segs[si.Child.ID]
+		child := &ind.segs[si.Child.ID]
 		if child.done {
 			// Exact: the lower segment's observed output.
-			return segment.Est{Card: float64(child.outTuples), Width: avg(child.outBytes, child.outTuples, si.Init.Width)}
+			return segment.Est{Card: float64(child.seg.Count.OutTuples), Width: avg(child.seg.Count.OutBytes, child.seg.Count.OutTuples, si.Init.Width)}
 		}
 		return outEsts[si.Child.ID]
 	}
 	// Base input: the two-case rule of Section 4.3.
 	card := si.Init.Card
-	if in.exact {
-		card = float64(in.firstTuples)
-	} else if float64(in.firstTuples) > card {
-		card = float64(in.firstTuples)
+	if ss.exact[idx] {
+		card = float64(in.Tuples)
+	} else if float64(in.Tuples) > card {
+		card = float64(in.Tuples)
 	}
 	width := si.Init.Width
-	if in.firstTuples > 0 {
-		width = in.firstBytes / float64(in.firstTuples)
+	if in.Tuples > 0 {
+		width = float64(in.Bytes) / float64(in.Tuples)
 	}
 	return segment.Est{Card: card, Width: width}
 }
 
-func avg(bytes float64, tuples int64, fallback float64) float64 {
+func avg(bytes, tuples int64, fallback float64) float64 {
 	if tuples > 0 {
-		return bytes / float64(tuples)
+		return float64(bytes) / float64(tuples)
 	}
 	return fallback
 }
@@ -390,8 +390,8 @@ func (ind *Indicator) dominantFraction(ss *segState, outEsts []segment.Est) floa
 		est := ind.inputEst(ss, di, outEsts)
 		var q float64
 		if est.Card > 0 {
-			q = float64(ss.inputs[di].firstTuples) / est.Card
-		} else if ss.inputs[di].firstTuples > 0 {
+			q = float64(ss.seg.Inputs[di].Count.Tuples) / est.Card
+		} else if ss.seg.Inputs[di].Count.Tuples > 0 {
 			q = 1
 		}
 		if q > 1 {
@@ -402,7 +402,7 @@ func (ind *Indicator) dominantFraction(ss *segState, outEsts []segment.Est) floa
 			best = di
 		}
 	}
-	if best >= 0 && ss.inputs[best].firstTuples > 0 {
+	if best >= 0 && ss.seg.Inputs[best].Count.Tuples > 0 {
 		if ss.lastDom >= 0 && best != ss.lastDom {
 			ind.opts.Refine.DominantSwitches.Inc()
 		}
@@ -430,19 +430,20 @@ type estimation struct {
 func (ind *Indicator) estimate() estimation {
 	outEsts := ind.outEsts
 	est := estimation{current: -1}
-	for i, ss := range ind.segs {
+	for i := range ind.segs {
+		ss := &ind.segs[i]
 		inputs := ind.inputs[:0]
-		for j := range ss.inputs {
+		for j := range ss.exact {
 			inputs = append(inputs, ind.inputEst(ss, j, outEsts))
 		}
 		ind.inputs = inputs
 		var cost float64
 		switch {
 		case ss.done:
-			cost = ss.doneBytes
+			cost = ss.doneBytes()
 			outEsts[i] = segment.Est{
-				Card:  float64(ss.outTuples),
-				Width: avg(ss.outBytes, ss.outTuples, ss.seg.InitOut.Width),
+				Card:  float64(ss.seg.Count.OutTuples),
+				Width: avg(ss.seg.Count.OutBytes, ss.seg.Count.OutTuples, ss.seg.InitOut.Width),
 			}
 		case ss.started:
 			if est.current < 0 {
@@ -458,7 +459,7 @@ func (ind *Indicator) estimate() estimation {
 			p := ind.dominantFraction(ss, outEsts)
 			e := ss.e1
 			if p > 0 {
-				e2 := float64(ss.outTuples) / p
+				e2 := float64(ss.seg.Count.OutTuples) / p
 				switch ind.opts.estimator {
 				case EstimatorStatic:
 					// keep E1
@@ -468,7 +469,7 @@ func (ind *Indicator) estimate() estimation {
 					e = p*e2 + (1-p)*ss.e1
 				}
 			}
-			width := avg(ss.outBytes, ss.outTuples, evalOut.Width)
+			width := avg(ss.seg.Count.OutBytes, ss.seg.Count.OutTuples, evalOut.Width)
 			if est.current == i {
 				est.p, est.e1, est.e = p, ss.e1, e
 			}
@@ -478,8 +479,8 @@ func (ind *Indicator) estimate() estimation {
 				// Replace the module's output term with the blended one.
 				cost = evalCost - evalOut.Bytes() + e*width
 			}
-			if cost < ss.doneBytes {
-				cost = ss.doneBytes
+			if done := ss.doneBytes(); cost < done {
+				cost = done
 			}
 		default:
 			outEsts[i], cost = ind.decomp.EvalSegment(ss.seg, inputs)
@@ -492,7 +493,7 @@ func (ind *Indicator) estimate() estimation {
 // --- speed monitoring (Section 4.6) ---
 
 func (ind *Indicator) onSample(now float64) {
-	ind.samples = append(ind.samples, sample{t: now, cum: ind.totalDone})
+	ind.samples = append(ind.samples, sample{t: now, cum: ind.totalDone()})
 	// Prune samples older than the window (keep one beyond the edge for
 	// interpolation).
 	cutoff := now - ind.opts.SpeedWindow
@@ -507,22 +508,23 @@ func (ind *Indicator) onSample(now float64) {
 }
 
 // speed returns the monitored execution speed in bytes per virtual
-// second: work done in the trailing SpeedWindow seconds (or the overall
-// average before a full window has elapsed).
-func (ind *Indicator) speed(now float64) float64 {
+// second, given the work done so far: work done in the trailing
+// SpeedWindow seconds (or the overall average before a full window has
+// elapsed).
+func (ind *Indicator) speed(now, totalDone float64) float64 {
 	elapsed := now - ind.startTime
 	if elapsed <= 0 {
 		return 0
 	}
 	if len(ind.samples) == 0 || elapsed < ind.opts.SpeedWindow {
-		return ind.totalDone / elapsed
+		return totalDone / elapsed
 	}
 	base := ind.samples[0]
 	dt := now - base.t
 	if dt <= 0 {
-		return ind.totalDone / elapsed
+		return totalDone / elapsed
 	}
-	return (ind.totalDone - base.cum) / dt
+	return (totalDone - base.cum) / dt
 }
 
 // --- snapshots ---
@@ -565,14 +567,15 @@ func (ind *Indicator) Current() Snapshot { return ind.buildSnapshot() }
 func (ind *Indicator) buildSnapshot() Snapshot {
 	now := ind.clock.Now()
 	est := ind.estimate()
-	if est.totalBytes < ind.totalDone {
-		est.totalBytes = ind.totalDone
+	totalDone := ind.totalDone()
+	if est.totalBytes < totalDone {
+		est.totalBytes = totalDone
 	}
-	speed := ind.speed(now)
+	speed := ind.speed(now, totalDone)
 
 	done := 0
-	for _, ss := range ind.segs {
-		if ss.done {
+	for i := range ind.segs {
+		if ind.segs[i].done {
 			done++
 		}
 	}
@@ -581,7 +584,7 @@ func (ind *Indicator) buildSnapshot() Snapshot {
 		Time:           now,
 		Elapsed:        now - ind.startTime,
 		EstTotalU:      est.totalBytes / storage.PageSize,
-		DoneU:          ind.totalDone / storage.PageSize,
+		DoneU:          totalDone / storage.PageSize,
 		SpeedU:         speed / storage.PageSize,
 		CurrentSegment: est.current,
 		SegmentsDone:   done,
@@ -591,7 +594,7 @@ func (ind *Indicator) buildSnapshot() Snapshot {
 		Finished:       ind.finished,
 	}
 	if est.totalBytes > 0 {
-		snap.Percent = 100 * ind.totalDone / est.totalBytes
+		snap.Percent = 100 * totalDone / est.totalBytes
 	}
 	switch {
 	case ind.finished:
@@ -599,7 +602,7 @@ func (ind *Indicator) buildSnapshot() Snapshot {
 		snap.CurrentSegment = -1
 	case speed > 0:
 		// The paper's conversion: all remaining U at the observed speed.
-		snap.RemainingSeconds = (est.totalBytes - ind.totalDone) / speed
+		snap.RemainingSeconds = (est.totalBytes - totalDone) / speed
 	default:
 		snap.RemainingSeconds = math.Inf(1)
 	}

@@ -22,6 +22,9 @@ type hashAgg struct {
 	env   *Env
 	child Iterator
 	tag   segment.NodeInfo
+	in    *segment.InputCount
+	out   *segment.SegCount // the producer segment's count
+	counter
 
 	slab   rowSlab
 	groups []tuple.Tuple // one row per group, in slab, in first-seen order
@@ -67,6 +70,7 @@ func (x *groupIndex) lookup(key tuple.Tuple, n int) (int, bool) {
 }
 
 func (h *hashAgg) Open() error {
+	h.opened(h.env.Clock)
 	if err := h.child.Open(); err != nil {
 		return err
 	}
@@ -132,7 +136,6 @@ func (h *hashAgg) Open() error {
 	}
 	index.ints.noteLayout(h.env.Collect, h.node)
 
-	rep := h.env.rep()
 	for g, out := range h.groups {
 		slots := out[nkeys:]
 		for i, sp := range h.node.Aggs {
@@ -144,9 +147,9 @@ func (h *hashAgg) Open() error {
 			}
 		}
 		h.env.Clock.ChargeCPU(cpuTuple)
-		rep.OutputTuple(h.tag.ProducerSeg, out.EncodedSize())
+		h.env.countOut(h.out, h.tag.ProducerSeg, out.EncodedSize())
 	}
-	rep.SegmentDone(h.tag.ProducerSeg)
+	h.env.rep().SegmentDone(h.tag.ProducerSeg)
 	h.idx = 0
 	return nil
 }
@@ -162,11 +165,14 @@ func (h *hashAgg) Next() (tuple.Tuple, bool, error) {
 	t := h.groups[h.idx]
 	h.idx++
 	h.env.Clock.ChargeCPU(cpuTuple)
-	h.env.rep().InputTuple(h.tag.Seg, h.tag.Input, t.EncodedSize())
+	sz := t.EncodedSize()
+	h.env.countIn(h.in, h.tag, sz)
+	h.emitBytes(sz)
 	return t, true, nil
 }
 
 func (h *hashAgg) Close() error {
+	h.closed(h.env.Clock)
 	h.groups, h.counts, h.slab = nil, nil, rowSlab{}
 	return h.child.Close()
 }
@@ -177,9 +183,11 @@ type limitIter struct {
 	env   *Env
 	child Iterator
 	n     int64
+	counter
 }
 
 func (l *limitIter) Open() error {
+	l.opened(l.env.Clock)
 	l.n = 0
 	return l.child.Open()
 }
@@ -193,7 +201,11 @@ func (l *limitIter) Next() (tuple.Tuple, bool, error) {
 		return nil, false, err
 	}
 	l.n++
+	l.emit(t)
 	return t, true, nil
 }
 
-func (l *limitIter) Close() error { return l.child.Close() }
+func (l *limitIter) Close() error {
+	l.closed(l.env.Clock)
+	return l.child.Close()
+}

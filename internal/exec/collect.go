@@ -5,6 +5,7 @@ import (
 
 	"progressdb/internal/obs"
 	"progressdb/internal/plan"
+	"progressdb/internal/segment"
 	"progressdb/internal/tuple"
 	"progressdb/internal/vclock"
 )
@@ -14,12 +15,14 @@ import (
 // counters are nil and every increment is a nil-safe no-op, so the hot
 // path pays only a nil check when observability is off.
 //
-// Nothing shared is written per tuple: an operator counts its rows
-// locally and adds the total to RowsOut once, when it closes.
-// Every worker's operators would otherwise contend for the same cache
-// lines on every row.
+// Nothing shared is written per tuple: operators count their rows in the
+// query's counter block (segment/counts.go), and Run adds each operator's
+// rows to rowsOut once, when the query returns. Every worker's operators
+// would otherwise contend for the same cache lines on every row.
 type Metrics struct {
 	reg *obs.Registry
+	// rowsOut is exec_rows_out_total, by operator kind.
+	rowsOut [numOps]*obs.Counter
 	// SpillPartitions counts partition batch files created by hash joins
 	// (hybrid spill batches and Grace partition batches).
 	SpillPartitions *obs.Counter
@@ -36,57 +39,62 @@ func NewMetrics(reg *obs.Registry) Metrics {
 	if reg == nil {
 		return Metrics{}
 	}
-	return Metrics{
+	m := Metrics{
 		reg:             reg,
 		SpillPartitions: reg.Counter("exec_spill_partitions_total", "hash-join partition batch files spilled to disk"),
 		SortRuns:        reg.Counter("exec_sort_runs_total", "sorted runs written to disk by external sorts"),
 		MergePasses:     reg.Counter("exec_merge_passes_total", "intermediate sort merge passes beyond the final merge"),
 	}
+	for k, op := range opNames {
+		m.rowsOut[k] = reg.LabeledCounter("exec_rows_out_total", "op", op, "tuples emitted, by operator")
+	}
+	return m
 }
 
 // Enabled reports whether the metrics are wired to a registry.
 func (m Metrics) Enabled() bool { return m.reg != nil }
 
-// RowsOut returns the engine-wide tuples-emitted counter for the given
-// operator label (nil, and therefore a no-op, when metrics are disabled).
-func (m Metrics) RowsOut(op string) *obs.Counter {
-	return m.reg.LabeledCounter("exec_rows_out_total", "op", op, "tuples emitted, by operator")
+// opNames are the operator kinds' metrics labels, indexed by opKind.
+var opNames = [numOps]string{
+	"seqscan", "indexscan", "filter", "project", "hashjoin", "gracehashjoin", "partition",
+	"nljoin", "mergejoin", "semijoin", "sort", "materialize", "hashagg", "limit",
 }
 
-// opName is the metrics label for a plan operator.
-func opName(n plan.Node) string {
+const numOps = 14
+
+// opKind is the index of a plan operator's kind in opNames. Build
+// rejects any other node before it has a slot.
+func opKind(n plan.Node) uint8 {
 	switch node := n.(type) {
 	case *plan.SeqScan:
-		return "seqscan"
+		return 0
 	case *plan.IndexScan:
-		return "indexscan"
+		return 1
 	case *plan.Filter:
-		return "filter"
+		return 2
 	case *plan.Project:
-		return "project"
+		return 3
 	case *plan.HashJoin:
 		if node.Grace {
-			return "gracehashjoin"
+			return 5
 		}
-		return "hashjoin"
+		return 4
 	case *plan.Partition:
-		return "partition"
+		return 6
 	case *plan.NLJoin:
-		return "nljoin"
+		return 7
 	case *plan.MergeJoin:
-		return "mergejoin"
+		return 8
 	case *plan.SemiJoin:
-		return "semijoin"
+		return 9
 	case *plan.Sort:
-		return "sort"
+		return 10
 	case *plan.Materialize:
-		return "materialize"
+		return 11
 	case *plan.HashAgg:
-		return "hashagg"
-	case *plan.Limit:
-		return "limit"
-	default:
-		return fmt.Sprintf("%T", n)
+		return 12
+	default: // *plan.Limit
+		return 13
 	}
 }
 
@@ -113,14 +121,14 @@ type NodeStats struct {
 // Collector is the disabled state: every method no-ops, mirroring the
 // paper's statistics-collection flag.
 type Collector struct {
-	clock *vclock.Clock
 	stats map[plan.Node]*NodeStats
-	order []*NodeStats
+	// nodes are the plan nodes of the counter block's slots, in order.
+	nodes []plan.Node
 }
 
-// NewCollector returns an empty collector timestamping against clock.
-func NewCollector(clock *vclock.Clock) *Collector {
-	return &Collector{clock: clock, stats: make(map[plan.Node]*NodeStats)}
+// NewCollector returns an empty collector.
+func NewCollector() *Collector {
+	return &Collector{stats: make(map[plan.Node]*NodeStats)}
 }
 
 // Stats returns the stats record for n, creating it on first use.
@@ -133,7 +141,6 @@ func (c *Collector) Stats(n plan.Node) *NodeStats {
 	if !ok {
 		st = &NodeStats{Node: n}
 		c.stats[n] = st
-		c.order = append(c.order, st)
 	}
 	return st
 }
@@ -155,68 +162,59 @@ func (c *Collector) Notef(n plan.Node, format string, args ...any) {
 	st.Notes = append(st.Notes, fmt.Sprintf(format, args...))
 }
 
-// statsIter wraps an operator's iterator with actuals collection: rows
-// and bytes out, open/close virtual times, and the engine-wide
-// per-operator rows counter. Build inserts it only when collection or
-// metrics are enabled, so the disabled path keeps direct iterator calls.
+// counter is an operator's slot in the query's counter block: it counts
+// the rows the operator emits, their bytes only while a Collector is
+// attached, and its opens and closes. Every operator embeds one.
+type counter struct{ cnt *segment.NodeCount }
+
+// emit counts one row t handed to the parent.
+func (c counter) emit(t tuple.Tuple) {
+	c.cnt.Rows++
+	if c.cnt.Sized {
+		c.cnt.Bytes += int64(t.EncodedSize())
+	}
+}
+
+// emitBytes counts one row of the given encoded size handed to the
+// parent.
+func (c counter) emitBytes(n int) {
+	c.cnt.Rows++
+	if c.cnt.Sized {
+		c.cnt.Bytes += int64(n)
+	}
+}
+
+// emitPair counts one row of join o handed to the parent, sized as the
+// whole pair it was written from.
+func (c counter) emitPair(o *joinOut) {
+	c.cnt.Rows++
+	if c.cnt.Sized {
+		c.sizePair(o)
+	}
+}
+
+// sizePair is emitPair's collector path, kept out of line so that
+// emitPair inlines.
 //
-// Rows are counted in n and added to the shared counter at Close, which
-// exec.Run's unwind reaches on success, error and cancel alike; a scrape
-// during a query sees an operator's rows once it has closed.
-type statsIter struct {
-	inner Iterator
-	env   *Env
-	st    *NodeStats   // nil when per-query collection is off
-	rows  *obs.Counter // nil when engine metrics are off
-	n     int64        // rows emitted since the last Close, not yet in rows
-	sizer rowSizer     // inner, when it knows its row's size better than the row does
-	last  int          // bytes of the row last emitted (collection on only)
-	open  bool         // opened and not yet closed: only that Close sets EndT
+//go:noinline
+func (c counter) sizePair(o *joinOut) {
+	c.cnt.Bytes += int64(o.l.EncodedSize() + o.r.EncodedSize())
 }
 
-// rowSizer is implemented by operators whose output tuple may be a
-// column-pruned scan slot: the encoded size of the row it stands for is
-// the size of the record it was decoded from, not of the slot.
-type rowSizer interface {
-	lastRowBytes() int
-}
-
-func (s *statsIter) lastRowBytes() int { return s.last }
-
-func (s *statsIter) Open() error {
-	if s.st != nil {
-		if s.st.Loops == 0 {
-			s.st.StartT = s.env.Clock.Now()
-		}
-		s.st.Loops++
+// opened records an Open, before the operator does its own.
+func (c counter) opened(clk *vclock.Clock) {
+	if c.cnt.Loops == 0 {
+		c.cnt.StartT = clk.Now()
 	}
-	s.open = true
-	return s.inner.Open()
+	c.cnt.Loops++
+	c.cnt.Open = true
 }
 
-func (s *statsIter) Next() (tuple.Tuple, bool, error) {
-	t, ok, err := s.inner.Next()
-	if ok {
-		s.n++
-		if s.st != nil {
-			if s.sizer != nil {
-				s.last = s.sizer.lastRowBytes()
-			} else {
-				s.last = t.EncodedSize()
-			}
-			s.st.Rows++
-			s.st.Bytes += float64(s.last)
-		}
+// closed records a Close, before the operator does its own; a repeated
+// Close leaves EndT alone.
+func (c counter) closed(clk *vclock.Clock) {
+	if c.cnt.Open {
+		c.cnt.EndT = clk.Now()
+		c.cnt.Open = false
 	}
-	return t, ok, err
-}
-
-func (s *statsIter) Close() error {
-	s.rows.Add(s.n)
-	s.n = 0
-	if s.st != nil && s.open {
-		s.st.EndT = s.env.Clock.Now()
-	}
-	s.open = false
-	return s.inner.Close()
 }

@@ -1,10 +1,10 @@
 // Package exec is the Volcano-style query executor. Every operator
 // charges the virtual clock for its physical I/O (through the buffer
-// pool) and per-tuple CPU work, and reports boundary bytes to the
-// progress indicator's WorkReporter exactly where the paper's counting
-// rules dictate: base inputs as they are read, segment outputs as the
-// blocking operator materializes them, and multi-stage bytes once per
-// logical pass.
+// pool) and per-tuple CPU work, and counts boundary bytes in the query's
+// counter block (segment/counts.go), which the progress indicator reads,
+// exactly where the paper's counting rules dictate: base inputs as they
+// are read, segment outputs as the blocking operator materializes them,
+// and multi-stage bytes once per logical pass.
 package exec
 
 import (
@@ -32,10 +32,12 @@ type Env struct {
 	Pool         *storage.BufferPool
 	Clock        *vclock.Clock
 	WorkMemPages int
-	// Reporter receives boundary-byte events; nil disables statistics
-	// collection (the paper's per-plan flag).
+	// Reporter receives the rare boundary events and the first row of
+	// each segment input and output (see segment.WorkReporter); nil
+	// leaves only the counter block.
 	Reporter segment.WorkReporter
-	// Decomp supplies segment tags for every boundary node.
+	// Decomp supplies segment tags for every boundary node, and the
+	// counter block every operator counts in.
 	Decomp *segment.Decomposition
 	// Yield, when non-nil, is called at safe points (between tuples) so
 	// a scheduler can interleave concurrently executing queries on the
@@ -51,9 +53,13 @@ type Env struct {
 	// Met are the engine-wide executor instruments; the zero value is
 	// disabled (all increments are nil-safe no-ops).
 	Met Metrics
-	// Collect accumulates per-operator actuals for EXPLAIN ANALYZE and
-	// tracing; nil disables collection.
+	// Collect receives per-operator actuals for EXPLAIN ANALYZE when the
+	// query returns; nil leaves row bytes uncounted.
 	Collect *Collector
+
+	// built counts the node slots of Decomp's counter block that the
+	// build has handed out.
+	built int
 
 	// nyield counts safe-point passes so the (comparatively expensive)
 	// context poll is amortized over cancelEvery tuples.
@@ -206,6 +212,145 @@ func (e *Env) workMemBytes() float64 {
 	return float64(e.WorkMemPages) * storage.PageSize
 }
 
+// countIn counts one first-pass row of bytes read from the segment input
+// tag names, whose count is c. The input's first row goes to the
+// Reporter, which starts the segment; every later one is added inline.
+func (e *Env) countIn(c *segment.InputCount, tag segment.NodeInfo, bytes int) {
+	if c.Tuples == 0 {
+		e.firstIn(c, tag, bytes)
+		return
+	}
+	c.Tuples++
+	c.Bytes += int64(bytes)
+}
+
+// firstIn is countIn's slow path, kept out of line so that countIn inlines.
+//
+//go:noinline
+func (e *Env) firstIn(c *segment.InputCount, tag segment.NodeInfo, bytes int) {
+	if e.Reporter == nil {
+		c.Tuples++
+		c.Bytes += int64(bytes)
+		return
+	}
+	e.Reporter.InputTuple(tag.Seg, tag.Input, bytes)
+}
+
+// countBulk counts tuples read in one go from the segment input tag
+// names, on their first pass: through the Reporter, if there is one.
+func (e *Env) countBulk(tag segment.NodeInfo, tuples int64, bytes float64) {
+	if e.Reporter == nil {
+		c := e.inCount(tag)
+		c.Tuples += tuples
+		c.Bytes += int64(bytes)
+		return
+	}
+	e.Reporter.InputBulk(tag.Seg, tag.Input, tuples, bytes)
+}
+
+// countRepeat counts a later logical pass over tuples already read from
+// the segment input tag names: through the Reporter, if there is one.
+func (e *Env) countRepeat(tag segment.NodeInfo, tuples int64, bytes float64) {
+	if e.Reporter == nil {
+		e.inCount(tag).RepeatBytes += int64(bytes)
+		return
+	}
+	e.Reporter.InputRepeat(tag.Seg, tag.Input, tuples, bytes)
+}
+
+// countOut counts one row of bytes that segment seg, whose count is c,
+// emits at its blocking root: the first through the Reporter, as countIn
+// does.
+func (e *Env) countOut(c *segment.SegCount, seg, bytes int) {
+	if c.OutTuples == 0 {
+		e.firstOut(c, seg, bytes)
+		return
+	}
+	c.OutTuples++
+	c.OutBytes += int64(bytes)
+}
+
+// firstOut is countOut's slow path, kept out of line so that countOut inlines.
+//
+//go:noinline
+func (e *Env) firstOut(c *segment.SegCount, seg, bytes int) {
+	if e.Reporter == nil {
+		c.OutTuples++
+		c.OutBytes += int64(bytes)
+		return
+	}
+	e.Reporter.OutputTuple(seg, bytes)
+}
+
+// countExtra counts multi-stage bytes of segment seg, whose count is c:
+// the segment's first through the Reporter, as countIn does.
+func (e *Env) countExtra(c *segment.SegCount, seg, bytes int) {
+	if c.Extras == 0 {
+		e.firstExtra(c, seg, bytes)
+		return
+	}
+	c.Extras++
+	c.ExtraBytes += int64(bytes)
+}
+
+// firstExtra is countExtra's slow path, kept out of line so that countExtra inlines.
+//
+//go:noinline
+func (e *Env) firstExtra(c *segment.SegCount, seg, bytes int) {
+	if e.Reporter == nil {
+		c.Extras++
+		c.ExtraBytes += int64(bytes)
+		return
+	}
+	e.Reporter.Extra(seg, float64(bytes))
+}
+
+// inCount is the count of the segment input tag names.
+func (e *Env) inCount(tag segment.NodeInfo) *segment.InputCount {
+	return &e.Decomp.Segments[tag.Seg].Inputs[tag.Input].Count
+}
+
+// outCount is the count of segment seg, which emits at a blocking root.
+func (e *Env) outCount(seg int) *segment.SegCount { return &e.Decomp.Segments[seg].Count }
+
+// counter hands n the next node slot of the counter block.
+func (e *Env) counter(n plan.Node) counter {
+	c := &e.Decomp.NodeCounts()[e.built]
+	e.built++
+	c.Op, c.Sized = opKind(n), e.Collect != nil
+	if e.Collect != nil {
+		e.Collect.nodes = append(e.Collect.nodes, n)
+	}
+	return counter{c}
+}
+
+// start zeroes the counter block before a build hands out its slots.
+func (e *Env) start() {
+	e.Decomp.ResetCounts()
+	e.built = 0
+	if e.Collect != nil {
+		e.Collect.nodes = e.Collect.nodes[:0]
+	}
+}
+
+// finish adds each operator's rows to exec_rows_out_total and, when a
+// Collector is attached, hands it each operator's actuals.
+func (e *Env) finish() {
+	if !e.Met.Enabled() && e.Collect == nil {
+		return
+	}
+	for i, c := range e.Decomp.NodeCounts()[:e.built] {
+		if c.Rows != 0 {
+			e.Met.rowsOut[c.Op].Add(c.Rows)
+		}
+		if e.Collect != nil {
+			st := e.Collect.Stats(e.Collect.nodes[i])
+			st.Rows, st.Bytes, st.Loops = c.Rows, float64(c.Bytes), int64(c.Loops)
+			st.StartT, st.EndT = c.StartT, c.EndT
+		}
+	}
+}
+
 func (e *Env) rep() segment.WorkReporter {
 	if e.Reporter == nil {
 		return nopReporter{}
@@ -246,12 +391,10 @@ type Iterator interface {
 	Close() error
 }
 
-// Build constructs the iterator tree for a physical plan. When per-query
-// collection or engine metrics are enabled, every operator is wrapped
-// with a statistics iterator recording rows/bytes out, open/close virtual
-// times, and per-operator row counters; when both are disabled the bare
-// iterators are returned unchanged.
+// Build constructs the iterator tree for a physical plan, each operator
+// counting in its own slot of the zeroed counter block.
 func Build(n plan.Node, env *Env) (Iterator, error) {
+	env.start()
 	return build(n, env, nil)
 }
 
@@ -268,21 +411,11 @@ func build(n plan.Node, env *Env, lay []int) (Iterator, error) {
 	if env.wrap != nil {
 		it = env.wrap(it)
 	}
-	if env.Collect == nil && !env.Met.Enabled() {
-		return it, nil
-	}
-	si := &statsIter{
-		inner: it,
-		env:   env,
-		st:    env.Collect.Stats(n),
-		rows:  env.Met.RowsOut(opName(n)),
-	}
-	si.sizer, _ = it.(rowSizer)
-	return si, nil
+	return it, nil
 }
 
-// buildNode constructs the bare iterator for one plan node, recursing
-// through Build so children pick up stats wrapping.
+// buildNode constructs the iterator for one plan node, its children
+// first, so a node takes its slot of the counter block after theirs.
 func buildNode(n plan.Node, env *Env, lay []int) (Iterator, error) {
 	switch node := n.(type) {
 	case *plan.SeqScan:
@@ -290,13 +423,15 @@ func buildNode(n plan.Node, env *Env, lay []int) (Iterator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &seqScan{node: node, env: env, tag: info, scanSlot: newScanSlot(lay, node.Table.Schema.Arity())}, nil
+		return &seqScan{node: node, env: env, tag: info, in: env.inCount(info), counter: env.counter(node),
+			scanSlot: newScanSlot(lay, node.Table.Schema.Arity())}, nil
 	case *plan.IndexScan:
 		info, err := env.info(node)
 		if err != nil {
 			return nil, err
 		}
-		return &indexScan{node: node, env: env, tag: info, scanSlot: newScanSlot(lay, node.Table.Schema.Arity())}, nil
+		return &indexScan{node: node, env: env, tag: info, in: env.inCount(info), counter: env.counter(node),
+			scanSlot: newScanSlot(lay, node.Table.Schema.Arity())}, nil
 	case *plan.Filter:
 		lay, pred, err := addPred(lay, node.Pred)
 		if err != nil {
@@ -306,9 +441,10 @@ func buildNode(n plan.Node, env *Env, lay []int) (Iterator, error) {
 		if err != nil {
 			return nil, err
 		}
-		f := &filterIter{env: env, child: child, pred: expr.CompilePred(pred), predCost: exprCost(node.Pred)}
-		f.src, _ = child.(rowSizer)
-		return f, nil
+		// The child took the last slot handed out.
+		src := &env.Decomp.NodeCounts()[env.built-1]
+		return &filterIter{env: env, child: child, src: src, counter: env.counter(node),
+			pred: expr.CompilePred(pred), predCost: exprCost(node.Pred)}, nil
 	case *plan.Project:
 		return buildProject(node, env, lay)
 	case *plan.HashJoin:
@@ -319,11 +455,11 @@ func buildNode(n plan.Node, env *Env, lay []int) (Iterator, error) {
 		if node.Grace {
 			return buildGraceJoin(node, env, out)
 		}
-		build, err := Build(node.Build, env)
+		build, err := buildWhole(node.Build, env)
 		if err != nil {
 			return nil, err
 		}
-		probe, err := Build(node.Probe, env)
+		probe, err := buildWhole(node.Probe, env)
 		if err != nil {
 			return nil, err
 		}
@@ -331,7 +467,8 @@ func buildNode(n plan.Node, env *Env, lay []int) (Iterator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &hashJoin{node: node, env: env, tag: info, build: build, probe: probe, joinOut: out}, nil
+		return &hashJoin{node: node, env: env, tag: info, build: build, probe: probe, joinOut: out,
+			in: env.inCount(info), out: env.outCount(info.ProducerSeg), counter: env.counter(node)}, nil
 	case *plan.Partition:
 		return nil, fmt.Errorf("exec: Partition outside a Grace hash join")
 	case *plan.NLJoin:
@@ -339,11 +476,11 @@ func buildNode(n plan.Node, env *Env, lay []int) (Iterator, error) {
 		if err != nil {
 			return nil, err
 		}
-		outer, err := Build(node.Outer, env)
+		outer, err := buildWhole(node.Outer, env)
 		if err != nil {
 			return nil, err
 		}
-		inner, err := Build(node.Inner, env)
+		inner, err := buildWhole(node.Inner, env)
 		if err != nil {
 			return nil, err
 		}
@@ -356,24 +493,24 @@ func buildNode(n plan.Node, env *Env, lay []int) (Iterator, error) {
 		return &nlJoin{
 			node: node, env: env,
 			outer: outer, inner: inner, innerTag: innerTag,
-			joinOut: out,
+			joinOut: out, counter: env.counter(node),
 		}, nil
 	case *plan.MergeJoin:
 		out, err := newJoinOut(lay, node.Left.Schema().Arity(), node.Right.Schema().Arity(), node.ExtraPred)
 		if err != nil {
 			return nil, err
 		}
-		left, err := Build(node.Left, env)
+		left, err := buildWhole(node.Left, env)
 		if err != nil {
 			return nil, err
 		}
-		right, err := Build(node.Right, env)
+		right, err := buildWhole(node.Right, env)
 		if err != nil {
 			return nil, err
 		}
-		return &mergeJoin{node: node, env: env, left: left, right: right, joinOut: out}, nil
+		return &mergeJoin{node: node, env: env, left: left, right: right, joinOut: out, counter: env.counter(node)}, nil
 	case *plan.Sort:
-		child, err := Build(node.Child, env)
+		child, err := buildWhole(node.Child, env)
 		if err != nil {
 			return nil, err
 		}
@@ -381,9 +518,10 @@ func buildNode(n plan.Node, env *Env, lay []int) (Iterator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &sortIter{node: node, env: env, child: child, tag: info}, nil
+		return &sortIter{node: node, env: env, child: child, tag: info,
+			in: env.inCount(info), out: env.outCount(info.ProducerSeg), counter: env.counter(node)}, nil
 	case *plan.Materialize:
-		child, err := Build(node.Child, env)
+		child, err := buildWhole(node.Child, env)
 		if err != nil {
 			return nil, err
 		}
@@ -391,9 +529,10 @@ func buildNode(n plan.Node, env *Env, lay []int) (Iterator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &materialize{env: env, child: child, tag: info}, nil
+		return &materialize{env: env, child: child, tag: info,
+			in: env.inCount(info), out: env.outCount(info.ProducerSeg), counter: env.counter(node)}, nil
 	case *plan.HashAgg:
-		child, err := Build(node.Child, env)
+		child, err := buildWhole(node.Child, env)
 		if err != nil {
 			return nil, err
 		}
@@ -401,24 +540,25 @@ func buildNode(n plan.Node, env *Env, lay []int) (Iterator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &hashAgg{node: node, env: env, child: child, tag: info}, nil
+		return &hashAgg{node: node, env: env, child: child, tag: info,
+			in: env.inCount(info), out: env.outCount(info.ProducerSeg), counter: env.counter(node)}, nil
 	case *plan.Limit:
-		child, err := Build(node.Child, env)
+		child, err := buildWhole(node.Child, env)
 		if err != nil {
 			return nil, err
 		}
-		return &limitIter{node: node, env: env, child: child}, nil
+		return &limitIter{node: node, env: env, child: child, counter: env.counter(node)}, nil
 	case *plan.SemiJoin:
 		nOuter, nInner := node.Outer.Schema().Arity(), node.Inner.Schema().Arity()
 		pair, err := newJoinOut(unplaced(nOuter+nInner), nOuter, nInner, node.ExtraPred)
 		if err != nil {
 			return nil, err
 		}
-		outer, err := Build(node.Outer, env)
+		outer, err := buildWhole(node.Outer, env)
 		if err != nil {
 			return nil, err
 		}
-		inner, err := Build(node.Inner, env)
+		inner, err := buildWhole(node.Inner, env)
 		if err != nil {
 			return nil, err
 		}
@@ -426,11 +566,15 @@ func buildNode(n plan.Node, env *Env, lay []int) (Iterator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &semiJoin{node: node, env: env, tag: info, outer: outer, inner: inner, pair: pair}, nil
+		return &semiJoin{node: node, env: env, tag: info, outer: outer, inner: inner, pair: pair,
+			out: env.outCount(info.ProducerSeg), counter: env.counter(node)}, nil
 	default:
 		return nil, fmt.Errorf("exec: unknown plan node %T", n)
 	}
 }
+
+// buildWhole is build for a parent that reads the whole row.
+func buildWhole(n plan.Node, env *Env) (Iterator, error) { return build(n, env, nil) }
 
 // buildGraceJoin wires the partitioned form: each Partition child becomes
 // a partitionIter run at Open, then the join streams batch pairs.
@@ -440,7 +584,7 @@ func buildGraceJoin(node *plan.HashJoin, env *Env, out joinOut) (Iterator, error
 		if !ok {
 			return nil, fmt.Errorf("exec: Grace hash join child is %T, want *plan.Partition", pn)
 		}
-		child, err := Build(part.Child, env)
+		child, err := buildWhole(part.Child, env)
 		if err != nil {
 			return nil, err
 		}
@@ -448,7 +592,8 @@ func buildGraceJoin(node *plan.HashJoin, env *Env, out joinOut) (Iterator, error
 		if err != nil {
 			return nil, err
 		}
-		return &partitionIter{node: part, env: env, tag: info, child: child}, nil
+		return &partitionIter{node: part, env: env, tag: info, child: child,
+			in: env.inCount(info), out: env.outCount(info.ProducerSeg), counter: env.counter(part)}, nil
 	}
 	buildPart, err := mk(node.Build)
 	if err != nil {
@@ -458,7 +603,7 @@ func buildGraceJoin(node *plan.HashJoin, env *Env, out joinOut) (Iterator, error
 	if err != nil {
 		return nil, err
 	}
-	return &graceJoin{node: node, env: env, buildPart: buildPart, probePart: probePart, joinOut: out}, nil
+	return &graceJoin{node: node, env: env, buildPart: buildPart, probePart: probePart, joinOut: out, counter: env.counter(node)}, nil
 }
 
 // innerBoundary finds the node carrying the segment-input tag for an NL
@@ -476,7 +621,9 @@ func innerBoundary(n plan.Node) plan.Node {
 
 // Run executes a plan to completion, invoking fn (if non-nil) per result
 // tuple, and returns the result cardinality. It fires the final segment's
-// completion event.
+// completion event. When it returns — the query done, failed or canceled
+// — it adds each operator's rows to the engine's metrics and hands its
+// actuals to the Collector.
 //
 // With no fn the root's rows are only counted, so the root's layout places
 // none of its columns: a root scan, Filter chain or join writes only what
@@ -490,10 +637,12 @@ func Run(env *Env, root plan.Node, fn func(tuple.Tuple) error) (int64, error) {
 			lay = unplaced(n)
 		}
 	}
+	env.start()
 	it, err := build(root, env, lay)
 	if err != nil {
 		return 0, err
 	}
+	defer env.finish()
 	if err := it.Open(); err != nil {
 		it.Close()
 		return 0, err

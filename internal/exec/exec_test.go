@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"progressdb/internal/catalog"
+	"progressdb/internal/core"
 	"progressdb/internal/optimizer"
 	"progressdb/internal/plan"
 	"progressdb/internal/segment"
@@ -19,7 +20,8 @@ import (
 	"progressdb/internal/vclock"
 )
 
-// recorder captures all WorkReporter events for assertions.
+// recorder captures all WorkReporter events for assertions. It adds
+// nothing to the counter block, so the executor hands it every row.
 type recorder struct {
 	inputBytes  map[[2]int]float64 // (seg, input) -> bytes
 	inputTuples map[[2]int]int64
@@ -556,5 +558,53 @@ func TestProjectionSchemaAndValues(t *testing.T) {
 		optimizer.Options{}, 512, nil)
 	if len(rows) != 1 || rows[0] != "(Customer#007, 7)" {
 		t.Fatalf("rows = %v", rows)
+	}
+}
+
+// The counter block holds what a reporter handed every event records,
+// whether the executor counts each row inline (no reporter) or hands an
+// input's or output's first row to the indicator, which adds it: per
+// segment input its bytes over all passes, per segment its output tuples
+// and bytes and its multi-stage bytes.
+func TestCounterBlockMatchesReporter(t *testing.T) {
+	cat, clock := testDB(t)
+	orders, _ := cat.Table("orders")
+	if _, err := cat.CreateIndex(orders, "orderkey"); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range forcedPlans {
+		stmt, err := sqlparser.Parse(tc.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := optimizer.Plan(cat, stmt, tc.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := segment.Decompose(p, tc.workMem)
+		run := func(rep segment.WorkReporter) {
+			t.Helper()
+			env := &Env{Pool: cat.Pool(), Clock: clock, WorkMemPages: tc.workMem, Reporter: rep, Decomp: d}
+			if _, err := Run(env, p, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rec := newRecorder()
+		run(rec)
+		for _, rep := range []segment.WorkReporter{nil, core.New(clock, d, core.Options{})} {
+			run(rep)
+			for _, s := range d.Segments {
+				if c := s.Count; c.OutTuples != rec.outputCount[s.ID] || float64(c.OutBytes) != rec.outputBytes[s.ID] ||
+					float64(c.ExtraBytes) != rec.extraBytes[s.ID] {
+					t.Errorf("%s, reporter %T: S%d counts %+v, events out %d tuples %g bytes, extra %g bytes",
+						tc.sql, rep, s.ID, c, rec.outputCount[s.ID], rec.outputBytes[s.ID], rec.extraBytes[s.ID])
+				}
+				for i, in := range s.Inputs {
+					if got, want := float64(in.Count.Bytes+in.Count.RepeatBytes), rec.inputBytes[[2]int{s.ID, i}]; got != want {
+						t.Errorf("%s, reporter %T: S%d input %d counts %g bytes, events %g", tc.sql, rep, s.ID, i, got, want)
+					}
+				}
+			}
+		}
 	}
 }

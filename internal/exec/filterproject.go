@@ -2,6 +2,7 @@ package exec
 
 import (
 	"progressdb/internal/plan"
+	"progressdb/internal/segment"
 	"progressdb/internal/tuple"
 )
 
@@ -11,18 +12,20 @@ type filterIter struct {
 	child    Iterator
 	pred     func(tuple.Tuple) (bool, error) // node.Pred, compiled
 	predCost int64
-	// src is the child as a rowSizer. It is asked only by this filter's
-	// statsIter, and whenever there is one the child is a statsIter too.
-	src rowSizer
+	// src is the child's slot. A filter hands on its child's row, pruned
+	// or not, so a row's size is what the child's slot counted for it.
+	src *segment.NodeCount
+	counter
 }
 
-func (f *filterIter) Open() error { return f.child.Open() }
-
-// lastRowBytes: a filter hands on its child's row, pruned or not.
-func (f *filterIter) lastRowBytes() int { return f.src.lastRowBytes() }
+func (f *filterIter) Open() error {
+	f.opened(f.env.Clock)
+	return f.child.Open()
+}
 
 func (f *filterIter) Next() (tuple.Tuple, bool, error) {
 	for {
+		before := f.src.Bytes
 		t, ok, err := f.child.Next()
 		if err != nil || !ok {
 			return nil, false, err
@@ -33,12 +36,16 @@ func (f *filterIter) Next() (tuple.Tuple, bool, error) {
 			return nil, false, err
 		}
 		if pass {
+			f.emitBytes(int(f.src.Bytes - before))
 			return t, true, nil
 		}
 	}
 }
 
-func (f *filterIter) Close() error { return f.child.Close() }
+func (f *filterIter) Close() error {
+	f.closed(f.env.Clock)
+	return f.child.Close()
+}
 
 // projectIter hands up its columns. Its child writes them as the first
 // k slots of its own row (rows.go), so the Project passes that row on
@@ -52,6 +59,7 @@ type projectIter struct {
 	k     int
 	src   []int       // nil: the child's row holds the columns in place
 	out   tuple.Tuple // the copy, when src is set
+	counter
 }
 
 // buildProject builds a Project whose row has output column j at slot
@@ -98,11 +106,14 @@ func buildProject(node *plan.Project, env *Env, lay []int) (Iterator, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.child = child
+	p.child, p.counter = child, env.counter(node)
 	return p, nil
 }
 
-func (p *projectIter) Open() error { return p.child.Open() }
+func (p *projectIter) Open() error {
+	p.opened(p.env.Clock)
+	return p.child.Open()
+}
 
 func (p *projectIter) Next() (tuple.Tuple, bool, error) {
 	t, ok, err := p.child.Next()
@@ -111,12 +122,18 @@ func (p *projectIter) Next() (tuple.Tuple, bool, error) {
 	}
 	p.env.Clock.ChargeCPU(cpuTuple)
 	if p.src == nil {
-		return t[:p.k:p.k], true, nil
+		t = t[:p.k:p.k]
+	} else {
+		for s, c := range p.src {
+			p.out[s] = t[c]
+		}
+		t = p.out
 	}
-	for s, c := range p.src {
-		p.out[s] = t[c]
-	}
-	return p.out, true, nil
+	p.emit(t)
+	return t, true, nil
 }
 
-func (p *projectIter) Close() error { return p.child.Close() }
+func (p *projectIter) Close() error {
+	p.closed(p.env.Clock)
+	return p.child.Close()
+}

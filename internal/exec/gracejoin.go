@@ -20,21 +20,16 @@ type partitionIter struct {
 	tag   segment.NodeInfo
 	child Iterator
 	files []*storage.HeapFile
+	in    *segment.InputCount // the consumer's count of the batch files
+	out   *segment.SegCount   // the producer segment's count
+	counter
 }
 
 // run partitions the whole input into nbatch files. Partition nodes are
-// driven directly by the owning graceJoin (not through Build), so actuals
-// collection is inlined here; like statsIter, it adds its row count to
-// the shared counter once, when the drain ends or fails.
+// driven directly by the owning graceJoin, not as Iterators: run counts
+// as the partition's open, and its successful end as its close.
 func (p *partitionIter) run(nbatch int) error {
-	st := p.env.Collect.Stats(p.node)
-	if st != nil {
-		st.StartT = p.env.Clock.Now()
-		st.Loops++
-	}
-	rows := p.env.Met.RowsOut(opName(p.node))
-	var n int64
-	defer func() { rows.Add(n) }()
+	p.opened(p.env.Clock)
 	if err := p.child.Open(); err != nil {
 		return err
 	}
@@ -43,7 +38,6 @@ func (p *partitionIter) run(nbatch int) error {
 		p.files[i] = p.env.newTempFile()
 	}
 	p.env.Met.SpillPartitions.Add(int64(nbatch))
-	rep := p.env.rep()
 	var enc []byte // reused: Append copies the record
 	for {
 		t, ok, err := p.child.Next()
@@ -55,12 +49,8 @@ func (p *partitionIter) run(nbatch int) error {
 		}
 		enc = t.Encode(enc[:0])
 		p.env.Clock.ChargeCPU(cpuHashOp)
-		rep.OutputTuple(p.tag.ProducerSeg, len(enc))
-		n++
-		if st != nil {
-			st.Rows++
-			st.Bytes += float64(len(enc))
-		}
+		p.env.countOut(p.out, p.tag.ProducerSeg, len(enc))
+		p.emitBytes(len(enc))
 		b := int(hashValue(t[p.node.Key]) % uint64(nbatch))
 		if _, err := p.files[b].Append(enc); err != nil {
 			return err
@@ -74,10 +64,8 @@ func (p *partitionIter) run(nbatch int) error {
 			return err
 		}
 	}
-	rep.SegmentDone(p.tag.ProducerSeg)
-	if st != nil {
-		st.EndT = p.env.Clock.Now()
-	}
+	p.env.rep().SegmentDone(p.tag.ProducerSeg)
+	p.closed(p.env.Clock)
 	p.env.Collect.Notef(p.node, "partitioned into %d batches", nbatch)
 	return nil
 }
@@ -108,6 +96,7 @@ type graceJoin struct {
 	buildPart *partitionIter
 	probePart *partitionIter
 	joinOut   // output row: build ++ probe, in the parent's layout
+	counter
 
 	nbatch int
 	batch  int
@@ -126,6 +115,7 @@ type graceJoin struct {
 }
 
 func (g *graceJoin) Open() error {
+	g.opened(g.env.Clock)
 	g.buildArity = g.node.Build.Schema().Arity()
 	g.probeArity = g.node.Probe.Schema().Arity()
 
@@ -155,7 +145,6 @@ func (g *graceJoin) Open() error {
 }
 
 func (g *graceJoin) Next() (tuple.Tuple, bool, error) {
-	rep := g.env.rep()
 	for {
 		for g.match >= 0 {
 			g.setLeft(g.table.rows[g.match])
@@ -171,6 +160,7 @@ func (g *graceJoin) Next() (tuple.Tuple, bool, error) {
 					continue
 				}
 			}
+			g.emitPair(&g.joinOut)
 			return g.row, true, nil
 		}
 
@@ -185,7 +175,7 @@ func (g *graceJoin) Next() (tuple.Tuple, bool, error) {
 				if err := g.env.yield(); err != nil {
 					return nil, false, err
 				}
-				rep.InputTuple(g.probePart.tag.Seg, g.probePart.tag.Input, len(g.spill.rec))
+				g.env.countIn(g.probePart.in, g.probePart.tag, len(g.spill.rec))
 				g.match = g.table.first(g.curProbe[g.node.ProbeKey])
 				continue
 			}
@@ -194,6 +184,7 @@ func (g *graceJoin) Next() (tuple.Tuple, bool, error) {
 		// Advance to the next batch.
 		g.batch++
 		if g.batch >= g.nbatch {
+			rep := g.env.rep()
 			rep.InputDone(g.buildPart.tag.Seg, g.buildPart.tag.Input)
 			rep.InputDone(g.probePart.tag.Seg, g.probePart.tag.Input)
 			if g.intBatches > 0 {
@@ -210,7 +201,6 @@ func (g *graceJoin) Next() (tuple.Tuple, bool, error) {
 
 func (g *graceJoin) loadBuildBatch(b int) error {
 	g.table.reset()
-	rep := g.env.rep()
 	r := &g.spill
 	r.open(g.buildPart.files[b], g.buildArity, nil)
 	for {
@@ -228,7 +218,7 @@ func (g *graceJoin) loadBuildBatch(b int) error {
 			return err
 		}
 		g.env.Clock.ChargeCPU(cpuHashOp)
-		rep.InputTuple(g.buildPart.tag.Seg, g.buildPart.tag.Input, len(r.rec))
+		g.env.countIn(g.buildPart.in, g.buildPart.tag, len(r.rec))
 		g.table.insert(r.row[g.node.BuildKey], r.row)
 	}
 	if g.env.Collect != nil && g.table.ints.n > 0 {
@@ -241,6 +231,7 @@ func (g *graceJoin) loadBuildBatch(b int) error {
 }
 
 func (g *graceJoin) Close() error {
+	g.closed(g.env.Clock)
 	err1 := g.buildPart.drop()
 	err2 := g.probePart.drop()
 	g.table = rowTable{}

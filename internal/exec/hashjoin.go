@@ -29,7 +29,10 @@ type hashJoin struct {
 	tag     segment.NodeInfo // Seg = consumer, Input = hash-table slot, ProducerSeg = build segment
 	build   Iterator
 	probe   Iterator
-	joinOut // output row: build ++ probe, in the parent's layout
+	joinOut                     // output row: build ++ probe, in the parent's layout
+	in      *segment.InputCount // the hash table's input count
+	out     *segment.SegCount   // the build segment's count
+	counter
 
 	table      rowTable
 	tableBytes float64
@@ -54,6 +57,7 @@ type hashJoin struct {
 }
 
 func (h *hashJoin) Open() error {
+	h.opened(h.env.Clock)
 	h.match = -1
 	h.buildArity = h.node.Build.Schema().Arity()
 	h.probeArity = h.node.Probe.Schema().Arity()
@@ -74,7 +78,7 @@ func (h *hashJoin) Open() error {
 		}
 		sz := t.EncodedSize()
 		h.env.Clock.ChargeCPU(cpuHashOp)
-		rep.OutputTuple(h.tag.ProducerSeg, sz)
+		h.env.countOut(h.out, h.tag.ProducerSeg, sz)
 
 		if h.spilled {
 			b := h.batchOf(t[h.node.BuildKey])
@@ -113,7 +117,7 @@ func (h *hashJoin) Open() error {
 	rep.SegmentDone(h.tag.ProducerSeg)
 	// The in-memory part of the hash table is consumed by this segment
 	// now; spilled batches are consumed when loaded.
-	rep.InputBulk(h.tag.Seg, h.tag.Input, inMemTuples, inMemBytes)
+	h.env.countBulk(h.tag, inMemTuples, inMemBytes)
 	if !h.spilled {
 		rep.InputDone(h.tag.Seg, h.tag.Input)
 	}
@@ -185,7 +189,6 @@ func hashValue(v tuple.Value) uint64 {
 }
 
 func (h *hashJoin) Next() (tuple.Tuple, bool, error) {
-	rep := h.env.rep()
 	for {
 		// Drain pending matches first.
 		for h.match >= 0 {
@@ -202,6 +205,7 @@ func (h *hashJoin) Next() (tuple.Tuple, bool, error) {
 					continue
 				}
 			}
+			h.emitPair(&h.joinOut)
 			return h.row, true, nil
 		}
 
@@ -226,7 +230,7 @@ func (h *hashJoin) Next() (tuple.Tuple, bool, error) {
 				if b := h.batchOf(t[h.node.ProbeKey]); b != 0 {
 					// Multi-stage write: counted once now, once on re-read.
 					h.enc = t.Encode(h.enc[:0])
-					rep.Extra(h.tag.Seg, float64(len(h.enc)))
+					h.env.countExtra(h.env.outCount(h.tag.Seg), h.tag.Seg, len(h.enc))
 					if _, err := h.probeFiles[b].Append(h.enc); err != nil {
 						return nil, false, err
 					}
@@ -266,7 +270,7 @@ func (h *hashJoin) Next() (tuple.Tuple, bool, error) {
 			return nil, false, err
 		}
 		// Multi-stage re-read of a spilled probe tuple.
-		rep.Extra(h.tag.Seg, float64(len(h.spill.rec)))
+		h.env.countExtra(h.env.outCount(h.tag.Seg), h.tag.Seg, len(h.spill.rec))
 		h.env.Clock.ChargeCPU(cpuHashOp)
 		h.curProbe = h.spill.row
 		h.match = h.table.first(h.curProbe[h.node.ProbeKey])
@@ -296,7 +300,7 @@ func (h *hashJoin) loadBatch(b int) error {
 			return err
 		}
 		h.env.Clock.ChargeCPU(cpuHashOp)
-		rep.InputTuple(h.tag.Seg, h.tag.Input, len(r.rec))
+		h.env.countIn(h.in, h.tag, len(r.rec))
 		h.addToTable(r.row, len(r.rec))
 	}
 	if b == h.nbatch-1 {
@@ -306,6 +310,7 @@ func (h *hashJoin) loadBatch(b int) error {
 }
 
 func (h *hashJoin) Close() error {
+	h.closed(h.env.Clock)
 	firstErr := h.build.Close()
 	if err := h.probe.Close(); err != nil && firstErr == nil {
 		firstErr = err

@@ -16,6 +16,7 @@ type mergeJoin struct {
 	left    Iterator
 	right   Iterator
 	joinOut // output row: left ++ right, in the parent's layout
+	counter
 
 	lTuple tuple.Tuple
 	rTuple tuple.Tuple // lookahead past the current group
@@ -30,6 +31,7 @@ type mergeJoin struct {
 }
 
 func (m *mergeJoin) Open() error {
+	m.opened(m.env.Clock)
 	if err := m.left.Open(); err != nil {
 		return err
 	}
@@ -63,6 +65,7 @@ func (m *mergeJoin) Next() (tuple.Tuple, bool, error) {
 					continue
 				}
 			}
+			m.emitPair(&m.joinOut)
 			return m.row, true, nil
 		}
 
@@ -134,6 +137,7 @@ func (m *mergeJoin) Next() (tuple.Tuple, bool, error) {
 }
 
 func (m *mergeJoin) Close() error {
+	m.closed(m.env.Clock)
 	err1 := m.left.Close()
 	err2 := m.right.Close()
 	m.group, m.slab = nil, rowSlab{}

@@ -23,6 +23,7 @@ type nlJoin struct {
 	// part per pair, which holds because no consumer writes to a row it
 	// was handed (rows.go).
 	joinOut
+	counter
 
 	slab       rowSlab
 	cache      []tuple.Tuple // inner rows, copied into slab
@@ -33,6 +34,7 @@ type nlJoin struct {
 }
 
 func (j *nlJoin) Open() error {
+	j.opened(j.env.Clock)
 	if err := j.outer.Open(); err != nil {
 		return err
 	}
@@ -59,8 +61,7 @@ func (j *nlJoin) Next() (tuple.Tuple, bool, error) {
 			j.setLeft(t)
 			if !j.firstPass {
 				// One full logical pass over the cached inner.
-				j.env.rep().InputRepeat(j.innerTag.Seg, j.innerTag.Input,
-					int64(len(j.cache)), j.cacheBytes)
+				j.env.countRepeat(j.innerTag, int64(len(j.cache)), j.cacheBytes)
 			}
 		}
 
@@ -102,11 +103,13 @@ func (j *nlJoin) Next() (tuple.Tuple, bool, error) {
 				continue
 			}
 		}
+		j.emitPair(&j.joinOut)
 		return j.row, true, nil
 	}
 }
 
 func (j *nlJoin) Close() error {
+	j.closed(j.env.Clock)
 	err1 := j.outer.Close()
 	err2 := j.inner.Close()
 	j.cache, j.slab = nil, rowSlab{}
@@ -123,6 +126,9 @@ type materialize struct {
 	env   *Env
 	child Iterator
 	tag   segment.NodeInfo
+	in    *segment.InputCount
+	out   *segment.SegCount // the producer segment's count
+	counter
 
 	slab      rowSlab
 	buf       []tuple.Tuple // child rows, copied into slab
@@ -131,10 +137,10 @@ type materialize struct {
 }
 
 func (m *materialize) Open() error {
+	m.opened(m.env.Clock)
 	if err := m.child.Open(); err != nil {
 		return err
 	}
-	rep := m.env.rep()
 	for {
 		t, ok, err := m.child.Next()
 		if err != nil {
@@ -144,13 +150,13 @@ func (m *materialize) Open() error {
 			break
 		}
 		m.env.Clock.ChargeCPU(cpuTuple)
-		rep.OutputTuple(m.tag.ProducerSeg, t.EncodedSize())
+		m.env.countOut(m.out, m.tag.ProducerSeg, t.EncodedSize())
 		m.buf = append(m.buf, m.slab.keep(t))
 	}
 	if err := m.child.Close(); err != nil {
 		return err
 	}
-	rep.SegmentDone(m.tag.ProducerSeg)
+	m.env.rep().SegmentDone(m.tag.ProducerSeg)
 	m.idx = 0
 	return nil
 }
@@ -166,11 +172,14 @@ func (m *materialize) Next() (tuple.Tuple, bool, error) {
 	t := m.buf[m.idx]
 	m.idx++
 	m.env.Clock.ChargeCPU(cpuTuple)
-	m.env.rep().InputTuple(m.tag.Seg, m.tag.Input, t.EncodedSize())
+	sz := t.EncodedSize()
+	m.env.countIn(m.in, m.tag, sz)
+	m.emitBytes(sz)
 	return t, true, nil
 }
 
 func (m *materialize) Close() error {
+	m.closed(m.env.Clock)
 	m.buf, m.slab = nil, rowSlab{}
 	return m.child.Close()
 }

@@ -56,14 +56,6 @@ func (p *poisonIter) Close() error {
 	return p.inner.Close()
 }
 
-// lastRowBytes keeps the wrapper transparent to statsIter.
-func (p *poisonIter) lastRowBytes() int {
-	if rs, ok := p.inner.(rowSizer); ok {
-		return rs.lastRowBytes()
-	}
-	return p.last.EncodedSize()
-}
-
 // execRows runs p and returns its rows rendered in output order. With
 // poisoned set, a poisonIter sits under every operator and under Run.
 func execRows(t *testing.T, cat *catalog.Catalog, clock *vclock.Clock, p plan.Node,
@@ -204,6 +196,7 @@ func TestProjectsDoNotCopy(t *testing.T) {
 				}
 				return it
 			}
+			env.start()
 			if _, err := build(b.p, env, lay); err != nil {
 				t.Fatalf("%s: %v", b.name, err)
 			}
@@ -420,7 +413,7 @@ func TestNodeStatsBytesOfPrunedScan(t *testing.T) {
 		for _, poisoned := range []bool{false, true} {
 			for _, sink := range []func(tuple.Tuple) error{nil, func(tuple.Tuple) error { return nil }} {
 				env := &Env{Pool: cat.Pool(), Clock: clock, WorkMemPages: tc.workMem,
-					Decomp: segment.Decompose(p, tc.workMem), Collect: NewCollector(clock)}
+					Decomp: segment.Decompose(p, tc.workMem), Collect: NewCollector()}
 				if poisoned {
 					env.wrap = func(it Iterator) Iterator { return &poisonIter{inner: it} }
 				}

@@ -139,8 +139,8 @@ type colMove struct{ from, to int }
 // joinOut is a join's output row, written in its parent's layout: each
 // input's columns go straight from that input's row to their slots, and
 // a column nothing reads is not written. It remembers the two input rows
-// it last wrote from, so the size it reports is theirs (rowSizer) however
-// little of them the layout keeps.
+// it last wrote from, so the size a join counts for its row is theirs
+// however little of them the layout keeps.
 type joinOut struct {
 	lmoves, rmoves []colMove
 	row            tuple.Tuple
@@ -196,10 +196,6 @@ func (o *joinOut) setRight(t tuple.Tuple) {
 		o.row[m.to] = t[m.from]
 	}
 }
-
-// lastRowBytes is the encoded size of the whole pair the row was last
-// written from: the join's output row as its schema defines it.
-func (o *joinOut) lastRowBytes() int { return o.l.EncodedSize() + o.r.EncodedSize() }
 
 // rowTable is the executor's one hash table of retained rows, shared by
 // the hash, Grace and semi joins. Rows with equal keys are chained

@@ -18,6 +18,8 @@ type seqScan struct {
 	node *plan.SeqScan
 	env  *Env
 	tag  segment.NodeInfo
+	in   *segment.InputCount
+	counter
 	scanSlot
 	sc   *storage.Scanner
 	page *catalog.PageIndex // the current page's index
@@ -27,13 +29,12 @@ type seqScan struct {
 
 // scanSlot is the reused row a base-table scan decodes into, in the
 // layout lay its parent reads (nil: the whole row). placing is lay up to
-// its last placed field. recLen is the encoded size of the record last
-// decoded — the size of the row the slot stands for, however few of its
+// its last placed field. A scan counts a row's size as its record's
+// length — the size of the row the slot stands for, however few of its
 // columns the layout keeps.
 type scanSlot struct {
 	lay, placing []int
 	slot         tuple.Tuple
-	recLen       int
 }
 
 func newScanSlot(lay []int, arity int) scanSlot {
@@ -54,7 +55,7 @@ func (s *scanSlot) decode(rec []byte, arity int) (tuple.Tuple, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.slot, s.recLen = row, len(rec)
+	s.slot = row
 	return row, nil
 }
 
@@ -82,13 +83,11 @@ func (s *scanSlot) place(page *catalog.PageIndex, rec []byte, fields []uint16) t
 			}
 		}
 	}
-	s.recLen = len(rec)
 	return s.slot
 }
 
-func (s *scanSlot) lastRowBytes() int { return s.recLen }
-
 func (s *seqScan) Open() error {
+	s.opened(s.env.Clock)
 	s.sc = s.env.newBaseScanner(s.node.Table.Heap)
 	s.page, s.k, s.done = nil, 0, false
 	return nil
@@ -116,14 +115,16 @@ func (s *seqScan) Next() (tuple.Tuple, bool, error) {
 	s.k++
 	row := s.place(s.page, rec, fields)
 	s.env.Clock.ChargeCPU(cpuTuple)
-	s.env.rep().InputTuple(s.tag.Seg, s.tag.Input, len(rec))
+	s.env.countIn(s.in, s.tag, len(rec))
 	if err := s.env.yield(); err != nil {
 		return nil, false, err
 	}
+	s.emitBytes(len(rec))
 	return row, true, nil
 }
 
 func (s *seqScan) Close() error {
+	s.closed(s.env.Clock)
 	if s.sc != nil {
 		s.sc.Close()
 	}
@@ -137,6 +138,8 @@ type indexScan struct {
 	node *plan.IndexScan
 	env  *Env
 	tag  segment.NodeInfo
+	in   *segment.InputCount
+	counter
 	scanSlot
 	it   *btree.Iterator
 	done bool
@@ -150,6 +153,7 @@ func (s *indexScan) finish() {
 }
 
 func (s *indexScan) Open() error {
+	s.opened(s.env.Clock)
 	lo := int64(-1 << 63)
 	if s.node.Lo != nil {
 		lo = *s.node.Lo
@@ -186,12 +190,16 @@ func (s *indexScan) Next() (tuple.Tuple, bool, error) {
 			return nil, false, err
 		}
 		s.env.Clock.ChargeCPU(cpuTuple + 1)
-		s.env.rep().InputTuple(s.tag.Seg, s.tag.Input, len(rec))
+		s.env.countIn(s.in, s.tag, len(rec))
 		if err := s.env.yield(); err != nil {
 			return nil, false, err
 		}
+		s.emitBytes(len(rec))
 		return row, true, nil
 	}
 }
 
-func (s *indexScan) Close() error { return nil }
+func (s *indexScan) Close() error {
+	s.closed(s.env.Clock)
+	return nil
+}

@@ -12,6 +12,7 @@ import (
 
 	"progressdb/internal/catalog"
 	"progressdb/internal/plan"
+	"progressdb/internal/segment"
 	"progressdb/internal/storage"
 	"progressdb/internal/tuple"
 	"progressdb/internal/vclock"
@@ -19,11 +20,11 @@ import (
 
 // The page index's oracle: a SeqScan, which frames records and finds
 // fields through the table's page index, must return what decoding every
-// record with DecodeInto returns — the same rows, the same lastRowBytes,
-// and the same error at the same row.
+// record with DecodeInto returns — the same rows, the same row sizes
+// counted (the record's length), and the same error at the same row.
 
-// scanned is what a scan returned: each row (copied) and its
-// lastRowBytes, then the error that ended it, if one did.
+// scanned is what a scan returned: each row (copied) and the size
+// counted for it, then the error that ended it, if one did.
 type scanned struct {
 	rows  []tuple.Tuple
 	sizes []int
@@ -34,13 +35,15 @@ type scanned struct {
 // on any goroutine.
 func scanIndexed(t testing.TB, pool *storage.BufferPool, clk *vclock.Clock, tb *catalog.Table, lay []int) scanned {
 	t.Helper()
-	s := &seqScan{node: &plan.SeqScan{Table: tb}, env: &Env{Pool: pool, Clock: clk}, scanSlot: newScanSlot(lay, tb.Schema.Arity())}
+	s := &seqScan{node: &plan.SeqScan{Table: tb}, env: &Env{Pool: pool, Clock: clk}, scanSlot: newScanSlot(lay, tb.Schema.Arity()),
+		in: &segment.InputCount{}, counter: counter{&segment.NodeCount{Sized: true}}}
 	var out scanned
 	if err := s.Open(); err != nil {
 		t.Error(err)
 		return out
 	}
 	for {
+		before := s.cnt.Bytes
 		row, ok, err := s.Next()
 		if err != nil {
 			out.err = err.Error()
@@ -50,7 +53,7 @@ func scanIndexed(t testing.TB, pool *storage.BufferPool, clk *vclock.Clock, tb *
 			break
 		}
 		out.rows = append(out.rows, row.Clone())
-		out.sizes = append(out.sizes, s.lastRowBytes())
+		out.sizes = append(out.sizes, int(s.cnt.Bytes-before))
 	}
 	if err := s.Close(); err != nil {
 		t.Error(err)
@@ -85,7 +88,7 @@ func scanDecoded(t testing.TB, tb *catalog.Table, lay []int) scanned {
 			break
 		}
 		out.rows = append(out.rows, row.Clone())
-		out.sizes = append(out.sizes, slot.lastRowBytes())
+		out.sizes = append(out.sizes, len(rec))
 	}
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
@@ -238,8 +241,10 @@ func intTable(t testing.TB, rows int) (*catalog.Catalog, *catalog.Table) {
 func TestScanIndexBuiltOnce(t *testing.T) {
 	allocs := func(rows int) (first, again, cold float64) {
 		cat, tb := intTable(t, rows)
+		in, cnt := &segment.InputCount{}, &segment.NodeCount{}
 		scan := func() {
-			s := &seqScan{node: &plan.SeqScan{Table: tb}, env: &Env{Pool: cat.Pool(), Clock: cat.Pool().Disk().Clock()}, scanSlot: newScanSlot([]int{0, -1, 1}, 3)}
+			s := &seqScan{node: &plan.SeqScan{Table: tb}, env: &Env{Pool: cat.Pool(), Clock: cat.Pool().Disk().Clock()}, scanSlot: newScanSlot([]int{0, -1, 1}, 3),
+				in: in, counter: counter{cnt}}
 			n := 0
 			err := s.Open()
 			for ok := err == nil; ok; n++ {

@@ -26,13 +26,15 @@ type semiJoin struct {
 	// columns it reads. A field, not embedded: the semi join's own row is
 	// the outer's, and its size is that row's.
 	pair joinOut
+	out  *segment.SegCount // the subquery segment's count
+	counter
 }
 
 func (j *semiJoin) Open() error {
+	j.opened(j.env.Clock)
 	if err := j.inner.Open(); err != nil {
 		return err
 	}
-	rep := j.env.rep()
 	keyed := j.node.OuterKey >= 0
 	var tuples int64
 	var bytes float64
@@ -46,7 +48,7 @@ func (j *semiJoin) Open() error {
 		}
 		sz := t.EncodedSize()
 		j.env.Clock.ChargeCPU(cpuHashOp)
-		rep.OutputTuple(j.tag.ProducerSeg, sz)
+		j.env.countOut(j.out, j.tag.ProducerSeg, sz)
 		tuples++
 		bytes += float64(sz)
 		if keyed {
@@ -65,8 +67,9 @@ func (j *semiJoin) Open() error {
 		return err
 	}
 	j.table.ints.noteLayout(j.env.Collect, j.node)
+	rep := j.env.rep()
 	rep.SegmentDone(j.tag.ProducerSeg)
-	rep.InputBulk(j.tag.Seg, j.tag.Input, tuples, bytes)
+	j.env.countBulk(j.tag, tuples, bytes)
 	rep.InputDone(j.tag.Seg, j.tag.Input)
 	return j.outer.Open()
 }
@@ -86,6 +89,7 @@ func (j *semiJoin) Next() (tuple.Tuple, bool, error) {
 			return nil, false, err
 		}
 		if matched != j.node.Anti {
+			j.emit(t)
 			return t, true, nil
 		}
 	}
@@ -124,6 +128,7 @@ func (j *semiJoin) passes(outer, inner tuple.Tuple) (bool, error) {
 }
 
 func (j *semiJoin) Close() error {
+	j.closed(j.env.Clock)
 	j.table, j.slab, j.cache = rowTable{}, rowSlab{}, nil
 	err1 := j.inner.Close()
 	err2 := j.outer.Close()

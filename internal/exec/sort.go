@@ -25,6 +25,9 @@ type sortIter struct {
 	env   *Env
 	child Iterator
 	tag   segment.NodeInfo
+	in    *segment.InputCount
+	out   *segment.SegCount // the producer segment's count
+	counter
 
 	slab rowSlab       // the run being formed: child rows are copied here
 	rows []tuple.Tuple // the run's rows, in input order
@@ -61,11 +64,11 @@ func (s *sortIter) finishInput() {
 }
 
 func (s *sortIter) Open() error {
+	s.opened(s.env.Clock)
 	s.arity = s.node.Schema().Arity()
 	if err := s.child.Open(); err != nil {
 		return err
 	}
-	rep := s.env.rep()
 	memLimit := s.env.workMemBytes()
 	firstCol := s.node.Keys[0].Col
 
@@ -104,7 +107,7 @@ func (s *sortIter) Open() error {
 		}
 		sz := t.EncodedSize()
 		s.env.Clock.ChargeCPU(cpuTuple)
-		rep.OutputTuple(s.tag.ProducerSeg, sz)
+		s.env.countOut(s.out, s.tag.ProducerSeg, sz)
 		if kind := t[firstCol].Kind; len(s.keys) == 0 && len(s.runs) == 0 {
 			s.kind, s.typed = kind, kind != tuple.String
 		} else if kind != s.kind {
@@ -138,7 +141,7 @@ func (s *sortIter) Open() error {
 		}
 		s.env.Collect.Notef(s.node, "external sort: %d run(s) spilled", spilled)
 	}
-	rep.SegmentDone(s.tag.ProducerSeg)
+	s.env.rep().SegmentDone(s.tag.ProducerSeg)
 	return nil
 }
 
@@ -231,7 +234,6 @@ func (s *sortIter) intermediateMerges() error {
 	for _, k := range s.node.Keys {
 		keys[k.Col] = k.Col
 	}
-	rep := s.env.rep()
 	for len(s.runs) > fanin {
 		group := s.runs[:fanin]
 		rest := s.runs[fanin:]
@@ -259,7 +261,7 @@ func (s *sortIter) intermediateMerges() error {
 					return err
 				}
 				s.env.Clock.ChargeCPU(cpuTuple * 2)
-				rep.Extra(s.tag.ProducerSeg, 2*float64(len(rec)))
+				s.env.countExtra(s.out, s.tag.ProducerSeg, 2*len(rec))
 				if _, err := out.Append(rec); err != nil {
 					return err
 				}
@@ -280,7 +282,6 @@ func (s *sortIter) intermediateMerges() error {
 }
 
 func (s *sortIter) Next() (tuple.Tuple, bool, error) {
-	rep := s.env.rep()
 	if len(s.runs) == 0 {
 		if s.memIdx >= len(s.keys) {
 			s.finishInput()
@@ -289,7 +290,8 @@ func (s *sortIter) Next() (tuple.Tuple, bool, error) {
 		k := s.keys[s.memIdx]
 		s.memIdx++
 		s.env.Clock.ChargeCPU(cpuTuple)
-		rep.InputTuple(s.tag.Seg, s.tag.Input, int(k.size))
+		s.env.countIn(s.in, s.tag, int(k.size))
+		s.emitBytes(int(k.size))
 		return s.rows[k.idx], true, nil
 	}
 	if s.merge == nil {
@@ -308,11 +310,13 @@ func (s *sortIter) Next() (tuple.Tuple, bool, error) {
 		return nil, false, nil
 	}
 	s.env.Clock.Charge(vclock.CPU, float64(cpuTuple)+math.Log2(float64(len(s.runs))+1))
-	rep.InputTuple(s.tag.Seg, s.tag.Input, len(rec))
+	s.env.countIn(s.in, s.tag, len(rec))
+	s.emitBytes(len(rec))
 	return t, true, nil
 }
 
 func (s *sortIter) Close() error {
+	s.closed(s.env.Clock)
 	firstErr := s.child.Close()
 	disk := s.env.Pool.Disk()
 	for _, f := range s.runs {

@@ -199,7 +199,7 @@ func (s *unwindSweep) ref(t testing.TB, i, wm int) *unwindRef {
 		t.Fatal(err)
 	}
 	ref := &unwindRef{name: st.name, plan: p, wm: wm, cover: map[string]bool{}}
-	coll := NewCollector(s.clock)
+	coll := NewCollector()
 	ref.want, _ = s.run(ref, faultinject.Config{Target: faultinject.TargetTemp}, 0, coll)
 	base, _ := s.run(ref, faultinject.Config{Target: faultinject.TargetBase}, 0, nil)
 	if ref.want.err != nil || ref.want.panic != nil || base.err != nil || base.panic != nil ||

@@ -134,37 +134,46 @@ func (r Runner) ledgerBlock(eng *engine, config string, st workload.Statement) (
 // shows.
 func ff(x float64) string { return strconv.FormatFloat(x, 'g', -1, 64) }
 
-// countingReporter counts the calls the executor makes on the indicator.
+// countingReporter counts the boundary events of one run on the
+// indicator it wraps: the rare calls the executor makes on it, and the
+// per-row events its counter block holds — each input tuple not handed
+// over in bulk, each output tuple and each multi-stage add — whether the
+// executor counted them inline or handed them over.
 type countingReporter struct {
-	segment.WorkReporter
-	n int64
+	segment.WorkReporter // a *core.Indicator
+	// n is the run's events as of its last rare call; the final
+	// SegmentDone is a run's last event.
+	n    int64
+	rare int64 // InputBulk, InputRepeat, InputDone and SegmentDone calls
+	bulk int64 // tuples handed over by InputBulk
 }
 
-func (c *countingReporter) InputTuple(seg, input, bytes int) {
-	c.n++
-	c.WorkReporter.InputTuple(seg, input, bytes)
-}
 func (c *countingReporter) InputBulk(seg, input int, tuples int64, bytes float64) {
-	c.n++
+	c.bulk += tuples
 	c.WorkReporter.InputBulk(seg, input, tuples, bytes)
+	c.count()
 }
 func (c *countingReporter) InputRepeat(seg, input int, tuples int64, bytes float64) {
-	c.n++
 	c.WorkReporter.InputRepeat(seg, input, tuples, bytes)
+	c.count()
 }
 func (c *countingReporter) InputDone(seg, input int) {
-	c.n++
 	c.WorkReporter.InputDone(seg, input)
-}
-func (c *countingReporter) OutputTuple(seg, bytes int) {
-	c.n++
-	c.WorkReporter.OutputTuple(seg, bytes)
-}
-func (c *countingReporter) Extra(seg int, bytes float64) {
-	c.n++
-	c.WorkReporter.Extra(seg, bytes)
+	c.count()
 }
 func (c *countingReporter) SegmentDone(seg int) {
-	c.n++
 	c.WorkReporter.SegmentDone(seg)
+	c.count()
+}
+
+// count takes one rare call and recounts n.
+func (c *countingReporter) count() {
+	c.rare++
+	c.n = c.rare - c.bulk
+	for _, s := range c.WorkReporter.(*core.Indicator).Decomposition().Segments {
+		c.n += s.Count.OutTuples + s.Count.Extras
+		for _, in := range s.Inputs {
+			c.n += in.Count.Tuples
+		}
+	}
 }

@@ -23,6 +23,14 @@ import (
 // WorkReporter receives the executor's boundary-byte events. The paper
 // embeds statistics collection inside operator code guarded by a flag;
 // passing a nil reporter is the flag turned off.
+//
+// Every count lives in the plan's counter block (counts.go), and a reporter
+// adds to the block what it is handed. The executor hands it every bulk
+// and repeat pass, but calls InputTuple, OutputTuple and Extra only while
+// the input's, output's or segment's count is zero, so that the reporter
+// sees when each starts; it adds every later row to the block inline. A
+// reporter that does not add is handed every row. Without a reporter the
+// executor adds everything itself.
 type WorkReporter interface {
 	// InputTuple records one first-pass tuple read from a segment input.
 	InputTuple(seg, input int, bytes int)
@@ -65,6 +73,8 @@ type Input struct {
 	Child *Segment
 	// Init is the optimizer's initial estimate for this input.
 	Init Est
+	// Count is the input's share of the counter block.
+	Count InputCount
 }
 
 // Kind classifies a segment by the operator that ends it: a blocking
@@ -109,6 +119,8 @@ type Segment struct {
 	InitOut Est
 	// InitCost is the initial segment cost in bytes.
 	InitCost float64
+	// Count is the segment's share of the counter block.
+	Count SegCount
 
 	inputByNode map[plan.Node]int
 }
@@ -138,6 +150,9 @@ type Decomposition struct {
 	NodeSeg map[plan.Node]int
 	// WorkMemBytes is the memory budget used for spill/merge cost terms.
 	WorkMemBytes float64
+
+	// nodes are the counter block's node slots, made on first use.
+	nodes []NodeCount
 
 	// segIDByOld maps creation-order segment IDs to execution-order IDs.
 	segIDByOld map[int]int

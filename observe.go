@@ -135,7 +135,7 @@ func (db *DB) run(ctx context.Context, clk *vclock.Clock, yield func(), p plan.N
 
 	var coll *exec.Collector
 	if collect {
-		coll = exec.NewCollector(clk)
+		coll = exec.NewCollector()
 	}
 	res = &Result{}
 	for _, c := range p.Schema().Cols {
