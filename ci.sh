@@ -32,6 +32,12 @@ go build -gcflags=-m ./internal/vclock 2>&1 | grep -q 'can inline (\*Clock).Char
 go build -gcflags=-m ./internal/tuple 2>&1 | grep -q 'can inline fieldEnd' || { echo "tuple.fieldEnd no longer inlines" >&2; exit 1; }
 # And the cancel countdown every safe point passes, per row.
 go build -gcflags=-m ./internal/exec 2>&1 | grep -q 'can inline (\*Env).checkCancel' || { echo "(*Env).checkCancel no longer inlines" >&2; exit 1; }
+# And the counter block's per-row adds: a segment input's, a segment
+# output's and a multi-stage row's, and an operator's emitted row.
+execm=$(go build -gcflags=-m ./internal/exec 2>&1)
+for f in '(\*Env).countIn' '(\*Env).countOut' '(\*Env).countExtra' 'counter.emit' 'counter.emitBytes' 'counter.emitPair'; do
+	echo "$execm" | grep -q "can inline $f$" || { echo "$f no longer inlines" >&2; exit 1; }
+done
 
 echo "== bench module =="
 # bench/ is a module of its own, so nothing above descends into it, yet it
