@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"progressdb/internal/obs"
 	"progressdb/internal/plan"
@@ -17,12 +18,15 @@ import (
 //
 // Nothing shared is written per tuple: operators count their rows in the
 // query's counter block (segment/counts.go), and Run adds each operator's
-// rows to rowsOut once, when the query returns. Every worker's operators
-// would otherwise contend for the same cache lines on every row.
+// rows to exec_rows_out_total once, when the query returns. Every
+// worker's operators would otherwise contend for the same cache lines on
+// every row.
 type Metrics struct {
 	reg *obs.Registry
-	// rowsOut is exec_rows_out_total, by operator kind.
-	rowsOut [numOps]*obs.Counter
+	// rowsOut is exec_rows_out_total by operator kind, each series
+	// registered the first time the engine runs an operator of its kind:
+	// a scrape lists the kinds that ran, and no query looks one up twice.
+	rowsOut *[numOps]atomic.Pointer[obs.Counter]
 	// SpillPartitions counts partition batch files created by hash joins
 	// (hybrid spill batches and Grace partition batches).
 	SpillPartitions *obs.Counter
@@ -39,20 +43,29 @@ func NewMetrics(reg *obs.Registry) Metrics {
 	if reg == nil {
 		return Metrics{}
 	}
-	m := Metrics{
+	return Metrics{
 		reg:             reg,
+		rowsOut:         new([numOps]atomic.Pointer[obs.Counter]),
 		SpillPartitions: reg.Counter("exec_spill_partitions_total", "hash-join partition batch files spilled to disk"),
 		SortRuns:        reg.Counter("exec_sort_runs_total", "sorted runs written to disk by external sorts"),
 		MergePasses:     reg.Counter("exec_merge_passes_total", "intermediate sort merge passes beyond the final merge"),
 	}
-	for k, op := range opNames {
-		m.rowsOut[k] = reg.LabeledCounter("exec_rows_out_total", "op", op, "tuples emitted, by operator")
-	}
-	return m
 }
 
 // Enabled reports whether the metrics are wired to a registry.
 func (m Metrics) Enabled() bool { return m.reg != nil }
+
+// addRowsOut adds n rows emitted by operators of kind op. The registry
+// dedupes a series, so two queries that resolve one at once store the
+// same counter.
+func (m Metrics) addRowsOut(op uint8, n int64) {
+	c := m.rowsOut[op].Load()
+	if c == nil {
+		c = m.reg.LabeledCounter("exec_rows_out_total", "op", opNames[op], "tuples emitted, by operator")
+		m.rowsOut[op].Store(c)
+	}
+	c.Add(n)
+}
 
 // opNames are the operator kinds' metrics labels, indexed by opKind.
 var opNames = [numOps]string{

@@ -340,8 +340,8 @@ func (e *Env) finish() {
 		return
 	}
 	for i, c := range e.Decomp.NodeCounts()[:e.built] {
-		if c.Rows != 0 {
-			e.Met.rowsOut[c.Op].Add(c.Rows)
+		if e.Met.Enabled() {
+			e.Met.addRowsOut(c.Op, c.Rows)
 		}
 		if e.Collect != nil {
 			st := e.Collect.Stats(e.Collect.nodes[i])
