@@ -3,7 +3,7 @@
 //
 // The Indicator is a segment.WorkReporter wired into the executor. It
 // reads the boundary bytes the executor counts in the plan's counter block
-// (segment.Counts) at each refresh and keeps, per segment:
+// (internal/segment/counts.go) at each refresh and keeps, per segment:
 //
 //   - refined input estimates (Section 4.3): a base input keeps the
 //     optimizer's cardinality Ne until the running count exceeds it, then
