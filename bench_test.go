@@ -47,7 +47,7 @@ func reportRun(b *testing.B, res *harness.RunResult) {
 // dominant inputs, p = max(qA, qB)) that the paper describes in Section
 // 4.5 but left out of its prototype.
 func BenchmarkExtraSMJProgress(b *testing.B) {
-	runner := harness.Runner{Scale: benchScale, Seed: 1}
+	runner := harness.Runner{Scale: benchScale}
 	var res *harness.RunResult
 	for i := 0; i < b.N; i++ {
 		var err error
@@ -81,7 +81,6 @@ func reportAblation(b *testing.B, res *harness.RunResult) {
 
 func benchAblation(b *testing.B, r harness.Runner) {
 	r.Scale = benchScale
-	r.Seed = 1
 	var res *harness.RunResult
 	for i := 0; i < b.N; i++ {
 		var err error

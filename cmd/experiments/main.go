@@ -5,7 +5,7 @@
 // ledger (bench/'s twelve statements on its two engine configurations:
 // totals, storage counters, every segment and every refresh). Series are
 // written as CSV files and rendered as ASCII plots on stdout. Every
-// number is virtual, so a rerun at the committed scale and seed
+// number is virtual, so a rerun at the committed scale
 // rewrites results/ byte for byte (internal/harness's golden test
 // checks exactly that). An unknown -only id exits 2.
 //
@@ -30,7 +30,6 @@ const plotWidth, plotHeight = 72, 14
 
 func main() {
 	scale := flag.Float64("scale", 0.02, "workload scale (1.0 = the paper's Table 1)")
-	seed := flag.Int64("seed", 1, "data generator seed")
 	outdir := flag.String("outdir", "results", "directory for CSV output (empty = no CSV)")
 	only := flag.String("only", "", "run a single experiment id (table1, plans, ledger, or e.g. fig09)")
 	quiet := flag.Bool("quiet", false, "skip ASCII plots")
@@ -55,7 +54,7 @@ func main() {
 		}
 	}
 
-	sess := harness.NewSession(harness.Runner{Scale: *scale, Seed: *seed})
+	sess := harness.NewSession(harness.Runner{Scale: *scale})
 	for _, id := range ids {
 		a, err := sess.Render(id)
 		if err != nil {

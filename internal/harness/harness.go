@@ -36,8 +36,6 @@ import (
 type Runner struct {
 	// Scale is the workload scale (see workload.Config); default 0.05.
 	Scale float64
-	// Seed for deterministic data.
-	Seed int64
 	// UpdatePeriod is the indicator refresh in virtual seconds (paper:
 	// 10).
 	UpdatePeriod float64
@@ -131,7 +129,6 @@ func (r Runner) newEngine(correlated bool) (*engine, error) {
 	cat := catalog.New(pool)
 	ds, err := workload.Load(cat, workload.Config{
 		Scale:            r.Scale,
-		Seed:             r.Seed,
 		CorrelatedOrders: correlated,
 	})
 	if err != nil {

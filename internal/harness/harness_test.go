@@ -26,7 +26,7 @@ var (
 func session(t *testing.T) *Session {
 	t.Helper()
 	sessOnce.Do(func() {
-		sess = NewSession(Runner{Scale: 0.02, Seed: 1})
+		sess = NewSession(Runner{Scale: 0.02})
 		// Pre-run every distinct scenario; errors surface here once.
 		for _, e := range Experiments {
 			if _, err := sess.Result(e); err != nil {
@@ -403,7 +403,7 @@ func render(t *testing.T, id string) *Artifact {
 // byte for byte. Table 1, the plan golden (Q1–Q5's plans and segment
 // costs under every join hint), the ledger of bench/'s statements and
 // all sixteen figures, rendered from the session the shape tests share
-// (the scale and seed results/ was written at) through the function
+// (the scale results/ was written at) through the function
 // cmd/experiments writes them with, must equal the committed files — and
 // results/ must hold nothing else.
 func TestResultsGolden(t *testing.T) {
@@ -487,7 +487,7 @@ func TestLedgerBlocksIndependentOfOrder(t *testing.T) {
 // "< 1 %" is the benchmark's core.reporter_call_ns /
 // core.indicator_modelled_pct.
 func TestOverheadSmall(t *testing.T) {
-	r := Runner{Scale: 0.01, Seed: 1}.withDefaults()
+	r := Runner{Scale: 0.01}.withDefaults()
 	eng, p, d, err := r.compileQuery(2)
 	if err != nil {
 		t.Fatal(err)
@@ -528,7 +528,7 @@ func TestOverheadSmall(t *testing.T) {
 
 // The SMJ extra experiment: two dominant inputs, converging estimate.
 func TestRunSMJ(t *testing.T) {
-	res, err := (Runner{Scale: 0.01, Seed: 1}).RunSMJ()
+	res, err := (Runner{Scale: 0.01}).RunSMJ()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -545,7 +545,7 @@ func TestRunSMJ(t *testing.T) {
 }
 
 func TestOverheadProbe(t *testing.T) {
-	probe, err := (Runner{Scale: 0.005, Seed: 1}).OverheadProbe(2)
+	probe, err := (Runner{Scale: 0.005}).OverheadProbe(2)
 	if err != nil {
 		t.Fatal(err)
 	}

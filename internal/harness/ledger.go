@@ -33,8 +33,8 @@ var ledgerConfigs = []ledgerConfig{
 func (r Runner) Ledger() (string, error) {
 	r = r.withDefaults()
 	var b strings.Builder
-	fmt.Fprintf(&b, "# bench/'s statements at scale %s, seed %d, refresh %s s, each after a cold restart on a fresh clock.\n",
-		ff(r.Scale), r.Seed, ff(r.UpdatePeriod))
+	fmt.Fprintf(&b, "# bench/'s statements at scale %s, refresh %s s, each after a cold restart on a fresh clock.\n",
+		ff(r.Scale), ff(r.UpdatePeriod))
 	b.WriteString("# Floats are shortest round-trip; a write in a SELECT is to a temp page.\n")
 	for _, c := range ledgerConfigs {
 		fmt.Fprintf(&b, "# %s: pool %d pages, work_mem %d pages\n", c.name, c.poolPages, c.workMem)
