@@ -5,7 +5,8 @@ import "fmt"
 // checkReports checks the indicator's contract on one query's reports,
 // in delivery order: DoneU, ElapsedSeconds and SegmentsDone never
 // decrease, Percent stays in [0, 100], and a Finished report comes at
-// most once and only last — exactly once when the query succeeded. segs,
+// most once and only last — exactly once when the query succeeded — and
+// reads 100 % with its estimated cost equal to its DoneU. segs,
 // when non-nil, is the succeeded query's Result.Segments: every byte the
 // indicator counts belongs to one segment, so the terminal DoneU equals
 // their summed ActualCostU exactly. The comparisons are exact; U is a sum
@@ -26,6 +27,10 @@ func checkReports(reps []Report, succeeded bool, segs []SegmentStats) error {
 		if r.Finished {
 			if finished++; i != len(reps)-1 {
 				return fmt.Errorf("Finished report %d of %d is not the last", i, len(reps))
+			}
+			if r.Percent != 100 || r.EstimatedCostU != r.DoneU {
+				return fmt.Errorf("Finished report reads %g%%, EstimatedCostU %v, DoneU %v: want 100%% and the two equal",
+					r.Percent, r.EstimatedCostU, r.DoneU)
 			}
 		}
 	}
