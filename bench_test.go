@@ -13,13 +13,15 @@
 // internal/harness's TestResultsGolden; wall-clock cost is bench/'s.
 //
 // Run with: go test -bench=. -benchmem
-package progressdb
+package progressdb_test
 
 import (
 	"math"
 	"testing"
 
+	"progressdb"
 	"progressdb/internal/harness"
+	"progressdb/internal/optimizer"
 )
 
 const benchScale = 0.01
@@ -31,11 +33,11 @@ func reportRun(b *testing.B, res *harness.RunResult) {
 	b.ReportMetric(res.ActualSeconds, "vdur_s")
 	var mae float64
 	n := 0
-	for _, s := range res.Snapshots {
-		if s.Elapsed < 20 || s.Finished {
+	for _, s := range res.History {
+		if s.ElapsedSeconds < 20 || s.Finished {
 			continue
 		}
-		mae += math.Abs(s.RemainingSeconds - (res.ActualSeconds - s.Elapsed))
+		mae += math.Abs(s.RemainingSeconds - (res.ActualSeconds - s.ElapsedSeconds))
 		n++
 	}
 	if n > 0 {
@@ -45,18 +47,28 @@ func reportRun(b *testing.B, res *harness.RunResult) {
 
 // BenchmarkExtraSMJProgress exercises the sort-merge-join rule (two
 // dominant inputs, p = max(qA, qB)) that the paper describes in Section
-// 4.5 but left out of its prototype.
+// 4.5 but left out of its prototype: customer⋈orders with the merge join
+// forced, on a DB opened as the harness opens one.
 func BenchmarkExtraSMJProgress(b *testing.B) {
+	const sql = "select c.custkey, o.orderkey from customer c, orders o where c.custkey = o.custkey"
 	runner := harness.Runner{Scale: benchScale}
-	var res *harness.RunResult
+	var res *progressdb.Result
 	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = runner.RunSMJ()
+		db, err := runner.OpenDB(false)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, _, err = db.ExecPlan(sql, optimizer.Options{ForceJoinAlgo: "merge"}, func(string) bool { return true })
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	reportRun(b, res)
+	run := &harness.RunResult{History: res.History, ActualSeconds: res.VirtualSeconds}
+	for _, s := range res.Segments {
+		run.InitialEstU += s.EstCostU
+	}
+	run.ExactCostU = res.History[len(res.History)-1].DoneU
+	reportRun(b, run)
 }
 
 // --- Ablation of the speed window T (DESIGN.md §4, A-T) ---
@@ -66,11 +78,11 @@ func reportAblation(b *testing.B, res *harness.RunResult) {
 	b.Helper()
 	var costMAE float64
 	n := 0
-	for _, s := range res.Snapshots {
+	for _, s := range res.History {
 		if s.Finished {
 			continue
 		}
-		costMAE += math.Abs(s.EstTotalU - res.ExactCostU)
+		costMAE += math.Abs(s.EstimatedCostU - res.ExactCostU)
 		n++
 	}
 	if n > 0 {
@@ -113,8 +125,8 @@ func BenchmarkAblationSpeedWindowT50(b *testing.B) {
 func BenchmarkExtraConcurrentContention(b *testing.B) {
 	var stretch float64
 	for i := 0; i < b.N; i++ {
-		mk := func() *DB {
-			db := Open(Config{
+		mk := func() *progressdb.DB {
+			db := progressdb.Open(progressdb.Config{
 				WorkMemPages:    16,
 				SeqPageCost:     0.8e-3 / benchScale,
 				RandPageCost:    6.4e-3 / benchScale,
@@ -128,19 +140,19 @@ func BenchmarkExtraConcurrentContention(b *testing.B) {
 			}
 			return db
 		}
-		q1, err := PaperQuery(1)
+		q1, err := progressdb.PaperQuery(1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		q2, err := PaperQuery(2)
+		q2, err := progressdb.PaperQuery(2)
 		if err != nil {
 			b.Fatal(err)
 		}
-		solo, err := mk().ExecGroup([]GroupQuery{{Name: "q1", SQL: q1}})
+		solo, err := mk().ExecGroup([]progressdb.GroupQuery{{Name: "q1", SQL: q1}})
 		if err != nil {
 			b.Fatal(err)
 		}
-		both, err := mk().ExecGroup([]GroupQuery{
+		both, err := mk().ExecGroup([]progressdb.GroupQuery{
 			{Name: "q1", SQL: q1},
 			{Name: "q2", SQL: q2},
 		})

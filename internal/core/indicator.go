@@ -77,19 +77,8 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// optimizerBytesPerSec is the unloaded-system processing rate the
-// trivial optimizer-only baseline assumes (the paper's dotted line:
-// estimated I/Os ÷ assumed disk speed): one page per sequential page
-// cost of the clock.
-func (ind *Indicator) optimizerBytesPerSec() float64 {
-	if c := ind.clock.Costs().SeqPage; c > 0 {
-		return storage.PageSize / c
-	}
-	return storage.PageSize * 1000
-}
-
 // Snapshot is one refresh of the progress display (the paper's Figure 2
-// fields, plus the baselines the evaluation section compares against).
+// fields, plus the step-counting baseline its introduction criticizes).
 type Snapshot struct {
 	// Time is the virtual time of the snapshot (seconds since clock 0).
 	Time float64
@@ -115,10 +104,6 @@ type Snapshot struct {
 	// segments over total segments (the "steps completed" indicators the
 	// paper's introduction criticizes).
 	StepPercent float64
-	// OptimizerRemainingSeconds is the trivial optimizer-only baseline:
-	// the initial cost estimate divided by an assumed unloaded speed,
-	// minus elapsed time (floored at zero).
-	OptimizerRemainingSeconds float64
 	// CurrentP is the current segment's dominant-input fraction p, and
 	// CurrentE1/CurrentE the blend's inputs E1 and output E (rows); all
 	// zero when no segment is mid-execution.
@@ -609,7 +594,5 @@ func (ind *Indicator) buildSnapshot() Snapshot {
 	if n := len(ind.segs); n > 0 {
 		snap.StepPercent = 100 * float64(done) / float64(n)
 	}
-	optTotal := ind.initTotalBytes / ind.optimizerBytesPerSec()
-	snap.OptimizerRemainingSeconds = math.Max(0, optTotal-snap.Elapsed)
 	return snap
 }

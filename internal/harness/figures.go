@@ -5,7 +5,7 @@ import (
 	"math"
 	"strings"
 
-	"progressdb/internal/core"
+	"progressdb"
 )
 
 // Series is one named line of a figure.
@@ -72,7 +72,7 @@ var Experiments = []Experiment{
 // scenarioKey identifies a run shared across figures (F4–F7 all come
 // from one Q1 unloaded execution).
 func (e Experiment) scenarioKey() string {
-	return fmt.Sprintf("q%d-%s", e.Query, scenarioName(&e.Interf))
+	return fmt.Sprintf("q%d-%s", e.Query, scenarioName(e.Interf))
 }
 
 // Session caches scenario runs so that figures sharing a run reuse it.
@@ -113,42 +113,44 @@ func ExtractFigure(e Experiment, res *RunResult) *Figure {
 			f.Events = append(f.Events, Event{Name: "interference end", X: res.InterfEnd})
 		}
 	}
-	snaps := res.Snapshots
+	snaps := res.History
 	xs := make([]float64, len(snaps))
 	for i, s := range snaps {
-		xs[i] = s.Elapsed
+		xs[i] = s.ElapsedSeconds
 	}
 	switch e.Metric {
 	case "cost":
 		f.YLabel = "estimated query cost (Us)"
 		f.Series = append(f.Series,
-			Series{Name: "estimated by progress indicator", X: xs, Y: pick(snaps, func(s core.Snapshot) float64 { return s.EstTotalU })},
+			Series{Name: "estimated by progress indicator", X: xs, Y: pick(snaps, func(s progressdb.Report) float64 { return s.EstimatedCostU })},
 			Series{Name: "exact query cost", X: []float64{0, res.ActualSeconds}, Y: []float64{res.ExactCostU, res.ExactCostU}},
 		)
 	case "speed":
 		f.YLabel = "query execution speed (Us per second)"
 		f.Series = append(f.Series,
-			Series{Name: "monitored speed", X: xs, Y: pick(snaps, func(s core.Snapshot) float64 { return s.SpeedU })})
+			Series{Name: "monitored speed", X: xs, Y: pick(snaps, func(s progressdb.Report) float64 { return s.SpeedU })})
 	case "remaining":
 		f.YLabel = "estimated remaining query execution time (seconds)"
 		actual := make([]float64, len(snaps))
 		for i, s := range snaps {
-			actual[i] = math.Max(0, res.ActualSeconds-s.Elapsed)
+			actual[i] = math.Max(0, res.ActualSeconds-s.ElapsedSeconds)
 		}
 		f.Series = append(f.Series,
-			Series{Name: "estimated by progress indicator", X: xs, Y: pick(snaps, func(s core.Snapshot) float64 { return s.RemainingSeconds })},
+			Series{Name: "estimated by progress indicator", X: xs, Y: pick(snaps, func(s progressdb.Report) float64 { return s.RemainingSeconds })},
 			Series{Name: "actual remaining time", X: xs, Y: actual},
-			Series{Name: "optimizer estimate", X: xs, Y: pick(snaps, func(s core.Snapshot) float64 { return s.OptimizerRemainingSeconds })},
+			Series{Name: "optimizer estimate", X: xs, Y: pick(snaps, func(s progressdb.Report) float64 {
+				return optimizerRemaining(res.InitialEstU, res.seqPage, s.ElapsedSeconds)
+			})},
 		)
 	case "percent":
 		f.YLabel = "estimated completed percentage"
 		f.Series = append(f.Series,
-			Series{Name: "completed percentage", X: xs, Y: pick(snaps, func(s core.Snapshot) float64 { return s.Percent })})
+			Series{Name: "completed percentage", X: xs, Y: pick(snaps, func(s progressdb.Report) float64 { return s.Percent })})
 	}
 	return f
 }
 
-func pick(snaps []core.Snapshot, fn func(core.Snapshot) float64) []float64 {
+func pick(snaps []progressdb.Report, fn func(progressdb.Report) float64) []float64 {
 	out := make([]float64, len(snaps))
 	for i, s := range snaps {
 		out[i] = fn(s)

@@ -8,6 +8,14 @@
 // ledger, so every number is the same on every run and results/ pins it
 // byte for byte.
 //
+// The figures run on progressdb.DB, the path progressd, pgsh and bench/
+// serve, over the data set it loads (Runner.Run). Four artefacts keep
+// the harness's own engine, each for something DB does not expose: the
+// ledger runs each statement on a fresh clock and prints pool, disk and
+// reporter counts; the plan golden forces join algorithms at a work_mem
+// of 4 pages; Table 1 reads the generator's data set; and OverheadProbe
+// runs the executor with and without the indicator.
+//
 // All times are virtual seconds. The clock's base costs are divided by
 // the data scale so that the time axes remain comparable to the paper's
 // full-scale runs: a table that is 20x smaller is read at a 20x slower
@@ -18,8 +26,10 @@ package harness
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
+	"progressdb"
 	"progressdb/internal/catalog"
 	"progressdb/internal/core"
 	"progressdb/internal/exec"
@@ -103,9 +113,10 @@ type Interference struct {
 
 // RunResult is one scenario execution.
 type RunResult struct {
-	Query         int
-	Scenario      string
-	Snapshots     []core.Snapshot
+	Query    int
+	Scenario string
+	// History is every progress report the query's DB took.
+	History       []progressdb.Report
 	ActualSeconds float64
 	// InitialEstU is the optimizer's cost estimate before execution.
 	InitialEstU float64
@@ -114,9 +125,102 @@ type RunResult struct {
 	Rows       int64
 	// Interference bounds in elapsed virtual seconds (zero if unloaded).
 	InterfStart, InterfEnd float64
+	// seqPage is the run's sequential page cost, the rate the optimizer
+	// baseline assumes.
+	seqPage float64
 }
 
-// engine bundles one freshly loaded database.
+// optimizerRemaining is the trivial optimizer-only baseline, the paper's
+// dotted line: the initial estimate estU at the unloaded rate of one page
+// per sequential page cost seqPage, less the elapsed time, floored at
+// zero.
+func optimizerRemaining(estU, seqPage, elapsed float64) float64 {
+	return math.Max(0, estU*storage.PageSize/(storage.PageSize/seqPage)-elapsed)
+}
+
+// OpenDB opens a DB with r's scaled page costs, buffer pool, work_mem and
+// indicator settings, loads the paper's data set at r's scale — with the
+// correlated orders when correlated, Q3's variant — and empties the
+// buffer pool: the paper restarts the machine before each test.
+func (r Runner) OpenDB(correlated bool) (*progressdb.DB, error) {
+	r = r.withDefaults()
+	c := r.costs()
+	db := progressdb.Open(progressdb.Config{
+		BufferPoolPages:       r.BufferPoolPages,
+		WorkMemPages:          r.WorkMemPages,
+		SeqPageCost:           c.SeqPage,
+		RandPageCost:          c.RandPage,
+		ProgressUpdateSeconds: r.UpdatePeriod,
+		SpeedWindowSeconds:    r.SpeedWindow,
+	})
+	if err := db.LoadPaperWorkload(r.Scale, correlated); err != nil {
+		return nil, err
+	}
+	return db, db.ColdRestart()
+}
+
+// Run executes query q (1–5) under the given interference on a freshly
+// opened DB (OpenDB; Q3 on the correlated orders, as in the paper) and
+// returns its reports and ground truth.
+func (r Runner) Run(q int, interf Interference) (*RunResult, error) {
+	r = r.withDefaults()
+	sql, err := progressdb.PaperQuery(q)
+	if err != nil {
+		return nil, err
+	}
+	// Interference timing is relative to the unloaded duration; measure
+	// that first on an identical DB when needed.
+	var unloadedD float64
+	if interf.Kind != "" {
+		u, err := r.Run(q, Interference{})
+		if err != nil {
+			return nil, fmt.Errorf("harness: unloaded calibration run: %w", err)
+		}
+		unloadedD = u.ActualSeconds
+	}
+	db, err := r.OpenDB(q == 3)
+	if err != nil {
+		return nil, err
+	}
+	res := &RunResult{Query: q, Scenario: scenarioName(interf), seqPage: r.costs().SeqPage}
+	if res.InitialEstU, err = db.EstimateCostU(sql); err != nil {
+		return nil, err
+	}
+	if interf.Kind != "" {
+		start := db.Now()
+		s := start + unloadedD*interf.StartFrac
+		e := start + unloadedD*interf.EndFrac
+		if interf.EndFrac <= interf.StartFrac {
+			e = start + unloadedD*1000
+		}
+		if err := db.SetInterference(interf.Kind, s, e, interf.Factor); err != nil {
+			return nil, fmt.Errorf("harness: %w", err)
+		}
+		res.InterfStart = s - start
+		res.InterfEnd = e - start
+	}
+	out, err := db.ExecDiscard(sql, nil)
+	if err != nil {
+		return nil, fmt.Errorf("harness: Q%d: %w", q, err)
+	}
+	res.Rows = int64(out.RowCount())
+	res.ActualSeconds = out.VirtualSeconds
+	res.History = out.History
+	if n := len(res.History); n > 0 {
+		res.ExactCostU = res.History[n-1].DoneU
+	}
+	return res, nil
+}
+
+func scenarioName(interf Interference) string {
+	if interf.Kind == "" {
+		return "unloaded"
+	}
+	return interf.Kind + "-interference"
+}
+
+// engine bundles one freshly loaded database, for the artefacts that
+// need more than DB exposes.
 type engine struct {
 	clock *vclock.Clock
 	cat   *catalog.Catalog
@@ -137,17 +241,6 @@ func (r Runner) newEngine(correlated bool) (*engine, error) {
 	return &engine{clock: clock, cat: cat, ds: ds}, nil
 }
 
-// compile loads a fresh engine and plans sql on it: everything a run or
-// a probe needs before the first page is read.
-func (r Runner) compile(sql string, correlated bool, forceAlgo string) (*engine, plan.Node, *segment.Decomposition, error) {
-	eng, err := r.newEngine(correlated)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	p, d, err := r.plan(eng, sql, forceAlgo)
-	return eng, p, d, err
-}
-
 // plan takes sql through parse → optimizer.Plan → segment.Decompose on
 // eng at r's work_mem.
 func (r Runner) plan(eng *engine, sql, forceAlgo string) (plan.Node, *segment.Decomposition, error) {
@@ -165,122 +258,20 @@ func (r Runner) plan(eng *engine, sql, forceAlgo string) (plan.Node, *segment.De
 	return p, segment.Decompose(p, r.WorkMemPages), nil
 }
 
-// compileQuery is compile for workload query q (1–5); Q3 uses the
-// correlated orders data, as in the paper.
+// compileQuery loads a fresh engine and plans workload query q (1–5) on
+// it, Q3 on the correlated orders: everything a probe needs before the
+// first page is read.
 func (r Runner) compileQuery(q int) (*engine, plan.Node, *segment.Decomposition, error) {
 	sql, err := workload.QuerySQL(q)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return r.compile(sql, q == 3, "")
-}
-
-// Run executes query q (1–5) under the given interference and returns
-// the collected snapshots and ground truth. Q3 automatically uses the
-// correlated orders data, as in the paper.
-func (r Runner) Run(q int, interf Interference) (*RunResult, error) {
-	r = r.withDefaults()
-	sql, err := workload.QuerySQL(q)
+	eng, err := r.newEngine(q == 3)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
-	correlated := q == 3
-
-	// Interference timing is relative to the unloaded duration; measure
-	// that first on an identical engine when needed.
-	var unloadedD float64
-	if interf.Kind != "" {
-		res, err := r.runSQL(sql, q, correlated, "", nil, 0)
-		if err != nil {
-			return nil, fmt.Errorf("harness: unloaded calibration run: %w", err)
-		}
-		unloadedD = res.ActualSeconds
-	}
-	return r.runSQL(sql, q, correlated, "", &interf, unloadedD)
-}
-
-// RunSMJ runs a customer⋈orders join with a forced sort-merge join —
-// the Section 4.5 two-dominant-input case (p = max(qA, qB)) that the
-// paper describes but excluded from its prototype.
-func (r Runner) RunSMJ() (*RunResult, error) {
-	r = r.withDefaults()
-	return r.runSQL(
-		"select c.custkey, o.orderkey from customer c, orders o where c.custkey = o.custkey",
-		0, false, "merge", nil, 0)
-}
-
-func (r Runner) runSQL(sql string, q int, correlated bool, forceAlgo string, interf *Interference, unloadedD float64) (*RunResult, error) {
-	eng, p, d, err := r.compile(sql, correlated, forceAlgo)
-	if err != nil {
-		return nil, err
-	}
-
-	// Cold buffer pool: the paper restarts the machine before each test.
-	if err := eng.cat.Pool().Flush(); err != nil {
-		return nil, err
-	}
-	eng.cat.Pool().Clear()
-
-	res := &RunResult{Query: q, Scenario: scenarioName(interf)}
-	start := eng.clock.Now()
-	if interf != nil && interf.Kind != "" {
-		s := start + unloadedD*interf.StartFrac
-		e := start + unloadedD*interf.EndFrac
-		if interf.EndFrac <= interf.StartFrac {
-			e = start + unloadedD*1000
-		}
-		iv := vclock.Interval{Start: s, End: e}
-		switch interf.Kind {
-		case "io":
-			iv.IOFactor = interf.Factor
-		case "cpu":
-			iv.CPUFactor = interf.Factor
-		default:
-			return nil, fmt.Errorf("harness: unknown interference kind %q", interf.Kind)
-		}
-		prof, err := vclock.NewLoadProfile(iv)
-		if err != nil {
-			return nil, fmt.Errorf("harness: building load profile: %w", err)
-		}
-		eng.clock.SetProfile(prof)
-		res.InterfStart = s - start
-		res.InterfEnd = e - start
-	}
-
-	ind := core.New(eng.clock, d, r.indicatorOptions())
-	res.InitialEstU = ind.InitialTotalU()
-	ind.Start()
-
-	env := &exec.Env{
-		Pool:         eng.cat.Pool(),
-		Clock:        eng.clock,
-		WorkMemPages: r.WorkMemPages,
-		Reporter:     ind,
-		Decomp:       d,
-	}
-	rows, err := exec.Run(env, p, nil)
-	if err != nil {
-		return nil, fmt.Errorf("harness: Q%d: %w", q, err)
-	}
-	res.Rows = rows
-	res.ActualSeconds = eng.clock.Now() - start
-	res.Snapshots = ind.Snapshots()
-	if n := len(res.Snapshots); n > 0 {
-		res.ExactCostU = res.Snapshots[n-1].DoneU
-	}
-	return res, nil
-}
-
-// indicatorOptions are the indicator settings r's knobs select.
-func (r Runner) indicatorOptions() core.Options {
-	return core.Options{UpdatePeriod: r.UpdatePeriod, SpeedWindow: r.SpeedWindow}
-}
-
-func scenarioName(interf *Interference) string {
-	if interf == nil || interf.Kind == "" {
-		return "unloaded"
-	}
-	return interf.Kind + "-interference"
+	p, d, err := r.plan(eng, sql, "")
+	return eng, p, d, err
 }
 
 // Table1 loads the data set and renders the paper's Table 1.

@@ -97,7 +97,7 @@ func (r Runner) ledgerBlock(eng *engine, config string, st workload.Statement) (
 	disk0 := pool.Disk().Stats()
 
 	clk := vclock.New(r.costs(), nil)
-	ind := core.New(clk, d, r.indicatorOptions())
+	ind := core.New(clk, d, core.Options{UpdatePeriod: r.UpdatePeriod, SpeedWindow: r.SpeedWindow})
 	ind.Start()
 	cr := &countingReporter{WorkReporter: ind}
 	rows, err := exec.Run(&exec.Env{
@@ -125,7 +125,7 @@ func (r Runner) ledgerBlock(eng *engine, config string, st workload.Statement) (
 	for _, s := range snaps {
 		fmt.Fprintf(&b, "t=%s seg=%d done_u=%s est_u=%s pct=%s speed=%s remaining=%s opt_remaining=%s p=%s e1=%s e=%s\n",
 			ff(s.Elapsed), s.CurrentSegment, ff(s.DoneU), ff(s.EstTotalU), ff(s.Percent), ff(s.SpeedU),
-			ff(s.RemainingSeconds), ff(s.OptimizerRemainingSeconds), ff(s.CurrentP), ff(s.CurrentE1), ff(s.CurrentE))
+			ff(s.RemainingSeconds), ff(optimizerRemaining(ind.InitialTotalU(), r.costs().SeqPage, s.Elapsed)), ff(s.CurrentP), ff(s.CurrentE1), ff(s.CurrentE))
 	}
 	return b.String(), nil
 }
