@@ -14,7 +14,8 @@
 // ledger runs each statement on a fresh clock and prints pool, disk and
 // reporter counts; the plan golden forces join algorithms at a work_mem
 // of 4 pages; Table 1 reads the generator's data set; and OverheadProbe
-// runs the executor with and without the indicator.
+// runs the executor with and without the indicator. TestLedgerMatchesDB
+// checks that the ledger's rows, costs and refreshes are DB's.
 //
 // All times are virtual seconds. The clock's base costs are divided by
 // the data scale so that the time axes remain comparable to the paper's

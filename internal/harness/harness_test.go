@@ -1,10 +1,12 @@
 package harness
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -473,6 +475,82 @@ func TestLedgerBlocksIndependentOfOrder(t *testing.T) {
 	if rest != "" {
 		t.Fatalf("the forward rendering has more after the %s blocks:\n%s", spill.name, rest)
 	}
+}
+
+// TestLedgerMatchesDB: the ledger keeps its own engine, to run each
+// statement on a fresh clock and print counts DB does not expose; what it
+// prints of the query itself must be DB's. For each of bench/'s engine
+// configurations, a DB set up as bench/ sets one up runs every statement
+// after a cold restart. Its rows, terminal DoneU, refresh count and every
+// segment's actual U and rows equal the block's exactly. Its virtual
+// seconds agree to a relative 1e-12: DB's worker clock starts where the
+// load left it, so a difference of absolute times can move in its last
+// bits.
+func TestLedgerMatchesDB(t *testing.T) {
+	t.Parallel()
+	text := render(t, LedgerID).Text
+	r := session(t).Runner.withDefaults()
+	for _, c := range ledgerConfigs {
+		at := r
+		at.BufferPoolPages, at.WorkMemPages = c.poolPages, c.workMem
+		db, err := at.OpenDB(false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ix := range workload.BenchIndexes {
+			if err := db.CreateIndex(ix[0], ix[1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Analyze(); err != nil {
+			t.Fatal(err)
+		}
+		for _, st := range workload.BenchStatements {
+			name := c.name + " " + st.Name
+			blk := text[strings.Index(text, "== "+name+" ==\n"):]
+			lines := strings.Split(blk, "\n")[1:]
+			if err := db.ColdRestart(); err != nil {
+				t.Fatal(err)
+			}
+			res, err := db.ExecDiscard(st.SQL, nil)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			check := func(what, got, want string) {
+				if got != want {
+					t.Errorf("%s: DB's %s is %s, the ledger's %s", name, what, got, want)
+				}
+			}
+			want := ledgerFields(lines[0])
+			check("rows", strconv.Itoa(res.RowCount()), want["rows"])
+			check("done_u", ff(res.History[len(res.History)-1].DoneU), want["done_u"])
+			check("refreshes", strconv.Itoa(len(res.History)), want["refreshes"])
+			check("segments", strconv.Itoa(len(res.Segments)), want["segments"])
+			for _, s := range res.Segments {
+				seg := ledgerFields(lines[2+s.Index])
+				check(fmt.Sprintf("seg %d act_u", s.Index), ff(s.ActualCostU), seg["act_u"])
+				check(fmt.Sprintf("seg %d act_rows", s.Index), ff(s.ActualRows), seg["act_rows"])
+			}
+			virt, err := strconv.ParseFloat(want["virt_s"], 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Abs(res.VirtualSeconds-virt) > 1e-12*virt {
+				t.Errorf("%s: DB ran %v virtual seconds, the ledger %v", name, res.VirtualSeconds, virt)
+			}
+		}
+	}
+}
+
+// ledgerFields maps each key=value field of a ledger line to its value.
+func ledgerFields(line string) map[string]string {
+	m := map[string]string{}
+	for _, f := range strings.Fields(line) {
+		if k, v, ok := strings.Cut(f, "="); ok {
+			m[k] = v
+		}
+	}
+	return m
 }
 
 // The indicator's overhead is small by construction, and that is what is
