@@ -1,8 +1,9 @@
 #!/bin/sh
 # ci.sh — the repo's check suite: formatting, vet, build (library +
 # every cmd binary, the bench module), the linter, a progressd
-# start/stop, a scripted pgsh session, the ledger through experiments,
-# one pass of the root benchmarks, the optimizer benchmark, race tests.
+# start/stop, a scripted pgsh session, the ledger and a figure through
+# experiments, one pass of the root benchmarks, the optimizer benchmark,
+# race tests.
 # Run directly or via `make check`.
 set -eu
 
@@ -114,12 +115,16 @@ for want in 'SQL name *Query 2' '(100% done)' 'SeqScan lineitem .*actual rows=12
 done
 echo "ok"
 
-echo "== experiments -only ledger =="
+echo "== experiments -only ledger, -only fig13 =="
 # The third binary exercised through main(): flags into the session, the
-# -only lookup, the file write. The ledger it writes must equal the
-# committed one, and an unknown id must exit 2.
-"$bindir"/experiments -quiet -only ledger -outdir "$bindir" >/dev/null
-cmp "$bindir"/ledger.txt results/ledger.txt || { echo "experiments -only ledger differs from results/ledger.txt" >&2; exit 1; }
+# -only lookup, the file write, on both of the harness's paths — the
+# ledger on its own engine and Figure 13 (Q2 under I/O interference) on
+# progressdb.DB. Each file it writes must equal the committed one, and an
+# unknown id must exit 2.
+for file in ledger.txt fig13.csv; do
+	"$bindir"/experiments -quiet -only "${file%.*}" -outdir "$bindir" >/dev/null
+	cmp "$bindir/$file" "results/$file" || { echo "experiments -only ${file%.*} differs from results/$file" >&2; exit 1; }
+done
 rc=0
 "$bindir"/experiments -only nope -outdir "$bindir" 2>/dev/null || rc=$?
 [ "$rc" -eq 2 ] || { echo "experiments -only nope exited $rc, want 2" >&2; exit 1; }
