@@ -63,6 +63,8 @@ func BenchmarkExtraSMJProgress(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	// EstimateCostU prices the optimizer's own plan; the forced plan's
+	// initial estimate is the sum of its segments'.
 	run := &harness.RunResult{History: res.History, ActualSeconds: res.VirtualSeconds}
 	for _, s := range res.Segments {
 		run.InitialEstU += s.EstCostU

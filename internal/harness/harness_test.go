@@ -562,10 +562,10 @@ func ledgerFields(line string) map[string]string {
 // for a stream's first tuple, bulk reads and the ends of inputs and
 // segments; never per probe or per output row. So Q2 under the harness's
 // Grace-sized work_mem stays under four events per base tuple, and a run
-// without a reporter reaches the indicator not at all. results/ledger.txt
-// pins the count of every benchmark statement across runs. The per-event
-// cost that turns the count into the paper's "< 1 %" is the benchmark's
-// core.reporter_call_ns / core.indicator_modelled_pct.
+// without a reporter makes no call and counts the same work. The ledger
+// (results/ledger.txt) pins the count of every benchmark statement. The
+// per-event cost that turns the count into the paper's "< 1 %" is the
+// benchmark's core.reporter_call_ns / core.indicator_modelled_pct.
 func TestOverheadSmall(t *testing.T) {
 	r := Runner{Scale: 0.01}.withDefaults()
 	eng, p, d, err := r.compileQuery(2)
