@@ -98,7 +98,7 @@ func benchAblation(b *testing.B, r harness.Runner) {
 	var res *harness.RunResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = r.Run(2, harness.Interference{})
+		res, err = r.Run(2, harness.Interference{}, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -86,13 +86,23 @@ func NewSession(r Runner) *Session {
 	return &Session{Runner: r, cache: map[string]*RunResult{}}
 }
 
-// Result runs (or reuses) the scenario behind e.
+// Result runs (or reuses) the scenario behind e. A loaded scenario
+// places its interference from the unloaded run of the same query, run
+// (or reused) first.
 func (s *Session) Result(e Experiment) (*RunResult, error) {
 	key := e.scenarioKey()
 	if res, ok := s.cache[key]; ok {
 		return res, nil
 	}
-	res, err := s.Runner.Run(e.Query, e.Interf)
+	var unloadedD float64
+	if e.Interf.Kind != "" {
+		u, err := s.Result(Experiment{Query: e.Query})
+		if err != nil {
+			return nil, fmt.Errorf("harness: unloaded calibration run: %w", err)
+		}
+		unloadedD = u.ActualSeconds
+	}
+	res, err := s.Runner.Run(e.Query, e.Interf, unloadedD)
 	if err != nil {
 		return nil, err
 	}

@@ -162,22 +162,18 @@ func (r Runner) OpenDB(correlated bool) (*progressdb.DB, error) {
 
 // Run executes query q (1–5) under the given interference on a freshly
 // opened DB (OpenDB; Q3 on the correlated orders, as in the paper) and
-// returns its reports and ground truth.
-func (r Runner) Run(q int, interf Interference) (*RunResult, error) {
+// returns its reports and ground truth. Interference is placed at
+// fractions of unloadedD, the query's unloaded duration in virtual
+// seconds, which an unloaded Run measures (Session.Result reuses that
+// run); an unloaded Run ignores it.
+func (r Runner) Run(q int, interf Interference, unloadedD float64) (*RunResult, error) {
 	r = r.withDefaults()
 	sql, err := progressdb.PaperQuery(q)
 	if err != nil {
 		return nil, err
 	}
-	// Interference timing is relative to the unloaded duration; measure
-	// that first on an identical DB when needed.
-	var unloadedD float64
-	if interf.Kind != "" {
-		u, err := r.Run(q, Interference{})
-		if err != nil {
-			return nil, fmt.Errorf("harness: unloaded calibration run: %w", err)
-		}
-		unloadedD = u.ActualSeconds
+	if interf.Kind != "" && !(unloadedD > 0) {
+		return nil, fmt.Errorf("harness: Q%d: interference needs the unloaded duration, got %g", q, unloadedD)
 	}
 	db, err := r.OpenDB(q == 3)
 	if err != nil {
