@@ -17,8 +17,9 @@ vet:
 fmt:
 	gofmt -w .
 
-# The repo's own go/analysis-style suite (DESIGN.md §7). Exit 1 means
-# findings; fix them or add `//lint:ignore <analyzer> <reason>`.
+# The repo's own go/analysis-style suite (DESIGN.md §7): errwrap and
+# lockdisc. Exit 1 means findings; fix them or add
+# `//lint:ignore <analyzer> <reason>`.
 lint:
 	go run ./cmd/progresslint ./...
 

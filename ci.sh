@@ -53,17 +53,18 @@ go build -o "$bindir" ./cmd/...
 ls "$bindir"
 
 echo "== progresslint =="
-# The repo's own analyzers (DESIGN.md §7): wall-clock bans in engine
-# packages, executor cancellation safe points, error wrapping, no
-# blocking under a lock (directly, through module calls or
-# through function values). Exit 1 =
-# findings, 2 = the module failed to load. `go test ./...` runs the same
-# suite as TestModuleLintClean; this is the binary's end-to-end check.
+# The repo's own analyzers (DESIGN.md §7), the two rules that need type
+# information: error wrapping, and no blocking under a lock (directly,
+# through module calls or through function values). Virtual time and
+# the cancel bound are tests (TestEngineImportsNoTime, TestUnwindSweep).
+# Exit 1 = findings, 2 = the module failed to load. `go test ./...` runs
+# the same suite as TestModuleLintClean; this is the binary's end-to-end
+# check.
 "$bindir"/progresslint ./...
 
 echo "== fuzz smoke =="
 # Short deterministic-budget runs of the fuzz targets; `make fuzz`
-# runs them open-ended.
+# runs them open-ended. FuzzUnwind's points check the cancel bound too.
 go test -run FuzzParse -fuzz FuzzParse -fuzztime 10s ./internal/faultinject/
 go test -run FuzzParseStatement -fuzz FuzzParseStatement -fuzztime 10s ./internal/sqlparser/
 go test -run FuzzDecodeInto -fuzz FuzzDecodeInto -fuzztime 5s ./internal/tuple/

@@ -1,12 +1,12 @@
 // Package analysis is a dependency-free reimplementation of the core of
 // golang.org/x/tools/go/analysis, sized for this repository. It exists
-// because the engine's correctness arguments — monotone U accounting on
-// a deterministic virtual clock, cancellation at Yield safe points,
-// leak-free error unwinding, a stable metrics namespace, reliable error
-// unwrapping — rest on *conventions* that ordinary tests cannot see
-// being eroded. The checks in internal/analysis/checks turn those
-// conventions into machine-checked invariants; cmd/progresslint runs
-// them over the whole module in CI.
+// because two of the engine's correctness arguments — reliable error
+// unwrapping and no blocking while a lock is held — rest on
+// *conventions* that ordinary tests cannot see being eroded: a flattened
+// error or a blocking call under a mutex goes wrong only on a path a test
+// rarely takes. The checks in internal/analysis/checks turn those
+// conventions into machine-checked invariants over types;
+// cmd/progresslint runs them over the whole module in CI.
 //
 // The framework deliberately mirrors the x/tools API shape (Analyzer,
 // Pass, Reportf, analysistest-style fixtures with "// want" comments)
@@ -64,8 +64,8 @@ type Pass struct {
 	// in deterministic (file name) order.
 	Files []*ast.File
 	// Path is the package's effective import path. Fixture packages
-	// assume the path of the package whose rules they exercise (e.g. a
-	// safepoint fixture runs with Path "progressdb/internal/exec").
+	// assume the path of the package they stand in for (e.g. a lockdisc
+	// fixture runs with Path "progressdb/internal/server").
 	Path string
 	// Pkg and TypesInfo hold the full go/types results.
 	Pkg       *types.Package

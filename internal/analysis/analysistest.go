@@ -16,13 +16,13 @@ import (
 //	// want "regexp" ["regexp" ...]
 //
 // comments on lines where diagnostics are expected, and are
-// type-checked as a synthetic package under an assumed import path so
-// path-scoped analyzers (e.g. safepoint, which only fires inside
-// progressdb/internal/exec) can be exercised from anywhere. A fixture
-// fails the test both when an expected diagnostic is missing (the
-// analyzer is broken) and when an unexpected one appears (the analyzer
-// over-reports), so every fixture is also the "fails without the
-// analyzer" proof the CI contract asks for.
+// type-checked as a synthetic package under an assumed import path, so
+// a fixture can stand in for any package of the module (lockdisc names
+// a mutex by its package's path). A fixture fails the test both when an
+// expected diagnostic is missing (the analyzer is broken) and when an
+// unexpected one appears (the analyzer over-reports), so every fixture
+// is also the "fails without the analyzer" proof the CI contract asks
+// for.
 
 var (
 	fixtureOnce sync.Once

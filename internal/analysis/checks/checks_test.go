@@ -11,64 +11,6 @@ import (
 // test, so the fixture fails without the analyzer) and pins down what
 // it must NOT flag (any extra diagnostic fails the test too).
 
-func TestVclockTimeFixture(t *testing.T) {
-	analysis.RunFixture(t, VclockTime,
-		"progressdb/internal/storage",
-		"testdata/vclocktime/engine.go")
-}
-
-// TestVclockTimeOutsideEngine re-checks the same wall-clock-using
-// source under a non-engine path: the server's wall timings are
-// legitimate, so nothing may be reported.
-func TestVclockTimeOutsideEngine(t *testing.T) {
-	analysis.RunSource(t, []*analysis.Analyzer{VclockTime},
-		"progressdb/internal/server", "server_fixture.go", `
-package fixture
-
-import "time"
-
-func wallLatency() time.Duration {
-	start := time.Now()
-	time.Sleep(time.Millisecond)
-	return time.Since(start)
-}
-`)
-}
-
-func TestSafepointFixture(t *testing.T) {
-	analysis.RunFixture(t, Safepoint,
-		"progressdb/internal/exec",
-		"testdata/safepoint/loops.go")
-}
-
-// TestSafepointOutsideExec: the same unsafe loop shape in another
-// package is out of scope (only the executor carries the invariant),
-// so a loop that would be flagged in internal/exec reports nothing.
-func TestSafepointOutsideExec(t *testing.T) {
-	analysis.RunSource(t, []*analysis.Analyzer{Safepoint},
-		"progressdb/internal/btree", "btree_fixture.go", `
-package fixture
-
-type scanner struct{}
-
-func (scanner) Next() ([]byte, int, bool) { return nil, 0, false }
-
-type clock struct{}
-
-func (clock) ChargeCPU(n float64) {}
-
-func drain(sc scanner, c clock) {
-	for {
-		_, _, ok := sc.Next()
-		if !ok {
-			return
-		}
-		c.ChargeCPU(1)
-	}
-}
-`)
-}
-
 func TestErrwrapFixture(t *testing.T) {
 	analysis.RunFixture(t, Errwrap,
 		"progressdb/internal/faultinject",

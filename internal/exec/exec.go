@@ -135,7 +135,9 @@ func (e *Env) ReclaimTemps() int {
 // cancelEvery is how many safe-point passes elapse between context
 // polls. Cancellation latency is therefore bounded by cancelEvery
 // tuples of work — microseconds of real time — while the per-tuple hot
-// path pays only a counter increment and a branch.
+// path pays only a counter increment and a branch. TestUnwindSweep
+// holds the bound: from a cancel to the run's return, at most
+// cancelEvery CPU units.
 const cancelEvery = 64
 
 // CanceledError reports that execution stopped at a safe point because

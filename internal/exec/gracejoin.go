@@ -213,7 +213,7 @@ func (g *graceJoin) loadBuildBatch(b int) error {
 		}
 		// Safe point: rebuilding a spilled batch table is unbounded work
 		// driven by a raw reader, so it must poll for cancellation
-		// itself (found by progresslint's safepoint analyzer).
+		// itself (TestUnwindSweep's cancel bound checks it).
 		if err := g.env.yield(); err != nil {
 			return err
 		}

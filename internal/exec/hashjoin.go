@@ -294,8 +294,8 @@ func (h *hashJoin) loadBatch(b int) error {
 			break
 		}
 		// Safe point: reloading a spilled build batch streams from a raw
-		// reader, outside any child Iterator's yield chain (found by
-		// progresslint's safepoint analyzer).
+		// reader, outside any child Iterator's yield chain
+		// (TestUnwindSweep's cancel bound checks it).
 		if err := h.env.yield(); err != nil {
 			return err
 		}

@@ -256,7 +256,7 @@ func (s *sortIter) intermediateMerges() error {
 				// Safe point: intermediate merges re-stream every spilled
 				// byte without touching a child Iterator, so a cancel
 				// mid-merge would otherwise go unseen until all passes
-				// finish (found by progresslint's safepoint analyzer).
+				// finish (TestUnwindSweep's cancel bound checks it).
 				if err := s.env.yield(); err != nil {
 					return err
 				}

@@ -27,26 +27,35 @@ import (
 // and a cancel at evenly spaced safe points. A run that did not panic
 // must leave nothing behind before Env.ReleaseScans and Env.ReclaimTemps
 // run; those two are the backstop for a panic only, which skips every
-// Close.
+// Close. A canceled run must also stop within the bound cancelEvery
+// documents: from the cancel to the return, the clock charges at most
+// cancelEvery CPU units, so a loop that streams rows without passing a
+// safe point fails here.
 
-type unwindStatement struct{ name, sql, algo string }
+// unwindStatement is one statement of the sweep: the join algorithm it is
+// forced to ("": the optimizer's choice), and an operator its plan must
+// hold at the spilling work_mem ("": none).
+type unwindStatement struct{ name, sql, algo, plans string }
 
 // unwindStatements are the benchmark's nine analytic statements (the
 // paper's Q1–Q5, a sort, a small and a large aggregate, a semi-join),
 // plus Q2 under merge joins, whose inputs are spilling sorts, Q3 under
-// nested loops, whose inner is materialized, and a hybrid hash join
-// whose build is three times its estimate (absolute(k) > 0 is taken for
-// 1/3) and whose probe keys all but miss it: at 2 pages the join spills
-// at run time and re-reads spilled probe batches that return no row.
+// nested loops, whose inner is materialized, a hybrid hash join whose
+// build is three times its estimate (absolute(k) > 0 is taken for 1/3)
+// and whose probe keys all but miss it: at 2 pages the join spills at run
+// time and re-reads spilled probe batches that return no row; and the
+// same join without the filter, which plans a Grace join at 2 pages whose
+// probe partitions return no row either.
 var unwindStatements = func() []unwindStatement {
 	var out []unwindStatement
 	for _, st := range workload.BenchStatements[:workload.Mix9] {
-		out = append(out, unwindStatement{st.Name, st.SQL, ""})
+		out = append(out, unwindStatement{st.Name, st.SQL, "", ""})
 	}
 	q2, q3 := out[1].sql, out[2].sql
-	return append(out, unwindStatement{"q2 merge", q2, "merge"}, unwindStatement{"q3 nl", q3, "nl"},
-		unwindStatement{"no-match spill", `select o.orderdate, l.linestatus from orders o, lineitem l
-			where o.orderkey = l.partkey and absolute(o.orderkey) > 0`, ""})
+	const noMatch = `select o.orderdate, l.linestatus from orders o, lineitem l where o.orderkey = l.partkey`
+	return append(out, unwindStatement{"q2 merge", q2, "merge", ""}, unwindStatement{"q3 nl", q3, "nl", ""},
+		unwindStatement{"no-match spill", noMatch + " and absolute(o.orderkey) > 0", "", ""},
+		unwindStatement{"grace no-match", noMatch, "", "GraceHashJoin"})
 }()
 
 // unwindWorkMem spills every blocking operator that can spill (2 pages)
@@ -166,6 +175,9 @@ type unwindRun struct {
 	panic  any
 	io     faultinject.Stats
 	yields int64 // safe points passed
+	// afterCancel is the CPU units the clock charged from the cancel to
+	// the return (0: no cancel).
+	afterCancel float64
 }
 
 func newUnwindSweep(t testing.TB) *unwindSweep {
@@ -211,6 +223,9 @@ func (s *unwindSweep) ref(t testing.TB, i, wm int) *unwindRef {
 	}
 	ref.temp, ref.base = ref.want.io, base.io
 	coverOps(p, coll, ref.cover)
+	if st.plans != "" && wm == unwindWorkMem[0] && !ref.cover[st.plans] {
+		t.Fatalf("%s at work_mem %d plans no %s\n%s", st.name, wm, st.plans, plan.Format(p))
+	}
 	s.refs[[2]int{i, wm}] = ref
 	return ref
 }
@@ -243,9 +258,13 @@ func (s *unwindSweep) run(ref *unwindRef, cfg faultinject.Config, cancelAt int64
 	ctx, cancel := context.WithCancel(context.Background())
 	env = &Env{Pool: s.pool, Clock: s.clock, WorkMemPages: ref.wm,
 		Decomp: segment.Decompose(ref.plan, ref.wm), Ctx: ctx, Collect: coll}
+	canceledAt := -1.0 // the clock's CPU units at the cancel
 	stop := func() {
 		cancel()
 		env.nyield = cancelEvery - 1 // the next safe point's poll sees it
+		// The clock, not the disk's counters: a cancel at a temp-file
+		// read runs under the disk's lock.
+		canceledAt = s.clock.UnitsOf(vclock.CPU)
 	}
 	onRead := cfg.Target == faultinject.TargetTemp
 	env.Yield = func() {
@@ -273,12 +292,16 @@ func (s *unwindSweep) run(ref *unwindRef, cfg faultinject.Config, cancelAt int64
 		return nil
 	})
 	r.sum = h.Sum64()
+	if canceledAt >= 0 {
+		r.afterCancel = s.clock.UnitsOf(vclock.CPU) - canceledAt
+	}
 	return r, env
 }
 
 // point runs ref stopped at point n of kind k and checks the unwind: a
-// typed error or the reference rows (a CanceledError after a cancel), and
-// nothing left behind — before the backstop, or after it for a panic.
+// typed error or the reference rows (a CanceledError within cancelEvery
+// CPU units after a cancel), and nothing left behind — before the
+// backstop, or after it for a panic.
 func (s *unwindSweep) point(ref *unwindRef, k unwindKind, n int64) error {
 	cfg, cancelAt := k.arm(n)
 	at := cfg.String()
@@ -313,6 +336,8 @@ func (s *unwindSweep) point(ref *unwindRef, k unwindKind, n int64) error {
 		return fmt.Errorf("%s: untyped error %v", at, r.err)
 	case cancelAt > 0 && !errors.As(r.err, &canceled):
 		return fmt.Errorf("%s: the cancel was never heard (the run returned %v)", at, r.err)
+	case r.afterCancel > cancelEvery:
+		return fmt.Errorf("%s: the clock charged %g CPU units after the cancel, want at most %d", at, r.afterCancel, cancelEvery)
 	}
 	return nil
 }
