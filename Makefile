@@ -25,7 +25,7 @@ lint:
 
 # Open-ended fuzzing of the two engine-boundary parsers, the record decoder,
 # the executor's int hash table, sort order, scan page index and unwind points,
-# and the equivalence harness's query seeds.
+# the equivalence harness's query seeds and ExecGroup's start gate.
 # Override the budget per target:
 # make fuzz FUZZTIME=5m
 FUZZTIME ?= 60s
@@ -39,6 +39,7 @@ fuzz:
 	go test -run FuzzScanIndex -fuzz FuzzScanIndex -fuzztime $(FUZZTIME) ./internal/exec/
 	go test -run FuzzUnwind -fuzz FuzzUnwind -fuzztime $(FUZZTIME) ./internal/exec/
 	go test -run FuzzEquivalence -fuzz FuzzEquivalence -fuzztime $(FUZZTIME) .
+	go test -run FuzzGroupStart -fuzz FuzzGroupStart -fuzztime $(FUZZTIME) .
 
 # Randomized fault-schedule property suite at full depth (DESIGN.md §6):
 # hundreds of deterministic random fault schedules under -race, each

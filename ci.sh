@@ -74,6 +74,7 @@ go test -run FuzzSortOrder -fuzz FuzzSortOrder -fuzztime 5s ./internal/exec/
 go test -run FuzzScanIndex -fuzz FuzzScanIndex -fuzztime 5s ./internal/exec/
 go test -run FuzzUnwind -fuzz FuzzUnwind -fuzztime 10s ./internal/exec/
 go test -run FuzzEquivalence -fuzz FuzzEquivalence -fuzztime 20s .
+go test -run FuzzGroupStart -fuzz FuzzGroupStart -fuzztime 5s .
 
 echo "== progressd start/stop =="
 # The one check that goes through main() itself — flags into Config, the

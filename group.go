@@ -3,10 +3,12 @@ package progressdb
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime/debug"
 	"strings"
 
 	"progressdb/internal/exec"
+	"progressdb/internal/vclock"
 )
 
 // GroupQuery is one member of a concurrently executing query group.
@@ -72,6 +74,7 @@ const sliceTuples = 128
 // groupWorker is one query's execution state within a group.
 type groupWorker struct {
 	q        GroupQuery
+	start    int64 // the base clock's tick at which q may start
 	token    chan struct{}
 	finished bool
 	err      error
@@ -96,11 +99,14 @@ func (db *DB) ExecGroup(queries []GroupQuery) ([]*Result, error) {
 	if len(queries) == 0 {
 		return nil, nil
 	}
+	// Each member's start is a tick, saturating at the clock's last, so
+	// the gate below idles exactly to it.
+	groupStart := db.clock.Ticks()
 	workers := make([]*groupWorker, len(queries))
 	for i, q := range queries {
-		workers[i] = &groupWorker{q: q, token: make(chan struct{}, 1)}
+		start := groupStart + min(vclock.TicksOf(q.StartAt), math.MaxInt64-groupStart)
+		workers[i] = &groupWorker{q: q, start: start, token: make(chan struct{}, 1)}
 	}
-	groupStart := db.clock.Now()
 	done := make(chan int, len(queries))
 
 	// next passes the token to the next unfinished worker after i;
@@ -114,48 +120,32 @@ func (db *DB) ExecGroup(queries []GroupQuery) ([]*Result, error) {
 			}
 		}
 	}
-	// earliestPendingStart finds when the next not-yet-started query is
-	// due; the token holder idles the clock to it when nothing else can
-	// run.
-	earliestPendingStart := func() float64 {
-		earliest := -1.0
+	// earliestStart is the first start tick of an unfinished query: one
+	// that has come can run.
+	earliestStart := func() int64 {
+		earliest := int64(math.MaxInt64)
 		for _, w := range workers {
-			if w.finished {
-				continue
-			}
-			at := groupStart + w.q.StartAt
-			if earliest < 0 || at < earliest {
-				earliest = at
+			if !w.finished {
+				earliest = min(earliest, w.start)
 			}
 		}
 		return earliest
-	}
-	anyRunnableNow := func() bool {
-		for _, w := range workers {
-			if !w.finished && db.clock.Now() >= groupStart+w.q.StartAt {
-				return true
-			}
-		}
-		return false
 	}
 
 	for i, w := range workers {
 		go func(i int, w *groupWorker) {
 			defer func() { done <- i }()
-			myStart := groupStart + w.q.StartAt
 
-			// Gate on the start time: pass the token along while other
+			// Gate on the start tick: pass the token along while other
 			// queries run; idle the clock when nothing else can.
 			<-w.token
-			for db.clock.Now() < myStart {
-				if anyRunnableNow() {
-					next(i)
-					<-w.token
+			for db.clock.Ticks() < w.start {
+				if at := earliestStart(); at > db.clock.Ticks() {
+					db.clock.IdleUntil(at)
 					continue
 				}
-				if at := earliestPendingStart(); at > db.clock.Now() {
-					db.clock.Idle(at - db.clock.Now())
-				}
+				next(i)
+				<-w.token
 			}
 
 			steps := 0

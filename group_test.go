@@ -4,6 +4,9 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
+
+	"progressdb/internal/vclock"
 )
 
 func groupDB(t *testing.T) *DB {
@@ -209,4 +212,35 @@ func TestExecGroupManyQueries(t *testing.T) {
 			t.Fatalf("query %d final: %+v", i, final)
 		}
 	}
+}
+
+// FuzzGroupStart: a member starts however its StartAt falls against the
+// base clock's ticks. The base clock is set to clockTicks, then one member
+// of a one-row scan starts startAtMillis later; ExecGroup must return.
+// The seed is a start between two ticks, where an idle computed in float
+// seconds rounded to 0 ticks and the start gate spun without moving the
+// clock.
+func FuzzGroupStart(f *testing.F) {
+	f.Add(vclock.TicksOf(3336.236578760367), int64(300))
+	f.Add(int64(0), int64(0))
+	f.Add(int64(1), int64(-1))
+	f.Fuzz(func(t *testing.T, clockTicks, startAtMillis int64) {
+		db := Open(Config{BufferPoolPages: 8})
+		db.MustCreateTable("one", Col("k", Int))
+		db.MustInsert("one", int64(1))
+		db.clock.IdleUntil(clockTicks)
+		done := make(chan error, 1)
+		go func() {
+			_, err := db.ExecGroup([]GroupQuery{{Name: "m", SQL: "select * from one", StartAt: float64(startAtMillis) / 1000}})
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("clock %d ticks, StartAt %d ms: ExecGroup has not returned after 10 s", clockTicks, startAtMillis)
+		}
+	})
 }

@@ -5,6 +5,7 @@ import (
 
 	"progressdb/internal/segment"
 	"progressdb/internal/storage"
+	"progressdb/internal/vclock"
 )
 
 // pageBytes converts byte counts to U.
@@ -52,10 +53,10 @@ func (ind *Indicator) SegmentReports() []SegmentReport {
 		}
 		if ss.done {
 			r.ActualOutRows = float64(ss.seg.Count.OutTuples)
-			r.StartT, r.EndT = ss.startT, ss.endT
+			r.StartT, r.EndT = vclock.Seconds(ss.startT), vclock.Seconds(ss.endT)
 		} else if ss.started {
 			r.ActualOutRows = float64(ss.seg.Count.OutTuples)
-			r.StartT, r.EndT = ss.startT, ind.clock.Now()
+			r.StartT, r.EndT = vclock.Seconds(ss.startT), ind.clock.Now()
 		}
 		if ss.seg.Final {
 			// The final segment's output is the result set: not counted

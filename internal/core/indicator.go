@@ -80,8 +80,6 @@ func (o Options) withDefaults() Options {
 // Snapshot is one refresh of the progress display (the paper's Figure 2
 // fields, plus the step-counting baseline its introduction criticizes).
 type Snapshot struct {
-	// Time is the virtual time of the snapshot (seconds since clock 0).
-	Time float64
 	// Elapsed is seconds since the query started.
 	Elapsed float64
 	// EstTotalU is the continuously refined estimate of the query cost,
@@ -119,10 +117,10 @@ type segState struct {
 	// exact marks the inputs whose first pass is complete.
 	exact []bool
 
-	// startT and endT bound the segment's active period (virtual time);
+	// startT and endT bound the segment's active period, in ticks;
 	// segments execute one at a time, so observed per-segment speeds are
 	// doneBytes over that span.
-	startT, endT float64
+	startT, endT int64
 
 	// e1 is the output-cardinality estimate fixed at segment start.
 	e1 float64
@@ -153,9 +151,10 @@ type Indicator struct {
 	opts   Options
 
 	segs      []segState
-	startTime float64
+	startTime int64 // ticks, as are all the indicator's times
 	finished  bool
 
+	window  int64    // SpeedWindow, in ticks
 	samples []sample // trailing work samples for speed
 
 	initTotalBytes float64
@@ -172,7 +171,7 @@ type Indicator struct {
 }
 
 type sample struct {
-	t   float64
+	t   int64
 	cum float64
 }
 
@@ -202,12 +201,17 @@ func New(clock *vclock.Clock, decomp *segment.Decomposition, opts Options) *Indi
 
 // Start begins monitoring: records the start time and registers the
 // snapshot ticker and the speed-sampling ticker, which samples ten
-// times per window T.
+// times per window T. The periods convert to ticks here, once.
 func (ind *Indicator) Start() {
-	ind.startTime = ind.clock.Now()
+	ind.startTime = ind.clock.Ticks()
+	ind.window = vclock.TicksOf(ind.opts.SpeedWindow)
 	ind.samples = append(ind.samples[:0], sample{t: ind.startTime, cum: 0})
-	ind.sampleTicker = ind.clock.AddTicker(ind.opts.SpeedWindow/10, ind.onSample)
-	ind.updateTicker = ind.clock.AddTicker(ind.opts.UpdatePeriod, ind.onUpdate)
+	ind.sampleTicker = ind.clock.AddTicker(vclock.TicksOf(ind.opts.SpeedWindow/10), ind.onSample)
+	ind.updateTicker = ind.clock.AddTicker(vclock.TicksOf(ind.opts.UpdatePeriod), func(int64) {
+		if !ind.finished {
+			ind.takeSnapshot()
+		}
+	})
 }
 
 // Stop detaches the tickers; called automatically when the final segment
@@ -255,7 +259,7 @@ func (ind *Indicator) totalDone() float64 {
 func (ind *Indicator) markStarted(ss *segState) {
 	if !ss.started {
 		ss.started = true
-		ss.startT = ind.clock.Now()
+		ss.startT = ind.clock.Ticks()
 	}
 }
 
@@ -317,7 +321,7 @@ func (ind *Indicator) SegmentDone(seg int) {
 	ind.clock.Sync()
 	ss := &ind.segs[seg]
 	ss.done = true
-	ss.endT = ind.clock.Now()
+	ss.endT = ind.clock.Ticks()
 	for i := range ss.exact {
 		ss.exact[i] = true
 	}
@@ -477,11 +481,11 @@ func (ind *Indicator) estimate() estimation {
 
 // --- speed monitoring (Section 4.6) ---
 
-func (ind *Indicator) onSample(now float64) {
+func (ind *Indicator) onSample(now int64) {
 	ind.samples = append(ind.samples, sample{t: now, cum: ind.totalDone()})
 	// Prune samples older than the window (keep one beyond the edge for
 	// interpolation).
-	cutoff := now - ind.opts.SpeedWindow
+	cutoff := now - ind.window
 	firstKeep := 0
 	for i := len(ind.samples) - 1; i >= 0; i-- {
 		if ind.samples[i].t <= cutoff {
@@ -493,32 +497,24 @@ func (ind *Indicator) onSample(now float64) {
 }
 
 // speed returns the monitored execution speed in bytes per virtual
-// second, given the work done so far: work done in the trailing
-// SpeedWindow seconds (or the overall average before a full window has
+// second at tick now, given the work done so far: work done in the
+// trailing SpeedWindow (or the overall average before a full window has
 // elapsed).
-func (ind *Indicator) speed(now, totalDone float64) float64 {
+func (ind *Indicator) speed(now int64, totalDone float64) float64 {
 	elapsed := now - ind.startTime
 	if elapsed <= 0 {
 		return 0
 	}
-	if len(ind.samples) == 0 || elapsed < ind.opts.SpeedWindow {
-		return totalDone / elapsed
+	if len(ind.samples) == 0 || elapsed < ind.window {
+		return totalDone / vclock.Seconds(elapsed)
 	}
+	// A full window has passed, so the oldest kept sample is at least a
+	// window back, or is the start.
 	base := ind.samples[0]
-	dt := now - base.t
-	if dt <= 0 {
-		return totalDone / elapsed
-	}
-	return (totalDone - base.cum) / dt
+	return (totalDone - base.cum) / vclock.Seconds(now-base.t)
 }
 
 // --- snapshots ---
-
-func (ind *Indicator) onUpdate(float64) {
-	if !ind.finished {
-		ind.takeSnapshot()
-	}
-}
 
 func (ind *Indicator) takeSnapshot() {
 	// Publishing a report is a sync point for the shared clock group
@@ -550,7 +546,7 @@ func (ind *Indicator) observe(snap Snapshot) {
 func (ind *Indicator) Current() Snapshot { return ind.buildSnapshot() }
 
 func (ind *Indicator) buildSnapshot() Snapshot {
-	now := ind.clock.Now()
+	now := ind.clock.Ticks()
 	est := ind.estimate()
 	totalDone := ind.totalDone()
 	if est.totalBytes < totalDone {
@@ -566,8 +562,7 @@ func (ind *Indicator) buildSnapshot() Snapshot {
 	}
 
 	snap := Snapshot{
-		Time:           now,
-		Elapsed:        now - ind.startTime,
+		Elapsed:        vclock.Seconds(now - ind.startTime),
 		EstTotalU:      est.totalBytes / storage.PageSize,
 		DoneU:          totalDone / storage.PageSize,
 		SpeedU:         speed / storage.PageSize,

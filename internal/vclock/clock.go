@@ -84,8 +84,7 @@ func DefaultCosts() Costs {
 
 // baseTicks returns the unloaded cost of one unit of each kind, in ticks.
 func (c Costs) baseTicks() [3]int64 {
-	return [3]int64{SeqIO: round(c.SeqPage * ticksPerSecond),
-		RandIO: round(c.RandPage * ticksPerSecond), CPU: round(c.CPUTuple * ticksPerSecond)}
+	return [3]int64{SeqIO: TicksOf(c.SeqPage), RandIO: TicksOf(c.RandPage), CPU: TicksOf(c.CPUTuple)}
 }
 
 const (
@@ -103,7 +102,12 @@ func round(x float64) int64 {
 	return int64(math.Round(max(x, -never)))
 }
 
-func seconds(t int64) float64 { return float64(t) / ticksPerSecond }
+// Seconds converts a tick count to virtual seconds.
+func Seconds(t int64) float64 { return float64(t) / ticksPerSecond }
+
+// TicksOf converts s virtual seconds to the nearest whole tick, saturating
+// at the last tick.
+func TicksOf(s float64) int64 { return round(s * ticksPerSecond) }
 
 // loaded returns the ticks one unit costing b base ticks takes at factor f.
 func loaded(b int64, f float64) int64 { return round(float64(b) * f) }
@@ -180,10 +184,10 @@ func (p *LoadProfile) factorAt(t int64, kind WorkKind) (factor float64, until in
 		return 1, never
 	}
 	for _, iv := range p.intervals {
-		if start := round(iv.Start * ticksPerSecond); t < start {
+		if start := TicksOf(iv.Start); t < start {
 			return 1, start
 		}
-		if end := round(iv.End * ticksPerSecond); t < end {
+		if end := TicksOf(iv.End); t < end {
 			return iv.factor(kind), end
 		}
 	}
@@ -192,11 +196,11 @@ func (p *LoadProfile) factorAt(t int64, kind WorkKind) (factor float64, until in
 
 // Ticker is a callback registered with a Clock that fires at a fixed
 // virtual period. Fires happen synchronously inside Advance, in tick-time
-// order, with the tick's nominal time (an exact multiple of the period plus
-// the registration time).
+// order, with the tick's nominal time in ticks (an exact multiple of the
+// period plus the registration time).
 type Ticker struct {
 	period, next int64
-	fn           func(now float64)
+	fn           func(now int64)
 }
 
 // Clock is a deterministic virtual clock. It is not safe for concurrent
@@ -239,7 +243,10 @@ func New(costs Costs, profile *LoadProfile) *Clock {
 }
 
 // Now returns the current virtual time in seconds.
-func (c *Clock) Now() float64 { return seconds(c.now + c.pend*c.cpu) }
+func (c *Clock) Now() float64 { return Seconds(c.Ticks()) }
+
+// Ticks returns the current virtual time in ticks.
+func (c *Clock) Ticks() int64 { return c.now + c.pend*c.cpu }
 
 // SetProfile replaces the load profile from the current time onward
 // (used to start interference relative to a query's start time).
@@ -258,17 +265,16 @@ func (c *Clock) UnitsOf(kind WorkKind) float64 {
 	return units(c.work[kind], c.base[kind])
 }
 
-// AddTicker registers fn to fire every period virtual seconds, starting one
-// period from now. It returns the ticker so it can be removed. A period
-// beyond the clock's range never fires.
-func (c *Clock) AddTicker(period float64, fn func(now float64)) *Ticker {
-	p := round(period * ticksPerSecond)
-	if !(period > 0) || p <= 0 {
+// AddTicker registers fn to fire every period ticks, starting one period
+// from now. It returns the ticker so it can be removed. A period of never
+// (what TicksOf saturates to) never fires.
+func (c *Clock) AddTicker(period int64, fn func(now int64)) *Ticker {
+	if period <= 0 {
 		//lint:ignore errwrap sanctioned: a non-positive period would spin the virtual clock forever; programmer error at wiring time
 		panic("vclock: non-positive ticker period")
 	}
 	c.settle()
-	t := &Ticker{period: p, next: satAdd(c.now, p), fn: fn}
+	t := &Ticker{period: period, next: satAdd(c.now, period), fn: fn}
 	c.tickers = append(c.tickers, t)
 	c.setRoom()
 	return t
@@ -360,8 +366,16 @@ func (c *Clock) Sync() {
 // to model think time between queries).
 func (c *Clock) Idle(d float64) {
 	if d > 0 {
-		c.settle()
-		c.moveTo(satAdd(c.now, round(d*ticksPerSecond)))
+		c.IdleUntil(satAdd(c.Ticks(), TicksOf(d)))
+	}
+}
+
+// IdleUntil advances the clock to tick t without charging work; a t
+// already reached is a no-op.
+func (c *Clock) IdleUntil(t int64) {
+	c.settle()
+	if t > c.now {
+		c.moveTo(t)
 		c.setRoom()
 	}
 }
@@ -419,7 +433,7 @@ func (c *Clock) moveTo(t int64) {
 		c.now = earliest.next
 		earliest.next = satAdd(earliest.next, earliest.period)
 		c.room = 0 // a charge from the callback takes the slow path
-		earliest.fn(seconds(c.now))
+		earliest.fn(c.now)
 		c.settle() // and a batch it charged after AddTicker ends here
 	}
 	c.now = max(c.now, t)

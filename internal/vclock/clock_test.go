@@ -141,7 +141,7 @@ func TestTicksSaturate(t *testing.T) {
 		c := New(DefaultCosts(), tc.profile)
 		fired := 0
 		for _, period := range []float64{1e9, math.Inf(1)} {
-			c.AddTicker(period, func(float64) { fired++ })
+			c.AddTicker(TicksOf(period), func(int64) { fired++ })
 		}
 		prev := c.Now()
 		step := func(what string) {
@@ -156,7 +156,7 @@ func TestTicksSaturate(t *testing.T) {
 		step("a page charge across the interval's start")
 		c.Idle(1e300)
 		step("Idle(1e300)")
-		if got, want := c.Now(), seconds(never); got != want {
+		if got, want := c.Now(), Seconds(never); got != want {
 			t.Fatalf("%s: Idle(1e300) reached %v, want the last tick %v", tc.name, got, want)
 		}
 		c.ChargeCPU(5)
@@ -165,36 +165,36 @@ func TestTicksSaturate(t *testing.T) {
 		c.Idle(1)
 		step("charges at the end of time")
 	}
-	for _, period := range []float64{0, -1, math.NaN(), 1e-13} {
+	for _, period := range []int64{0, -1, TicksOf(-1e300), TicksOf(1e-13)} {
 		func() {
 			defer func() {
 				if recover() == nil {
 					t.Errorf("AddTicker(%v) did not panic", period)
 				}
 			}()
-			New(DefaultCosts(), nil).AddTicker(period, func(float64) {})
+			New(DefaultCosts(), nil).AddTicker(period, func(int64) {})
 		}()
 	}
 }
 
 func TestTickers(t *testing.T) {
 	c := New(Costs{SeqPage: 0.1, RandPage: 0.1, CPUTuple: 0.1}, nil)
-	var fires []float64
-	c.AddTicker(1.0, func(now float64) { fires = append(fires, now) })
+	var fires []int64
+	c.AddTicker(TicksOf(1), func(now int64) { fires = append(fires, now) })
 	c.ChargeSeqIO(35) // 3.5s
-	want := []float64{1, 2, 3}
+	want := []int64{TicksOf(1), TicksOf(2), TicksOf(3)}
 	if len(fires) != len(want) {
 		t.Fatalf("fires = %v, want %v", fires, want)
 	}
 	for i := range want {
-		if !almost(fires[i], want[i]) {
+		if fires[i] != want[i] {
 			t.Fatalf("fires = %v, want %v", fires, want)
 		}
 	}
-	// The callback observes the nominal tick time as Now().
-	c.AddTicker(0.25, func(now float64) {
-		if !almost(c.Now(), now) {
-			t.Errorf("callback: Now() = %g, nominal = %g", c.Now(), now)
+	// The callback observes the nominal tick time as Ticks().
+	c.AddTicker(TicksOf(0.25), func(now int64) {
+		if c.Ticks() != now {
+			t.Errorf("callback: Ticks() = %d, nominal = %d", c.Ticks(), now)
 		}
 	})
 	c.ChargeSeqIO(10)
@@ -202,9 +202,9 @@ func TestTickers(t *testing.T) {
 
 func TestTwoTickersFireInOrder(t *testing.T) {
 	c := New(Costs{SeqPage: 0.1, RandPage: 0.1, CPUTuple: 0.1}, nil)
-	var order []float64
-	c.AddTicker(1.0, func(now float64) { order = append(order, now) })
-	c.AddTicker(0.7, func(now float64) { order = append(order, now) })
+	var order []int64
+	c.AddTicker(TicksOf(1), func(now int64) { order = append(order, now) })
+	c.AddTicker(TicksOf(0.7), func(now int64) { order = append(order, now) })
 	c.ChargeSeqIO(30) // 3.0s
 	for i := 1; i < len(order); i++ {
 		if order[i] < order[i-1] {
@@ -219,7 +219,7 @@ func TestTwoTickersFireInOrder(t *testing.T) {
 func TestRemoveTicker(t *testing.T) {
 	c := New(Costs{SeqPage: 0.1, RandPage: 0.1, CPUTuple: 0.1}, nil)
 	n := 0
-	tk := c.AddTicker(1.0, func(float64) { n++ })
+	tk := c.AddTicker(TicksOf(1), func(int64) { n++ })
 	c.ChargeSeqIO(15)
 	c.RemoveTicker(tk)
 	c.ChargeSeqIO(50)
@@ -231,7 +231,7 @@ func TestRemoveTicker(t *testing.T) {
 func TestIdle(t *testing.T) {
 	c := New(DefaultCosts(), nil)
 	fired := 0
-	c.AddTicker(1.0, func(float64) { fired++ })
+	c.AddTicker(TicksOf(1), func(int64) { fired++ })
 	c.Idle(2.5)
 	if !almost(c.Now(), 2.5) || fired != 2 {
 		t.Fatalf("idle: now = %g fired = %d, want 2.5 / 2", c.Now(), fired)
@@ -239,6 +239,14 @@ func TestIdle(t *testing.T) {
 	c.Idle(-1)
 	if !almost(c.Now(), 2.5) {
 		t.Fatal("negative idle must be a no-op")
+	}
+	c.IdleUntil(TicksOf(1))
+	if c.Ticks() != TicksOf(2.5) {
+		t.Fatal("idling until a passed tick must be a no-op")
+	}
+	c.IdleUntil(TicksOf(3) + 1)
+	if c.Ticks() != TicksOf(3)+1 || fired != 3 {
+		t.Fatalf("IdleUntil: ticks = %d fired = %d, want %d / 3", c.Ticks(), fired, TicksOf(3)+1)
 	}
 }
 
@@ -274,7 +282,7 @@ func TestPropertyTickerCount(t *testing.T) {
 		period := 0.1 + float64(period8%20)/10
 		c := New(Costs{SeqPage: 0.01, RandPage: 0.01, CPUTuple: 0.01}, nil)
 		n := 0
-		c.AddTicker(period, func(float64) { n++ })
+		c.AddTicker(TicksOf(period), func(int64) { n++ })
 		for _, ch := range chunks {
 			c.Charge(SeqIO, float64(ch))
 		}

@@ -39,7 +39,7 @@ func NewGroup(costs Costs) *Group {
 
 // Now returns the max-merged virtual time across all workers, as of
 // their last Sync. It is monotone non-decreasing.
-func (g *Group) Now() float64 { return seconds(g.now.Load()) }
+func (g *Group) Now() float64 { return Seconds(g.now.Load()) }
 
 // UnitsOf returns the total units of the given work kind published by
 // all workers so far.

@@ -13,7 +13,7 @@ type twinSide struct {
 	c       *Clock
 	slow    bool
 	tickers []*Ticker  // live tickers, in registration order
-	fires   []float64  // (ticker id, fire time) of every tick, flattened
+	fires   []int64    // (ticker id, fire tick) of every tick, flattened
 	cb      *rand.Rand // what a tick callback does; seeded alike on both sides
 	nextID  int
 	fast    int // charges that took the fast path
@@ -27,8 +27,8 @@ func (s *twinSide) addTicker(period float64) {
 	}
 	id := s.nextID
 	s.nextID++
-	tk := s.c.AddTicker(period, func(now float64) {
-		s.fires = append(s.fires, float64(id), now)
+	tk := s.c.AddTicker(TicksOf(period), func(now int64) {
+		s.fires = append(s.fires, int64(id), now)
 		if s.cb == nil {
 			return
 		}
@@ -108,7 +108,7 @@ func TestChargeFastPathIsBitIdentical(t *testing.T) {
 		// Both sides start as workers of a group that is already under
 		// way and loaded, the way a query's clock starts.
 		g := NewGroup(costs)
-		g.merge(round(12.5 * ticksPerSecond))
+		g.merge(TicksOf(12.5))
 		g.SetProfile(randProfile(t, rng, g.Now()))
 		sides := [2]*twinSide{
 			{c: g.Worker(), cb: rand.New(rand.NewSource(seed))},
@@ -156,7 +156,7 @@ func TestChargeFastPathIsBitIdentical(t *testing.T) {
 				charges++
 				each(func(s *twinSide) { s.charge(kind, n) })
 			case r < 84: // a fractional charge spanning ticks and intervals
-				x := rng.Float64() * 2 / seconds(sides[0].c.base[kind])
+				x := rng.Float64() * 2 / Seconds(sides[0].c.base[kind])
 				charges++
 				each(func(s *twinSide) { s.c.Charge(kind, x) })
 			case r < 86: // charges that charge nothing

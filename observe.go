@@ -154,7 +154,7 @@ func (db *DB) run(ctx context.Context, clk *vclock.Clock, yield func(), p plan.N
 	if ctx != nil && ctx.Done() != nil {
 		env.Ctx = ctx
 	}
-	start := clk.Now()
+	start := clk.Ticks()
 	var sink func(tuple.Tuple) error
 	if keepRows {
 		sink = func(t tuple.Tuple) error {
@@ -170,7 +170,7 @@ func (db *DB) run(ctx context.Context, clk *vclock.Clock, yield func(), p plan.N
 		res.RowsDiscarded = int(n)
 	}
 	db.queries.Inc()
-	res.VirtualSeconds = clk.Now() - start
+	res.VirtualSeconds = vclock.Seconds(clk.Ticks() - start)
 	for _, s := range ind.Snapshots() {
 		res.History = append(res.History, toReport(s))
 	}
