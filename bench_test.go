@@ -66,7 +66,7 @@ func BenchmarkExtraSMJProgress(b *testing.B) {
 	// EstimateCostU prices the optimizer's own plan; the forced plan's
 	// initial estimate is the sum of its segments'.
 	run := &harness.RunResult{History: res.History, ActualSeconds: res.VirtualSeconds}
-	for _, s := range res.Segments {
+	for _, s := range res.Plan.Segments {
 		run.InitialEstU += s.EstCostU
 	}
 	run.ExactCostU = res.History[len(res.History)-1].DoneU

@@ -108,11 +108,12 @@ echo "== pgsh scripted session =="
 # The other binary exercised through main(): one session piped into the
 # stdin pgsh reads — the paper's Q2 under I/O interference (the Figure 2
 # box at every refresh, ending at 100 %), EXPLAIN ANALYZE of Q1 (the
-# annotated plan, then the per-segment table), the metrics snapshot.
+# annotated plan, its operator times counted from the query's start,
+# then the per-segment table), the metrics snapshot.
 pgout="$bindir"/pgsh.out
 printf '%s\n' '\io 5 60 4' '\paper 2' 'explain analyze select * from lineitem' '\metrics' '\q' |
 	"$bindir"/pgsh -scale 0.002 >"$pgout" 2>&1 || { echo "pgsh exited $?:" >&2; cat "$pgout" >&2; exit 1; }
-for want in 'SQL name *Query 2' '(100% done)' 'SeqScan lineitem .*actual rows=12000' '^seg  *est U' '^engine_queries_total 2$'; do
+for want in 'SQL name *Query 2' '(100% done)' 'SeqScan lineitem .*actual rows=12000 .*time=0\.0\.\.' '^seg  *est U' '^engine_queries_total 2$'; do
 	grep -q -- "$want" "$pgout" || { echo "pgsh output lacks /$want/:" >&2; cat "$pgout" >&2; exit 1; }
 done
 echo "ok"

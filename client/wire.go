@@ -325,41 +325,20 @@ type TimeseriesResponse struct {
 	Series           []TimeseriesSeries `json:"series"`
 }
 
-// SegmentProfile is one segment's estimated-vs-actual record in a
-// completed query's profile.
-type SegmentProfile struct {
-	Index int    `json:"index"`
-	Root  string `json:"root"`
-	// EstCostU / ActualCostU compare the optimizer's initial segment
-	// cost with the work actually done, in U.
-	EstCostU    float64 `json:"est_cost_u"`
-	ActualCostU float64 `json:"actual_cost_u"`
-	// EstRows is the optimizer's E1; ActualRows the observed output
-	// (-1 for the final segment, whose output is the result set).
-	EstRows    float64 `json:"est_rows"`
-	ActualRows float64 `json:"actual_rows"`
-	// QError is max(est/actual, actual/est) for the row estimates
-	// (-1 when undefined, e.g. the final segment).
-	QError float64 `json:"q_error"`
-	// StartSeconds / EndSeconds bound the segment in virtual time.
-	StartSeconds float64 `json:"start_seconds"`
-	EndSeconds   float64 `json:"end_seconds"`
-	Done         bool    `json:"done"`
-}
-
 // QueryProfile is GET /api/history/{id}: everything the server retained
 // about one terminal query — the judge-the-estimator record König et
 // al. need (the full progress-vs-time trajectory), plus the paper's
-// Section 6 per-segment tuning ledger.
+// Section 6 per-segment and per-operator tuning ledger.
 type QueryProfile struct {
 	// Query is the final lifecycle snapshot.
 	Query QueryInfo `json:"query"`
 	// Events is the complete progress-event ledger in publish order,
 	// terminal event last — byte-for-byte what SSE subscribers saw.
 	Events []ProgressEvent `json:"events"`
-	// Segments is the per-segment ledger (only available for queries
-	// that ran to completion).
-	Segments []SegmentProfile `json:"segments,omitempty"`
+	// Plan is the query's plan report: per segment and per operator,
+	// the estimate against what happened (only for queries that ran to
+	// completion on one engine; a fleet's profile has none).
+	Plan *progressdb.PlanReport `json:"plan,omitempty"`
 	// RemainingQError scores the remaining-time estimate at each
 	// non-terminal refresh against what actually remained:
 	// max(est/actual, actual/est), -1 where undefined. Parallel to the

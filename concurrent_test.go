@@ -73,7 +73,7 @@ func TestConcurrentQueryStorm(t *testing.T) {
 				if got := fingerprint(res); got != want[qi] {
 					errc <- fmt.Errorf("worker %d query %d: WRONG RESULT %x, want %x", g, qi, got, want[qi])
 				}
-				if cerr := checkReports(reps, true, res.Segments); cerr != nil {
+				if cerr := checkReports(reps, true, res.Plan.Segments); cerr != nil {
 					errc <- fmt.Errorf("worker %d query %d: %v", g, qi, cerr)
 				}
 			}
@@ -119,7 +119,7 @@ func TestConcurrentProgressMonotoneUnderContention(t *testing.T) {
 				errc <- fmt.Errorf("worker %d: %v", w, err)
 				return
 			}
-			if cerr := checkReports(reps, true, res.Segments); cerr != nil {
+			if cerr := checkReports(reps, true, res.Plan.Segments); cerr != nil {
 				errc <- fmt.Errorf("worker %d: %v", w, cerr)
 			}
 		}(w)

@@ -7,11 +7,11 @@ import "fmt"
 // decrease, Percent stays in [0, 100], and a Finished report comes at
 // most once and only last — exactly once when the query succeeded — and
 // reads 100 % with its estimated cost equal to its DoneU. segs,
-// when non-nil, is the succeeded query's Result.Segments: every byte the
+// when non-nil, is the succeeded query's Result.Plan.Segments: every byte the
 // indicator counts belongs to one segment, so the terminal DoneU equals
 // their summed ActualCostU exactly. The comparisons are exact; U is a sum
 // of whole bytes over a power-of-two page size.
-func checkReports(reps []Report, succeeded bool, segs []SegmentStats) error {
+func checkReports(reps []Report, succeeded bool, segs []SegmentReport) error {
 	finished := 0
 	for i, r := range reps {
 		if r.Percent < 0 || r.Percent > 100 {

@@ -17,7 +17,6 @@ import (
 	"progressdb/internal/btree"
 	"progressdb/internal/fleet"
 	"progressdb/internal/optimizer"
-	"progressdb/internal/segment"
 	"progressdb/internal/sqlparser"
 	"progressdb/internal/tuple"
 	"progressdb/internal/workload"
@@ -367,8 +366,8 @@ func sameRows(st *sqlparser.SelectStmt, cols []string, want [][]interface{}, got
 
 // sameButRows reports how a discarding run of a query differs from its
 // keep-rows run in anything but keeping the rows: the count, the virtual
-// time, every report, the segment ledger and the plan report's operators
-// (every operator's rows, loops, U, times and notes) must be equal.
+// time, every report and the plan report (every segment, and every
+// operator's rows, loops, U, times and notes) must be equal.
 func sameButRows(keep, disc *progressdb.Result) error {
 	if disc.Rows != nil || disc.RowCount() != keep.RowCount() {
 		return fmt.Errorf("kept %d rows and counted %d, want none kept and %d counted", len(disc.Rows), disc.RowCount(), keep.RowCount())
@@ -380,8 +379,7 @@ func sameButRows(keep, disc *progressdb.Result) error {
 		{"columns", disc.Columns, keep.Columns},
 		{"virtual seconds", disc.VirtualSeconds, keep.VirtualSeconds},
 		{"history", disc.History, keep.History},
-		{"segments", disc.Segments, keep.Segments},
-		{"operators", progressdb.ReportOps(disc), progressdb.ReportOps(keep)},
+		{"plan report", disc.Plan, keep.Plan},
 	} {
 		if !reflect.DeepEqual(c.got, c.want) {
 			return fmt.Errorf("not keeping the rows changed the %s:\n%v\nwant\n%v", c.what, c.got, c.want)
@@ -396,20 +394,30 @@ type equivStats struct {
 	fleet, unsupported, nls, twins int
 }
 
-// kindNames names the segment kinds in operator × segment-kind pairs.
-var kindNames = [...]string{
-	segment.KindFinal: "final", segment.KindHashBuild: "build", segment.KindPartition: "partition",
-	segment.KindSort: "sort", segment.KindMaterialize: "materialize", segment.KindAggregate: "aggregate",
+// labelOps maps the first word of an operator's plan label to the kind
+// the executor counts it as.
+var labelOps = map[string]string{
+	"SeqScan": "seqscan", "IndexScan": "indexscan", "Filter": "filter", "Project": "project",
+	"HashJoin": "hashjoin", "GraceHashJoin": "gracehashjoin", "HashPartition": "partition",
+	"NestedLoopJoin": "nljoin", "MergeJoin": "mergejoin", "HashSemiJoin": "semijoin",
+	"NestedLoopSemiJoin": "semijoin", "AntiHashSemiJoin": "semijoin", "AntiNestedLoopSemiJoin": "semijoin",
+	"Sort": "sort", "Materialize": "materialize", "HashAggregate": "hashagg", "Limit": "limit",
 }
 
 // draw records a run's operator × segment-kind pairs from its plan report,
 // and from the operators' notes a hash join spilled at run time, an
 // external sort's merge pass and the layouts an operator's Int key tables
-// ended in (HashJoin×direct, GraceHashJoin×mixed, ...).
-func (s *equivStats) draw(res *progressdb.Result) {
-	for _, op := range progressdb.ReportOps(res) {
+// ended in (HashJoin×direct, GraceHashJoin×mixed, ...). It fails when an
+// operator's kind, which the build wrote at its slot's index, is not the
+// kind of the plan node the pre-order walk labeled it with: the slots and
+// the walk disagree on the order.
+func (s *equivStats) draw(res *progressdb.Result) error {
+	for i, op := range res.Plan.Operators {
 		name := strings.Fields(op.Label)[0]
-		s.pairs[name+"×"+kindNames[op.Kind]]++
+		if labelOps[name] != op.Op.String() {
+			return fmt.Errorf("operator %d: the build made it a %s, the plan walk labels it %q", i, op.Op, op.Label)
+		}
+		s.pairs[name+"×"+res.Plan.Segments[op.Segment].Kind.String()]++
 		for _, note := range op.Notes {
 			switch {
 			case strings.HasPrefix(note, "build exceeded work_mem"):
@@ -423,6 +431,7 @@ func (s *equivStats) draw(res *progressdb.Result) {
 			}
 		}
 	}
+	return nil
 }
 
 // intKeyLayouts reads the layouts an Int key table note names: "int keys:
@@ -475,8 +484,7 @@ func equivSeed(t *testing.T, seed int64, s *equivStats) {
 			return !again
 		})
 		if err == nil && res != nil {
-			s.draw(res)
-			err = progressdb.CheckReports(res.History, true, res.Segments)
+			err = errors.Join(s.draw(res), progressdb.CheckReports(res.History, true, res.Plan.Segments))
 		}
 		if err = errors.Join(err, fx.dbs[wm].CheckLeaks()); err != nil {
 			t.Errorf("seed %d: %s\nwork_mem %d %+v: %v\n%s", seed, sql, wm, opt, err, text)

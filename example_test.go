@@ -239,19 +239,19 @@ func ExampleDB_ExplainAnalyze() {
 			fmt.Println(line)
 		}
 	}
-	fmt.Printf("%d progress reports, %d segments\n", len(res.History), len(res.Segments))
+	fmt.Printf("%d progress reports, %d segments\n", len(res.History), len(res.Plan.Segments))
 	// Output:
-	// Limit 3  (est rows=3 width=27) (actual rows=3 loops=1 U=0.0 time=144.0..162.9s err=x1.0) [S3]
-	//   Sort (c.nationkey)  (est rows=25 width=27) (actual rows=3 loops=1 U=0.0 time=144.0..162.9s err=x8.3) [S2]
-	//     HashAggregate (c.nationkey, count(*), sum(o.totalprice))  (est rows=25 width=27) (actual rows=25 loops=1 U=0.1 time=144.0..162.9s err=x1.0) [S1]
+	// Limit 3  (est rows=3 width=27) (actual rows=3 loops=1 U=0.0 time=0.0..18.9s err=x1.0) [S3]
+	//   Sort (c.nationkey)  (est rows=25 width=27) (actual rows=3 loops=1 U=0.0 time=0.0..18.9s err=x8.3) [S2]
+	//     HashAggregate (c.nationkey, count(*), sum(o.totalprice))  (est rows=25 width=27) (actual rows=25 loops=1 U=0.1 time=0.0..18.9s err=x1.0) [S1]
 	//       note: int keys: direct window
-	//       Project (c.nationkey, o.totalprice)  (est rows=3000 width=18) (actual rows=3000 loops=1 U=6.6 time=144.0..162.9s err=x1.0) [S1]
-	//         HashJoin (build.c.custkey = probe.o.custkey)  (est rows=3000 width=36) (actual rows=3000 loops=1 U=13.2 time=144.0..162.9s err=x1.0) [S1]
+	//       Project (c.nationkey, o.totalprice)  (est rows=3000 width=18) (actual rows=3000 loops=1 U=6.6 time=0.0..18.9s err=x1.0) [S1]
+	//         HashJoin (build.c.custkey = probe.o.custkey)  (est rows=3000 width=36) (actual rows=3000 loops=1 U=13.2 time=0.0..18.9s err=x1.0) [S1]
 	//           note: int keys: direct window
-	//           Project (c.custkey, c.nationkey)  (est rows=300 width=18) (actual rows=300 loops=1 U=0.7 time=144.0..149.2s err=x1.0) [S0]
-	//             SeqScan customer c  (est rows=300 width=147) (actual rows=300 loops=1 U=5.4 time=144.0..149.2s err=x1.0) [S0]
-	//           Project (o.custkey, o.totalprice)  (est rows=3000 width=18) (actual rows=3000 loops=1 U=6.6 time=149.2..162.9s err=x1.0) [S1]
-	//             SeqScan orders o  (est rows=3000 width=69) (actual rows=3000 loops=1 U=25.3 time=149.2..162.9s err=x1.0) [S1]
+	//           Project (c.custkey, c.nationkey)  (est rows=300 width=18) (actual rows=300 loops=1 U=0.7 time=0.0..5.2s err=x1.0) [S0]
+	//             SeqScan customer c  (est rows=300 width=147) (actual rows=300 loops=1 U=5.4 time=0.0..5.2s err=x1.0) [S0]
+	//           Project (o.custkey, o.totalprice)  (est rows=3000 width=18) (actual rows=3000 loops=1 U=6.6 time=5.2..18.9s err=x1.0) [S1]
+	//             SeqScan orders o  (est rows=3000 width=69) (actual rows=3000 loops=1 U=25.3 time=5.2..18.9s err=x1.0) [S1]
 	//
 	// seg est U       actual U    est rows     actual rows  seconds   root
 	// 0   6           6           300          300          2.0       Project (c.custkey, c.nationkey)

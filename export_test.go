@@ -7,7 +7,6 @@ import (
 	"progressdb/internal/expr"
 	"progressdb/internal/optimizer"
 	"progressdb/internal/plan"
-	"progressdb/internal/segment"
 	"progressdb/internal/sqlparser"
 	"progressdb/internal/tuple"
 )
@@ -16,32 +15,10 @@ import (
 var CheckReports = checkReports
 
 // Collecting returns cfg with the per-operator collector on for every
-// query, so that ReportOps has operators to list.
+// query, so that each Result's plan report labels and notes its operators.
 func Collecting(cfg Config) Config {
 	cfg.collect = true
 	return cfg
-}
-
-// ReportOp is one operator of a Result's plan report that runs in a
-// segment: that segment's kind and the collector's actuals.
-type ReportOp struct {
-	Label         string
-	Kind          segment.Kind
-	Rows, Loops   int64
-	U, Start, End float64
-	Notes         []string
-}
-
-// ReportOps lists the operators of res's plan report that run in a
-// segment, in pre-order; none unless the query ran with a collector.
-func ReportOps(res *Result) []ReportOp {
-	var out []ReportOp
-	for _, op := range res.report.ops {
-		if op.seg >= 0 {
-			out = append(out, ReportOp{op.label, res.report.segs[op.seg].Kind, op.rows, op.loops, op.u, op.start, op.end, op.notes})
-		}
-	}
-	return out
 }
 
 // ExecPlan plans sql under opt on the DB's catalog, at the DB's own

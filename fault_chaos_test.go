@@ -186,9 +186,9 @@ func TestChaosRandomFaultSchedules(t *testing.T) {
 		}
 		var reps []Report
 		res, err := db.ExecContext(context.Background(), chaosQueries[qi], func(r Report) { reps = append(reps, r) })
-		var segs []SegmentStats
+		var segs []SegmentReport
 		if err == nil {
-			segs = res.Segments
+			segs = res.Plan.Segments
 		}
 		if cerr := checkReports(reps, err == nil, segs); cerr != nil {
 			t.Errorf("%s: %v", tag, cerr)
@@ -282,9 +282,9 @@ func TestChaosConcurrentWorkers(t *testing.T) {
 				tag := fmt.Sprintf("schedule %d %q worker %d query %d", i, spec, w, qi)
 				var reps []Report
 				res, err := db.Exec(chaosQueries[qi], func(r Report) { reps = append(reps, r) })
-				var segs []SegmentStats
+				var segs []SegmentReport
 				if err == nil {
-					segs = res.Segments
+					segs = res.Plan.Segments
 				}
 				if cerr := checkReports(reps, err == nil, segs); cerr != nil {
 					errc <- fmt.Errorf("%s: %v", tag, cerr)

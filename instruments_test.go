@@ -41,8 +41,8 @@ func TestInstrumentsDoNotPerturb(t *testing.T) {
 				if !reflect.DeepEqual(got.History, want.History) {
 					at("the report history")
 				}
-				if !reflect.DeepEqual(got.Segments, want.Segments) {
-					at("Result.Segments")
+				if !reflect.DeepEqual(got.Plan.Segments, want.Plan.Segments) {
+					at("Result.Plan.Segments")
 				}
 			}
 		}

@@ -67,11 +67,13 @@ const (
 	EstimatorLinear
 )
 
+// withDefaults is the one default of both periods: it replaces any
+// value that is not > 0, NaN included, with the paper's 10 s.
 func (o Options) withDefaults() Options {
-	if o.UpdatePeriod <= 0 {
+	if !(o.UpdatePeriod > 0) {
 		o.UpdatePeriod = 10
 	}
-	if o.SpeedWindow <= 0 {
+	if !(o.SpeedWindow > 0) {
 		o.SpeedWindow = 10
 	}
 	return o

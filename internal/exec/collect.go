@@ -58,7 +58,7 @@ func (m Metrics) Enabled() bool { return m.reg != nil }
 // addRowsOut adds n rows emitted by operators of kind op. The registry
 // dedupes a series, so two queries that resolve one at once store the
 // same counter.
-func (m Metrics) addRowsOut(op uint8, n int64) {
+func (m Metrics) addRowsOut(op Op, n int64) {
 	c := m.rowsOut[op].Load()
 	if c == nil {
 		c = m.reg.LabeledCounter("exec_rows_out_total", "op", opNames[op], "tuples emitted, by operator")
@@ -77,7 +77,7 @@ const numOps = 14
 
 // opKind is the index of a plan operator's kind in opNames. Build
 // rejects any other node before it has a slot.
-func opKind(n plan.Node) uint8 {
+func opKind(n plan.Node) Op {
 	switch node := n.(type) {
 	case *plan.SeqScan:
 		return 0
@@ -111,68 +111,95 @@ func opKind(n plan.Node) uint8 {
 	}
 }
 
-// NodeStats are the actuals recorded for one plan operator during one
-// query execution, feeding EXPLAIN ANALYZE's plan report.
-type NodeStats struct {
-	// Node is the plan operator these stats describe.
-	Node plan.Node
-	// Rows and Bytes count tuples (and their encoded bytes) the operator
-	// emitted to its parent.
-	Rows  int64
-	Bytes float64
-	// Loops counts how many times the operator was opened.
-	Loops int64
-	// StartT and EndT are the virtual times of the first Open and the
-	// last Close.
-	StartT, EndT float64
-	// Notes are free-form operator annotations (spills, batch counts,
-	// run counts, merge passes).
-	Notes []string
+// Op is an operator's kind. It marshals as its name, the op label of
+// exec_rows_out_total.
+type Op uint8
+
+func (o Op) String() string { return opNames[o] }
+
+// MarshalText writes o as its name, so a plan report's JSON names it.
+func (o Op) MarshalText() ([]byte, error) { return []byte(o.String()), nil }
+
+// UnmarshalText reads a name MarshalText wrote.
+func (o *Op) UnmarshalText(b []byte) error {
+	for i, name := range opNames {
+		if string(b) == name {
+			*o = Op(i)
+			return nil
+		}
+	}
+	return fmt.Errorf("exec: unknown operator kind %q", b)
 }
 
-// Collector accumulates per-operator actuals for one query. A nil
-// Collector is the disabled state: every method no-ops, mirroring the
+// OperatorReport is one operator of a query's plan report. The build
+// fills its kind, depth, segment and estimate into Env.Ops at the
+// operator's slot index, in plan pre-order; the rest is read off the
+// slot once the query has run. Every successful query keeps one per
+// operator, so what only EXPLAIN ANALYZE knows hangs off a pointer.
+type OperatorReport struct {
+	// Op is the operator's kind.
+	Op Op `json:"op"`
+	// Depth is the operator's depth in the plan, 0 at the root, and
+	// Segment the segment whose pipeline does its work.
+	Depth   int32 `json:"depth"`
+	Segment int32 `json:"segment"`
+	// Loops is how often the operator was opened.
+	Loops int32 `json:"loops"`
+	// EstRows and EstWidth are the optimizer's output estimate, Rows the
+	// rows the operator emitted, and QError the estimate's error factor
+	// (core.QError: -1 unless both rows are positive).
+	EstRows  float64 `json:"est_rows"`
+	EstWidth float64 `json:"est_width"`
+	Rows     int64   `json:"rows"`
+	QError   float64 `json:"q_error"`
+	// StartT and EndT are the operator's first open and last close, in
+	// seconds since the query started (both zero if it never opened).
+	StartT float64 `json:"start_seconds"`
+	EndT   float64 `json:"end_seconds"`
+	// OperatorDetail is set only when a Collector ran (EXPLAIN ANALYZE);
+	// its fields then read as the report's own, in Go and in JSON.
+	*OperatorDetail
+}
+
+// OperatorDetail is what a Collector adds to an operator's report.
+type OperatorDetail struct {
+	// Label is the operator's plan label.
+	Label string `json:"label"`
+	// U is the emitted rows' bytes, in U.
+	U float64 `json:"u"`
+	// Notes are the operator's annotations: spills, batch counts, run
+	// counts, merge passes, key layouts.
+	Notes []string `json:"notes,omitempty"`
+}
+
+// Collector is what EXPLAIN ANALYZE adds to a query's node slots: while
+// one is attached, operators size the rows they emit, and it keeps their
+// free-form notes (spills, batch counts, run counts, merge passes). A
+// nil Collector is the disabled state: Notef no-ops, mirroring the
 // paper's statistics-collection flag.
 type Collector struct {
-	stats map[plan.Node]*NodeStats
-	// nodes are the plan nodes of the counter block's slots, in order.
-	nodes []plan.Node
+	notes map[plan.Node][]string
 }
 
 // NewCollector returns an empty collector.
 func NewCollector() *Collector {
-	return &Collector{stats: make(map[plan.Node]*NodeStats)}
+	return &Collector{notes: make(map[plan.Node][]string)}
 }
 
-// Stats returns the stats record for n, creating it on first use.
-// Returns nil on a nil collector.
-func (c *Collector) Stats(n plan.Node) *NodeStats {
-	if c == nil {
-		return nil
-	}
-	st, ok := c.stats[n]
-	if !ok {
-		st = &NodeStats{Node: n}
-		c.stats[n] = st
-	}
-	return st
-}
-
-// Get returns the stats record for n, or nil if none was collected.
-func (c *Collector) Get(n plan.Node) *NodeStats {
-	if c == nil {
-		return nil
-	}
-	return c.stats[n]
-}
-
-// Notef appends a formatted annotation to n's record.
+// Notef appends a formatted annotation to n's notes.
 func (c *Collector) Notef(n plan.Node, format string, args ...any) {
 	if c == nil {
 		return
 	}
-	st := c.Stats(n)
-	st.Notes = append(st.Notes, fmt.Sprintf(format, args...))
+	c.notes[n] = append(c.notes[n], fmt.Sprintf(format, args...))
+}
+
+// Notes returns n's annotations, in the order they were made.
+func (c *Collector) Notes(n plan.Node) []string {
+	if c == nil {
+		return nil
+	}
+	return c.notes[n]
 }
 
 // counter is an operator's slot in the query's counter block: it counts
@@ -217,7 +244,7 @@ func (c counter) sizePair(o *joinOut) {
 // opened records an Open, before the operator does its own.
 func (c counter) opened(clk *vclock.Clock) {
 	if c.cnt.Loops == 0 {
-		c.cnt.StartT = clk.Now()
+		c.cnt.StartT = clk.Ticks()
 	}
 	c.cnt.Loops++
 	c.cnt.Open = true
@@ -227,7 +254,7 @@ func (c counter) opened(clk *vclock.Clock) {
 // Close leaves EndT alone.
 func (c counter) closed(clk *vclock.Clock) {
 	if c.cnt.Open {
-		c.cnt.EndT = clk.Now()
+		c.cnt.EndT = clk.Ticks()
 		c.cnt.Open = false
 	}
 }

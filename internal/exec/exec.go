@@ -53,13 +53,19 @@ type Env struct {
 	// Met are the engine-wide executor instruments; the zero value is
 	// disabled (all increments are nil-safe no-ops).
 	Met Metrics
-	// Collect receives per-operator actuals for EXPLAIN ANALYZE when the
-	// query returns; nil leaves row bytes uncounted.
+	// Collect keeps operator notes for EXPLAIN ANALYZE, and makes the
+	// operators count their rows' bytes; nil leaves both out.
 	Collect *Collector
+	// Ops are the query's operator reports, one per node slot and at
+	// its index. Each build makes them anew, so a report handed out
+	// after one run is not written by the next.
+	Ops []OperatorReport
 
 	// built counts the node slots of Decomp's counter block that the
-	// build has handed out.
+	// build has handed out, and depth is the depth of the node being
+	// built.
 	built int
+	depth int32
 
 	// nyield counts safe-point passes so the (comparatively expensive)
 	// context poll is amortized over cancelEvery tuples.
@@ -315,41 +321,34 @@ func (e *Env) inCount(tag segment.NodeInfo) *segment.InputCount {
 // outCount is the count of segment seg, which emits at a blocking root.
 func (e *Env) outCount(seg int) *segment.SegCount { return &e.Decomp.Segments[seg].Count }
 
-// counter hands n the next node slot of the counter block.
+// counter hands n the next node slot of the counter block. Every
+// operator takes its slot before its children are built, so the slots
+// are in plan pre-order.
 func (e *Env) counter(n plan.Node) counter {
 	c := &e.Decomp.NodeCounts()[e.built]
+	c.Sized = e.Collect != nil
+	est := n.Est()
+	e.Ops[e.built] = OperatorReport{Op: opKind(n), Depth: e.depth, Segment: int32(e.Decomp.NodeSeg[n]),
+		EstRows: est.Card, EstWidth: est.Width}
 	e.built++
-	c.Op, c.Sized = opKind(n), e.Collect != nil
-	if e.Collect != nil {
-		e.Collect.nodes = append(e.Collect.nodes, n)
-	}
 	return counter{c}
 }
 
-// start zeroes the counter block before a build hands out its slots.
+// start zeroes the counter block and makes the operator reports before
+// a build hands out its slots.
 func (e *Env) start() {
 	e.Decomp.ResetCounts()
-	e.built = 0
-	if e.Collect != nil {
-		e.Collect.nodes = e.Collect.nodes[:0]
-	}
+	e.Ops = make([]OperatorReport, len(e.Decomp.NodeCounts()))
+	e.built, e.depth = 0, 0
 }
 
-// finish adds each operator's rows to exec_rows_out_total and, when a
-// Collector is attached, hands it each operator's actuals.
+// finish adds each operator's rows to exec_rows_out_total.
 func (e *Env) finish() {
-	if !e.Met.Enabled() && e.Collect == nil {
+	if !e.Met.Enabled() {
 		return
 	}
 	for i, c := range e.Decomp.NodeCounts()[:e.built] {
-		if e.Met.Enabled() {
-			e.Met.addRowsOut(c.Op, c.Rows)
-		}
-		if e.Collect != nil {
-			st := e.Collect.Stats(e.Collect.nodes[i])
-			st.Rows, st.Bytes, st.Loops = c.Rows, float64(c.Bytes), int64(c.Loops)
-			st.StartT, st.EndT = c.StartT, c.EndT
-		}
+		e.Met.addRowsOut(e.Ops[i].Op, c.Rows)
 	}
 }
 
@@ -406,7 +405,10 @@ func build(n plan.Node, env *Env, lay []int) (Iterator, error) {
 	if !writesLayout(n) {
 		lay = nil
 	}
-	it, err := buildNode(n, env, lay)
+	c := env.counter(n)
+	env.depth++
+	it, err := buildNode(n, env, lay, c)
+	env.depth--
 	if err != nil {
 		return nil, err
 	}
@@ -416,46 +418,46 @@ func build(n plan.Node, env *Env, lay []int) (Iterator, error) {
 	return it, nil
 }
 
-// buildNode constructs the iterator for one plan node, its children
-// first, so a node takes its slot of the counter block after theirs.
-func buildNode(n plan.Node, env *Env, lay []int) (Iterator, error) {
+// buildNode constructs the iterator for one plan node, which counts in
+// slot c, and its children, which take the slots after c.
+func buildNode(n plan.Node, env *Env, lay []int, c counter) (Iterator, error) {
 	switch node := n.(type) {
 	case *plan.SeqScan:
 		info, err := env.info(node)
 		if err != nil {
 			return nil, err
 		}
-		return &seqScan{node: node, env: env, tag: info, in: env.inCount(info), counter: env.counter(node),
+		return &seqScan{node: node, env: env, tag: info, in: env.inCount(info), counter: c,
 			scanSlot: newScanSlot(lay, node.Table.Schema.Arity())}, nil
 	case *plan.IndexScan:
 		info, err := env.info(node)
 		if err != nil {
 			return nil, err
 		}
-		return &indexScan{node: node, env: env, tag: info, in: env.inCount(info), counter: env.counter(node),
+		return &indexScan{node: node, env: env, tag: info, in: env.inCount(info), counter: c,
 			scanSlot: newScanSlot(lay, node.Table.Schema.Arity())}, nil
 	case *plan.Filter:
 		lay, pred, err := addPred(lay, node.Pred)
 		if err != nil {
 			return nil, err
 		}
+		// The child takes the next slot.
+		src := &env.Decomp.NodeCounts()[env.built]
 		child, err := build(node.Child, env, lay)
 		if err != nil {
 			return nil, err
 		}
-		// The child took the last slot handed out.
-		src := &env.Decomp.NodeCounts()[env.built-1]
-		return &filterIter{env: env, child: child, src: src, counter: env.counter(node),
+		return &filterIter{env: env, child: child, src: src, counter: c,
 			pred: expr.CompilePred(pred), predCost: exprCost(node.Pred)}, nil
 	case *plan.Project:
-		return buildProject(node, env, lay)
+		return buildProject(node, env, lay, c)
 	case *plan.HashJoin:
 		out, err := newJoinOut(lay, node.Build.Schema().Arity(), node.Probe.Schema().Arity(), node.ExtraPred)
 		if err != nil {
 			return nil, err
 		}
 		if node.Grace {
-			return buildGraceJoin(node, env, out)
+			return buildGraceJoin(node, env, out, c)
 		}
 		build, err := buildWhole(node.Build, env)
 		if err != nil {
@@ -470,7 +472,7 @@ func buildNode(n plan.Node, env *Env, lay []int) (Iterator, error) {
 			return nil, err
 		}
 		return &hashJoin{node: node, env: env, tag: info, build: build, probe: probe, joinOut: out,
-			in: env.inCount(info), out: env.outCount(info.ProducerSeg), counter: env.counter(node)}, nil
+			in: env.inCount(info), out: env.outCount(info.ProducerSeg), counter: c}, nil
 	case *plan.Partition:
 		return nil, fmt.Errorf("exec: Partition outside a Grace hash join")
 	case *plan.NLJoin:
@@ -495,7 +497,7 @@ func buildNode(n plan.Node, env *Env, lay []int) (Iterator, error) {
 		return &nlJoin{
 			node: node, env: env,
 			outer: outer, inner: inner, innerTag: innerTag,
-			joinOut: out, counter: env.counter(node),
+			joinOut: out, counter: c,
 		}, nil
 	case *plan.MergeJoin:
 		out, err := newJoinOut(lay, node.Left.Schema().Arity(), node.Right.Schema().Arity(), node.ExtraPred)
@@ -510,7 +512,7 @@ func buildNode(n plan.Node, env *Env, lay []int) (Iterator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &mergeJoin{node: node, env: env, left: left, right: right, joinOut: out, counter: env.counter(node)}, nil
+		return &mergeJoin{node: node, env: env, left: left, right: right, joinOut: out, counter: c}, nil
 	case *plan.Sort:
 		child, err := buildWhole(node.Child, env)
 		if err != nil {
@@ -521,7 +523,7 @@ func buildNode(n plan.Node, env *Env, lay []int) (Iterator, error) {
 			return nil, err
 		}
 		return &sortIter{node: node, env: env, child: child, tag: info,
-			in: env.inCount(info), out: env.outCount(info.ProducerSeg), counter: env.counter(node)}, nil
+			in: env.inCount(info), out: env.outCount(info.ProducerSeg), counter: c}, nil
 	case *plan.Materialize:
 		child, err := buildWhole(node.Child, env)
 		if err != nil {
@@ -532,7 +534,7 @@ func buildNode(n plan.Node, env *Env, lay []int) (Iterator, error) {
 			return nil, err
 		}
 		return &materialize{env: env, child: child, tag: info,
-			in: env.inCount(info), out: env.outCount(info.ProducerSeg), counter: env.counter(node)}, nil
+			in: env.inCount(info), out: env.outCount(info.ProducerSeg), counter: c}, nil
 	case *plan.HashAgg:
 		child, err := buildWhole(node.Child, env)
 		if err != nil {
@@ -543,13 +545,13 @@ func buildNode(n plan.Node, env *Env, lay []int) (Iterator, error) {
 			return nil, err
 		}
 		return &hashAgg{node: node, env: env, child: child, tag: info,
-			in: env.inCount(info), out: env.outCount(info.ProducerSeg), counter: env.counter(node)}, nil
+			in: env.inCount(info), out: env.outCount(info.ProducerSeg), counter: c}, nil
 	case *plan.Limit:
 		child, err := buildWhole(node.Child, env)
 		if err != nil {
 			return nil, err
 		}
-		return &limitIter{node: node, env: env, child: child, counter: env.counter(node)}, nil
+		return &limitIter{node: node, env: env, child: child, counter: c}, nil
 	case *plan.SemiJoin:
 		nOuter, nInner := node.Outer.Schema().Arity(), node.Inner.Schema().Arity()
 		pair, err := newJoinOut(unplaced(nOuter+nInner), nOuter, nInner, node.ExtraPred)
@@ -569,7 +571,7 @@ func buildNode(n plan.Node, env *Env, lay []int) (Iterator, error) {
 			return nil, err
 		}
 		return &semiJoin{node: node, env: env, tag: info, outer: outer, inner: inner, pair: pair,
-			out: env.outCount(info.ProducerSeg), counter: env.counter(node)}, nil
+			out: env.outCount(info.ProducerSeg), counter: c}, nil
 	default:
 		return nil, fmt.Errorf("exec: unknown plan node %T", n)
 	}
@@ -580,13 +582,18 @@ func buildWhole(n plan.Node, env *Env) (Iterator, error) { return build(n, env, 
 
 // buildGraceJoin wires the partitioned form: each Partition child becomes
 // a partitionIter run at Open, then the join streams batch pairs.
-func buildGraceJoin(node *plan.HashJoin, env *Env, out joinOut) (Iterator, error) {
+func buildGraceJoin(node *plan.HashJoin, env *Env, out joinOut, c counter) (Iterator, error) {
 	mk := func(pn plan.Node) (*partitionIter, error) {
 		part, ok := pn.(*plan.Partition)
 		if !ok {
 			return nil, fmt.Errorf("exec: Grace hash join child is %T, want *plan.Partition", pn)
 		}
+		// A Partition is built here, not by build: it takes its slot
+		// before its child, one level below the join.
+		pc := env.counter(part)
+		env.depth++
 		child, err := buildWhole(part.Child, env)
+		env.depth--
 		if err != nil {
 			return nil, err
 		}
@@ -595,7 +602,7 @@ func buildGraceJoin(node *plan.HashJoin, env *Env, out joinOut) (Iterator, error
 			return nil, err
 		}
 		return &partitionIter{node: part, env: env, tag: info, child: child,
-			in: env.inCount(info), out: env.outCount(info.ProducerSeg), counter: env.counter(part)}, nil
+			in: env.inCount(info), out: env.outCount(info.ProducerSeg), counter: pc}, nil
 	}
 	buildPart, err := mk(node.Build)
 	if err != nil {
@@ -605,7 +612,7 @@ func buildGraceJoin(node *plan.HashJoin, env *Env, out joinOut) (Iterator, error
 	if err != nil {
 		return nil, err
 	}
-	return &graceJoin{node: node, env: env, buildPart: buildPart, probePart: probePart, joinOut: out, counter: env.counter(node)}, nil
+	return &graceJoin{node: node, env: env, buildPart: buildPart, probePart: probePart, joinOut: out, counter: c}, nil
 }
 
 // innerBoundary finds the node carrying the segment-input tag for an NL
@@ -624,8 +631,8 @@ func innerBoundary(n plan.Node) plan.Node {
 // Run executes a plan to completion, invoking fn (if non-nil) per result
 // tuple, and returns the result cardinality. It fires the final segment's
 // completion event. When it returns — the query done, failed or canceled
-// — it adds each operator's rows to the engine's metrics and hands its
-// actuals to the Collector.
+// — it adds each operator's rows to the engine's metrics; each operator's
+// actuals stay in its node slot.
 //
 // With no fn the root's rows are only counted, so the root's layout places
 // none of its columns: a root scan, Filter chain or join writes only what

@@ -65,7 +65,7 @@ type projectIter struct {
 // buildProject builds a Project whose row has output column j at slot
 // lay[j], and the columns lay leaves out after those (lay nil: all of
 // them, in order). Its child is asked for that same row.
-func buildProject(node *plan.Project, env *Env, lay []int) (Iterator, error) {
+func buildProject(node *plan.Project, env *Env, lay []int, c counter) (Iterator, error) {
 	k := len(node.Cols)
 	order := make([]int, width(lay), k) // order[s] is the output column at slot s
 	for j, s := range lay {
@@ -106,7 +106,7 @@ func buildProject(node *plan.Project, env *Env, lay []int) (Iterator, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.child, p.counter = child, env.counter(node)
+	p.child, p.counter = child, c
 	return p, nil
 }
 

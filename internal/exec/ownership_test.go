@@ -347,6 +347,16 @@ func wholeRows(t *testing.T, n plan.Node, want map[plan.Node]nodeCount) []tuple.
 	return rows
 }
 
+// preorder appends n's plan tree to nodes in pre-order, the order of the
+// counter block's node slots.
+func preorder(n plan.Node, nodes []plan.Node) []plan.Node {
+	nodes = append(nodes, n)
+	for _, c := range n.Children() {
+		nodes = preorder(c, nodes)
+	}
+	return nodes
+}
+
 // EXPLAIN ANALYZE's Rows/Bytes do not depend on layouts: a pruned scan,
 // a Filter whose column is not projected, every join kind writing only
 // what its Project reads (with and without a join predicate to add) and
@@ -420,11 +430,12 @@ func TestNodeStatsBytesOfPrunedScan(t *testing.T) {
 				if _, err := Run(env, p, sink); err != nil {
 					t.Fatal(err)
 				}
-				for n, w := range want {
-					st := env.Collect.Get(n)
-					if st == nil || st.Rows != w.rows || st.Bytes != w.bytes {
-						t.Fatalf("%q poisoned=%v sink=%v %s: stats %+v, want rows=%d bytes=%g\n%s",
-							tc.sql, poisoned, sink != nil, n.Label(), st, w.rows, w.bytes, plan.Format(p))
+				slots := env.Decomp.NodeCounts()
+				for i, n := range preorder(p, nil) {
+					st, w := slots[i], want[n]
+					if env.Ops[i].Op != opKind(n) || st.Rows != w.rows || float64(st.Bytes) != w.bytes {
+						t.Fatalf("%q poisoned=%v sink=%v %s: slot %d op %s %+v, want op %s rows=%d bytes=%g\n%s",
+							tc.sql, poisoned, sink != nil, n.Label(), i, env.Ops[i].Op, st, opKind(n), w.rows, w.bytes, plan.Format(p))
 					}
 				}
 			}

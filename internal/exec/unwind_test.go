@@ -234,14 +234,12 @@ func (s *unwindSweep) ref(t testing.TB, i, wm int) *unwindRef {
 // spilled at run time and a sort that needed merge passes.
 func coverOps(n plan.Node, coll *Collector, seen map[string]bool) {
 	op := strings.Fields(n.Label())[0]
-	if st := coll.Get(n); st != nil {
-		notes := strings.Join(st.Notes, "\n")
-		switch {
-		case op == "HashJoin" && strings.Contains(notes, "spilled to"):
-			op += " spilled at run time"
-		case op == "Sort" && strings.Contains(notes, "intermediate merge"):
-			op += " with merge passes"
-		}
+	notes := strings.Join(coll.Notes(n), "\n")
+	switch {
+	case op == "HashJoin" && strings.Contains(notes, "spilled to"):
+		op += " spilled at run time"
+	case op == "Sort" && strings.Contains(notes, "intermediate merge"):
+		op += " with merge passes"
 	}
 	seen[op] = true
 	for _, c := range n.Children() {

@@ -516,9 +516,10 @@ func TestRefreshPeriodsAgree(t *testing.T) {
 // prints of the query itself must be DB's. For each of bench/'s engine
 // configurations, a DB set up as bench/ sets one up runs every statement
 // after a cold restart. Its rows, virtual seconds, terminal DoneU, refresh
-// count, every segment's actual U and rows and every field of every
+// count, every field of every segment line and every field of every
 // refresh line equal the block's exactly, though DB's worker clock starts
-// where the load left it and the ledger's at zero.
+// where the load left it and the ledger's at zero: both bound segments in
+// seconds since the indicator started.
 func TestLedgerMatchesDB(t *testing.T) {
 	t.Parallel()
 	text := render(t, LedgerID).Text
@@ -559,13 +560,21 @@ func TestLedgerMatchesDB(t *testing.T) {
 			check("virt_s", ff(res.VirtualSeconds), want["virt_s"])
 			check("done_u", ff(res.History[len(res.History)-1].DoneU), want["done_u"])
 			check("refreshes", strconv.Itoa(len(res.History)), want["refreshes"])
-			check("segments", strconv.Itoa(len(res.Segments)), want["segments"])
-			for _, s := range res.Segments {
-				seg := ledgerFields(lines[2+s.Index])
-				check(fmt.Sprintf("seg %d act_u", s.Index), ff(s.ActualCostU), seg["act_u"])
-				check(fmt.Sprintf("seg %d act_rows", s.Index), ff(s.ActualRows), seg["act_rows"])
+			check("segments", strconv.Itoa(len(res.Plan.Segments)), want["segments"])
+			for _, s := range res.Plan.Segments {
+				line := lines[2+s.ID]
+				seg := ledgerFields(line)
+				_, root, _ := strings.Cut(line[strings.Index(line, " end=")+1:], " ")
+				for _, f := range []struct{ key, got string }{
+					{"est_u", ff(s.EstCostU)}, {"act_u", ff(s.ActualCostU)},
+					{"est_rows", ff(s.EstOutRows)}, {"act_rows", ff(s.ActualOutRows)},
+					{"start", ff(s.StartT)}, {"end", ff(s.EndT)},
+				} {
+					check(fmt.Sprintf("seg %d %s", s.ID, f.key), f.got, seg[f.key])
+				}
+				check(fmt.Sprintf("seg %d root", s.ID), s.Root, root)
 			}
-			refreshes := lines[2+len(res.Segments):]
+			refreshes := lines[2+len(res.Plan.Segments):]
 			for i, h := range res.History {
 				if i >= len(refreshes) {
 					break // the refresh count differs, reported above

@@ -31,20 +31,19 @@ type InputCount struct {
 
 // NodeCount is one operator's slot: the rows it emitted to its parent,
 // their encoded bytes (counted only while Sized: a per-query collector is
-// attached), how often it was opened, and the virtual times of its first
-// open and its last close.
+// attached), how often it was opened, and the ticks of its first open
+// and its last close.
 type NodeCount struct {
 	Rows, Bytes  int64
-	StartT, EndT float64
+	StartT, EndT int64
 	Loops        int32
-	// Op is the operator's kind, in the executor's numbering, and Open
-	// marks an operator opened and not yet closed.
-	Op          uint8
+	// Open marks an operator opened and not yet closed.
 	Sized, Open bool
 }
 
-// NodeCounts returns the plan's node slots, one per plan node, in the
-// order the executor builds its operators. They are made on first use: a
+// NodeCounts returns the plan's node slots, one per plan node, in plan
+// pre-order: the executor's build hands a node its slot before its
+// children theirs, in Children order. They are made on first use: a
 // plan that is only priced never pays for them.
 func (d *Decomposition) NodeCounts() []NodeCount {
 	if d.nodes == nil {

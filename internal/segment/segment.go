@@ -96,6 +96,28 @@ const (
 	KindAggregate
 )
 
+// kindNames are the kinds' names, as String prints them.
+var kindNames = [...]string{
+	KindFinal: "final", KindHashBuild: "build", KindPartition: "partition",
+	KindSort: "sort", KindMaterialize: "materialize", KindAggregate: "aggregate",
+}
+
+func (k Kind) String() string { return kindNames[k] }
+
+// MarshalText writes k as its name, so a plan report's JSON names it.
+func (k Kind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+// UnmarshalText reads a name MarshalText wrote.
+func (k *Kind) UnmarshalText(b []byte) error {
+	for i, name := range kindNames {
+		if string(b) == name {
+			*k = Kind(i)
+			return nil
+		}
+	}
+	return fmt.Errorf("segment: unknown kind %q", b)
+}
+
 // Segment is one pipelined piece of the plan.
 type Segment struct {
 	// ID is the segment's index in execution order.

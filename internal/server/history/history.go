@@ -52,17 +52,20 @@ func Rank(profiles []*client.QueryProfile, sortBy string, limit int) []client.Hi
 
 // Summarize reduces a profile to its listing row.
 func Summarize(p *client.QueryProfile) client.HistorySummary {
-	return client.HistorySummary{
+	s := client.HistorySummary{
 		ID:                  p.Query.ID,
 		Name:                p.Query.Name,
 		State:               p.Query.State,
 		FinishedAtMS:        p.Query.FinishedAtMS,
 		VirtualSecs:         p.Query.VirtualSeconds,
 		Events:              len(p.Events),
-		Segments:            len(p.Segments),
 		MeanRemainingQError: MeanQError(p.RemainingQError),
 		Error:               p.Query.Error,
 	}
+	if p.Plan != nil { // none for a query that did not complete or ran on a fleet
+		s.Segments = len(p.Plan.Segments)
+	}
+	return s
 }
 
 // MeanQError averages the defined (>= 1) entries of a q-error

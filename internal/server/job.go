@@ -250,10 +250,10 @@ func (j *job) setCounters(c map[string]float64) {
 
 // profileLocked freezes the terminal job into its history record: the final
 // lifecycle snapshot, the complete progress-event ledger, and — for
-// queries that ran to completion — the per-segment estimated-vs-actual
-// figures and the remaining-time q-error trajectory. The event ledger is
-// the job's own slice, not a copy: the terminal event is in it and
-// publish appends nothing after that one.
+// queries that ran to completion — the plan report and the remaining-time
+// q-error trajectory. The event ledger and the plan report are the job's
+// own, not copies: the terminal event is in the ledger and publish
+// appends nothing after that one, and a finished Result is not written.
 func (j *job) profileLocked() *client.QueryProfile {
 	p := &client.QueryProfile{
 		Query: client.QueryInfo{
@@ -281,20 +281,8 @@ func (j *job) profileLocked() *client.QueryProfile {
 	res := j.res
 	p.Query.VirtualSeconds = res.VirtualSeconds
 	p.Query.RowCount = res.RowCount()
-	p.Segments = make([]client.SegmentProfile, 0, len(res.Segments))
-	for _, seg := range res.Segments {
-		p.Segments = append(p.Segments, client.SegmentProfile{
-			Index:        seg.Index,
-			Root:         seg.Root,
-			EstCostU:     seg.EstCostU,
-			ActualCostU:  seg.ActualCostU,
-			EstRows:      seg.EstRows,
-			ActualRows:   seg.ActualRows,
-			QError:       core.QError(seg.EstRows, seg.ActualRows),
-			StartSeconds: seg.StartSeconds,
-			EndSeconds:   seg.EndSeconds,
-			Done:         seg.Done,
-		})
+	if len(res.Plan.Segments) > 0 {
+		p.Plan = &res.Plan
 	}
 	// Score the remaining-time estimate at each non-terminal refresh
 	// against what actually remained — computable only now that the true

@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -17,6 +18,7 @@ import (
 	"progressdb/client"
 	"progressdb/internal/fleet"
 	"progressdb/internal/obs/tsdb"
+	"progressdb/internal/workload"
 )
 
 // smallDB is syntheticDB at 1/10 size, for tests that run many queries.
@@ -88,15 +90,15 @@ func TestHistoryProfileMatchesLiveSSE(t *testing.T) {
 			t.Fatalf("ElapsedSeconds regressed at event %d", i)
 		}
 	}
-	if len(prof.Segments) == 0 {
+	if prof.Plan == nil || len(prof.Plan.Segments) == 0 {
 		t.Fatal("done profile has no segment ledger")
 	}
-	for _, seg := range prof.Segments {
+	for _, seg := range prof.Plan.Segments {
 		if !seg.Done {
-			t.Fatalf("segment %d not marked done in a completed query", seg.Index)
+			t.Fatalf("segment %d not marked done in a completed query", seg.ID)
 		}
-		if seg.EndSeconds < seg.StartSeconds {
-			t.Fatalf("segment %d spans backwards", seg.Index)
+		if seg.EndT < seg.StartT {
+			t.Fatalf("segment %d spans backwards", seg.ID)
 		}
 	}
 	// Non-terminal refreshes must each carry a remaining-time score.
@@ -385,33 +387,21 @@ func TestDashboardAndDebugSurface(t *testing.T) {
 	}
 }
 
-// TestProfileQErrors pins the history profile's q-errors: max(est/actual,
-// actual/est), and -1 wherever either side is missing or zero — the final
-// segment's unobserved rows, a segment with no rows on either side, an
-// unknown remaining time.
+// TestProfileQErrors pins the history profile's remaining-time q-errors:
+// max(est/actual, actual/est), and -1 where the remaining time is
+// unknown. The segments' q-errors are the indicator's
+// (TestSegmentReportQError in internal/core).
 func TestProfileQErrors(t *testing.T) {
-	j := &job{state: client.StateDone, res: &progressdb.Result{
-		VirtualSeconds: 10,
-		Segments: []progressdb.SegmentStats{
-			{EstRows: 100, ActualRows: 100},
-			{EstRows: 25, ActualRows: 100},
-			{EstRows: 100, ActualRows: 25},
-			{EstRows: 0, ActualRows: 0},
-			{EstRows: 50, ActualRows: -1},
-		},
-	}, history: []client.ProgressEvent{
-		{ElapsedSeconds: 0, RemainingSeconds: -1},
-		{ElapsedSeconds: 2, RemainingSeconds: 2},
-		{ElapsedSeconds: 5, RemainingSeconds: 5},
-		{ElapsedSeconds: 10, State: client.StateDone},
-	}}
+	j := &job{state: client.StateDone, res: &progressdb.Result{VirtualSeconds: 10},
+		history: []client.ProgressEvent{
+			{ElapsedSeconds: 0, RemainingSeconds: -1},
+			{ElapsedSeconds: 2, RemainingSeconds: 2},
+			{ElapsedSeconds: 5, RemainingSeconds: 5},
+			{ElapsedSeconds: 10, State: client.StateDone},
+		}}
 	p := j.profileLocked()
-	var segs []float64
-	for _, s := range p.Segments {
-		segs = append(segs, s.QError)
-	}
-	if want := []float64{1, 4, 4, -1, -1}; !reflect.DeepEqual(segs, want) {
-		t.Errorf("segment q-errors %v, want %v", segs, want)
+	if p.Plan != nil {
+		t.Errorf("a result without segments gave the profile a plan: %+v", p.Plan)
 	}
 	if want := []float64{-1, 4, 1}; !reflect.DeepEqual(p.RemainingQError, want) {
 		t.Errorf("remaining-time q-errors %v, want %v", p.RemainingQError, want)
@@ -511,5 +501,79 @@ func TestObsListsResolve(t *testing.T) {
 				t.Fatal("empty /metrics page")
 			}
 		})
+	}
+}
+
+// TestProfilePlanMatchesInProcess: the history profile carries the plan
+// report the engine made, as it is. Every benchmark statement, served by
+// one engine, leaves a profile whose plan decodes to exactly the
+// Result.Plan of the same statement run in process on a twin engine, and
+// names every operator. A 2-shard fleet's profile has no plan.
+func TestProfilePlanMatchesInProcess(t *testing.T) {
+	open := func() *progressdb.DB {
+		db := progressdb.Open(progressdb.Config{ProgressUpdateSeconds: 0.25})
+		err := db.LoadPaperWorkload(0.002, false)
+		for _, ix := range workload.BenchIndexes {
+			err = errors.Join(err, db.CreateIndex(ix[0], ix[1]))
+		}
+		if err = errors.Join(err, db.Analyze()); err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	served, local := open(), open()
+	_, cl := testServer(t, served, Config{SampleInterval: -1, KeepAlive: -1})
+	ctx := context.Background()
+	for _, st := range workload.BenchStatements {
+		want, err := local.ExecDiscard(st.SQL, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", st.Name, err)
+		}
+		sub, err := cl.Submit(ctx, client.SubmitRequest{SQL: st.SQL, Name: st.Name})
+		if err != nil {
+			t.Fatalf("%s: %v", st.Name, err)
+		}
+		waitState(t, cl, sub.ID, client.StateDone)
+		prof, err := cl.HistoryProfile(ctx, sub.ID)
+		if err != nil {
+			t.Fatalf("%s: %v", st.Name, err)
+		}
+		switch {
+		case prof.Plan == nil || len(prof.Plan.Operators) == 0:
+			t.Errorf("%s: profile plan %+v, want segments and operators", st.Name, prof.Plan)
+		case !reflect.DeepEqual(*prof.Plan, want.Plan):
+			t.Errorf("%s: the profile's plan\n%+v\nis not the in-process Result.Plan\n%+v", st.Name, *prof.Plan, want.Plan)
+		}
+	}
+
+	f, err := fleet.New(fleet.Config{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = f.CreateTable("t", "k", progressdb.Col("k", progressdb.Int))
+	for k := range 100 {
+		err = errors.Join(err, f.Insert("t", int64(k)))
+	}
+	if err = errors.Join(err, f.Analyze()); err != nil {
+		t.Fatal(err)
+	}
+	s := NewFleet(f, Config{Workers: 1, SampleInterval: -1, KeepAlive: -1})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		s.Close()
+		ts.Close()
+	})
+	fcl := client.New(ts.URL)
+	sub, err := fcl.Submit(ctx, client.SubmitRequest{SQL: "select * from t"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, fcl, sub.ID, client.StateDone)
+	prof, err := fcl.HistoryProfile(ctx, sub.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prof.Plan != nil {
+		t.Errorf("a fleet's profile has a plan: %+v", prof.Plan)
 	}
 }

@@ -98,7 +98,7 @@ func (db *DB) workerClock() *vclock.Clock {
 // run executes an already-planned query on clk with full observability
 // wiring: the indicator gets the refinement instruments, the executor
 // gets engine metrics and, when collect is set, a per-operator
-// collector, and the plan report is assembled afterwards. clk is a
+// collector, and the plan report is read off both afterwards. clk is a
 // workerClock for a query that runs on its own, or the engine's base
 // clock for an ExecGroup member, whose yield hook (nil otherwise) hands
 // the machine to the next member. ctx cancels execution at the
@@ -174,8 +174,7 @@ func (db *DB) run(ctx context.Context, clk *vclock.Clock, yield func(), p plan.N
 	for _, s := range ind.Snapshots() {
 		res.History = append(res.History, toReport(s))
 	}
-	res.report = newPlanReport(p, d, ind, coll)
-	res.Segments = res.report.segments()
+	res.Plan = newPlanReport(p, env, ind)
 	return res, nil
 }
 
@@ -214,109 +213,91 @@ func (db *DB) ExplainAnalyze(sql string) (*Result, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	return res, res.report.explain(), nil
+	return res, res.Plan.explain(), nil
 }
 
-// planReport is what a finished query knows about its plan: per segment,
-// the indicator's estimate against what the segment did and, when a
-// collector ran, per operator in pre-order, the optimizer's estimate
-// against the collector's actuals. It holds no plan node, so a Result
-// keeps it. Result.Segments and EXPLAIN ANALYZE's text are printed from
-// it.
-type planReport struct {
-	segs []core.SegmentReport
-	ops  []opReport
+// SegmentReport is one pipelined segment's estimated-versus-actual
+// record, the paper's Section 6 "where did the time go" ledger; its
+// bounds are seconds since the query started, as Report.ElapsedSeconds
+// is.
+type SegmentReport = core.SegmentReport
+
+// PlanReport is what a finished query knows about its plan: per segment,
+// the indicator's estimate against what the segment did, and per
+// operator, the optimizer's estimate against what the operator did. It
+// holds no plan node, so a Result keeps it and a server can send it as
+// it is.
+type PlanReport struct {
+	// Segments are the plan's segments in execution order.
+	Segments []SegmentReport `json:"segments"`
+	// Operators are the plan's operators in pre-order.
+	Operators []OperatorReport `json:"operators"`
 }
 
-// opReport is one operator of a planReport.
-type opReport struct {
-	label          string
-	depth          int
-	seg            int // the segment the operator runs in; -1 for none
-	estRows, width float64
-	ran            bool // the collector has actuals for the operator
-	rows, loops    int64
-	u, start, end  float64
-	notes          []string
-}
+// OperatorReport is one operator of a PlanReport: the optimizer's
+// estimate against what the operator's node slot counted. Its Label, U
+// and Notes (its OperatorDetail) are set only by EXPLAIN ANALYZE, whose
+// collector sizes every emitted row; reading them elsewhere panics.
+type OperatorReport = exec.OperatorReport
 
-// newPlanReport reads one finished query's plan report off its plan, its
-// decomposition, its indicator and its collector (nil when none ran).
-func newPlanReport(p plan.Node, d *segment.Decomposition, ind *core.Indicator, coll *exec.Collector) planReport {
-	r := planReport{segs: ind.SegmentReports()}
-	if coll == nil {
-		return r
-	}
-	var walk func(n plan.Node, depth int)
-	walk = func(n plan.Node, depth int) {
-		e := n.Est()
-		op := opReport{label: n.Label(), depth: depth, seg: -1, estRows: e.Card, width: e.Width}
-		if seg, ok := d.NodeSeg[n]; ok {
-			op.seg = seg
-		}
-		if st := coll.Get(n); st != nil {
-			op.ran, op.rows, op.loops, op.u = true, st.Rows, st.Loops, st.Bytes/storage.PageSize
-			op.start, op.end, op.notes = st.StartT, st.EndT, st.Notes
-		}
-		r.ops = append(r.ops, op)
-		for _, c := range n.Children() {
-			walk(c, depth+1)
+// newPlanReport completes one finished query's plan report: the
+// indicator's segment reports, and the operator reports the executor's
+// build began, filled from their node slots. When a collector ran
+// (env.Collect), it also labels and notes each operator off a pre-order
+// walk of the plan.
+func newPlanReport(p plan.Node, env *exec.Env, ind *core.Indicator) PlanReport {
+	r := PlanReport{Segments: ind.SegmentReports(), Operators: env.Ops}
+	slots := env.Decomp.NodeCounts()
+	for i := range slots {
+		c, op := &slots[i], &r.Operators[i]
+		op.Rows, op.Loops = c.Rows, c.Loops
+		op.QError = core.QError(op.EstRows, float64(c.Rows))
+		if c.Loops > 0 {
+			op.StartT, op.EndT = ind.Since(c.StartT), ind.Since(c.EndT)
 		}
 	}
-	walk(p, 0)
+	if env.Collect != nil {
+		i := 0
+		var walk func(n plan.Node)
+		walk = func(n plan.Node) {
+			r.Operators[i].OperatorDetail = &exec.OperatorDetail{Label: n.Label(),
+				U: float64(slots[i].Bytes) / storage.PageSize, Notes: env.Collect.Notes(n)}
+			i++
+			for _, c := range n.Children() {
+				walk(c)
+			}
+		}
+		walk(p)
+	}
 	return r
-}
-
-// segments prints the report's segments as Result.Segments.
-func (r *planReport) segments() []SegmentStats {
-	out := make([]SegmentStats, len(r.segs))
-	for i, s := range r.segs {
-		out[i] = SegmentStats{
-			Index:        s.ID,
-			Root:         s.Root,
-			EstCostU:     s.EstCostU,
-			ActualCostU:  s.ActualCostU,
-			EstRows:      s.EstOutRows,
-			ActualRows:   s.ActualOutRows,
-			StartSeconds: s.StartT,
-			EndSeconds:   s.EndT,
-			Done:         s.Done,
-		}
-	}
-	return out
 }
 
 // explain prints the report as EXPLAIN ANALYZE, in the style of
 // PostgreSQL's: the operator tree with each operator's actuals, then the
 // per-segment estimated-versus-actual table.
-func (r *planReport) explain() string {
+func (r *PlanReport) explain() string {
 	var b strings.Builder
-	for _, op := range r.ops {
-		pad := strings.Repeat("  ", op.depth)
-		fmt.Fprintf(&b, "%s%s  (est rows=%.0f width=%.0f)", pad, op.label, op.estRows, op.width)
-		if op.ran {
-			fmt.Fprintf(&b, " (actual rows=%d loops=%d U=%.1f time=%.1f..%.1fs",
-				op.rows, op.loops, op.u, op.start, op.end)
-			switch q := core.QError(op.estRows, float64(op.rows)); {
-			case q > 0:
-				fmt.Fprintf(&b, " err=x%.1f)", q)
-			case op.estRows <= 0 && op.rows <= 0:
-				b.WriteString(" err=x1.0)")
-			default:
-				b.WriteString(" err=xinf)")
-			}
+	for _, op := range r.Operators {
+		pad := strings.Repeat("  ", int(op.Depth))
+		fmt.Fprintf(&b, "%s%s  (est rows=%.0f width=%.0f)", pad, op.Label, op.EstRows, op.EstWidth)
+		fmt.Fprintf(&b, " (actual rows=%d loops=%d U=%.1f time=%.1f..%.1fs",
+			op.Rows, op.Loops, op.U, op.StartT, op.EndT)
+		switch q := op.QError; {
+		case q > 0:
+			fmt.Fprintf(&b, " err=x%.1f)", q)
+		case op.EstRows <= 0 && op.Rows <= 0:
+			b.WriteString(" err=x1.0)")
+		default:
+			b.WriteString(" err=xinf)")
 		}
-		if op.seg >= 0 {
-			fmt.Fprintf(&b, " [S%d]", op.seg)
-		}
-		b.WriteByte('\n')
-		for _, note := range op.notes {
+		fmt.Fprintf(&b, " [S%d]\n", op.Segment)
+		for _, note := range op.Notes {
 			fmt.Fprintf(&b, "%s  note: %s\n", pad, note)
 		}
 	}
 	fmt.Fprintf(&b, "\n%-3s %-11s %-11s %-12s %-12s %-9s %s\n",
 		"seg", "est U", "actual U", "est rows", "actual rows", "seconds", "root")
-	for _, s := range r.segs {
+	for _, s := range r.Segments {
 		actRows := fmt.Sprintf("%.0f", s.ActualOutRows)
 		if s.ActualOutRows < 0 {
 			actRows = "(result)"

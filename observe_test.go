@@ -5,10 +5,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 	"testing"
 
+	"progressdb/internal/core"
+	"progressdb/internal/exec"
 	"progressdb/internal/obs"
 	"progressdb/internal/workload"
 )
@@ -123,7 +124,7 @@ func TestExplainAnalyzeTwoJoin(t *testing.T) {
 	if res.RowCount() == 0 {
 		t.Fatal("EXPLAIN ANALYZE returned no rows")
 	}
-	if n := len(res.report.ops); n < 4 {
+	if n := len(res.Plan.Operators); n < 4 {
 		t.Fatalf("plan report has %d operators, want >= 4", n)
 	}
 	// Per-operator actuals, estimate error factor, and U on every
@@ -162,9 +163,9 @@ func TestExplainStatementDispatch(t *testing.T) {
 var rewriteGolden = flag.Bool("rewrite", false, "rewrite the golden file of each test run (testdata/explain_analyze.txt, BENCH_counts.json)")
 
 // TestExplainAnalyzeGolden pins, byte for byte, what a finished query
-// prints about its plan: the EXPLAIN ANALYZE text, every operator's
-// estimate and actuals in shortest round-trip form, and the segment
-// ledger JSON of the benchmark's statements that
+// prints about its plan: the EXPLAIN ANALYZE text and the plan report's
+// JSON, every number in shortest round-trip form, of the benchmark's
+// statements that
 // TestDiscardMatchesKeepOnBenchmarkStatements runs, on its two engines.
 func TestExplainAnalyzeGolden(t *testing.T) {
 	const file = "testdata/explain_analyze.txt"
@@ -179,17 +180,11 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("work_mem %d: %s: %v", wm, st.Name, err)
 			}
-			num := func(v float64) string { return strconv.FormatFloat(v, 'f', -1, 64) }
-			ops := make([]string, len(res.report.ops))
-			for i, op := range res.report.ops {
-				ops[i] = fmt.Sprintf("est=%s rows=%d loops=%d U=%s t=%s..%s",
-					num(op.estRows), op.rows, op.loops, num(op.u), num(op.start), num(op.end))
-			}
-			segs, err := json.Marshal(res.Segments)
+			plan, err := json.Marshal(res.Plan)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fmt.Fprintf(&b, "== %s at work_mem %d\n%sops: %s\nsegments: %s\n", st.Name, wm, text, strings.Join(ops, "; "), segs)
+			fmt.Fprintf(&b, "== %s at work_mem %d\n%splan: %s\n", st.Name, wm, text, plan)
 		}
 	}
 	got := b.String()
@@ -230,7 +225,9 @@ func TestExplainErrSpelling(t *testing.T) {
 		rows int64
 		want string
 	}{{0, 0, "err=x1.0"}, {0, 5, "err=xinf"}, {5, 0, "err=xinf"}, {5, 20, "err=x4.0"}} {
-		r := planReport{ops: []opReport{{label: "SeqScan t", seg: -1, estRows: c.est, ran: true, rows: c.rows}}}
+		op := OperatorReport{OperatorDetail: &exec.OperatorDetail{Label: "SeqScan t"},
+			EstRows: c.est, Rows: c.rows, QError: core.QError(c.est, float64(c.rows))}
+		r := PlanReport{Operators: []OperatorReport{op}}
 		if got := r.explain(); !strings.Contains(got, " "+c.want+")") {
 			t.Errorf("est %v, actual %d: %q, want %s", c.est, c.rows, got, c.want)
 		}

@@ -72,9 +72,10 @@ type Config struct {
 	// disk; see internal/vclock).
 	SeqPageCost, RandPageCost float64
 	// ProgressUpdateSeconds is the indicator refresh period in virtual
-	// seconds (default 10, the paper's rate).
+	// seconds (default 10, the paper's rate, for any value not > 0).
 	ProgressUpdateSeconds float64
-	// SpeedWindowSeconds is the speed-monitoring window T (default 10).
+	// SpeedWindowSeconds is the speed-monitoring window T (default 10,
+	// for any value not > 0).
 	SpeedWindowSeconds float64
 	// Metrics enables the engine-wide metrics registry (DB.Metrics,
 	// DB.MetricsText, DB.MetricsJSON): buffer-pool, disk, executor, and
@@ -94,7 +95,7 @@ type Config struct {
 	cpuTupleCost float64
 	// collect runs every query with the per-operator collector that
 	// EXPLAIN ANALYZE always runs, so each Result's plan report carries
-	// operator actuals. Only tests set it (see export_test.go).
+	// operator labels, U and notes. Only tests set it (see export_test.go).
 	collect bool
 }
 
@@ -131,9 +132,6 @@ func Open(cfg Config) *DB {
 	}
 	if cfg.WorkMemPages <= 0 {
 		cfg.WorkMemPages = 2048
-	}
-	if cfg.ProgressUpdateSeconds <= 0 {
-		cfg.ProgressUpdateSeconds = 10
 	}
 	costs := vclock.DefaultCosts()
 	if cfg.SeqPageCost > 0 {
@@ -418,30 +416,6 @@ func toReport(s core.Snapshot) Report {
 	}
 }
 
-// SegmentStats is one pipelined segment's post-execution summary: the
-// estimated-versus-actual figures the indicator accumulated while the
-// segment ran. It is the paper's Section 6 "where did the time go"
-// ledger, exposed per query so serving layers can retain it after the
-// query finishes.
-type SegmentStats struct {
-	// Index is the segment's execution-order position.
-	Index int
-	// Root labels the segment's top operator.
-	Root string
-	// EstCostU and ActualCostU compare the optimizer's initial segment
-	// cost with the work actually done, in U (pages).
-	EstCostU, ActualCostU float64
-	// EstRows is the optimizer's output-cardinality estimate E1;
-	// ActualRows the observed output (-1 for the final segment, whose
-	// output is the result set and is not U-accounted).
-	EstRows, ActualRows float64
-	// StartSeconds and EndSeconds bound the segment's active period in
-	// virtual time (both zero if it never started).
-	StartSeconds, EndSeconds float64
-	// Done reports whether the segment ran to completion.
-	Done bool
-}
-
 // Result is a completed query.
 type Result struct {
 	// Columns are the output column names.
@@ -456,13 +430,10 @@ type Result struct {
 	VirtualSeconds float64
 	// History is every progress report taken during execution.
 	History []Report
-	// Segments is the per-segment estimated-vs-actual ledger, always
-	// filled on successful execution. It is printed from the query's plan
-	// report, as is ExplainAnalyze's text.
-	Segments []SegmentStats
-
-	// report is what Segments and ExplainAnalyze's text print.
-	report planReport
+	// Plan is what the query knows about its plan, filled on successful
+	// execution: ExplainAnalyze's text prints it, and a server's history
+	// profile carries it.
+	Plan PlanReport
 }
 
 // RowCount returns the number of result rows, kept or discarded.

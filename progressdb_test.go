@@ -2,7 +2,9 @@ package progressdb
 
 import (
 	"bytes"
+	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -395,5 +397,43 @@ func TestFacadeExplainAnalyze(t *testing.T) {
 	}
 	if _, _, err := db.ExplainAnalyze("not sql"); err == nil {
 		t.Fatal("bad sql must fail")
+	}
+}
+
+// TestNaNPeriodsDefault: a refresh period or speed window that is not
+// > 0 takes the 10 s default, NaN included. A query on an engine opened
+// with either NaN reports exactly what the same query reports on a twin
+// engine opened with both left zero: a refresh every 10 s.
+func TestNaNPeriodsDefault(t *testing.T) {
+	const sql = "select * from lineitem"
+	run := func(t *testing.T, cfg Config) []Report {
+		t.Helper()
+		cfg.SeqPageCost = 0.4 // a slow disk: the scan spans a few refreshes
+		db := Open(cfg)
+		if err := errors.Join(db.LoadPaperWorkload(0.002, false), db.ColdRestart()); err != nil {
+			t.Fatal(err)
+		}
+		res, err := db.ExecDiscard(sql, nil)
+		if err != nil {
+			t.Fatalf("%+v: %v", cfg, err)
+		}
+		return res.History
+	}
+	want := run(t, Config{})
+	if len(want) < 3 || want[0].ElapsedSeconds != 10 || want[1].ElapsedSeconds != 20 {
+		t.Fatalf("the default engine refreshed at %+v, want every 10 s over at least 20 s", want)
+	}
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"ProgressUpdateSeconds", Config{ProgressUpdateSeconds: math.NaN()}},
+		{"SpeedWindowSeconds", Config{SpeedWindowSeconds: math.NaN()}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if got := run(t, c.cfg); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s NaN reported\n%+v\nwant the 10 s default's\n%+v", c.name, got, want)
+			}
+		})
 	}
 }

@@ -88,8 +88,8 @@ func TestRowsOutExact(t *testing.T) {
 			}
 			d, sum := rowsOutDelta(before, rowsOut(db))
 			var want int64
-			for _, op := range res.report.ops {
-				want += op.rows
+			for _, op := range res.Plan.Operators {
+				want += op.Rows
 			}
 			if sum != want {
 				t.Errorf("work_mem %d, %s: counters grew by %d %v, the plan report's operators emitted %d rows", wm, name, sum, d, want)
