@@ -2,6 +2,7 @@ package progressdb
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -16,8 +17,9 @@ import (
 
 // countsFile is the wall ledger's counts that repeat: per benchmark
 // statement, what one warm ExecDiscard allocates with metrics off and on,
-// what planning it alone allocates, how often the executor calls the
-// indicator, by kind, and the rows it adds to exec_rows_out_total, by op.
+// what planning it alone allocates and what running it once planned
+// allocates, how often the executor calls the indicator, by kind, and the
+// rows it adds to exec_rows_out_total, by op.
 // Rewrite it with: go test -run TestCountsGolden . -args -rewrite
 const countsFile = "BENCH_counts.json"
 
@@ -36,7 +38,10 @@ const countsRuns = 1
 //   - exec_bytes spread by at most 312 bytes, so 1 KiB;
 //   - estimate_allocs never moved, so 0: one more allocation per join
 //     candidate adds 32 on Q2;
-//   - exec_allocs_metrics spread by 4 on q5, as exec_allocs does, so 8.
+//   - exec_allocs_metrics spread by 4 on q5, as exec_allocs does, so 8;
+//   - stmt_run_allocs is exec_allocs without the planning, so it takes
+//     exec_allocs' tolerance, against the file and against
+//     exec_allocs − estimate_allocs.
 const (
 	execAllocsTol        = 8
 	execBytesTol         = 1 << 10
@@ -49,11 +54,13 @@ type stmtCounts struct {
 	Name    string `json:"name"`
 	WorkMem int    `json:"work_mem"`
 	// ExecAllocs and ExecBytes are one warm ExecDiscard's allocations
-	// and bytes allocated; EstimateAllocs are EstimateCostU's alone
-	// (parse, plan, decompose).
+	// and bytes allocated; EstimateAllocs are Prepare's alone (parse,
+	// plan, decompose), and StmtRunAllocs a warm ExecDiscardContext's of
+	// the statement Prepare made, which does not plan again.
 	ExecAllocs     int64 `json:"exec_allocs"`
 	ExecBytes      int64 `json:"exec_bytes"`
 	EstimateAllocs int64 `json:"estimate_allocs"`
+	StmtRunAllocs  int64 `json:"stmt_run_allocs"`
 	// ExecAllocsMetrics is ExecAllocs on an engine with Config.Metrics
 	// on, progressd's setting.
 	ExecAllocsMetrics int64 `json:"exec_allocs_metrics"`
@@ -93,10 +100,23 @@ func TestCountsGolden(t *testing.T) {
 					}
 				})
 				c.EstimateAllocs, _ = allocsAndBytes(func() {
-					if _, err := db.EstimateCostU(st.SQL); err != nil {
+					if _, err := db.Prepare(st.SQL); err != nil {
 						t.Fatal(err)
 					}
 				})
+				stmt, err := db.Prepare(st.SQL)
+				if err != nil {
+					t.Fatal(err)
+				}
+				c.StmtRunAllocs, _ = allocsAndBytes(func() {
+					if _, err := stmt.ExecDiscardContext(context.Background(), nil); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if d := c.StmtRunAllocs - (c.ExecAllocs - c.EstimateAllocs); d > execAllocsTol || d < -execAllocsTol {
+					t.Errorf("%s at work_mem %d: stmt_run_allocs %d, exec_allocs − estimate_allocs %d: a prepared run plans again",
+						st.Name, wm, c.StmtRunAllocs, c.ExecAllocs-c.EstimateAllocs)
+				}
 				c.ExecAllocsMetrics, _ = allocsAndBytes(func() {
 					if _, err := mdb.ExecDiscard(st.SQL, nil); err != nil {
 						t.Fatal(err)
@@ -161,6 +181,7 @@ func TestCountsGolden(t *testing.T) {
 			{"exec_allocs", g.ExecAllocs, w.ExecAllocs, execAllocsTol},
 			{"exec_bytes", g.ExecBytes, w.ExecBytes, execBytesTol},
 			{"estimate_allocs", g.EstimateAllocs, w.EstimateAllocs, estimateAllocsTol},
+			{"stmt_run_allocs", g.StmtRunAllocs, w.StmtRunAllocs, execAllocsTol},
 			{"exec_allocs_metrics", g.ExecAllocsMetrics, w.ExecAllocsMetrics, execAllocsMetricsTol},
 		} {
 			switch {

@@ -7,6 +7,7 @@ import (
 	"progressdb/internal/expr"
 	"progressdb/internal/optimizer"
 	"progressdb/internal/plan"
+	"progressdb/internal/segment"
 	"progressdb/internal/sqlparser"
 	"progressdb/internal/tuple"
 )
@@ -39,7 +40,7 @@ func (db *DB) ExecPlan(sql string, opt optimizer.Options, run func(planText stri
 	if !run(text) {
 		return nil, text, nil
 	}
-	res, err := db.run(context.Background(), db.workerClock(), nil, p, nil, true, db.cfg.collect)
+	res, err := db.run(context.Background(), db.workerClock(), nil, p, segment.Decompose(p, db.cfg.WorkMemPages), nil, true, db.cfg.collect)
 	if err != nil {
 		return nil, text, err
 	}
@@ -109,5 +110,5 @@ func (db *DB) ExecTopFilter(st *sqlparser.SelectStmt, pred sqlparser.Comparison)
 		}
 		top = p
 	}
-	return db.run(context.Background(), db.workerClock(), nil, top, nil, true, db.cfg.collect)
+	return db.run(context.Background(), db.workerClock(), nil, top, segment.Decompose(top, db.cfg.WorkMemPages), nil, true, db.cfg.collect)
 }

@@ -199,9 +199,9 @@ func (db *DB) execOne(q GroupQuery, yield func()) (res *Result, err error) {
 			res, err = nil, exec.NewInternalError(r, debug.Stack())
 		}
 	}()
-	p, err := db.plan(q.SQL)
-	if err != nil {
+	var st Stmt
+	if err := db.prepare(&st, q.SQL); err != nil {
 		return nil, err
 	}
-	return db.run(q.Ctx, db.clock, yield, p, q.OnProgress, q.KeepRows, db.cfg.collect)
+	return db.run(q.Ctx, db.clock, yield, st.p, st.d, q.OnProgress, q.KeepRows, db.cfg.collect)
 }

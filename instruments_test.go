@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"progressdb/internal/segment"
 	"progressdb/internal/workload"
 )
 
@@ -58,7 +59,7 @@ func instrumentedRun(t *testing.T, db *DB, sql string, keep, collect bool) *Resu
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.run(context.Background(), db.workerClock(), nil, p, nil, keep, collect)
+	res, err := db.run(context.Background(), db.workerClock(), nil, p, segment.Decompose(p, db.cfg.WorkMemPages), nil, keep, collect)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"progressdb/internal/btree"
 	"progressdb/internal/stats"
@@ -27,11 +28,16 @@ type Index struct {
 // Table is a named relation with its heap file, schema, optional
 // statistics, and indexes.
 type Table struct {
-	Name    string
-	Schema  *tuple.Schema
-	Heap    *storage.HeapFile
-	Stats   *stats.TableStats
-	Indexes []*Index
+	Name   string
+	Schema *tuple.Schema
+	// QualifiedCols are the columns' names qualified by the table's,
+	// "table.column" in lower case, as a query that does not alias the
+	// table binds them. CreateTable makes them, and nothing writes them
+	// after.
+	QualifiedCols []string
+	Heap          *storage.HeapFile
+	Stats         *stats.TableStats
+	Indexes       []*Index
 
 	pagesMu sync.Mutex        // guards the fields below
 	pages   []*PageIndex      // by page number, once a scan has read the page
@@ -169,12 +175,21 @@ type Catalog struct {
 
 	mu     sync.RWMutex // guards tables
 	tables map[string]*Table
+
+	// gen counts the DDL that can change a plan: CreateTable,
+	// CreateIndex and Analyze each add one when they succeed. A plan made
+	// at one generation is the plan the catalog still chooses at the same
+	// generation.
+	gen atomic.Uint64
 }
 
 // New creates an empty catalog whose tables live on pool.
 func New(pool *storage.BufferPool) *Catalog {
 	return &Catalog{pool: pool, tables: make(map[string]*Table)}
 }
+
+// Generation returns the catalog's DDL generation (see Catalog.gen).
+func (c *Catalog) Generation() uint64 { return c.gen.Load() }
 
 // Pool returns the buffer pool backing this catalog's tables.
 func (c *Catalog) Pool() *storage.BufferPool { return c.pool }
@@ -191,12 +206,18 @@ func (c *Catalog) CreateTable(name string, schema *tuple.Schema) (*Table, error)
 	if _, exists := c.tables[key]; exists {
 		return nil, fmt.Errorf("catalog: table %q already exists", name)
 	}
+	qual := make([]string, len(schema.Cols))
+	for i, col := range schema.Cols {
+		qual[i] = key + "." + strings.ToLower(col.Name)
+	}
 	t := &Table{
-		Name:   key,
-		Schema: schema,
-		Heap:   heap,
+		Name:          key,
+		Schema:        schema,
+		QualifiedCols: qual,
+		Heap:          heap,
 	}
 	c.tables[key] = t
+	c.gen.Add(1)
 	return t, nil
 }
 
@@ -246,6 +267,7 @@ func (c *Catalog) Analyze(t *Table) error {
 		return err
 	}
 	t.Stats = ts
+	c.gen.Add(1)
 	return nil
 }
 
@@ -301,5 +323,6 @@ func (c *Catalog) CreateIndex(t *Table, column string) (*Index, error) {
 		Tree:   tree,
 	}
 	t.Indexes = append(t.Indexes, ix)
+	c.gen.Add(1)
 	return ix, nil
 }

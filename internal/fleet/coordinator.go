@@ -112,40 +112,78 @@ func (f *Fleet) ExecDiscardContext(ctx context.Context, sql string, onProgress f
 	return f.exec(ctx, sql, onProgress, false)
 }
 
-// EstimateCostU prices a query before running it: the sum across shards
-// of each shard optimizer's initial total cost estimate in U for the
-// rewritten per-shard subquery — the figure the serving layer's
-// admission controller charges against its in-flight budget. Like
-// DB.EstimateCostU it is a pure read (no clock charges, no storage), so
-// it is safe concurrently with running subqueries, but not with DDL,
-// inserts, or Analyze.
-func (f *Fleet) EstimateCostU(sql string) (float64, error) {
-	qp, err := f.rewrite(sql)
+func (f *Fleet) exec(ctx context.Context, sql string, onProgress func(Report), keepRows bool) (*Result, error) {
+	st, err := f.Prepare(sql)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	var total float64
-	for _, sh := range f.shards {
-		u, err := sh.db.EstimateCostU(qp.shardSQL)
-		if err != nil {
-			return 0, fmt.Errorf("fleet: shard %d estimate: %w", sh.id, err)
-		}
-		total += u
-	}
-	return total, nil
+	return st.exec(ctx, onProgress, keepRows)
 }
 
-func (f *Fleet) exec(ctx context.Context, sql string, onProgress func(Report), keepRows bool) (*Result, error) {
-	f.met.queries.Inc()
-	qp, err := f.rewrite(sql)
+// Stmt is a fleet query prepared once: the coordinator's rewrite, and
+// the per-shard subquery prepared on every shard (progressdb.Stmt). It
+// is safe for concurrent use, as progressdb.Stmt is.
+type Stmt struct {
+	f      *Fleet
+	qp     *queryPlan
+	shards []*progressdb.Stmt // by shard id
+	costU  float64
+}
+
+// Prepare rewrites sql into its per-shard subquery once and prepares
+// that on each shard. The statement's CostU is the sum of the shards'
+// initial estimates — the figure the serving layer's admission
+// controller charges against its in-flight budget. Like DB.Prepare it
+// is a pure read (no clock charges, no storage), so it is safe
+// concurrently with running subqueries, but not with DDL, inserts, or
+// Analyze. A query Prepare rejects counts as a failed fleet query.
+func (f *Fleet) Prepare(sql string) (*Stmt, error) {
+	st, err := f.prepare(sql)
 	if err != nil {
+		f.met.queries.Inc()
 		if errors.Is(err, ErrUnsupported) {
 			f.met.unsupported.Inc()
 		}
 		f.met.failed.Inc()
 		return nil, err
 	}
+	return st, nil
+}
 
+func (f *Fleet) prepare(sql string) (*Stmt, error) {
+	qp, err := f.rewrite(sql)
+	if err != nil {
+		return nil, err
+	}
+	st := &Stmt{f: f, qp: qp, shards: make([]*progressdb.Stmt, len(f.shards))}
+	for _, sh := range f.shards {
+		ss, err := sh.db.Prepare(qp.shardSQL)
+		if err != nil {
+			return nil, &ShardError{Shard: sh.id, Err: err}
+		}
+		st.shards[sh.id] = ss
+		st.costU += ss.CostU()
+	}
+	return st, nil
+}
+
+// CostU returns the sum of the shards' initial estimates, in U.
+func (s *Stmt) CostU() float64 { return s.costU }
+
+// ExecContext runs the statement as Fleet.ExecContext runs its SQL.
+func (s *Stmt) ExecContext(ctx context.Context, onProgress func(Report)) (*Result, error) {
+	return s.exec(ctx, onProgress, true)
+}
+
+// ExecDiscardContext runs the statement as Fleet.ExecDiscardContext
+// runs its SQL.
+func (s *Stmt) ExecDiscardContext(ctx context.Context, onProgress func(Report)) (*Result, error) {
+	return s.exec(ctx, onProgress, false)
+}
+
+func (s *Stmt) exec(ctx context.Context, onProgress func(Report), keepRows bool) (*Result, error) {
+	f, qp := s.f, s.qp
+	f.met.queries.Inc()
 	agg := newAggregator(f, onProgress)
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -174,9 +212,9 @@ func (f *Fleet) exec(ctx context.Context, sql string, onProgress func(Report), k
 			onShard := func(r progressdb.Report) { agg.shardUpdate(sh.id, r) }
 			var err error
 			if shardRows {
-				results[sh.id], err = sh.db.ExecContext(ctx, qp.shardSQL, onShard)
+				results[sh.id], err = s.shards[sh.id].ExecContext(ctx, onShard)
 			} else {
-				results[sh.id], err = sh.db.ExecDiscardContext(ctx, qp.shardSQL, onShard)
+				results[sh.id], err = s.shards[sh.id].ExecDiscardContext(ctx, onShard)
 			}
 			if err != nil {
 				errs[sh.id] = &ShardError{Shard: sh.id, Err: err}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -323,34 +324,50 @@ func subqueriesExecuted(t *testing.T, f *Fleet) float64 {
 	return 0
 }
 
-// TestFleetEstimateCostU: the fleet estimate is the sum of per-shard
-// optimizer estimates, it prices without executing, and unsupported
-// queries are rejected the same way exec rejects them.
-func TestFleetEstimateCostU(t *testing.T) {
+// TestFleetPrepare: the fleet statement's CostU is the sum of per-shard
+// optimizer estimates, Prepare plans without executing, unsupported
+// queries are rejected the same way exec rejects them, and the statement
+// runs on every shard as prepared.
+func TestFleetPrepare(t *testing.T) {
 	f := paperFleet(t, 3)
-	u, err := f.EstimateCostU(`select count(*) from lineitem`)
+	const sql = `select count(*) from lineitem`
+	st, err := f.Prepare(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if u <= 0 {
-		t.Fatalf("estimate = %g, want > 0", u)
+	if st.CostU() <= 0 {
+		t.Fatalf("estimate = %g, want > 0", st.CostU())
 	}
 	var perShard float64
 	for i := 0; i < f.Shards(); i++ {
-		su, err := f.shards[i].db.EstimateCostU(`select count(*) from lineitem`)
+		ss, err := f.shards[i].db.Prepare(sql)
 		if err != nil {
 			t.Fatal(err)
 		}
-		perShard += su
+		perShard += ss.CostU()
 	}
-	if diff := u - perShard; diff > 1e-9 || diff < -1e-9 {
-		t.Fatalf("fleet estimate %g != sum of shard estimates %g", u, perShard)
+	if diff := st.CostU() - perShard; diff > 1e-9 || diff < -1e-9 {
+		t.Fatalf("fleet estimate %g != sum of shard estimates %g", st.CostU(), perShard)
 	}
-	if _, err := f.EstimateCostU(`select * from customer c, lineitem l where c.nationkey = l.orderkey`); !errors.Is(err, ErrUnsupported) {
-		t.Fatalf("estimate of non-co-partitioned join: %v, want ErrUnsupported", err)
+	if _, err := f.Prepare(`select * from customer c, lineitem l where c.nationkey = l.orderkey`); !errors.Is(err, ErrUnsupported) {
+		t.Fatalf("prepare of non-co-partitioned join: %v, want ErrUnsupported", err)
 	}
 	if subqueriesExecuted(t, f) != 0 {
-		t.Fatal("EstimateCostU executed a subquery")
+		t.Fatal("Prepare executed a subquery")
+	}
+	res, err := st.ExecContext(context.Background(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := f.Exec(sql, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Rows, want.Rows) {
+		t.Fatalf("prepared rows %v, Exec rows %v", res.Rows, want.Rows)
+	}
+	if got := subqueriesExecuted(t, f); got != 2*float64(f.Shards()) {
+		t.Fatalf("fleet_subqueries_total = %g after two runs, want %d", got, 2*f.Shards())
 	}
 }
 

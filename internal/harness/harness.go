@@ -26,6 +26,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -179,10 +180,11 @@ func (r Runner) Run(q int, interf Interference, unloadedD float64) (*RunResult, 
 	if err != nil {
 		return nil, err
 	}
-	res := &RunResult{Query: q, Scenario: scenarioName(interf), seqPage: r.costs().SeqPage}
-	if res.InitialEstU, err = db.EstimateCostU(sql); err != nil {
+	st, err := db.Prepare(sql)
+	if err != nil {
 		return nil, err
 	}
+	res := &RunResult{Query: q, Scenario: scenarioName(interf), seqPage: r.costs().SeqPage, InitialEstU: st.CostU()}
 	if interf.Kind != "" {
 		start := db.Now()
 		s := start + unloadedD*interf.StartFrac
@@ -196,7 +198,7 @@ func (r Runner) Run(q int, interf Interference, unloadedD float64) (*RunResult, 
 		res.InterfStart = s - start
 		res.InterfEnd = e - start
 	}
-	out, err := db.ExecDiscard(sql, nil)
+	out, err := st.ExecDiscardContext(context.Background(), nil)
 	if err != nil {
 		return nil, fmt.Errorf("harness: Q%d: %w", q, err)
 	}

@@ -83,24 +83,8 @@ func bind(cat *catalog.Catalog, stmt *sqlparser.SelectStmt) (*boundQuery, error)
 		return nil, fmt.Errorf("optimizer: too many tables (%d > 31)", len(stmt.From))
 	}
 	bq := &boundQuery{global: &tuple.Schema{}}
-	seen := map[string]bool{}
-	for i, ref := range stmt.From {
-		tbl, err := cat.Table(ref.Table)
-		if err != nil {
-			return nil, err
-		}
-		ts := &tableSource{ref: ref, tbl: tbl, idx: i, offset: bq.global.Arity()}
-		if seen[ts.binding()] {
-			return nil, fmt.Errorf("optimizer: duplicate table binding %q", ts.binding())
-		}
-		seen[ts.binding()] = true
-		for _, c := range tbl.Schema.Cols {
-			bq.global.Cols = append(bq.global.Cols, tuple.Column{
-				Name: ts.binding() + "." + strings.ToLower(c.Name),
-				Type: c.Type,
-			})
-		}
-		bq.tables = append(bq.tables, ts)
+	if err := bq.bindFrom(cat, stmt.From, 0); err != nil {
+		return nil, err
 	}
 
 	// GROUP BY columns.
@@ -225,6 +209,42 @@ func splitAnd(e sqlparser.Expr) []sqlparser.Expr {
 		return append(splitAnd(a.L), splitAnd(a.R)...)
 	}
 	return []sqlparser.Expr{e}
+}
+
+// bindFrom binds a FROM list: each table becomes a tableSource, and
+// the global schema, whose first outer columns bq already holds, gains
+// every table's columns, named "binding.column" with the column in
+// lower case. An unaliased table's names are the catalog's own; only an
+// alias makes new ones.
+func (bq *boundQuery) bindFrom(cat *catalog.Catalog, from []sqlparser.TableRef, outer int) error {
+	bq.tables = make([]*tableSource, len(from))
+	arity := outer
+	for i, ref := range from {
+		tbl, err := cat.Table(ref.Table)
+		if err != nil {
+			return err
+		}
+		for _, ts := range bq.tables[:i] {
+			if ts.binding() == ref.Binding() {
+				return fmt.Errorf("optimizer: duplicate table binding %q", ref.Binding())
+			}
+		}
+		bq.tables[i] = &tableSource{ref: ref, tbl: tbl, idx: i, offset: arity}
+		arity += tbl.Schema.Arity()
+	}
+	cols := make([]tuple.Column, arity)
+	copy(cols, bq.global.Cols)
+	for _, ts := range bq.tables {
+		for ci, c := range ts.tbl.Schema.Cols {
+			name := ts.tbl.QualifiedCols[ci]
+			if b := ts.binding(); b != ts.tbl.Name {
+				name = b + "." + strings.ToLower(c.Name)
+			}
+			cols[ts.offset+ci] = tuple.Column{Name: name, Type: c.Type}
+		}
+	}
+	bq.global.Cols = cols
+	return nil
 }
 
 // resolveColumn finds the global index of a column reference.

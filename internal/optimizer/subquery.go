@@ -59,26 +59,9 @@ func bindSubquery(cat *catalog.Catalog, outer *boundQuery, stmt *sqlparser.Selec
 
 	// Build the subquery's bound query in the combined column space:
 	// outer columns occupy [0, outerArity); subquery columns follow.
-	sub := &boundQuery{global: &tuple.Schema{}}
-	sub.global.Cols = append(sub.global.Cols, outer.global.Cols...)
-	seen := map[string]bool{}
-	for i, ref := range stmt.From {
-		tbl, err := cat.Table(ref.Table)
-		if err != nil {
-			return nil, err
-		}
-		ts := &tableSource{ref: ref, tbl: tbl, idx: i, offset: sub.global.Arity()}
-		if seen[ts.binding()] {
-			return nil, fmt.Errorf("optimizer: duplicate table binding %q in subquery", ts.binding())
-		}
-		seen[ts.binding()] = true
-		for _, c := range tbl.Schema.Cols {
-			sub.global.Cols = append(sub.global.Cols, tuple.Column{
-				Name: ts.binding() + "." + c.Name,
-				Type: c.Type,
-			})
-		}
-		sub.tables = append(sub.tables, ts)
+	sub := &boundQuery{global: &tuple.Schema{Cols: outer.global.Cols}}
+	if err := sub.bindFrom(cat, stmt.From, outerArity); err != nil {
+		return nil, err
 	}
 	spec.sub = sub
 

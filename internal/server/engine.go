@@ -23,10 +23,16 @@ type Progress struct {
 
 // Engine is the execution backend behind a Server.
 type Engine interface {
-	// ExecQuery runs sql under ctx, materializing rows only when
-	// keepRows is set, and invokes onProgress (if non-nil) at every
-	// progress refresh.
-	ExecQuery(ctx context.Context, sql string, keepRows bool, onProgress func(Progress)) (*progressdb.Result, error)
+	// Prepare plans sql once and prices it with the optimizer's initial
+	// total-cost estimate in U (Stmt.CostU), without executing it — a
+	// pure catalog/plan read, safe to call concurrently with a running
+	// query.
+	Prepare(sql string) (Stmt, error)
+	// ExecQuery runs stmt, which this engine's Prepare made, under ctx,
+	// materializing rows only when keepRows is set, and invokes
+	// onProgress (if non-nil) at every progress refresh. It does not
+	// plan stmt again.
+	ExecQuery(ctx context.Context, stmt Stmt, keepRows bool, onProgress func(Progress)) (*progressdb.Result, error)
 	// Metrics snapshots the engine-side instruments (empty when
 	// disabled). Safe to call while queries run: instruments are
 	// atomic and clock gauges read the engine's shared clock group.
@@ -34,30 +40,40 @@ type Engine interface {
 	// Shards returns the engine's shard count: 1 for a single DB, N for
 	// a fleet.
 	Shards() int
-	// EstimateCostU prices sql with the optimizer's initial total-cost
-	// estimate in U, without executing it — a pure catalog/plan read,
-	// safe to call concurrently with a running query.
-	EstimateCostU(sql string) (float64, error)
+}
+
+// Stmt is a statement an Engine prepared: planned once, priced by
+// CostU, and run by the same Engine's ExecQuery.
+type Stmt interface {
+	// CostU is the initial cost estimate of the plan ExecQuery runs, in U.
+	CostU() float64
 }
 
 // dbEngine adapts a single progressdb.DB.
 type dbEngine struct{ db *progressdb.DB }
 
-func (e dbEngine) ExecQuery(ctx context.Context, sql string, keepRows bool, onProgress func(Progress)) (*progressdb.Result, error) {
+func (e dbEngine) Prepare(sql string) (Stmt, error) {
+	st, err := e.db.Prepare(sql)
+	if err != nil {
+		return nil, err
+	}
+	return st, nil
+}
+
+func (e dbEngine) ExecQuery(ctx context.Context, stmt Stmt, keepRows bool, onProgress func(Progress)) (*progressdb.Result, error) {
 	var cb func(progressdb.Report)
 	if onProgress != nil {
 		cb = func(r progressdb.Report) { onProgress(Progress{Report: r}) }
 	}
+	st := stmt.(*progressdb.Stmt)
 	if keepRows {
-		return e.db.ExecContext(ctx, sql, cb)
+		return st.ExecContext(ctx, cb)
 	}
-	return e.db.ExecDiscardContext(ctx, sql, cb)
+	return st.ExecDiscardContext(ctx, cb)
 }
 
 func (e dbEngine) Metrics() []obs.Sample { return e.db.Metrics() }
 func (e dbEngine) Shards() int           { return 1 }
-
-func (e dbEngine) EstimateCostU(sql string) (float64, error) { return e.db.EstimateCostU(sql) }
 
 // fleetEngine adapts an internal/fleet deployment. The fleet's own
 // coordinator handles fan-out, merge, and progress aggregation; the
@@ -65,7 +81,15 @@ func (e dbEngine) EstimateCostU(sql string) (float64, error) { return e.db.Estim
 // the server publishes.
 type fleetEngine struct{ f *fleet.Fleet }
 
-func (e fleetEngine) ExecQuery(ctx context.Context, sql string, keepRows bool, onProgress func(Progress)) (*progressdb.Result, error) {
+func (e fleetEngine) Prepare(sql string) (Stmt, error) {
+	st, err := e.f.Prepare(sql)
+	if err != nil {
+		return nil, err
+	}
+	return st, nil
+}
+
+func (e fleetEngine) ExecQuery(ctx context.Context, stmt Stmt, keepRows bool, onProgress func(Progress)) (*progressdb.Result, error) {
 	var cb func(fleet.Report)
 	if onProgress != nil {
 		cb = func(r fleet.Report) {
@@ -74,10 +98,11 @@ func (e fleetEngine) ExecQuery(ctx context.Context, sql string, keepRows bool, o
 	}
 	var res *fleet.Result
 	var err error
+	st := stmt.(*fleet.Stmt)
 	if keepRows {
-		res, err = e.f.ExecContext(ctx, sql, cb)
+		res, err = st.ExecContext(ctx, cb)
 	} else {
-		res, err = e.f.ExecDiscardContext(ctx, sql, cb)
+		res, err = st.ExecDiscardContext(ctx, cb)
 	}
 	if err != nil {
 		return nil, err
@@ -97,8 +122,6 @@ func (e fleetEngine) ExecQuery(ctx context.Context, sql string, keepRows bool, o
 
 func (e fleetEngine) Metrics() []obs.Sample { return e.f.Metrics() }
 func (e fleetEngine) Shards() int           { return e.f.Shards() }
-
-func (e fleetEngine) EstimateCostU(sql string) (float64, error) { return e.f.EstimateCostU(sql) }
 
 // shardBreakdown converts a fleet report's per-shard slice to wire form.
 func shardBreakdown(shards []fleet.ShardReport) []client.ShardProgress {

@@ -31,9 +31,15 @@ type job struct {
 	sql      string
 	keepRows bool
 	pace     time.Duration
-	// costU is the optimizer's price at admission, in U; < 0 when the
-	// query could not be priced.
+	// costU is the optimizer's price at admission, in U: stmt's CostU,
+	// or < 0 when the query could not be planned.
 	costU float64
+	// stmt is the statement the engine prepared at admission, and
+	// prepErr why it could not (stmt is nil then). Both are under mu: the
+	// worker takes them (take), and a job that ends without a worker
+	// drops them, so a retained job pins no plan.
+	stmt    Stmt
+	prepErr error
 
 	// ctx is canceled by DELETE /queries/{id} or server shutdown; the
 	// executor observes it at its safe points.
@@ -61,11 +67,11 @@ type job struct {
 	profile *client.QueryProfile
 }
 
-func newJob(n int, req client.SubmitRequest, costU float64, now time.Time) *job {
+func newJob(n int, req client.SubmitRequest, stmt Stmt, prepErr error, costU float64, now time.Time) *job {
 	ctx, cancel := context.WithCancel(context.Background())
 	j := &job{
 		n: n, id: fmt.Sprintf("q%d", n), name: req.Name, sql: req.SQL, keepRows: req.KeepRows,
-		pace: time.Duration(req.PaceMS) * time.Millisecond, costU: costU,
+		pace: time.Duration(req.PaceMS) * time.Millisecond, costU: costU, stmt: stmt, prepErr: prepErr,
 		ctx: ctx, cancel: cancel,
 		state: client.StateQueued, subs: make(map[int]*subscriber),
 		submitted: now,
@@ -113,6 +119,16 @@ func (j *job) setRunning(now time.Time) {
 	j.mu.Unlock()
 }
 
+// take hands the job's statement, or the error that kept it from being
+// planned, to the worker running the job; the job keeps neither.
+func (j *job) take() (Stmt, error) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	stmt, err := j.stmt, j.prepErr
+	j.stmt, j.prepErr = nil, nil
+	return stmt, err
+}
+
 // endLocked records the outcome and appends the terminal event to the
 // history, returning it for the ledger to fan out once the job is
 // accounted for. Called exactly once, with j.mu held.
@@ -121,6 +137,7 @@ func (j *job) endLocked(state client.State, err error, res *progressdb.Result, n
 	j.err = err
 	j.res = res
 	j.finished = now
+	j.stmt, j.prepErr = nil, nil
 
 	// Terminal event: carry the last refresh's figures forward so late
 	// subscribers still see how far the query got.

@@ -3,14 +3,14 @@
 // method on one structure under one mutex.
 //
 // Admission is progress-aware (the paper's §6 put to work): the server
-// prices every query with the optimizer's initial cost estimate
-// (Engine.EstimateCostU), and each live job's outstanding work is that
-// price refined by what its progress indicator last reported
-// (EstTotalU − DoneU). The sum across live jobs is the server's
-// remaining-work budget; a submit that would push it past
-// Config.MaxInflightU is shed with 429 before any work is queued, so
-// overload decisions are cost-based, not count-based — ten cheap index
-// probes admit where one 40M-page join would not.
+// plans every query once (Engine.Prepare) and prices it with that plan's
+// initial cost estimate (Stmt.CostU) — the plan its worker later runs.
+// Each live job's outstanding work is that price refined by what its
+// progress indicator last reported (EstTotalU − DoneU). The sum across
+// live jobs is the server's remaining-work budget; a submit that would
+// push it past Config.MaxInflightU is shed with 429 before any work is
+// queued, so overload decisions are cost-based, not count-based — ten
+// cheap index probes admit where one 40M-page join would not.
 //
 // The same live jobs answer two time questions. Retry-After on a shed
 // is the remaining-time estimate of the cheapest running query (its
@@ -95,16 +95,21 @@ type verdict struct {
 	// shed.
 	estimatedMS float64
 	// inflightU is the remaining work in flight when the budget was
-	// found short.
-	inflightU float64
+	// found short, and costU the price of the query it was short for.
+	inflightU, costU float64
 }
 
 // admit is the one admission decision: draining, the U budget, the
 // deadline, the queue bound — then ID allocation and insert, all in one
 // critical section, so racing submits can neither overshoot a bound nor
-// leave anything to undo. costU < 0 means the query could not be
-// priced; it is admitted uncharged.
-func (r *registry) admit(req client.SubmitRequest, costU float64, now time.Time) (*job, verdict) {
+// leave anything to undo. stmt is what Engine.Prepare made of req.SQL,
+// priced at its CostU; a CostU < 0, or a prepErr in place of stmt, means
+// the query could not be priced, and it is admitted uncharged.
+func (r *registry) admit(req client.SubmitRequest, stmt Stmt, prepErr error, now time.Time) (*job, verdict) {
+	costU := -1.0
+	if prepErr == nil {
+		costU = stmt.CostU()
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.draining {
@@ -112,7 +117,7 @@ func (r *registry) admit(req client.SubmitRequest, costU float64, now time.Time)
 	}
 	inflight := r.inflightULocked()
 	if r.maxInflightU > 0 && costU > 0 && inflight+costU > r.maxInflightU {
-		return nil, verdict{reason: client.ShedBudget, retryAfter: r.retryAfterLocked(now), inflightU: inflight}
+		return nil, verdict{reason: client.ShedBudget, retryAfter: r.retryAfterLocked(now), inflightU: inflight, costU: costU}
 	}
 	if req.DeadlineMS > 0 && costU >= 0 && r.uPerWallSec > 0 {
 		if estMS := (inflight + costU) / r.uPerWallSec * 1000; estMS > float64(req.DeadlineMS) {
@@ -124,7 +129,7 @@ func (r *registry) admit(req client.SubmitRequest, costU float64, now time.Time)
 	}
 
 	r.nextID++
-	j := newJob(r.nextID, req, costU, now)
+	j := newJob(r.nextID, req, stmt, prepErr, costU, now)
 	r.jobs[j.id] = j
 	r.queued = append(r.queued, j)
 	r.met.admitted.Inc()

@@ -27,7 +27,15 @@ type stubEngine struct{ release chan struct{} }
 
 func newStubEngine() stubEngine { return stubEngine{release: make(chan struct{})} }
 
-func (e stubEngine) ExecQuery(ctx context.Context, sql string, keepRows bool, onProgress func(Progress)) (*progressdb.Result, error) {
+// stubStmt is what stubEngine prepares: the SQL itself, at 1 U.
+type stubStmt string
+
+func (stubStmt) CostU() float64 { return 1 }
+
+func (stubEngine) Prepare(sql string) (Stmt, error) { return stubStmt(sql), nil }
+
+func (e stubEngine) ExecQuery(ctx context.Context, stmt Stmt, keepRows bool, onProgress func(Progress)) (*progressdb.Result, error) {
+	sql := stmt.(stubStmt)
 	if sql != "ok" {
 		select {
 		case <-e.release:
@@ -41,9 +49,8 @@ func (e stubEngine) ExecQuery(ctx context.Context, sql string, keepRows bool, on
 	return &progressdb.Result{Columns: []string{"c"}}, nil
 }
 
-func (stubEngine) Metrics() []obs.Sample                     { return nil }
-func (stubEngine) Shards() int                               { return 1 }
-func (stubEngine) EstimateCostU(sql string) (float64, error) { return 1, nil }
+func (stubEngine) Metrics() []obs.Sample { return nil }
+func (stubEngine) Shards() int           { return 1 }
 
 // stubServer starts a server over a stubEngine with no sampler.
 func stubServer(t *testing.T, cfg Config) (*Server, stubEngine) {

@@ -47,10 +47,11 @@ func wantMetrics(t *testing.T, cl *client.Client, lines ...string) {
 // retires, the budget frees and the same submit is admitted.
 func TestAdmissionBudgetShed(t *testing.T) {
 	db := syntheticDB(t)
-	costU, err := db.EstimateCostU(scanSQL)
+	st, err := db.Prepare(scanSQL)
 	if err != nil {
 		t.Fatal(err)
 	}
+	costU := st.CostU()
 	if costU <= 0 {
 		t.Fatalf("estimate = %g, want > 0", costU)
 	}
@@ -302,6 +303,11 @@ func TestUnplannableQueryAdmitted(t *testing.T) {
 	}
 }
 
+// pricedStmt is a Stmt that is only its price.
+type pricedStmt float64
+
+func (c pricedStmt) CostU() float64 { return float64(c) }
+
 // admissionReport builds a progress report carrying the given figures.
 func admissionReport(done, est, elapsed, remaining float64) progressdb.Report {
 	return progressdb.Report{DoneU: done, EstimatedCostU: est, ElapsedSeconds: elapsed, RemainingSeconds: remaining}
@@ -314,7 +320,7 @@ func TestAdmissionLedger(t *testing.T) {
 	r := newRegistry(Config{MaxInflightU: 100}.withDefaults(), newMetrics())
 	now := time.Now()
 	submit := func(costU float64, at time.Time) (*job, verdict) {
-		return r.admit(client.SubmitRequest{SQL: scanSQL}, costU, at)
+		return r.admit(client.SubmitRequest{SQL: scanSQL}, pricedStmt(costU), nil, at)
 	}
 	q1, v := submit(60, now)
 	if v.reason != "" {

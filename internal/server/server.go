@@ -350,7 +350,11 @@ func (s *Server) runJob(j *job) {
 				res, err = nil, exec.NewInternalError(r, debug.Stack())
 			}
 		}()
-		res, err = s.eng.ExecQuery(runCtx, j.sql, j.keepRows, onProgress)
+		if stmt, prepErr := j.take(); prepErr != nil {
+			err = prepErr
+		} else {
+			res, err = s.eng.ExecQuery(runCtx, stmt, j.keepRows, onProgress)
+		}
 	}()
 	s.met.wall.Observe(time.Since(start).Seconds())
 	j.setCounters(counterDeltas(before, s.eng.Metrics()))
@@ -385,7 +389,7 @@ func writeErr(w http.ResponseWriter, status int, format string, args ...interfac
 // shed rejects one submit with the verdict's reason and, when the
 // verdict has one, its Retry-After estimate — as the HTTP header (whole
 // seconds, rounded up) and with sub-second precision in the body.
-func (s *Server) shed(w http.ResponseWriter, v verdict, req client.SubmitRequest, costU float64) {
+func (s *Server) shed(w http.ResponseWriter, v verdict, req client.SubmitRequest) {
 	s.met.rejected.Inc()
 	s.met.shedByReason[v.reason].Inc()
 	status := http.StatusTooManyRequests
@@ -396,7 +400,7 @@ func (s *Server) shed(w http.ResponseWriter, v verdict, req client.SubmitRequest
 		resp.Error = "server draining, not admitting new queries"
 	case client.ShedBudget:
 		resp.Error = fmt.Sprintf("in-flight work budget exhausted (%.0f U in flight, query needs %.0f U of %.0f U budget), retry later",
-			v.inflightU, costU, s.cfg.MaxInflightU)
+			v.inflightU, v.costU, s.cfg.MaxInflightU)
 	case client.ShedDeadline:
 		resp.Error = fmt.Sprintf("estimated completion in %.0f ms exceeds deadline_ms=%d, failing fast",
 			v.estimatedMS, req.DeadlineMS)
@@ -435,18 +439,16 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	default:
 	}
 
-	// Price the query with the optimizer's initial estimate — a pure
-	// catalog read, safe concurrently with whatever the engine is
-	// executing. An unplannable query is admitted at unknown cost (< 0)
-	// and fails in execution with full error attribution.
-	costU, costErr := s.eng.EstimateCostU(req.SQL)
-	if costErr != nil {
-		costU = -1
-	}
-
-	j, v := s.reg.admit(req, costU, time.Now())
+	// Plan the query once and price it with the plan's initial estimate
+	// — a pure catalog read, safe concurrently with whatever the engine
+	// is executing. The job carries the statement to its worker, which
+	// runs it without planning again. An unplannable query is admitted
+	// at unknown cost (< 0), and its worker fails it with the planner's
+	// error.
+	stmt, prepErr := s.eng.Prepare(req.SQL)
+	j, v := s.reg.admit(req, stmt, prepErr, time.Now())
 	if j == nil {
-		s.shed(w, v, req, costU)
+		s.shed(w, v, req)
 		return
 	}
 	writeJSON(w, http.StatusAccepted, client.SubmitResponse{

@@ -95,21 +95,21 @@ func (db *DB) workerClock() *vclock.Clock {
 	return db.group.Worker()
 }
 
-// run executes an already-planned query on clk with full observability
-// wiring: the indicator gets the refinement instruments, the executor
-// gets engine metrics and, when collect is set, a per-operator
-// collector, and the plan report is read off both afterwards. clk is a
-// workerClock for a query that runs on its own, or the engine's base
-// clock for an ExecGroup member, whose yield hook (nil otherwise) hands
-// the machine to the next member. ctx cancels execution at the
-// executor's safe points.
+// run executes a planned and decomposed query on clk with full
+// observability wiring: the indicator gets the refinement instruments,
+// the executor gets engine metrics and, when collect is set, a
+// per-operator collector, and the plan report is read off both
+// afterwards. clk is a workerClock for a query that runs on its own, or
+// the engine's base clock for an ExecGroup member, whose yield hook (nil
+// otherwise) hands the machine to the next member. ctx cancels execution
+// at the executor's safe points.
 //
 // run is also the engine's panic boundary and cleanup backstop: a panic
-// anywhere in decomposition or execution (including injected faults) is
-// converted into a typed *exec.InternalError that fails only this
-// query, and on any failure the query's tracked temp files are
-// reclaimed so the engine stays leak-free and reusable.
-func (db *DB) run(ctx context.Context, clk *vclock.Clock, yield func(), p plan.Node, onProgress func(Report), keepRows, collect bool) (res *Result, err error) {
+// anywhere in execution (including injected faults) is converted into a
+// typed *exec.InternalError that fails only this query, and on any
+// failure the query's tracked temp files are reclaimed so the engine
+// stays leak-free and reusable.
+func (db *DB) run(ctx context.Context, clk *vclock.Clock, yield func(), p plan.Node, d *segment.Decomposition, onProgress func(Report), keepRows, collect bool) (res *Result, err error) {
 	var env *exec.Env
 	defer func() {
 		if r := recover(); r != nil {
@@ -121,7 +121,6 @@ func (db *DB) run(ctx context.Context, clk *vclock.Clock, yield func(), p plan.N
 		}
 		clk.Sync()
 	}()
-	d := segment.Decompose(p, db.cfg.WorkMemPages)
 	ind := core.New(clk, d, core.Options{
 		UpdatePeriod: db.cfg.ProgressUpdateSeconds,
 		SpeedWindow:  db.cfg.SpeedWindowSeconds,
@@ -209,7 +208,8 @@ func (db *DB) ExplainAnalyze(sql string) (*Result, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	res, err := db.run(context.Background(), db.workerClock(), nil, p, nil, true, true)
+	d := segment.Decompose(p, db.cfg.WorkMemPages)
+	res, err := db.run(context.Background(), db.workerClock(), nil, p, d, nil, true, true)
 	if err != nil {
 		return nil, "", err
 	}

@@ -33,7 +33,6 @@ import (
 	"progressdb/internal/obs"
 	"progressdb/internal/optimizer"
 	"progressdb/internal/plan"
-	"progressdb/internal/segment"
 	"progressdb/internal/sqlparser"
 	"progressdb/internal/storage"
 	"progressdb/internal/tuple"
@@ -103,9 +102,10 @@ type Config struct {
 // clock.
 //
 // Concurrency contract: the query paths — Exec, ExecContext, ExecDiscard,
-// ExecDiscardContext, EstimateCostU, Explain, CheckLeaks, Now, and the
-// metrics accessors — are safe to call from multiple goroutines; each
-// query runs on its own worker clock and the storage layers are latched.
+// ExecDiscardContext, Prepare and the Stmt it returns, Explain,
+// CheckLeaks, Now, and the metrics accessors — are safe to call from
+// multiple goroutines; each query runs on its own worker clock and the
+// storage layers are latched.
 // Setup and maintenance — CreateTable, Insert, Analyze,
 // CreateIndex, LoadPaperWorkload*, SetInterference, ClearInterference,
 // SetFaultSpec, ColdRestart and ExecGroup — are single-threaded and
@@ -326,33 +326,14 @@ func (db *DB) LoadPaperWorkloadPartition(scale float64, correlated bool, partiti
 // PaperQuery returns the paper's query Q1–Q5, verbatim.
 func PaperQuery(n int) (string, error) { return workload.QuerySQL(n) }
 
-// EstimateCostU compiles sql and returns the optimizer's initial total
-// query cost estimate in U (pages) — the same figure the progress
-// indicator starts from before any refinement. Admission controllers use
-// it to price a query before running it.
-//
-// The estimate is a pure read of the catalog and statistics: it charges
-// nothing to the virtual clock and touches no storage, so it is safe to
-// call concurrently with a running query on the same DB. It is NOT safe
-// concurrently with DDL, inserts, or Analyze (like every other DB call).
-func (db *DB) EstimateCostU(sql string) (float64, error) {
-	p, err := db.plan(sql)
-	if err != nil {
-		return 0, err
-	}
-	d := segment.Decompose(p, db.cfg.WorkMemPages)
-	return d.TotalInitCost() / storage.PageSize, nil
-}
-
 // Explain compiles sql and returns the physical plan and its segment
 // decomposition (segments, inputs, dominant inputs, initial costs).
 func (db *DB) Explain(sql string) (string, error) {
-	p, err := db.plan(sql)
-	if err != nil {
+	var st Stmt
+	if err := db.prepare(&st, sql); err != nil {
 		return "", err
 	}
-	d := segment.Decompose(p, db.cfg.WorkMemPages)
-	return plan.Format(p) + "\n" + d.String(), nil
+	return plan.Format(st.p) + "\n" + st.d.String(), nil
 }
 
 func (db *DB) plan(sql string) (plan.Node, error) {
@@ -467,12 +448,13 @@ func (db *DB) ExecDiscardContext(ctx context.Context, sql string, onProgress fun
 	return db.exec(ctx, sql, onProgress, false)
 }
 
+// exec prepares sql and runs the statement, on Stmt's own path.
 func (db *DB) exec(ctx context.Context, sql string, onProgress func(Report), keepRows bool) (*Result, error) {
-	p, err := db.plan(sql)
-	if err != nil {
+	var st Stmt
+	if err := db.prepare(&st, sql); err != nil {
 		return nil, err
 	}
-	return db.run(ctx, db.workerClock(), nil, p, onProgress, keepRows, db.cfg.collect)
+	return st.exec(ctx, onProgress, keepRows)
 }
 
 // FormatReport renders a report as the paper's Figure 2 progress box.
