@@ -118,13 +118,13 @@ for want in 'SQL name *Query 2' '(100% done)' 'SeqScan lineitem .*actual rows=12
 done
 echo "ok"
 
-echo "== experiments -only ledger, -only fig13 =="
+echo "== experiments -only plans, -only ledger, -only fig13 =="
 # The third binary exercised through main(): flags into the session, the
-# -only lookup, the file write, on both of the harness's paths — the
-# ledger on its own engine and Figure 13 (Q2 under I/O interference) on
-# progressdb.DB. Each file it writes must equal the committed one, and an
-# unknown id must exit 2.
-for file in ledger.txt fig13.csv; do
+# -only lookup, the file write, on both of the harness's paths — the plan
+# golden on the harness's own engine, and the ledger and Figure 13 (Q2
+# under I/O interference) on progressdb.DB. Each file it writes must equal
+# the committed one, and an unknown id must exit 2.
+for file in plans.txt ledger.txt fig13.csv; do
 	"$bindir"/experiments -quiet -only "${file%.*}" -outdir "$bindir" >/dev/null
 	cmp "$bindir/$file" "results/$file" || { echo "experiments -only ${file%.*} differs from results/$file" >&2; exit 1; }
 done

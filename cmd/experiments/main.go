@@ -2,11 +2,11 @@
 // evaluation section: Table 1, Figures 4–7 (Q1), 9–16 (Q2 unloaded and
 // under I/O interference), 17 (Q3), 18 (Q4), 19–20 (Q5), plus the plan
 // golden (Q1–Q5's plans and segments under each join hint) and the
-// ledger (bench/'s twelve statements on its two engine configurations:
-// totals, storage counters, every segment and every refresh). Series are
-// written as CSV files and rendered as ASCII plots on stdout. Every
-// number is virtual, so a rerun at the committed scale
-// rewrites results/ byte for byte (internal/harness's golden test
+// ledger (bench/'s twelve statements run on progressdb.DB in its two
+// engine configurations: totals, storage counters, every segment and
+// every refresh). Series are written as CSV files and rendered as ASCII
+// plots on stdout. Every number is virtual, so a rerun at the committed
+// scale rewrites results/ byte for byte (internal/harness's golden test
 // checks exactly that). An unknown -only id exits 2.
 //
 // Usage:

@@ -18,8 +18,9 @@ import (
 // countsFile is the wall ledger's counts that repeat: per benchmark
 // statement, what one warm ExecDiscard allocates with metrics off and on,
 // what planning it alone allocates and what running it once planned
-// allocates, how often the executor calls the indicator, by kind, and the
-// rows it adds to exec_rows_out_total, by op.
+// allocates, how often the executor calls the indicator, by kind, what it
+// adds to the query's counter block, and the rows it adds to
+// exec_rows_out_total, by op.
 // Rewrite it with: go test -run TestCountsGolden . -args -rewrite
 const countsFile = "BENCH_counts.json"
 
@@ -67,16 +68,28 @@ type stmtCounts struct {
 	// ReporterCalls counts the executor's calls on the indicator, by
 	// segment.WorkReporter method.
 	ReporterCalls map[string]int64 `json:"reporter_calls"`
+	// CounterAdds is the counter block (internal/segment/counts.go) at
+	// the run's end, summed over segments.
+	CounterAdds counterAdds `json:"counter_adds"`
 	// RowsOut is what one run adds to exec_rows_out_total, by op.
 	RowsOut map[string]int64 `json:"rows_out"`
+}
+
+// counterAdds is one run's counter block, summed over segments: the input
+// tuples, output tuples and multi-stage adds the executor counted, inline
+// or through the reporter.
+type counterAdds struct {
+	InputTuples  int64 `json:"input_tuples"`
+	OutputTuples int64 `json:"output_tuples"`
+	Extras       int64 `json:"extras"`
 }
 
 // TestCountsGolden pins the counts that a perf change claims:
 // workload.BenchStatements × work_mem {16, 2048} at scale 0.002, on a
 // pool that holds the data, with bench/'s indexes and refresh period.
-// Reporter calls and rows out are exact; allocations may move only within
-// the tolerances above, and are not checked under -race, where sync.Pool
-// drops entries at random.
+// Reporter calls, counter adds and rows out are exact; allocations may
+// move only within the tolerances above, and are not checked under -race,
+// where sync.Pool drops entries at random.
 func TestCountsGolden(t *testing.T) {
 	var got []stmtCounts
 	for _, wm := range []int{16, 2048} {
@@ -85,7 +98,7 @@ func TestCountsGolden(t *testing.T) {
 		for _, st := range workload.BenchStatements {
 			c := stmtCounts{Name: st.Name, WorkMem: wm}
 			var err error
-			if c.ReporterCalls, err = reporterCalls(db, st.SQL); err != nil {
+			if c.ReporterCalls, c.CounterAdds, err = reporterCalls(db, st.SQL); err != nil {
 				t.Fatalf("work_mem %d: %s: %v", wm, st.Name, err)
 			}
 			before := rowsOut(mdb)
@@ -165,6 +178,9 @@ func TestCountsGolden(t *testing.T) {
 				t.Error(at("reporter_calls."+k, g.ReporterCalls[k], w.ReporterCalls[k]))
 			}
 		}
+		if g.CounterAdds != w.CounterAdds {
+			t.Errorf("%s at work_mem %d: counter_adds %+v, committed %+v", g.Name, g.WorkMem, g.CounterAdds, w.CounterAdds)
+		}
 		for op := range joinKeys(g.RowsOut, w.RowsOut) {
 			if g.RowsOut[op] != w.RowsOut[op] {
 				t.Error(at("rows_out."+op, g.RowsOut[op], w.RowsOut[op]))
@@ -240,11 +256,13 @@ func allocsAndBytes(f func()) (allocs, bytes int64) {
 var reporterKinds = []string{"InputTuple", "InputBulk", "InputRepeat", "InputDone", "OutputTuple", "Extra", "SegmentDone"}
 
 // reporterCalls runs sql as db.run does, with a counter between the
-// executor and the indicator, and returns the calls by kind.
-func reporterCalls(db *DB, sql string) (map[string]int64, error) {
+// executor and the indicator, and returns the calls by kind and what the
+// run added to its counter block.
+func reporterCalls(db *DB, sql string) (map[string]int64, counterAdds, error) {
+	var adds counterAdds
 	p, err := db.plan(sql)
 	if err != nil {
-		return nil, err
+		return nil, adds, err
 	}
 	clk := db.workerClock()
 	defer clk.Sync()
@@ -255,9 +273,16 @@ func reporterCalls(db *DB, sql string) (map[string]int64, error) {
 	kc := &kindCounter{WorkReporter: ind, n: map[string]int64{}}
 	env := &exec.Env{Pool: db.cat.Pool(), Clock: clk, WorkMemPages: db.cfg.WorkMemPages, Reporter: kc, Decomp: d}
 	if _, err := exec.Run(env, p, nil); err != nil {
-		return nil, err
+		return nil, adds, err
 	}
-	return kc.n, nil
+	for _, s := range d.Segments {
+		adds.OutputTuples += s.Count.OutTuples
+		adds.Extras += s.Count.Extras
+		for _, in := range s.Inputs {
+			adds.InputTuples += in.Count.Tuples
+		}
+	}
+	return kc.n, adds, nil
 }
 
 // kindCounter counts the calls on a segment.WorkReporter by method.

@@ -159,8 +159,6 @@ type Indicator struct {
 	window  int64    // SpeedWindow, in ticks
 	samples []sample // trailing work samples for speed
 
-	initTotalBytes float64
-
 	snapshots   []Snapshot
 	subscribers []func(Snapshot)
 
@@ -196,7 +194,6 @@ func New(clock *vclock.Clock, decomp *segment.Decomposition, opts Options) *Indi
 		ind.segs[i] = segState{seg: s, exact: exact[:k:k], lastDom: -1}
 		exact = exact[k:]
 	}
-	ind.initTotalBytes = decomp.TotalInitCost()
 	ind.outEsts = make([]segment.Est, len(ind.segs))
 	return ind
 }
@@ -236,15 +233,6 @@ func (ind *Indicator) Snapshots() []Snapshot { return ind.snapshots }
 // Subscribe registers fn to receive every snapshot as it is taken.
 func (ind *Indicator) Subscribe(fn func(Snapshot)) {
 	ind.subscribers = append(ind.subscribers, fn)
-}
-
-// Decomposition returns the plan the indicator tracks, whose counter
-// block it reads.
-func (ind *Indicator) Decomposition() *segment.Decomposition { return ind.decomp }
-
-// InitialTotalU returns the optimizer's initial query cost estimate in U.
-func (ind *Indicator) InitialTotalU() float64 {
-	return ind.initTotalBytes / storage.PageSize
 }
 
 // --- WorkReporter implementation ---

@@ -195,9 +195,10 @@ func TestQ2StyleCostConvergence(t *testing.T) {
 		t.Fatalf("final estimate %g != done %g", final.EstTotalU, final.DoneU)
 	}
 	// The indicator's initial estimate equals the optimizer's.
-	if math.Abs(first.EstTotalU-ind.InitialTotalU())/ind.InitialTotalU() > 0.25 {
+	initU := ind.decomp.TotalInitCost() / storage.PageSize
+	if math.Abs(first.EstTotalU-initU)/initU > 0.25 {
 		t.Fatalf("first snapshot %g far from initial optimizer estimate %g",
-			first.EstTotalU, ind.InitialTotalU())
+			first.EstTotalU, initU)
 	}
 }
 

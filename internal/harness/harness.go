@@ -8,14 +8,12 @@
 // ledger, so every number is the same on every run and results/ pins it
 // byte for byte.
 //
-// The figures run on progressdb.DB, the path progressd, pgsh and bench/
-// serve, over the data set it loads (Runner.Run). Four artefacts keep
-// the harness's own engine, each for something DB does not expose: the
-// ledger runs each statement on a fresh clock and prints pool, disk and
-// reporter counts; the plan golden forces join algorithms at a work_mem
+// The figures and the ledger run on progressdb.DB, the path progressd,
+// pgsh and bench/ serve, over the data set it loads (Runner.OpenDB).
+// Three artefacts keep the harness's own engine, each for something DB
+// does not expose: the plan golden forces join algorithms at a work_mem
 // of 4 pages; Table 1 reads the generator's data set; and OverheadProbe
-// runs the executor with and without the indicator. TestLedgerMatchesDB
-// checks that the ledger's rows, costs and refreshes are DB's.
+// runs the executor with and without the indicator.
 //
 // All times are virtual seconds. The clock's base costs are divided by
 // the data scale so that the time axes remain comparable to the paper's
@@ -62,10 +60,10 @@ type Runner struct {
 }
 
 func (r Runner) withDefaults() Runner {
-	if r.Scale <= 0 {
+	if !(r.Scale > 0) {
 		r.Scale = 0.05
 	}
-	if r.UpdatePeriod <= 0 {
+	if !(r.UpdatePeriod > 0) {
 		r.UpdatePeriod = 10
 	}
 	if r.WorkMemPages <= 0 {
@@ -141,9 +139,11 @@ func optimizerRemaining(estU, seqPage, elapsed float64) float64 {
 }
 
 // OpenDB opens a DB with r's scaled page costs, buffer pool, work_mem and
-// indicator settings, loads the paper's data set at r's scale — with the
-// correlated orders when correlated, Q3's variant — and empties the
-// buffer pool: the paper restarts the machine before each test.
+// indicator settings and its metrics on, loads the paper's data set at
+// r's scale — with the correlated orders when correlated, Q3's variant —
+// and empties the buffer pool: the paper restarts the machine before each
+// test. Metrics move no virtual number; the ledger reads its pool and
+// disk counts off them.
 func (r Runner) OpenDB(correlated bool) (*progressdb.DB, error) {
 	r = r.withDefaults()
 	c := r.costs()
@@ -154,6 +154,7 @@ func (r Runner) OpenDB(correlated bool) (*progressdb.DB, error) {
 		RandPageCost:          c.RandPage,
 		ProgressUpdateSeconds: r.UpdatePeriod,
 		SpeedWindowSeconds:    r.SpeedWindow,
+		Metrics:               true,
 	})
 	if err := db.LoadPaperWorkload(r.Scale, correlated); err != nil {
 		return nil, err

@@ -1,12 +1,10 @@
 package harness
 
 import (
-	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"slices"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -450,31 +448,47 @@ func TestResultsGolden(t *testing.T) {
 	}
 }
 
-// A ledger block depends only on its own statement: the spill
+// A ledger block depends only on its own statement: each
 // configuration's blocks, rendered with the statement list reversed, are
-// byte-identical to the forward rendering's. Pool, disk-head or clock
-// state leaking from one statement into the next fails this, so a golden
-// diff can be blamed on the statement whose block moved.
+// byte-identical to the forward rendering's. On one DB the reversed order
+// starts each statement where a different statement left the clock, the
+// pool and the disk head, so pool, disk-head or clock state leaking from
+// one statement into the next fails this, and so does a report that
+// depends on where the clock started. A golden diff can then be blamed on
+// the statement whose block moved.
 func TestLedgerBlocksIndependentOfOrder(t *testing.T) {
 	t.Parallel() // beside TestResultsGolden's forward rendering
-	spill := ledgerConfigs[len(ledgerConfigs)-1]
 	stmts := slices.Clone(workload.BenchStatements)
 	slices.Reverse(stmts)
-	blocks, err := session(t).Runner.withDefaults().ledgerBlocks(spill, stmts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slices.Reverse(blocks)
 	forward := render(t, LedgerID).Text
-	rest := forward[strings.Index(forward, "== "+spill.name+" "):]
-	for i, blk := range blocks {
-		if !strings.HasPrefix(rest, blk) {
-			t.Fatalf("%s %s: the block run after the statements that follow it differs:\n%s", spill.name, workload.BenchStatements[i].Name, blk)
+	rest := forward[strings.Index(forward, "\n== ")+1:]
+	for _, c := range ledgerConfigs {
+		blocks, err := session(t).Runner.withDefaults().ledgerBlocks(c, stmts)
+		if err != nil {
+			t.Fatal(err)
 		}
-		rest = rest[len(blk):]
+		slices.Reverse(blocks)
+		for i, blk := range blocks {
+			if !strings.HasPrefix(rest, blk) {
+				t.Fatalf("%s %s: the block run after the statements that follow it differs:\n%s", c.name, workload.BenchStatements[i].Name, blk)
+			}
+			rest = rest[len(blk):]
+		}
 	}
 	if rest != "" {
-		t.Fatalf("the forward rendering has more after the %s blocks:\n%s", spill.name, rest)
+		t.Fatalf("the forward rendering has more after the last block:\n%s", rest)
+	}
+}
+
+// A scale or refresh period that is not a positive number is unset: 0,
+// −1 and NaN all take the defaults, so no engine prices a page at
+// base/NaN.
+func TestRunnerDefaultsReplaceNonPositive(t *testing.T) {
+	for _, x := range []float64{0, -1, math.NaN()} {
+		r := Runner{Scale: x, UpdatePeriod: x}.withDefaults()
+		if r.Scale != 0.05 || r.UpdatePeriod != 10 {
+			t.Errorf("Runner{Scale: %v, UpdatePeriod: %v}: defaults to scale %v, refresh %v; want 0.05 and 10", x, x, r.Scale, r.UpdatePeriod)
+		}
 	}
 }
 
@@ -511,99 +525,6 @@ func TestRefreshPeriodsAgree(t *testing.T) {
 	}
 }
 
-// TestLedgerMatchesDB: the ledger keeps its own engine, to run each
-// statement on a fresh clock and print counts DB does not expose; what it
-// prints of the query itself must be DB's. For each of bench/'s engine
-// configurations, a DB set up as bench/ sets one up runs every statement
-// after a cold restart. Its rows, virtual seconds, terminal DoneU, refresh
-// count, every field of every segment line and every field of every
-// refresh line equal the block's exactly, though DB's worker clock starts
-// where the load left it and the ledger's at zero: both bound segments in
-// seconds since the indicator started.
-func TestLedgerMatchesDB(t *testing.T) {
-	t.Parallel()
-	text := render(t, LedgerID).Text
-	r := session(t).Runner.withDefaults()
-	for _, c := range ledgerConfigs {
-		at := r
-		at.BufferPoolPages, at.WorkMemPages = c.poolPages, c.workMem
-		db, err := at.OpenDB(false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, ix := range workload.BenchIndexes {
-			if err := db.CreateIndex(ix[0], ix[1]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := db.Analyze(); err != nil {
-			t.Fatal(err)
-		}
-		for _, st := range workload.BenchStatements {
-			name := c.name + " " + st.Name
-			blk := text[strings.Index(text, "== "+name+" ==\n"):]
-			lines := strings.Split(blk, "\n")[1:]
-			if err := db.ColdRestart(); err != nil {
-				t.Fatal(err)
-			}
-			res, err := db.ExecDiscard(st.SQL, nil)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			check := func(what, got, want string) {
-				if got != want {
-					t.Errorf("%s: DB's %s is %s, the ledger's %s", name, what, got, want)
-				}
-			}
-			want := ledgerFields(lines[0])
-			check("rows", strconv.Itoa(res.RowCount()), want["rows"])
-			check("virt_s", ff(res.VirtualSeconds), want["virt_s"])
-			check("done_u", ff(res.History[len(res.History)-1].DoneU), want["done_u"])
-			check("refreshes", strconv.Itoa(len(res.History)), want["refreshes"])
-			check("segments", strconv.Itoa(len(res.Plan.Segments)), want["segments"])
-			for _, s := range res.Plan.Segments {
-				line := lines[2+s.ID]
-				seg := ledgerFields(line)
-				_, root, _ := strings.Cut(line[strings.Index(line, " end=")+1:], " ")
-				for _, f := range []struct{ key, got string }{
-					{"est_u", ff(s.EstCostU)}, {"act_u", ff(s.ActualCostU)},
-					{"est_rows", ff(s.EstOutRows)}, {"act_rows", ff(s.ActualOutRows)},
-					{"start", ff(s.StartT)}, {"end", ff(s.EndT)},
-				} {
-					check(fmt.Sprintf("seg %d %s", s.ID, f.key), f.got, seg[f.key])
-				}
-				check(fmt.Sprintf("seg %d root", s.ID), s.Root, root)
-			}
-			refreshes := lines[2+len(res.Plan.Segments):]
-			for i, h := range res.History {
-				if i >= len(refreshes) {
-					break // the refresh count differs, reported above
-				}
-				line := ledgerFields(refreshes[i])
-				for _, f := range []struct{ key, got string }{
-					{"t", ff(h.ElapsedSeconds)}, {"seg", strconv.Itoa(h.CurrentSegment)},
-					{"done_u", ff(h.DoneU)}, {"est_u", ff(h.EstimatedCostU)}, {"pct", ff(h.Percent)},
-					{"speed", ff(h.SpeedU)}, {"remaining", ff(h.RemainingSeconds)},
-					{"p", ff(h.CurrentP)}, {"e1", ff(h.CurrentE1)}, {"e", ff(h.CurrentE)},
-				} {
-					check(fmt.Sprintf("refresh %d %s", i, f.key), f.got, line[f.key])
-				}
-			}
-		}
-	}
-}
-
-// ledgerFields maps each key=value field of a ledger line to its value.
-func ledgerFields(line string) map[string]string {
-	m := map[string]string{}
-	for _, f := range strings.Fields(line) {
-		if k, v, ok := strings.Cut(f, "="); ok {
-			m[k] = v
-		}
-	}
-	return m
-}
-
 // The indicator's overhead is small by construction, and that is what is
 // gated, as counts (a wall-clock ratio of two runs is a coin flip on a
 // loaded host): the executor counts one event per tuple at each segment
@@ -613,10 +534,11 @@ func ledgerFields(line string) map[string]string {
 // for a stream's first tuple, bulk reads and the ends of inputs and
 // segments; never per probe or per output row. So Q2 under the harness's
 // Grace-sized work_mem stays under four events per base tuple, and a run
-// without a reporter makes no call and counts the same work. The ledger
-// (results/ledger.txt) pins the count of every benchmark statement. The
-// per-event cost that turns the count into the paper's "< 1 %" is the
-// benchmark's core.reporter_call_ns / core.indicator_modelled_pct.
+// without a reporter makes no call and counts the same work.
+// BENCH_counts.json (TestCountsGolden's counter_adds) pins the counter
+// block of every benchmark statement. The per-event cost that turns the
+// count into the paper's "< 1 %" is the benchmark's
+// core.reporter_call_ns / core.indicator_modelled_pct.
 func TestOverheadSmall(t *testing.T) {
 	r := Runner{Scale: 0.01}.withDefaults()
 	eng, p, d, err := r.compileQuery(2)
@@ -634,26 +556,37 @@ func TestOverheadSmall(t *testing.T) {
 	ind := core.New(eng.clock, d, core.Options{UpdatePeriod: r.UpdatePeriod})
 	ind.Start()
 	defer ind.Stop()
-	cr := &countingReporter{WorkReporter: ind}
-	run := func(rep segment.WorkReporter) {
+	rc := &rareCounter{WorkReporter: ind}
+	// run executes Q2 and returns the adds its counter block holds:
+	// each input tuple, output tuple and multi-stage add, whether the
+	// executor counted it inline or handed it over.
+	run := func(rep segment.WorkReporter) int64 {
 		t.Helper()
 		env := &exec.Env{Pool: eng.cat.Pool(), Clock: eng.clock,
 			WorkMemPages: r.WorkMemPages, Reporter: rep, Decomp: d}
 		if _, err := exec.Run(env, p, nil); err != nil {
 			t.Fatal(err)
 		}
+		var adds int64
+		for _, s := range d.Segments {
+			adds += s.Count.OutTuples + s.Count.Extras
+			for _, in := range s.Inputs {
+				adds += in.Count.Tuples
+			}
+		}
+		return adds
 	}
-	run(cr)
-	calls := cr.n
+	adds := run(rc)
+	// A bulk pass is one event, however many tuples it hands over.
+	calls := adds - rc.bulk + rc.rare
 	if calls < baseRows || calls > 4*baseRows {
 		t.Fatalf("reporter calls = %d for %d base tuples, want between 1 and 4 per tuple", calls, baseRows)
 	}
 	t.Logf("Q2: %d reporter calls for %d base tuples (%.2f per tuple)", calls, baseRows, float64(calls)/float64(baseRows))
-	done := ind.Current().DoneU
-	run(nil)
-	if cr.n != calls || ind.Current().DoneU != done {
-		t.Fatalf("a run without a reporter reached the indicator: calls %d -> %d, DoneU %g -> %g",
-			calls, cr.n, done, ind.Current().DoneU)
+	rare, done := rc.rare, ind.Current().DoneU
+	if again := run(nil); again != adds || rc.rare != rare || ind.Current().DoneU != done {
+		t.Fatalf("a run without a reporter: counter adds %d -> %d, rare calls %d -> %d, DoneU %g -> %g",
+			adds, again, rare, rc.rare, done, ind.Current().DoneU)
 	}
 }
 
@@ -668,4 +601,31 @@ func TestOverheadProbe(t *testing.T) {
 	if err := probe(false); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// rareCounter counts the calls the executor makes on the reporter it
+// wraps beside the counter block's first-row events: bulk and repeat
+// passes and the ends of inputs and segments, and the tuples InputBulk
+// hands over.
+type rareCounter struct {
+	segment.WorkReporter
+	rare, bulk int64
+}
+
+func (c *rareCounter) InputBulk(seg, input int, tuples int64, bytes float64) {
+	c.rare++
+	c.bulk += tuples
+	c.WorkReporter.InputBulk(seg, input, tuples, bytes)
+}
+func (c *rareCounter) InputRepeat(seg, input int, tuples int64, bytes float64) {
+	c.rare++
+	c.WorkReporter.InputRepeat(seg, input, tuples, bytes)
+}
+func (c *rareCounter) InputDone(seg, input int) {
+	c.rare++
+	c.WorkReporter.InputDone(seg, input)
+}
+func (c *rareCounter) SegmentDone(seg int) {
+	c.rare++
+	c.WorkReporter.SegmentDone(seg)
 }

@@ -1,14 +1,12 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 	"strings"
 
-	"progressdb/internal/core"
-	"progressdb/internal/exec"
-	"progressdb/internal/segment"
-	"progressdb/internal/vclock"
+	"progressdb"
 	"progressdb/internal/workload"
 )
 
@@ -33,7 +31,7 @@ var ledgerConfigs = []ledgerConfig{
 func (r Runner) Ledger() (string, error) {
 	r = r.withDefaults()
 	var b strings.Builder
-	fmt.Fprintf(&b, "# bench/'s statements at scale %s, refresh %s s, each after a cold restart on a fresh clock.\n",
+	fmt.Fprintf(&b, "# bench/'s statements at scale %s, refresh %s s, each run on progressdb.DB after a cold restart.\n",
 		ff(r.Scale), ff(r.UpdatePeriod))
 	b.WriteString("# Floats are shortest round-trip; a write in a SELECT is to a temp page.\n")
 	for _, c := range ledgerConfigs {
@@ -51,129 +49,85 @@ func (r Runner) Ledger() (string, error) {
 	return b.String(), nil
 }
 
-// ledgerBlocks loads one engine in configuration c, builds bench/'s
+// ledgerBlocks opens a DB in configuration c (OpenDB), builds bench/'s
 // indexes and renders one block per statement, in the order given. A
 // block depends only on its own statement: each runs after a cold
-// restart, on its own clock.
+// restart, and everything it prints counts from the statement's start.
 func (r Runner) ledgerBlocks(c ledgerConfig, stmts []workload.Statement) ([]string, error) {
 	r.BufferPoolPages, r.WorkMemPages = c.poolPages, c.workMem
-	eng, err := r.newEngine(false)
+	db, err := r.OpenDB(false)
 	if err != nil {
 		return nil, err
 	}
 	for _, ix := range workload.BenchIndexes {
-		t, err := eng.cat.Table(ix[0])
-		if err != nil {
-			return nil, err
-		}
-		if _, err := eng.cat.CreateIndex(t, ix[1]); err != nil {
+		if err := db.CreateIndex(ix[0], ix[1]); err != nil {
 			return nil, err
 		}
 	}
-	if err := eng.cat.AnalyzeAll(); err != nil {
+	if err := db.Analyze(); err != nil {
 		return nil, err
 	}
 	blocks := make([]string, len(stmts))
 	for i, st := range stmts {
-		if blocks[i], err = r.ledgerBlock(eng, c.name, st); err != nil {
+		if blocks[i], err = r.ledgerBlock(db, c.name, st); err != nil {
 			return nil, fmt.Errorf("harness: ledger %s %s: %w", c.name, st.Name, err)
 		}
 	}
 	return blocks, nil
 }
 
-// ledgerBlock runs st on eng after a cold restart, on a fresh clock, and
-// renders its block.
-func (r Runner) ledgerBlock(eng *engine, config string, st workload.Statement) (string, error) {
-	p, d, err := r.plan(eng, st.SQL, "")
+// ledgerBlock runs st on db after a cold restart and renders its block:
+// the pool and disk counters are the run's deltas of db's metrics.
+func (r Runner) ledgerBlock(db *progressdb.DB, config string, st workload.Statement) (string, error) {
+	if err := db.ColdRestart(); err != nil {
+		return "", err
+	}
+	stmt, err := db.Prepare(st.SQL)
 	if err != nil {
 		return "", err
 	}
-	pool := eng.cat.Pool()
-	if err := pool.Flush(); err != nil {
-		return "", err
-	}
-	pool.Clear()
-	disk0 := pool.Disk().Stats()
-
-	clk := vclock.New(r.costs(), nil)
-	ind := core.New(clk, d, core.Options{UpdatePeriod: r.UpdatePeriod, SpeedWindow: r.SpeedWindow})
-	ind.Start()
-	cr := &countingReporter{WorkReporter: ind}
-	rows, err := exec.Run(&exec.Env{
-		Pool: pool, Clock: clk, WorkMemPages: r.WorkMemPages, Reporter: cr, Decomp: d,
-	}, p, nil)
+	before := counters(db)
+	res, err := stmt.ExecDiscardContext(context.Background(), nil)
 	if err != nil {
 		return "", err
 	}
-	ps, disk := pool.Stats(), pool.Disk().Stats()
-	snaps := ind.Snapshots()
-	segs := ind.SegmentReports()
+	after := counters(db)
+	delta := func(name string) int64 { return after[name] - before[name] }
+	estU, seqPage := stmt.CostU(), r.costs().SeqPage
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "== %s %s ==\n", config, st.Name)
-	fmt.Fprintf(&b, "rows=%d virt_s=%s est_u=%s done_u=%s refreshes=%d segments=%d reporter_calls=%d\n",
-		rows, ff(clk.Now()), ff(ind.InitialTotalU()), ff(snaps[len(snaps)-1].DoneU), len(snaps), len(segs), cr.n)
+	fmt.Fprintf(&b, "rows=%d virt_s=%s est_u=%s done_u=%s refreshes=%d segments=%d\n",
+		res.RowCount(), ff(res.VirtualSeconds), ff(estU), ff(res.History[len(res.History)-1].DoneU),
+		len(res.History), len(res.Plan.Segments))
 	fmt.Fprintf(&b, "pool hits=%d misses=%d evictions=%d writebacks=%d disk seq_reads=%d rand_reads=%d seq_writes=%d rand_writes=%d\n",
-		ps.Hits, ps.Misses, ps.Evictions, ps.Writebacks,
-		disk.SeqReads-disk0.SeqReads, disk.RandReads-disk0.RandReads,
-		disk.SeqWrites-disk0.SeqWrites, disk.RandWrites-disk0.RandWrites)
-	for _, s := range segs {
+		delta("bufferpool_hits_total"), delta("bufferpool_misses_total"),
+		delta("bufferpool_evictions_total"), delta("bufferpool_dirty_writebacks_total"),
+		delta("disk_seq_reads_total"), delta("disk_rand_reads_total"),
+		delta("disk_seq_writes_total"), delta("disk_rand_writes_total"))
+	for _, s := range res.Plan.Segments {
 		fmt.Fprintf(&b, "seg %d est_u=%s act_u=%s est_rows=%s act_rows=%s start=%s end=%s %s\n",
 			s.ID, ff(s.EstCostU), ff(s.ActualCostU), ff(s.EstOutRows), ff(s.ActualOutRows), ff(s.StartT), ff(s.EndT), s.Root)
 	}
-	for _, s := range snaps {
+	for _, h := range res.History {
 		fmt.Fprintf(&b, "t=%s seg=%d done_u=%s est_u=%s pct=%s speed=%s remaining=%s opt_remaining=%s p=%s e1=%s e=%s\n",
-			ff(s.Elapsed), s.CurrentSegment, ff(s.DoneU), ff(s.EstTotalU), ff(s.Percent), ff(s.SpeedU),
-			ff(s.RemainingSeconds), ff(optimizerRemaining(ind.InitialTotalU(), r.costs().SeqPage, s.Elapsed)), ff(s.CurrentP), ff(s.CurrentE1), ff(s.CurrentE))
+			ff(h.ElapsedSeconds), h.CurrentSegment, ff(h.DoneU), ff(h.EstimatedCostU), ff(h.Percent), ff(h.SpeedU),
+			ff(h.RemainingSeconds), ff(optimizerRemaining(estU, seqPage, h.ElapsedSeconds)), ff(h.CurrentP), ff(h.CurrentE1), ff(h.CurrentE))
 	}
 	return b.String(), nil
+}
+
+// counters reads db's unlabelled counters by name.
+func counters(db *progressdb.DB) map[string]int64 {
+	m := map[string]int64{}
+	for _, s := range db.Metrics() {
+		if s.LabelKey == "" {
+			m[s.Name] = int64(s.Value)
+		}
+	}
+	return m
 }
 
 // ff writes x in shortest round-trip form, so a change in its last bit
 // shows.
 func ff(x float64) string { return strconv.FormatFloat(x, 'g', -1, 64) }
-
-// countingReporter counts the boundary events of one run on the
-// indicator it wraps: the rare calls the executor makes on it, and the
-// per-row events its counter block holds — each input tuple not handed
-// over in bulk, each output tuple and each multi-stage add — whether the
-// executor counted them inline or handed them over.
-type countingReporter struct {
-	segment.WorkReporter // a *core.Indicator
-	// n is the run's events as of its last rare call; the final
-	// SegmentDone is a run's last event.
-	n    int64
-	rare int64 // InputBulk, InputRepeat, InputDone and SegmentDone calls
-	bulk int64 // tuples handed over by InputBulk
-}
-
-func (c *countingReporter) InputBulk(seg, input int, tuples int64, bytes float64) {
-	c.bulk += tuples
-	c.WorkReporter.InputBulk(seg, input, tuples, bytes)
-	c.count()
-}
-func (c *countingReporter) InputRepeat(seg, input int, tuples int64, bytes float64) {
-	c.WorkReporter.InputRepeat(seg, input, tuples, bytes)
-	c.count()
-}
-func (c *countingReporter) InputDone(seg, input int) {
-	c.WorkReporter.InputDone(seg, input)
-	c.count()
-}
-func (c *countingReporter) SegmentDone(seg int) {
-	c.WorkReporter.SegmentDone(seg)
-	c.count()
-}
-
-// count takes one rare call and recounts n.
-func (c *countingReporter) count() {
-	c.rare++
-	c.n = c.rare - c.bulk
-	for _, s := range c.WorkReporter.(*core.Indicator).Decomposition().Segments {
-		c.n += s.Count.OutTuples + s.Count.Extras
-		for _, in := range s.Inputs {
-			c.n += in.Count.Tuples
-		}
-	}
-}

@@ -45,7 +45,7 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Scale <= 0 {
+	if !(c.Scale > 0) {
 		c.Scale = 0.05
 	}
 	if c.SubsetRows == 0 {

@@ -23,6 +23,16 @@ func load(t *testing.T, cfg Config) (*catalog.Catalog, *Dataset) {
 	return cat, ds
 }
 
+// A scale that is not a positive number is unset: 0, −1 and NaN all
+// generate at the default scale.
+func TestConfigDefaultsReplaceNonPositiveScale(t *testing.T) {
+	for _, x := range []float64{0, -1, math.NaN()} {
+		if got := (Config{Scale: x}).withDefaults().Scale; got != 0.05 {
+			t.Errorf("Config{Scale: %v}: scale %v, want the default 0.05", x, got)
+		}
+	}
+}
+
 func TestCardinalitiesAndFanouts(t *testing.T) {
 	cat, ds := load(t, Config{Scale: 0.002, SubsetRows: 50})
 	if ds.Customers != 300 {
