@@ -118,19 +118,21 @@ for want in 'SQL name *Query 2' '(100% done)' 'SeqScan lineitem .*actual rows=12
 done
 echo "ok"
 
-echo "== experiments -only plans, -only ledger, -only fig13 =="
+echo "== experiments -only table1, -only ledger, -only fig13 =="
 # The third binary exercised through main(): flags into the session, the
-# -only lookup, the file write, on both of the harness's paths — the plan
-# golden on the harness's own engine, and the ledger and Figure 13 (Q2
-# under I/O interference) on progressdb.DB. Each file it writes must equal
-# the committed one, and an unknown id must exit 2.
-for file in plans.txt ledger.txt fig13.csv; do
+# -only lookup, the file write. Table 1, the ledger and Figure 13 (Q2
+# under I/O interference) all run on progressdb.DB; each file it writes
+# must equal the committed one. An unknown id must exit 2, and so must
+# plans: the plan golden is testdata/plans.txt, a root test's.
+for file in table1.txt ledger.txt fig13.csv; do
 	"$bindir"/experiments -quiet -only "${file%.*}" -outdir "$bindir" >/dev/null
 	cmp "$bindir/$file" "results/$file" || { echo "experiments -only ${file%.*} differs from results/$file" >&2; exit 1; }
 done
-rc=0
-"$bindir"/experiments -only nope -outdir "$bindir" 2>/dev/null || rc=$?
-[ "$rc" -eq 2 ] || { echo "experiments -only nope exited $rc, want 2" >&2; exit 1; }
+for id in nope plans; do
+	rc=0
+	"$bindir"/experiments -only "$id" -outdir "$bindir" 2>/dev/null || rc=$?
+	[ "$rc" -eq 2 ] || { echo "experiments -only $id exited $rc, want 2" >&2; exit 1; }
+done
 echo "ok"
 
 echo "== root benchmarks, once each =="

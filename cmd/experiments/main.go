@@ -1,17 +1,16 @@
 // Command experiments regenerates every table and figure of the paper's
 // evaluation section: Table 1, Figures 4–7 (Q1), 9–16 (Q2 unloaded and
-// under I/O interference), 17 (Q3), 18 (Q4), 19–20 (Q5), plus the plan
-// golden (Q1–Q5's plans and segments under each join hint) and the
-// ledger (bench/'s twelve statements run on progressdb.DB in its two
-// engine configurations: totals, storage counters, every segment and
-// every refresh). Series are written as CSV files and rendered as ASCII
+// under I/O interference), 17 (Q3), 18 (Q4), 19–20 (Q5), plus the ledger
+// (bench/'s twelve statements in its two engine configurations: totals,
+// storage counters, every segment and every refresh), all on
+// progressdb.DB. Series are written as CSV files and rendered as ASCII
 // plots on stdout. Every number is virtual, so a rerun at the committed
 // scale rewrites results/ byte for byte (internal/harness's golden test
 // checks exactly that). An unknown -only id exits 2.
 //
 // Usage:
 //
-//	experiments [-scale 0.02] [-outdir results] [-only fig09|table1|plans|ledger] [-quiet]
+//	experiments [-scale 0.02] [-outdir results] [-only fig09|table1|ledger] [-quiet]
 package main
 
 import (
@@ -31,7 +30,7 @@ const plotWidth, plotHeight = 72, 14
 func main() {
 	scale := flag.Float64("scale", 0.02, "workload scale (1.0 = the paper's Table 1)")
 	outdir := flag.String("outdir", "results", "directory for CSV output (empty = no CSV)")
-	only := flag.String("only", "", "run a single experiment id (table1, plans, ledger, or e.g. fig09)")
+	only := flag.String("only", "", "run a single experiment id (table1, ledger, or e.g. fig09)")
 	quiet := flag.Bool("quiet", false, "skip ASCII plots")
 	flag.Parse()
 

@@ -11,7 +11,9 @@ import (
 
 	"progressdb/internal/core"
 	"progressdb/internal/exec"
+	"progressdb/internal/plan"
 	"progressdb/internal/segment"
+	"progressdb/internal/vclock"
 	"progressdb/internal/workload"
 )
 
@@ -98,7 +100,7 @@ func TestCountsGolden(t *testing.T) {
 		for _, st := range workload.BenchStatements {
 			c := stmtCounts{Name: st.Name, WorkMem: wm}
 			var err error
-			if c.ReporterCalls, c.CounterAdds, err = reporterCalls(db, st.SQL); err != nil {
+			if c.ReporterCalls, _, c.CounterAdds, err = reporterCalls(db, st.SQL); err != nil {
 				t.Fatalf("work_mem %d: %s: %v", wm, st.Name, err)
 			}
 			before := rowsOut(mdb)
@@ -139,9 +141,31 @@ func TestCountsGolden(t *testing.T) {
 			got = append(got, c)
 		}
 	}
+	var want []stmtCounts
+	raw, err := os.ReadFile(countsFile)
+	if err == nil {
+		dec := json.NewDecoder(bytes.NewReader(raw))
+		dec.DisallowUnknownFields()
+		if err = dec.Decode(&want); err != nil {
+			err = fmt.Errorf("%s: %w", countsFile, err)
+		}
+	}
 	if *rewriteGolden {
 		if raceEnabled {
 			t.Fatal("the allocation counts are not measured under -race; rewrite without it")
+		}
+		// An allocation figure still within its tolerance of the
+		// committed one keeps the committed one, so that a rewrite's diff
+		// shows only what moved: exact fields and figures beyond their
+		// tolerance are written as measured.
+		for i := range got {
+			if i < len(want) && want[i].Name == got[i].Name && want[i].WorkMem == got[i].WorkMem {
+				for _, f := range allocFields(&got[i], want[i]) {
+					if *f.got >= f.was-f.tol && *f.got <= f.was+f.tol {
+						*f.got = f.was
+					}
+				}
+			}
 		}
 		out, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
@@ -152,15 +176,8 @@ func TestCountsGolden(t *testing.T) {
 		}
 		return
 	}
-	raw, err := os.ReadFile(countsFile)
 	if err != nil {
 		t.Fatalf("%v; rewrite with: go test -run TestCountsGolden . -args -rewrite", err)
-	}
-	var want []stmtCounts
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&want); err != nil {
-		t.Fatalf("%s: %v", countsFile, err)
 	}
 	if len(want) != len(got) {
 		t.Fatalf("%s has %d entries, the test makes %d; rewrite with: go test -run TestCountsGolden . -args -rewrite", countsFile, len(want), len(got))
@@ -189,24 +206,33 @@ func TestCountsGolden(t *testing.T) {
 		if raceEnabled {
 			continue
 		}
-		for _, f := range []struct {
-			name     string
-			got, was int64
-			tol      int64
-		}{
-			{"exec_allocs", g.ExecAllocs, w.ExecAllocs, execAllocsTol},
-			{"exec_bytes", g.ExecBytes, w.ExecBytes, execBytesTol},
-			{"estimate_allocs", g.EstimateAllocs, w.EstimateAllocs, estimateAllocsTol},
-			{"stmt_run_allocs", g.StmtRunAllocs, w.StmtRunAllocs, execAllocsTol},
-			{"exec_allocs_metrics", g.ExecAllocsMetrics, w.ExecAllocsMetrics, execAllocsMetricsTol},
-		} {
+		for _, f := range allocFields(&got[i], w) {
 			switch {
-			case f.got > f.was+f.tol:
-				t.Errorf("%s: rose by more than %d", at(f.name, f.got, f.was), f.tol)
-			case f.got < f.was-f.tol:
-				t.Errorf("%s: fell by more than %d; commit the fall with: go test -run TestCountsGolden . -args -rewrite", at(f.name, f.got, f.was), f.tol)
+			case *f.got > f.was+f.tol:
+				t.Errorf("%s: rose by more than %d", at(f.name, *f.got, f.was), f.tol)
+			case *f.got < f.was-f.tol:
+				t.Errorf("%s: fell by more than %d; commit the fall with: go test -run TestCountsGolden . -args -rewrite", at(f.name, *f.got, f.was), f.tol)
 			}
 		}
+	}
+}
+
+// allocField is one allocation figure of a measured entry, beside the
+// committed figure and the tolerance between the two.
+type allocField struct {
+	name     string
+	got      *int64
+	was, tol int64
+}
+
+// allocFields lists g's allocation figures beside w's.
+func allocFields(g *stmtCounts, w stmtCounts) []allocField {
+	return []allocField{
+		{"exec_allocs", &g.ExecAllocs, w.ExecAllocs, execAllocsTol},
+		{"exec_bytes", &g.ExecBytes, w.ExecBytes, execBytesTol},
+		{"estimate_allocs", &g.EstimateAllocs, w.EstimateAllocs, estimateAllocsTol},
+		{"stmt_run_allocs", &g.StmtRunAllocs, w.StmtRunAllocs, execAllocsTol},
+		{"exec_allocs_metrics", &g.ExecAllocsMetrics, w.ExecAllocsMetrics, execAllocsMetricsTol},
 	}
 }
 
@@ -256,13 +282,13 @@ func allocsAndBytes(f func()) (allocs, bytes int64) {
 var reporterKinds = []string{"InputTuple", "InputBulk", "InputRepeat", "InputDone", "OutputTuple", "Extra", "SegmentDone"}
 
 // reporterCalls runs sql as db.run does, with a counter between the
-// executor and the indicator, and returns the calls by kind and what the
-// run added to its counter block.
-func reporterCalls(db *DB, sql string) (map[string]int64, counterAdds, error) {
-	var adds counterAdds
+// executor and the indicator, and returns the calls by kind, the tuples
+// the InputBulk calls handed over and what the run added to its counter
+// block.
+func reporterCalls(db *DB, sql string) (map[string]int64, int64, counterAdds, error) {
 	p, err := db.plan(sql)
 	if err != nil {
-		return nil, adds, err
+		return nil, 0, counterAdds{}, err
 	}
 	clk := db.workerClock()
 	defer clk.Sync()
@@ -271,9 +297,18 @@ func reporterCalls(db *DB, sql string) (map[string]int64, counterAdds, error) {
 	ind.Start()
 	defer ind.Stop()
 	kc := &kindCounter{WorkReporter: ind, n: map[string]int64{}}
-	env := &exec.Env{Pool: db.cat.Pool(), Clock: clk, WorkMemPages: db.cfg.WorkMemPages, Reporter: kc, Decomp: d}
+	adds, err := countedRun(db, clk, p, d, kc)
+	return kc.n, kc.bulk, adds, err
+}
+
+// countedRun executes p on db with rep as its reporter (nil: none) and
+// returns what the run added to its counter block d, summed over
+// segments.
+func countedRun(db *DB, clk *vclock.Clock, p plan.Node, d *segment.Decomposition, rep segment.WorkReporter) (counterAdds, error) {
+	var adds counterAdds
+	env := &exec.Env{Pool: db.cat.Pool(), Clock: clk, WorkMemPages: db.cfg.WorkMemPages, Reporter: rep, Decomp: d}
 	if _, err := exec.Run(env, p, nil); err != nil {
-		return nil, adds, err
+		return adds, err
 	}
 	for _, s := range d.Segments {
 		adds.OutputTuples += s.Count.OutTuples
@@ -282,13 +317,69 @@ func reporterCalls(db *DB, sql string) (map[string]int64, counterAdds, error) {
 			adds.InputTuples += in.Count.Tuples
 		}
 	}
-	return kc.n, adds, nil
+	return adds, nil
 }
 
-// kindCounter counts the calls on a segment.WorkReporter by method.
+// The indicator's overhead is small by construction, and that is what is
+// gated, as counts (a wall-clock ratio of two runs is a coin flip on a
+// loaded host): the executor counts one event per tuple at each segment
+// boundary the tuple crosses — read from a base table, written to a
+// partition or hash table, read back — as an inline add to the query's
+// counter block (internal/segment/counts.go), and calls the reporter only
+// for a stream's first tuple, bulk reads and the ends of inputs and
+// segments; never per probe or per output row. So Q2 under a Grace-sized
+// work_mem of 16 pages stays under four events per base tuple, and a run
+// without a reporter counts the same work. TestCountsGolden pins the
+// calls and the counter block of every benchmark statement. The
+// per-event cost that turns the count into the paper's "< 1 %" is the
+// benchmark's core.reporter_call_ns / core.indicator_modelled_pct.
+func TestOverheadSmall(t *testing.T) {
+	db := Open(Config{WorkMemPages: 16, BufferPoolPages: 64})
+	if err := db.LoadPaperWorkload(0.01, false); err != nil {
+		t.Fatal(err)
+	}
+	var baseRows int64
+	for _, name := range []string{"customer", "orders", "lineitem"} {
+		tb, err := db.cat.Table(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		baseRows += tb.Stats.RowCount
+	}
+	sql, err := PaperQuery(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls, bulk, adds, err := reporterCalls(db, sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every add is an event, the first-row calls among them, except that a
+	// bulk pass is one event however many tuples it hands over; the rest
+	// of the calls are events of their own.
+	events := adds.InputTuples + adds.OutputTuples + adds.Extras - bulk +
+		calls["InputBulk"] + calls["InputRepeat"] + calls["InputDone"] + calls["SegmentDone"]
+	if events < baseRows || events > 4*baseRows {
+		t.Fatalf("events = %d for %d base tuples, want between 1 and 4 per tuple", events, baseRows)
+	}
+	t.Logf("Q2: %d events for %d base tuples (%.2f per tuple)", events, baseRows, float64(events)/float64(baseRows))
+	p, err := db.plan(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk := db.workerClock()
+	defer clk.Sync()
+	if again, err := countedRun(db, clk, p, segment.Decompose(p, db.cfg.WorkMemPages), nil); err != nil || again != adds {
+		t.Fatalf("a run without a reporter: counter adds %+v, with one %+v (%v)", again, adds, err)
+	}
+}
+
+// kindCounter counts the calls on a segment.WorkReporter by method, and
+// the tuples the InputBulk calls hand over.
 type kindCounter struct {
 	segment.WorkReporter
-	n map[string]int64
+	n    map[string]int64
+	bulk int64
 }
 
 func (c *kindCounter) InputTuple(seg, input, bytes int) {
@@ -297,6 +388,7 @@ func (c *kindCounter) InputTuple(seg, input, bytes int) {
 }
 func (c *kindCounter) InputBulk(seg, input int, tuples int64, bytes float64) {
 	c.n["InputBulk"]++
+	c.bulk += tuples
 	c.WorkReporter.InputBulk(seg, input, tuples, bytes)
 }
 func (c *kindCounter) InputRepeat(seg, input int, tuples int64, bytes float64) {

@@ -12,8 +12,12 @@ import (
 	"progressdb/internal/tuple"
 )
 
-// CheckReports is checkReports for the external test package.
-var CheckReports = checkReports
+// CheckReports and CheckGolden are checkReports and checkGolden for the
+// external test package.
+var (
+	CheckReports = checkReports
+	CheckGolden  = checkGolden
+)
 
 // Collecting returns cfg with the per-operator collector on for every
 // query, so that each Result's plan report labels and notes its operators.
@@ -23,9 +27,11 @@ func Collecting(cfg Config) Config {
 }
 
 // ExecPlan plans sql under opt on the DB's catalog, at the DB's own
-// work_mem, and returns the plan.Format text. If run accepts that text,
-// the plan executes on DB.Exec's path — panic boundary, indicator,
-// cleanup — and its Result is returned too; otherwise the Result is nil.
+// work_mem, and returns the plan.Format text followed by the plan's
+// segment decomposition: one block of testdata/plans.txt. If run accepts
+// that text, the plan executes on DB.Exec's path — panic boundary,
+// indicator, cleanup — and its Result is returned too; otherwise the
+// Result is nil.
 func (db *DB) ExecPlan(sql string, opt optimizer.Options, run func(planText string) bool) (*Result, string, error) {
 	stmt, err := sqlparser.Parse(sql)
 	if err != nil {
@@ -36,11 +42,12 @@ func (db *DB) ExecPlan(sql string, opt optimizer.Options, run func(planText stri
 	if err != nil {
 		return nil, "", err
 	}
-	text := plan.Format(p)
+	d := segment.Decompose(p, db.cfg.WorkMemPages)
+	text := plan.Format(p) + d.String()
 	if !run(text) {
 		return nil, text, nil
 	}
-	res, err := db.run(context.Background(), db.workerClock(), nil, p, segment.Decompose(p, db.cfg.WorkMemPages), nil, true, db.cfg.collect)
+	res, err := db.run(context.Background(), db.workerClock(), nil, p, d, nil, true, db.cfg.collect)
 	if err != nil {
 		return nil, text, err
 	}

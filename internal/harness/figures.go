@@ -265,18 +265,17 @@ func ExperimentByID(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// Table1ID, PlansID and LedgerID name the three artefacts of results/
-// that are not figures.
+// Table1ID and LedgerID name the two artefacts of results/ that are not
+// figures.
 const (
 	Table1ID = "table1"
-	PlansID  = "plans"
 	LedgerID = "ledger"
 )
 
 // IDs lists every artefact of results/ in the order cmd/experiments
-// writes them: Table 1, the plan golden, the ledger, then the figures.
+// writes them: Table 1, the ledger, then the figures.
 func IDs() []string {
-	ids := []string{Table1ID, PlansID, LedgerID}
+	ids := []string{Table1ID, LedgerID}
 	for _, e := range Experiments {
 		ids = append(ids, e.ID)
 	}
@@ -301,9 +300,6 @@ func (s *Session) Render(id string) (*Artifact, error) {
 	case Table1ID:
 		text, err := s.Runner.Table1()
 		return &Artifact{File: "table1.txt", Text: text, Exp: Experiment{ID: id, Title: "Table 1. Test data set"}}, err
-	case PlansID:
-		text, err := s.Runner.Plans()
-		return &Artifact{File: "plans.txt", Text: text, Exp: Experiment{ID: id, Title: "Plans and segments of Q1–Q5 by forced join algorithm and work_mem"}}, err
 	case LedgerID:
 		text, err := s.Runner.Ledger()
 		return &Artifact{File: "ledger.txt", Text: text, Exp: Experiment{ID: id, Title: "The virtual ledger of bench/'s statements on its two engine configurations"}}, err

@@ -1,19 +1,17 @@
 // Package harness reproduces the paper's evaluation (Section 5): it runs
 // Q1–Q5 under unloaded, I/O-interference, and CPU-interference scenarios
 // and extracts the series behind every figure (4–7, 9–20), plus Table 1.
-// It also renders the plan golden and the ledger: the benchmark's twelve
-// statements (workload.BenchStatements) on bench/'s two engine
-// configurations, each block its statement's totals, storage counters,
-// segments and refreshes. Everything it reports is on the virtual
-// ledger, so every number is the same on every run and results/ pins it
-// byte for byte.
+// It also renders the ledger: the benchmark's twelve statements
+// (workload.BenchStatements) on bench/'s two engine configurations, each
+// block its statement's totals, storage counters, segments and
+// refreshes. Everything it reports is on the virtual ledger, so every
+// number is the same on every run and results/ pins it byte for byte.
 //
-// The figures and the ledger run on progressdb.DB, the path progressd,
-// pgsh and bench/ serve, over the data set it loads (Runner.OpenDB).
-// Three artefacts keep the harness's own engine, each for something DB
-// does not expose: the plan golden forces join algorithms at a work_mem
-// of 4 pages; Table 1 reads the generator's data set; and OverheadProbe
-// runs the executor with and without the indicator.
+// Table 1, the figures and the ledger run on progressdb.DB, the path
+// progressd, pgsh and bench/ serve, over the data set it loads
+// (Runner.OpenDB). Only OverheadProbe, for bench/, loads an engine of its
+// own: it runs the executor with and without the indicator, which DB
+// always attaches.
 //
 // All times are virtual seconds. The clock's base costs are divided by
 // the data scale so that the time axes remain comparable to the paper's
@@ -34,7 +32,6 @@ import (
 	"progressdb/internal/core"
 	"progressdb/internal/exec"
 	"progressdb/internal/optimizer"
-	"progressdb/internal/plan"
 	"progressdb/internal/segment"
 	"progressdb/internal/sqlparser"
 	"progressdb/internal/storage"
@@ -219,128 +216,67 @@ func scenarioName(interf Interference) string {
 	return interf.Kind + "-interference"
 }
 
-// engine bundles one freshly loaded database, for the artefacts that
-// need more than DB exposes.
-type engine struct {
-	clock *vclock.Clock
-	cat   *catalog.Catalog
-	ds    *workload.Dataset
-}
-
-func (r Runner) newEngine(correlated bool) (*engine, error) {
-	clock := vclock.New(r.costs(), nil)
-	pool := storage.NewBufferPool(storage.NewDisk(clock), r.BufferPoolPages)
-	cat := catalog.New(pool)
-	ds, err := workload.Load(cat, workload.Config{
-		Scale:            r.Scale,
-		CorrelatedOrders: correlated,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &engine{clock: clock, cat: cat, ds: ds}, nil
-}
-
-// plan takes sql through parse → optimizer.Plan → segment.Decompose on
-// eng at r's work_mem.
-func (r Runner) plan(eng *engine, sql, forceAlgo string) (plan.Node, *segment.Decomposition, error) {
-	stmt, err := sqlparser.Parse(sql)
-	if err != nil {
-		return nil, nil, err
-	}
-	p, err := optimizer.Plan(eng.cat, stmt, optimizer.Options{
-		WorkMemPages:  r.WorkMemPages,
-		ForceJoinAlgo: forceAlgo,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return p, segment.Decompose(p, r.WorkMemPages), nil
-}
-
-// compileQuery loads a fresh engine and plans workload query q (1–5) on
-// it, Q3 on the correlated orders: everything a probe needs before the
-// first page is read.
-func (r Runner) compileQuery(q int) (*engine, plan.Node, *segment.Decomposition, error) {
-	sql, err := workload.QuerySQL(q)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	eng, err := r.newEngine(q == 3)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	p, d, err := r.plan(eng, sql, "")
-	return eng, p, d, err
-}
-
-// Table1 loads the data set and renders the paper's Table 1.
+// Table1 renders the paper's Table 1 from a freshly opened DB (OpenDB):
+// each table's row count, by select count(*), and its size, the price of
+// a full scan in pages — the statistics' rows × average width.
 func (r Runner) Table1() (string, error) {
 	r = r.withDefaults()
-	eng, err := r.newEngine(false)
+	db, err := r.OpenDB(false)
 	if err != nil {
 		return "", err
 	}
-	return eng.ds.Table1(eng.cat)
-}
-
-// Plans renders the plan golden: Q1–Q5 under the cost-based choice and
-// each forced join algorithm, at the default work_mem and at 4 pages —
-// the EXPLAIN tree and its segment decomposition with every initial
-// cost. A change that must not move plan choice or any InitCost proves
-// it by leaving this text byte-identical.
-func (r Runner) Plans() (string, error) {
-	r = r.withDefaults()
 	var b strings.Builder
-	engines := map[bool]*engine{}
-	for q := 1; q <= 5; q++ {
-		sql, err := workload.QuerySQL(q)
+	fmt.Fprintf(&b, "%-18s %15s %12s\n", "", "number of tuples", "total size")
+	for _, name := range []string{"customer", "orders", "lineitem", "customer_subset1", "customer_subset2"} {
+		res, err := db.Exec("select count(*) from "+name, nil)
 		if err != nil {
 			return "", err
 		}
-		correlated := q == 3
-		eng := engines[correlated]
-		if eng == nil {
-			if eng, err = r.newEngine(correlated); err != nil {
-				return "", err
-			}
-			engines[correlated] = eng
+		st, err := db.Prepare("select * from " + name)
+		if err != nil {
+			return "", err
 		}
-		for _, mem := range []int{r.WorkMemPages, 4} {
-			for _, algo := range []string{"", "hash", "nl", "merge"} {
-				at := r
-				at.WorkMemPages = mem
-				p, d, err := at.plan(eng, sql, algo)
-				if err != nil {
-					return "", fmt.Errorf("harness: planning Q%d (work_mem %d, force %q): %w", q, mem, algo, err)
-				}
-				fmt.Fprintf(&b, "== Q%d work_mem=%d force=%q ==\n%s%s\n", q, mem, algo, plan.Format(p), d)
-			}
-		}
+		fmt.Fprintf(&b, "%-18s %15d %12s\n", name, res.Rows[0][0], fmt.Sprintf("%.1fMB", st.CostU()*storage.PageSize/1e6))
 	}
+	fmt.Fprintf(&b, "(scale %.3f; scale 1.0 reproduces the paper's 0.15M/23MB, 1.5M/114MB, 6M/755MB)\n", r.Scale)
 	return b.String(), nil
 }
 
-// OverheadProbe prepares one engine and plan for query q and returns a
-// function that executes the query once, with or without the indicator:
-// what bench/ times for core.indicator_wall_ratio, the per-run setup
-// kept outside the timed region.
+// OverheadProbe loads an engine of its own and plans query q on it, and
+// returns a function that executes the query once, with or without the
+// indicator: what bench/ times for core.indicator_wall_ratio, the
+// per-run setup kept outside the timed region. DB always attaches its
+// indicator, so this is the harness's one run of the executor beside DB.
 func (r Runner) OverheadProbe(q int) (func(withIndicator bool) error, error) {
 	r = r.withDefaults()
-	eng, p, d, err := r.compileQuery(q)
+	sql, err := workload.QuerySQL(q)
 	if err != nil {
 		return nil, err
 	}
+	stmt, err := sqlparser.Parse(sql)
+	if err != nil {
+		return nil, err
+	}
+	clock := vclock.New(r.costs(), nil)
+	cat := catalog.New(storage.NewBufferPool(storage.NewDisk(clock), r.BufferPoolPages))
+	if _, err := workload.Load(cat, workload.Config{Scale: r.Scale, CorrelatedOrders: q == 3}); err != nil {
+		return nil, err
+	}
+	p, err := optimizer.Plan(cat, stmt, optimizer.Options{WorkMemPages: r.WorkMemPages})
+	if err != nil {
+		return nil, err
+	}
+	d := segment.Decompose(p, r.WorkMemPages)
 	return func(withIndicator bool) error {
 		var rep segment.WorkReporter
 		if withIndicator {
-			ind := core.New(eng.clock, d, core.Options{UpdatePeriod: r.UpdatePeriod})
+			ind := core.New(clock, d, core.Options{UpdatePeriod: r.UpdatePeriod})
 			ind.Start()
 			defer ind.Stop()
 			rep = ind
 		}
 		env := &exec.Env{
-			Pool: eng.cat.Pool(), Clock: eng.clock,
+			Pool: cat.Pool(), Clock: clock,
 			WorkMemPages: r.WorkMemPages, Reporter: rep, Decomp: d,
 		}
 		_, err := exec.Run(env, p, nil)

@@ -10,9 +10,6 @@ import (
 	"testing"
 
 	"progressdb"
-	"progressdb/internal/core"
-	"progressdb/internal/exec"
-	"progressdb/internal/segment"
 	"progressdb/internal/workload"
 )
 
@@ -401,12 +398,11 @@ func render(t *testing.T, id string) *Artifact {
 }
 
 // TestResultsGolden: results/ is the virtual ledger, so it reproduces
-// byte for byte. Table 1, the plan golden (Q1–Q5's plans and segment
-// costs under every join hint), the ledger of bench/'s statements and
-// all sixteen figures, rendered from the session the shape tests share
-// (the scale results/ was written at) through the function
-// cmd/experiments writes them with, must equal the committed files — and
-// results/ must hold nothing else.
+// byte for byte. Table 1, the ledger of bench/'s statements and all
+// sixteen figures, rendered from the session the shape tests share (the
+// scale results/ was written at) through the function cmd/experiments
+// writes them with, must equal the committed files — and results/ must
+// hold nothing else. The plan golden is testdata/plans.txt, at the root.
 func TestResultsGolden(t *testing.T) {
 	t.Parallel()
 	const dir, rewrite = "../../results", "go run ./cmd/experiments -outdir results"
@@ -525,71 +521,6 @@ func TestRefreshPeriodsAgree(t *testing.T) {
 	}
 }
 
-// The indicator's overhead is small by construction, and that is what is
-// gated, as counts (a wall-clock ratio of two runs is a coin flip on a
-// loaded host): the executor counts one event per tuple at each segment
-// boundary the tuple crosses — read from a base table, written to a
-// partition or hash table, read back — as an inline add to the query's
-// counter block (internal/segment/counts.go), and calls the reporter only
-// for a stream's first tuple, bulk reads and the ends of inputs and
-// segments; never per probe or per output row. So Q2 under the harness's
-// Grace-sized work_mem stays under four events per base tuple, and a run
-// without a reporter makes no call and counts the same work.
-// BENCH_counts.json (TestCountsGolden's counter_adds) pins the counter
-// block of every benchmark statement. The per-event cost that turns the
-// count into the paper's "< 1 %" is the benchmark's
-// core.reporter_call_ns / core.indicator_modelled_pct.
-func TestOverheadSmall(t *testing.T) {
-	r := Runner{Scale: 0.01}.withDefaults()
-	eng, p, d, err := r.compileQuery(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var baseRows int64
-	for _, name := range []string{"customer", "orders", "lineitem"} {
-		tb, err := eng.cat.Table(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		baseRows += tb.Stats.RowCount
-	}
-	ind := core.New(eng.clock, d, core.Options{UpdatePeriod: r.UpdatePeriod})
-	ind.Start()
-	defer ind.Stop()
-	rc := &rareCounter{WorkReporter: ind}
-	// run executes Q2 and returns the adds its counter block holds:
-	// each input tuple, output tuple and multi-stage add, whether the
-	// executor counted it inline or handed it over.
-	run := func(rep segment.WorkReporter) int64 {
-		t.Helper()
-		env := &exec.Env{Pool: eng.cat.Pool(), Clock: eng.clock,
-			WorkMemPages: r.WorkMemPages, Reporter: rep, Decomp: d}
-		if _, err := exec.Run(env, p, nil); err != nil {
-			t.Fatal(err)
-		}
-		var adds int64
-		for _, s := range d.Segments {
-			adds += s.Count.OutTuples + s.Count.Extras
-			for _, in := range s.Inputs {
-				adds += in.Count.Tuples
-			}
-		}
-		return adds
-	}
-	adds := run(rc)
-	// A bulk pass is one event, however many tuples it hands over.
-	calls := adds - rc.bulk + rc.rare
-	if calls < baseRows || calls > 4*baseRows {
-		t.Fatalf("reporter calls = %d for %d base tuples, want between 1 and 4 per tuple", calls, baseRows)
-	}
-	t.Logf("Q2: %d reporter calls for %d base tuples (%.2f per tuple)", calls, baseRows, float64(calls)/float64(baseRows))
-	rare, done := rc.rare, ind.Current().DoneU
-	if again := run(nil); again != adds || rc.rare != rare || ind.Current().DoneU != done {
-		t.Fatalf("a run without a reporter: counter adds %d -> %d, rare calls %d -> %d, DoneU %g -> %g",
-			adds, again, rare, rc.rare, done, ind.Current().DoneU)
-	}
-}
-
 func TestOverheadProbe(t *testing.T) {
 	probe, err := (Runner{Scale: 0.005}).OverheadProbe(2)
 	if err != nil {
@@ -601,31 +532,4 @@ func TestOverheadProbe(t *testing.T) {
 	if err := probe(false); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// rareCounter counts the calls the executor makes on the reporter it
-// wraps beside the counter block's first-row events: bulk and repeat
-// passes and the ends of inputs and segments, and the tuples InputBulk
-// hands over.
-type rareCounter struct {
-	segment.WorkReporter
-	rare, bulk int64
-}
-
-func (c *rareCounter) InputBulk(seg, input int, tuples int64, bytes float64) {
-	c.rare++
-	c.bulk += tuples
-	c.WorkReporter.InputBulk(seg, input, tuples, bytes)
-}
-func (c *rareCounter) InputRepeat(seg, input int, tuples int64, bytes float64) {
-	c.rare++
-	c.WorkReporter.InputRepeat(seg, input, tuples, bytes)
-}
-func (c *rareCounter) InputDone(seg, input int) {
-	c.rare++
-	c.WorkReporter.InputDone(seg, input)
-}
-func (c *rareCounter) SegmentDone(seg int) {
-	c.rare++
-	c.WorkReporter.SegmentDone(seg)
 }

@@ -294,23 +294,3 @@ const Mix9 = 9
 // BenchIndexes are the two indexes bench/ builds, as (table, column):
 // the lookups' access paths.
 var BenchIndexes = [][2]string{{"customer", "custkey"}, {"orders", "custkey"}}
-
-// Table1 renders the loaded data set in the format of the paper's
-// Table 1, with both the configured-scale and scale-1.0 numbers.
-func (ds *Dataset) Table1(cat *catalog.Catalog) (string, error) {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-18s %15s %12s\n", "", "number of tuples", "total size")
-	for _, name := range []string{"customer", "orders", "lineitem", "customer_subset1", "customer_subset2"} {
-		t, err := cat.Table(name)
-		if err != nil {
-			return "", err
-		}
-		size := "?"
-		if t.Stats != nil {
-			size = fmt.Sprintf("%.1fMB", t.Stats.TotalBytes()/1e6)
-		}
-		fmt.Fprintf(&b, "%-18s %15d %12s\n", name, t.Heap.Len(), size)
-	}
-	fmt.Fprintf(&b, "(scale %.3f; scale 1.0 reproduces the paper's 0.15M/23MB, 1.5M/114MB, 6M/755MB)\n", ds.Config.Scale)
-	return b.String(), nil
-}

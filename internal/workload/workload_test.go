@@ -2,7 +2,6 @@ package workload
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"progressdb/internal/catalog"
@@ -170,19 +169,6 @@ func TestQueriesParse(t *testing.T) {
 	}
 	if _, err := QuerySQL(6); err == nil {
 		t.Fatal("Q6 must not exist")
-	}
-}
-
-func TestTable1Rendering(t *testing.T) {
-	cat, ds := load(t, Config{Scale: 0.002, SubsetRows: 10})
-	s, err := ds.Table1(cat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"customer", "orders", "lineitem", "customer_subset1", "number of tuples"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("Table1 output missing %q:\n%s", want, s)
-		}
 	}
 }
 

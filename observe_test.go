@@ -158,9 +158,9 @@ func TestExplainStatementDispatch(t *testing.T) {
 	}
 }
 
-// rewriteGolden regenerates testdata/explain_analyze.txt:
-// go test -run TestExplainAnalyzeGolden . -args -rewrite
-var rewriteGolden = flag.Bool("rewrite", false, "rewrite the golden file of each test run (testdata/explain_analyze.txt, BENCH_counts.json)")
+// rewriteGolden makes each golden test run write its file instead of
+// comparing with it: go test -run <test> . -args -rewrite
+var rewriteGolden = flag.Bool("rewrite", false, "rewrite the golden file of each test run (testdata/explain_analyze.txt, testdata/plans.txt, BENCH_counts.json)")
 
 // TestExplainAnalyzeGolden pins, byte for byte, what a finished query
 // prints about its plan: the EXPLAIN ANALYZE text and the plan report's
@@ -168,7 +168,6 @@ var rewriteGolden = flag.Bool("rewrite", false, "rewrite the golden file of each
 // statements that
 // TestDiscardMatchesKeepOnBenchmarkStatements runs, on its two engines.
 func TestExplainAnalyzeGolden(t *testing.T) {
-	const file = "testdata/explain_analyze.txt"
 	var b strings.Builder
 	for _, wm := range []int{16, 2048} {
 		db := loadObsWorkload(t, Config{WorkMemPages: wm, ProgressUpdateSeconds: 0.02})
@@ -187,7 +186,15 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 			fmt.Fprintf(&b, "== %s at work_mem %d\n%splan: %s\n", st.Name, wm, text, plan)
 		}
 	}
-	got := b.String()
+	checkGolden(t, "testdata/explain_analyze.txt", b.String())
+}
+
+// checkGolden compares got with the committed file, byte for byte, and
+// names the first line that differs; under -rewrite it writes got there
+// instead.
+func checkGolden(t *testing.T, file, got string) {
+	t.Helper()
+	rewrite := "go test -run " + t.Name() + " . -args -rewrite"
 	if *rewriteGolden {
 		if err := os.WriteFile(file, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
@@ -196,7 +203,7 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 	}
 	want, err := os.ReadFile(file)
 	if err != nil {
-		t.Fatalf("%v; rewrite with: go test -run TestExplainAnalyzeGolden . -args -rewrite", err)
+		t.Fatalf("%v; rewrite with: %s", err, rewrite)
 	}
 	if got == string(want) {
 		return
@@ -212,8 +219,8 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 		}
 		return "<end of file>"
 	}
-	t.Fatalf("%s differs at line %d:\n  generated: %s\n  committed: %s\nif the change is intended, rewrite with: go test -run TestExplainAnalyzeGolden . -args -rewrite",
-		file, n+1, line(gl), line(wl))
+	t.Fatalf("%s differs at line %d:\n  generated: %s\n  committed: %s\nif the change is intended, rewrite with: %s",
+		file, n+1, line(gl), line(wl), rewrite)
 }
 
 // TestExplainErrSpelling pins how EXPLAIN ANALYZE spells an operator's
