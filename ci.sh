@@ -161,10 +161,12 @@ echo "== go test -race, with the serving packages 20x beside it =="
 # the load under which a terminal event published before its accounting
 # was seen to lose 1 run in 8. internal/obs rides along for the
 # registry's sorted insert, which every /metrics page and profile reads,
-# and the root TestStmt* for a prepared statement's in-use and staleness
-# fallbacks, which concurrent runs of one Stmt take.
+# the root TestStmt* for a prepared statement's in-use and staleness
+# fallbacks, which concurrent runs of one Stmt take, and the root
+# TestIOConservation for per-query storage counts under four concurrent
+# queries and fault schedules.
 { go test -count=20 ./internal/server ./internal/fleet ./client ./internal/obs &&
-    go test -count=20 -run 'TestStmt' .; } &
+    go test -count=20 -run 'TestStmt|TestIOConservation' .; } &
 stress=$!
 go test -race ./... || { kill $stress 2>/dev/null; exit 1; }
 wait $stress

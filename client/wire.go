@@ -344,10 +344,11 @@ type QueryProfile struct {
 	// max(est/actual, actual/est), -1 where undefined. Parallel to the
 	// non-terminal prefix of Events; only filled for done queries.
 	RemainingQError []float64 `json:"remaining_q_error,omitempty"`
-	// Counters are engine counter deltas attributable to this query's
-	// execution (I/O retries, injected faults); absent when the engine
-	// registry is disabled or the counters never moved.
-	Counters map[string]float64 `json:"counters,omitempty"`
+	// IO is the query's own buffer-pool, disk, retry and injected-fault
+	// counts (its Result.Plan.IO), exact under any worker count; a
+	// failed query's counts stop where it failed. Absent for a query
+	// that never ran, and on a fleet.
+	IO *progressdb.IOCounts `json:"io,omitempty"`
 }
 
 // HistorySummary is one element of GET /api/history's ranked listing.

@@ -21,8 +21,8 @@ import (
 // statement, what one warm ExecDiscard allocates with metrics off and on,
 // what planning it alone allocates and what running it once planned
 // allocates, how often the executor calls the indicator, by kind, what it
-// adds to the query's counter block, and the rows it adds to
-// exec_rows_out_total, by op.
+// adds to the query's counter block, the rows it adds to
+// exec_rows_out_total, by op, and its storage events.
 // Rewrite it with: go test -run TestCountsGolden . -args -rewrite
 const countsFile = "BENCH_counts.json"
 
@@ -75,6 +75,9 @@ type stmtCounts struct {
 	CounterAdds counterAdds `json:"counter_adds"`
 	// RowsOut is what one run adds to exec_rows_out_total, by op.
 	RowsOut map[string]int64 `json:"rows_out"`
+	// IO is the same run's storage events (Result.Plan.IO): pool hits,
+	// misses, evictions and write-backs, and the disk's four counts.
+	IO IOCounts `json:"io"`
 }
 
 // counterAdds is one run's counter block, summed over segments: the input
@@ -89,9 +92,9 @@ type counterAdds struct {
 // TestCountsGolden pins the counts that a perf change claims:
 // workload.BenchStatements × work_mem {16, 2048} at scale 0.002, on a
 // pool that holds the data, with bench/'s indexes and refresh period.
-// Reporter calls, counter adds and rows out are exact; allocations may
-// move only within the tolerances above, and are not checked under -race,
-// where sync.Pool drops entries at random.
+// Reporter calls, counter adds, rows out and storage events are exact;
+// allocations may move only within the tolerances above, and are not
+// checked under -race, where sync.Pool drops entries at random.
 func TestCountsGolden(t *testing.T) {
 	var got []stmtCounts
 	for _, wm := range []int{16, 2048} {
@@ -104,10 +107,12 @@ func TestCountsGolden(t *testing.T) {
 				t.Fatalf("work_mem %d: %s: %v", wm, st.Name, err)
 			}
 			before := rowsOut(mdb)
-			if _, err := mdb.ExecDiscard(st.SQL, nil); err != nil {
+			res, err := mdb.ExecDiscard(st.SQL, nil)
+			if err != nil {
 				t.Fatalf("work_mem %d: %s: %v", wm, st.Name, err)
 			}
 			c.RowsOut, _ = rowsOutDelta(before, rowsOut(mdb))
+			c.IO = res.Plan.IO
 			if !raceEnabled {
 				c.ExecAllocs, c.ExecBytes = allocsAndBytes(func() {
 					if _, err := db.ExecDiscard(st.SQL, nil); err != nil {
@@ -197,6 +202,9 @@ func TestCountsGolden(t *testing.T) {
 		}
 		if g.CounterAdds != w.CounterAdds {
 			t.Errorf("%s at work_mem %d: counter_adds %+v, committed %+v", g.Name, g.WorkMem, g.CounterAdds, w.CounterAdds)
+		}
+		if g.IO != w.IO {
+			t.Errorf("%s at work_mem %d: io %+v, committed %+v", g.Name, g.WorkMem, g.IO, w.IO)
 		}
 		for op := range joinKeys(g.RowsOut, w.RowsOut) {
 			if g.RowsOut[op] != w.RowsOut[op] {

@@ -148,13 +148,18 @@ func (db *DB) ExecGroup(queries []GroupQuery) ([]*Result, error) {
 				<-w.token
 			}
 
+			// The members share the base clock, so each takes its own
+			// I/O counts off it when it hands the clock on and puts them
+			// back when it has the clock again.
 			steps := 0
 			yield := func() {
 				steps++
 				if steps >= sliceTuples {
 					steps = 0
+					io := db.clock.IO
 					next(i)
 					<-w.token
+					db.clock.IO = io
 				}
 			}
 			w.result, w.err = db.execOne(w.q, yield)

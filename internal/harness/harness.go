@@ -136,11 +136,9 @@ func optimizerRemaining(estU, seqPage, elapsed float64) float64 {
 }
 
 // OpenDB opens a DB with r's scaled page costs, buffer pool, work_mem and
-// indicator settings and its metrics on, loads the paper's data set at
-// r's scale — with the correlated orders when correlated, Q3's variant —
-// and empties the buffer pool: the paper restarts the machine before each
-// test. Metrics move no virtual number; the ledger reads its pool and
-// disk counts off them.
+// indicator settings, loads the paper's data set at r's scale — with the
+// correlated orders when correlated, Q3's variant — and empties the
+// buffer pool: the paper restarts the machine before each test.
 func (r Runner) OpenDB(correlated bool) (*progressdb.DB, error) {
 	r = r.withDefaults()
 	c := r.costs()
@@ -151,7 +149,6 @@ func (r Runner) OpenDB(correlated bool) (*progressdb.DB, error) {
 		RandPageCost:          c.RandPage,
 		ProgressUpdateSeconds: r.UpdatePeriod,
 		SpeedWindowSeconds:    r.SpeedWindow,
-		Metrics:               true,
 	})
 	if err := db.LoadPaperWorkload(r.Scale, correlated); err != nil {
 		return nil, err

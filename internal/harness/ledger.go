@@ -77,7 +77,7 @@ func (r Runner) ledgerBlocks(c ledgerConfig, stmts []workload.Statement) ([]stri
 }
 
 // ledgerBlock runs st on db after a cold restart and renders its block:
-// the pool and disk counters are the run's deltas of db's metrics.
+// the pool and disk counters are the run's own (Result.Plan.IO).
 func (r Runner) ledgerBlock(db *progressdb.DB, config string, st workload.Statement) (string, error) {
 	if err := db.ColdRestart(); err != nil {
 		return "", err
@@ -86,13 +86,10 @@ func (r Runner) ledgerBlock(db *progressdb.DB, config string, st workload.Statem
 	if err != nil {
 		return "", err
 	}
-	before := counters(db)
 	res, err := stmt.ExecDiscardContext(context.Background(), nil)
 	if err != nil {
 		return "", err
 	}
-	after := counters(db)
-	delta := func(name string) int64 { return after[name] - before[name] }
 	estU, seqPage := stmt.CostU(), r.costs().SeqPage
 
 	var b strings.Builder
@@ -100,11 +97,9 @@ func (r Runner) ledgerBlock(db *progressdb.DB, config string, st workload.Statem
 	fmt.Fprintf(&b, "rows=%d virt_s=%s est_u=%s done_u=%s refreshes=%d segments=%d\n",
 		res.RowCount(), ff(res.VirtualSeconds), ff(estU), ff(res.History[len(res.History)-1].DoneU),
 		len(res.History), len(res.Plan.Segments))
+	io := res.Plan.IO
 	fmt.Fprintf(&b, "pool hits=%d misses=%d evictions=%d writebacks=%d disk seq_reads=%d rand_reads=%d seq_writes=%d rand_writes=%d\n",
-		delta("bufferpool_hits_total"), delta("bufferpool_misses_total"),
-		delta("bufferpool_evictions_total"), delta("bufferpool_dirty_writebacks_total"),
-		delta("disk_seq_reads_total"), delta("disk_rand_reads_total"),
-		delta("disk_seq_writes_total"), delta("disk_rand_writes_total"))
+		io.Hits, io.Misses, io.Evictions, io.Writebacks, io.SeqReads, io.RandReads, io.SeqWrites, io.RandWrites)
 	for _, s := range res.Plan.Segments {
 		fmt.Fprintf(&b, "seg %d est_u=%s act_u=%s est_rows=%s act_rows=%s start=%s end=%s %s\n",
 			s.ID, ff(s.EstCostU), ff(s.ActualCostU), ff(s.EstOutRows), ff(s.ActualOutRows), ff(s.StartT), ff(s.EndT), s.Root)
@@ -115,17 +110,6 @@ func (r Runner) ledgerBlock(db *progressdb.DB, config string, st workload.Statem
 			ff(h.RemainingSeconds), ff(optimizerRemaining(estU, seqPage, h.ElapsedSeconds)), ff(h.CurrentP), ff(h.CurrentE1), ff(h.CurrentE))
 	}
 	return b.String(), nil
-}
-
-// counters reads db's unlabelled counters by name.
-func counters(db *progressdb.DB) map[string]int64 {
-	m := map[string]int64{}
-	for _, s := range db.Metrics() {
-		if s.LabelKey == "" {
-			m[s.Name] = int64(s.Value)
-		}
-	}
-	return m
 }
 
 // ff writes x in shortest round-trip form, so a change in its last bit

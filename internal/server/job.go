@@ -2,8 +2,10 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
+	"strconv"
 	"sync"
 	"time"
 
@@ -15,6 +17,9 @@ import (
 // job is one submitted query's lifecycle record: its state machine
 // (queued → running → done/failed/canceled), its progress-event history,
 // and its fan-out subscriber set.
+//
+// Each event is encoded once, into the SSE frame that every subscriber
+// and every replay is sent as it is.
 //
 // Locking: j.mu guards every mutable field. publish and the ledger's
 // terminal transition assign event sequence numbers and append to
@@ -50,9 +55,9 @@ type job struct {
 	state     client.State
 	err       error
 	res       *progressdb.Result
-	counters  map[string]float64
 	seq       int
 	history   []client.ProgressEvent
+	frames    []frame // history's events as sent, one frame each
 	subs      map[int]*subscriber
 	nextSub   int
 	submitted time.Time
@@ -94,20 +99,50 @@ func (j *job) publish(ev client.ProgressEvent) {
 	j.fanOutLocked(j.appendLocked(ev))
 }
 
-// appendLocked gives ev the next sequence number and records it in the
-// history.
-func (j *job) appendLocked(ev client.ProgressEvent) client.ProgressEvent {
+// appendLocked gives ev the next sequence number, records it in the
+// history and returns its frame.
+func (j *job) appendLocked(ev client.ProgressEvent) frame {
 	j.seq++
 	ev.Seq = j.seq
 	ev.QueryID = j.id
 	j.history = append(j.history, ev)
-	return ev
+	f := newFrame(ev)
+	j.frames = append(j.frames, f)
+	return f
 }
 
-func (j *job) fanOutLocked(ev client.ProgressEvent) {
+func (j *job) fanOutLocked(f frame) {
 	for _, sub := range j.subs {
-		sub.push(ev)
+		sub.push(f)
 	}
+}
+
+// frame is one event as the SSE stream sends it: the id, event and data
+// lines, encoded once. seq and terminal are the event's, for the
+// Last-Event-ID filter and the stream's end.
+type frame struct {
+	seq      int
+	terminal bool
+	data     []byte
+}
+
+// newFrame encodes ev. Every number on an event has passed through
+// client's finite, so encoding cannot fail.
+func newFrame(ev client.ProgressEvent) frame {
+	name := "progress"
+	if ev.Terminal() {
+		name = string(ev.State)
+	}
+	data, _ := json.Marshal(ev)
+	b := make([]byte, 0, len(data)+len(name)+40)
+	b = append(b, "id: "...)
+	b = strconv.AppendInt(b, int64(ev.Seq), 10)
+	b = append(b, "\nevent: "...)
+	b = append(b, name...)
+	b = append(b, "\ndata: "...)
+	b = append(b, data...)
+	b = append(b, "\n\n"...)
+	return frame{seq: ev.Seq, terminal: ev.Terminal(), data: b}
 }
 
 // setRunning marks the job handed to a worker. Called by the ledger,
@@ -130,9 +165,9 @@ func (j *job) take() (Stmt, error) {
 }
 
 // endLocked records the outcome and appends the terminal event to the
-// history, returning it for the ledger to fan out once the job is
+// history, returning its frame for the ledger to fan out once the job is
 // accounted for. Called exactly once, with j.mu held.
-func (j *job) endLocked(state client.State, err error, res *progressdb.Result, now time.Time) client.ProgressEvent {
+func (j *job) endLocked(state client.State, err error, res *progressdb.Result, now time.Time) frame {
 	j.state = state
 	j.err = err
 	j.res = res
@@ -200,14 +235,14 @@ func (j *job) remainingWall(now time.Time) (rem float64, ok bool) {
 	return ev.RemainingSeconds * (wall / ev.ElapsedSeconds), true
 }
 
-// subscribe registers a new subscriber and atomically returns the event
-// history so far; the subscriber's buffer receives everything published
-// afterwards. If the job is already terminal the replay ends with the
-// terminal event and the buffer stays silent.
-func (j *job) subscribe() (replay []client.ProgressEvent, sub *subscriber, id int) {
+// subscribe registers a new subscriber and atomically returns the frames
+// of the event history so far; the subscriber's buffer receives
+// everything published afterwards. If the job is already terminal the
+// replay ends with the terminal event and the buffer stays silent.
+func (j *job) subscribe() (replay []frame, sub *subscriber, id int) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	replay = append([]client.ProgressEvent(nil), j.history...)
+	replay = j.frames[:len(j.frames):len(j.frames)]
 	sub = &subscriber{wake: make(chan struct{}, 1)}
 	id = j.nextSub
 	j.nextSub++
@@ -256,21 +291,13 @@ func (j *job) info(queuePos int) client.QueryInfo {
 	return qi
 }
 
-// setCounters records the engine counter deltas attributable to this
-// job's execution, for its history profile. Called by the worker between
-// the executor returning and the terminal transition.
-func (j *job) setCounters(c map[string]float64) {
-	j.mu.Lock()
-	j.counters = c
-	j.mu.Unlock()
-}
-
 // profileLocked freezes the terminal job into its history record: the final
-// lifecycle snapshot, the complete progress-event ledger, and — for
-// queries that ran to completion — the plan report and the remaining-time
-// q-error trajectory. The event ledger and the plan report are the job's
-// own, not copies: the terminal event is in the ledger and publish
-// appends nothing after that one, and a finished Result is not written.
+// lifecycle snapshot, the complete progress-event ledger, the storage
+// events of any query that ran, and — for queries that ran to completion —
+// the plan report and the remaining-time q-error trajectory. The event
+// ledger, the counts and the plan report are the job's own, not copies:
+// the terminal event is in the ledger and publish appends nothing after
+// that one, and a finished Result is not written.
 func (j *job) profileLocked() *client.QueryProfile {
 	p := &client.QueryProfile{
 		Query: client.QueryInfo{
@@ -280,8 +307,7 @@ func (j *job) profileLocked() *client.QueryProfile {
 			State:         j.state,
 			SubmittedAtMS: j.submitted.UnixMilli(),
 		},
-		Events:   j.history[:len(j.history):len(j.history)],
-		Counters: j.counters,
+		Events: j.history[:len(j.history):len(j.history)],
 	}
 	if !j.started.IsZero() {
 		p.Query.StartedAtMS = j.started.UnixMilli()
@@ -292,10 +318,14 @@ func (j *job) profileLocked() *client.QueryProfile {
 	if j.err != nil {
 		p.Query.Error = j.err.Error()
 	}
-	if j.res == nil || j.state != client.StateDone {
+	if j.res == nil {
 		return p
 	}
 	res := j.res
+	p.IO = &res.Plan.IO
+	if j.state != client.StateDone {
+		return p
+	}
 	p.Query.VirtualSeconds = res.VirtualSeconds
 	p.Query.RowCount = res.RowCount()
 	if len(res.Plan.Segments) > 0 {
@@ -338,13 +368,13 @@ func (j *job) result() (*progressdb.Result, bool) {
 // terminal event.
 type subscriber struct {
 	mu   sync.Mutex
-	buf  []client.ProgressEvent
+	buf  []frame
 	wake chan struct{}
 }
 
-func (s *subscriber) push(ev client.ProgressEvent) {
+func (s *subscriber) push(f frame) {
 	s.mu.Lock()
-	s.buf = append(s.buf, ev)
+	s.buf = append(s.buf, f)
 	s.mu.Unlock()
 	select {
 	case s.wake <- struct{}{}:
@@ -353,7 +383,7 @@ func (s *subscriber) push(ev client.ProgressEvent) {
 }
 
 // drain returns and clears the buffered events.
-func (s *subscriber) drain() []client.ProgressEvent {
+func (s *subscriber) drain() []frame {
 	s.mu.Lock()
 	evs := s.buf
 	s.buf = nil
@@ -363,7 +393,7 @@ func (s *subscriber) drain() []client.ProgressEvent {
 
 // wait blocks until events are buffered or ctx ends; ok=false means the
 // context ended.
-func (s *subscriber) wait(ctx context.Context) (evs []client.ProgressEvent, ok bool) {
+func (s *subscriber) wait(ctx context.Context) (evs []frame, ok bool) {
 	for {
 		if evs := s.drain(); len(evs) > 0 {
 			return evs, true
@@ -380,7 +410,7 @@ func (s *subscriber) wait(ctx context.Context) (evs []client.ProgressEvent, ok b
 // it returns (nil, true, true), telling the SSE handler to emit a
 // keep-alive comment and wait again. ok=false still means the context
 // ended.
-func (s *subscriber) waitKeepAlive(ctx context.Context, d time.Duration) (evs []client.ProgressEvent, ok, ping bool) {
+func (s *subscriber) waitKeepAlive(ctx context.Context, d time.Duration) (evs []frame, ok, ping bool) {
 	t := time.NewTimer(d)
 	defer t.Stop()
 	for {

@@ -318,17 +318,21 @@ func TestAccountBeforePublish(t *testing.T) {
 			}
 			got := make(chan seen, 1)
 			go func() {
-				evs := replay
+				fs := replay
 				for {
-					for _, ev := range evs {
-						if ev.Terminal() {
+					for _, f := range fs {
+						if f.terminal {
 							_, ok := s.reg.profile(j.id)
-							got <- seen{ev, ok, e.counter(s.met).Value(), s.met.inflightQ.Value()}
+							o := seen{profiled: ok, counted: e.counter(s.met).Value(), inflightQ: s.met.inflightQ.Value()}
+							j.mu.Lock()
+							o.ev = j.history[f.seq-1]
+							j.mu.Unlock()
+							got <- o
 							return
 						}
 					}
 					var alive bool
-					if evs, alive = sub.wait(context.Background()); !alive {
+					if fs, alive = sub.wait(context.Background()); !alive {
 						return
 					}
 				}

@@ -1,7 +1,7 @@
 // Observability plane: the wall-clock sampler feeding the in-process
-// timeseries store, per-query engine-counter attribution, and the /api
-// handlers the embedded dashboard consumes (the profiles behind
-// /api/history are the ledger's finished jobs').
+// timeseries store, and the /api handlers the embedded dashboard
+// consumes (the profiles behind /api/history are the ledger's finished
+// jobs').
 package server
 
 import (
@@ -58,32 +58,6 @@ var fleetSeries = []string{
 // serves the full IDs, fleet_shard_percent{shard="0"} … {shard="N-1"}.
 const fleetShardPercentSeries = "fleet_shard_percent"
 
-// profileCounters are the engine counter families whose per-query deltas
-// are attached to history profiles: exactly one query's doing with
-// Workers == 1, neighbors' work included otherwise. Checked like the
-// dashboard list.
-var profileCounters = map[string]bool{
-	"bufferpool_hits_total":              true,
-	"bufferpool_misses_total":            true,
-	"bufferpool_evictions_total":         true,
-	"bufferpool_dirty_writebacks_total":  true,
-	"disk_seq_reads_total":               true,
-	"disk_rand_reads_total":              true,
-	"disk_seq_writes_total":              true,
-	"disk_rand_writes_total":             true,
-	"storage_io_retries_total":           true,
-	"storage_io_retry_giveups_total":     true,
-	"faultinject_read_faults_total":      true,
-	"faultinject_write_faults_total":     true,
-	"faultinject_transient_faults_total": true,
-	"faultinject_latency_events_total":   true,
-	"faultinject_panics_total":           true,
-	"indicator_refreshes_total":          true,
-	"indicator_segments_completed_total": true,
-	"indicator_dominant_switches_total":  true,
-	"exec_rows_out_total":                true,
-}
-
 // ---- sampler ---------------------------------------------------------
 
 // sampler is the daemon-mode timeseries feed: every SampleInterval it
@@ -123,40 +97,6 @@ func (s *Server) samples() []obs.Sample {
 // pass) — the /api/timeseries notion of "now".
 func (s *Server) sampleNow() float64 {
 	return math.Float64frombits(s.lastSample.Load())
-}
-
-// ---- per-query counter attribution -----------------------------------
-
-// counterBaseline picks the profile-relevant counters out of an engine
-// snapshot, by series ID. No samples (engine metrics off) yield an empty
-// baseline and thus profiles without counters.
-func counterBaseline(samples []obs.Sample) map[string]float64 {
-	out := make(map[string]float64)
-	for _, sm := range samples {
-		if sm.Kind == obs.KindCounter && profileCounters[sm.Name] {
-			out[sm.ID()] = sm.Value
-		}
-	}
-	return out
-}
-
-// counterDeltas returns the counters that moved since before, keyed by
-// series ID. Nil when nothing moved (the common fault-free case keeps
-// profiles small).
-func counterDeltas(before map[string]float64, samples []obs.Sample) map[string]float64 {
-	var out map[string]float64
-	for _, sm := range samples {
-		if sm.Kind != obs.KindCounter || !profileCounters[sm.Name] {
-			continue
-		}
-		if d := sm.Value - before[sm.ID()]; d > 0 {
-			if out == nil {
-				out = make(map[string]float64)
-			}
-			out[sm.ID()] = d
-		}
-	}
-	return out
 }
 
 // ---- /api handlers ---------------------------------------------------

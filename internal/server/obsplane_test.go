@@ -427,24 +427,14 @@ func TestObsListsResolve(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// An injector that never fires registers the faultinject_* counters
-	// the profile attributes.
 	db := smallDB(t)
-	if err := db.SetFaultSpec("seed=1"); err != nil {
-		t.Fatal(err)
-	}
-	var profiled []string
-	for name := range profileCounters {
-		profiled = append(profiled, name)
-	}
 	for _, tc := range []struct {
 		name   string
 		s      *Server
 		shards int // heatmap series the config must serve
-		extra  []string
 	}{
-		{"engine", New(db, Config{SampleInterval: -1, KeepAlive: -1}), 0, profiled},
-		{"fleet", NewFleet(f, Config{SampleInterval: -1, KeepAlive: -1}), 2, nil},
+		{"engine", New(db, Config{SampleInterval: -1, KeepAlive: -1}), 0},
+		{"fleet", NewFleet(f, Config{SampleInterval: -1, KeepAlive: -1}), 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ts := httptest.NewServer(tc.s.Handler())
@@ -468,15 +458,11 @@ func TestObsListsResolve(t *testing.T) {
 			have := map[string]bool{}
 			for _, id := range tc.s.ts.Names() {
 				have[id] = true
-				if i := strings.IndexByte(id, '{'); i >= 0 {
-					have[id[:i]] = true // a profile names a labeled family
-				}
 			}
 			if len(dash.ShardSeries) != tc.shards {
 				t.Errorf("config serves %d shard series %v, want %d", len(dash.ShardSeries), dash.ShardSeries, tc.shards)
 			}
-			listed := append(append(dash.SparklineSeries, dash.ShardSeries...), tc.extra...)
-			for _, id := range listed {
+			for _, id := range append(dash.SparklineSeries, dash.ShardSeries...) {
 				if !have[id] {
 					t.Errorf("series %s is listed but nothing registers it", id)
 				}
@@ -506,9 +492,10 @@ func TestObsListsResolve(t *testing.T) {
 
 // TestProfilePlanMatchesInProcess: the history profile carries the plan
 // report the engine made, as it is. Every benchmark statement, served by
-// one engine, leaves a profile whose plan decodes to exactly the
-// Result.Plan of the same statement run in process on a twin engine, and
-// names every operator. A 2-shard fleet's profile has no plan.
+// one engine, leaves a profile whose plan and storage counts decode to
+// exactly the Result.Plan of the same statement run in process on a twin
+// engine, and names every operator. A 2-shard fleet's profile has no
+// plan.
 func TestProfilePlanMatchesInProcess(t *testing.T) {
 	open := func() *progressdb.DB {
 		db := progressdb.Open(progressdb.Config{ProgressUpdateSeconds: 0.25})
@@ -539,10 +526,14 @@ func TestProfilePlanMatchesInProcess(t *testing.T) {
 			t.Fatalf("%s: %v", st.Name, err)
 		}
 		switch {
-		case prof.Plan == nil || len(prof.Plan.Operators) == 0:
-			t.Errorf("%s: profile plan %+v, want segments and operators", st.Name, prof.Plan)
-		case !reflect.DeepEqual(*prof.Plan, want.Plan):
-			t.Errorf("%s: the profile's plan\n%+v\nis not the in-process Result.Plan\n%+v", st.Name, *prof.Plan, want.Plan)
+		case prof.Plan == nil || len(prof.Plan.Operators) == 0 || prof.IO == nil:
+			t.Errorf("%s: profile plan %+v and counts %+v, want segments, operators and counts", st.Name, prof.Plan, prof.IO)
+		default:
+			got := *prof.Plan
+			got.IO = *prof.IO
+			if !reflect.DeepEqual(got, want.Plan) {
+				t.Errorf("%s: the profile's plan and counts\n%+v\nare not the in-process Result.Plan\n%+v", st.Name, got, want.Plan)
+			}
 		}
 	}
 

@@ -133,3 +133,48 @@ func TestQueuedJobDropsStmt(t *testing.T) {
 		t.Fatalf("held job ended %s", held.currentState())
 	}
 }
+
+// TestAdmissionChargeIsPlanCost: on an engine, every bench statement's
+// admission charge is, exactly, the initial cost of the plan that ran —
+// the sum of the served profile's segment estimates, which the
+// indicator starts from. Its first SSE report need not show it: by the
+// first refresh the indicator may have refined the total from what the
+// finished segments counted (q3, q4 and semi do at this period).
+func TestAdmissionChargeIsPlanCost(t *testing.T) {
+	db := progressdb.Open(progressdb.Config{ProgressUpdateSeconds: 1})
+	if err := db.LoadPaperWorkload(0.002, false); err != nil {
+		t.Fatal(err)
+	}
+	for _, ix := range workload.BenchIndexes {
+		if err := db.CreateIndex(ix[0], ix[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Analyze(); err != nil {
+		t.Fatal(err)
+	}
+	s, cl := testServer(t, db, Config{SampleInterval: -1, KeepAlive: -1})
+	ctx := context.Background()
+	for _, st := range workload.BenchStatements {
+		sub, err := cl.Submit(ctx, client.SubmitRequest{SQL: st.SQL, Name: st.Name})
+		if err != nil {
+			t.Fatalf("%s: %v", st.Name, err)
+		}
+		j, ok := s.reg.get(sub.ID)
+		if !ok {
+			t.Fatalf("%s: %s not registered", st.Name, sub.ID)
+		}
+		waitState(t, cl, sub.ID, client.StateDone)
+		prof, err := cl.HistoryProfile(ctx, sub.ID)
+		if err != nil || prof.Plan == nil {
+			t.Fatalf("%s: profile %+v, %v", st.Name, prof, err)
+		}
+		planned := 0.0
+		for _, seg := range prof.Plan.Segments {
+			planned += seg.EstCostU
+		}
+		if j.costU != planned {
+			t.Errorf("%s: admission charged %v U, the plan that ran starts from %v U", st.Name, j.costU, planned)
+		}
+	}
+}

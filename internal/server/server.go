@@ -54,7 +54,9 @@ type Config struct {
 	// Workers is the number of queries that may execute on the engine
 	// simultaneously: the size of the worker pool, so -workers N means
 	// N truly parallel executions on the shared DB. Default 1 (serial,
-	// fully deterministic ordering).
+	// fully deterministic ordering). A query's history profile counts
+	// its own storage events exactly whatever N is: they ride its plan
+	// record, not a snapshot of the shared registry.
 	Workers int
 	// QueueDepth bounds the admission queue; a submit that finds it
 	// full is rejected with 429. Default 8.
@@ -331,13 +333,6 @@ func (s *Server) runJob(j *job) {
 		}
 	}
 
-	// Counter baseline for the history profile. With Workers == 1 the
-	// worker is the engine's only user, so post-minus-pre deltas of
-	// engine counters are exactly this query's doing; with Workers > 1
-	// the deltas include neighbors' work and the profile's
-	// engine-counter section is approximate.
-	before := counterBaseline(s.eng.Metrics())
-
 	start := time.Now()
 	var res *progressdb.Result
 	var err error
@@ -357,7 +352,6 @@ func (s *Server) runJob(j *job) {
 		}
 	}()
 	s.met.wall.Observe(time.Since(start).Seconds())
-	j.setCounters(counterDeltas(before, s.eng.Metrics()))
 
 	state := client.StateFailed
 	switch {
@@ -551,33 +545,25 @@ func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 	s.met.sseSubs.Add(1)
 	defer s.met.sseSubs.Add(-1)
 
-	// write writes one event; false ends the stream.
-	write := func(ev client.ProgressEvent) bool {
-		if ev.Seq <= lastSeen {
+	// write writes one event's frame; false ends the stream.
+	write := func(f frame) bool {
+		if f.seq <= lastSeen {
 			// Already delivered on a previous connection. A terminal event
 			// still closes the stream — the query is over either way.
-			return !ev.Terminal()
+			return !f.terminal
 		}
-		name := "progress"
-		if ev.Terminal() {
-			name = string(ev.State)
-		}
-		data, err := json.Marshal(ev)
-		if err != nil {
+		if _, err := w.Write(f.data); err != nil {
 			return false
 		}
-		if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, name, data); err != nil {
-			return false
-		}
-		return !ev.Terminal()
+		return !f.terminal
 	}
 	// send writes a batch — the replay, or what one wake drained — and
 	// flushes once after it: a flush is a syscall, an event is not. The
 	// replay's flush also sends the header, even when the replay is empty.
-	send := func(evs []client.ProgressEvent) bool {
+	send := func(fs []frame) bool {
 		more := true
-		for _, ev := range evs {
-			if more = write(ev); !more {
+		for _, f := range fs {
+			if more = write(f); !more {
 				break
 			}
 		}
@@ -589,7 +575,7 @@ func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	for {
-		var evs []client.ProgressEvent
+		var evs []frame
 		var alive, ping bool
 		if s.cfg.KeepAlive > 0 {
 			evs, alive, ping = sub.waitKeepAlive(r.Context(), s.cfg.KeepAlive)

@@ -203,6 +203,7 @@ func (bp *BufferPool) readPage(clk *vclock.Clock, pid PageID) ([]byte, error) {
 		if attempt > 0 {
 			bp.retries.Add(1)
 			bp.met.IORetries.Inc()
+			clk.IO.Retries++
 			clk.Idle(retryBackoffBase * float64(int64(1)<<(attempt-1)))
 		}
 		data, err := bp.disk.readPage(clk, pid)
@@ -216,6 +217,7 @@ func (bp *BufferPool) readPage(clk *vclock.Clock, pid PageID) ([]byte, error) {
 	}
 	bp.giveups.Add(1)
 	bp.met.IORetryGiveups.Inc()
+	clk.IO.RetryGiveups++
 	return nil, fmt.Errorf("storage: read of %v failed after %d attempts: %w", pid, maxIOAttempts, lastErr)
 }
 
@@ -226,6 +228,7 @@ func (bp *BufferPool) writePage(clk *vclock.Clock, pid PageID, data []byte) erro
 		if attempt > 0 {
 			bp.retries.Add(1)
 			bp.met.IORetries.Inc()
+			clk.IO.Retries++
 			clk.Idle(retryBackoffBase * float64(int64(1)<<(attempt-1)))
 		}
 		err := bp.disk.writePage(clk, pid, data)
@@ -239,6 +242,7 @@ func (bp *BufferPool) writePage(clk *vclock.Clock, pid PageID, data []byte) erro
 	}
 	bp.giveups.Add(1)
 	bp.met.IORetryGiveups.Inc()
+	clk.IO.RetryGiveups++
 	return fmt.Errorf("storage: write of %v failed after %d attempts: %w", pid, maxIOAttempts, lastErr)
 }
 
@@ -340,6 +344,7 @@ func (bp *BufferPool) getOn(clk *vclock.Clock, pid PageID, pin bool) ([]byte, er
 	if i, ok := sh.table[pid]; ok {
 		bp.hits.Add(1)
 		bp.met.Hits.Inc()
+		clk.IO.Hits++
 		sh.touch(i)
 		fr := &sh.slots[i]
 		if pin {
@@ -350,6 +355,7 @@ func (bp *BufferPool) getOn(clk *vclock.Clock, pid PageID, pin bool) ([]byte, er
 	}
 	bp.misses.Add(1)
 	bp.met.Misses.Inc()
+	clk.IO.Misses++
 	// The latch is held across the physical read: concurrent requests
 	// for this page queue here and then hit the freshly inserted frame,
 	// so each page is read from disk exactly once per residency.
@@ -429,9 +435,11 @@ func (bp *BufferPool) insertLocked(clk *vclock.Clock, sh *poolShard, pid PageID,
 		vf := sh.remove(v)
 		bp.evictions.Add(1)
 		bp.met.Evictions.Inc()
+		clk.IO.Evictions++
 		if vf.dirty {
 			bp.writebacks.Add(1)
 			bp.met.DirtyWritebacks.Inc()
+			clk.IO.Writebacks++
 			if err := bp.writePage(clk, vf.pid, vf.data); err != nil {
 				return fmt.Errorf("storage: evicting %v: %w", vf.pid, err)
 			}
@@ -455,6 +463,7 @@ func (bp *BufferPool) FlushOn(clk *vclock.Clock) error {
 			if fr.dirty {
 				bp.writebacks.Add(1)
 				bp.met.DirtyWritebacks.Inc()
+				clk.IO.Writebacks++
 				if err := bp.writePage(clk, fr.pid, fr.data); err != nil {
 					sh.mu.Unlock()
 					return err

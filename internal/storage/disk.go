@@ -203,14 +203,35 @@ func (d *Disk) SetFaultInjector(inj FaultInjector) {
 
 // injectFault runs the installed injector for one access of class fc,
 // charging any injected latency to clk before returning the injected
-// error (nil when no fault fires). Called with d.mu held.
+// error (nil when no fault fires), and counts on clk what the injector
+// fired: latency, an I/O fault, or the panic it unwinds with. Called
+// with d.mu held.
 func (d *Disk) injectFault(clk *vclock.Clock, op FaultOp, fc FileClass) error {
 	if d.inj == nil {
 		return nil
 	}
+	panicked := true
+	defer func() {
+		if panicked {
+			clk.IO.Panics++
+		}
+	}()
 	lat, err := d.inj.BeforePageIO(op, fc)
+	panicked = false
 	if lat > 0 {
+		clk.IO.LatencyEvents++
 		clk.Idle(lat)
+	}
+	var f *IOFault
+	if errors.As(err, &f) {
+		if op == OpRead {
+			clk.IO.ReadFaults++
+		} else {
+			clk.IO.WriteFaults++
+		}
+		if !f.Permanent {
+			clk.IO.TransientFaults++
+		}
 	}
 	return err
 }
@@ -332,10 +353,12 @@ func (d *Disk) readPage(clk *vclock.Clock, pid PageID) ([]byte, error) {
 	}
 	if pid.Num == f.lastRead+1 {
 		clk.ChargeSeqIO(1)
+		clk.IO.SeqReads++
 		d.stats.SeqReads++
 		d.met.SeqReads.Inc()
 	} else {
 		clk.ChargeRandIO(1)
+		clk.IO.RandReads++
 		d.stats.RandReads++
 		d.met.RandReads.Inc()
 	}
@@ -370,10 +393,12 @@ func (d *Disk) writePage(clk *vclock.Clock, pid PageID, data []byte) error {
 	}
 	if pid.Num == f.lastWrit+1 {
 		clk.ChargeSeqIO(1)
+		clk.IO.SeqWrites++
 		d.stats.SeqWrites++
 		d.met.SeqWrites.Inc()
 	} else {
 		clk.ChargeRandIO(1)
+		clk.IO.RandWrites++
 		d.stats.RandWrites++
 		d.met.RandWrites.Inc()
 	}

@@ -203,10 +203,49 @@ type Ticker struct {
 	fn           func(now int64)
 }
 
+// IOCounts are the storage events charged to one clock: buffer-pool
+// lookups and the frames they displaced, physical page I/O by access
+// pattern, retries of transient faults, and what a fault injector
+// fired. The storage layer adds each event to the clock it charges for
+// the access, so a query's worker clock holds that query's own counts,
+// however many queries share the pool and the disk.
+type IOCounts struct {
+	// Hits and Misses count page lookups served from the buffer pool
+	// and read through to disk.
+	Hits   int64 `json:"hits"`
+	Misses int64 `json:"misses"`
+	// Evictions counts frames displaced to make room, and Writebacks the
+	// dirty pages written back on eviction or flush.
+	Evictions  int64 `json:"evictions"`
+	Writebacks int64 `json:"writebacks"`
+	// SeqReads, RandReads, SeqWrites and RandWrites count physical page
+	// accesses by pattern: each is one unit of SeqIO or RandIO work.
+	SeqReads   int64 `json:"seq_reads"`
+	RandReads  int64 `json:"rand_reads"`
+	SeqWrites  int64 `json:"seq_writes"`
+	RandWrites int64 `json:"rand_writes"`
+	// Retries counts page accesses retried after a transient fault, and
+	// RetryGiveups accesses that failed after the bounded retry budget.
+	Retries      int64 `json:"retries"`
+	RetryGiveups int64 `json:"retry_giveups"`
+	// ReadFaults and WriteFaults count injected I/O errors by direction,
+	// TransientFaults the retryable ones among them, LatencyEvents the
+	// accesses an injector stretched, and Panics its injected crashes.
+	ReadFaults      int64 `json:"read_faults"`
+	WriteFaults     int64 `json:"write_faults"`
+	TransientFaults int64 `json:"transient_faults"`
+	LatencyEvents   int64 `json:"latency_events"`
+	Panics          int64 `json:"panics"`
+}
+
 // Clock is a deterministic virtual clock. It is not safe for concurrent
 // use; the engine is single-threaded by design (as was the paper's
 // per-query execution).
 type Clock struct {
+	// IO counts the storage events charged to this clock. Like the
+	// clock's time, only its owner touches it.
+	IO IOCounts
+
 	// ChargeCPU's batch: pend CPU units charged since the last settle,
 	// not yet in now or work. pend < room always holds, where room is the
 	// fewest units whose cost at cpu ticks each reaches the horizon — the

@@ -111,13 +111,20 @@ func (db *DB) workerClock() *vclock.Clock {
 // stays leak-free and reusable.
 func (db *DB) run(ctx context.Context, clk *vclock.Clock, yield func(), p plan.Node, d *segment.Decomposition, onProgress func(Report), keepRows, collect bool) (res *Result, err error) {
 	var env *exec.Env
+	// The query's storage events count from zero on its clock; a worker
+	// clock starts there, and ExecGroup keeps each member's on the base
+	// clock while the member holds it.
+	clk.IO = vclock.IOCounts{}
 	defer func() {
 		if r := recover(); r != nil {
-			res, err = nil, exec.NewInternalError(r, debug.Stack())
+			err = exec.NewInternalError(r, debug.Stack())
 		}
-		if err != nil && env != nil {
-			env.ReleaseScans()
-			env.ReclaimTemps()
+		if err != nil {
+			if env != nil {
+				env.ReleaseScans()
+				env.ReclaimTemps()
+			}
+			res = &Result{Plan: PlanReport{IO: clk.IO}}
 		}
 		clk.Sync()
 	}()
@@ -163,7 +170,7 @@ func (db *DB) run(ctx context.Context, clk *vclock.Clock, yield func(), p plan.N
 	}
 	n, err := exec.Run(env, p, sink)
 	if err != nil {
-		return nil, err
+		return nil, err // the deferred func fills the failed query's result
 	}
 	if !keepRows {
 		res.RowsDiscarded = int(n)
@@ -223,16 +230,24 @@ func (db *DB) ExplainAnalyze(sql string) (*Result, string, error) {
 type SegmentReport = core.SegmentReport
 
 // PlanReport is what a finished query knows about its plan: per segment,
-// the indicator's estimate against what the segment did, and per
-// operator, the optimizer's estimate against what the operator did. It
-// holds no plan node, so a Result keeps it and a server can send it as
-// it is.
+// the indicator's estimate against what the segment did, per operator,
+// the optimizer's estimate against what the operator did, and the
+// storage events the query caused. It holds no plan node, so a Result
+// keeps it and a server can send it as it is.
 type PlanReport struct {
 	// Segments are the plan's segments in execution order.
 	Segments []SegmentReport `json:"segments"`
 	// Operators are the plan's operators in pre-order.
 	Operators []OperatorReport `json:"operators"`
+	// IO is the query's own buffer-pool, disk, retry and injected-fault
+	// counts, exact however many queries run beside it. It is not part
+	// of the report's JSON, which is the plan's shape; a server sends it
+	// beside the report.
+	IO IOCounts `json:"-"`
 }
+
+// IOCounts are one query's storage events (PlanReport.IO).
+type IOCounts = vclock.IOCounts
 
 // OperatorReport is one operator of a PlanReport: the optimizer's
 // estimate against what the operator's node slot counted. Its Label, U
@@ -246,7 +261,7 @@ type OperatorReport = exec.OperatorReport
 // (env.Collect), it also labels and notes each operator off a pre-order
 // walk of the plan.
 func newPlanReport(p plan.Node, env *exec.Env, ind *core.Indicator) PlanReport {
-	r := PlanReport{Segments: ind.SegmentReports(), Operators: env.Ops}
+	r := PlanReport{Segments: ind.SegmentReports(), Operators: env.Ops, IO: env.Clock.IO}
 	slots := env.Decomp.NodeCounts()
 	for i := range slots {
 		c, op := &slots[i], &r.Operators[i]

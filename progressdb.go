@@ -397,7 +397,9 @@ func toReport(s core.Snapshot) Report {
 	}
 }
 
-// Result is a completed query.
+// Result is a completed query. A query that fails returns, beside its
+// error, a Result that holds only Plan.IO: the storage events it caused
+// before it failed.
 type Result struct {
 	// Columns are the output column names.
 	Columns []string
